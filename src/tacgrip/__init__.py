@@ -19,9 +19,8 @@ from .density import (ContactRegion, DensityField, KdeConfig,
                       calibrate_threshold, estimate_density, extract_contact,
                       marker_support_mask, write_density_pgm)
 from .episode import (EpisodeResult, measure_response_latency, run_grasp)
-from .errors import (BadCropError, EmptyFrameError, EmptyMarkerSetError,
-                     InvalidSelectorError, NoDisturbanceError,
-                     NonMonotonicTimeError, ParseError,
+from .errors import (EmptyMarkerSetError, InvalidSelectorError,
+                     NoDisturbanceError, NonMonotonicTimeError, ParseError,
                      PressureOutOfRangeError, ScenarioError, StaleFlagsError,
                      TacgripError, ValidationError)
 from .kinematics import (CcSegment, FingerChain, JointGeometry, JointModel,
@@ -38,6 +37,6 @@ from .scenario import (Scenario, StimulusEvent, load_scenario,
                        slip_scenario, static_scenario, timeout_scenario)
 from .sensor_sim import (ContactStimulus, SensorModel, displace_markers,
                          nominal_grid, render_frame, write_frames)
-from .tactile import (CropRect, PreprocessConfig, TactileFrame, preprocess)
+from .tactile import TactileFrame
 from .tracking import (ContactTrack, read_track_csv, track_displacement,
                        write_track_csv)

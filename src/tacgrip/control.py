@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 
 from .errors import NoDisturbanceError, StaleFlagsError
 
-CONTROL_PERIOD_S = 0.033  # 33 plant ticks at 1 ms, ~30 Hz frame rate
+CONTROL_PERIOD_TICKS = 33  # plant ticks per control instant, ~30 Hz frame rate
+CONTROL_PERIOD_S = CONTROL_PERIOD_TICKS * 0.001  # at the 1 ms plant tick
 DEFAULT_GRASP_MASK = 0xFF
 
 REGRASP_RELEASE_S = 1.0  # suction phase of a regrasp
@@ -24,6 +25,12 @@ REGRASP_PAUSE_S = 0.5  # sealed pause before closing again
 MAX_REGRASPS = 3
 
 _EPS = 1e-9
+
+
+def is_fresh(age, control_period):
+    """Whether a sample `age` seconds old is fresh: at most two control
+    periods old."""
+    return age <= 2.0 * control_period + _EPS
 
 
 @dataclass
@@ -113,9 +120,9 @@ def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
     not yet filled).
     """
     t1, t2 = thresholds.t1_mm, thresholds.t2_mm
-    fresh_horizon = 2.0 * control_period + _EPS
 
-    if not track.centers or (now - track.timestamps[-1]) > fresh_horizon:
+    if not track.centers or not is_fresh(now - track.timestamps[-1],
+                                         control_period):
         return PerceptionFlag(track.finger_id, FlagKind.NO_CONTACT, now)
 
     if track.displacements:
@@ -168,9 +175,8 @@ def arbitrate(flag1, flag2, phase, thresholds, now=None,
     """
     if now is None:
         now = max(flag1.timestamp, flag2.timestamp)
-    horizon = 2.0 * control_period + _EPS
     for flag in (flag1, flag2):
-        if now - flag.timestamp > horizon:
+        if not is_fresh(now - flag.timestamp, control_period):
             raise StaleFlagsError(
                 f"finger {flag.finger_id} flag is {now - flag.timestamp:.3f}s old"
             )

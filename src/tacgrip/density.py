@@ -5,9 +5,13 @@ The density at grid point (x, y) over M markers is
     d(x, y) = (1/M) * sum_m 1/(sqrt(2*pi)*h^2) * exp(-|(x,y)-(x_m,y_m)|^2 / (2 h^2))
 
 with this exact normalization constant (not the standard bivariate
-2*pi*h^2 one). Contact shows up as a low-density region: the largest
-connected component below a threshold, whose density argmin is the
-contact center.
+2*pi*h^2 one). The Gaussian is separable, so the whole field is one
+product Gy.T @ Gx of two truncated 1-D kernel matrices: Gy (M, H) and
+Gx (M, W) hold each marker's kernel along one axis, zeroed beyond 6h
+from the marker; BLAS accumulates it over fixed blocks of markers.
+Contact shows up as a low-density region: the largest connected
+component below a threshold, whose density argmin is the contact
+center.
 """
 
 import math
@@ -16,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg.blas import dgemm
 
 from .errors import EmptyMarkerSetError
 from .pgm import write_pgm
@@ -28,6 +33,14 @@ from .tactile import FRAME_HEIGHT, FRAME_WIDTH
 # brute-force summation bit for bit.
 _TRUNC_H = 6.0
 
+# Markers per block of the kernel-matrix product. OpenBLAS splits a
+# reduction longer than its block depth (384 for its SkylakeX kernels;
+# the depth varies by CPU) at points that depend on the thread count, so
+# one long product gives thread-count-dependent bytes. Blocks of 128,
+# accumulated in a fixed order, stay under that depth and keep the
+# field's bytes the same for any thread count.
+_BLAS_BLOCK = 128
+
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 
@@ -35,7 +48,6 @@ _STRUCT_8 = np.ones((3, 3), dtype=bool)
 @dataclass
 class KdeConfig:
     kernel_width_h: float = 15.0
-    grid_stride: int = 1
     # Threshold in per-px^2 density units: 0.3 per mm^2 converted through
     # the pixel scale (0.3 * s^2). See calibrate_threshold for the
     # reference-frame calibration actually used by the live pipeline.
@@ -46,8 +58,6 @@ class KdeConfig:
     def __post_init__(self):
         if self.kernel_width_h <= 0:
             raise ValueError("kernel_width_h must be > 0")
-        if int(self.grid_stride) != self.grid_stride or self.grid_stride < 1:
-            raise ValueError("grid_stride must be an integer >= 1")
         if self.pixel_scale_s <= 0:
             raise ValueError("pixel_scale_s must be > 0")
         if self.connectivity not in (4, 8):
@@ -56,22 +66,15 @@ class KdeConfig:
 
 @dataclass
 class DensityField:
-    """Density samples on a regular grid over the frame.
+    """Density samples on the pixel grid of the frame.
 
-    values[iy, ix] is the density at pixel (origin + stride*ix,
-    origin + stride*iy). The source markers are retained so a coarse
-    (stride > 1) contact center can be refined on the fine pixel grid.
+    values[iy, ix] is the density at pixel (ix, iy). The source markers
+    are retained to derive the marker support mask.
     """
 
     values: np.ndarray
-    origin: Tuple[float, float] = (0.0, 0.0)
-    stride: int = 1
     markers: Optional["np.ndarray"] = None
     kernel_width_h: float = 15.0
-
-    def grid_to_px(self, ix, iy):
-        return (self.origin[0] + self.stride * ix,
-                self.origin[1] + self.stride * iy)
 
 
 @dataclass
@@ -102,12 +105,27 @@ def _density_at_points(centroids, xs, ys, h):
     return c / m * np.exp(-(dx * dx + dy * dy) / (2.0 * h * h)).sum(axis=1)
 
 
+def _kernel_matrix(centers, n, h):
+    """(M, n) 1-D Gaussian kernels exp(-(g - c)^2 / (2 h^2)) on the grid
+    g = 0..n-1, zeroed outside [c - 6h, c + 6h]."""
+    grid = np.arange(n, dtype=np.float64)
+    cut = _TRUNC_H * h
+    outside = (grid < (centers - cut)[:, None]) \
+        | (grid > (centers + cut)[:, None])
+    k = grid - centers[:, None]
+    np.square(k, out=k)
+    k *= -1.0 / (2.0 * h * h)
+    np.exp(k, out=k)
+    k[outside] = 0.0
+    return k
+
+
 def estimate_density(markers, config=None, width=FRAME_WIDTH, height=FRAME_HEIGHT):
     """Evaluate the kernel density on the frame grid.
 
-    The Gaussian is separable, so each marker contributes an outer
-    product of two 1-D kernels over a truncated window; the result
-    matches the direct double summation to well below 1e-12.
+    The Gaussian is separable, so the field is the product of the two
+    truncated 1-D kernel matrices, summed over fixed blocks of markers;
+    the result matches the direct double summation to well below 1e-12.
     """
     config = config or KdeConfig()
     centroids = np.asarray(markers.centroids, dtype=np.float64)
@@ -120,31 +138,17 @@ def estimate_density(markers, config=None, width=FRAME_WIDTH, height=FRAME_HEIGH
     centroids = centroids[order]
 
     h = config.kernel_width_h
-    stride = int(config.grid_stride)
-    xs = np.arange(0, width, stride, dtype=np.float64)
-    ys = np.arange(0, height, stride, dtype=np.float64)
-    values = np.zeros((len(ys), len(xs)))
-    inv_2h2 = 1.0 / (2.0 * h * h)
-    cut = _TRUNC_H * h
-
-    max_w = int(2 * cut / stride) + 3
-    buf = np.empty((max_w, max_w))
-    for mx, my in centroids:
-        ix0 = int(np.searchsorted(xs, mx - cut, side="left"))
-        ix1 = int(np.searchsorted(xs, mx + cut, side="right"))
-        iy0 = int(np.searchsorted(ys, my - cut, side="left"))
-        iy1 = int(np.searchsorted(ys, my + cut, side="right"))
-        if ix0 >= ix1 or iy0 >= iy1:
-            continue
-        gx = np.exp(-((xs[ix0:ix1] - mx) ** 2) * inv_2h2)
-        gy = np.exp(-((ys[iy0:iy1] - my) ** 2) * inv_2h2)
-        out = buf[:iy1 - iy0, :ix1 - ix0]
-        np.multiply(gy[:, None], gx[None, :], out=out)
-        values[iy0:iy1, ix0:ix1] += out
-
+    gx = _kernel_matrix(centroids[:, 0], width, h)
+    gy = _kernel_matrix(centroids[:, 1], height, h)
+    # BLAS adds each block's gx.T @ gy in place into the (W, H)
+    # Fortran-ordered view of the C-ordered (H, W) field.
+    acc = np.zeros((height, width)).T
+    for k in range(0, m, _BLAS_BLOCK):
+        acc = dgemm(1.0, gx[k:k + _BLAS_BLOCK].T, gy[k:k + _BLAS_BLOCK].T,
+                    beta=1.0, c=acc, trans_b=True, overwrite_c=True)
+    values = acc.T
     values *= 1.0 / (math.sqrt(2.0 * math.pi) * h * h * m)
-    return DensityField(values=values, origin=(0.0, 0.0), stride=stride,
-                        markers=centroids, kernel_width_h=h)
+    return DensityField(values=values, markers=centroids, kernel_width_h=h)
 
 
 def marker_support_mask(field, margin=None):
@@ -163,26 +167,23 @@ def marker_support_mask(field, margin=None):
     y_lo = field.markers[:, 1].min() + margin
     y_hi = field.markers[:, 1].max() - margin
     ny, nx = field.values.shape
-    xs = field.origin[0] + field.stride * np.arange(nx)
-    ys = field.origin[1] + field.stride * np.arange(ny)
+    xs = np.arange(nx)
+    ys = np.arange(ny)
     return (ys[:, None] >= y_lo) & (ys[:, None] <= y_hi) \
         & (xs[None, :] >= x_lo) & (xs[None, :] <= x_hi)
 
 
-def calibrate_threshold(reference_markers, config=None, ratio=0.5,
-                        width=FRAME_WIDTH, height=FRAME_HEIGHT, margin=None):
-    """Derive a working contact threshold from a no-contact reference frame.
+def calibrate_threshold(reference_field, support, ratio):
+    """Derive a working contact threshold from a no-contact reference field.
 
-    Returns ratio * (minimum density over the marker support region).
+    Returns ratio * (minimum density over the marker support mask).
     With the reference grid intact the whole support sits above the
     returned value, so an undeformed frame reads NoContact; a real
     indentation empties its neighborhood and dips well below.
     """
-    field_ = estimate_density(reference_markers, config, width=width, height=height)
-    mask = marker_support_mask(field_, margin=margin)
-    if not mask.any():
+    if not support.any():
         raise ValueError("support mask is empty; margin too large for the grid")
-    return float(ratio * field_.values[mask].min())
+    return float(ratio * reference_field.values[support].min())
 
 
 def extract_contact(field, config=None, support=None):
@@ -211,30 +212,14 @@ def extract_contact(field, config=None, support=None):
     masked = np.where(mask, field.values, np.inf)
     flat = int(masked.argmin())
     iy, ix = np.unravel_index(flat, masked.shape)
-    center = field.grid_to_px(int(ix), int(iy))
+    center = (float(ix), float(iy))
     min_density = float(field.values[iy, ix])
-
-    if field.stride > 1 and field.markers is not None:
-        center, min_density = _refine_center(field, int(ix), int(iy))
 
     idx_y, idx_x = np.nonzero(mask)
     pixels = np.column_stack([idx_x, idx_y]).astype(np.int64)
     return ContactRegion(pixels=pixels, center=center,
                          center_index=(int(ix), int(iy)),
                          min_density=min_density)
-
-
-def _refine_center(field, ix, iy):
-    """Fine-grid argmin within one stride cell around a coarse center."""
-    cx, cy = field.grid_to_px(ix, iy)
-    s = field.stride
-    xs = np.arange(cx - s + 1, cx + s)
-    ys = np.arange(cy - s + 1, cy + s)
-    gx, gy = np.meshgrid(xs, ys)
-    dens = _density_at_points(field.markers, gx.ravel(), gy.ravel(),
-                              field.kernel_width_h)
-    k = int(dens.argmin())
-    return (float(gx.ravel()[k]), float(gy.ravel()[k])), float(dens[k])
 
 
 def write_density_pgm(field, path):

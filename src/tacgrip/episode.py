@@ -14,15 +14,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from .control import (CommandKind, GraspSupervisor, McuEmulator, Phase,
-                      encode_frame, measure_valve_response)
+from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
+                      McuEmulator, Phase, encode_frame, measure_valve_response)
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import ContactStimulus, displace_markers, render_frame, write_frames
 from .tracking import write_track_csv
 
-CONTROL_PERIOD_TICKS = 33
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
 
 EPISODE_COLUMNS = (

@@ -5,14 +5,6 @@ class TacgripError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyFrameError(TacgripError):
-    """Raw image has zero pixels."""
-
-
-class BadCropError(TacgripError):
-    """Crop rectangle exceeds the raw image bounds."""
-
-
 class EmptyMarkerSetError(TacgripError):
     """Density estimation requires at least one marker."""
 

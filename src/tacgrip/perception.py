@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .blobs import DetectorConfig, detect_markers
-from .control import CONTROL_PERIOD_S, classify_frame
+from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
 from .density import (KdeConfig, calibrate_threshold, estimate_density,
                       extract_contact, marker_support_mask)
 from .tracking import ContactTrack, track_displacement
@@ -59,16 +59,14 @@ class FingerPipeline:
         """Freeze the working threshold and support mask from a
         no-contact frame."""
         markers = detect_markers(reference_frame, self.detector_config)
-        threshold = calibrate_threshold(
-            markers, self.kde_config, ratio=self.calibration_ratio,
-            width=reference_frame.width, height=reference_frame.height,
-        )
-        self.kde_config = replace(self.kde_config, density_threshold_T=threshold)
         reference_field = estimate_density(
             markers, self.kde_config,
             width=reference_frame.width, height=reference_frame.height,
         )
         self.support = marker_support_mask(reference_field)
+        threshold = calibrate_threshold(reference_field, self.support,
+                                        ratio=self.calibration_ratio)
+        self.kde_config = replace(self.kde_config, density_threshold_T=threshold)
         self.calibrated = True
         return threshold
 
@@ -95,4 +93,4 @@ class FingerPipeline:
     def has_fresh_contact(self, now):
         if not self.track.timestamps:
             return False
-        return now - self.track.timestamps[-1] <= 2.0 * self.control_period + 1e-9
+        return is_fresh(now - self.track.timestamps[-1], self.control_period)

@@ -108,7 +108,7 @@ _SCHEMA = {
         "noise_sigma": _FLOAT,
     },
     "kde": {
-        "kernel_width_h": _FLOAT, "grid_stride": _INT,
+        "kernel_width_h": _FLOAT,
         "pixel_scale_s": _FLOAT, "connectivity": _INT,
         "calibration_ratio": _FLOAT,
     },
@@ -267,7 +267,6 @@ def scenario_to_text(scenario):
         "",
         "[kde]",
         f"kernel_width_h = {k.kernel_width_h!r}",
-        f"grid_stride = {k.grid_stride}",
         f"pixel_scale_s = {k.pixel_scale_s!r}",
         f"connectivity = {k.connectivity}",
         f"calibration_ratio = {scenario.calibration_ratio!r}",

@@ -1,28 +1,20 @@
-"""Tactile frames and raw-image preprocessing.
+"""Tactile frames.
 
 The perception pipeline consumes grayscale frames of a fixed working size
-(640x480 by default). ``preprocess`` turns whatever the camera (or the
-synthetic sensor) produced into that canonical form: optional crop,
-rescale, grayscale conversion and normalization to [0, 1].
+(640x480 by default) with intensities normalized to [0, 1].
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import BadCropError, EmptyFrameError
 
 FRAME_WIDTH = 640
 FRAME_HEIGHT = 480
 
-# ITU-R BT.601 luma weights for RGB -> gray.
-_LUMA = np.array([0.299, 0.587, 0.114])
-
 
 @dataclass(frozen=True)
 class TactileFrame:
-    """One preprocessed grayscale frame.
+    """One grayscale frame.
 
     pixels: (height, width) float64 array with intensities in [0, 1].
     timestamp: seconds, strictly increasing within one finger's stream.
@@ -50,98 +42,3 @@ class TactileFrame:
         if self.finger_id not in (1, 2):
             raise ValueError(f"finger_id must be 1 or 2, got {self.finger_id}")
         return self
-
-
-@dataclass(frozen=True)
-class CropRect:
-    """Crop rectangle in raw-image pixel coordinates (x, y = top-left)."""
-
-    x: int
-    y: int
-    width: int
-    height: int
-
-
-@dataclass
-class PreprocessConfig:
-    out_width: int = FRAME_WIDTH
-    out_height: int = FRAME_HEIGHT
-    crop: Optional[CropRect] = None  # None = full raw frame
-    # "box" preserves the image mean for integer downscales; "bilinear"
-    # handles arbitrary ratios.
-    resample: str = "box"
-
-    def __post_init__(self):
-        if self.resample not in ("box", "bilinear"):
-            raise ValueError(f"unknown resample filter {self.resample!r}")
-
-
-def _to_gray01(raw):
-    raw = np.asarray(raw)
-    integer_input = np.issubdtype(raw.dtype, np.integer)
-    if raw.ndim == 3:
-        if raw.shape[2] not in (3, 4):
-            raise ValueError(f"color image needs 3 or 4 channels, got {raw.shape[2]}")
-        raw = raw[:, :, :3].astype(np.float64) @ _LUMA
-    elif raw.ndim != 2:
-        raise ValueError(f"expected 2-D or 3-D image, got ndim={raw.ndim}")
-    raw = raw.astype(np.float64, copy=False)
-    # Integer input is byte-scaled; float input is already on [0, 1].
-    if integer_input:
-        raw = raw / 255.0
-    return np.clip(raw, 0.0, 1.0)
-
-
-def _resize_box(img, out_h, out_w):
-    in_h, in_w = img.shape
-    if in_h % out_h == 0 and in_w % out_w == 0:
-        fy, fx = in_h // out_h, in_w // out_w
-        return img.reshape(out_h, fy, out_w, fx).mean(axis=(1, 3))
-    # Non-integer ratio: fall back to bilinear.
-    return _resize_bilinear(img, out_h, out_w)
-
-
-def _resize_bilinear(img, out_h, out_w):
-    in_h, in_w = img.shape
-    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-    return top * (1 - wy[:, 0])[:, None] + bot * wy[:, 0][:, None]
-
-
-def preprocess(raw, timestamp, finger_id=1, config=None):
-    """Crop, rescale and normalize a raw image into a TactileFrame.
-
-    Raises EmptyFrameError for zero-pixel input and BadCropError when the
-    configured crop rectangle does not fit inside the raw bounds.
-    """
-    config = config or PreprocessConfig()
-    raw = np.asarray(raw)
-    if raw.size == 0:
-        raise EmptyFrameError("raw frame has zero pixels")
-    gray = _to_gray01(raw)
-
-    if config.crop is not None:
-        c = config.crop
-        h, w = gray.shape
-        if c.x < 0 or c.y < 0 or c.width <= 0 or c.height <= 0 \
-                or c.x + c.width > w or c.y + c.height > h:
-            raise BadCropError(
-                f"crop {c} outside raw bounds {w}x{h}"
-            )
-        gray = gray[c.y : c.y + c.height, c.x : c.x + c.width]
-
-    if gray.shape != (config.out_height, config.out_width):
-        if config.resample == "box":
-            gray = _resize_box(gray, config.out_height, config.out_width)
-        else:
-            gray = _resize_bilinear(gray, config.out_height, config.out_width)
-
-    return TactileFrame(pixels=gray, timestamp=float(timestamp), finger_id=finger_id)

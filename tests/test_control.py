@@ -1,13 +1,13 @@
 import pytest
 
-from tacgrip.control import (CONTROL_PERIOD_S, DEFAULT_GRASP_MASK,
-                             FRAME_SYNC, MAX_REGRASPS, REGRASP_PAUSE_S,
-                             REGRASP_RELEASE_S, CommandKind,
+from tacgrip.control import (CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
+                             DEFAULT_GRASP_MASK, FRAME_SYNC, MAX_REGRASPS,
+                             REGRASP_PAUSE_S, REGRASP_RELEASE_S, CommandKind,
                              ControlThresholds, FlagKind, GraspPhase,
                              GraspSupervisor, GuardAction, McuCommand,
                              McuEmulator, PerceptionFlag, Phase, arbitrate,
                              classify_frame, decode_frame, edge_guard,
-                             encode_frame, mask_chambers,
+                             encode_frame, is_fresh, mask_chambers,
                              measure_valve_response)
 from tacgrip.errors import NoDisturbanceError, StaleFlagsError
 from tacgrip.plant import PneumaticPlant
@@ -163,6 +163,17 @@ def test_stale_flags_rejected():
         arbitrate(_flag(FlagKind.STABLE_GRASP, t=1.0),
                   _flag(FlagKind.STABLE_GRASP, 2, t=10.0),
                   _phase(Phase.STABLE), TH, now=10.0)
+
+
+def test_fresh_is_two_periods_inclusive():
+    assert CONTROL_PERIOD_S == CONTROL_PERIOD_TICKS * 0.001 == 0.033
+    assert is_fresh(2 * DT, DT)
+    assert not is_fresh(2 * DT + 1e-6, DT)
+    # a flag exactly two periods old is still accepted
+    assert arbitrate(_flag(FlagKind.NO_CONTACT, t=1.0),
+                     _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
+                     _phase(Phase.STABLE), TH,
+                     now=1.0 + 2 * DT) is None
 
 
 # -- supervisor ---------------------------------------------------------------

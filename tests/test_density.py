@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tacgrip as tg
+from tacgrip import density, perception
 from tacgrip.density import (ContactRegion, DensityField, KdeConfig,
-                             calibrate_threshold, estimate_density,
-                             extract_contact, marker_support_mask,
-                             write_density_pgm)
+                             _density_at_points, calibrate_threshold,
+                             estimate_density, extract_contact,
+                             marker_support_mask, write_density_pgm)
 from tacgrip.errors import EmptyMarkerSetError
 from tacgrip.pgm import read_pgm
 
@@ -64,6 +69,21 @@ def test_far_field_below_tail_bound():
     assert field.values[far].max() <= math.exp(-18.0) * peak * 1.01
 
 
+def test_full_frame_matches_direct_sum_within_tail(nominal_model):
+    # On the 640x480 frame the 6h truncation is active; each marker drops
+    # less than exp(-18) of its peak, so the field stays within
+    # norm * exp(-18) of the untruncated sum.
+    ms = tg.displace_markers(nominal_model, None)
+    field = estimate_density(ms)
+    rng = np.random.default_rng(4)
+    ix = rng.integers(0, 640, 2000)
+    iy = rng.integers(0, 480, 2000)
+    direct = _density_at_points(ms.centroids, ix.astype(float),
+                                iy.astype(float), 15.0)
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * 15.0 ** 2)
+    assert np.abs(field.values[iy, ix] - direct).max() <= norm * math.exp(-18.0)
+
+
 def test_translation_equivariance_bit_exact():
     rng = np.random.default_rng(1)
     cents = np.column_stack([rng.uniform(100, 200, 12),
@@ -94,7 +114,6 @@ def test_empty_markerset_rejected():
 
 def _field_from(values, markers=None):
     return DensityField(values=np.asarray(values, dtype=float),
-                        origin=(0.0, 0.0), stride=1,
                         markers=markers, kernel_width_h=15.0)
 
 
@@ -179,10 +198,61 @@ def test_support_mask_restricts_thresholding(nominal_model):
 
 def test_calibrate_threshold_is_ratio_of_support_min(nominal_model):
     ms = tg.displace_markers(nominal_model, None)
-    t = calibrate_threshold(ms, KdeConfig(), ratio=0.5)
     field = estimate_density(ms)
     support = marker_support_mask(field)
+    t = calibrate_threshold(field, support, ratio=0.5)
     assert t == pytest.approx(0.5 * field.values[support].min(), rel=1e-12)
+    with pytest.raises(ValueError):
+        calibrate_threshold(field, np.zeros_like(support), ratio=0.5)
+
+
+def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return estimate_density(*args, **kwargs)
+
+    monkeypatch.setattr(perception, "estimate_density", counting)
+    monkeypatch.setattr(density, "estimate_density", counting)
+    pipe = perception.FingerPipeline(1, calibration_ratio=0.8)
+    threshold = pipe.calibrate(reference_frame)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    field = estimate_density(*args, **kwargs)
+    assert np.array_equal(pipe.support, marker_support_mask(field))
+    assert threshold == 0.8 * field.values[pipe.support].min()
+    assert pipe.kde_config.density_threshold_T == threshold
+
+
+_FIELD_DIGEST = """
+import hashlib
+import numpy as np
+import tacgrip as tg
+digest = hashlib.sha256()
+nominal = tg.displace_markers(tg.SensorModel(), None)
+crowded = tg.MarkerSet(np.random.default_rng(6).uniform(
+    (-50, -50), (690, 530), (600, 2)))
+for markers in (nominal, crowded):
+    digest.update(tg.estimate_density(markers).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_field_bytes_independent_of_blas_threads():
+    # The field is a BLAS matrix product; same-seed traces stay
+    # byte-identical only if its bytes do not depend on the thread count.
+    # 600 markers is past the reduction length (384 on SkylakeX) at
+    # which one OpenBLAS product gives thread-count-dependent bytes.
+    src = str(Path(tg.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _FIELD_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_write_density_pgm_normalizes(tmp_path, nominal_model):

@@ -57,6 +57,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_scenario_text("[scenario]\njust some words\n")
     assert err.value.line_no == 2
+    with pytest.raises(ParseError) as err:
+        parse_scenario_text("[kde]\ngrid_stride = 2")
+    assert err.value.line_no == 2
 
 
 def test_event_parse_errors():
