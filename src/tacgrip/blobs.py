@@ -7,6 +7,19 @@ is computed. Dark blobs are gated by a positive Laplacian (local
 intensity minimum). Candidates are local maxima of the response stack,
 deduplicated by greedy non-maximum suppression and refined to sub-pixel
 positions with a per-axis quadratic fit.
+
+A window (a pixel box around the markers) makes detection cheaper
+without changing its result. The filters run on the box widened by
+`_window_pad` (the largest filter's half-width plus one pixel), clipped
+to the frame. scipy's separable filters read only pixels within that
+half-width, so inside the box the response equals the full-frame
+response bit for bit; the 3x3 maximum filter and the quadratic fit read
+at most one pixel beyond the box. The peak, the threshold and the
+candidates come from inside the box. The response outside the box is
+bounded from the range of the pixels it reads (`_outside_bound`): when
+that bound stays under half the threshold, no pixel outside the box can
+be a candidate or move the threshold, and the windowed result is the
+full-frame result. Otherwise the frame is detected again in full.
 """
 
 from dataclasses import dataclass
@@ -14,6 +27,13 @@ from typing import Tuple
 
 import numpy as np
 from scipy import ndimage
+
+# Gaussian filter support in units of sigma.
+_TRUNCATE = 3.0
+# A window's result stands when the bound on the response outside it is
+# at most this share of the threshold; the rest covers float32 rounding
+# of the computed response.
+_BOUND_SHARE = 0.5
 
 
 @dataclass
@@ -25,7 +45,6 @@ class DetectorConfig:
     threshold_rel: float = 0.15
     threshold_abs: float = 1e-4
     min_separation: float = 4.0
-    refine: bool = True
 
     def __post_init__(self):
         if not self.scales or any(s <= 0 for s in self.scales):
@@ -73,42 +92,149 @@ class MarkerSet:
         return self
 
 
-def _quadratic_offset(vm, v0, vp):
-    den = vm - 2.0 * v0 + vp
-    if abs(den) < 1e-12:
-        return 0.0
-    return float(np.clip(0.5 * (vm - vp) / den, -0.5, 0.5))
+def _radius(sigma):
+    """Half-width of scipy's Gaussian kernels at truncate=3.0."""
+    return int(_TRUNCATE * sigma + 0.5)
 
 
-def detect_markers(frame, config=None):
-    """Detect dark circular markers in a preprocessed frame.
+def _window_pad(config):
+    """Pixels the response inside a window depends on beyond it: the
+    largest filter's half-width, plus one for the 3x3 maximum filter and
+    the +-1 quadratic fit."""
+    return _radius(max(config.scales)) + 1
 
-    Deterministic for a given frame and config. An empty MarkerSet is a
-    valid result (blank frame).
+
+def marker_window(markers, config, width, height):
+    """The markers' bounding box widened by 2 * `_window_pad`, clipped to
+    a width x height frame, as a half-open pixel box (x0, y0, x1, y1).
+
+    The outside bound reads pixels up to one half-width inside the box,
+    and a marker the scales can detect reaches less than `_window_pad`
+    from its center, so at rest no marker pixel enters that bound.
     """
-    config = config or DetectorConfig()
-    img = frame.pixels.astype(np.float32)
-    h, w = img.shape
+    if len(markers) == 0:
+        raise ValueError("a marker window needs at least one marker")
+    margin = 2 * _window_pad(config)
+    lo = np.floor(markers.centroids.min(axis=0)).astype(int) - margin
+    hi = np.ceil(markers.centroids.max(axis=0)).astype(int) + margin + 1
+    return (max(int(lo[0]), 0), max(int(lo[1]), 0),
+            min(int(hi[0]), width), min(int(hi[1]), height))
 
+
+def _outside_bound(pixels, box, config):
+    """Upper bound on the response at every pixel outside the box.
+
+    Outside the box the filters read only the frame minus the box shrunk
+    by the largest half-width r. Over those pixels, with extremes lo and
+    hi, the Laplacian Ixx + Iyy at scale sigma is at most P * hi - N * lo,
+    where P and N are the summed magnitudes of the Laplacian kernel's
+    positive and negative taps. The gate passes only a positive
+    Laplacian, and there
+    sigma^4 * (Ixx * Iyy - Ixy^2) <= sigma^4 * (Ixx + Iyy)^2 / 4.
+    """
+    h, w = pixels.shape
+    x0, y0, x1, y1 = box
+    r = _window_pad(config) - 1
+    hx0, hy0, hx1, hy1 = x0 + r, y0 + r, x1 - r, y1 - r
+    if hx0 >= hx1 or hy0 >= hy1:
+        parts = [pixels]
+    else:
+        parts = [pixels[:hy0], pixels[hy1:],
+                 pixels[hy0:hy1, :hx0], pixels[hy0:hy1, hx1:]]
+    parts = [p for p in parts if p.size]
+    lo = min(float(p.min()) for p in parts)
+    hi = max(float(p.max()) for p in parts)
+    bound = 0.0
+    for sigma in config.scales:
+        delta = np.zeros(2 * _radius(sigma) + 1)
+        delta[_radius(sigma)] = 1.0
+        k0, k2 = (ndimage.gaussian_filter1d(delta, sigma, order=order,
+                                            mode="constant",
+                                            truncate=_TRUNCATE)
+                  for order in (0, 2))
+        lap = np.outer(k2, k0) + np.outer(k0, k2)
+        laplacian = (float(lap[lap > 0].sum()) * hi
+                     + float(lap[lap < 0].sum()) * lo)
+        if laplacian > 0:
+            bound = max(bound, sigma ** 4 * laplacian ** 2 / 4)
+    return bound
+
+
+def _response(pixels, config):
+    """Gated determinant-of-Hessian response, max over scales (float32)."""
+    img = pixels.astype(np.float32)
     resp = None
     for sigma in config.scales:
         dyy = ndimage.gaussian_filter(img, sigma, order=(2, 0),
-                                      mode="nearest", truncate=3.0)
+                                      mode="nearest", truncate=_TRUNCATE)
         dxx = ndimage.gaussian_filter(img, sigma, order=(0, 2),
-                                      mode="nearest", truncate=3.0)
+                                      mode="nearest", truncate=_TRUNCATE)
         dxy = ndimage.gaussian_filter(img, sigma, order=(1, 1),
-                                      mode="nearest", truncate=3.0)
+                                      mode="nearest", truncate=_TRUNCATE)
         det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
         # Dark blobs only: intensity minima have a positive Laplacian.
         det[(dxx + dyy) <= 0] = 0.0
         resp = det if resp is None else np.maximum(resp, det)
+    return resp
 
-    peak = float(resp.max())
+
+def _quadratic_offsets(vm, v0, vp):
+    """Vertex offsets of parabolas through (-1, vm), (0, v0), (1, vp),
+    clipped to +-0.5, in the arrays' own (float32) arithmetic; 0 where
+    the curvature is below 1e-12."""
+    den = vm - 2.0 * v0 + vp
+    flat = np.abs(den) < 1e-12
+    off = 0.5 * (vm - vp) / np.where(flat, 1.0, den)
+    return np.where(flat, 0.0, np.clip(off, -0.5, 0.5))
+
+
+def detect_markers(frame, config=None, window=None):
+    """Detect dark circular markers in a frame.
+
+    window: optional half-open pixel box (x0, y0, x1, y1) expected to
+    hold the markers. It saves work and never changes the result: when
+    the response outside it is not bounded below the threshold, the
+    whole frame is searched. Deterministic for a given frame and config.
+    An empty MarkerSet is a valid result (blank frame).
+    """
+    config = config or DetectorConfig()
+    h, w = frame.pixels.shape
+    if window is not None:
+        x0, y0, x1, y1 = window
+        box = (max(x0, 0), max(y0, 0), min(x1, w), min(y1, h))
+        if box[0] >= box[2] or box[1] >= box[3]:
+            raise ValueError(f"window {window} holds no pixel of a "
+                             f"{w}x{h} frame")
+        if box != (0, 0, w, h):
+            markers = _detect_in_box(frame, config, box)
+            if markers is not None:
+                return markers
+    return _detect_in_box(frame, config, (0, 0, w, h))
+
+
+def _detect_in_box(frame, config, box):
+    """Markers inside the box, or None when a pixel outside the box
+    might be a candidate or raise the threshold."""
+    h, w = frame.pixels.shape
+    x0, y0, x1, y1 = box
+    # Filter on the box widened by the pad; (ox, oy) is the crop origin.
+    pad = _window_pad(config)
+    ox, oy = max(x0 - pad, 0), max(y0 - pad, 0)
+    resp = _response(frame.pixels[oy:min(y1 + pad, h), ox:min(x1 + pad, w)],
+                     config)
+    # The box in crop coordinates.
+    inner = (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox))
+    peak = float(resp[inner].max())
     threshold = max(config.threshold_abs, config.threshold_rel * peak)
+    if box != (0, 0, w, h) and \
+            _outside_bound(frame.pixels, box, config) > _BOUND_SHARE * threshold:
+        return None
     local_max = resp >= ndimage.maximum_filter(resp, size=3, mode="nearest")
-    ys, xs = np.nonzero(local_max & (resp > threshold))
+    ys, xs = np.nonzero(local_max[inner] & (resp[inner] > threshold))
     if len(ys) == 0:
         return MarkerSet(np.empty((0, 2)), frame_timestamp=frame.timestamp)
+    ys += y0 - oy
+    xs += x0 - ox
 
     vals = resp[ys, xs]
     order = np.lexsort((xs, ys, -vals))
@@ -129,14 +255,15 @@ def detect_markers(frame, config=None):
     kept_x = kept_x[:n_kept]
     kept_y = kept_y[:n_kept]
 
-    cx = kept_x.astype(np.float64)
-    cy = kept_y.astype(np.float64)
-    if config.refine:
-        for i, (x, y) in enumerate(zip(kept_x, kept_y)):
-            if 0 < x < w - 1:
-                cx[i] += _quadratic_offset(resp[y, x - 1], resp[y, x], resp[y, x + 1])
-            if 0 < y < h - 1:
-                cy[i] += _quadratic_offset(resp[y - 1, x], resp[y, x], resp[y + 1, x])
+    # Sub-pixel fit, skipped on the frame's outermost rows and columns.
+    cx = (kept_x + ox).astype(np.float64)
+    cy = (kept_y + oy).astype(np.float64)
+    fit = (cx > 0) & (cx < w - 1)
+    x, y = kept_x[fit], kept_y[fit]
+    cx[fit] += _quadratic_offsets(resp[y, x - 1], resp[y, x], resp[y, x + 1])
+    fit = (cy > 0) & (cy < h - 1)
+    x, y = kept_x[fit], kept_y[fit]
+    cy[fit] += _quadratic_offsets(resp[y - 1, x], resp[y, x], resp[y + 1, x])
 
     out = np.lexsort((cx, cy))
     centroids = np.column_stack([cx[out], cy[out]])

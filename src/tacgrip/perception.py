@@ -8,12 +8,21 @@ marker support region. The nominal-grid density sits orders of
 magnitude below any plausible fixed absolute threshold, so an
 uncalibrated constant would either flag everything or nothing;
 calibration pins the decision boundary to the sensor's own rest state.
+
+Markers are detected inside a window, which saves work but never
+changes the result (`blobs.detect_markers` searches the full frame when
+the window cannot be shown to hold every marker). Calibration detects on
+the full reference frame and sets the window to the reference markers'
+bounding box widened by `blobs.marker_window`'s margin. After every
+frame the window grows to the union of itself and the same widened box
+of that frame's markers, and it never shrinks, so markers pushed outward
+by a contact widen it once and the following frames stay windowed.
 """
 
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .blobs import DetectorConfig, detect_markers
+from .blobs import DetectorConfig, detect_markers, marker_window
 from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
 from .density import (KdeConfig, calibrate_threshold, estimate_density,
                       extract_contact, marker_support_mask)
@@ -40,7 +49,8 @@ class FingerPipeline:
     """Stateful perception for one finger.
 
     Calibrate with a no-contact reference frame before processing; the
-    support mask and working threshold are frozen from it.
+    support mask and working threshold are frozen from it, and the
+    detection window starts from it.
     """
 
     def __init__(self, finger_id, kde_config=None, detector_config=None,
@@ -53,11 +63,13 @@ class FingerPipeline:
         self.control_period = control_period
         self.track = ContactTrack(finger_id=finger_id)
         self.support = None
+        self.window = None
         self.calibrated = False
 
     def calibrate(self, reference_frame):
         """Freeze the working threshold and support mask from a
         no-contact frame."""
+        reference_frame.validate()
         markers = detect_markers(reference_frame, self.detector_config)
         reference_field = estimate_density(
             markers, self.kde_config,
@@ -67,14 +79,30 @@ class FingerPipeline:
         threshold = calibrate_threshold(reference_field, self.support,
                                         ratio=self.calibration_ratio)
         self.kde_config = replace(self.kde_config, density_threshold_T=threshold)
+        self.window = marker_window(markers, self.detector_config,
+                                    reference_frame.width,
+                                    reference_frame.height)
         self.calibrated = True
         return threshold
+
+    def _detect(self, frame):
+        """Detect inside the window, then grow it over the markers found."""
+        markers = detect_markers(frame, self.detector_config, self.window)
+        if len(markers):
+            grown = marker_window(markers, self.detector_config,
+                                  frame.width, frame.height)
+            self.window = (min(self.window[0], grown[0]),
+                           min(self.window[1], grown[1]),
+                           max(self.window[2], grown[2]),
+                           max(self.window[3], grown[3]))
+        return markers
 
     def process(self, frame):
         """Run one frame through the pipeline, updating the track."""
         if not self.calibrated:
             raise RuntimeError("pipeline used before calibrate()")
-        markers = detect_markers(frame, self.detector_config)
+        frame.validate()
+        markers = self._detect(frame)
         if len(markers) == 0:
             return PipelineReport(center=None, region=None, field=None)
         field = estimate_density(markers, self.kde_config,

@@ -40,7 +40,10 @@ def write_pgm(path, image, comment=None):
 
 
 def read_pgm(path):
-    """Read a binary PGM file, returning a uint8 array of shape (h, w)."""
+    """Read a binary PGM file, returning a uint8 array of shape (h, w).
+
+    Raises ValueError naming the file for a malformed or truncated file.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(b"P5"):
@@ -58,11 +61,24 @@ def read_pgm(path):
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header: its "
+                             f"{len(blob)} bytes end before width, height "
+                             "and maxval")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace byte after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise ValueError(f"{path}: malformed PGM header {tokens}") from None
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: bad PGM size {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    available = max(len(blob) - pos, 0)
+    if available < w * h:
+        raise ValueError(f"{path}: truncated PGM pixel data: expected "
+                         f"{w * h} bytes, got {available}")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return data.reshape(h, w).copy()
 

@@ -36,6 +36,9 @@ class TactileFrame:
     def validate(self):
         if self.pixels.ndim != 2:
             raise ValueError("frame pixels must be 2-D")
+        # NaN fails every comparison, so it would pass the range check.
+        if not np.isfinite(self.pixels).all():
+            raise ValueError("frame pixels contain NaN or infinite values")
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"intensities outside [0,1]: min={lo} max={hi}")

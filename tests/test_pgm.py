@@ -73,3 +73,27 @@ def test_read_rejects_wide_maxval(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+def test_read_rejects_truncated_pixels(tmp_path):
+    path = tmp_path / "short.pgm"
+    write_pgm(path, np.zeros((4, 6)))
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match=r"short\.pgm.*expected 24 bytes, got 19"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("raw", [b"P5", b"P5\n6 4", b"P5\n6 4\n# comment"])
+def test_read_rejects_truncated_header(tmp_path, raw):
+    path = tmp_path / "head.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=rf"head\.pgm.*{len(raw)} bytes"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n6 x4\n255\n", b"P5\n0 4\n255\n"])
+def test_read_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "junk.pgm"
+    path.write_bytes(header + bytes(24))
+    with pytest.raises(ValueError, match=r"junk\.pgm"):
+        read_pgm(path)

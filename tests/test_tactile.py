@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tacgrip as tg
 from tacgrip.tactile import TactileFrame
 
 
@@ -14,3 +17,23 @@ def test_frame_validate_checks_range_and_finger():
                      finger_id=3).validate()
     with pytest.raises(ValueError):
         TactileFrame(pixels=np.zeros(16), timestamp=0.0).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_validate_rejects_non_finite(bad):
+    pixels = np.full((4, 4), 0.5)
+    pixels[2, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        TactileFrame(pixels=pixels, timestamp=0.0).validate()
+
+
+def test_pipeline_validates_frames(reference_frame):
+    pipe = tg.FingerPipeline(1)
+    nan_frame = dataclasses.replace(reference_frame,
+                                    pixels=reference_frame.pixels.copy())
+    nan_frame.pixels[240, 320] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        pipe.calibrate(nan_frame)
+    pipe.calibrate(reference_frame)
+    with pytest.raises(ValueError, match="NaN"):
+        pipe.process(nan_frame)
