@@ -9,6 +9,8 @@ stability, reopen on disturbance, regrasp on slip, release when nothing
 is touched for too long.
 """
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -42,17 +44,12 @@ class ControlThresholds:
     # Fraction of the nominal sample count that must be present inside
     # the stability window (guards against sparse tracks).
     window_coverage: float = 0.9
-    # "sliding": stability judged on the trailing window as-is;
-    # "restart": the window restarts after every violation.
-    window_mode: str = "sliding"
 
     def __post_init__(self):
         if not 0 < self.t1_mm < self.t2_mm:
             raise ValueError("need 0 < T1 < T2")
         if self.stability_window_s <= 0 or self.no_contact_timeout_s <= 0:
             raise ValueError("windows must be positive")
-        if self.window_mode not in ("sliding", "restart"):
-            raise ValueError(f"unknown window_mode {self.window_mode!r}")
 
 
 class FlagKind(Enum):
@@ -117,7 +114,8 @@ def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
     <= T1 (inclusive), the window is fully populated, and the track is
     fresh. DisturbanceOccured: latest D in (T1, T2]. Regrasp: latest
     D > T2. NoContact otherwise (no contact, stale contact, or a window
-    not yet filled).
+    not yet filled). A call costs O(log N + W) for a track of N samples
+    with W of them in the stability window, however long the track.
     """
     t1, t2 = thresholds.t1_mm, thresholds.t2_mm
 
@@ -138,31 +136,23 @@ def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
 
 
 def _window_stable(track, thresholds, now, control_period):
+    """Whether the track spans the window, which holds enough samples
+    and none above T1.
+
+    disp_timestamps strictly increase (track_displacement and
+    read_track_csv enforce it), so the first in-window sample is found
+    by bisection and only the samples inside the window are read.
+    """
     window = thresholds.stability_window_s
+    times, disps = track.disp_timestamps, track.displacements
+    if not disps or now - times[0] < window - _EPS:
+        return False
+    lo = bisect.bisect_right(times, now - window - _EPS)
     t1 = thresholds.t1_mm
-    if not track.displacements:
+    if any(d > t1 for d in disps[lo:]):
         return False
-
-    start = now - window - _EPS
-    in_window = [(t, d) for t, d in zip(track.disp_timestamps, track.displacements)
-                 if t > start]
-    if any(d > t1 for _, d in in_window):
-        return False
-
-    if thresholds.window_mode == "restart":
-        # The window restarts after the most recent violation anywhere in
-        # the track, not just inside the trailing window.
-        violations = [t for t, d in zip(track.disp_timestamps, track.displacements)
-                      if d > t1]
-        anchor = max([track.disp_timestamps[0]] + violations)
-        if now - anchor < window - _EPS:
-            return False
-    else:
-        if now - track.disp_timestamps[0] < window - _EPS:
-            return False
-
     needed = int(math.ceil(thresholds.window_coverage * window / control_period))
-    return len(in_window) >= needed
+    return len(disps) - lo >= needed
 
 
 def arbitrate(flag1, flag2, phase, thresholds, now=None,
@@ -368,7 +358,7 @@ class McuEmulator:
 
     def __init__(self, plant):
         self.plant = plant
-        self._agenda = []  # (due_tick, seq, chamber_list, valve_command)
+        self._agenda = []  # heap of (due_tick, seq, chamber_list, valve_command)
         self._seq = 0
         self.executed = []  # (tick, CommandKind, mask) log
 
@@ -391,17 +381,16 @@ class McuEmulator:
             self._schedule(due + cfg.ticks(REGRASP_RELEASE_S), chambers, 0)
 
     def _schedule(self, due_tick, chambers, valve_command):
-        self._agenda.append((due_tick, self._seq, chambers, valve_command))
+        heapq.heappush(self._agenda,
+                       (due_tick, self._seq, chambers, valve_command))
         self._seq += 1
 
     def on_tick(self):
         """Issue due valve commands; call once per plant tick, before step."""
-        if not self._agenda:
-            return
-        self._agenda.sort()
+        agenda = self._agenda
         now = self.plant.tick
-        while self._agenda and self._agenda[0][0] <= now:
-            _, _, chambers, command = self._agenda.pop(0)
+        while agenda and agenda[0][0] <= now:
+            _, _, chambers, command = heapq.heappop(agenda)
             self.plant.apply_valve_command(chambers, command)
 
 

@@ -10,6 +10,7 @@ integer-tick scheduling throughout, fully deterministic.
 """
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -106,11 +107,11 @@ class PneumaticPlant:
             valve_states=np.zeros(N_CHAMBERS, dtype=np.int64),
         )
         self.tick = 0
-        self._queue = []  # (due_tick, submit_seq, chamber, command)
+        self._queue = []  # heap of (due_tick, submit_seq, chamber, command)
         self._seq = 0
         # First tick at which each chamber sees tank flow after its valve
         # opened (models line transit).
-        self._flow_from = np.zeros(N_CHAMBERS, dtype=np.int64)
+        self._flow_from = [0] * N_CHAMBERS
         # Precomputed exact first-order step factor.
         self._alpha = 1.0 - math.exp(-self.config.tick_dt
                                      / self.config.chamber_time_constant)
@@ -127,7 +128,7 @@ class PneumaticPlant:
         chambers = self._resolve_selector(selector)
         due = self.tick + self.config.ticks(self.config.valve_latency)
         for ch in chambers:
-            self._queue.append((due, self._seq, ch, int(command)))
+            heapq.heappush(self._queue, (due, self._seq, ch, int(command)))
             self._seq += 1
 
     @staticmethod
@@ -158,14 +159,13 @@ class PneumaticPlant:
         now = self.tick
 
         # Deliver due valve commands in (due, fifo) order.
-        if self._queue:
-            self._queue.sort()
-            while self._queue and self._queue[0][0] <= now:
-                _, _, ch, command = self._queue.pop(0)
-                if state.valve_states[ch] != command:
-                    state.valve_states[ch] = command
-                    if command != 0:
-                        self._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
+        queue = self._queue
+        while queue and queue[0][0] <= now:
+            _, _, ch, command = heapq.heappop(queue)
+            if state.valve_states[ch] != command:
+                state.valve_states[ch] = command
+                if command != 0:
+                    self._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
 
         # Safety loop: pumps and tank clamping.
         state.pump_pos_on, state.pump_neg_on = safety_loop(state, cfg)
@@ -177,15 +177,21 @@ class PneumaticPlant:
         state.tank_neg = min(max(state.tank_neg, PRESSURE_MIN), PRESSURE_MAX)
 
         # First-order chamber dynamics toward the connected tank; sealed
-        # chambers hold their pressure exactly.
-        for ch in range(N_CHAMBERS):
-            v = state.valve_states[ch]
-            if v == 0 or now < self._flow_from[ch]:
-                continue
-            target = state.tank_pos if v > 0 else state.tank_neg
-            p = state.chamber_pressures[ch]
-            p += (target - p) * self._alpha
-            state.chamber_pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
+        # chambers hold their pressure exactly. The loop runs on Python
+        # floats (the same float64 arithmetic as numpy scalars, without
+        # their per-element cost) and writes the array back once.
+        valves = state.valve_states.tolist()
+        if any(valves):
+            pressures = state.chamber_pressures.tolist()
+            alpha = self._alpha
+            for ch, v in enumerate(valves):
+                if v == 0 or now < self._flow_from[ch]:
+                    continue
+                target = state.tank_pos if v > 0 else state.tank_neg
+                p = pressures[ch]
+                p += (target - p) * alpha
+                pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
+            state.chamber_pressures[:] = pressures
 
         state.sim_time = self.tick * cfg.tick_dt
         return state

@@ -126,7 +126,6 @@ _SCHEMA = {
     "thresholds": {
         "t1_mm": _FLOAT, "t2_mm": _FLOAT, "stability_window_s": _FLOAT,
         "no_contact_timeout_s": _FLOAT, "window_coverage": _FLOAT,
-        "window_mode": str,
     },
     "control": {"grasp_mask": _mask, "max_regrasps": _INT},
     "events": {"event": str},
@@ -294,7 +293,6 @@ def scenario_to_text(scenario):
         f"stability_window_s = {t.stability_window_s!r}",
         f"no_contact_timeout_s = {t.no_contact_timeout_s!r}",
         f"window_coverage = {t.window_coverage!r}",
-        f"window_mode = {t.window_mode}",
         "",
         "[control]",
         f"grasp_mask = 0x{scenario.grasp_mask:02X}",

@@ -5,6 +5,7 @@ mm through the pixel scale, is the controller's core signal.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -19,7 +20,8 @@ class ContactTrack:
 
     displacements[i] is the mm distance between centers[i] and
     centers[i+1]; disp_timestamps[i] is the time of the newer center.
-    A single-entry track has no displacement yet.
+    A single-entry track has no displacement yet. Timestamps strictly
+    increase, which the classifier's bisection relies on.
     """
 
     finger_id: int = 1
@@ -74,6 +76,13 @@ def write_track_csv(track, path):
 
 
 def read_track_csv(path, finger_id=1):
+    """Read a track CSV written by write_track_csv.
+
+    Raises ValueError naming the file and row for a row that does not
+    parse as numbers, or whose timestamp is not finite or does not
+    advance past the previous row's (track_displacement rejects the
+    same; the classifier bisects over the timestamps).
+    """
     track = ContactTrack(finger_id=finger_id)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -83,11 +92,24 @@ def read_track_csv(path, finger_id=1):
         for row in reader:
             if not row:
                 continue
-            t, x, y = float(row[0]), float(row[1]), float(row[2])
+            where = f"{path}: row {reader.line_num}"
+            try:
+                t, x, y = float(row[0]), float(row[1]), float(row[2])
+                d = float(row[3]) if len(row) > 3 and row[3] != "" else None
+            except (ValueError, IndexError):
+                raise ValueError(f"{where}: need numeric t, x, y[, d_mm], "
+                                 f"got {row}")
+            last = track.last_timestamp
+            if not math.isfinite(t):
+                raise ValueError(f"{where}: timestamp {row[0]} is not finite")
+            if last is not None and t <= last:
+                raise ValueError(
+                    f"{where}: timestamp {row[0]} does not advance past {last}"
+                )
             track.timestamps.append(t)
             track.centers.append((x, y))
-            if len(row) > 3 and row[3] != "":
-                track.displacements.append(float(row[3]))
+            if d is not None:
+                track.displacements.append(d)
                 track.disp_timestamps.append(t)
     return track
 

@@ -1,6 +1,11 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
-from tacgrip.control import (CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
+from tacgrip import control
+from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              DEFAULT_GRASP_MASK, FRAME_SYNC, MAX_REGRASPS,
                              REGRASP_PAUSE_S, REGRASP_RELEASE_S, CommandKind,
                              ControlThresholds, FlagKind, GraspPhase,
@@ -9,8 +14,9 @@ from tacgrip.control import (CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              classify_frame, decode_frame, edge_guard,
                              encode_frame, is_fresh, mask_chambers,
                              measure_valve_response)
-from tacgrip.errors import NoDisturbanceError, StaleFlagsError
+from tacgrip.errors import NoDisturbanceError, ParseError, StaleFlagsError
 from tacgrip.plant import PneumaticPlant
+from tacgrip.scenario import parse_scenario_text
 from tacgrip.tracking import ContactTrack
 
 TH = ControlThresholds()
@@ -91,15 +97,131 @@ def test_violation_ages_out_of_window():
     assert classify_frame(track, TH, now).kind == FlagKind.STABLE_GRASP
 
 
-def test_restart_window_mode():
-    th = ControlThresholds(window_mode="restart")
-    disps = [0.0] * 140
-    disps[10] = 1.0
+def test_window_mode_key_is_unknown():
+    # the "restart" window mode always gave the sliding window's flag
+    # and was removed with its scenario key
+    with pytest.raises(ParseError, match="unknown key 'window_mode'") as err:
+        parse_scenario_text("[thresholds]\nwindow_mode = restart\n")
+    assert err.value.line_no == 2
+
+
+def _full_scan_window_stable(track, thresholds, now, control_period):
+    """Reference window check: every displacement of the track is tested
+    against the window start."""
+    window = thresholds.stability_window_s
+    t1 = thresholds.t1_mm
+    if not track.displacements:
+        return False
+    start = now - window - _EPS
+    in_window = [(t, d) for t, d in zip(track.disp_timestamps,
+                                        track.displacements) if t > start]
+    if any(d > t1 for _, d in in_window):
+        return False
+    if now - track.disp_timestamps[0] < window - _EPS:
+        return False
+    needed = int(math.ceil(thresholds.window_coverage * window
+                           / control_period))
+    return len(in_window) >= needed
+
+
+def _random_case(rng):
+    """A random track, thresholds and classification time that land on
+    the edges the classifier decides on."""
+    th = ControlThresholds(
+        t1_mm=rng.choice([0.5, 0.25, 1.0]), t2_mm=5.0,
+        stability_window_s=rng.choice([3.0, 1.0, 0.5, 2.0 * DT]),
+        window_coverage=rng.choice([0.9, 0.9, 0.5, 1.0, 0.0]))
+    t1 = th.t1_mm
+    n = rng.randrange(0, 260)
+    dt = rng.choice([DT, DT, DT, 0.05, 0.2, 0.5])
+    times, t = [], rng.uniform(0.0, 5.0)
+    for _ in range(n + 1):
+        times.append(t)
+        # occasional dropped frames thin the track out
+        t += dt * (rng.randrange(2, 6) if rng.random() < 0.1 else 1)
+    pool = [0.0, 0.1 * t1, t1, math.nextafter(t1, 0.0),
+            math.nextafter(t1, math.inf), 2.0 * t1, 5.0,
+            math.nextafter(5.0, math.inf), 50.0]
+    calm = rng.random() < 0.6
+    disps = [rng.choice(pool[:4]) if calm or rng.random() < 0.9
+             else rng.choice(pool) for _ in range(n)]
+    if n and rng.random() < 0.2:
+        disps[-1] = rng.choice(pool[4:])  # the latest sample decides
+    track = ContactTrack(finger_id=1, timestamps=times,
+                         centers=[(320.0, 240.0)] * len(times),
+                         disp_timestamps=times[1:], displacements=disps)
+    mode = rng.randrange(4)
+    if mode == 0 and n:
+        # a sample exactly at, or an epsilon either side of, the window
+        # start; sometimes that sample is the one violation
+        j = rng.randrange(n)
+        now = times[j + 1] + th.stability_window_s \
+            + rng.choice([0.0, _EPS, -_EPS, 2 * _EPS, -2 * _EPS])
+        if rng.random() < 0.5:
+            disps[j] = math.nextafter(t1, math.inf)
+    elif mode == 1:
+        now = times[-1] + rng.uniform(2.0 * DT, 1.0)  # stale
+    else:
+        now = times[-1] + rng.choice([0.0, DT, 2.0 * DT, rng.uniform(0, 2 * DT)])
+    return track, th, now, dt
+
+
+def test_classifier_matches_full_scan_reference(monkeypatch):
+    rng = random.Random(20240)
+    cases = [_random_case(rng) for _ in range(6000)]
+    got = [classify_frame(*case).kind for case in cases]
+    windows = [control._window_stable(*case) for case in cases]
+    monkeypatch.setattr(control, "_window_stable", _full_scan_window_stable)
+    want = [classify_frame(*case).kind for case in cases]
+    assert got == want
+    assert windows == [_full_scan_window_stable(*case) for case in cases]
+    # every flag occurs often enough for the comparison to mean something
+    seen = Counter(want)
+    assert min(seen[k] for k in FlagKind) >= 100, seen
+
+
+class _CountingList(list):
+    """A list that counts the elements read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        _CountingList.reads += len(item) if isinstance(key, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            _CountingList.reads += 1
+            yield item
+
+
+def _reads_for(n, violation_at=None):
+    disps = [0.0] * n
+    if violation_at is not None:
+        disps[violation_at] = 1.0
     track = make_track(disps)
-    now = track.timestamps[-1] + DT
-    assert classify_frame(track, th, now).kind == FlagKind.STABLE_GRASP
-    with pytest.raises(ValueError):
-        ControlThresholds(window_mode="jumping")
+    track.timestamps = _CountingList(track.timestamps)
+    track.disp_timestamps = _CountingList(track.disp_timestamps)
+    track.displacements = _CountingList(track.displacements)
+    _CountingList.reads = 0
+    flag = classify_frame(track, TH, track.timestamps[-1] + DT)
+    return flag.kind, _CountingList.reads - 1  # minus the read for `now`
+
+
+def test_classify_reads_only_the_window():
+    window_samples = int(TH.stability_window_s / DT) + 2
+    for n in (1_000, 100_000):
+        budget = window_samples + 2 * math.ceil(math.log2(n)) + 4
+        kind, reads = _reads_for(n)
+        assert kind == FlagKind.STABLE_GRASP
+        assert reads <= budget, (n, reads)
+        kind, reads = _reads_for(n, violation_at=n - 10)
+        assert kind == FlagKind.NO_CONTACT
+        assert reads <= budget, (n, reads)
+    # the reads do not grow with the track
+    assert _reads_for(100_000)[1] - _reads_for(1_000)[1] \
+        <= 2 * math.ceil(math.log2(100_000))
 
 
 def test_threshold_validation():
@@ -389,6 +511,81 @@ def test_emulator_regrasp_sequence():
         mcu.on_tick()
         plant.step()
     assert plant.state.valve_states[0] == 0  # sealed for the pause
+
+
+def test_emulator_delivers_in_due_order_fifo_on_ties():
+    plant = PneumaticPlant()
+    mcu = McuEmulator(plant)
+    delivered = []
+    plant.apply_valve_command = \
+        lambda chambers, command: delivered.append((plant.tick, chambers,
+                                                    command))
+    cfg = plant.config
+    delay = cfg.ticks(cfg.control_delay)
+    release = cfg.ticks(REGRASP_RELEASE_S)
+
+    def submit(kind, mask):
+        mcu.submit(encode_frame(McuCommand(kind=kind, valve_mask=mask)))
+
+    def advance_to(tick):
+        while plant.tick < tick:
+            mcu.on_tick()
+            plant.tick += 1
+
+    # the regrasp's seal is due after everything submitted next, and
+    # several commands land on one tick
+    submit(CommandKind.REGRASP, 0x01)
+    advance_to(10)
+    submit(CommandKind.RELEASE, 0x02)
+    advance_to(20)
+    submit(CommandKind.REOPEN_VALVES, 0x04)
+    submit(CommandKind.CLOSE_VALVES, 0x04)
+    submit(CommandKind.REOPEN_VALVES, 0x08)
+    advance_to(release)
+    submit(CommandKind.REOPEN_VALVES, 0x01)  # due with the regrasp's seal
+    advance_to(release + 100)
+    assert delivered == [
+        (delay, [0], -1),
+        (10 + delay, [1], -1),
+        (20 + delay, [2], +1),
+        (20 + delay, [2], 0),
+        (20 + delay, [3], +1),
+        (delay + release, [0], 0),
+        (delay + release, [0], +1),
+        (10 + delay + release, [1], 0),
+    ]
+
+
+def test_emulator_matches_sorted_agenda_on_random_traffic():
+    rng = random.Random(5)
+    plant = PneumaticPlant()
+    mcu = McuEmulator(plant)
+    delivered = []
+    plant.apply_valve_command = \
+        lambda chambers, command: delivered.append((plant.tick, chambers,
+                                                    command))
+    cfg = plant.config
+    delay, release = cfg.ticks(cfg.control_delay), cfg.ticks(REGRASP_RELEASE_S)
+    expected, seq = [], 0
+    for tick in range(3000):
+        for _ in range(rng.choice([0] * 20 + [1, 2, 3])):
+            kind, mask = rng.choice(list(CommandKind)), rng.randrange(1, 256)
+            mcu.submit(encode_frame(McuCommand(kind=kind, valve_mask=mask)))
+            chambers = mask_chambers(mask)
+            first = {CommandKind.CLOSE_VALVES: 0, CommandKind.REOPEN_VALVES: 1}
+            if kind in first:
+                expected.append((tick + delay, seq, chambers, first[kind]))
+                seq += 1
+            else:
+                expected.append((tick + delay, seq, chambers, -1))
+                expected.append((tick + delay + release, seq + 1, chambers, 0))
+                seq += 2
+        mcu.on_tick()
+        plant.tick += 1
+    expected = [(due, ch, cmd) for due, _, ch, cmd in sorted(expected)
+                if due < 3000]
+    assert len(expected) > 200
+    assert delivered == expected
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -141,6 +141,34 @@ def test_last_command_wins_fifo():
     assert plant.state.valve_states[0] == -1
 
 
+def test_commands_land_at_due_tick_fifo_on_ties():
+    rng = np.random.default_rng(11)
+    plant = PneumaticPlant()
+    expected, seq = [], 0
+    for tick in range(2000):
+        for _ in range(int(rng.choice([0] * 12 + [1, 2, 3]))):
+            # a latency that varies per command puts the queue out of
+            # submission order
+            plant.config.valve_latency = float(rng.choice([0.0, 0.003, 0.010,
+                                                           0.040]))
+            chambers = [int(c) for c in rng.choice(N_CHAMBERS,
+                                                   rng.integers(1, 4),
+                                                   replace=False)]
+            command = int(rng.choice([-1, 0, 1]))
+            plant.apply_valve_command(chambers, command)
+            due = tick + plant.config.ticks(plant.config.valve_latency)
+            for ch in chambers:
+                expected.append((due, seq, ch, command))
+                seq += 1
+        plant.step()
+        want = [0] * N_CHAMBERS
+        for due, _, ch, command in sorted(expected):
+            if due <= plant.tick:
+                want[ch] = command
+        assert list(plant.state.valve_states) == want, plant.tick
+    assert seq > 200
+
+
 def test_step_rejects_foreign_dt():
     plant = PneumaticPlant()
     with pytest.raises(ValueError):

@@ -77,6 +77,23 @@ def test_read_rejects_foreign_csv(tmp_path):
         read_track_csv(path)
 
 
+@pytest.mark.parametrize("rows, bad_row, what", [
+    (["0.1,1,1,", "0.1,2,2,0.1"], 3, "does not advance"),
+    (["0.1,1,1,", "0.2,2,2,0.1", "0.15,3,3,0.1"], 4, "does not advance"),
+    (["nan,1,1,", "0.2,2,2,0.1"], 2, "not finite"),
+    (["0.1,1,1,", "inf,2,2,0.1"], 3, "not finite"),
+    (["0.1,1,1,", "0.2,2"], 3, "need numeric"),
+    (["0.1,1,1,", "0.2,2,2,abc"], 3, "need numeric"),
+])
+def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
+    path = tmp_path / "hostile.csv"
+    path.write_text("t,x,y,d_mm\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=what) as err:
+        read_track_csv(path)
+    assert str(path) in str(err.value)
+    assert f"row {bad_row}:" in str(err.value)
+
+
 def test_rebuild_displacements_matches_online():
     track = ContactTrack()
     for i, c in enumerate([(0, 0), (3, 4), (6, 8), (6, 8)]):
