@@ -115,7 +115,6 @@ def _cmd_replay(args):
         prefix.timestamps.append(t)
         prefix.centers.append(track.centers[i])
         if i > 0:
-            prefix.disp_timestamps.append(t)
             prefix.displacements.append(track.displacements[i - 1])
         flag = classify_frame(prefix, thresholds, t, control_period=args.period)
         flags.append((t, flag.kind.value))
@@ -145,9 +144,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force the single-threaded deterministic loop "
-                             "(always on; flag kept for interface stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grasp", help="run a scenario closed-loop")

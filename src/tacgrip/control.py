@@ -17,9 +17,10 @@ from enum import Enum, IntEnum
 from typing import List, Optional, Tuple
 
 from .errors import NoDisturbanceError, StaleFlagsError
+from .plant import N_CHAMBERS, TICK_S
 
 CONTROL_PERIOD_TICKS = 33  # plant ticks per control instant, ~30 Hz frame rate
-CONTROL_PERIOD_S = CONTROL_PERIOD_TICKS * 0.001  # at the 1 ms plant tick
+CONTROL_PERIOD_S = CONTROL_PERIOD_TICKS * TICK_S
 DEFAULT_GRASP_MASK = 0xFF
 
 REGRASP_RELEASE_S = 1.0  # suction phase of a regrasp
@@ -139,15 +140,16 @@ def _window_stable(track, thresholds, now, control_period):
     """Whether the track spans the window, which holds enough samples
     and none above T1.
 
-    disp_timestamps strictly increase (track_displacement and
-    read_track_csv enforce it), so the first in-window sample is found
-    by bisection and only the samples inside the window are read.
+    Displacement i belongs to timestamps[i + 1]. Timestamps strictly
+    increase (track_displacement and read_track_csv enforce it), so the
+    first in-window sample is found by bisection and only the samples
+    inside the window are read.
     """
     window = thresholds.stability_window_s
-    times, disps = track.disp_timestamps, track.displacements
-    if not disps or now - times[0] < window - _EPS:
+    times, disps = track.timestamps, track.displacements
+    if not disps or now - times[1] < window - _EPS:
         return False
-    lo = bisect.bisect_right(times, now - window - _EPS)
+    lo = bisect.bisect_right(times, now - window - _EPS, 1) - 1
     t1 = thresholds.t1_mm
     if any(d > t1 for d in disps[lo:]):
         return False
@@ -345,7 +347,7 @@ def decode_frame(frame):
 
 
 def mask_chambers(mask):
-    return [i for i in range(8) if (mask >> i) & 1]
+    return [i for i in range(N_CHAMBERS) if (mask >> i) & 1]
 
 
 class McuEmulator:
@@ -363,10 +365,15 @@ class McuEmulator:
         self.executed = []  # (tick, CommandKind, mask) log
 
     def submit(self, frame):
+        """Decode a frame and schedule its valve changes; raises
+        ValueError, queuing nothing, for a frame that is malformed or
+        selects no chamber."""
         kind, mask = decode_frame(frame)
+        chambers = mask_chambers(mask)
+        if not chambers:
+            raise ValueError(f"{kind.name} frame selects no chamber (mask 0x00)")
         cfg = self.plant.config
         due = self.plant.tick + cfg.ticks(cfg.control_delay)
-        chambers = mask_chambers(mask)
         self.executed.append((due, kind, mask))
 
         if kind == CommandKind.CLOSE_VALVES:
@@ -412,7 +419,7 @@ def edge_guard(track, width=640, height=480, margin=40.0):
     return GuardAction.CONTINUE
 
 
-def measure_valve_response(trace_rows, onset_time, n_chambers=8):
+def measure_valve_response(trace_rows, onset_time):
     """Seconds from a disturbance onset to the first valve-state change.
 
     trace_rows: plant trace rows (sim_time first, valve states last per
@@ -424,7 +431,7 @@ def measure_valve_response(trace_rows, onset_time, n_chambers=8):
     prev = None
     for row in trace_rows:
         t = row[0]
-        valves = tuple(int(v) for v in row[-n_chambers:])
+        valves = tuple(int(v) for v in row[-N_CHAMBERS:])
         if prev is not None and t > onset_time and valves != prev:
             return t - onset_time
         prev = valves

@@ -18,7 +18,7 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
                       McuEmulator, Phase, encode_frame, measure_valve_response)
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
-from .plant import PneumaticPlant, write_plant_trace_csv
+from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import ContactStimulus, displace_markers, render_frame, write_frames
 from .tracking import write_track_csv
 
@@ -90,13 +90,11 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     except ValidationError as exc:
         raise ScenarioError(str(exc))
 
-    cfg = scenario.plant
-    control_period_s = CONTROL_PERIOD_TICKS * cfg.tick_dt
-    plant = PneumaticPlant(cfg)
+    plant = PneumaticPlant(scenario.plant)
     mcu = McuEmulator(plant)
     supervisor = GraspSupervisor(
         thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
-        control_period=control_period_s, max_regrasps=scenario.max_regrasps,
+        max_regrasps=scenario.max_regrasps,
     )
 
     pipelines = {}
@@ -106,7 +104,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
             finger, kde_config=scenario.kde,
             detector_config=scenario.detector,
             calibration_ratio=scenario.calibration_ratio,
-            control_period=control_period_s,
         )
         ref = render_frame(displace_markers(ref_model, None), ref_model,
                            finger_id=finger, seq=0)
@@ -119,15 +116,15 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     commands_log = []
     frames_by_finger = {1: [], 2: []}
 
-    total_ticks = int(round(scenario.duration_s / cfg.tick_dt))
-    grace_ticks = int(round(RELEASE_GRACE_S / cfg.tick_dt))
+    total_ticks = int(round(scenario.duration_s / TICK_S))
+    grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
     stop_tick = total_ticks
     terminal = False
     frame_seq = 0
 
     while True:
         tick = plant.tick
-        now = tick * cfg.tick_dt
+        now = tick * TICK_S
 
         if not terminal and tick % CONTROL_PERIOD_TICKS == 0:
             cmds = supervisor.start(now) if tick == 0 else []
@@ -170,7 +167,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                         _fmt(center[1]) if center else ""]
                 track = pipelines[finger].track
                 fresh_d = (track.displacements
-                           and track.disp_timestamps[-1] == now)
+                           and track.timestamps[-1] == now)
                 row.append(_fmt(track.displacements[-1], 6) if fresh_d else "")
             row += [flag1.kind.value, flag2.kind.value,
                     ";".join(c.kind.name for c in cmds)]

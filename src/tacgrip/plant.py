@@ -13,12 +13,13 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
 from .errors import InvalidSelectorError
 
+TICK_S = 0.001  # s, the one fixed plant tick; every loop time is whole ticks
 N_CHAMBERS = 8
 PRESSURE_MIN = -57.0
 PRESSURE_MAX = 50.0
@@ -33,14 +34,12 @@ class PlantConfig:
     tank_setpoints: Tuple[float, float] = (45.0, -52.0)  # (positive, negative) kPa
     tank_hysteresis: float = 2.0  # kPa
     pump_rate: float = 40.0  # kPa/s while a pump runs
-    tick_dt: float = 0.001  # s
+    tick_dt: ClassVar[float] = TICK_S  # alias of TICK_S, not a field
 
     def __post_init__(self):
         for name in ("valve_latency", "control_delay", "line_delay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.tick_dt <= 0:
-            raise ValueError("tick_dt must be > 0")
         if self.chamber_time_constant <= 0:
             raise ValueError("chamber_time_constant must be > 0")
         pos, neg = self.tank_setpoints
@@ -52,7 +51,7 @@ class PlantConfig:
 
     def ticks(self, seconds):
         """Delay in whole ticks, rounded up so effects are never early."""
-        return max(0, int(math.ceil(seconds / self.tick_dt - 1e-9)))
+        return max(0, int(math.ceil(seconds / TICK_S - 1e-9)))
 
 
 @dataclass
@@ -113,8 +112,7 @@ class PneumaticPlant:
         # opened (models line transit).
         self._flow_from = [0] * N_CHAMBERS
         # Precomputed exact first-order step factor.
-        self._alpha = 1.0 - math.exp(-self.config.tick_dt
-                                     / self.config.chamber_time_constant)
+        self._alpha = 1.0 - math.exp(-TICK_S / self.config.chamber_time_constant)
 
     # -- command side -----------------------------------------------------
 
@@ -149,11 +147,9 @@ class PneumaticPlant:
 
     # -- time side --------------------------------------------------------
 
-    def step(self, dt=None):
-        """Advance exactly one tick of tick_dt seconds."""
+    def step(self):
+        """Advance exactly one tick of TICK_S seconds."""
         cfg = self.config
-        if dt is not None and abs(dt - cfg.tick_dt) > 1e-12:
-            raise ValueError(f"step dt must equal tick_dt={cfg.tick_dt}")
         state = self.state
         self.tick += 1
         now = self.tick
@@ -170,9 +166,9 @@ class PneumaticPlant:
         # Safety loop: pumps and tank clamping.
         state.pump_pos_on, state.pump_neg_on = safety_loop(state, cfg)
         if state.pump_pos_on:
-            state.tank_pos += cfg.pump_rate * cfg.tick_dt
+            state.tank_pos += cfg.pump_rate * TICK_S
         if state.pump_neg_on:
-            state.tank_neg -= cfg.pump_rate * cfg.tick_dt
+            state.tank_neg -= cfg.pump_rate * TICK_S
         state.tank_pos = min(max(state.tank_pos, PRESSURE_MIN), PRESSURE_MAX)
         state.tank_neg = min(max(state.tank_neg, PRESSURE_MIN), PRESSURE_MAX)
 
@@ -193,7 +189,7 @@ class PneumaticPlant:
                 pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
             state.chamber_pressures[:] = pressures
 
-        state.sim_time = self.tick * cfg.tick_dt
+        state.sim_time = self.tick * TICK_S
         return state
 
     def run(self, ticks):

@@ -62,6 +62,11 @@ class Scenario:
             raise ValidationError("duration must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if not 0x01 <= self.grasp_mask <= 0xFF:
+            raise ValidationError(
+                f"grasp_mask {self.grasp_mask:#04x} outside 0x01..0xFF: "
+                f"it must select one to eight chambers"
+            )
         last_t = None
         for ev in self.events:
             if last_t is not None and ev.time < last_t:
@@ -119,9 +124,8 @@ _SCHEMA = {
     "plant": {
         "valve_latency": _FLOAT, "control_delay": _FLOAT,
         "line_delay": _FLOAT, "chamber_time_constant": _FLOAT,
-        "tick_dt": _FLOAT, "tank_pos_setpoint": _FLOAT,
-        "tank_neg_setpoint": _FLOAT, "tank_hysteresis": _FLOAT,
-        "pump_rate": _FLOAT,
+        "tank_pos_setpoint": _FLOAT, "tank_neg_setpoint": _FLOAT,
+        "tank_hysteresis": _FLOAT, "pump_rate": _FLOAT,
     },
     "thresholds": {
         "t1_mm": _FLOAT, "t2_mm": _FLOAT, "stability_window_s": _FLOAT,
@@ -281,7 +285,6 @@ def scenario_to_text(scenario):
         f"control_delay = {p.control_delay!r}",
         f"line_delay = {p.line_delay!r}",
         f"chamber_time_constant = {p.chamber_time_constant!r}",
-        f"tick_dt = {p.tick_dt!r}",
         f"tank_pos_setpoint = {p.tank_setpoints[0]!r}",
         f"tank_neg_setpoint = {p.tank_setpoints[1]!r}",
         f"tank_hysteresis = {p.tank_hysteresis!r}",

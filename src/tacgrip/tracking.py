@@ -19,15 +19,14 @@ class ContactTrack:
     """Per-finger time series of contact centers and displacements.
 
     displacements[i] is the mm distance between centers[i] and
-    centers[i+1]; disp_timestamps[i] is the time of the newer center.
-    A single-entry track has no displacement yet. Timestamps strictly
-    increase, which the classifier's bisection relies on.
+    centers[i+1], so it belongs to timestamps[i+1]. A single-entry track
+    has no displacement yet. Timestamps strictly increase, which the
+    classifier's bisection relies on.
     """
 
     finger_id: int = 1
     timestamps: List[float] = field(default_factory=list)
     centers: List[Tuple[float, float]] = field(default_factory=list)
-    disp_timestamps: List[float] = field(default_factory=list)
     displacements: List[float] = field(default_factory=list)
 
     def __len__(self):
@@ -59,7 +58,6 @@ def track_displacement(track, new_center, timestamp, config):
         px, py = track.centers[-1]
         d = config.pixel_scale_s * float(np.hypot(x - px, y - py))
         track.displacements.append(d)
-        track.disp_timestamps.append(timestamp)
     track.centers.append((x, y))
     track.timestamps.append(timestamp)
     return track
@@ -79,9 +77,10 @@ def read_track_csv(path, finger_id=1):
     """Read a track CSV written by write_track_csv.
 
     Raises ValueError naming the file and row for a row that does not
-    parse as numbers, or whose timestamp is not finite or does not
-    advance past the previous row's (track_displacement rejects the
-    same; the classifier bisects over the timestamps).
+    parse as numbers, whose timestamp is not finite or does not advance
+    past the previous row's (track_displacement rejects the same; the
+    classifier bisects over the timestamps), or whose d_mm breaks the
+    row alignment: the first row has none, every later row has one.
     """
     track = ContactTrack(finger_id=finger_id)
     with open(path, newline="") as fh:
@@ -100,6 +99,11 @@ def read_track_csv(path, finger_id=1):
                 raise ValueError(f"{where}: need numeric t, x, y[, d_mm], "
                                  f"got {row}")
             last = track.last_timestamp
+            if (d is None) != (last is None):
+                raise ValueError(
+                    f"{where}: d_mm must be empty on the first row and "
+                    f"present on every later one, got {row}"
+                )
             if not math.isfinite(t):
                 raise ValueError(f"{where}: timestamp {row[0]} is not finite")
             if last is not None and t <= last:
@@ -110,19 +114,4 @@ def read_track_csv(path, finger_id=1):
             track.centers.append((x, y))
             if d is not None:
                 track.displacements.append(d)
-                track.disp_timestamps.append(t)
-    return track
-
-
-def rebuild_displacements(track, config):
-    """Recompute displacements from the stored centers (replay path)."""
-    track.displacements = []
-    track.disp_timestamps = []
-    for i in range(1, len(track.centers)):
-        x0, y0 = track.centers[i - 1]
-        x1, y1 = track.centers[i]
-        track.displacements.append(
-            config.pixel_scale_s * float(np.hypot(x1 - x0, y1 - y0))
-        )
-        track.disp_timestamps.append(track.timestamps[i])
     return track

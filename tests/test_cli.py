@@ -124,6 +124,18 @@ def test_replay_foreign_csv(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_replay_misaligned_d_mm(tmp_path, capsys):
+    # a blank d_mm after the first row would shift every later
+    # displacement onto the wrong timestamp
+    src = tmp_path / "track_1.csv"
+    src.write_text("t,x,y,d_mm\n0.033,320,240,\n0.066,320,240,\n")
+    rc = main(["replay", "--track", str(src)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{src}: row 3:" in err
+
+
 def test_density_heatmap_values(tmp_path, nominal_model):
     # analyze writes normalized heatmaps; spot-check one renders dark at
     # the pressed region

@@ -29,7 +29,6 @@ def make_track(disps, dt=DT, start=0.0, finger=1):
     track = ContactTrack(finger_id=finger)
     track.timestamps = [start + i * dt for i in range(n)]
     track.centers = [(320.0, 240.0)] * n
-    track.disp_timestamps = track.timestamps[1:]
     track.displacements = list(disps)
     return track
 
@@ -97,6 +96,14 @@ def test_violation_ages_out_of_window():
     assert classify_frame(track, TH, now).kind == FlagKind.STABLE_GRASP
 
 
+def test_tick_dt_key_is_unknown():
+    # the plant tick is fixed at 1 ms, so a scenario cannot set it
+    with pytest.raises(ParseError,
+                       match=r"unknown key 'tick_dt' in \[plant\]") as err:
+        parse_scenario_text("[plant]\ntick_dt = 0.002\n")
+    assert err.value.line_no == 2
+
+
 def test_window_mode_key_is_unknown():
     # the "restart" window mode always gave the sliding window's flag
     # and was removed with its scenario key
@@ -113,11 +120,11 @@ def _full_scan_window_stable(track, thresholds, now, control_period):
     if not track.displacements:
         return False
     start = now - window - _EPS
-    in_window = [(t, d) for t, d in zip(track.disp_timestamps,
+    in_window = [(t, d) for t, d in zip(track.timestamps[1:],
                                         track.displacements) if t > start]
     if any(d > t1 for _, d in in_window):
         return False
-    if now - track.disp_timestamps[0] < window - _EPS:
+    if now - track.timestamps[1] < window - _EPS:
         return False
     needed = int(math.ceil(thresholds.window_coverage * window
                            / control_period))
@@ -149,7 +156,7 @@ def _random_case(rng):
         disps[-1] = rng.choice(pool[4:])  # the latest sample decides
     track = ContactTrack(finger_id=1, timestamps=times,
                          centers=[(320.0, 240.0)] * len(times),
-                         disp_timestamps=times[1:], displacements=disps)
+                         displacements=disps)
     mode = rng.randrange(4)
     if mode == 0 and n:
         # a sample exactly at, or an epsilon either side of, the window
@@ -202,7 +209,6 @@ def _reads_for(n, violation_at=None):
         disps[violation_at] = 1.0
     track = make_track(disps)
     track.timestamps = _CountingList(track.timestamps)
-    track.disp_timestamps = _CountingList(track.disp_timestamps)
     track.displacements = _CountingList(track.displacements)
     _CountingList.reads = 0
     flag = classify_frame(track, TH, track.timestamps[-1] + DT)
@@ -477,6 +483,14 @@ def test_mask_chambers():
 
 
 # -- MCU emulator -------------------------------------------------------------
+
+
+def test_emulator_rejects_frame_selecting_no_chamber():
+    mcu = McuEmulator(PneumaticPlant())
+    for kind in CommandKind:
+        with pytest.raises(ValueError, match="selects no chamber"):
+            mcu.submit(encode_frame(McuCommand(kind=kind, valve_mask=0x00)))
+    assert mcu.executed == [] and mcu._agenda == []
 
 
 def test_emulator_applies_control_delay():

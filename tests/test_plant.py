@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tacgrip.errors import InvalidSelectorError
-from tacgrip.plant import (N_CHAMBERS, TRACE_COLUMNS, PlantConfig,
+from tacgrip.plant import (N_CHAMBERS, TICK_S, TRACE_COLUMNS, PlantConfig,
                            PneumaticPlant, write_plant_trace_csv)
 
 
@@ -169,11 +169,11 @@ def test_commands_land_at_due_tick_fifo_on_ties():
     assert seq > 200
 
 
-def test_step_rejects_foreign_dt():
-    plant = PneumaticPlant()
-    with pytest.raises(ValueError):
-        plant.step(dt=0.002)
-    plant.step(dt=0.001)
+def test_tick_is_fixed():
+    # one time base: the tick is readable from a config but not settable
+    assert PlantConfig().tick_dt == PlantConfig.tick_dt == TICK_S == 0.001
+    with pytest.raises(TypeError):
+        PlantConfig(tick_dt=0.002)
 
 
 def test_ticks_round_up():
@@ -187,8 +187,6 @@ def test_ticks_round_up():
 def test_config_validation():
     with pytest.raises(ValueError):
         PlantConfig(valve_latency=-0.001)
-    with pytest.raises(ValueError):
-        PlantConfig(tick_dt=0.0)
     with pytest.raises(ValueError):
         PlantConfig(chamber_time_constant=0.0)
     with pytest.raises(ValueError):

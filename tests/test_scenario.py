@@ -98,6 +98,10 @@ def test_validation_errors():
         parse_scenario_text("[events]\nevent = 1.0 1 0 0 1 0\n")
     with pytest.raises(ValidationError):
         parse_scenario_text("[sensor]\nspacing = -3\n")
+    # a mask must select a chamber and fit the frame's one byte
+    for mask in ("0x00", "0x100"):
+        with pytest.raises(ValidationError, match=f"grasp_mask {mask} outside"):
+            parse_scenario_text(f"[control]\ngrasp_mask = {mask}\n")
 
 
 def test_round_trip_through_text(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from tacgrip.density import KdeConfig
 from tacgrip.errors import NonMonotonicTimeError
-from tacgrip.tracking import (ContactTrack, read_track_csv,
-                              rebuild_displacements, track_displacement,
+from tacgrip.tracking import (ContactTrack, read_track_csv, track_displacement,
                               write_track_csv)
 
 
@@ -16,7 +15,6 @@ def test_three_four_five_triangle():
     track_displacement(track, (100, 100), 0.0, CFG)
     track_displacement(track, (103, 104), 0.1, CFG)
     assert track.displacements == [pytest.approx(0.5, abs=1e-12)]
-    assert track.disp_timestamps == [0.1]
 
 
 def test_identical_centers_zero_displacement():
@@ -66,8 +64,6 @@ def test_csv_round_trip(tmp_path):
     assert back.centers == track.centers
     assert back.timestamps == pytest.approx(track.timestamps, abs=1e-6)
     assert back.displacements == pytest.approx(track.displacements, abs=1e-9)
-    assert back.disp_timestamps == pytest.approx(track.disp_timestamps,
-                                                 abs=1e-6)
 
 
 def test_read_rejects_foreign_csv(tmp_path):
@@ -84,6 +80,9 @@ def test_read_rejects_foreign_csv(tmp_path):
     (["0.1,1,1,", "inf,2,2,0.1"], 3, "not finite"),
     (["0.1,1,1,", "0.2,2"], 3, "need numeric"),
     (["0.1,1,1,", "0.2,2,2,abc"], 3, "need numeric"),
+    # d_mm is what aligns displacements with rows
+    (["0.1,1,1,7.0", "0.2,2,2,0.0"], 2, "d_mm must be empty on the first"),
+    (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,"], 4, "present on every later"),
 ])
 def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
     path = tmp_path / "hostile.csv"
@@ -92,13 +91,3 @@ def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
         read_track_csv(path)
     assert str(path) in str(err.value)
     assert f"row {bad_row}:" in str(err.value)
-
-
-def test_rebuild_displacements_matches_online():
-    track = ContactTrack()
-    for i, c in enumerate([(0, 0), (3, 4), (6, 8), (6, 8)]):
-        track_displacement(track, c, float(i + 1), CFG)
-    online = list(track.displacements)
-    rebuilt = rebuild_displacements(track, CFG)
-    assert rebuilt.displacements == online
-    assert rebuilt.disp_timestamps == [2.0, 3.0, 4.0]
