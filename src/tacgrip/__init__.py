@@ -10,14 +10,13 @@ __version__ = "0.1.0"
 
 from .blobs import DetectorConfig, MarkerSet, detect_markers
 from .control import (CONTROL_PERIOD_S, CommandKind, ControlThresholds,
-                      FlagKind, GraspPhase, GraspSupervisor, GuardAction,
+                      FlagKind, GraspPhase, GraspSupervisor,
                       LEGAL_TRANSITIONS, McuCommand, McuEmulator,
                       PerceptionFlag, Phase, arbitrate, classify_frame,
-                      decode_frame, edge_guard, encode_frame,
-                      measure_valve_response)
+                      decode_frame, encode_frame, measure_valve_response)
 from .density import (ContactRegion, DensityField, KdeConfig,
                       calibrate_threshold, estimate_density, extract_contact,
-                      marker_support_mask, write_density_pgm)
+                      marker_support_box, write_density_pgm)
 from .episode import (EpisodeResult, measure_response_latency, run_grasp)
 from .errors import (EmptyMarkerSetError, InvalidSelectorError,
                      NoDisturbanceError, NonMonotonicTimeError, ParseError,

@@ -27,6 +27,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 # Gaussian filter support in units of sigma.
 _TRUNCATE = 3.0
@@ -188,6 +189,34 @@ def _quadratic_offsets(vm, v0, vp):
     return np.where(flat, 0.0, np.clip(off, -0.5, 0.5))
 
 
+def _suppress(xs, ys, min_separation):
+    """Greedy non-maximum suppression over integer candidates listed in
+    rank order: a candidate is kept unless a kept, higher-ranked one lies
+    closer than min_separation (squared distance < min_separation^2).
+    Returns the boolean keep mask.
+
+    A candidate with no higher-ranked one that close is always kept; only
+    the close pairs are walked, ordered by their lower-ranked member, so
+    each candidate's fate is settled before it can suppress another.
+    """
+    if len(xs) < 2:
+        return np.ones(len(xs), dtype=bool)
+    # The tree's radius leaves room for rounding; the exact integer test
+    # below decides.
+    pairs = cKDTree(np.column_stack([xs, ys])).query_pairs(
+        min_separation * (1.0 + 1e-9) + 1e-9, output_type="ndarray")
+    hi, lo = pairs[:, 0], pairs[:, 1]  # hi < lo: hi ranks higher
+    dx, dy = xs[hi] - xs[lo], ys[hi] - ys[lo]
+    close = dx * dx + dy * dy < min_separation ** 2
+    hi, lo = hi[close], lo[close]
+    order = np.argsort(lo, kind="stable")
+    keep = [True] * len(xs)
+    for h, k in zip(hi[order].tolist(), lo[order].tolist()):
+        if keep[h]:
+            keep[k] = False
+    return np.array(keep)
+
+
 def detect_markers(frame, config=None, window=None):
     """Detect dark circular markers in a frame.
 
@@ -241,19 +270,9 @@ def _detect_in_box(frame, config, box):
     ys, xs, vals = ys[order], xs[order], vals[order]
 
     # Greedy NMS in response order; ties resolved by (y, x).
-    min_sep2 = config.min_separation ** 2
-    kept_x = np.empty(len(xs), dtype=np.int64)
-    kept_y = np.empty(len(ys), dtype=np.int64)
-    n_kept = 0
-    for x, y in zip(xs, ys):
-        kx = kept_x[:n_kept]
-        ky = kept_y[:n_kept]
-        if n_kept == 0 or ((x - kx) ** 2 + (y - ky) ** 2 >= min_sep2).all():
-            kept_x[n_kept] = x
-            kept_y[n_kept] = y
-            n_kept += 1
-    kept_x = kept_x[:n_kept]
-    kept_y = kept_y[:n_kept]
+    keep = _suppress(xs, ys, config.min_separation)
+    kept_x = xs[keep]
+    kept_y = ys[keep]
 
     # Sub-pixel fit, skipped on the frame's outermost rows and columns.
     cx = (kept_x + ox).astype(np.float64)

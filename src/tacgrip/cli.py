@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .control import CONTROL_PERIOD_S, ControlThresholds, classify_frame
-from .density import KdeConfig, write_density_pgm
+from .density import KdeConfig, estimate_density, write_density_pgm
 from .episode import measure_response_latency, run_grasp
 from .errors import NoDisturbanceError, TacgripError
 from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
@@ -91,8 +91,13 @@ def _cmd_analyze(args):
             report = pipe.process(frame)
             if report.center is not None:
                 contacts += 1
-            if report.field is not None and args.heatmaps:
-                write_density_pgm(report.field,
+            if report.markers is not None and args.heatmaps:
+                # The pipeline's field covers the support box only; the
+                # heatmap shows the whole frame.
+                field = estimate_density(report.markers, pipe.kde_config,
+                                         width=frame.width,
+                                         height=frame.height)
+                write_density_pgm(field,
                                   out / f"density_{finger_id}_{seq:06d}.pgm")
         write_track_csv(pipe.track, out / f"track_{finger_id}.csv")
         print(f"finger {finger_id}: {len(items)} frames, "

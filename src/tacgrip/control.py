@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import List, Optional, Tuple
 
-from .errors import NoDisturbanceError, StaleFlagsError
+from .errors import NoDisturbanceError, StaleFlagsError, check_range
 from .plant import N_CHAMBERS, TICK_S
 
 CONTROL_PERIOD_TICKS = 33  # plant ticks per control instant, ~30 Hz frame rate
@@ -47,10 +47,11 @@ class ControlThresholds:
     window_coverage: float = 0.9
 
     def __post_init__(self):
-        if not 0 < self.t1_mm < self.t2_mm:
-            raise ValueError("need 0 < T1 < T2")
-        if self.stability_window_s <= 0 or self.no_contact_timeout_s <= 0:
-            raise ValueError("windows must be positive")
+        check_range("t1_mm", self.t1_mm, lo=0.0, lo_open=True)
+        check_range("t2_mm", self.t2_mm, lo=self.t1_mm, lo_open=True)
+        for name in ("stability_window_s", "no_contact_timeout_s"):
+            check_range(name, getattr(self, name), lo=0.0, lo_open=True)
+        check_range("window_coverage", self.window_coverage, lo=0.0, hi=1.0)
 
 
 class FlagKind(Enum):
@@ -402,21 +403,6 @@ class McuEmulator:
 
 
 # -- diagnostics -------------------------------------------------------------
-
-
-class GuardAction(Enum):
-    CONTINUE = "continue"
-    STOP_AND_RETURN = "stop_and_return"
-
-
-def edge_guard(track, width=640, height=480, margin=40.0):
-    """Stop manipulation when the contact center nears the sensor edge."""
-    if not track.centers:
-        raise ValueError("edge_guard needs a nonempty track")
-    x, y = track.centers[-1]
-    if x < margin or y < margin or x > width - margin or y > height - margin:
-        return GuardAction.STOP_AND_RETURN
-    return GuardAction.CONTINUE
 
 
 def measure_valve_response(trace_rows, onset_time):

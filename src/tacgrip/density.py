@@ -5,24 +5,28 @@ The density at grid point (x, y) over M markers is
     d(x, y) = (1/M) * sum_m 1/(sqrt(2*pi)*h^2) * exp(-|(x,y)-(x_m,y_m)|^2 / (2 h^2))
 
 with this exact normalization constant (not the standard bivariate
-2*pi*h^2 one). The Gaussian is separable, so the whole field is one
-product Gy.T @ Gx of two truncated 1-D kernel matrices: Gy (M, H) and
-Gx (M, W) hold each marker's kernel along one axis, zeroed beyond 6h
-from the marker; BLAS accumulates it over fixed blocks of markers.
-Contact shows up as a low-density region: the largest connected
-component below a threshold, whose density argmin is the contact
-center.
+2*pi*h^2 one). The Gaussian is separable, so the field is one product
+Gy.T @ Gx of two truncated 1-D kernel matrices: Gy (M, H) and Gx (M, W)
+hold each marker's kernel along one axis, zeroed beyond 6h from the
+marker; BLAS accumulates it over fixed blocks of markers.
+
+The field covers a box of the frame, the whole frame by default. The
+live pipeline asks only for the support box (`marker_support_box`, the
+marker footprint eroded by h), where contact is read; a box field holds
+the same bytes as the full-frame field at the same pixels. Contact shows
+up as a low-density region: the largest connected component below a
+threshold, whose density argmin is the contact center.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import ndimage
 from scipy.linalg.blas import dgemm
 
-from .errors import EmptyMarkerSetError
+from .errors import EmptyMarkerSetError, check_range
 from .pgm import write_pgm
 from .tactile import FRAME_HEIGHT, FRAME_WIDTH
 
@@ -41,6 +45,16 @@ _TRUNC_H = 6.0
 # field's bytes the same for any thread count.
 _BLAS_BLOCK = 128
 
+# A box's kernel matrices span the box snapped outward to multiples of
+# this many pixels, clipped to the frame; the product is then sliced back
+# to the box. BLAS computes edge tiles and per-thread partitions of the
+# product with other kernels than full tiles, so a pixel's bytes depend
+# on where the product's rows and columns start. Boxes cut exactly at
+# their edges, or snapped to 8 px, gave fields that differed from the
+# full-frame field in the last bits (OpenBLAS, AVX-512, 1 and 2
+# threads); snapped to 32 px they matched it on every box tried.
+_BOX_SNAP = 32
+
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
 
@@ -56,34 +70,31 @@ class KdeConfig:
     connectivity: int = 4
 
     def __post_init__(self):
-        if self.kernel_width_h <= 0:
-            raise ValueError("kernel_width_h must be > 0")
-        if self.pixel_scale_s <= 0:
-            raise ValueError("pixel_scale_s must be > 0")
+        for name in ("kernel_width_h", "pixel_scale_s"):
+            check_range(name, getattr(self, name), lo=0.0, lo_open=True)
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
 
 
 @dataclass
 class DensityField:
-    """Density samples on the pixel grid of the frame.
+    """Density samples on the pixel grid of a box of the frame.
 
-    values[iy, ix] is the density at pixel (ix, iy). The source markers
-    are retained to derive the marker support mask.
+    values[iy, ix] is the density at frame pixel (x0 + ix, y0 + iy),
+    where origin = (x0, y0) is the box's top-left pixel.
     """
 
     values: np.ndarray
-    markers: Optional["np.ndarray"] = None
-    kernel_width_h: float = 15.0
+    origin: Tuple[int, int] = (0, 0)
 
 
 @dataclass
 class ContactRegion:
     """Largest below-threshold connected component and its density argmin.
 
-    pixels: (N, 2) int grid indices (ix, iy) of the component.
-    center: (x, y) in pixel coordinates.
-    center_index: (ix, iy) grid index of the argmin, a member of pixels.
+    pixels: (N, 2) int frame pixels (x, y) of the component, row-major.
+    center: (x, y) in frame pixel coordinates.
+    center_index: (x, y) frame pixel of the argmin, a member of pixels.
     """
 
     pixels: np.ndarray
@@ -105,10 +116,11 @@ def _density_at_points(centroids, xs, ys, h):
     return c / m * np.exp(-(dx * dx + dy * dy) / (2.0 * h * h)).sum(axis=1)
 
 
-def _kernel_matrix(centers, n, h):
-    """(M, n) 1-D Gaussian kernels exp(-(g - c)^2 / (2 h^2)) on the grid
-    g = 0..n-1, zeroed outside [c - 6h, c + 6h]."""
-    grid = np.arange(n, dtype=np.float64)
+def _kernel_matrix(centers, lo, hi, h):
+    """(M, hi - lo) 1-D Gaussian kernels exp(-(g - c)^2 / (2 h^2)) on the
+    grid g = lo..hi-1, zeroed outside [c - 6h, c + 6h]. An entry has the
+    same operands whatever the grid's range, so it has the same bytes."""
+    grid = np.arange(lo, hi, dtype=np.float64)
     cut = _TRUNC_H * h
     outside = (grid < (centers - cut)[:, None]) \
         | (grid > (centers + cut)[:, None])
@@ -120,14 +132,29 @@ def _kernel_matrix(centers, n, h):
     return k
 
 
-def estimate_density(markers, config=None, width=FRAME_WIDTH, height=FRAME_HEIGHT):
-    """Evaluate the kernel density on the frame grid.
+def _snap_out(lo, hi, size):
+    """[lo, hi) widened to multiples of _BOX_SNAP, clipped to [0, size)."""
+    return (lo - lo % _BOX_SNAP,
+            min(-(-hi // _BOX_SNAP) * _BOX_SNAP, size))
+
+
+def estimate_density(markers, config=None, width=FRAME_WIDTH,
+                     height=FRAME_HEIGHT, box=None):
+    """Evaluate the kernel density on the pixel grid of a box.
+
+    width, height: the frame size. box: half-open pixel box
+    (x0, y0, x1, y1) inside the frame; the whole frame by default. The
+    field at a pixel has the same bytes whichever box holds it.
 
     The Gaussian is separable, so the field is the product of the two
     truncated 1-D kernel matrices, summed over fixed blocks of markers;
     the result matches the direct double summation to well below 1e-12.
     """
     config = config or KdeConfig()
+    x0, y0, x1, y1 = (0, 0, width, height) if box is None else box
+    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+        raise ValueError(f"box {box} holds no pixel or leaves the "
+                         f"{width}x{height} frame")
     centroids = np.asarray(markers.centroids, dtype=np.float64)
     m = centroids.shape[0]
     if m == 0:
@@ -138,67 +165,64 @@ def estimate_density(markers, config=None, width=FRAME_WIDTH, height=FRAME_HEIGH
     centroids = centroids[order]
 
     h = config.kernel_width_h
-    gx = _kernel_matrix(centroids[:, 0], width, h)
-    gy = _kernel_matrix(centroids[:, 1], height, h)
+    sx0, sx1 = _snap_out(x0, x1, width)
+    sy0, sy1 = _snap_out(y0, y1, height)
+    gx = _kernel_matrix(centroids[:, 0], sx0, sx1, h)
+    gy = _kernel_matrix(centroids[:, 1], sy0, sy1, h)
     # BLAS adds each block's gx.T @ gy in place into the (W, H)
     # Fortran-ordered view of the C-ordered (H, W) field.
-    acc = np.zeros((height, width)).T
+    acc = np.zeros((sy1 - sy0, sx1 - sx0)).T
     for k in range(0, m, _BLAS_BLOCK):
         acc = dgemm(1.0, gx[k:k + _BLAS_BLOCK].T, gy[k:k + _BLAS_BLOCK].T,
                     beta=1.0, c=acc, trans_b=True, overwrite_c=True)
-    values = acc.T
+    values = acc.T[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0]
     values *= 1.0 / (math.sqrt(2.0 * math.pi) * h * h * m)
-    return DensityField(values=values, markers=centroids, kernel_width_h=h)
+    return DensityField(values=values, origin=(x0, y0))
 
 
-def marker_support_mask(field, margin=None):
-    """Grid mask of the marker-covered area: the centroid bounding box
-    eroded by margin px (default: the kernel width).
+def marker_support_box(markers, margin, width, height):
+    """The marker-covered area: the centroid bounding box eroded by
+    margin px, as the half-open box (x0, y0, x1, y1) of the frame pixels
+    inside it.
 
     Outside the marker footprint the density falls toward zero no matter
-    what touches the skin, so contact thresholding is only meaningful on
-    the support.
+    what touches the skin, so contact is read only on the support.
     """
-    if field.markers is None or len(field.markers) == 0:
-        raise EmptyMarkerSetError("support mask needs the source markers")
-    margin = field.kernel_width_h if margin is None else margin
-    x_lo = field.markers[:, 0].min() + margin
-    x_hi = field.markers[:, 0].max() - margin
-    y_lo = field.markers[:, 1].min() + margin
-    y_hi = field.markers[:, 1].max() - margin
-    ny, nx = field.values.shape
-    xs = np.arange(nx)
-    ys = np.arange(ny)
-    return (ys[:, None] >= y_lo) & (ys[:, None] <= y_hi) \
-        & (xs[None, :] >= x_lo) & (xs[None, :] <= x_hi)
-
-
-def calibrate_threshold(reference_field, support, ratio):
-    """Derive a working contact threshold from a no-contact reference field.
-
-    Returns ratio * (minimum density over the marker support mask).
-    With the reference grid intact the whole support sits above the
-    returned value, so an undeformed frame reads NoContact; a real
-    indentation empties its neighborhood and dips well below.
-    """
-    if not support.any():
+    if len(markers) == 0:
+        raise EmptyMarkerSetError("support box needs at least one marker")
+    c = markers.centroids
+    x0 = max(math.ceil(c[:, 0].min() + margin), 0)
+    x1 = min(math.floor(c[:, 0].max() - margin) + 1, width)
+    y0 = max(math.ceil(c[:, 1].min() + margin), 0)
+    y1 = min(math.floor(c[:, 1].max() - margin) + 1, height)
+    if x0 >= x1 or y0 >= y1:
         raise ValueError("support mask is empty; margin too large for the grid")
-    return float(ratio * reference_field.values[support].min())
+    return (x0, y0, x1, y1)
 
 
-def extract_contact(field, config=None, support=None):
+def calibrate_threshold(reference_field, ratio):
+    """Derive a working contact threshold from a no-contact reference field
+    over the support box.
+
+    Returns ratio * (minimum density of the field). With the reference
+    grid intact the whole support sits above the returned value, so an
+    undeformed frame reads NoContact; a real indentation empties its
+    neighborhood and dips well below.
+    """
+    return float(ratio * reference_field.values.min())
+
+
+def extract_contact(field, config=None):
     """Threshold the field and extract the contact region and center.
 
     Returns None (NoContact) when no grid point is below the threshold.
     The region is the largest connected component below threshold
     (4-connected by default); the center is the density argmin over the
-    region, ties broken by lowest row-major grid index. An optional
-    boolean support mask restricts thresholding to the marker footprint.
+    region, ties broken by lowest row-major grid index. Pixels and center
+    are in frame coordinates: the field's origin is added back.
     """
     config = config or KdeConfig()
     below = field.values < config.density_threshold_T
-    if support is not None:
-        below &= support
     if not below.any():
         return None
 
@@ -212,14 +236,14 @@ def extract_contact(field, config=None, support=None):
     masked = np.where(mask, field.values, np.inf)
     flat = int(masked.argmin())
     iy, ix = np.unravel_index(flat, masked.shape)
-    center = (float(ix), float(iy))
     min_density = float(field.values[iy, ix])
+    ox, oy = field.origin
+    cx, cy = int(ix) + ox, int(iy) + oy
 
     idx_y, idx_x = np.nonzero(mask)
-    pixels = np.column_stack([idx_x, idx_y]).astype(np.int64)
-    return ContactRegion(pixels=pixels, center=center,
-                         center_index=(int(ix), int(iy)),
-                         min_density=min_density)
+    pixels = np.column_stack([idx_x + ox, idx_y + oy]).astype(np.int64)
+    return ContactRegion(pixels=pixels, center=(float(cx), float(cy)),
+                         center_index=(cx, cy), min_density=min_density)
 
 
 def write_density_pgm(field, path):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+numeric value's domain."""
+
+import math
 
 
 class TacgripError(Exception):
@@ -48,3 +51,15 @@ class ParseError(TacgripError):
 
 class ValidationError(TacgripError):
     """A parsed value violates a typed invariant."""
+
+
+def check_range(name, value, lo=-math.inf, hi=math.inf, lo_open=False,
+                error=ValueError):
+    """Raise `error` unless value is a finite number in [lo, hi], or in
+    (lo, hi] with lo_open. NaN and infinities never pass."""
+    if not (math.isfinite(value)
+            and (lo < value if lo_open else lo <= value) and value <= hi):
+        left = "(" if lo_open or lo == -math.inf else "["
+        right = ")" if hi == math.inf else "]"
+        raise error(f"{name} = {value!r} is not a finite number in "
+                    f"{left}{lo:g}, {hi:g}{right}")

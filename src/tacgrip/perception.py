@@ -4,7 +4,7 @@ Wires the tactile stages together (detect markers, estimate density,
 extract contact, track displacement) and owns the per-sensor threshold
 calibration: the working contact threshold is a fixed ratio of the
 minimum density observed on a no-contact reference frame over the
-marker support region. The nominal-grid density sits orders of
+marker support box. The nominal-grid density sits orders of
 magnitude below any plausible fixed absolute threshold, so an
 uncalibrated constant would either flag everything or nothing;
 calibration pins the decision boundary to the sensor's own rest state.
@@ -17,6 +17,17 @@ bounding box widened by `blobs.marker_window`'s margin. After every
 frame the window grows to the union of itself and the same widened box
 of that frame's markers, and it never shrinks, so markers pushed outward
 by a contact widen it once and the following frames stay windowed.
+
+Density and contact are computed on the support box alone: the
+reference markers' bounding box eroded by the kernel width h, frozen at
+calibration. Outside it the density falls toward zero whatever touches
+the skin, so contact is never read there. The box field has the same
+bytes as the full-frame field at those pixels, and labelling, argmin
+and pixel scans run in raster order, which a sub-rectangle keeps, so
+the region and center are those a full-frame field restricted to the
+box would give. Reports carry the markers, from which callers such as
+`tacgrip analyze --heatmaps` compute a full-frame field when they want
+one.
 """
 
 from dataclasses import dataclass, replace
@@ -25,10 +36,10 @@ from typing import Optional
 from .blobs import DetectorConfig, detect_markers, marker_window
 from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
 from .density import (KdeConfig, calibrate_threshold, estimate_density,
-                      extract_contact, marker_support_mask)
+                      extract_contact, marker_support_box)
 from .tracking import ContactTrack, track_displacement
 
-# Working threshold = ratio * (support-region density minimum of the
+# Working threshold = ratio * (support-box density minimum of the
 # no-contact reference frame). 0.8 keeps a 20% guard band below the
 # quietest nominal frame (pixel noise moves the support minimum by well
 # under 0.1%) while still catching shallow dips that only reach ~70% of
@@ -38,18 +49,23 @@ DEFAULT_CALIBRATION_RATIO = 0.8
 
 @dataclass
 class PipelineReport:
-    """What one frame produced: the region may be None (no contact)."""
+    """What one frame produced: the region may be None (no contact).
+
+    field covers the support box only; markers are the frame's detected
+    markers (None when the pipeline found none).
+    """
 
     center: Optional[tuple]
     region: Optional[object]
     field: object
+    markers: Optional[object] = None
 
 
 class FingerPipeline:
     """Stateful perception for one finger.
 
     Calibrate with a no-contact reference frame before processing; the
-    support mask and working threshold are frozen from it, and the
+    support box and working threshold are frozen from it, and the
     detection window starts from it.
     """
 
@@ -67,16 +83,18 @@ class FingerPipeline:
         self.calibrated = False
 
     def calibrate(self, reference_frame):
-        """Freeze the working threshold and support mask from a
+        """Freeze the working threshold and support box from a
         no-contact frame."""
         reference_frame.validate()
         markers = detect_markers(reference_frame, self.detector_config)
+        width, height = reference_frame.width, reference_frame.height
+        self.support = marker_support_box(
+            markers, self.kde_config.kernel_width_h, width, height)
         reference_field = estimate_density(
-            markers, self.kde_config,
-            width=reference_frame.width, height=reference_frame.height,
+            markers, self.kde_config, width=width, height=height,
+            box=self.support,
         )
-        self.support = marker_support_mask(reference_field)
-        threshold = calibrate_threshold(reference_field, self.support,
+        threshold = calibrate_threshold(reference_field,
                                         ratio=self.calibration_ratio)
         self.kde_config = replace(self.kde_config, density_threshold_T=threshold)
         self.window = marker_window(markers, self.detector_config,
@@ -106,13 +124,16 @@ class FingerPipeline:
         if len(markers) == 0:
             return PipelineReport(center=None, region=None, field=None)
         field = estimate_density(markers, self.kde_config,
-                                 width=frame.width, height=frame.height)
-        region = extract_contact(field, self.kde_config, support=self.support)
+                                 width=frame.width, height=frame.height,
+                                 box=self.support)
+        region = extract_contact(field, self.kde_config)
         if region is None:
-            return PipelineReport(center=None, region=None, field=field)
+            return PipelineReport(center=None, region=None, field=field,
+                                  markers=markers)
         track_displacement(self.track, region.center, frame.timestamp,
                            self.kde_config)
-        return PipelineReport(center=region.center, region=region, field=field)
+        return PipelineReport(center=region.center, region=region,
+                              field=field, markers=markers)
 
     def classify(self, now, thresholds):
         return classify_frame(self.track, thresholds, now,

@@ -17,7 +17,7 @@ from typing import ClassVar, Tuple
 
 import numpy as np
 
-from .errors import InvalidSelectorError
+from .errors import InvalidSelectorError, check_range
 
 TICK_S = 0.001  # s, the one fixed plant tick; every loop time is whole ticks
 N_CHAMBERS = 8
@@ -37,11 +37,12 @@ class PlantConfig:
     tick_dt: ClassVar[float] = TICK_S  # alias of TICK_S, not a field
 
     def __post_init__(self):
-        for name in ("valve_latency", "control_delay", "line_delay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.chamber_time_constant <= 0:
-            raise ValueError("chamber_time_constant must be > 0")
+        for name in ("valve_latency", "control_delay", "line_delay",
+                     "tank_hysteresis"):
+            check_range(name, getattr(self, name), lo=0.0)
+        check_range("chamber_time_constant", self.chamber_time_constant,
+                    lo=0.0, lo_open=True)
+        check_range("pump_rate", self.pump_rate, lo=0.0, lo_open=True)
         pos, neg = self.tank_setpoints
         if not (PRESSURE_MIN <= neg < pos <= PRESSURE_MAX):
             raise ValueError(

@@ -13,7 +13,7 @@ from typing import List
 from .blobs import DetectorConfig
 from .control import (DEFAULT_GRASP_MASK, MAX_REGRASPS, ControlThresholds)
 from .density import KdeConfig
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_range
 from .perception import DEFAULT_CALIBRATION_RATIO
 from .plant import PlantConfig
 from .sensor_sim import ContactStimulus, SensorModel
@@ -58,10 +58,15 @@ class Scenario:
     events: List[StimulusEvent] = field(default_factory=list)
 
     def validate(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration must be positive")
+        def check(name, value, **domain):
+            check_range(name, value, error=ValidationError, **domain)
+
+        check("duration", self.duration_s, lo=0.0, lo_open=True)
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        check("calibration_ratio", self.calibration_ratio, lo=0.0, hi=1.0,
+              lo_open=True)
+        check("max_regrasps", self.max_regrasps, lo=0)
         if not 0x01 <= self.grasp_mask <= 0xFF:
             raise ValidationError(
                 f"grasp_mask {self.grasp_mask:#04x} outside 0x01..0xFF: "
@@ -77,10 +82,11 @@ class Scenario:
             last_t = ev.time
             if ev.finger not in (1, 2):
                 raise ValidationError(f"event finger must be 1 or 2, got {ev.finger}")
-            if ev.depth < 0:
-                raise ValidationError("event depth must be >= 0")
-            if ev.radius <= 0:
-                raise ValidationError("event radius must be > 0")
+            check("event time", ev.time, lo=0.0)
+            for name in ("x", "y", "shear_x", "shear_y"):
+                check(f"event {name}", getattr(ev, name))
+            check("event depth", ev.depth, lo=0.0)
+            check("event radius", ev.radius, lo=0.0, lo_open=True)
         return self
 
     def active_event(self, finger_id, t, eps=1e-9):

@@ -154,3 +154,31 @@ def test_density_heatmap_values(tmp_path, nominal_model):
     img = read_pgm(sorted(out_dir.glob("density_2_*.pgm"))[1])
     h, w = img.shape
     assert img[200 * h // 480, 200 * w // 640] < 64
+
+
+def test_heatmaps_are_full_frame_fields(tmp_path, nominal_model):
+    # The pipeline computes density on the support box only; a heatmap is
+    # still the whole frame's field over the frame's markers.
+    from tacgrip.blobs import detect_markers
+    from tacgrip.density import estimate_density, write_density_pgm
+    from tacgrip.pgm import read_pgm
+    from tacgrip.tactile import TactileFrame
+
+    frames_dir = tmp_path / "frames"
+    stim = ContactStimulus(x=180.0, y=160.0, depth=3.0, radius=16.0,
+                           timestamp=0.0)
+    sets = [displace_markers(nominal_model, None),
+            displace_markers(nominal_model, stim)]
+    write_frames(frames_dir, nominal_model, sets, finger_id=1)
+    out_dir = tmp_path / "a"
+    assert main(["analyze", "--frames", str(frames_dir), "--out",
+                 str(out_dir), "--heatmaps"]) == 0
+    written = sorted(out_dir.glob("density_1_*.pgm"))
+    frames = sorted(frames_dir.glob("frame_1_*.pgm"))
+    assert len(written) == len(frames) == 2
+    for heatmap, frame_path in zip(written, frames):
+        frame = TactileFrame(pixels=read_pgm(frame_path) / 255.0,
+                             timestamp=0.0)
+        want = tmp_path / "want.pgm"
+        write_density_pgm(estimate_density(detect_markers(frame)), want)
+        assert heatmap.read_bytes() == want.read_bytes()

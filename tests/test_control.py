@@ -9,11 +9,10 @@ from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              DEFAULT_GRASP_MASK, FRAME_SYNC, MAX_REGRASPS,
                              REGRASP_PAUSE_S, REGRASP_RELEASE_S, CommandKind,
                              ControlThresholds, FlagKind, GraspPhase,
-                             GraspSupervisor, GuardAction, McuCommand,
-                             McuEmulator, PerceptionFlag, Phase, arbitrate,
-                             classify_frame, decode_frame, edge_guard,
-                             encode_frame, is_fresh, mask_chambers,
-                             measure_valve_response)
+                             GraspSupervisor, McuCommand, McuEmulator,
+                             PerceptionFlag, Phase, arbitrate, classify_frame,
+                             decode_frame, encode_frame, is_fresh,
+                             mask_chambers, measure_valve_response)
 from tacgrip.errors import NoDisturbanceError, ParseError, StaleFlagsError
 from tacgrip.plant import PneumaticPlant
 from tacgrip.scenario import parse_scenario_text
@@ -237,6 +236,16 @@ def test_threshold_validation():
         ControlThresholds(t1_mm=0.0)
     with pytest.raises(ValueError):
         ControlThresholds(stability_window_s=0.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t1_mm", float("nan")), ("t2_mm", float("inf")),
+    ("stability_window_s", float("nan")), ("no_contact_timeout_s", -1.0),
+    ("window_coverage", 5.0), ("window_coverage", -0.1),
+])
+def test_thresholds_reject_values_outside_domain(key, value):
+    with pytest.raises(ValueError, match=key):
+        ControlThresholds(**{key: value})
 
 
 # -- arbitration --------------------------------------------------------------
@@ -603,17 +612,6 @@ def test_emulator_matches_sorted_agenda_on_random_traffic():
 
 
 # -- diagnostics --------------------------------------------------------------
-
-
-def test_edge_guard():
-    track = ContactTrack()
-    track.centers = [(320.0, 240.0)]
-    assert edge_guard(track) == GuardAction.CONTINUE
-    for bad in [(10.0, 240.0), (630.0, 240.0), (320.0, 10.0), (320.0, 475.0)]:
-        track.centers = [bad]
-        assert edge_guard(track) == GuardAction.STOP_AND_RETURN
-    with pytest.raises(ValueError):
-        edge_guard(ContactTrack())
 
 
 def test_measure_valve_response():

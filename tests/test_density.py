@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import tacgrip as tg
+from scipy import ndimage
+
 from tacgrip import density, perception
 from tacgrip.density import (ContactRegion, DensityField, KdeConfig,
                              _density_at_points, calibrate_threshold,
                              estimate_density, extract_contact,
-                             marker_support_mask, write_density_pgm)
+                             marker_support_box, write_density_pgm)
 from tacgrip.errors import EmptyMarkerSetError
 from tacgrip.pgm import read_pgm
+from tacgrip.sensor_sim import ContactStimulus, nominal_grid
 
 
 def brute_force_density(centroids, width, height, h):
@@ -112,9 +115,8 @@ def test_empty_markerset_rejected():
         estimate_density(tg.MarkerSet(np.empty((0, 2))))
 
 
-def _field_from(values, markers=None):
-    return DensityField(values=np.asarray(values, dtype=float),
-                        markers=markers, kernel_width_h=15.0)
+def _field_from(values):
+    return DensityField(values=np.asarray(values, dtype=float))
 
 
 def test_extract_depressed_disk():
@@ -185,25 +187,173 @@ def test_connectivity_flag_bridges_diagonals():
     assert eight.area == 18     # merged across the diagonal
 
 
+def _old_support_mask(centroids, margin, width, height):
+    """The full-frame support mask the pipeline thresholded under before
+    it computed on the support box: the centroid bounding box eroded by
+    margin, as a grid mask."""
+    x_lo = centroids[:, 0].min() + margin
+    x_hi = centroids[:, 0].max() - margin
+    y_lo = centroids[:, 1].min() + margin
+    y_hi = centroids[:, 1].max() - margin
+    xs = np.arange(width)
+    ys = np.arange(height)
+    return (ys[:, None] >= y_lo) & (ys[:, None] <= y_hi) \
+        & (xs[None, :] >= x_lo) & (xs[None, :] <= x_hi)
+
+
+def _old_extract_contact(values, threshold, support, connectivity=4):
+    """The full-frame contact extraction under a support mask, as
+    (pixels, center, center_index, min_density), or None."""
+    below = (values < threshold) & support
+    if not below.any():
+        return None
+    structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else \
+        np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    labels, _ = ndimage.label(below, structure=structure)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    mask = labels == int(sizes.argmax())
+    iy, ix = np.unravel_index(int(np.where(mask, values, np.inf).argmin()),
+                              values.shape)
+    idx_y, idx_x = np.nonzero(mask)
+    return (np.column_stack([idx_x, idx_y]).astype(np.int64),
+            (float(ix), float(iy)), (int(ix), int(iy)),
+            float(values[iy, ix]))
+
+
+def _box_of(mask):
+    ys, xs = np.nonzero(mask)
+    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1,
+            int(ys.max()) + 1)
+
+
 def test_support_mask_restricts_thresholding(nominal_model):
     ms = tg.displace_markers(nominal_model, None)
-    field = estimate_density(ms)
-    support = marker_support_mask(field)
-    # outside the marker footprint the density is trivially "low"; with
-    # the support mask the untouched grid must stay silent
-    cfg = KdeConfig(density_threshold_T=float(field.values[support].min()))
-    assert extract_contact(field, cfg, support=support) is None
-    assert extract_contact(field, cfg) is not None
+    box = marker_support_box(ms, 15.0, 640, 480)
+    field = estimate_density(ms, box=box)
+    assert field.origin == box[:2]
+    assert field.values.shape == (box[3] - box[1], box[2] - box[0])
+    # outside the marker footprint the density is trivially "low"; on the
+    # support box the untouched grid must stay silent
+    cfg = KdeConfig(density_threshold_T=float(field.values.min()))
+    assert extract_contact(field, cfg) is None
+    assert extract_contact(estimate_density(ms), cfg) is not None
 
 
 def test_calibrate_threshold_is_ratio_of_support_min(nominal_model):
     ms = tg.displace_markers(nominal_model, None)
-    field = estimate_density(ms)
-    support = marker_support_mask(field)
-    t = calibrate_threshold(field, support, ratio=0.5)
-    assert t == pytest.approx(0.5 * field.values[support].min(), rel=1e-12)
-    with pytest.raises(ValueError):
-        calibrate_threshold(field, np.zeros_like(support), ratio=0.5)
+    box = marker_support_box(ms, 15.0, 640, 480)
+    full = estimate_density(ms)
+    support = _old_support_mask(ms.centroids, 15.0, 640, 480)
+    t = calibrate_threshold(estimate_density(ms, box=box), ratio=0.5)
+    assert t == 0.5 * full.values[support].min()
+
+
+def test_support_box_matches_old_mask():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        cents = rng.uniform((-100, -100), (740, 580), (n, 2))
+        margin = float(rng.choice([0.0, 2.5, 15.0, 40.0]))
+        if rng.random() < 0.4:
+            # bounds at exact integers after the erosion
+            cents = np.round(cents)
+            margin = float(round(margin))
+        cases.append((cents, margin))
+    # bounds outside the frame on every side, and an eroded-away box
+    cases.append((np.array([[-30.0, -40.0], [700.0, 520.0]]), 15.0))
+    cases.append((np.array([[100.0, 100.0], [120.0, 300.0]]), 15.0))
+    empty = 0
+    for cents, margin in cases:
+        mask = _old_support_mask(cents, margin, 640, 480)
+        if not mask.any():
+            empty += 1
+            with pytest.raises(ValueError, match="support"):
+                marker_support_box(tg.MarkerSet(cents), margin, 640, 480)
+            continue
+        box = marker_support_box(tg.MarkerSet(cents), margin, 640, 480)
+        assert box == _box_of(mask)
+        x0, y0, x1, y1 = box
+        assert mask[y0:y1, x0:x1].all()
+    assert 10 <= empty < len(cases) - 100
+    with pytest.raises(EmptyMarkerSetError):
+        marker_support_box(tg.MarkerSet(np.empty((0, 2))), 15.0, 640, 480)
+
+
+def _contact_frames(model, n, seed):
+    """(markers, frame) for seeded contacts; four in five are centered on
+    an edge of the marker grid, or h inside or outside it."""
+    grid = nominal_grid(model)
+    lo, hi = grid.min(0), grid.max(0)
+    rng = np.random.default_rng(seed)
+    for seq in range(n):
+        x, y = rng.uniform(lo, hi)
+        edge = seq % 5
+        shift = float(rng.choice([-15.0, 0.0, 15.0]))
+        if edge < 2:
+            x = (lo[0], hi[0])[edge] + shift
+        elif edge < 4:
+            y = (lo[1], hi[1])[edge - 2] + shift
+        stim = ContactStimulus(
+            x=float(x), y=float(y), depth=float(rng.uniform(0.5, 3.2)),
+            radius=float(rng.uniform(14.0, 30.0)),
+            shear_x=float(rng.uniform(-4.0, 4.0)),
+            shear_y=float(rng.uniform(-4.0, 4.0)), timestamp=seq * 0.033)
+        markers = tg.displace_markers(model, stim)
+        yield markers, tg.render_frame(markers, model, finger_id=1,
+                                       seq=seq + 1)
+
+
+def test_box_field_equals_full_frame_slice(nominal_model):
+    rng = np.random.default_rng(12)
+    support = marker_support_box(tg.displace_markers(nominal_model, None),
+                                 15.0, 640, 480)
+    for markers, _ in _contact_frames(nominal_model, 10, seed=13):
+        full = estimate_density(markers).values
+        boxes = [support, (0, 0, 640, 480), (0, 0, 1, 1),
+                 (639, 479, 640, 480), (601, 7, 640, 480)]
+        for _ in range(6):
+            x0, y0 = int(rng.integers(0, 640)), int(rng.integers(0, 480))
+            boxes.append((x0, y0, int(rng.integers(x0 + 1, 641)),
+                          int(rng.integers(y0 + 1, 481))))
+        for box in boxes:
+            field = estimate_density(markers, box=box)
+            x0, y0, x1, y1 = box
+            assert field.origin == (x0, y0)
+            assert np.array_equal(field.values, full[y0:y1, x0:x1])
+    for box in [(0, 0, 0, 10), (5, 5, 5, 6), (-1, 0, 10, 10),
+                (0, 0, 641, 480), (0, 470, 10, 481)]:
+        with pytest.raises(ValueError, match="box"):
+            estimate_density(markers, box=box)
+
+
+def test_process_matches_full_frame_path(nominal_model, reference_frame):
+    # The support-box pipeline against the full-frame path it replaced:
+    # full-frame field, support mask, then labelling.
+    pipe = perception.FingerPipeline(1)
+    threshold = pipe.calibrate(reference_frame)
+    ref_markers = tg.detect_markers(reference_frame)
+    support = _old_support_mask(ref_markers.centroids, 15.0, 640, 480)
+    assert pipe.support == _box_of(support)
+    assert threshold == \
+        0.8 * estimate_density(ref_markers).values[support].min()
+    regions = 0
+    for _, frame in _contact_frames(nominal_model, 50, seed=14):
+        report = pipe.process(frame)
+        full = estimate_density(report.markers).values
+        old = _old_extract_contact(full, threshold, support)
+        if old is None:
+            assert report.region is None
+            continue
+        regions += 1
+        pixels, center, center_index, min_density = old
+        region = report.region
+        assert np.array_equal(region.pixels, pixels)
+        assert region.center == center == report.center
+        assert region.center_index == center_index
+        assert region.min_density == min_density
+    assert regions >= 40
 
 
 def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
@@ -220,8 +370,9 @@ def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
     assert len(calls) == 1
     args, kwargs = calls[0]
     field = estimate_density(*args, **kwargs)
-    assert np.array_equal(pipe.support, marker_support_mask(field))
-    assert threshold == 0.8 * field.values[pipe.support].min()
+    assert kwargs["box"] == pipe.support
+    assert pipe.support == marker_support_box(args[0], 15.0, 640, 480)
+    assert threshold == 0.8 * field.values.min()
     assert pipe.kde_config.density_threshold_T == threshold
 
 
@@ -233,8 +384,11 @@ digest = hashlib.sha256()
 nominal = tg.displace_markers(tg.SensorModel(), None)
 crowded = tg.MarkerSet(np.random.default_rng(6).uniform(
     (-50, -50), (690, 530), (600, 2)))
+support = tg.marker_support_box(nominal, 15.0, 640, 480)
+boxes = (None, support, (0, 0, 200, 150), (455, 333, 640, 480))
 for markers in (nominal, crowded):
-    digest.update(tg.estimate_density(markers).values.tobytes())
+    for box in boxes:
+        digest.update(tg.estimate_density(markers, box=box).values.tobytes())
 print(digest.hexdigest())
 """
 
@@ -243,7 +397,9 @@ def test_field_bytes_independent_of_blas_threads():
     # The field is a BLAS matrix product; same-seed traces stay
     # byte-identical only if its bytes do not depend on the thread count.
     # 600 markers is past the reduction length (384 on SkylakeX) at
-    # which one OpenBLAS product gives thread-count-dependent bytes.
+    # which one OpenBLAS product gives thread-count-dependent bytes. The
+    # boxes are the nominal support box, one at the frame's top-left and
+    # one at its bottom-right corner.
     src = str(Path(tg.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,47 @@ def test_vectorised_subpixel_fit_matches_scalar_fit():
     assert got.dtype == np.float32
     want = np.array([_quadratic_offset_reference(*t) for t in v])
     assert np.array_equal(got.astype(np.float64), want)
+
+
+def _greedy_nms_reference(xs, ys, min_separation):
+    """The per-candidate greedy loop the vectorised suppression replaced:
+    (kept xs, kept ys) in rank order."""
+    min_sep2 = min_separation ** 2
+    kept_x = np.empty(len(xs), dtype=np.int64)
+    kept_y = np.empty(len(ys), dtype=np.int64)
+    n_kept = 0
+    for x, y in zip(xs, ys):
+        kx = kept_x[:n_kept]
+        ky = kept_y[:n_kept]
+        if n_kept == 0 or ((x - kx) ** 2 + (y - ky) ** 2 >= min_sep2).all():
+            kept_x[n_kept] = x
+            kept_y[n_kept] = y
+            n_kept += 1
+    return kept_x[:n_kept], kept_y[:n_kept]
+
+
+def test_vectorised_nms_matches_greedy_loop():
+    # Clustered candidates with duplicate points; separations at, between
+    # and just above integer squared distances.
+    rng = np.random.default_rng(21)
+    separations = [0.5, 1.0, math.sqrt(2.0), 2.0, 3.0, 4.0, 4.5,
+                   math.sqrt(17.0), math.sqrt(17.0) + 1e-12, 8.0]
+    contested = 0
+    for trial in range(3000):
+        n = int(rng.integers(0, 200))
+        centers = rng.integers(0, 100, (int(rng.integers(1, 25)), 2))
+        pts = centers[rng.integers(0, len(centers), n)] \
+            + rng.integers(-6, 7, (n, 2))
+        if n and trial % 3 == 0:
+            pts[: n // 4] = pts[n // 2: n // 2 + n // 4]  # duplicates
+        xs, ys = pts[:, 0].astype(np.intp), pts[:, 1].astype(np.intp)
+        sep = separations[trial % len(separations)]
+        keep = blobs._suppress(xs, ys, sep)
+        want_x, want_y = _greedy_nms_reference(xs, ys, sep)
+        assert np.array_equal(xs[keep], want_x)
+        assert np.array_equal(ys[keep], want_y)
+        contested += len(want_x) < n
+    assert contested > 2500
 
 
 def _recording_detector(monkeypatch):

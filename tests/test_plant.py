@@ -195,6 +195,16 @@ def test_config_validation():
         PlantConfig(tank_setpoints=(60.0, -52.0))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("valve_latency", float("nan")), ("line_delay", float("inf")),
+    ("pump_rate", -40.0), ("pump_rate", 0.0), ("tank_hysteresis", -2.0),
+    ("chamber_time_constant", float("nan")),
+])
+def test_config_rejects_values_outside_domain(key, value):
+    with pytest.raises(ValueError, match=key):
+        PlantConfig(**{key: value})
+
+
 def test_determinism_bitwise():
     def run_script():
         plant = PneumaticPlant()

@@ -104,6 +104,39 @@ def test_validation_errors():
             parse_scenario_text(f"[control]\ngrasp_mask = {mask}\n")
 
 
+@pytest.mark.parametrize("section,line", [
+    ("scenario", "duration = nan"),
+    ("plant", "valve_latency = nan"),
+    ("plant", "pump_rate = -40"),
+    ("plant", "tank_hysteresis = -2"),
+    ("thresholds", "window_coverage = 5"),
+    ("control", "max_regrasps = -1"),
+    ("scenario", "duration = inf"),
+    ("thresholds", "t2_mm = inf"),
+    ("kde", "calibration_ratio = 1.5"),
+    ("kde", "kernel_width_h = nan"),
+    ("events", "event = nan 1 320 240 3 40"),
+    ("events", "event = 1.0 1 inf 240 3 40"),
+])
+def test_values_outside_their_domain_rejected_at_parse(section, line):
+    # each of these used to parse, then fail mid-run or run silently
+    key = line.split()[0]
+    with pytest.raises(ValidationError, match=key if key != "event" else
+                       "event"):
+        parse_scenario_text(f"[{section}]\n{line}\n")
+
+
+def test_validate_checks_domains_after_construction():
+    sc = static_scenario(duration=0.2)
+    sc.duration_s = float("nan")
+    with pytest.raises(ValidationError, match="duration = nan"):
+        sc.validate()
+    sc = static_scenario(duration=0.2)
+    sc.max_regrasps = -1
+    with pytest.raises(ValidationError, match="max_regrasps"):
+        sc.validate()
+
+
 def test_round_trip_through_text(tmp_path):
     original = poke_scenario(seed=3)
     text = scenario_to_text(original)
