@@ -29,6 +29,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .errors import check_range
+
 # Gaussian filter support in units of sigma.
 _TRUNCATE = 3.0
 # A window's result stands when the bound on the response outside it is
@@ -48,10 +50,13 @@ class DetectorConfig:
     min_separation: float = 4.0
 
     def __post_init__(self):
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
+        if not self.scales:
+            raise ValueError("scales must not be empty")
+        for scale in self.scales:
+            check_range("scales", scale, lo=0.0, lo_open=True)
+        check_range("threshold_rel", self.threshold_rel, lo=0.0, hi=1.0)
+        check_range("threshold_abs", self.threshold_abs, lo=0.0)
+        check_range("min_separation", self.min_separation, lo=0.0, lo_open=True)
 
 
 @dataclass

@@ -19,7 +19,8 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
-from .sensor_sim import ContactStimulus, displace_markers, render_frame, write_frames
+from .sensor_sim import (ContactStimulus, disk_coverage, displace_markers,
+                         render_frame, write_frames)
 from .tracking import write_track_csv
 
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
@@ -115,6 +116,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     flags_log = {1: [], 2: []}
     commands_log = []
     frames_by_finger = {1: [], 2: []}
+    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, coverage)
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
@@ -140,8 +142,13 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 markers = displace_markers(scenario.sensor, stim)
                 if save_frames:
                     frames_by_finger[finger].append(markers)
+                layout = markers.centroids.tobytes()
+                if layout != last_layout[finger][0]:
+                    coverage = disk_coverage(markers, scenario.sensor)
+                    last_layout[finger] = (layout, coverage)
                 frame = render_frame(markers, scenario.sensor,
-                                     finger_id=finger, seq=frame_seq)
+                                     finger_id=finger, seq=frame_seq,
+                                     coverage=last_layout[finger][1])
                 reports[finger] = pipelines[finger].process(frame)
             frame_seq += 1
 

@@ -16,9 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import PressureOutOfRangeError
-
-PRESSURE_MIN = -57.0
-PRESSURE_MAX = 50.0
+from .plant import PRESSURE_MAX, PRESSURE_MIN
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ from .perception import DEFAULT_CALIBRATION_RATIO
 from .plant import PlantConfig
 from .sensor_sim import ContactStimulus, SensorModel
 
+# An event is active at a frame time it precedes by at most this much, so
+# float rounding of frame times cannot delay it by a period.
+_EVENT_SLACK_S = 1e-9
+
 
 @dataclass
 class StimulusEvent:
@@ -89,13 +93,13 @@ class Scenario:
             check("event radius", ev.radius, lo=0.0, lo_open=True)
         return self
 
-    def active_event(self, finger_id, t, eps=1e-9):
+    def active_event(self, finger_id, t):
         """Latest event for this finger at or before time t, or None."""
         current = None
         for ev in self.events:
-            if ev.finger == finger_id and ev.time <= t + eps:
+            if ev.finger == finger_id and ev.time <= t + _EVENT_SLACK_S:
                 current = ev
-            elif ev.time > t + eps:
+            elif ev.time > t + _EVENT_SLACK_S:
                 break
         return current
 

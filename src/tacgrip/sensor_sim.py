@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .blobs import MarkerSet
+from .errors import check_range
 from .pgm import frame_filename, write_pgm
 from .tactile import FRAME_HEIGHT, FRAME_WIDTH, TactileFrame
 
@@ -38,6 +39,12 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("width", "height", "grid_rows", "grid_cols"):
+            check_range(name, getattr(self, name), lo=1)
+        for name in ("spacing", "marker_radius"):
+            check_range(name, getattr(self, name), lo=0.0, lo_open=True)
+        for name in ("displacement_gain_k", "noise_sigma"):
+            check_range(name, getattr(self, name), lo=0.0)
         if self.spacing <= 2 * self.marker_radius:
             raise ValueError("spacing must exceed the marker diameter")
         span_x = (self.grid_cols - 1) * self.spacing
@@ -66,10 +73,10 @@ class ContactStimulus:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        for name in ("x", "y", "shear_x", "shear_y", "timestamp"):
+            check_range(name, getattr(self, name))
+        check_range("depth", self.depth, lo=0.0)
+        check_range("radius", self.radius, lo=0.0, lo_open=True)
 
 
 def nominal_grid(model):
@@ -105,50 +112,39 @@ def displace_markers(model, stimulus=None):
     return MarkerSet(pos, frame_timestamp=stimulus.timestamp)
 
 
-def _stamp_disk(coverage, cx, cy, radius):
-    h, w = coverage.shape
-    x0 = max(int(np.floor(cx - radius - 1)), 0)
-    x1 = min(int(np.ceil(cx + radius + 1)) + 1, w)
-    y0 = max(int(np.floor(cy - radius - 1)), 0)
-    y1 = min(int(np.ceil(cy + radius + 1)) + 1, h)
-    if x0 >= x1 or y0 >= y1:
-        return
-    sub_x = (np.arange(x0, x1)[:, None] + _SS[None, :]).ravel() - cx
-    sub_y = (np.arange(y0, y1)[:, None] + _SS[None, :]).ravel() - cy
-    inside = (sub_y[:, None] ** 2 + sub_x[None, :] ** 2) <= radius ** 2
-    ny, nx = y1 - y0, x1 - x0
-    local = inside.reshape(ny, 4, nx, 4).mean(axis=(1, 3))
-    np.maximum(coverage[y0:y1, x0:x1], local, out=coverage[y0:y1, x0:x1])
-
-
-# Closed-loop runs render the same marker layout for many consecutive
-# frames (only the noise stream advances), so the supersampled coverage
-# image is memoized on the exact centroid bytes.
-_coverage_cache = {}
-_COVERAGE_CACHE_MAX = 4
-
-
-def _disk_coverage(markers, model):
-    key = (markers.centroids.tobytes(), model.marker_radius,
-           model.width, model.height)
-    hit = _coverage_cache.get(key)
-    if hit is not None:
-        return hit
+def disk_coverage(markers, model):
+    """Per pixel, the share of its 4x4 subpixel samples within marker_radius
+    of a marker center, maxed over markers. Each marker's footprint is
+    `size` px square from floor(c - r - 1): every pixel with a sample within
+    r of its center c. Markers go 64 at a time (temporaries near 1 MB)."""
+    radius = model.marker_radius
+    size = int(np.ceil(2 * radius + 2)) + 2
     coverage = np.zeros((model.height, model.width))
-    for mx, my in markers.centroids:
-        _stamp_disk(coverage, mx, my, model.marker_radius)
-    if len(_coverage_cache) >= _COVERAGE_CACHE_MAX:
-        _coverage_cache.pop(next(iter(_coverage_cache)))
-    _coverage_cache[key] = coverage
+    for start in range(0, len(markers), 64):
+        c = markers.centroids[start:start + 64]
+        # pix[marker, axis] are the footprint's pixel coordinates on (x, y).
+        pix = np.floor(c - radius - 1).astype(np.int64)[:, :, None] + np.arange(size)
+        sub = (pix[..., None] + _SS).reshape(len(c), 2, -1) - c[:, :, None]
+        inside = sub[:, 1, :, None] ** 2 + sub[:, 0, None, :] ** 2 <= radius ** 2
+        samples = inside.view(np.uint8).reshape(len(c), size, 4, size, 4)
+        hits = sum(samples[:, :, i, :, j] for i in range(4) for j in range(4))
+        # Footprint pixels outside the frame stamp 0 at a clipped index.
+        clipped = np.clip(pix, 0, [[model.width - 1], [model.height - 1]])
+        in_frame = clipped == pix
+        local = hits / 16.0 * (in_frame[:, 1, :, None] & in_frame[:, 0, None, :])
+        flat = clipped[:, 1, :, None] * model.width + clipped[:, 0, None, :]
+        np.maximum.at(coverage.reshape(-1), flat.ravel(), local.ravel())
     return coverage
 
 
-def render_frame(markers, model, finger_id=1, seq=0):
+def render_frame(markers, model, finger_id=1, seq=0, *, coverage=None):
     """Render marker centroids as dark anti-aliased disks plus seeded noise.
 
     Deterministic: the noise stream is keyed by (model.seed, finger_id, seq).
+    A caller that holds `disk_coverage(markers, model)` may pass it.
     """
-    coverage = _disk_coverage(markers, model)
+    if coverage is None:
+        coverage = disk_coverage(markers, model)
     pixels = model.background - coverage * (model.background - model.marker_intensity)
     if model.noise_sigma > 0:
         rng = np.random.default_rng((model.seed, finger_id, seq))
@@ -158,7 +154,7 @@ def render_frame(markers, model, finger_id=1, seq=0):
                         finger_id=finger_id)
 
 
-def write_frames(directory, model, marker_sets, finger_id=1, start_seq=0):
+def write_frames(directory, model, marker_sets, finger_id=1):
     """Write rendered PGM frames plus a ground-truth sidecar CSV.
 
     The sidecar truth_<finger>.csv has one row per marker per frame:
@@ -167,12 +163,16 @@ def write_frames(directory, model, marker_sets, finger_id=1, start_seq=0):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     truth_path = directory / f"truth_{finger_id}.csv"
+    last_layout, coverage = None, None
     with open(truth_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seq", "marker", "x", "y"])
-        for offset, markers in enumerate(marker_sets):
-            seq = start_seq + offset
-            frame = render_frame(markers, model, finger_id=finger_id, seq=seq)
+        for seq, markers in enumerate(marker_sets):
+            layout = markers.centroids.tobytes()
+            if layout != last_layout:
+                last_layout, coverage = layout, disk_coverage(markers, model)
+            frame = render_frame(markers, model, finger_id=finger_id, seq=seq,
+                                 coverage=coverage)
             write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
                       comment=f"t={frame.timestamp:.6f}")
             for idx, (mx, my) in enumerate(markers.centroids):

@@ -117,6 +117,17 @@ def test_validation_errors():
     ("kde", "kernel_width_h = nan"),
     ("events", "event = nan 1 320 240 3 40"),
     ("events", "event = 1.0 1 inf 240 3 40"),
+    ("sensor", "marker_radius = -3"),
+    ("sensor", "noise_sigma = -0.01"),
+    ("sensor", "noise_sigma = nan"),
+    ("sensor", "displacement_gain_k = inf"),
+    ("sensor", "spacing = nan"),
+    ("sensor", "grid_rows = 0"),
+    ("sensor", "grid_cols = -1"),
+    ("detector", "scales = 2.0,nan"),
+    ("detector", "threshold_rel = nan"),
+    ("detector", "threshold_abs = -1e-4"),
+    ("detector", "min_separation = nan"),
 ])
 def test_values_outside_their_domain_rejected_at_parse(section, line):
     # each of these used to parse, then fail mid-run or run silently

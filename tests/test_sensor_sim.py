@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import tacgrip as tg
+import tacgrip.episode
+import tacgrip.sensor_sim
 from tacgrip.density import _density_at_points
-from tacgrip.pgm import read_pgm
-from tacgrip.sensor_sim import ContactStimulus, SensorModel, displace_markers
+from tacgrip.pgm import read_pgm, write_pgm
+from tacgrip.scenario import static_scenario
+from tacgrip.sensor_sim import (_SS, ContactStimulus, SensorModel,
+                                disk_coverage, displace_markers)
 
 
 def test_depth_zero_is_identity(nominal_model):
@@ -146,6 +150,17 @@ def test_model_invariants():
         ContactStimulus(x=0.0, y=0.0, depth=-1.0, radius=40.0)
     with pytest.raises(ValueError):
         ContactStimulus(x=0.0, y=0.0, depth=1.0, radius=0.0)
+    with pytest.raises(ValueError, match="x = nan"):
+        ContactStimulus(x=math.nan, y=0.0, depth=1.0, radius=40.0)
+    with pytest.raises(ValueError, match="shear_y = inf"):
+        ContactStimulus(x=0.0, y=0.0, depth=1.0, radius=40.0,
+                        shear_y=math.inf)
+    with pytest.raises(ValueError, match="marker_radius"):
+        SensorModel(marker_radius=-3.0)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        SensorModel(noise_sigma=-0.01)
+    with pytest.raises(ValueError, match="grid_cols"):
+        SensorModel(grid_cols=0)
 
 
 def test_write_frames_and_truth_sidecar(tmp_path, nominal_model):
@@ -162,3 +177,115 @@ def test_write_frames_and_truth_sidecar(tmp_path, nominal_model):
     seq, marker, x, y = truth[1].split(",")
     assert (int(seq), int(marker)) == (0, 0)
     assert math.isclose(float(x), sets[0].centroids[0, 0], abs_tol=1e-6)
+
+
+def _stamp_disk_loop(markers, model):
+    """The per-marker stamping loop disk_coverage replaced, kept as its
+    reference: each disk's clipped bounding box, supersampled 4x4 and
+    max-composited one marker at a time."""
+    coverage = np.zeros((model.height, model.width))
+    h, w, radius = model.height, model.width, model.marker_radius
+    for cx, cy in markers.centroids:
+        x0 = max(int(np.floor(cx - radius - 1)), 0)
+        x1 = min(int(np.ceil(cx + radius + 1)) + 1, w)
+        y0 = max(int(np.floor(cy - radius - 1)), 0)
+        y1 = min(int(np.ceil(cy + radius + 1)) + 1, h)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        sub_x = (np.arange(x0, x1)[:, None] + _SS[None, :]).ravel() - cx
+        sub_y = (np.arange(y0, y1)[:, None] + _SS[None, :]).ravel() - cy
+        inside = (sub_y[:, None] ** 2 + sub_x[None, :] ** 2) <= radius ** 2
+        local = inside.reshape(y1 - y0, 4, x1 - x0, 4).mean(axis=(1, 3))
+        np.maximum(coverage[y0:y1, x0:x1], local,
+                   out=coverage[y0:y1, x0:x1])
+    return coverage
+
+
+@pytest.mark.parametrize("radius", [2.5, 4.0, 6.3])
+def test_disk_coverage_matches_per_marker_loop(radius):
+    model = SensorModel(marker_radius=radius, spacing=15.0)
+    rng = np.random.default_rng(int(radius * 10))
+    sets = [displace_markers(model, None), tg.MarkerSet(np.empty((0, 2)))]
+    for _ in range(15):  # contacts anywhere, the grid edges included
+        sets.append(displace_markers(model, ContactStimulus(
+            x=rng.uniform(0, 640), y=rng.uniform(0, 480),
+            depth=rng.uniform(0, 3.2), radius=40.0,
+            shear_x=rng.uniform(-4, 4), shear_y=rng.uniform(-4, 4))))
+    for _ in range(10):  # markers on and past the frame's edges and corners
+        edge = rng.choice([0.0, 639.0, 479.0], size=(40, 2))
+        sets.append(tg.MarkerSet(edge + rng.uniform(-radius - 2, radius + 2,
+                                                    size=(40, 2))))
+    for _ in range(10):  # random, overlapping, some wholly outside
+        n = int(rng.integers(1, 400))
+        sets.append(tg.MarkerSet(rng.uniform([-20, -20], [660, 500],
+                                             size=(n, 2))))
+    for markers in sets:
+        got = disk_coverage(markers, model)
+        want = _stamp_disk_loop(markers, model)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_render_frame_same_bytes_with_given_coverage(nominal_model):
+    stim = ContactStimulus(x=600.0, y=30.0, depth=2.5, radius=40.0,
+                           shear_x=3.0, timestamp=1.0)
+    markers = displace_markers(nominal_model, stim)
+    given = tg.render_frame(markers, nominal_model, finger_id=2, seq=7,
+                            coverage=disk_coverage(markers, nominal_model))
+    computed = tg.render_frame(markers, nominal_model, finger_id=2, seq=7)
+    assert given.pixels.tobytes() == computed.pixels.tobytes()
+    assert given.timestamp == computed.timestamp == 1.0
+
+
+def _counting(monkeypatch, owner):
+    calls = []
+
+    def counted(markers, model):
+        calls.append(markers.centroids.tobytes())
+        return disk_coverage(markers, model)
+
+    monkeypatch.setattr(owner, "disk_coverage", counted)
+    return calls
+
+
+def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
+    calls = _counting(monkeypatch, tacgrip.episode)
+    layouts = {1: [], 2: []}
+    render = tacgrip.episode.render_frame
+
+    def recording(markers, model, finger_id=1, seq=0, *, coverage=None):
+        frame = render(markers, model, finger_id, seq, coverage=coverage)
+        if coverage is not None:
+            layouts[finger_id].append(markers.centroids.tobytes())
+            assert frame.pixels.tobytes() == render(
+                markers, model, finger_id, seq).pixels.tobytes()
+        return frame
+
+    monkeypatch.setattr(tacgrip.episode, "render_frame", recording)
+    tacgrip.episode.run_grasp(static_scenario(seed=1, duration=1.2))
+    # at rest until the contact at 1 s, then held still: two layouts
+    changes = 0
+    for finger in (1, 2):
+        seen = layouts[finger]
+        assert len(seen) == 37 and len(set(seen)) == 2
+        changes += sum(a != b for a, b in zip([None] + seen, seen))
+    assert changes == 4
+    assert len(calls) == changes
+
+
+def test_write_frames_computes_coverage_once_per_repeat(
+        tmp_path, monkeypatch, nominal_model):
+    calls = _counting(monkeypatch, tacgrip.sensor_sim)
+    rest = displace_markers(nominal_model, None)
+    touched = displace_markers(nominal_model, ContactStimulus(
+        x=320.0, y=240.0, depth=2.0, radius=40.0))
+    sets = [rest, rest, touched, touched, touched, rest]
+    tg.write_frames(tmp_path, nominal_model, sets, finger_id=2)
+    assert len(calls) == 3  # rest, touched, rest again
+    for seq in (1, 4, 5):
+        frame = tg.render_frame(sets[seq], nominal_model, finger_id=2,
+                                seq=seq)
+        write_pgm(tmp_path / "fresh.pgm", frame.pixels,
+                  comment=f"t={frame.timestamp:.6f}")
+        assert (tmp_path / f"frame_2_{seq:06d}.pgm").read_bytes() \
+            == (tmp_path / "fresh.pgm").read_bytes()
