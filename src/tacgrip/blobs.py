@@ -33,6 +33,14 @@ from .errors import check_range
 
 # Gaussian filter support in units of sigma.
 _TRUNCATE = 3.0
+# Largest scale in px. Its Gaussian kernels span 2 * 192 + 1 = 385 taps,
+# inside the 480 px short side of the default frame; a wider filter reads
+# mostly border padding, and its kernel arrays grow with the scale (a
+# scale of 1e9 asked numpy for 45 GiB). The 4 px markers match ~2.83.
+_MAX_SCALE = 64.0
+# Largest min_separation in px: the diagonal of the 640x480 frame, past
+# which suppression keeps one candidate whatever the value.
+_MAX_SEPARATION = 800.0
 # A window's result stands when the bound on the response outside it is
 # at most this share of the threshold; the rest covers float32 rounding
 # of the computed response.
@@ -53,10 +61,11 @@ class DetectorConfig:
         if not self.scales:
             raise ValueError("scales must not be empty")
         for scale in self.scales:
-            check_range("scales", scale, lo=0.0, lo_open=True)
+            check_range("scales", scale, lo=0.0, hi=_MAX_SCALE, lo_open=True)
         check_range("threshold_rel", self.threshold_rel, lo=0.0, hi=1.0)
         check_range("threshold_abs", self.threshold_abs, lo=0.0)
-        check_range("min_separation", self.min_separation, lo=0.0, lo_open=True)
+        check_range("min_separation", self.min_separation, lo=0.0,
+                    hi=_MAX_SEPARATION, lo_open=True)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 from .control import CONTROL_PERIOD_S, ControlThresholds, classify_frame
 from .density import KdeConfig, estimate_density, write_density_pgm
 from .episode import measure_response_latency, run_grasp
-from .errors import NoDisturbanceError, TacgripError
+from .errors import NoDisturbanceError, TacgripError, ValidationError
 from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
 from .pgm import iter_frame_files, read_pgm
 from .perception import DEFAULT_CALIBRATION_RATIO, FingerPipeline
@@ -84,7 +84,10 @@ def _cmd_analyze(args):
                               calibration_ratio=args.calibration_ratio,
                               control_period=args.period)
         first_frame = _load_frame(items[0][1], items[0][0], finger_id, args.period)
-        pipe.calibrate(first_frame)
+        try:
+            pipe.calibrate(first_frame)
+        except ValidationError as exc:
+            raise ValidationError(f"{items[0][1]}: {exc}") from None
         contacts = 0
         for seq, path in items:
             frame = _load_frame(path, seq, finger_id, args.period)

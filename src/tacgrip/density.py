@@ -70,8 +70,10 @@ class KdeConfig:
     connectivity: int = 4
 
     def __post_init__(self):
-        for name in ("kernel_width_h", "pixel_scale_s"):
-            check_range(name, getattr(self, name), lo=0.0, lo_open=True)
+        # A kernel under half a pixel wide resolves nothing between pixel
+        # centers, and below ~1e-154 px its squared width underflows to 0.
+        check_range("kernel_width_h", self.kernel_width_h, lo=0.5)
+        check_range("pixel_scale_s", self.pixel_scale_s, lo=0.0, lo_open=True)
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
 

@@ -108,7 +108,10 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
         )
         ref = render_frame(displace_markers(ref_model, None), ref_model,
                            finger_id=finger, seq=0)
-        pipe.calibrate(ref)
+        try:
+            pipe.calibrate(ref)
+        except ValidationError as exc:
+            raise ScenarioError(f"finger {finger}: {exc}") from None
         pipelines[finger] = pipe
 
     episode_rows = []

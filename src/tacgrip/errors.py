@@ -50,15 +50,19 @@ class ParseError(TacgripError):
 
 
 class ValidationError(TacgripError):
-    """A parsed value violates a typed invariant."""
+    """A parsed value, or a calibration frame, violates an invariant."""
 
 
 def check_range(name, value, lo=-math.inf, hi=math.inf, lo_open=False,
                 error=ValueError):
     """Raise `error` unless value is a finite number in [lo, hi], or in
-    (lo, hi] with lo_open. NaN and infinities never pass."""
-    if not (math.isfinite(value)
-            and (lo < value if lo_open else lo <= value) and value <= hi):
+    (lo, hi] with lo_open. NaN, infinities and integers too large for a
+    float never pass."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not (finite and (lo < value if lo_open else lo <= value) and value <= hi):
         left = "(" if lo_open or lo == -math.inf else "["
         right = ")" if hi == math.inf else "]"
         raise error(f"{name} = {value!r} is not a finite number in "

@@ -33,10 +33,13 @@ one.
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .blobs import DetectorConfig, detect_markers, marker_window
 from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
 from .density import (KdeConfig, calibrate_threshold, estimate_density,
                       extract_contact, marker_support_box)
+from .errors import ValidationError
 from .tracking import ContactTrack, track_displacement
 
 # Working threshold = ratio * (support-box density minimum of the
@@ -45,6 +48,14 @@ from .tracking import ContactTrack, track_displacement
 # under 0.1%) while still catching shallow dips that only reach ~70% of
 # the nominal floor.
 DEFAULT_CALIBRATION_RATIO = 0.8
+
+# A reference frame whose support-box density minimum falls below this
+# share of the box median shows a contact. Rest frames read 0.84-0.96
+# (spacing 10-30 px, noise 0-0.03, h = 15 px; 0.889-0.891 for the
+# default sensor over 40 seeds). Random contacts of 0.2-3.2 mm read down
+# to 0.02; the few shallow ones that read above 0.8 are too shallow for
+# a rest-calibrated pipeline to see either.
+_REST_DENSITY_FLOOR = 0.8
 
 
 @dataclass
@@ -84,16 +95,34 @@ class FingerPipeline:
 
     def calibrate(self, reference_frame):
         """Freeze the working threshold and support box from a
-        no-contact frame."""
+        no-contact frame.
+
+        Raises ValidationError when the frame cannot be a rest frame: it
+        shows no markers, too few to span a support box, or a contact.
+        """
         reference_frame.validate()
         markers = detect_markers(reference_frame, self.detector_config)
         width, height = reference_frame.width, reference_frame.height
-        self.support = marker_support_box(
-            markers, self.kde_config.kernel_width_h, width, height)
+        if len(markers) == 0:
+            raise ValidationError("calibration frame shows no markers")
+        try:
+            self.support = marker_support_box(
+                markers, self.kde_config.kernel_width_h, width, height)
+        except ValueError as exc:
+            raise ValidationError(f"calibration frame: {exc}") from None
         reference_field = estimate_density(
             markers, self.kde_config, width=width, height=height,
             box=self.support,
         )
+        values = reference_field.values
+        median = float(np.median(values))
+        dip = float(values.min()) / median if median > 0 else 0.0
+        if dip < _REST_DENSITY_FLOOR:
+            raise ValidationError(
+                f"calibration frame shows a contact (or a kernel width too "
+                f"small for the marker spacing): its density minimum is "
+                f"{dip:.2f} of the median, below the rest floor "
+                f"{_REST_DENSITY_FLOOR}")
         threshold = calibrate_threshold(reference_field,
                                         ratio=self.calibration_ratio)
         self.kde_config = replace(self.kde_config, density_threshold_T=threshold)

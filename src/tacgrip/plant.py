@@ -23,6 +23,9 @@ TICK_S = 0.001  # s, the one fixed plant tick; every loop time is whole ticks
 N_CHAMBERS = 8
 PRESSURE_MIN = -57.0
 PRESSURE_MAX = 50.0
+# Longest delay, s. Any delay this long outlasts every episode; far
+# longer ones (past ~1.8e305 s) overflow the tick count to infinity.
+_MAX_DELAY_S = 3600.0
 
 
 @dataclass
@@ -37,9 +40,9 @@ class PlantConfig:
     tick_dt: ClassVar[float] = TICK_S  # alias of TICK_S, not a field
 
     def __post_init__(self):
-        for name in ("valve_latency", "control_delay", "line_delay",
-                     "tank_hysteresis"):
-            check_range(name, getattr(self, name), lo=0.0)
+        for name in ("valve_latency", "control_delay", "line_delay"):
+            check_range(name, getattr(self, name), lo=0.0, hi=_MAX_DELAY_S)
+        check_range("tank_hysteresis", self.tank_hysteresis, lo=0.0)
         check_range("chamber_time_constant", self.chamber_time_constant,
                     lo=0.0, lo_open=True)
         check_range("pump_rate", self.pump_rate, lo=0.0, lo_open=True)

@@ -7,8 +7,8 @@ events per finger). The file format is strict `[section]` headers with
 cannot silently fall back to a default.
 """
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, NamedTuple, Optional
 
 from .blobs import DetectorConfig
 from .control import (DEFAULT_GRASP_MASK, MAX_REGRASPS, ControlThresholds)
@@ -65,9 +65,15 @@ class Scenario:
         def check(name, value, **domain):
             check_range(name, value, error=ValidationError, **domain)
 
-        check("duration", self.duration_s, lo=0.0, lo_open=True)
+        # A day of 1 ms ticks; past ~1.8e305 s the tick count overflows.
+        check("duration", self.duration_s, lo=0.0, hi=86400.0, lo_open=True)
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if self.sensor.seed != self.seed:
+            # The manifest records the scenario seed; the noise must use it.
+            raise ValidationError(
+                f"sensor seed {self.sensor.seed} differs from scenario "
+                f"seed {self.seed}")
         check("calibration_ratio", self.calibration_ratio, lo=0.0, hi=1.0,
               lo_open=True)
         check("max_regrasps", self.max_regrasps, lo=0)
@@ -87,10 +93,10 @@ class Scenario:
             if ev.finger not in (1, 2):
                 raise ValidationError(f"event finger must be 1 or 2, got {ev.finger}")
             check("event time", ev.time, lo=0.0)
-            for name in ("x", "y", "shear_x", "shear_y"):
-                check(f"event {name}", getattr(ev, name))
-            check("event depth", ev.depth, lo=0.0)
-            check("event radius", ev.radius, lo=0.0, lo_open=True)
+            try:
+                ev.stimulus(ev.time)
+            except ValueError as exc:
+                raise ValidationError(f"event: {exc}") from None
         return self
 
     def active_event(self, finger_id, t):
@@ -106,69 +112,107 @@ class Scenario:
 
 # -- file format --------------------------------------------------------------
 
-_FLOAT = float
-_INT = int
+
+class _Key(NamedTuple):
+    """One `key = value` line: parse turns its text into the value of
+    field (an attribute, or (attribute, index) into a tuple) on owner
+    (None for the Scenario, else the config attribute holding it); show
+    writes the value back so that parse(show(v)) == v."""
+
+    section: str
+    key: str
+    owner: Optional[str]
+    field: object
+    parse: Callable
+    show: Callable = repr
 
 
-def _mask(text):
-    return int(text, 0)  # accepts 0xFF and decimal
-
-
-_SCHEMA = {
-    "scenario": {"name": str, "seed": _INT, "duration": _FLOAT},
-    "sensor": {
-        "grid_rows": _INT, "grid_cols": _INT, "spacing": _FLOAT,
-        "marker_radius": _FLOAT, "marker_intensity": _FLOAT,
-        "background": _FLOAT, "displacement_gain_k": _FLOAT,
-        "noise_sigma": _FLOAT,
-    },
-    "kde": {
-        "kernel_width_h": _FLOAT,
-        "pixel_scale_s": _FLOAT, "connectivity": _INT,
-        "calibration_ratio": _FLOAT,
-    },
-    "detector": {
-        "scales": str, "threshold_rel": _FLOAT, "threshold_abs": _FLOAT,
-        "min_separation": _FLOAT,
-    },
-    "plant": {
-        "valve_latency": _FLOAT, "control_delay": _FLOAT,
-        "line_delay": _FLOAT, "chamber_time_constant": _FLOAT,
-        "tank_pos_setpoint": _FLOAT, "tank_neg_setpoint": _FLOAT,
-        "tank_hysteresis": _FLOAT, "pump_rate": _FLOAT,
-    },
-    "thresholds": {
-        "t1_mm": _FLOAT, "t2_mm": _FLOAT, "stability_window_s": _FLOAT,
-        "no_contact_timeout_s": _FLOAT, "window_coverage": _FLOAT,
-    },
-    "control": {"grasp_mask": _mask, "max_regrasps": _INT},
-    "events": {"event": str},
-}
-
-
-def _parse_event(value, line_no):
-    parts = value.split()
+def _parse_event(text):
+    parts = text.split()
     if len(parts) not in (6, 8):
-        raise ParseError(
-            "event needs 'time finger x y depth radius [shear_x shear_y]'",
-            line_no,
-        )
+        raise ParseError("event needs 'time finger x y depth radius [shear_x shear_y]'")
     try:
         nums = [float(p) for p in parts]
     except ValueError:
-        raise ParseError(f"non-numeric event field in {value!r}", line_no)
+        raise ParseError(f"non-numeric event field in {text!r}")
     shear = (nums[6], nums[7]) if len(nums) == 8 else (0.0, 0.0)
-    if nums[1] != int(nums[1]):
-        raise ParseError(f"event finger must be an integer, got {parts[1]}", line_no)
+    if not nums[1].is_integer():
+        raise ParseError(f"event finger must be an integer, got {parts[1]}")
     return StimulusEvent(time=nums[0], finger=int(nums[1]), x=nums[2], y=nums[3],
                          depth=nums[4], radius=nums[5],
                          shear_x=shear[0], shear_y=shear[1])
 
 
+def _show_event(ev):
+    shear = [ev.shear_x, ev.shear_y] if ev.shear_x or ev.shear_y else []
+    return " ".join(map(repr, [ev.time, ev.finger, ev.x, ev.y, ev.depth,
+                               ev.radius] + shear))
+
+
+# Every key, in file order. The `event` row repeats: each line appends
+# one StimulusEvent to Scenario.events.
+_KEYS = (
+    _Key("scenario", "name", None, "name", str, str),
+    _Key("scenario", "seed", None, "seed", int),
+    _Key("scenario", "duration", None, "duration_s", float),
+    _Key("sensor", "grid_rows", "sensor", "grid_rows", int),
+    _Key("sensor", "grid_cols", "sensor", "grid_cols", int),
+    _Key("sensor", "spacing", "sensor", "spacing", float),
+    _Key("sensor", "marker_radius", "sensor", "marker_radius", float),
+    _Key("sensor", "marker_intensity", "sensor", "marker_intensity", float),
+    _Key("sensor", "background", "sensor", "background", float),
+    _Key("sensor", "displacement_gain_k", "sensor", "displacement_gain_k", float),
+    _Key("sensor", "noise_sigma", "sensor", "noise_sigma", float),
+    _Key("kde", "kernel_width_h", "kde", "kernel_width_h", float),
+    _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s", float),
+    _Key("kde", "connectivity", "kde", "connectivity", int),
+    _Key("kde", "calibration_ratio", None, "calibration_ratio", float),
+    _Key("detector", "scales", "detector", "scales",
+         lambda text: tuple(float(s) for s in text.split(",")),
+         lambda scales: ",".join(map(repr, scales))),
+    _Key("detector", "threshold_rel", "detector", "threshold_rel", float),
+    _Key("detector", "threshold_abs", "detector", "threshold_abs", float),
+    _Key("detector", "min_separation", "detector", "min_separation", float),
+    _Key("plant", "valve_latency", "plant", "valve_latency", float),
+    _Key("plant", "control_delay", "plant", "control_delay", float),
+    _Key("plant", "line_delay", "plant", "line_delay", float),
+    _Key("plant", "chamber_time_constant", "plant", "chamber_time_constant", float),
+    _Key("plant", "tank_pos_setpoint", "plant", ("tank_setpoints", 0), float),
+    _Key("plant", "tank_neg_setpoint", "plant", ("tank_setpoints", 1), float),
+    _Key("plant", "tank_hysteresis", "plant", "tank_hysteresis", float),
+    _Key("plant", "pump_rate", "plant", "pump_rate", float),
+    _Key("thresholds", "t1_mm", "thresholds", "t1_mm", float),
+    _Key("thresholds", "t2_mm", "thresholds", "t2_mm", float),
+    _Key("thresholds", "stability_window_s", "thresholds", "stability_window_s", float),
+    _Key("thresholds", "no_contact_timeout_s", "thresholds", "no_contact_timeout_s",
+         float),
+    _Key("thresholds", "window_coverage", "thresholds", "window_coverage", float),
+    _Key("control", "grasp_mask", None, "grasp_mask",
+         lambda text: int(text, 0), "0x{:02X}".format),  # 0xFF or decimal
+    _Key("control", "max_regrasps", None, "max_regrasps", int),
+    _Key("events", "event", None, "events", _parse_event, _show_event),
+)
+
+
+def _with_fields(obj, values):
+    """obj with the parsed {field: value} pairs replaced; constructing
+    the copy runs its domain checks."""
+    changes = {}
+    for name, value in values.items():
+        if isinstance(name, tuple):
+            name, index = name
+            items = list(changes.get(name, getattr(obj, name)))
+            items[index] = value
+            value = tuple(items)
+        changes[name] = value
+    return replace(obj, **changes)
+
+
 def parse_scenario_text(text):
     """Parse the scenario format; see load_scenario."""
+    keys = {(row.section, row.key): row for row in _KEYS}
     section = None
-    raw = {name: {} for name in _SCHEMA}
+    values = {}  # owner -> {field: value}
     events = []
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -177,7 +221,7 @@ def parse_scenario_text(text):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if all(row.section != section for row in _KEYS):
                 raise ParseError(f"unknown section [{section}]", line_no)
             continue
         if "=" not in stripped:
@@ -186,66 +230,30 @@ def parse_scenario_text(text):
             raise ParseError("key before any [section] header", line_no)
         key, _, value = stripped.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if key not in _SCHEMA[section]:
+        row = keys.get((section, key))
+        if row is None:
             raise ParseError(f"unknown key {key!r} in [{section}]", line_no)
-        if section == "events":
-            events.append(_parse_event(value, line_no))
-            continue
         try:
-            raw[section][key] = _SCHEMA[section][key](value)
-        except ParseError:
-            raise
+            parsed = row.parse(value)
+        except ParseError as exc:
+            raise ParseError(str(exc), line_no) from None
         except ValueError:
-            raise ParseError(f"bad value {value!r} for {key}", line_no)
+            raise ParseError(f"bad value {value!r} for {key}", line_no) from None
+        if row.field == "events":
+            events.append(parsed)
+        else:
+            values.setdefault(row.owner, {})[row.field] = parsed
 
-    return _build_scenario(raw, events)
-
-
-def _build_scenario(raw, events):
-    sc = raw["scenario"]
-    seed = sc.get("seed", 0)
-
-    sensor_kwargs = dict(raw["sensor"])
-    sensor_kwargs["seed"] = seed
-    try:
-        sensor = SensorModel(**sensor_kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"sensor: {exc}")
-
-    kde_kwargs = dict(raw["kde"])
-    ratio = kde_kwargs.pop("calibration_ratio", DEFAULT_CALIBRATION_RATIO)
-    det_kwargs = dict(raw["detector"])
-    if "scales" in det_kwargs:
-        det_kwargs["scales"] = tuple(
-            float(s) for s in det_kwargs["scales"].split(",")
-        )
-    plant_kwargs = dict(raw["plant"])
-    sp_pos = plant_kwargs.pop("tank_pos_setpoint", None)
-    sp_neg = plant_kwargs.pop("tank_neg_setpoint", None)
-    if sp_pos is not None or sp_neg is not None:
-        base = PlantConfig()
-        plant_kwargs["tank_setpoints"] = (
-            sp_pos if sp_pos is not None else base.tank_setpoints[0],
-            sp_neg if sp_neg is not None else base.tank_setpoints[1],
-        )
-    try:
-        scenario = Scenario(
-            name=sc.get("name", "unnamed"),
-            seed=seed,
-            duration_s=sc.get("duration", 10.0),
-            sensor=sensor,
-            kde=KdeConfig(**kde_kwargs),
-            detector=DetectorConfig(**det_kwargs),
-            plant=PlantConfig(**plant_kwargs),
-            thresholds=ControlThresholds(**raw["thresholds"]),
-            calibration_ratio=ratio,
-            grasp_mask=raw["control"].get("grasp_mask", DEFAULT_GRASP_MASK),
-            max_regrasps=raw["control"].get("max_regrasps", MAX_REGRASPS),
-            events=events,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    return scenario.validate()
+    base = Scenario()
+    kwargs = values.pop(None, {})
+    # The scenario seed also seeds the sensor noise.
+    values.setdefault("sensor", {})["seed"] = kwargs.get("seed", base.seed)
+    for owner, fields in values.items():
+        try:
+            kwargs[owner] = _with_fields(getattr(base, owner), fields)
+        except ValueError as exc:
+            raise ValidationError(f"{owner}: {exc}") from None
+    return replace(base, events=events, **kwargs).validate()
 
 
 def load_scenario(path):
@@ -260,65 +268,21 @@ def load_scenario(path):
 
 def scenario_to_text(scenario):
     """Serialize a scenario to the file format (full explicit config)."""
-    s, k, p, t = scenario.sensor, scenario.kde, scenario.plant, scenario.thresholds
-    d = scenario.detector
-    lines = [
-        "[scenario]",
-        f"name = {scenario.name}",
-        f"seed = {scenario.seed}",
-        f"duration = {scenario.duration_s!r}",
-        "",
-        "[sensor]",
-        f"grid_rows = {s.grid_rows}",
-        f"grid_cols = {s.grid_cols}",
-        f"spacing = {s.spacing!r}",
-        f"marker_radius = {s.marker_radius!r}",
-        f"marker_intensity = {s.marker_intensity!r}",
-        f"background = {s.background!r}",
-        f"displacement_gain_k = {s.displacement_gain_k!r}",
-        f"noise_sigma = {s.noise_sigma!r}",
-        "",
-        "[kde]",
-        f"kernel_width_h = {k.kernel_width_h!r}",
-        f"pixel_scale_s = {k.pixel_scale_s!r}",
-        f"connectivity = {k.connectivity}",
-        f"calibration_ratio = {scenario.calibration_ratio!r}",
-        "",
-        "[detector]",
-        f"scales = {','.join(repr(x) for x in d.scales)}",
-        f"threshold_rel = {d.threshold_rel!r}",
-        f"threshold_abs = {d.threshold_abs!r}",
-        f"min_separation = {d.min_separation!r}",
-        "",
-        "[plant]",
-        f"valve_latency = {p.valve_latency!r}",
-        f"control_delay = {p.control_delay!r}",
-        f"line_delay = {p.line_delay!r}",
-        f"chamber_time_constant = {p.chamber_time_constant!r}",
-        f"tank_pos_setpoint = {p.tank_setpoints[0]!r}",
-        f"tank_neg_setpoint = {p.tank_setpoints[1]!r}",
-        f"tank_hysteresis = {p.tank_hysteresis!r}",
-        f"pump_rate = {p.pump_rate!r}",
-        "",
-        "[thresholds]",
-        f"t1_mm = {t.t1_mm!r}",
-        f"t2_mm = {t.t2_mm!r}",
-        f"stability_window_s = {t.stability_window_s!r}",
-        f"no_contact_timeout_s = {t.no_contact_timeout_s!r}",
-        f"window_coverage = {t.window_coverage!r}",
-        "",
-        "[control]",
-        f"grasp_mask = 0x{scenario.grasp_mask:02X}",
-        f"max_regrasps = {scenario.max_regrasps}",
-        "",
-        "[events]",
-    ]
-    for ev in scenario.events:
-        parts = [f"{ev.time!r}", str(ev.finger), f"{ev.x!r}", f"{ev.y!r}",
-                 f"{ev.depth!r}", f"{ev.radius!r}"]
-        if ev.shear_x or ev.shear_y:
-            parts += [f"{ev.shear_x!r}", f"{ev.shear_y!r}"]
-        lines.append("event = " + " ".join(parts))
+    lines = []
+    section = None
+    for row in _KEYS:
+        if row.section != section:
+            if section is not None:
+                lines.append("")
+            section = row.section
+            lines.append(f"[{section}]")
+        owner = scenario if row.owner is None else getattr(scenario, row.owner)
+        if isinstance(row.field, tuple):
+            value = getattr(owner, row.field[0])[row.field[1]]
+        else:
+            value = getattr(owner, row.field)
+        for item in value if row.field == "events" else [value]:
+            lines.append(f"{row.key} = {row.show(item)}")
     return "\n".join(lines) + "\n"
 
 

@@ -76,7 +76,9 @@ class ContactStimulus:
         for name in ("x", "y", "shear_x", "shear_y", "timestamp"):
             check_range(name, getattr(self, name))
         check_range("depth", self.depth, lo=0.0)
-        check_range("radius", self.radius, lo=0.0, lo_open=True)
+        # Past a million px the envelope is flat over the frame to 1e-6;
+        # past 1e154 px its square overflows.
+        check_range("radius", self.radius, lo=0.0, hi=1e6, lo_open=True)
 
 
 def nominal_grid(model):

@@ -88,6 +88,22 @@ def test_analyze_command(tmp_path, capsys, nominal_model):
     assert len(heatmaps) == 3  # one per processed frame
 
 
+def test_analyze_rejects_a_touched_first_frame(tmp_path, capsys,
+                                              nominal_model):
+    frames_dir = tmp_path / "frames"
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=40.0,
+                           timestamp=0.0)
+    sets = [displace_markers(nominal_model, stim),
+            displace_markers(nominal_model, None)]
+    write_frames(frames_dir, nominal_model, sets, finger_id=1)
+    rc = main(["analyze", "--frames", str(frames_dir),
+               "--out", str(tmp_path / "analysis")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "frame_1_000000.pgm: calibration frame shows a contact" in err
+
+
 def test_analyze_empty_dir(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["analyze", "--frames", str(tmp_path / "empty"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ from tacgrip.density import (ContactRegion, DensityField, KdeConfig,
                              _density_at_points, calibrate_threshold,
                              estimate_density, extract_contact,
                              marker_support_box, write_density_pgm)
-from tacgrip.errors import EmptyMarkerSetError
+from tacgrip.errors import EmptyMarkerSetError, ValidationError
 from tacgrip.pgm import read_pgm
 from tacgrip.sensor_sim import ContactStimulus, nominal_grid
 
@@ -374,6 +375,29 @@ def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
     assert pipe.support == marker_support_box(args[0], 15.0, 640, 480)
     assert threshold == 0.8 * field.values.min()
     assert pipe.kde_config.density_threshold_T == threshold
+
+
+def test_calibrate_rejects_a_frame_not_at_rest(nominal_model, reference_frame):
+    # Calibrated on this contact, a pipeline set its threshold at half the
+    # rest value and read later contacts as NoContact.
+    touched = tg.render_frame(
+        tg.displace_markers(nominal_model, ContactStimulus(
+            x=470.0, y=330.0, depth=3.0, radius=40.0)),
+        nominal_model, finger_id=1, seq=0)
+    with pytest.raises(ValidationError, match="calibration frame shows a contact"):
+        perception.FingerPipeline(1).calibrate(touched)
+    blank = dataclasses.replace(
+        reference_frame, pixels=np.full_like(reference_frame.pixels, 0.95))
+    with pytest.raises(ValidationError, match="calibration frame shows no markers"):
+        perception.FingerPipeline(1).calibrate(blank)
+    # rest frames calibrate across seeds and noise levels
+    for seed in range(4):
+        for noise in (0.0, 0.01, 0.03):
+            model = dataclasses.replace(nominal_model, seed=seed,
+                                        noise_sigma=noise)
+            rest = tg.render_frame(tg.displace_markers(model, None), model,
+                                   finger_id=1, seq=seed)
+            assert perception.FingerPipeline(1).calibrate(rest) > 0
 
 
 _FIELD_DIGEST = """

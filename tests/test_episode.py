@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tacgrip.control import CommandKind, Phase
@@ -104,6 +106,19 @@ def test_no_disturbance_to_measure(static_run, timeout_run):
 def test_invalid_scenario_rejected():
     with pytest.raises(ScenarioError):
         run_grasp(Scenario(duration_s=-1.0))
+
+
+def test_calibration_failure_is_a_scenario_error():
+    # both used to escape from run_grasp as bare errors of the pipeline
+    sc = static_scenario(duration=0.1)
+    sc.detector = dataclasses.replace(sc.detector, threshold_abs=2.83)
+    with pytest.raises(ScenarioError,
+                       match="finger 1: calibration frame shows no markers"):
+        run_grasp(sc)
+    sc = static_scenario(duration=0.1)
+    sc.sensor = dataclasses.replace(sc.sensor, grid_rows=2)
+    with pytest.raises(ScenarioError, match="calibration frame: support"):
+        run_grasp(sc)
 
 
 def test_outputs_and_determinism(tmp_path):

@@ -1,10 +1,21 @@
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
-from tacgrip.errors import ParseError, ValidationError
+from tacgrip import scenario as scenario_module
+from tacgrip.blobs import DetectorConfig
+from tacgrip.control import ControlThresholds
+from tacgrip.density import KdeConfig
+from tacgrip.episode import run_grasp
+from tacgrip.errors import ParseError, ScenarioError, ValidationError
+from tacgrip.plant import PlantConfig
 from tacgrip.scenario import (CANNED, Scenario, StimulusEvent, load_scenario,
                               parse_scenario_text, poke_scenario,
                               scenario_to_text, slip_scenario,
                               static_scenario, timeout_scenario)
+from tacgrip.sensor_sim import SensorModel
 
 MINIMAL = """
 [scenario]
@@ -60,6 +71,8 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_scenario_text("[kde]\ngrid_stride = 2")
     assert err.value.line_no == 2
+    with pytest.raises(ParseError, match="line 3: bad value 'abc' for scales"):
+        parse_scenario_text("[detector]\n\nscales = abc\n")
 
 
 def test_event_parse_errors():
@@ -69,6 +82,8 @@ def test_event_parse_errors():
         parse_scenario_text("[events]\nevent = 1.0 one 320 240 3 40\n")
     with pytest.raises(ParseError):
         parse_scenario_text("[events]\nevent = 1.0 1.5 320 240 3 40\n")
+    with pytest.raises(ParseError, match="line 2: event finger"):
+        parse_scenario_text("[events]\nevent = 1.0 inf 320 240 3 40\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -128,6 +143,15 @@ def test_validation_errors():
     ("detector", "threshold_rel = nan"),
     ("detector", "threshold_abs = -1e-4"),
     ("detector", "min_separation = nan"),
+    ("detector", "scales = 1e9"),
+    # each of these used to fail mid-run with OverflowError or
+    # ZeroDivisionError
+    ("sensor", "grid_rows = " + "9" * 400),
+    ("scenario", "duration = 1e308"),
+    ("plant", "control_delay = 1e308"),
+    ("detector", "min_separation = 1e308"),
+    ("kde", "kernel_width_h = 1e-300"),
+    ("events", "event = 1.0 1 320 240 3 1e200"),
 ])
 def test_values_outside_their_domain_rejected_at_parse(section, line):
     # each of these used to parse, then fail mid-run or run silently
@@ -149,20 +173,78 @@ def test_validate_checks_domains_after_construction():
 
 
 def test_round_trip_through_text(tmp_path):
-    original = poke_scenario(seed=3)
-    text = scenario_to_text(original)
-    path = tmp_path / "poke.scn"
-    path.write_text(text)
-    back = load_scenario(path)
-    assert back.name == original.name
-    assert back.seed == original.seed
-    assert back.duration_s == original.duration_s
-    assert back.sensor == original.sensor
-    assert back.kde == original.kde
-    assert back.plant == original.plant
-    assert back.thresholds == original.thresholds
-    assert back.grasp_mask == original.grasp_mask
-    assert back.events == original.events
+    for name, make in sorted(CANNED.items()):
+        for seed in (0, 3):
+            original = make(seed=seed)
+            path = tmp_path / f"{name}_{seed}.scn"
+            path.write_text(scenario_to_text(original))
+            assert load_scenario(path) == original
+
+
+def _every_key_changed():
+    """A scenario whose value for every key of the format differs from
+    the default."""
+    return Scenario(
+        name="every key", seed=4, duration_s=2.5,
+        sensor=SensorModel(grid_rows=12, grid_cols=16, spacing=18.0,
+                           marker_radius=3.5, marker_intensity=0.2,
+                           background=0.9, displacement_gain_k=8.5,
+                           noise_sigma=0.02, seed=4),
+        kde=KdeConfig(kernel_width_h=12.5, pixel_scale_s=0.04,
+                      connectivity=8),
+        detector=DetectorConfig(scales=(2.5, 3.1), threshold_rel=0.2,
+                                threshold_abs=2e-4, min_separation=5.5),
+        plant=PlantConfig(valve_latency=0.02, control_delay=0.04,
+                          line_delay=0.03, chamber_time_constant=0.2,
+                          tank_setpoints=(40.5, -50.25), tank_hysteresis=1.5,
+                          pump_rate=30.0),
+        thresholds=ControlThresholds(t1_mm=0.6, t2_mm=4.5,
+                                     stability_window_s=2.5,
+                                     no_contact_timeout_s=8.0,
+                                     window_coverage=0.85),
+        calibration_ratio=0.7, grasp_mask=0x0F, max_regrasps=2,
+        events=[StimulusEvent(0.5, 1, 300.5, 250.25, 2.0, 30.0),
+                StimulusEvent(1.5, 2, 310.0, 240.0, 2.5, 35.0,
+                              shear_x=1.5, shear_y=-0.5)],
+    ).validate()
+
+
+def test_round_trip_sees_every_key():
+    sc = _every_key_changed()
+    text = scenario_to_text(sc)
+    assert parse_scenario_text(text) == sc
+    # every key of the table is written with a value other than its default
+    default_lines = set(scenario_to_text(Scenario()).splitlines())
+    for row in scenario_module._KEYS:
+        lines = [line for line in text.splitlines()
+                 if line.startswith(f"{row.key} = ")]
+        assert lines and not default_lines.intersection(lines), row.key
+
+
+# sha256 of scenario_to_text for each canned scenario at seed 0; the run
+# manifest records this digest as config_sha256.
+CANNED_TEXT_SHA256 = {
+    "poke": "3200e3c607da27979911d7b65c6e425e3228552f29b467cfcdc25c102680d353",
+    "slip": "8444d899659014ca3fd31a1544da6c671860c44a77cb80f9cab2691ac691428f",
+    "static": "fc8bb6baf6d355310f3cb50d9b53d76c4ee077bc503ccafcf9039e208f7c5ed8",
+    "timeout": "23a654c44e1dcd891ad132cc643dc7574893e5e5ff9df20dad3a51fb379d3160",
+}
+
+
+def test_canned_scenario_text_is_pinned():
+    for name, make in CANNED.items():
+        text = scenario_to_text(make())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            CANNED_TEXT_SHA256[name], name
+
+
+def test_sensor_seed_must_match_scenario_seed():
+    sc = static_scenario(0)
+    sc.seed = 5
+    with pytest.raises(ValidationError, match="sensor seed 0 differs"):
+        sc.validate()
+    sc.sensor = dataclasses.replace(sc.sensor, seed=5)
+    assert sc.validate() is sc
 
 
 def test_round_trip_preserves_shear(tmp_path):
@@ -201,3 +283,61 @@ def test_canned_scenarios_validate():
     slip = slip_scenario()
     assert slip.events[-1].x - slip.events[1].x == 110.0
     assert timeout_scenario().events == []
+
+
+# Replacement values for one key, or for one field of an event line.
+_FUZZ_VALUES = ("nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-0.5", "0.5",
+                "2", "0x10", "0xFF", "1,2", "2.0,nan", "", "1e9", "1e308",
+                "9" * 400, "abc", "1e-9", "64", "1.0 2.0", ",")
+# Replacements for a whole line: unknown sections and keys, and junk.
+_FUZZ_LINES = ("[nosuch]", "[events", "bogus_key = 1", "= 3", "just words",
+               "tick_dt = 0.001", "event = 0.1 1 320 240 3 40", "seed = 2")
+
+
+def _fuzz_mutants(text, count, seed):
+    """Seeded one-line mutants of a scenario text."""
+    rng = random.Random(seed)
+    base = text.splitlines()
+    for _ in range(count):
+        lines = list(base)
+        i = rng.randrange(len(lines))
+        key, eq, value = lines[i].partition(" = ")
+        roll = rng.random()
+        if eq and roll < 0.75:
+            if key == "event":
+                fields = value.split()
+                k = rng.randrange(len(fields) + 1)
+                if k == len(fields):
+                    del fields[rng.randrange(len(fields)):]
+                else:
+                    fields[k] = rng.choice(_FUZZ_VALUES)
+                value = " ".join(fields)
+            else:
+                value = rng.choice(_FUZZ_VALUES)
+            lines[i] = f"{key} = {value}"
+        elif roll < 0.85:
+            lines[i] = rng.choice(_FUZZ_LINES)
+        elif roll < 0.92:
+            del lines[i]
+        else:
+            lines[i] = f"[{key.strip('[]')}x]" if not eq else f"{key}_x = {value}"
+        yield "\n".join(lines) + "\n"
+
+
+def test_fuzzed_scenarios_fail_at_the_door_or_run():
+    base = scenario_to_text(static_scenario(1, duration=0.2))
+    valid = {}
+    for text in _fuzz_mutants(base, 600, seed=8):
+        try:
+            sc = parse_scenario_text(text)
+        except (ParseError, ValidationError):
+            continue
+        valid.setdefault(scenario_to_text(sc), sc)
+    valid.pop(base, None)
+    assert len(valid) >= 8
+    # A scenario that parses either runs or is turned away at calibration.
+    for key in random.Random(8).sample(sorted(valid), 8):
+        try:
+            run_grasp(valid[key])
+        except ScenarioError as exc:
+            assert "calibration frame" in str(exc)
