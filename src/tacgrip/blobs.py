@@ -1,16 +1,16 @@
-"""Dark-blob marker detection over a determinant-of-Hessian scale space.
+"""Dark-blob marker detection with a determinant-of-Hessian filter.
 
-Markers are small dark disks on a light membrane image. For each scale
-sigma the frame is smoothed, second derivatives are taken, and the
-scale-normalized determinant of the Hessian sigma^4*(Ixx*Iyy - Ixy^2)
-is computed. Dark blobs are gated by a positive Laplacian (local
-intensity minimum). Candidates are local maxima of the response stack,
-deduplicated by greedy non-maximum suppression and refined to sub-pixel
-positions with a per-axis quadratic fit.
+Markers are small dark disks on a light membrane image. At one scale
+sigma, matched to the marker radius, the frame is smoothed, second
+derivatives are taken, and the scale-normalized determinant of the
+Hessian sigma^4*(Ixx*Iyy - Ixy^2) is computed. Dark blobs are gated by
+a positive Laplacian (local intensity minimum). Candidates are local
+maxima of the response, deduplicated by greedy non-maximum suppression
+and refined to sub-pixel positions with a per-axis quadratic fit.
 
 A window (a pixel box around the markers) makes detection cheaper
 without changing its result. The filters run on the box widened by
-`_window_pad` (the largest filter's half-width plus one pixel), clipped
+`_window_pad` (the filter's half-width plus one pixel), clipped
 to the frame. scipy's separable filters read only pixels within that
 half-width, so inside the box the response equals the full-frame
 response bit for bit; the 3x3 maximum filter and the quadratic fit read
@@ -23,7 +23,6 @@ full-frame result. Otherwise the frame is detected again in full.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -36,8 +35,11 @@ _TRUNCATE = 3.0
 # Largest scale in px. Its Gaussian kernels span 2 * 192 + 1 = 385 taps,
 # inside the 480 px short side of the default frame; a wider filter reads
 # mostly border padding, and its kernel arrays grow with the scale (a
-# scale of 1e9 asked numpy for 45 GiB). The 4 px markers match ~2.83.
+# scale of 1e9 asked numpy for 45 GiB).
 _MAX_SCALE = 64.0
+# Largest threshold_abs: the response is float32, and the threshold is
+# compared with it in float32.
+_MAX_THRESHOLD = float(np.finfo(np.float32).max)
 # Largest min_separation in px: the diagonal of the 640x480 frame, past
 # which suppression keeps one candidate whatever the value.
 _MAX_SEPARATION = 800.0
@@ -49,8 +51,9 @@ _BOUND_SHARE = 0.5
 
 @dataclass
 class DetectorConfig:
-    # Scales in px; markers of ~4 px radius respond strongest near r/sqrt(2).
-    scales: Tuple[float, ...] = (2.0, 2.83, 4.0)
+    # Filter scale in px; a marker of radius r responds strongest at
+    # r/sqrt(2), 2.83 for the simulator's 4 px markers.
+    scale: float = 2.83
     # Candidate threshold: relative to the frame's peak response, with an
     # absolute floor so a blank (noise-only) frame yields no detections.
     threshold_rel: float = 0.15
@@ -58,12 +61,10 @@ class DetectorConfig:
     min_separation: float = 4.0
 
     def __post_init__(self):
-        if not self.scales:
-            raise ValueError("scales must not be empty")
-        for scale in self.scales:
-            check_range("scales", scale, lo=0.0, hi=_MAX_SCALE, lo_open=True)
+        check_range("scale", self.scale, lo=0.0, hi=_MAX_SCALE, lo_open=True)
         check_range("threshold_rel", self.threshold_rel, lo=0.0, hi=1.0)
-        check_range("threshold_abs", self.threshold_abs, lo=0.0)
+        check_range("threshold_abs", self.threshold_abs, lo=0.0,
+                    hi=_MAX_THRESHOLD)
         check_range("min_separation", self.min_separation, lo=0.0,
                     hi=_MAX_SEPARATION, lo_open=True)
 
@@ -114,9 +115,9 @@ def _radius(sigma):
 
 def _window_pad(config):
     """Pixels the response inside a window depends on beyond it: the
-    largest filter's half-width, plus one for the 3x3 maximum filter and
-    the +-1 quadratic fit."""
-    return _radius(max(config.scales)) + 1
+    filter's half-width, plus one for the 3x3 maximum filter and the +-1
+    quadratic fit."""
+    return _radius(config.scale) + 1
 
 
 def marker_window(markers, config, width, height):
@@ -124,7 +125,7 @@ def marker_window(markers, config, width, height):
     a width x height frame, as a half-open pixel box (x0, y0, x1, y1).
 
     The outside bound reads pixels up to one half-width inside the box,
-    and a marker the scales can detect reaches less than `_window_pad`
+    and a marker the filter can detect reaches less than `_window_pad`
     from its center, so at rest no marker pixel enters that bound.
     """
     if len(markers) == 0:
@@ -140,8 +141,8 @@ def _outside_bound(pixels, box, config):
     """Upper bound on the response at every pixel outside the box.
 
     Outside the box the filters read only the frame minus the box shrunk
-    by the largest half-width r. Over those pixels, with extremes lo and
-    hi, the Laplacian Ixx + Iyy at scale sigma is at most P * hi - N * lo,
+    by the half-width r. Over those pixels, with extremes lo and hi, the
+    Laplacian Ixx + Iyy at scale sigma is at most P * hi - N * lo,
     where P and N are the summed magnitudes of the Laplacian kernel's
     positive and negative taps. The gate passes only a positive
     Laplacian, and there
@@ -149,7 +150,8 @@ def _outside_bound(pixels, box, config):
     """
     h, w = pixels.shape
     x0, y0, x1, y1 = box
-    r = _window_pad(config) - 1
+    sigma = config.scale
+    r = _radius(sigma)
     hx0, hy0, hx1, hy1 = x0 + r, y0 + r, x1 - r, y1 - r
     if hx0 >= hx1 or hy0 >= hy1:
         parts = [pixels]
@@ -159,38 +161,29 @@ def _outside_bound(pixels, box, config):
     parts = [p for p in parts if p.size]
     lo = min(float(p.min()) for p in parts)
     hi = max(float(p.max()) for p in parts)
-    bound = 0.0
-    for sigma in config.scales:
-        delta = np.zeros(2 * _radius(sigma) + 1)
-        delta[_radius(sigma)] = 1.0
-        k0, k2 = (ndimage.gaussian_filter1d(delta, sigma, order=order,
-                                            mode="constant",
-                                            truncate=_TRUNCATE)
-                  for order in (0, 2))
-        lap = np.outer(k2, k0) + np.outer(k0, k2)
-        laplacian = (float(lap[lap > 0].sum()) * hi
-                     + float(lap[lap < 0].sum()) * lo)
-        if laplacian > 0:
-            bound = max(bound, sigma ** 4 * laplacian ** 2 / 4)
-    return bound
+    delta = np.zeros(2 * r + 1)
+    delta[r] = 1.0
+    k0, k2 = (ndimage.gaussian_filter1d(delta, sigma, order=order,
+                                        mode="constant", truncate=_TRUNCATE)
+              for order in (0, 2))
+    lap = np.outer(k2, k0) + np.outer(k0, k2)
+    laplacian = (float(lap[lap > 0].sum()) * hi
+                 + float(lap[lap < 0].sum()) * lo)
+    return sigma ** 4 * max(laplacian, 0.0) ** 2 / 4
 
 
 def _response(pixels, config):
-    """Gated determinant-of-Hessian response, max over scales (float32)."""
+    """Gated determinant-of-Hessian response (float32)."""
     img = pixels.astype(np.float32)
-    resp = None
-    for sigma in config.scales:
-        dyy = ndimage.gaussian_filter(img, sigma, order=(2, 0),
-                                      mode="nearest", truncate=_TRUNCATE)
-        dxx = ndimage.gaussian_filter(img, sigma, order=(0, 2),
-                                      mode="nearest", truncate=_TRUNCATE)
-        dxy = ndimage.gaussian_filter(img, sigma, order=(1, 1),
-                                      mode="nearest", truncate=_TRUNCATE)
-        det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
-        # Dark blobs only: intensity minima have a positive Laplacian.
-        det[(dxx + dyy) <= 0] = 0.0
-        resp = det if resp is None else np.maximum(resp, det)
-    return resp
+    sigma = config.scale
+    dyy, dxx, dxy = (ndimage.gaussian_filter(img, sigma, order=order,
+                                             mode="nearest",
+                                             truncate=_TRUNCATE)
+                     for order in ((2, 0), (0, 2), (1, 1)))
+    det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
+    # Dark blobs only: intensity minima have a positive Laplacian.
+    det[(dxx + dyy) <= 0] = 0.0
+    return det
 
 
 def _quadratic_offsets(vm, v0, vp):

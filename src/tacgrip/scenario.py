@@ -167,9 +167,7 @@ _KEYS = (
     _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s", float),
     _Key("kde", "connectivity", "kde", "connectivity", int),
     _Key("kde", "calibration_ratio", None, "calibration_ratio", float),
-    _Key("detector", "scales", "detector", "scales",
-         lambda text: tuple(float(s) for s in text.split(",")),
-         lambda scales: ",".join(map(repr, scales))),
+    _Key("detector", "scale", "detector", "scale", float),
     _Key("detector", "threshold_rel", "detector", "threshold_rel", float),
     _Key("detector", "threshold_abs", "detector", "threshold_abs", float),
     _Key("detector", "min_separation", "detector", "min_separation", float),

@@ -21,6 +21,12 @@ from .tactile import FRAME_HEIGHT, FRAME_WIDTH, TactileFrame
 
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
+# Largest contact center, shear, radius and marker travel in px, and
+# # largest depth (mm) and gain (px/mm), whose product is the travel. A
+# million px is over a thousand frame widths; past 1e154 px the squares
+# and pixel indices of rendering overflow.
+_MAX_PX = 1e6
+_MAX_DEPTH_MM = _MAX_GAIN = 1e3
 
 
 @dataclass
@@ -43,8 +49,9 @@ class SensorModel:
             check_range(name, getattr(self, name), lo=1)
         for name in ("spacing", "marker_radius"):
             check_range(name, getattr(self, name), lo=0.0, lo_open=True)
-        for name in ("displacement_gain_k", "noise_sigma"):
-            check_range(name, getattr(self, name), lo=0.0)
+        check_range("displacement_gain_k", self.displacement_gain_k, lo=0.0,
+                    hi=_MAX_GAIN)
+        check_range("noise_sigma", self.noise_sigma, lo=0.0)
         if self.spacing <= 2 * self.marker_radius:
             raise ValueError("spacing must exceed the marker diameter")
         span_x = (self.grid_cols - 1) * self.spacing
@@ -73,12 +80,11 @@ class ContactStimulus:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "y", "shear_x", "shear_y", "timestamp"):
-            check_range(name, getattr(self, name))
-        check_range("depth", self.depth, lo=0.0)
-        # Past a million px the envelope is flat over the frame to 1e-6;
-        # past 1e154 px its square overflows.
-        check_range("radius", self.radius, lo=0.0, hi=1e6, lo_open=True)
+        for name in ("x", "y", "shear_x", "shear_y"):
+            check_range(name, getattr(self, name), lo=-_MAX_PX, hi=_MAX_PX)
+        check_range("timestamp", self.timestamp)
+        check_range("depth", self.depth, lo=0.0, hi=_MAX_DEPTH_MM)
+        check_range("radius", self.radius, lo=0.0, hi=_MAX_PX, lo_open=True)
 
 
 def nominal_grid(model):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import tacgrip as tg
 from tacgrip import blobs, perception
@@ -98,9 +99,9 @@ def test_markerset_shape_checked():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DetectorConfig(scales=())
+        DetectorConfig(scale=0.0)
     with pytest.raises(ValueError):
-        DetectorConfig(scales=(2.0, -1.0))
+        DetectorConfig(scale=-1.0)
     with pytest.raises(ValueError):
         DetectorConfig(min_separation=0.0)
 
@@ -294,3 +295,44 @@ def test_outside_bound_holds_over_random_frames(nominal_model):
         outside[box[1]:box[3], box[0]:box[2]] = False
         assert resp[outside].max() <= blobs._outside_bound(frame.pixels, box,
                                                            config)
+
+
+def test_single_scale_locates_contact_markers(nominal_model):
+    # 48 seeded contacts (depth 0-3.2 mm, shear +-4 px, the 40 px radius
+    # of the canned scenarios), a third centered inside the marker grid
+    # and the rest on its four edges, detected in the rest grid's window
+    # and matched to the rendered truth. Disks that a contact pushes into
+    # each other draw one blob, so the count and the errors are taken
+    # where a disk is at least one diameter from its nearest neighbour.
+    grid = nominal_grid(nominal_model)
+    lo, hi = grid.min(0), grid.max(0)
+    window = blobs.marker_window(MarkerSet(grid), DetectorConfig(),
+                                 nominal_model.width, nominal_model.height)
+    rng = np.random.default_rng(9)
+    errors = []
+    clear_frames = 0
+    for seq in range(48):
+        x, y = rng.uniform(lo, hi)
+        edge = seq % 6  # 0, 1: inside the grid; 2-5: on one of its edges
+        if edge in (2, 3):
+            x = (lo[0], hi[0])[edge - 2]
+        elif edge in (4, 5):
+            y = (lo[1], hi[1])[edge - 4]
+        stim = ContactStimulus(
+            x=float(x), y=float(y), depth=float(rng.uniform(0.0, 3.2)),
+            radius=40.0, shear_x=float(rng.uniform(-4.0, 4.0)),
+            shear_y=float(rng.uniform(-4.0, 4.0)))
+        truth = tg.displace_markers(nominal_model, stim).centroids
+        frame = tg.render_frame(MarkerSet(truth), nominal_model, finger_id=1,
+                                seq=seq)
+        found = detect_markers(frame, window=window).centroids
+        gap = cKDTree(truth).query(truth, k=2)[0][:, 1]
+        clear = gap >= 2 * nominal_model.marker_radius
+        if clear.all():
+            clear_frames += 1
+            assert len(found) == len(grid)
+        errors.append(_match_errors(truth[clear], found))
+    errors = np.concatenate(errors)
+    assert clear_frames >= 40
+    assert np.percentile(errors, 95) <= 0.1
+    assert errors.max() <= 0.5

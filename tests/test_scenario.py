@@ -71,8 +71,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_scenario_text("[kde]\ngrid_stride = 2")
     assert err.value.line_no == 2
-    with pytest.raises(ParseError, match="line 3: bad value 'abc' for scales"):
-        parse_scenario_text("[detector]\n\nscales = abc\n")
+    with pytest.raises(ParseError, match="line 3: bad value 'abc' for scale"):
+        parse_scenario_text("[detector]\n\nscale = abc\n")
+    # the three-scale key is gone
+    with pytest.raises(ParseError,
+                       match="line 2: unknown key 'scales' in \\[detector\\]"):
+        parse_scenario_text("[detector]\nscales = 2.0,2.83,4.0\n")
 
 
 def test_event_parse_errors():
@@ -139,11 +143,11 @@ def test_validation_errors():
     ("sensor", "spacing = nan"),
     ("sensor", "grid_rows = 0"),
     ("sensor", "grid_cols = -1"),
-    ("detector", "scales = 2.0,nan"),
+    ("detector", "scale = nan"),
     ("detector", "threshold_rel = nan"),
     ("detector", "threshold_abs = -1e-4"),
     ("detector", "min_separation = nan"),
-    ("detector", "scales = 1e9"),
+    ("detector", "scale = 1e9"),
     # each of these used to fail mid-run with OverflowError or
     # ZeroDivisionError
     ("sensor", "grid_rows = " + "9" * 400),
@@ -151,7 +155,14 @@ def test_validation_errors():
     ("plant", "control_delay = 1e308"),
     ("detector", "min_separation = 1e308"),
     ("kde", "kernel_width_h = 1e-300"),
+    # overflowed the float32 cast of the detection threshold
+    ("detector", "threshold_abs = 1e308"),
     ("events", "event = 1.0 1 320 240 3 1e200"),
+    # each of these rendered inf or NaN marker positions
+    ("events", "event = 1.0 1 1e308 240 3 40"),
+    ("events", "event = 1.0 1 320 240 1e308 40"),
+    ("events", "event = 1.0 1 320 240 3 40 -1e308 0"),
+    ("sensor", "displacement_gain_k = 1e308"),
 ])
 def test_values_outside_their_domain_rejected_at_parse(section, line):
     # each of these used to parse, then fail mid-run or run silently
@@ -192,7 +203,7 @@ def _every_key_changed():
                            noise_sigma=0.02, seed=4),
         kde=KdeConfig(kernel_width_h=12.5, pixel_scale_s=0.04,
                       connectivity=8),
-        detector=DetectorConfig(scales=(2.5, 3.1), threshold_rel=0.2,
+        detector=DetectorConfig(scale=3.1, threshold_rel=0.2,
                                 threshold_abs=2e-4, min_separation=5.5),
         plant=PlantConfig(valve_latency=0.02, control_delay=0.04,
                           line_delay=0.03, chamber_time_constant=0.2,
@@ -224,10 +235,10 @@ def test_round_trip_sees_every_key():
 # sha256 of scenario_to_text for each canned scenario at seed 0; the run
 # manifest records this digest as config_sha256.
 CANNED_TEXT_SHA256 = {
-    "poke": "3200e3c607da27979911d7b65c6e425e3228552f29b467cfcdc25c102680d353",
-    "slip": "8444d899659014ca3fd31a1544da6c671860c44a77cb80f9cab2691ac691428f",
-    "static": "fc8bb6baf6d355310f3cb50d9b53d76c4ee077bc503ccafcf9039e208f7c5ed8",
-    "timeout": "23a654c44e1dcd891ad132cc643dc7574893e5e5ff9df20dad3a51fb379d3160",
+    "poke": "8c43d25c050381e70698e6e1ebe69ed2973d4295322dd817135ab305bbcae1f0",
+    "slip": "6bfd9d510009c51eec5eda996e4f14b3aceae9b430d8e1f8d6648f3d09ddee18",
+    "static": "342a1501720459992b49557cadbda4cd5a4aa4a4024bf5860e826ef33d64af7c",
+    "timeout": "b04e6cfdd70100313304d6daee2d63f6a4b7dd68bce9e0c30cc54b6b3f1c18e3",
 }
 
 
@@ -341,3 +352,30 @@ def test_fuzzed_scenarios_fail_at_the_door_or_run():
             run_grasp(valid[key])
         except ScenarioError as exc:
             assert "calibration frame" in str(exc)
+
+
+def test_fuzzed_events_are_rendered_or_fail_at_the_door():
+    # The events start at t = 0, so each 0.2 s run renders the events a
+    # mutant leaves valid; the mutants change only the [events] section.
+    sc = static_scenario(1, duration=0.2)
+    sc.events = [dataclasses.replace(ev, time=0.0) for ev in sc.events]
+    base = scenario_to_text(sc.validate())
+    head, events = base.split("[events]\n")
+    valid = {}
+    for text in _fuzz_mutants("[events]\n" + events, 600, seed=9):
+        try:
+            mutant = parse_scenario_text(head + text)
+        except (ParseError, ValidationError):
+            continue
+        valid.setdefault(scenario_to_text(mutant), mutant)
+    valid.pop(base, None)
+    assert len(valid) >= 8
+    rendered = 0
+    for key in random.Random(9).sample(sorted(valid), 8):
+        mutant = valid[key]
+        rendered += any(ev.time < mutant.duration_s for ev in mutant.events)
+        try:
+            run_grasp(mutant)
+        except ScenarioError as exc:
+            assert "calibration frame" in str(exc)
+    assert rendered >= 6
