@@ -22,10 +22,10 @@ from .errors import (EmptyMarkerSetError, InvalidSelectorError,
                      NoDisturbanceError, NonMonotonicTimeError, ParseError,
                      PressureOutOfRangeError, ScenarioError, StaleFlagsError,
                      TacgripError, ValidationError)
-from .kinematics import (CcSegment, FingerChain, JointGeometry, JointModel,
-                         WorkspaceResult, cc_transform, dex_joint,
-                         dex_rot_chain, finger_fk, hull_volume, pressure_to_cc,
-                         rot_dex_chain, rot_joint, tip_position, workspace,
+from .kinematics import (CcSegment, FingerChain, JointModel, WorkspaceResult,
+                         cc_transform, dex_joint, dex_rot_chain, finger_fk,
+                         hull_volume, pressure_to_cc, rot_dex_chain,
+                         rot_joint, tip_position, workspace,
                          write_workspace_csv)
 from .pgm import frame_filename, iter_frame_files, read_pgm, write_pgm
 from .plant import (N_CHAMBERS, PlantConfig, PlantState, PneumaticPlant,

@@ -15,7 +15,8 @@ from pathlib import Path
 from .control import CONTROL_PERIOD_S, ControlThresholds, classify_frame
 from .density import KdeConfig, estimate_density, write_density_pgm
 from .episode import measure_response_latency, run_grasp
-from .errors import NoDisturbanceError, TacgripError, ValidationError
+from .errors import (NoDisturbanceError, TacgripError, ValidationError,
+                     check_range)
 from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
 from .pgm import iter_frame_files, read_pgm
 from .perception import DEFAULT_CALIBRATION_RATIO, FingerPipeline
@@ -64,7 +65,15 @@ def _cmd_workspace(args):
     return 0
 
 
+def _check_period(period):
+    check_range("--period", period, lo=0.0, lo_open=True,
+                error=ValidationError)
+
+
 def _cmd_analyze(args):
+    _check_period(args.period)
+    check_range("--calibration-ratio", args.calibration_ratio, lo=0.0,
+                hi=1.0, lo_open=True, error=ValidationError)
     frames = list(iter_frame_files(args.frames))
     if not frames:
         print(f"no frame_<finger>_<seq>.pgm files in {args.frames}",
@@ -115,6 +124,7 @@ def _load_frame(path, seq, finger_id, period):
 
 
 def _cmd_replay(args):
+    _check_period(args.period)
     track = read_track_csv(args.track)
     thresholds = ControlThresholds(t1_mm=args.t1, t2_mm=args.t2)
     flags = []

@@ -62,10 +62,6 @@ _STRUCT_8 = np.ones((3, 3), dtype=bool)
 @dataclass
 class KdeConfig:
     kernel_width_h: float = 15.0
-    # Threshold in per-px^2 density units: 0.3 per mm^2 converted through
-    # the pixel scale (0.3 * s^2). See calibrate_threshold for the
-    # reference-frame calibration actually used by the live pipeline.
-    density_threshold_T: float = 0.3 * 0.05 ** 2
     pixel_scale_s: float = 0.05
     connectivity: int = 4
 
@@ -214,17 +210,19 @@ def calibrate_threshold(reference_field, ratio):
     return float(ratio * reference_field.values.min())
 
 
-def extract_contact(field, config=None):
+def extract_contact(field, threshold, config=None):
     """Threshold the field and extract the contact region and center.
 
-    Returns None (NoContact) when no grid point is below the threshold.
-    The region is the largest connected component below threshold
-    (4-connected by default); the center is the density argmin over the
-    region, ties broken by lowest row-major grid index. Pixels and center
-    are in frame coordinates: the field's origin is added back.
+    threshold is in the field's per-px^2 density units; the pipeline
+    calibrates it (calibrate_threshold). Returns None (NoContact) when no
+    grid point is below it. The region is the largest connected
+    component below threshold (4-connected by default); the center is the
+    density argmin over the region, ties broken by lowest row-major grid
+    index. Pixels and center are in frame coordinates: the field's origin
+    is added back.
     """
     config = config or KdeConfig()
-    below = field.values < config.density_threshold_T
+    below = field.values < threshold
     if not below.any():
         return None
 

@@ -2,15 +2,16 @@
 
 Each pneumatic joint maps chamber pressures linearly to a bend angle
 (and, for the 3-chamber dexterous joint, an extension), giving a
-constant-curvature arc segment. Forward kinematics composes the two
-joint transforms in assembly order; the workspace is the convex hull of
-tip positions over a gridded pressure box.
+constant-curvature arc segment. A finger chain is its joints in
+assembly order, and forward kinematics composes their transforms in
+that order; the workspace is the convex hull of tip positions over a
+gridded pressure box.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -19,26 +20,15 @@ from .errors import PressureOutOfRangeError
 from .plant import PRESSURE_MAX, PRESSURE_MIN
 
 
-@dataclass(frozen=True)
-class JointGeometry:
-    """Shared joint geometry in mm."""
+# Joint geometry, mm. A joint is one connector plate of thickness t and
+# an actuator of length h; the chain adds a final tip plate, so a
+# two-joint finger rests at 3t + 2h.
+CONNECTOR_THICKNESS_T = 2.0
+ACTUATOR_LENGTH_H = 26.0
+SEGMENT_LENGTH = CONNECTOR_THICKNESS_T + ACTUATOR_LENGTH_H
 
-    connector_side_l: float = 18.0
-    connector_thickness_t: float = 2.0
-    actuator_length_h: float = 26.0
-    actuator_diameter_d: float = 10.0
-
-    def __post_init__(self):
-        for name in ("connector_side_l", "connector_thickness_t",
-                     "actuator_length_h", "actuator_diameter_d"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def segment_length(self):
-        # One connector plate plus the actuator; the chain adds a final
-        # tip plate, so a two-joint finger rests at 3t + 2h.
-        return self.connector_thickness_t + self.actuator_length_h
+# Symmetric clamp on a joint's bend angle, degrees.
+ANGLE_LIMIT_DEG = 90.0
 
 
 @dataclass
@@ -53,18 +43,10 @@ class JointModel:
     kind: str
     pressure_to_angle_gain: float  # degrees per kPa, per actuated axis
     pressure_to_extension_gain: float = 0.0  # mm per kPa (dex only)
-    angle_limit: float = 90.0  # degrees, symmetric clamp
-    pressure_limits: Tuple[float, float] = (PRESSURE_MIN, PRESSURE_MAX)
-    geometry: JointGeometry = field(default_factory=JointGeometry)
 
     def __post_init__(self):
         if self.kind not in ("rot", "dex"):
             raise ValueError(f"unknown joint kind {self.kind!r}")
-        if self.angle_limit <= 0:
-            raise ValueError("angle_limit must be positive")
-        lo, hi = self.pressure_limits
-        if lo >= hi:
-            raise ValueError("pressure_limits must be (lo, hi) with lo < hi")
 
     @property
     def chamber_count(self):
@@ -87,74 +69,39 @@ class CcSegment:
             raise ValueError("kappa must be finite")
 
 
-def rot_joint(gain=1.2, geometry=None):
-    return JointModel(kind="rot", pressure_to_angle_gain=gain,
-                      geometry=geometry or JointGeometry())
+def rot_joint(gain=1.2):
+    return JointModel(kind="rot", pressure_to_angle_gain=gain)
 
 
-def dex_joint(gain=0.9, extension_gain=0.1, geometry=None):
+def dex_joint(gain=0.9, extension_gain=0.1):
     return JointModel(kind="dex", pressure_to_angle_gain=gain,
-                      pressure_to_extension_gain=extension_gain,
-                      geometry=geometry or JointGeometry())
+                      pressure_to_extension_gain=extension_gain)
 
 
 @dataclass
 class FingerChain:
-    """Ordered joints plus shared geometry; order names the assembly."""
+    """A finger's joints in assembly order, base to tip."""
 
-    order: str  # "dexrot" or "rotdex"
     joints: List[JointModel]
-    geometry: JointGeometry = field(default_factory=JointGeometry)
-
-    def __post_init__(self):
-        if self.order not in ("dexrot", "rotdex"):
-            raise ValueError(f"unknown chain order {self.order!r}")
-
-    def validate_standard(self):
-        """The standard finger carries exactly one dex and one rot joint."""
-        kinds = sorted(j.kind for j in self.joints)
-        if kinds != ["dex", "rot"]:
-            raise ValueError(f"standard finger needs one dex + one rot, got {kinds}")
-        expect = ["dex", "rot"] if self.order == "dexrot" else ["rot", "dex"]
-        if [j.kind for j in self.joints] != expect:
-            raise ValueError(f"joint order does not match chain order {self.order}")
-        return self
 
     @property
     def chamber_count(self):
         return sum(j.chamber_count for j in self.joints)
 
 
-def dex_rot_chain(geometry=None, rot_gain=1.2, dex_gain=0.9, extension_gain=0.1):
-    geometry = geometry or JointGeometry()
-    return FingerChain(order="dexrot",
-                       joints=[dex_joint(dex_gain, extension_gain, geometry),
-                               rot_joint(rot_gain, geometry)],
-                       geometry=geometry).validate_standard()
+def dex_rot_chain():
+    return FingerChain(joints=[dex_joint(), rot_joint()])
 
 
-def rot_dex_chain(geometry=None, rot_gain=1.2, dex_gain=0.9, extension_gain=0.1):
-    geometry = geometry or JointGeometry()
-    return FingerChain(order="rotdex",
-                       joints=[rot_joint(rot_gain, geometry),
-                               dex_joint(dex_gain, extension_gain, geometry)],
-                       geometry=geometry).validate_standard()
-
-
-def _check_pressures(joint, pressures):
-    lo, hi = joint.pressure_limits
-    for p in pressures:
-        if p < lo or p > hi:
-            raise PressureOutOfRangeError(
-                f"chamber pressure {p} kPa outside [{lo}, {hi}]"
-            )
+def rot_dex_chain():
+    return FingerChain(joints=[rot_joint(), dex_joint()])
 
 
 def pressure_to_cc(joint, pressures):
     """Map chamber pressures (kPa) to a constant-curvature segment.
 
-    Bend angles clamp to the joint's angle limit; zero pressure gives a
-    straight segment of rest length.
+    Bend angles clamp to ANGLE_LIMIT_DEG; zero pressure gives a straight
+    segment of SEGMENT_LENGTH.
     """
     pressures = np.atleast_1d(np.asarray(pressures, dtype=np.float64))
     if pressures.shape != (joint.chamber_count,):
@@ -162,21 +109,24 @@ def pressure_to_cc(joint, pressures):
             f"{joint.kind} joint takes {joint.chamber_count} pressures, "
             f"got {pressures.shape}"
         )
-    _check_pressures(joint, pressures)
+    for p in pressures:
+        if p < PRESSURE_MIN or p > PRESSURE_MAX:
+            raise PressureOutOfRangeError(
+                f"chamber pressure {p} kPa outside "
+                f"[{PRESSURE_MIN}, {PRESSURE_MAX}]")
 
-    limit = joint.angle_limit
     if joint.kind == "rot":
         theta_deg = float(np.clip(joint.pressure_to_angle_gain * pressures[0],
-                                  -limit, limit))
+                                  -ANGLE_LIMIT_DEG, ANGLE_LIMIT_DEG))
         phi = 0.0
-        length = joint.geometry.segment_length
+        length = SEGMENT_LENGTH
     else:
         tx = joint.pressure_to_angle_gain * pressures[0]
         ty = joint.pressure_to_angle_gain * pressures[1]
-        theta_deg = min(float(np.hypot(tx, ty)), limit)
+        theta_deg = min(float(np.hypot(tx, ty)), ANGLE_LIMIT_DEG)
         phi = math.atan2(ty, tx) if theta_deg != 0.0 else 0.0
         extension = joint.pressure_to_extension_gain * float(pressures.mean())
-        length = joint.geometry.segment_length + extension
+        length = SEGMENT_LENGTH + extension
         if length <= 0:
             raise ValueError("extension collapsed the segment length")
 
@@ -243,7 +193,7 @@ def finger_fk(chain, pressures):
     for joint, p in zip(chain.joints, split_pressures(chain, pressures)):
         t = t @ cc_transform(pressure_to_cc(joint, p))
     # Final tip connector plate.
-    return t @ translation(0.0, 0.0, chain.geometry.connector_thickness_t)
+    return t @ translation(0.0, 0.0, CONNECTOR_THICKNESS_T)
 
 
 def tip_position(chain, pressures):
@@ -260,11 +210,8 @@ def workspace(chain, samples_per_axis=9):
     """Grid the pressure box, run FK everywhere, hull the tip cloud."""
     if samples_per_axis < 2:
         raise ValueError("samples_per_axis must be >= 2")
-    axes = []
-    for joint in chain.joints:
-        lo, hi = joint.pressure_limits
-        for _ in range(joint.chamber_count):
-            axes.append(np.linspace(lo, hi, samples_per_axis))
+    axes = [np.linspace(PRESSURE_MIN, PRESSURE_MAX, samples_per_axis)] \
+        * chain.chamber_count
     grids = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=1)
     points = np.empty((flat.shape[0], 3))

@@ -30,7 +30,7 @@ box would give. Reports carry the markers, from which callers such as
 one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from .blobs import DetectorConfig, detect_markers, marker_window
 from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
 from .density import (KdeConfig, calibrate_threshold, estimate_density,
                       extract_contact, marker_support_box)
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .tracking import ContactTrack, track_displacement
 
 # Working threshold = ratio * (support-box density minimum of the
@@ -83,6 +83,10 @@ class FingerPipeline:
     def __init__(self, finger_id, kde_config=None, detector_config=None,
                  calibration_ratio=DEFAULT_CALIBRATION_RATIO,
                  control_period=CONTROL_PERIOD_S):
+        check_range("calibration_ratio", calibration_ratio, lo=0.0, hi=1.0,
+                    lo_open=True, error=ValidationError)
+        check_range("control_period", control_period, lo=0.0, lo_open=True,
+                    error=ValidationError)
         self.finger_id = finger_id
         self.kde_config = kde_config or KdeConfig()
         self.detector_config = detector_config or DetectorConfig()
@@ -91,7 +95,7 @@ class FingerPipeline:
         self.track = ContactTrack(finger_id=finger_id)
         self.support = None
         self.window = None
-        self.calibrated = False
+        self.threshold = None  # per-px^2 density; set by calibrate()
 
     def calibrate(self, reference_frame):
         """Freeze the working threshold and support box from a
@@ -125,11 +129,10 @@ class FingerPipeline:
                 f"{_REST_DENSITY_FLOOR}")
         threshold = calibrate_threshold(reference_field,
                                         ratio=self.calibration_ratio)
-        self.kde_config = replace(self.kde_config, density_threshold_T=threshold)
         self.window = marker_window(markers, self.detector_config,
                                     reference_frame.width,
                                     reference_frame.height)
-        self.calibrated = True
+        self.threshold = threshold
         return threshold
 
     def _detect(self, frame):
@@ -146,7 +149,7 @@ class FingerPipeline:
 
     def process(self, frame):
         """Run one frame through the pipeline, updating the track."""
-        if not self.calibrated:
+        if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
         frame.validate()
         markers = self._detect(frame)
@@ -155,7 +158,7 @@ class FingerPipeline:
         field = estimate_density(markers, self.kde_config,
                                  width=frame.width, height=frame.height,
                                  box=self.support)
-        region = extract_contact(field, self.kde_config)
+        region = extract_contact(field, self.threshold, self.kde_config)
         if region is None:
             return PipelineReport(center=None, region=None, field=field,
                                   markers=markers)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tacgrip.cli import main
 from tacgrip.density import KdeConfig
@@ -198,3 +199,56 @@ def test_heatmaps_are_full_frame_fields(tmp_path, nominal_model):
         want = tmp_path / "want.pgm"
         write_density_pgm(estimate_density(detect_markers(frame)), want)
         assert heatmap.read_bytes() == want.read_bytes()
+
+
+def _calm_track(tmp_path, samples=120):
+    track = ContactTrack()
+    for i in range(samples):
+        track_displacement(track, (320.0, 240.0), 0.033 * (i + 1), KdeConfig())
+    src = tmp_path / "track_1.csv"
+    write_track_csv(track, src)
+    return src
+
+
+@pytest.mark.parametrize("period", ["0", "nan", "-0.033", "inf"])
+def test_replay_rejects_a_period_not_positive(tmp_path, capsys, period):
+    # 0 divided by zero in the stability window; nan and negative periods
+    # printed all-NoContact for a calm track that settles at 0.033 s.
+    src = _calm_track(tmp_path)
+    assert main(["replay", "--track", str(src), "--period", "0.033"]) == 0
+    assert "120 samples (NoContact: 92, StableGrasp: 28)" in \
+        capsys.readouterr().out
+    rc = main(["replay", "--track", str(src), "--period", period])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --period = ")
+
+
+@pytest.fixture(scope="module")
+def rest_rest_touch(tmp_path_factory, nominal_model):
+    frames_dir = tmp_path_factory.mktemp("frames")
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
+    rest = displace_markers(nominal_model, None)
+    write_frames(frames_dir, nominal_model,
+                 [rest, rest, displace_markers(nominal_model, stim)],
+                 finger_id=1)
+    return frames_dir
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--period", "nan"),          # wrote NaN timestamps replay rejects
+    ("--period", "0"),
+    ("--period", "-0.033"),
+    ("--calibration-ratio", "5"),  # read the two rest frames as contact
+    ("--calibration-ratio", "nan"),  # these three missed the contact
+    ("--calibration-ratio", "0"),
+    ("--calibration-ratio", "-1"),
+])
+def test_analyze_rejects_an_option_outside_its_domain(tmp_path, capsys,
+                                                      rest_rest_touch,
+                                                      option, value):
+    out_dir = tmp_path / "analysis"
+    rc = main(["analyze", "--frames", str(rest_rest_touch),
+               "--out", str(out_dir), option, value])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {option} = ")
+    assert not (out_dir / "track_1.csv").exists()

@@ -125,8 +125,7 @@ def test_extract_depressed_disk():
     gx, gy = np.meshgrid(np.arange(640.0), np.arange(480.0))
     r = np.hypot(gx - 200, gy - 300)
     values -= np.where(r < 25, 0.9 * (1 - r / 25.0), 0.0)
-    region = extract_contact(_field_from(values),
-                             KdeConfig(density_threshold_T=0.5))
+    region = extract_contact(_field_from(values), 0.5)
     assert region is not None
     assert region.center == (200, 300)
 
@@ -135,30 +134,26 @@ def test_extract_picks_largest_component():
     values = np.full((480, 640), 1.0)
     values[10:20, 10:20] = 0.2    # 100 points
     values[100:105, 100:110] = 0.1  # 50 points, deeper but smaller
-    region = extract_contact(_field_from(values),
-                             KdeConfig(density_threshold_T=0.5))
+    region = extract_contact(_field_from(values), 0.5)
     assert region.area == 100
     assert (10, 10) <= region.center <= (19, 19)
 
 
 def test_extract_no_contact_when_all_above_threshold():
     values = np.full((480, 640), 1.0)
-    assert extract_contact(_field_from(values),
-                           KdeConfig(density_threshold_T=0.5)) is None
+    assert extract_contact(_field_from(values), 0.5) is None
 
 
 def test_extract_strictly_below_threshold():
     values = np.full((480, 640), 1.0)
     values[5, 5] = 0.5  # equal to T: not below, no contact
-    assert extract_contact(_field_from(values),
-                           KdeConfig(density_threshold_T=0.5)) is None
+    assert extract_contact(_field_from(values), 0.5) is None
 
 
 def test_argmin_tie_breaks_row_major():
     values = np.full((480, 640), 1.0)
     values[40:43, 40:43] = 0.3  # nine-way tie
-    region = extract_contact(_field_from(values),
-                             KdeConfig(density_threshold_T=0.5))
+    region = extract_contact(_field_from(values), 0.5)
     assert region.center == (40, 40)
 
 
@@ -166,8 +161,7 @@ def test_center_attains_region_minimum():
     rng = np.random.default_rng(3)
     values = np.full((480, 640), 1.0)
     values[200:240, 300:360] = rng.uniform(0.1, 0.4, (40, 60))
-    region = extract_contact(_field_from(values),
-                             KdeConfig(density_threshold_T=0.5))
+    region = extract_contact(_field_from(values), 0.5)
     cx, cy = region.center_index
     assert values[cy, cx] == values[200:240, 300:360].min()
     assert region.min_density == values[cy, cx]
@@ -179,11 +173,9 @@ def test_connectivity_flag_bridges_diagonals():
     values[50:53, 50:53] = 0.2
     values[53:56, 53:56] = 0.2
     values[60:63, 70:74] = 0.2  # separate 12-point pool
-    four = extract_contact(_field_from(values),
-                           KdeConfig(density_threshold_T=0.5))
-    eight = extract_contact(_field_from(values),
-                            KdeConfig(density_threshold_T=0.5,
-                                      connectivity=8))
+    four = extract_contact(_field_from(values), 0.5)
+    eight = extract_contact(_field_from(values), 0.5,
+                            KdeConfig(connectivity=8))
     assert four.area == 12      # diagonal halves count separately
     assert eight.area == 18     # merged across the diagonal
 
@@ -236,9 +228,9 @@ def test_support_mask_restricts_thresholding(nominal_model):
     assert field.values.shape == (box[3] - box[1], box[2] - box[0])
     # outside the marker footprint the density is trivially "low"; on the
     # support box the untouched grid must stay silent
-    cfg = KdeConfig(density_threshold_T=float(field.values.min()))
-    assert extract_contact(field, cfg) is None
-    assert extract_contact(estimate_density(ms), cfg) is not None
+    threshold = float(field.values.min())
+    assert extract_contact(field, threshold) is None
+    assert extract_contact(estimate_density(ms), threshold) is not None
 
 
 def test_calibrate_threshold_is_ratio_of_support_min(nominal_model):
@@ -374,7 +366,18 @@ def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
     assert kwargs["box"] == pipe.support
     assert pipe.support == marker_support_box(args[0], 15.0, 640, 480)
     assert threshold == 0.8 * field.values.min()
-    assert pipe.kde_config.density_threshold_T == threshold
+    assert pipe.threshold == threshold
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"calibration_ratio": 5.0}, {"calibration_ratio": 0.0},
+    {"calibration_ratio": float("nan")}, {"control_period": 0.0},
+    {"control_period": -0.033}, {"control_period": float("nan")},
+])
+def test_pipeline_rejects_ratio_or_period_outside_its_domain(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValidationError, match=f"^{name} = "):
+        perception.FingerPipeline(1, **kwargs)
 
 
 def test_calibrate_rejects_a_frame_not_at_rest(nominal_model, reference_frame):

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from tacgrip.errors import PressureOutOfRangeError
-from tacgrip.kinematics import (CcSegment, FingerChain, JointGeometry,
-                                cc_transform, dex_joint, dex_rot_chain,
-                                finger_fk, hull_volume, pressure_to_cc,
-                                rot_dex_chain, rot_joint, split_pressures,
-                                tip_position, workspace, write_workspace_csv)
+from tacgrip.kinematics import (ACTUATOR_LENGTH_H, CONNECTOR_THICKNESS_T,
+                                SEGMENT_LENGTH, CcSegment, cc_transform,
+                                dex_joint, dex_rot_chain, finger_fk,
+                                hull_volume, pressure_to_cc, rot_dex_chain,
+                                rot_joint, split_pressures, tip_position,
+                                workspace, write_workspace_csv)
 
 
 def test_zero_pressure_segment_is_straight():
     seg = pressure_to_cc(rot_joint(), [0.0])
     assert seg.kappa == 0.0
     assert seg.phi == 0.0
-    assert seg.length == JointGeometry().segment_length
+    assert seg.length == SEGMENT_LENGTH
     t = cc_transform(seg)
     assert np.allclose(t[:3, :3], np.eye(3), atol=1e-15)
     assert np.allclose(t[:3, 3], [0.0, 0.0, seg.length], atol=1e-15)
@@ -23,7 +24,7 @@ def test_zero_pressure_segment_is_straight():
 
 def test_quarter_circle_chord():
     # kappa*length = pi/2 bends the arc to x = z = 2L/pi exactly
-    length = JointGeometry().segment_length
+    length = SEGMENT_LENGTH
     seg = CcSegment(kappa=(math.pi / 2.0) / length, phi=0.0, length=length)
     tip = cc_transform(seg)[:3, 3]
     expect = np.array([2.0 * length / math.pi, 0.0, 2.0 * length / math.pi])
@@ -74,14 +75,14 @@ def test_dex_joint_two_axis_bend_and_extension():
     assert theta == pytest.approx(0.9 * 50.0)  # hypot(27, 36) = 45
     assert seg.phi == pytest.approx(math.atan2(36.0, 27.0))
     assert seg.length == pytest.approx(
-        JointGeometry().segment_length + 0.1 * (70.0 / 3.0))
+        SEGMENT_LENGTH + 0.1 * (70.0 / 3.0))
 
 
 def test_dex_pure_extension():
     joint = dex_joint(extension_gain=0.1)
     seg = pressure_to_cc(joint, [0.0, 0.0, 30.0])
     assert seg.kappa == 0.0
-    assert seg.length == pytest.approx(JointGeometry().segment_length + 1.0)
+    assert seg.length == pytest.approx(SEGMENT_LENGTH + 1.0)
 
 
 def test_pressure_limits_enforced():
@@ -125,10 +126,8 @@ def test_split_pressures_orders_by_chain():
 
 
 def test_rest_stack_height_independent_of_order():
-    geometry = JointGeometry()
     rest = np.array([0.0, 0.0,
-                     3 * geometry.connector_thickness_t
-                     + 2 * geometry.actuator_length_h])
+                     3 * CONNECTOR_THICKNESS_T + 2 * ACTUATOR_LENGTH_H])
     zero = np.zeros(4)
     assert np.allclose(tip_position(dex_rot_chain(), zero), rest, atol=1e-12)
     assert np.allclose(tip_position(rot_dex_chain(), zero), rest, atol=1e-12)
@@ -142,23 +141,20 @@ def test_joint_order_changes_the_tip():
     assert np.linalg.norm(a - b) > 1.0
 
 
-def test_chain_order_validation():
-    with pytest.raises(ValueError):
-        FingerChain(order="sideways", joints=[])
-    bad = FingerChain(order="dexrot", joints=[rot_joint(), dex_joint()])
-    with pytest.raises(ValueError):
-        bad.validate_standard()
-    with pytest.raises(ValueError):
-        FingerChain(order="dexrot",
-                    joints=[dex_joint(), dex_joint()]).validate_standard()
-
-
 def test_workspace_ordering_dexrot_exceeds_rotdex():
     dexrot = workspace(dex_rot_chain(), samples_per_axis=5)
     rotdex = workspace(rot_dex_chain(), samples_per_axis=5)
     assert dexrot.hull_volume > 0.0
     assert rotdex.hull_volume > 0.0
     assert rotdex.hull_volume < dexrot.hull_volume
+
+
+def test_workspace_hull_volumes_pinned():
+    # The 9-per-axis hull volumes of both chains, in mm^3.
+    dexrot = workspace(dex_rot_chain(), samples_per_axis=9)
+    rotdex = workspace(rot_dex_chain(), samples_per_axis=9)
+    assert dexrot.hull_volume == pytest.approx(137602.6359271968, rel=1e-12)
+    assert rotdex.hull_volume == pytest.approx(67219.12613113047, rel=1e-12)
 
 
 def test_workspace_deterministic():
