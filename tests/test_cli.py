@@ -3,7 +3,7 @@ import pytest
 
 from tacgrip.cli import main
 from tacgrip.density import KdeConfig
-from tacgrip.scenario import scenario_to_text, static_scenario
+from tacgrip.scenario import poke_scenario, scenario_to_text, static_scenario
 from tacgrip.sensor_sim import ContactStimulus, displace_markers, write_frames
 from tacgrip.tracking import ContactTrack, track_displacement, write_track_csv
 
@@ -68,6 +68,25 @@ def test_grasp_bad_scenario(tmp_path, capsys):
     rc = main(["grasp", "--scenario", str(scn), "--out", str(tmp_path)])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_saved_frames_reproduce_the_run(tmp_path, capsys):
+    # analyze over a run's --save-frames output sees what the loop saw:
+    # both fingers' tracks match the run's byte for byte, the poke on
+    # finger 1 included.
+    scn = tmp_path / "poke.scn"
+    scn.write_text(scenario_to_text(
+        poke_scenario(2, poke_time=1.8, duration=2.5)))
+    run_dir, analysis = tmp_path / "run", tmp_path / "analysis"
+    assert main(["grasp", "--scenario", str(scn), "--out", str(run_dir),
+                 "--save-frames"]) == 0
+    assert main(["analyze", "--frames", str(run_dir / "frames"),
+                 "--out", str(analysis)]) == 0
+    capsys.readouterr()
+    for finger in (1, 2):
+        name = f"track_{finger}.csv"
+        assert len((run_dir / name).read_text().splitlines()) > 30
+        assert (analysis / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_analyze_command(tmp_path, capsys, nominal_model):
