@@ -159,8 +159,9 @@ def _outside_bound(pixels, box, config):
         parts = [pixels[:hy0], pixels[hy1:],
                  pixels[hy0:hy1, :hx0], pixels[hy0:hy1, hx1:]]
     parts = [p for p in parts if p.size]
-    lo = min(float(p.min()) for p in parts)
-    hi = max(float(p.max()) for p in parts)
+    # On the scale _response reads the bytes on.
+    lo = min(float(p.min()) for p in parts) / 255
+    hi = max(float(p.max()) for p in parts) / 255
     delta = np.zeros(2 * r + 1)
     delta[r] = 1.0
     k0, k2 = (ndimage.gaussian_filter1d(delta, sigma, order=order,
@@ -173,8 +174,9 @@ def _outside_bound(pixels, box, config):
 
 
 def _response(pixels, config):
-    """Gated determinant-of-Hessian response (float32)."""
-    img = pixels.astype(np.float32)
+    """Gated determinant-of-Hessian response (float32) of 8-bit pixels,
+    read on [0, 1]."""
+    img = pixels * np.float32(1 / 255)
     sigma = config.scale
     dyy, dxx, dxy = (ndimage.gaussian_filter(img, sigma, order=order,
                                              mode="nearest",

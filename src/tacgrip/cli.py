@@ -118,8 +118,7 @@ def _cmd_analyze(args):
 
 
 def _load_frame(path, seq, finger_id, period):
-    pixels = read_pgm(path) / 255.0
-    return TactileFrame(pixels=pixels, timestamp=seq * period,
+    return TactileFrame(pixels=read_pgm(path), timestamp=seq * period,
                         finger_id=finger_id)
 
 

@@ -19,8 +19,8 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
-from .sensor_sim import (ContactStimulus, disk_coverage, displace_markers,
-                         render_frame, write_frames)
+from .sensor_sim import (ContactStimulus, base_image, displace_markers,
+                         render_frame, save_frame, start_frame_stream)
 from .tracking import write_track_csv
 
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
@@ -84,7 +84,9 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     """Run the double closed loop for one scenario.
 
     Returns an EpisodeResult; when out_dir is given, also writes
-    episode.csv, plant.csv, per-finger track CSVs and a run manifest.
+    episode.csv, plant.csv, per-finger track CSVs and a run manifest,
+    and with save_frames each frame the loop renders, as it renders it,
+    to out_dir/frames (see `sensor_sim.save_frame`).
     """
     try:
         scenario.validate()
@@ -118,8 +120,12 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     plant_rows = [plant.trace_row()]
     flags_log = {1: [], 2: []}
     commands_log = []
-    frames_by_finger = {1: [], 2: []}
-    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, coverage)
+    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, base)
+    frames_dir = None
+    if save_frames and out_dir is not None:
+        frames_dir = Path(out_dir) / "frames"
+        for finger in (1, 2):
+            start_frame_stream(frames_dir, finger)
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
@@ -143,15 +149,15 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                     depth=0.0, radius=40.0, timestamp=now,
                 )
                 markers = displace_markers(scenario.sensor, stim)
-                if save_frames:
-                    frames_by_finger[finger].append(markers)
                 layout = markers.centroids.tobytes()
                 if layout != last_layout[finger][0]:
-                    coverage = disk_coverage(markers, scenario.sensor)
-                    last_layout[finger] = (layout, coverage)
+                    base = base_image(markers, scenario.sensor)
+                    last_layout[finger] = (layout, base)
                 frame = render_frame(markers, scenario.sensor,
                                      finger_id=finger, seq=frame_seq,
-                                     coverage=last_layout[finger][1])
+                                     base=last_layout[finger][1])
+                if frames_dir is not None:
+                    save_frame(frames_dir, frame_seq, markers, frame)
                 reports[finger] = pipelines[finger].process(frame)
             frame_seq += 1
 
@@ -209,11 +215,11 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     )
 
     if out_dir is not None:
-        _write_outputs(result, Path(out_dir), save_frames, frames_by_finger)
+        _write_outputs(result, Path(out_dir))
     return result
 
 
-def _write_outputs(result, out_dir, save_frames, frames_by_finger):
+def _write_outputs(result, out_dir):
     import csv
 
     from . import __version__ as pkg_version
@@ -227,10 +233,6 @@ def _write_outputs(result, out_dir, save_frames, frames_by_finger):
     write_plant_trace_csv(result.plant_rows, out_dir / "plant.csv")
     for finger in (1, 2):
         write_track_csv(result.tracks[finger], out_dir / f"track_{finger}.csv")
-    if save_frames:
-        for finger in (1, 2):
-            write_frames(out_dir / "frames", result.scenario.sensor,
-                         frames_by_finger[finger], finger_id=finger)
 
     text = scenario_to_text(result.scenario)
     digest = hashlib.sha256(text.encode()).hexdigest()

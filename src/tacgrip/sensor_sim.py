@@ -5,7 +5,7 @@ controller can run closed-loop without hardware. A nominal marker grid
 is deformed by a parameterized contact (markers spread radially away
 from the indentation, which lowers the local marker density), then
 rendered as dark anti-aliased disks on a light background with seeded
-pixel noise.
+pixel noise, delivered as 8-bit frames the way a camera delivers them.
 """
 
 import csv
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
 
 from .blobs import MarkerSet
 from .errors import check_range
@@ -21,6 +22,10 @@ from .tactile import FRAME_HEIGHT, FRAME_WIDTH, TactileFrame
 
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
+# N(0, 1) quantiles at the centers (i + 0.5) / 256 of 256 equally likely
+# bins: one random byte per pixel picks one, so the pixel noise is a
+# 256-level Gaussian drawn at the cost of a byte.
+_NOISE_QUANTILES = ndtri((np.arange(256) + 0.5) / 256)
 # Largest contact center, shear, radius and marker travel in px, and
 # # largest depth (mm) and gain (px/mm), whose product is the travel. A
 # million px is over a thousand frame widths; past 1e154 px the squares
@@ -145,44 +150,77 @@ def disk_coverage(markers, model):
     return coverage
 
 
-def render_frame(markers, model, finger_id=1, seq=0, *, coverage=None):
-    """Render marker centroids as dark anti-aliased disks plus seeded noise.
+def base_image(markers, model):
+    """The noise-free frame on the 0-255 intensity scale, float32: the
+    background darkened toward marker_intensity by each pixel's disk
+    coverage."""
+    coverage = disk_coverage(markers, model)
+    image = model.background - coverage * (model.background
+                                           - model.marker_intensity)
+    return (255.0 * image).astype(np.float32)
 
-    Deterministic: the noise stream is keyed by (model.seed, finger_id, seq).
-    A caller that holds `disk_coverage(markers, model)` may pass it.
+
+def render_frame(markers, model, finger_id=1, seq=0, *, base=None):
+    """Render marker centroids as an 8-bit frame: dark anti-aliased disks
+    plus seeded noise, clip(rint(255 * (image + noise))) as uint8.
+
+    The noise takes one random byte per pixel from the stream keyed by
+    (model.seed, finger_id, seq), so the frame is deterministic, and the
+    byte picks one of 256 N(0, noise_sigma) quantiles. A caller that holds
+    `base_image(markers, model)` may pass it.
     """
-    if coverage is None:
-        coverage = disk_coverage(markers, model)
-    pixels = model.background - coverage * (model.background - model.marker_intensity)
+    if base is None:
+        base = base_image(markers, model)
     if model.noise_sigma > 0:
         rng = np.random.default_rng((model.seed, finger_id, seq))
-        pixels = pixels + rng.normal(0.0, model.noise_sigma, pixels.shape)
-    pixels = np.clip(pixels, 0.0, 1.0)
-    return TactileFrame(pixels=pixels, timestamp=markers.frame_timestamp,
-                        finger_id=finger_id)
+        table = (255.0 * model.noise_sigma * _NOISE_QUANTILES).astype(np.float32)
+        noise = np.frombuffer(rng.bytes(base.size), dtype=np.uint8)
+        image = table[noise].reshape(base.shape)
+        image += base
+    else:
+        image = base.copy()
+    np.rint(image, out=image)
+    np.clip(image, 0.0, 255.0, out=image)
+    return TactileFrame(pixels=image.astype(np.uint8),
+                        timestamp=markers.frame_timestamp, finger_id=finger_id)
 
 
-def write_frames(directory, model, marker_sets, finger_id=1):
-    """Write rendered PGM frames plus a ground-truth sidecar CSV.
-
-    The sidecar truth_<finger>.csv has one row per marker per frame:
-    seq, marker index, x, y.
-    """
+def start_frame_stream(directory, finger_id):
+    """Create the directory and the finger's ground-truth sidecar
+    truth_<finger>.csv with its header; returns the sidecar's path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     truth_path = directory / f"truth_{finger_id}.csv"
-    last_layout, coverage = None, None
     with open(truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seq", "marker", "x", "y"])
-        for seq, markers in enumerate(marker_sets):
-            layout = markers.centroids.tobytes()
-            if layout != last_layout:
-                last_layout, coverage = layout, disk_coverage(markers, model)
-            frame = render_frame(markers, model, finger_id=finger_id, seq=seq,
-                                 coverage=coverage)
-            write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
-                      comment=f"t={frame.timestamp:.6f}")
-            for idx, (mx, my) in enumerate(markers.centroids):
-                writer.writerow([seq, idx, f"{mx:.4f}", f"{my:.4f}"])
+        csv.writer(fh).writerow(["seq", "marker", "x", "y"])
+    return truth_path
+
+
+def save_frame(directory, seq, markers, frame):
+    """Write one frame as frame_<finger>_<seq>.pgm and append its markers
+    to the sidecar that `start_frame_stream` began: one row per marker,
+    seq, marker index, x, y."""
+    directory = Path(directory)
+    finger_id = frame.finger_id
+    write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
+              comment=f"t={frame.timestamp:.6f}")
+    with open(directory / f"truth_{finger_id}.csv", "a", newline="") as fh:
+        csv.writer(fh).writerows(
+            [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
+            for idx, (mx, my) in enumerate(markers.centroids))
+
+
+def write_frames(directory, model, marker_sets, finger_id=1):
+    """Render marker sets as one finger's frame stream: PGM frames plus a
+    ground-truth sidecar CSV (see `save_frame`). Returns the sidecar's
+    path."""
+    truth_path = start_frame_stream(directory, finger_id)
+    last_layout, base = None, None
+    for seq, markers in enumerate(marker_sets):
+        layout = markers.centroids.tobytes()
+        if layout != last_layout:
+            last_layout, base = layout, base_image(markers, model)
+        frame = render_frame(markers, model, finger_id=finger_id, seq=seq,
+                             base=base)
+        save_frame(directory, seq, markers, frame)
     return truth_path

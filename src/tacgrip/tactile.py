@@ -1,7 +1,7 @@
 """Tactile frames.
 
-The perception pipeline consumes grayscale frames of a fixed working size
-(640x480 by default) with intensities normalized to [0, 1].
+The perception pipeline consumes 8-bit grayscale frames, as a camera
+delivers them, of a fixed working size (640x480 by default).
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ FRAME_HEIGHT = 480
 class TactileFrame:
     """One grayscale frame.
 
-    pixels: (height, width) float64 array with intensities in [0, 1].
+    pixels: (height, width) uint8 array; every byte is a valid intensity.
     timestamp: seconds, strictly increasing within one finger's stream.
     finger_id: 1 or 2.
     """
@@ -36,12 +36,11 @@ class TactileFrame:
     def validate(self):
         if self.pixels.ndim != 2:
             raise ValueError("frame pixels must be 2-D")
-        # NaN fails every comparison, so it would pass the range check.
-        if not np.isfinite(self.pixels).all():
-            raise ValueError("frame pixels contain NaN or infinite values")
-        lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"intensities outside [0,1]: min={lo} max={hi}")
+        # A float frame would be read on the wrong scale, and its NaN or
+        # out-of-range values have no byte to stand for them.
+        if self.pixels.dtype != np.uint8:
+            raise ValueError(f"frame pixels must be uint8 intensities, got "
+                             f"dtype {self.pixels.dtype}")
         if self.finger_id not in (1, 2):
             raise ValueError(f"finger_id must be 1 or 2, got {self.finger_id}")
         return self

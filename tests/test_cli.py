@@ -213,8 +213,7 @@ def test_heatmaps_are_full_frame_fields(tmp_path, nominal_model):
     frames = sorted(frames_dir.glob("frame_1_*.pgm"))
     assert len(written) == len(frames) == 2
     for heatmap, frame_path in zip(written, frames):
-        frame = TactileFrame(pixels=read_pgm(frame_path) / 255.0,
-                             timestamp=0.0)
+        frame = TactileFrame(pixels=read_pgm(frame_path), timestamp=0.0)
         want = tmp_path / "want.pgm"
         write_density_pgm(estimate_density(detect_markers(frame)), want)
         assert heatmap.read_bytes() == want.read_bytes()

@@ -390,7 +390,8 @@ def test_calibrate_rejects_a_frame_not_at_rest(nominal_model, reference_frame):
     with pytest.raises(ValidationError, match="calibration frame shows a contact"):
         perception.FingerPipeline(1).calibrate(touched)
     blank = dataclasses.replace(
-        reference_frame, pixels=np.full_like(reference_frame.pixels, 0.95))
+        reference_frame,
+        pixels=np.full_like(reference_frame.pixels, np.rint(255 * 0.95)))
     with pytest.raises(ValidationError, match="calibration frame shows no markers"):
         perception.FingerPipeline(1).calibrate(blank)
     # rest frames calibrate across seeds and noise levels

@@ -12,6 +12,15 @@ from tacgrip.sensor_sim import ContactStimulus, nominal_grid
 from tacgrip.tactile import TactileFrame
 
 
+# The simulator's background, 0.95, as a byte.
+_BACKGROUND = np.uint8(np.rint(255 * 0.95))
+
+
+def _bytes(pixels):
+    """An intensity image on [0, 1] as the 8-bit frame a camera gives."""
+    return np.rint(255 * pixels).astype(np.uint8)
+
+
 def _match_errors(truth, detected):
     """Nearest-detection distance for every ground-truth centroid."""
     errs = []
@@ -43,7 +52,8 @@ def test_single_disk_centered(nominal_model):
 
 
 def test_blank_frame_yields_empty_set():
-    frame = TactileFrame(pixels=np.full((480, 640), 0.95), timestamp=0.0)
+    frame = TactileFrame(pixels=np.full((480, 640), _BACKGROUND),
+                         timestamp=0.0)
     det = detect_markers(frame)
     assert len(det) == 0
 
@@ -51,7 +61,7 @@ def test_blank_frame_yields_empty_set():
 def test_noise_only_frame_yields_empty_set():
     rng = np.random.default_rng(3)
     pixels = np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1)
-    frame = TactileFrame(pixels=pixels, timestamp=0.0)
+    frame = TactileFrame(pixels=_bytes(pixels), timestamp=0.0)
     assert len(detect_markers(frame)) == 0
 
 
@@ -258,8 +268,8 @@ def test_marker_far_outside_window_is_found(nominal_model, reference_frame,
 
 def test_blank_and_noise_frames_empty_with_window():
     rng = np.random.default_rng(3)
-    noisy = np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1)
-    for pixels in (np.full((480, 640), 0.95), noisy):
+    noisy = _bytes(np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1))
+    for pixels in (np.full((480, 640), _BACKGROUND), noisy):
         frame = TactileFrame(pixels=pixels, timestamp=0.0)
         assert len(detect_markers(frame, window=(150, 100, 490, 380))) == 0
 

@@ -11,7 +11,7 @@ from tacgrip.density import _density_at_points
 from tacgrip.pgm import read_pgm, write_pgm
 from tacgrip.scenario import static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, SensorModel,
-                                disk_coverage, displace_markers)
+                                base_image, disk_coverage, displace_markers)
 
 
 def test_depth_zero_is_identity(nominal_model):
@@ -128,7 +128,7 @@ def test_noise_stream_keyed_by_finger_and_seq(nominal_model):
 def test_empty_markerset_renders_background(nominal_model):
     quiet = dataclasses.replace(nominal_model, noise_sigma=0.0)
     frame = tg.render_frame(tg.MarkerSet(np.empty((0, 2))), quiet)
-    assert np.all(frame.pixels == quiet.background)
+    assert np.all(frame.pixels == np.rint(255 * quiet.background))
 
 
 def test_darkest_pixel_at_disk_center(nominal_model):
@@ -137,8 +137,8 @@ def test_darkest_pixel_at_disk_center(nominal_model):
     quiet = dataclasses.replace(nominal_model, noise_sigma=0.0)
     frame = tg.render_frame(tg.MarkerSet(np.array([[320.0, 240.0]])), quiet)
     assert frame.pixels[240, 320] == frame.pixels.min()
-    assert frame.pixels[240, 320] == pytest.approx(quiet.marker_intensity)
-    assert frame.pixels[0, 0] == quiet.background
+    assert frame.pixels[240, 320] == np.rint(255 * quiet.marker_intensity)
+    assert frame.pixels[0, 0] == np.rint(255 * quiet.background)
 
 
 def test_model_invariants():
@@ -226,36 +226,37 @@ def test_disk_coverage_matches_per_marker_loop(radius):
         assert got.tobytes() == want.tobytes()
 
 
-def test_render_frame_same_bytes_with_given_coverage(nominal_model):
+def test_render_frame_same_bytes_with_given_base(nominal_model):
     stim = ContactStimulus(x=600.0, y=30.0, depth=2.5, radius=40.0,
                            shear_x=3.0, timestamp=1.0)
     markers = displace_markers(nominal_model, stim)
     given = tg.render_frame(markers, nominal_model, finger_id=2, seq=7,
-                            coverage=disk_coverage(markers, nominal_model))
+                            base=base_image(markers, nominal_model))
     computed = tg.render_frame(markers, nominal_model, finger_id=2, seq=7)
     assert given.pixels.tobytes() == computed.pixels.tobytes()
     assert given.timestamp == computed.timestamp == 1.0
 
 
-def _counting(monkeypatch, owner):
+def _counting(monkeypatch, owner, name):
     calls = []
+    original = getattr(owner, name)
 
     def counted(markers, model):
         calls.append(markers.centroids.tobytes())
-        return disk_coverage(markers, model)
+        return original(markers, model)
 
-    monkeypatch.setattr(owner, "disk_coverage", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
-    calls = _counting(monkeypatch, tacgrip.episode)
+    calls = _counting(monkeypatch, tacgrip.episode, "base_image")
     layouts = {1: [], 2: []}
     render = tacgrip.episode.render_frame
 
-    def recording(markers, model, finger_id=1, seq=0, *, coverage=None):
-        frame = render(markers, model, finger_id, seq, coverage=coverage)
-        if coverage is not None:
+    def recording(markers, model, finger_id=1, seq=0, *, base=None):
+        frame = render(markers, model, finger_id, seq, base=base)
+        if base is not None:
             layouts[finger_id].append(markers.centroids.tobytes())
             assert frame.pixels.tobytes() == render(
                 markers, model, finger_id, seq).pixels.tobytes()
@@ -275,7 +276,7 @@ def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
 
 def test_write_frames_computes_coverage_once_per_repeat(
         tmp_path, monkeypatch, nominal_model):
-    calls = _counting(monkeypatch, tacgrip.sensor_sim)
+    calls = _counting(monkeypatch, tacgrip.sensor_sim, "disk_coverage")
     rest = displace_markers(nominal_model, None)
     touched = displace_markers(nominal_model, ContactStimulus(
         x=320.0, y=240.0, depth=2.0, radius=40.0))
