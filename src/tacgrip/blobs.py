@@ -1,20 +1,24 @@
 """Dark-blob marker detection with a determinant-of-Hessian filter.
 
-Markers are small dark disks on a light membrane image. At one scale
-sigma, matched to the marker radius, the frame is smoothed, second
-derivatives are taken, and the scale-normalized determinant of the
-Hessian sigma^4*(Ixx*Iyy - Ixy^2) is computed. Dark blobs are gated by
-a positive Laplacian (local intensity minimum). Candidates are local
-maxima of the response, deduplicated by greedy non-maximum suppression
-and refined to sub-pixel positions with a per-axis quadratic fit.
+Markers are small dark disks on a light membrane image; frames are
+8-bit and read on [0, 1]. At one scale sigma, matched to the marker
+radius, the frame is smoothed once with a Gaussian (two separable
+passes), and the second derivatives Ixx, Iyy and Ixy are central
+differences of the smoothed image. The scale-normalized determinant of
+the Hessian sigma^4*(Ixx*Iyy - Ixy^2) is the response. Dark blobs are
+gated by a positive Laplacian (local intensity minimum). Candidates are
+local maxima of the response, deduplicated by greedy non-maximum
+suppression and refined to sub-pixel positions with a per-axis
+quadratic fit.
 
 A window (a pixel box around the markers) makes detection cheaper
 without changing its result. The filters run on the box widened by
-`_window_pad` (the filter's half-width plus one pixel), clipped
-to the frame. scipy's separable filters read only pixels within that
-half-width, so inside the box the response equals the full-frame
-response bit for bit; the 3x3 maximum filter and the quadratic fit read
-at most one pixel beyond the box. The peak, the threshold and the
+`_window_pad`, clipped to the frame: the Gaussian's half-width r, one
+pixel for the difference stencil, and one for the 3x3 maximum filter and
+the quadratic fit, which read at most one pixel beyond the box. The
+smoothing reads only pixels within r and the stencil only smoothed
+values within one pixel, so inside the box the response equals the
+full-frame response bit for bit. The peak, the threshold and the
 candidates come from inside the box. The response outside the box is
 bounded from the range of the pixels it reads (`_outside_bound`): when
 that bound stays under half the threshold, no pixel outside the box can
@@ -115,18 +119,20 @@ def _radius(sigma):
 
 def _window_pad(config):
     """Pixels the response inside a window depends on beyond it: the
-    filter's half-width, plus one for the 3x3 maximum filter and the +-1
-    quadratic fit."""
-    return _radius(config.scale) + 1
+    Gaussian's half-width, plus one for the difference stencil and one for
+    the 3x3 maximum filter and the +-1 quadratic fit."""
+    return _radius(config.scale) + 2
 
 
 def marker_window(markers, config, width, height):
     """The markers' bounding box widened by 2 * `_window_pad`, clipped to
     a width x height frame, as a half-open pixel box (x0, y0, x1, y1).
 
-    The outside bound reads pixels up to one half-width inside the box,
-    and a marker the filter can detect reaches less than `_window_pad`
-    from its center, so at rest no marker pixel enters that bound.
+    The outside bound reads pixels up to r + 1 inside the box (the
+    half-width of the Gaussian plus the stencil's pixel, less than
+    `_window_pad`), and a marker the filter can detect reaches less than
+    `_window_pad` from its center, so at rest no marker pixel enters that
+    bound.
     """
     if len(markers) == 0:
         raise ValueError("a marker window needs at least one marker")
@@ -140,19 +146,23 @@ def marker_window(markers, config, width, height):
 def _outside_bound(pixels, box, config):
     """Upper bound on the response at every pixel outside the box.
 
-    Outside the box the filters read only the frame minus the box shrunk
-    by the half-width r. Over those pixels, with extremes lo and hi, the
-    Laplacian Ixx + Iyy at scale sigma is at most P * hi - N * lo,
-    where P and N are the summed magnitudes of the Laplacian kernel's
-    positive and negative taps. The gate passes only a positive
-    Laplacian, and there
+    The Laplacian Ixx + Iyy that `_response` computes is one linear
+    filter of the frame: the second-difference stencil [1, -2, 1] along
+    each axis applied to the sampled Gaussian, a (2r + 3)-tap square
+    kernel of half-width r + 1. At the frame's edges its taps read the
+    nearest edge pixel. So outside the box the response reads only the
+    frame minus the box shrunk by r + 1. Over those pixels, with extremes
+    lo and hi, the Laplacian is at most P * hi - N * lo, where P and N
+    are the summed magnitudes of that kernel's positive and negative
+    taps. The gate passes only a positive Laplacian, and there
     sigma^4 * (Ixx * Iyy - Ixy^2) <= sigma^4 * (Ixx + Iyy)^2 / 4.
     """
     h, w = pixels.shape
     x0, y0, x1, y1 = box
     sigma = config.scale
     r = _radius(sigma)
-    hx0, hy0, hx1, hy1 = x0 + r, y0 + r, x1 - r, y1 - r
+    half = r + 1
+    hx0, hy0, hx1, hy1 = x0 + half, y0 + half, x1 - half, y1 - half
     if hx0 >= hx1 or hy0 >= hy1:
         parts = [pixels]
     else:
@@ -162,11 +172,13 @@ def _outside_bound(pixels, box, config):
     # On the scale _response reads the bytes on.
     lo = min(float(p.min()) for p in parts) / 255
     hi = max(float(p.max()) for p in parts) / 255
-    delta = np.zeros(2 * r + 1)
-    delta[r] = 1.0
-    k0, k2 = (ndimage.gaussian_filter1d(delta, sigma, order=order,
-                                        mode="constant", truncate=_TRUNCATE)
-              for order in (0, 2))
+    delta = np.zeros(2 * half + 1)
+    delta[half] = 1.0
+    # The sampled Gaussian (zero in its outer taps) and its second
+    # difference, each 2r + 3 taps.
+    k0 = ndimage.gaussian_filter1d(delta, sigma, mode="constant",
+                                   truncate=_TRUNCATE)
+    k2 = np.convolve(k0, [1.0, -2.0, 1.0], mode="same")
     lap = np.outer(k2, k0) + np.outer(k0, k2)
     laplacian = (float(lap[lap > 0].sum()) * hi
                  + float(lap[lap < 0].sum()) * lo)
@@ -175,13 +187,21 @@ def _outside_bound(pixels, box, config):
 
 def _response(pixels, config):
     """Gated determinant-of-Hessian response (float32) of 8-bit pixels,
-    read on [0, 1]."""
-    img = pixels * np.float32(1 / 255)
+    read on [0, 1]: one Gaussian smoothing, then central differences.
+
+    The pixels are extended by their nearest edge pixel before smoothing,
+    so the stencil at the edge reads the smoothed value one pixel beyond
+    it, and every output is the fixed linear filter `_outside_bound`
+    bounds applied to the edge-extended frame.
+    """
+    img = np.pad(pixels, 1, mode="edge") * np.float32(1 / 255)
     sigma = config.scale
-    dyy, dxx, dxy = (ndimage.gaussian_filter(img, sigma, order=order,
-                                             mode="nearest",
-                                             truncate=_TRUNCATE)
-                     for order in ((2, 0), (0, 2), (1, 1)))
+    s = ndimage.gaussian_filter(img, sigma, mode="nearest",
+                                truncate=_TRUNCATE)
+    c = s[1:-1, 1:-1]
+    dxx = s[1:-1, 2:] + s[1:-1, :-2] - 2 * c
+    dyy = s[2:, 1:-1] + s[:-2, 1:-1] - 2 * c
+    dxy = 0.25 * (s[2:, 2:] - s[2:, :-2] - s[:-2, 2:] + s[:-2, :-2])
     det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
     # Dark blobs only: intensity minima have a positive Laplacian.
     det[(dxx + dyy) <= 0] = 0.0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import tacgrip as tg
@@ -305,6 +306,83 @@ def test_outside_bound_holds_over_random_frames(nominal_model):
         outside[box[1]:box[3], box[0]:box[2]] = False
         assert resp[outside].max() <= blobs._outside_bound(frame.pixels, box,
                                                            config)
+
+
+def test_window_never_changes_result_on_random_frames(nominal_model):
+    # Windowed detection equals full-frame detection on frames the
+    # simulator never draws: uniform random bytes, disks anywhere (the
+    # frame's edges and corners included) over noise, and flat frames,
+    # each under windows anywhere, some touching the frame's edges.
+    rng = np.random.default_rng(17)
+    config = DetectorConfig()
+    pad = blobs._window_pad(config)
+    answered_in_window = 0
+    for trial in range(24):
+        kind = trial % 3
+        if kind == 0:
+            pixels = rng.integers(0, 256, (120, 160), dtype=np.uint8)
+        elif kind == 1:
+            n = int(rng.integers(1, 40))
+            centers = rng.uniform([-4, -4], [164, 124], (n, 2))
+            model = dataclasses.replace(nominal_model, width=160, height=120,
+                                        grid_rows=2, grid_cols=2,
+                                        seed=trial)
+            pixels = tg.render_frame(MarkerSet(centers), model,
+                                     seq=trial).pixels
+        else:
+            pixels = np.full((120, 160), rng.integers(0, 256), np.uint8)
+        frame = TactileFrame(pixels=pixels, timestamp=0.0)
+        full = detect_markers(frame).centroids
+        full_response = blobs._response(pixels, config)
+        for _ in range(4):
+            x0, y0 = rng.integers(-10, 150), rng.integers(-10, 110)
+            window = (int(x0), int(y0), int(x0 + rng.integers(1, 170)),
+                      int(y0 + rng.integers(1, 130)))
+            if min(window[2], 160) <= max(window[0], 0) \
+                    or min(window[3], 120) <= max(window[1], 0):
+                continue
+            box = (max(window[0], 0), max(window[1], 0),
+                   min(window[2], 160), min(window[3], 120))
+            # The response on the padded crop equals the full-frame one
+            # over the box and the one pixel around it that the maximum
+            # filter and the fit read.
+            x0, y0, x1, y1 = box
+            ox, oy = max(x0 - pad, 0), max(y0 - pad, 0)
+            crop = blobs._response(
+                pixels[oy:min(y1 + pad, 120), ox:min(x1 + pad, 160)], config)
+            ring = (slice(max(y0 - 1, 0), min(y1 + 1, 120)),
+                    slice(max(x0 - 1, 0), min(x1 + 1, 160)))
+            assert np.array_equal(
+                crop[ring[0].start - oy:ring[0].stop - oy,
+                     ring[1].start - ox:ring[1].stop - ox],
+                full_response[ring])
+            answered_in_window += blobs._detect_in_box(
+                frame, config, box) is not None
+            got = detect_markers(frame, window=window).centroids
+            assert np.array_equal(got, full)
+    assert answered_in_window >= 20
+
+
+def test_outside_bound_is_attained():
+    # The bound is derived for the operator _response computes: one
+    # Gaussian smoothing, then the [1, -2, 1] stencil on each axis. A
+    # frame that is 255 under the positive taps of that Laplacian and 0
+    # elsewhere drives the response at the kernel's center to the bound
+    # exactly (the pattern's symmetry makes Ixx = Iyy and Ixy = 0).
+    config = DetectorConfig()
+    half = blobs._radius(config.scale) + 1
+    delta = np.zeros(2 * half + 1)
+    delta[half] = 1.0
+    k0 = ndimage.gaussian_filter1d(delta, config.scale, mode="constant",
+                                   truncate=3.0)
+    k2 = np.convolve(k0, [1.0, -2.0, 1.0], mode="same")
+    laplacian = np.outer(k2, k0) + np.outer(k0, k2)
+    pixels = np.zeros((64, 64), np.uint8)
+    pixels[32 - half:33 + half, 32 - half:33 + half] = \
+        np.where(laplacian > 0, 255, 0)
+    bound = blobs._outside_bound(pixels, (0, 0, 2, 2), config)
+    assert blobs._response(pixels, config)[32, 32] == \
+        pytest.approx(bound, rel=1e-4)
 
 
 def test_single_scale_locates_contact_markers(nominal_model):
