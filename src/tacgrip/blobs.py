@@ -253,9 +253,11 @@ def detect_markers(frame, config=None, window=None):
     hold the markers. It saves work and never changes the result: when
     the response outside it is not bounded below the threshold, the
     whole frame is searched. Deterministic for a given frame and config.
-    An empty MarkerSet is a valid result (blank frame).
+    An empty MarkerSet is a valid result (blank frame). A frame that is
+    not 8-bit raises ValueError (see `TactileFrame.validate`).
     """
     config = config or DetectorConfig()
+    frame.validate()
     h, w = frame.pixels.shape
     if window is not None:
         x0, y0, x1, y1 = window

@@ -56,22 +56,18 @@ _BLAS_BLOCK = 128
 _BOX_SNAP = 32
 
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCT_8 = np.ones((3, 3), dtype=bool)
 
 
 @dataclass
 class KdeConfig:
     kernel_width_h: float = 15.0
     pixel_scale_s: float = 0.05
-    connectivity: int = 4
 
     def __post_init__(self):
         # A kernel under half a pixel wide resolves nothing between pixel
         # centers, and below ~1e-154 px its squared width underflows to 0.
         check_range("kernel_width_h", self.kernel_width_h, lo=0.5)
         check_range("pixel_scale_s", self.pixel_scale_s, lo=0.0, lo_open=True)
-        if self.connectivity not in (4, 8):
-            raise ValueError("connectivity must be 4 or 8")
 
 
 @dataclass
@@ -210,24 +206,22 @@ def calibrate_threshold(reference_field, ratio):
     return float(ratio * reference_field.values.min())
 
 
-def extract_contact(field, threshold, config=None):
+def extract_contact(field, threshold):
     """Threshold the field and extract the contact region and center.
 
     threshold is in the field's per-px^2 density units; the pipeline
     calibrates it (calibrate_threshold). Returns None (NoContact) when no
     grid point is below it. The region is the largest connected
-    component below threshold (4-connected by default); the center is the
+    component below threshold (4-connected); the center is the
     density argmin over the region, ties broken by lowest row-major grid
     index. Pixels and center are in frame coordinates: the field's origin
     is added back.
     """
-    config = config or KdeConfig()
     below = field.values < threshold
     if not below.any():
         return None
 
-    structure = _STRUCT_4 if config.connectivity == 4 else _STRUCT_8
-    labels, _ = ndimage.label(below, structure=structure)
+    labels, _ = ndimage.label(below, structure=_STRUCT_4)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     biggest = int(sizes.argmax())

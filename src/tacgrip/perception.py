@@ -158,7 +158,7 @@ class FingerPipeline:
         field = estimate_density(markers, self.kde_config,
                                  width=frame.width, height=frame.height,
                                  box=self.support)
-        region = extract_contact(field, self.threshold, self.kde_config)
+        region = extract_contact(field, self.threshold)
         if region is None:
             return PipelineReport(center=None, region=None, field=field,
                                   markers=markers)

@@ -7,6 +7,7 @@ events per finger). The file format is strict `[section]` headers with
 cannot silently fall back to a default.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, NamedTuple, Optional
 
@@ -60,6 +61,10 @@ class Scenario:
     grasp_mask: int = DEFAULT_GRASP_MASK
     max_regrasps: int = MAX_REGRASPS
     events: List[StimulusEvent] = field(default_factory=list)
+    # (events list, its length, {finger: (times, events)}): the index
+    # active_event bisects, and the list it was built from.
+    _index: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def validate(self):
         def check(name, value, **domain):
@@ -100,14 +105,24 @@ class Scenario:
         return self
 
     def active_event(self, finger_id, t):
-        """Latest event for this finger at or before time t, or None."""
-        current = None
-        for ev in self.events:
-            if ev.finger == finger_id and ev.time <= t + _EVENT_SLACK_S:
-                current = ev
-            elif ev.time > t + _EVENT_SLACK_S:
-                break
-        return current
+        """Latest event for this finger at or before time t, or None.
+
+        A bisection over the finger's event times, which validate() keeps
+        nondecreasing, so a call costs O(log n) however long the script.
+        The per-finger index is rebuilt when `events` is replaced or
+        changes length.
+        """
+        if self._index is None or self._index[0] is not self.events \
+                or self._index[1] != len(self.events):
+            by_finger = {}
+            for ev in self.events:
+                times, events = by_finger.setdefault(ev.finger, ([], []))
+                times.append(ev.time)
+                events.append(ev)
+            self._index = (self.events, len(self.events), by_finger)
+        times, events = self._index[2].get(finger_id, ((), ()))
+        i = bisect_right(times, t + _EVENT_SLACK_S)
+        return events[i - 1] if i else None
 
 
 # -- file format --------------------------------------------------------------
@@ -165,7 +180,6 @@ _KEYS = (
     _Key("sensor", "noise_sigma", "sensor", "noise_sigma", float),
     _Key("kde", "kernel_width_h", "kde", "kernel_width_h", float),
     _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s", float),
-    _Key("kde", "connectivity", "kde", "connectivity", int),
     _Key("kde", "calibration_ratio", None, "calibration_ratio", float),
     _Key("detector", "scale", "detector", "scale", float),
     _Key("detector", "threshold_rel", "detector", "threshold_rel", float),

@@ -167,17 +167,14 @@ def test_center_attains_region_minimum():
     assert region.min_density == values[cy, cx]
 
 
-def test_connectivity_flag_bridges_diagonals():
+def test_diagonal_neighbours_are_separate_regions():
     values = np.full((480, 640), 1.0)
     # two 3x3 pools joined only at a diagonal
     values[50:53, 50:53] = 0.2
     values[53:56, 53:56] = 0.2
     values[60:63, 70:74] = 0.2  # separate 12-point pool
-    four = extract_contact(_field_from(values), 0.5)
-    eight = extract_contact(_field_from(values), 0.5,
-                            KdeConfig(connectivity=8))
-    assert four.area == 12      # diagonal halves count separately
-    assert eight.area == 18     # merged across the diagonal
+    region = extract_contact(_field_from(values), 0.5)
+    assert region.area == 12  # 4-connected: the diagonal halves are apart
 
 
 def _old_support_mask(centroids, margin, width, height):
@@ -194,14 +191,13 @@ def _old_support_mask(centroids, margin, width, height):
         & (xs[None, :] >= x_lo) & (xs[None, :] <= x_hi)
 
 
-def _old_extract_contact(values, threshold, support, connectivity=4):
+def _old_extract_contact(values, threshold, support):
     """The full-frame contact extraction under a support mask, as
     (pixels, center, center_index, min_density), or None."""
     below = (values < threshold) & support
     if not below.any():
         return None
-    structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else \
-        np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     labels, _ = ndimage.label(below, structure=structure)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0

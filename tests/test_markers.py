@@ -66,6 +66,14 @@ def test_noise_only_frame_yields_empty_set():
     assert len(detect_markers(frame)) == 0
 
 
+def test_float_frame_rejected(reference_frame):
+    # Read as bytes, a frame on [0, 1] would show no markers at all.
+    frame = dataclasses.replace(
+        reference_frame, pixels=reference_frame.pixels / 255.0)
+    with pytest.raises(ValueError, match="dtype float64"):
+        detect_markers(frame)
+
+
 def test_determinism(nominal_model):
     markers = tg.displace_markers(nominal_model, None)
     frame = tg.render_frame(markers, nominal_model, finger_id=1, seq=4)

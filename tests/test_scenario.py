@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -77,6 +78,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError,
                        match="line 2: unknown key 'scales' in \\[detector\\]"):
         parse_scenario_text("[detector]\nscales = 2.0,2.83,4.0\n")
+    # so is the connectivity key: contacts are 4-connected regions
+    with pytest.raises(ParseError,
+                       match="line 2: unknown key 'connectivity' in \\[kde\\]"):
+        parse_scenario_text("[kde]\nconnectivity = 8\n")
 
 
 def test_event_parse_errors():
@@ -201,8 +206,7 @@ def _every_key_changed():
                            marker_radius=3.5, marker_intensity=0.2,
                            background=0.9, displacement_gain_k=8.5,
                            noise_sigma=0.02, seed=4),
-        kde=KdeConfig(kernel_width_h=12.5, pixel_scale_s=0.04,
-                      connectivity=8),
+        kde=KdeConfig(kernel_width_h=12.5, pixel_scale_s=0.04),
         detector=DetectorConfig(scale=3.1, threshold_rel=0.2,
                                 threshold_abs=2e-4, min_separation=5.5),
         plant=PlantConfig(valve_latency=0.02, control_delay=0.04,
@@ -235,10 +239,10 @@ def test_round_trip_sees_every_key():
 # sha256 of scenario_to_text for each canned scenario at seed 0; the run
 # manifest records this digest as config_sha256.
 CANNED_TEXT_SHA256 = {
-    "poke": "8c43d25c050381e70698e6e1ebe69ed2973d4295322dd817135ab305bbcae1f0",
-    "slip": "6bfd9d510009c51eec5eda996e4f14b3aceae9b430d8e1f8d6648f3d09ddee18",
-    "static": "342a1501720459992b49557cadbda4cd5a4aa4a4024bf5860e826ef33d64af7c",
-    "timeout": "b04e6cfdd70100313304d6daee2d63f6a4b7dd68bce9e0c30cc54b6b3f1c18e3",
+    "poke": "9059025679beaff8a12051fdff9f35cf0cff9dc57363ca0e18f922edacf8e862",
+    "slip": "0529bd8403cd67c36572115a7cfa297e15f37d6d822d3d8e292588b75df16d83",
+    "static": "5d0998493ab7fcf3589a7a5530683a3952a4242fc5aa4e1b70a98a4aefdb8bd9",
+    "timeout": "a2016af24ee281cab3c6d9eb821fefaab91dde8ad1c17bab0b683e402a17e60c",
 }
 
 
@@ -272,6 +276,52 @@ def test_active_event_steps():
     assert sc.active_event(1, 2.5).x == 360.0
     assert sc.active_event(1, 4.9).x == 360.0
     assert sc.active_event(2, 4.9).x == 320.0  # finger 2 never moved
+
+
+def _scan_active_event(sc, finger_id, t):
+    """The scan from the first event that the bisection replaced."""
+    current = None
+    limit = t + scenario_module._EVENT_SLACK_S
+    for ev in sc.events:
+        if ev.finger == finger_id and ev.time <= limit:
+            current = ev
+        elif ev.time > limit:
+            break
+    return current
+
+
+def test_active_event_bisection_matches_scan():
+    # Seeded scripts with ties within and across fingers, queried at,
+    # around and one float step either side of each event time minus the
+    # slack, and at frame times k * 0.033.
+    slack = scenario_module._EVENT_SLACK_S
+    rng = random.Random(11)
+    for trial in range(300):
+        times = sorted(rng.choice([0.0, 0.033, 0.1, 0.5, 1.0, 1.0 + 1e-9,
+                                   rng.uniform(0, 3)])
+                       for _ in range(rng.randint(0, 12)))
+        events = [StimulusEvent(time=t, finger=rng.choice((1, 2)),
+                                x=float(i), y=240.0, depth=1.0, radius=40.0)
+                  for i, t in enumerate(times)]
+        sc = Scenario(events=events).validate()
+        queries = [k * 0.033 for k in range(100)] + [-1.0, 5.0]
+        for ev in events:
+            edge = ev.time - slack
+            queries += [ev.time, edge, math.nextafter(edge, -1.0),
+                        math.nextafter(edge, 2.0), ev.time - 2 * slack,
+                        ev.time + slack]
+        for t in queries:
+            for finger in (1, 2):
+                assert sc.active_event(finger, t) is \
+                    _scan_active_event(sc, finger, t)
+    # The index follows a replaced or extended script.
+    sc = Scenario(events=[StimulusEvent(1.0, 1, 1.0, 2.0, 1.0, 40.0)])
+    assert sc.active_event(1, 1.0).x == 1.0
+    sc.events.append(StimulusEvent(2.0, 1, 5.0, 2.0, 1.0, 40.0))
+    assert sc.active_event(1, 2.0).x == 5.0
+    sc.events = [StimulusEvent(0.5, 2, 7.0, 2.0, 1.0, 40.0)]
+    assert sc.active_event(1, 2.0) is None
+    assert sc.active_event(2, 2.0).x == 7.0
 
 
 def test_depth_zero_clears_contact():
