@@ -22,10 +22,6 @@ from .tactile import FRAME_HEIGHT, FRAME_WIDTH, TactileFrame
 
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
-# N(0, 1) quantiles at the centers (i + 0.5) / 256 of 256 equally likely
-# bins: one random byte per pixel picks one, so the pixel noise is a
-# 256-level Gaussian drawn at the cost of a byte.
-_NOISE_QUANTILES = ndtri((np.arange(256) + 0.5) / 256)
 # Largest contact center, shear, radius and marker travel in px, and
 # # largest depth (mm) and gain (px/mm), whose product is the travel. A
 # million px is over a thousand frame widths; past 1e154 px the squares
@@ -166,14 +162,17 @@ def render_frame(markers, model, finger_id=1, seq=0, *, base=None):
 
     The noise takes one random byte per pixel from the stream keyed by
     (model.seed, finger_id, seq), so the frame is deterministic, and the
-    byte picks one of 256 N(0, noise_sigma) quantiles. A caller that holds
+    byte picks one of 256 N(0, noise_sigma) quantiles, taken at the
+    centers (i + 0.5) / 256 of 256 equally likely bins: a 256-level
+    Gaussian drawn at the cost of a byte. A caller that holds
     `base_image(markers, model)` may pass it.
     """
     if base is None:
         base = base_image(markers, model)
     if model.noise_sigma > 0:
         rng = np.random.default_rng((model.seed, finger_id, seq))
-        table = (255.0 * model.noise_sigma * _NOISE_QUANTILES).astype(np.float32)
+        quantiles = ndtri((np.arange(256) + 0.5) / 256)
+        table = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
         noise = np.frombuffer(rng.bytes(base.size), dtype=np.uint8)
         image = table[noise].reshape(base.shape)
         image += base
