@@ -142,9 +142,10 @@ def _window_stable(track, thresholds, now, control_period):
     and none above T1.
 
     Displacement i belongs to timestamps[i + 1]. Timestamps strictly
-    increase (track_displacement and read_track_csv enforce it), so the
-    first in-window sample is found by bisection and only the samples
-    inside the window are read.
+    increase and displacements are finite (track_displacement and
+    read_track_csv enforce both), so the first in-window sample is found
+    by bisection, and only the samples inside the window are read, by
+    one max. An empty window holds no violation.
     """
     window = thresholds.stability_window_s
     times, disps = track.timestamps, track.displacements
@@ -152,7 +153,7 @@ def _window_stable(track, thresholds, now, control_period):
         return False
     lo = bisect.bisect_right(times, now - window - _EPS, 1) - 1
     t1 = thresholds.t1_mm
-    if any(d > t1 for d in disps[lo:]):
+    if max(disps[lo:], default=t1) > t1:
         return False
     needed = int(math.ceil(thresholds.window_coverage * window / control_period))
     return len(disps) - lo >= needed

@@ -86,8 +86,11 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     Returns an EpisodeResult; when out_dir is given, also writes
     episode.csv, plant.csv, per-finger track CSVs and a run manifest,
     and with save_frames each frame the loop renders, as it renders it,
-    to out_dir/frames (see `sensor_sim.save_frame`).
+    to out_dir/frames (see `sensor_sim.save_frame`). Raises ValueError
+    for save_frames without an out_dir.
     """
+    if save_frames and out_dir is None:
+        raise ValueError("save_frames needs an out_dir to write the frames to")
     try:
         scenario.validate()
     except ValidationError as exc:
@@ -122,7 +125,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     commands_log = []
     last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, base)
     frames_dir = None
-    if save_frames and out_dir is not None:
+    if save_frames:
         frames_dir = Path(out_dir) / "frames"
         for finger in (1, 2):
             start_frame_stream(frames_dir, finger)

@@ -95,7 +95,14 @@ class PneumaticPlant:
 
     Exactly one owner may call step(); command submission goes through
     apply_valve_command, a serialized queue ordered by due tick with
-    FIFO tie-break.
+    FIFO tie-break. Valve states change only through that queue.
+
+    A tick costs only what changes on it. A sealed tick (every valve
+    sealed, both pumps off, no command due) tests the queue head, runs
+    the safety loop and advances the clock; it reads and writes no
+    array. Chamber updates run for open valves only, and a tank is
+    pumped and clamped only while its pump runs (a tank that no pump
+    moves stays inside the limits it started in).
     """
 
     def __init__(self, config=None, initial_tanks=None):
@@ -103,6 +110,11 @@ class PneumaticPlant:
         sp_pos, sp_neg = self.config.tank_setpoints
         if initial_tanks is not None:
             sp_pos, sp_neg = initial_tanks
+            # step() clamps a tank only while its pump runs, so a tank
+            # must start inside the limits.
+            for name, value in (("tank_pos", sp_pos), ("tank_neg", sp_neg)):
+                check_range(f"initial {name}", value,
+                            lo=PRESSURE_MIN, hi=PRESSURE_MAX)
         self.state = PlantState(
             tank_pos=float(sp_pos),
             tank_neg=float(sp_neg),
@@ -115,6 +127,9 @@ class PneumaticPlant:
         # First tick at which each chamber sees tank flow after its valve
         # opened (models line transit).
         self._flow_from = [0] * N_CHAMBERS
+        # (chamber, valve state) of each open valve, rebuilt whenever
+        # commands are delivered.
+        self._open = []
         # Precomputed exact first-order step factor.
         self._alpha = 1.0 - math.exp(-TICK_S / self.config.chamber_time_constant)
 
@@ -160,38 +175,42 @@ class PneumaticPlant:
 
         # Deliver due valve commands in (due, fifo) order.
         queue = self._queue
-        while queue and queue[0][0] <= now:
-            _, _, ch, command = heapq.heappop(queue)
-            if state.valve_states[ch] != command:
-                state.valve_states[ch] = command
-                if command != 0:
-                    self._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
+        if queue and queue[0][0] <= now:
+            valves = state.valve_states
+            while queue and queue[0][0] <= now:
+                _, _, ch, command = heapq.heappop(queue)
+                if valves[ch] != command:
+                    valves[ch] = command
+                    if command != 0:
+                        self._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
+            self._open = [(ch, v) for ch, v in enumerate(valves.tolist()) if v]
 
-        # Safety loop: pumps and tank clamping.
-        state.pump_pos_on, state.pump_neg_on = safety_loop(state, cfg)
-        if state.pump_pos_on:
-            state.tank_pos += cfg.pump_rate * TICK_S
-        if state.pump_neg_on:
-            state.tank_neg -= cfg.pump_rate * TICK_S
-        state.tank_pos = min(max(state.tank_pos, PRESSURE_MIN), PRESSURE_MAX)
-        state.tank_neg = min(max(state.tank_neg, PRESSURE_MIN), PRESSURE_MAX)
+        # Safety loop: pumps, and clamping the tank a pump moved. A pump
+        # moves its tank one way, so only the limit on that side binds.
+        pos_on, neg_on = safety_loop(state, cfg)
+        state.pump_pos_on, state.pump_neg_on = pos_on, neg_on
+        if pos_on:
+            state.tank_pos = min(state.tank_pos + cfg.pump_rate * TICK_S,
+                                 PRESSURE_MAX)
+        if neg_on:
+            state.tank_neg = max(state.tank_neg - cfg.pump_rate * TICK_S,
+                                 PRESSURE_MIN)
 
-        # First-order chamber dynamics toward the connected tank; sealed
-        # chambers hold their pressure exactly. The loop runs on Python
-        # floats (the same float64 arithmetic as numpy scalars, without
-        # their per-element cost) and writes the array back once.
-        valves = state.valve_states.tolist()
-        if any(valves):
-            pressures = state.chamber_pressures.tolist()
+        # First-order chamber dynamics toward the connected tank, for the
+        # open valves whose line has filled; sealed chambers hold their
+        # pressure exactly. Python floats carry the same float64
+        # arithmetic as numpy scalars, without their per-element cost.
+        if self._open:
+            pressures = state.chamber_pressures
             alpha = self._alpha
-            for ch, v in enumerate(valves):
-                if v == 0 or now < self._flow_from[ch]:
+            flow_from = self._flow_from
+            for ch, v in self._open:
+                if now < flow_from[ch]:
                     continue
                 target = state.tank_pos if v > 0 else state.tank_neg
-                p = pressures[ch]
+                p = pressures.item(ch)
                 p += (target - p) * alpha
                 pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
-            state.chamber_pressures[:] = pressures
 
         state.sim_time = self.tick * TICK_S
         return state

@@ -45,7 +45,8 @@ def track_displacement(track, new_center, timestamp, config):
     """Append a center, computing the displacement to the previous one.
 
     D = pixel_scale_s * |new - prev| in mm. Mutates and returns the
-    track. Raises NonMonotonicTime if the timestamp does not advance.
+    track. Raises NonMonotonicTime if the timestamp does not advance and
+    ValueError for a center that is not finite.
     """
     timestamp = float(timestamp)
     last = track.last_timestamp
@@ -54,6 +55,8 @@ def track_displacement(track, new_center, timestamp, config):
             f"timestamp {timestamp} does not advance past {last}"
         )
     x, y = float(new_center[0]), float(new_center[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"contact center ({x}, {y}) is not finite")
     if track.centers:
         px, py = track.centers[-1]
         d = config.pixel_scale_s * float(np.hypot(x - px, y - py))
@@ -77,10 +80,11 @@ def read_track_csv(path, finger_id=1):
     """Read a track CSV written by write_track_csv.
 
     Raises ValueError naming the file and row for a row that does not
-    parse as numbers, whose timestamp is not finite or does not advance
-    past the previous row's (track_displacement rejects the same; the
-    classifier bisects over the timestamps), or whose d_mm breaks the
-    row alignment: the first row has none, every later row has one.
+    parse as numbers, whose t, x, y or d_mm is not finite, whose
+    timestamp does not advance past the previous row's
+    (track_displacement rejects the same; the classifier bisects over
+    the timestamps and takes the window's max), or whose d_mm breaks
+    the row alignment: the first row has none, every later row has one.
     """
     track = ContactTrack(finger_id=finger_id)
     with open(path, newline="") as fh:
@@ -104,8 +108,10 @@ def read_track_csv(path, finger_id=1):
                     f"{where}: d_mm must be empty on the first row and "
                     f"present on every later one, got {row}"
                 )
-            if not math.isfinite(t):
-                raise ValueError(f"{where}: timestamp {row[0]} is not finite")
+            for name, value in (("timestamp", t), ("x", x), ("y", y),
+                                ("d_mm", d)):
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{where}: {name} {value} is not finite")
             if last is not None and t <= last:
                 raise ValueError(
                     f"{where}: timestamp {row[0]} does not advance past {last}"

@@ -172,6 +172,21 @@ def test_replay_misaligned_d_mm(tmp_path, capsys):
     assert f"{src}: row 3:" in err
 
 
+def test_replay_rejects_a_nan_displacement(tmp_path, capsys):
+    # as the latest sample, a NaN d_mm used to replay as StableGrasp
+    rows = [f"{0.033 * (i + 1):.6f},320,240,{'' if i == 0 else '0.0'}"
+            for i in range(95)]
+    rows.append("3.168000,320,240,nan")
+    src = tmp_path / "track_1.csv"
+    src.write_text("t,x,y,d_mm\n" + "\n".join(rows) + "\n")
+    rc = main(["replay", "--track", str(src), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{src}: row 97: d_mm nan is not finite" in err
+    assert not (tmp_path / "flags_track_1.csv").exists()
+
+
 def test_density_heatmap_values(tmp_path, nominal_model):
     # analyze writes normalized heatmaps; spot-check one renders dark at
     # the pressed region

@@ -95,6 +95,18 @@ def test_violation_ages_out_of_window():
     assert classify_frame(track, TH, now).kind == FlagKind.STABLE_GRASP
 
 
+def test_empty_window_holds_no_violation():
+    # every sample, violations included, is older than the window: the
+    # window is empty, so only the coverage guard can reject it
+    track = make_track([5.0, 50.0, 0.0])
+    now = track.timestamps[-1] + TH.stability_window_s + 1.0
+    for coverage, want in ((0.0, True), (0.9, False)):
+        th = ControlThresholds(window_coverage=coverage)
+        assert control._window_stable(track, th, now, DT) is want
+        assert _full_scan_window_stable(track, th, now, DT) is want
+    assert max(track.displacements) > TH.t1_mm  # they would violate
+
+
 def test_tick_dt_key_is_unknown():
     # the plant tick is fixed at 1 ms, so a scenario cannot set it
     with pytest.raises(ParseError,

@@ -121,6 +121,12 @@ def test_calibration_failure_is_a_scenario_error():
         run_grasp(sc)
 
 
+def test_save_frames_needs_an_out_dir():
+    # the flag used to write nothing, silently
+    with pytest.raises(ValueError, match="save_frames needs an out_dir"):
+        run_grasp(static_scenario(duration=0.1), save_frames=True)
+
+
 def test_outputs_and_determinism(tmp_path):
     scenario = static_scenario(seed=5, duration=1.0)
     a = run_grasp(scenario, out_dir=tmp_path / "a", save_frames=True)

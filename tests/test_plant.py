@@ -1,12 +1,14 @@
 import csv
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from tacgrip.errors import InvalidSelectorError
-from tacgrip.plant import (N_CHAMBERS, TICK_S, TRACE_COLUMNS, PlantConfig,
-                           PneumaticPlant, write_plant_trace_csv)
+from tacgrip.plant import (N_CHAMBERS, PRESSURE_MAX, PRESSURE_MIN, TICK_S,
+                           TRACE_COLUMNS, PlantConfig, PneumaticPlant,
+                           safety_loop, write_plant_trace_csv)
 
 
 def test_sealed_chambers_hold_exactly():
@@ -238,3 +240,138 @@ def test_trace_csv_format(tmp_path):
     assert body[-1][0] == "0.100"
     assert float(body[-1][3]) > 0.0  # ch0 pressurizing
     assert body[-1][11] == "1"  # v0 open positive
+
+
+@pytest.mark.parametrize("tanks", [
+    (float("nan"), -52.0), (45.0, float("inf")), (45.0, float("nan")),
+    (50.5, -52.0), (45.0, -57.5), (-60.0, -52.0), (45.0, 51.0),
+])
+def test_initial_tanks_must_be_finite_and_in_limits(tanks):
+    # a NaN tank used to spread silently into the chamber pressures
+    with pytest.raises(ValueError, match="initial tank_"):
+        PneumaticPlant(initial_tanks=tanks)
+
+
+def test_initial_tanks_at_the_limits_are_accepted():
+    plant = PneumaticPlant(initial_tanks=(50.0, -57.0))
+    assert (plant.state.tank_pos, plant.state.tank_neg) == (50.0, -57.0)
+
+
+# -- the step against the straightforward one ------------------------------
+
+
+def _reference_step(plant):
+    """The plant step that updates every tank and scans every valve each
+    tick; PneumaticPlant.step must give the same bytes."""
+    cfg = plant.config
+    state = plant.state
+    plant.tick += 1
+    now = plant.tick
+
+    queue = plant._queue
+    while queue and queue[0][0] <= now:
+        _, _, ch, command = heapq.heappop(queue)
+        if state.valve_states[ch] != command:
+            state.valve_states[ch] = command
+            if command != 0:
+                plant._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
+
+    state.pump_pos_on, state.pump_neg_on = safety_loop(state, cfg)
+    if state.pump_pos_on:
+        state.tank_pos += cfg.pump_rate * TICK_S
+    if state.pump_neg_on:
+        state.tank_neg -= cfg.pump_rate * TICK_S
+    state.tank_pos = min(max(state.tank_pos, PRESSURE_MIN), PRESSURE_MAX)
+    state.tank_neg = min(max(state.tank_neg, PRESSURE_MIN), PRESSURE_MAX)
+
+    valves = state.valve_states.tolist()
+    if any(valves):
+        pressures = state.chamber_pressures.tolist()
+        alpha = plant._alpha
+        for ch, v in enumerate(valves):
+            if v == 0 or now < plant._flow_from[ch]:
+                continue
+            target = state.tank_pos if v > 0 else state.tank_neg
+            p = pressures[ch]
+            p += (target - p) * alpha
+            pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
+        state.chamber_pressures[:] = pressures
+
+    state.sim_time = plant.tick * TICK_S
+    return state
+
+
+def _random_plant_config(rng):
+    pos = float(rng.choice([45.0, PRESSURE_MAX, rng.uniform(0.0, 50.0)]))
+    neg = float(rng.choice([-52.0, PRESSURE_MIN, rng.uniform(-57.0, -1.0)]))
+    return PlantConfig(
+        valve_latency=float(rng.choice([0.0, 0.001, 0.003, 0.010, 0.040])),
+        line_delay=float(rng.choice([0.0, 0.001, 0.007, 0.050])),
+        chamber_time_constant=float(rng.choice([0.005, 0.15, 0.6])),
+        tank_setpoints=(pos, neg),
+        tank_hysteresis=float(rng.choice([0.0, 0.5, 2.0, 8.0])),
+        pump_rate=float(rng.choice([5.0, 40.0, 400.0, 4000.0])),
+    )
+
+
+def test_step_matches_reference_on_random_traffic():
+    rng = np.random.default_rng(1207)
+    seen = dict(pumped=0, clamped=0, conflicts=0, reseals=0, flowing=0)
+    for case in range(40):
+        cfg = _random_plant_config(rng)
+        sp_pos, sp_neg = cfg.tank_setpoints
+        hys = cfg.tank_hysteresis
+        tanks = None
+        if case % 3:
+            # below the band, so the pumps start at once, and most runs
+            # pump into a tank limit
+            tanks = (float(rng.uniform(PRESSURE_MIN, max(PRESSURE_MIN,
+                                                         sp_pos - hys - 0.1))),
+                     float(rng.uniform(min(PRESSURE_MAX, sp_neg + hys + 0.1),
+                                       PRESSURE_MAX)))
+        fast = PneumaticPlant(cfg, initial_tanks=tanks)
+        ref = PneumaticPlant(cfg, initial_tanks=tanks)
+        prev_valves = np.zeros(N_CHAMBERS, dtype=np.int64)
+        prev_moved = np.zeros(N_CHAMBERS, dtype=bool)
+        rising = {}  # chamber -> tick its open command was submitted
+        for tick in range(1000):
+            cmds = []
+            for _ in range(int(rng.choice([0] * 10 + [1, 2]))):
+                chambers = [int(c) for c in rng.choice(N_CHAMBERS,
+                                                       rng.integers(1, 4),
+                                                       replace=False)]
+                cmds.append((chambers, int(rng.choice([-1, 0, 1]))))
+            if rng.random() < 0.01:
+                # conflicting commands to one chamber in the same tick
+                ch = int(rng.integers(N_CHAMBERS))
+                cmds += [(ch, 1), (ch, -1), (ch, int(rng.choice([-1, 0, 1])))]
+                seen["conflicts"] += 1
+            for ch, t0 in list(rising.items()):
+                if tick - t0 == 40:  # re-seal while the pressure rises
+                    cmds.append((ch, 0))
+                    del rising[ch]
+            if rng.random() < 0.01:
+                ch = int(rng.integers(N_CHAMBERS))
+                cmds.append((ch, int(rng.choice([-1, 1]))))
+                rising[ch] = tick
+            for selector, command in cmds:
+                fast.apply_valve_command(selector, command)
+                ref.apply_valve_command(selector, command)
+            before = fast.state.chamber_pressures.copy()
+            fast.step()
+            _reference_step(ref)
+            a, b = fast.state, ref.state
+            assert repr(fast.trace_row()) == repr(ref.trace_row()), (case, tick)
+            assert (a.pump_pos_on, a.pump_neg_on) == \
+                (b.pump_pos_on, b.pump_neg_on), (case, tick)
+            seen["pumped"] += a.pump_pos_on or a.pump_neg_on
+            seen["clamped"] += ((a.pump_pos_on and a.tank_pos == PRESSURE_MAX)
+                                or (a.pump_neg_on
+                                    and a.tank_neg == PRESSURE_MIN))
+            valves = a.valve_states.copy()
+            moved = a.chamber_pressures != before
+            seen["flowing"] += bool(moved.any())
+            seen["reseals"] += int(np.sum((valves == 0) & (prev_valves != 0)
+                                          & prev_moved))
+            prev_valves, prev_moved = valves, moved
+    assert min(seen.values()) >= 50, seen

@@ -42,6 +42,18 @@ def test_time_must_advance():
     assert len(track) == 1
 
 
+@pytest.mark.parametrize("center", [(float("nan"), 1.0), (1.0, float("inf")),
+                                    (-float("inf"), float("nan"))])
+def test_center_must_be_finite(center):
+    track = ContactTrack()
+    track_displacement(track, (0, 0), 1.0, CFG)
+    with pytest.raises(ValueError, match="not finite"):
+        track_displacement(track, center, 2.0, CFG)
+    # the failed append must not corrupt the track
+    assert track.centers == [(0.0, 0.0)]
+    assert track.displacements == []
+
+
 def test_rigid_translation_invariance():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 640, (20, 2))
@@ -78,6 +90,11 @@ def test_read_rejects_foreign_csv(tmp_path):
     (["0.1,1,1,", "0.2,2,2,0.1", "0.15,3,3,0.1"], 4, "does not advance"),
     (["nan,1,1,", "0.2,2,2,0.1"], 2, "not finite"),
     (["0.1,1,1,", "inf,2,2,0.1"], 3, "not finite"),
+    # a NaN d_mm read as no violation, so the track classified stable
+    (["0.1,1,1,", "0.2,2,2,nan"], 3, "d_mm nan is not finite"),
+    (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,inf"], 4, "d_mm inf is not finite"),
+    (["0.1,nan,1,", "0.2,2,2,0.1"], 2, "x nan is not finite"),
+    (["0.1,1,1,", "0.2,2,-inf,0.1"], 3, "y -inf is not finite"),
     (["0.1,1,1,", "0.2,2"], 3, "need numeric"),
     (["0.1,1,1,", "0.2,2,2,abc"], 3, "need numeric"),
     # d_mm is what aligns displacements with rows
