@@ -90,16 +90,16 @@ def test_read_rejects_foreign_csv(tmp_path):
     (["0.1,1,1,", "0.2,2,2,0.1", "0.15,3,3,0.1"], 4, "does not advance"),
     (["nan,1,1,", "0.2,2,2,0.1"], 2, "not finite"),
     (["0.1,1,1,", "inf,2,2,0.1"], 3, "not finite"),
-    # a NaN d_mm read as no violation, so the track classified stable
-    (["0.1,1,1,", "0.2,2,2,nan"], 3, "d_mm nan is not finite"),
-    (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,inf"], 4, "d_mm inf is not finite"),
-    (["0.1,nan,1,", "0.2,2,2,0.1"], 2, "x nan is not finite"),
-    (["0.1,1,1,", "0.2,2,-inf,0.1"], 3, "y -inf is not finite"),
     (["0.1,1,1,", "0.2,2"], 3, "need numeric"),
     (["0.1,1,1,", "0.2,2,2,abc"], 3, "need numeric"),
     # d_mm is what aligns displacements with rows
     (["0.1,1,1,7.0", "0.2,2,2,0.0"], 2, "d_mm must be empty on the first"),
     (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,"], 4, "present on every later"),
+    # a NaN d_mm read as no violation, so the track classified stable
+    (["0.1,1,1,", "0.2,2,2,nan"], 3, "d_mm nan is not finite"),
+    (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,inf"], 4, "d_mm inf is not finite"),
+    (["0.1,nan,1,", "0.2,2,2,0.1"], 2, "x nan is not finite"),
+    (["0.1,1,1,", "0.2,2,-inf,0.1"], 3, "y -inf is not finite"),
 ])
 def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
     path = tmp_path / "hostile.csv"
