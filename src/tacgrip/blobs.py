@@ -94,23 +94,6 @@ class MarkerSet:
     def __len__(self):
         return self.centroids.shape[0]
 
-    def validate(self, width, height, min_separation=4.0):
-        """Check the in-bounds and minimum-separation invariants."""
-        c = self.centroids
-        if len(self) == 0:
-            return self
-        if c[:, 0].min() < 0 or c[:, 0].max() > width - 1 \
-                or c[:, 1].min() < 0 or c[:, 1].max() > height - 1:
-            raise ValueError("centroid outside frame bounds")
-        if len(self) > 1:
-            d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() < min_separation ** 2:
-                raise ValueError(
-                    f"centroids closer than {min_separation} px"
-                )
-        return self
-
 
 def _radius(sigma):
     """Half-width of scipy's Gaussian kernels at truncate=3.0."""

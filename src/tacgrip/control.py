@@ -10,7 +10,6 @@ is touched for too long.
 """
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -106,7 +105,6 @@ class CommandKind(IntEnum):
 class McuCommand:
     kind: CommandKind
     valve_mask: int = DEFAULT_GRASP_MASK
-    timestamp: float = 0.0
 
 
 def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
@@ -223,7 +221,7 @@ class GraspSupervisor:
         self.phase = GraspPhase(new_state, now)
 
     def _command(self, kind, now):
-        return McuCommand(kind=kind, valve_mask=self.grasp_mask, timestamp=now)
+        return McuCommand(kind=kind, valve_mask=self.grasp_mask)
 
     def start(self, now=0.0):
         """Idle -> Closing; pressurizes the grasp chambers."""
@@ -355,52 +353,46 @@ def mask_chambers(mask):
 class McuEmulator:
     """Executes framed commands against the plant with the control delay.
 
-    Frames submitted at a control tick are decoded immediately but acted
-    on control_delay later, mirroring the high-level-to-MCU path. The
-    regrasp and release sequences are timed by plant ticks.
+    Frames submitted at a control tick are decoded at once, and each of
+    their valve changes goes straight onto the plant's valve queue, the
+    one delay line from decision to valve: it reaches the valve driver
+    control_delay later, mirroring the high-level-to-MCU path, and the
+    valve valve_latency after that. The suction of a regrasp or release
+    is sealed REGRASP_RELEASE_S after it starts.
     """
 
     def __init__(self, plant):
         self.plant = plant
-        self._agenda = []  # heap of (due_tick, seq, chamber_list, valve_command)
-        self._seq = 0
         self.executed = []  # (tick, CommandKind, mask) log
 
     def submit(self, frame):
-        """Decode a frame and schedule its valve changes; raises
-        ValueError, queuing nothing, for a frame that is malformed or
-        selects no chamber."""
+        """Decode a frame and queue its valve changes; raises ValueError,
+        queuing nothing, for a frame that is malformed or selects no
+        chamber."""
         kind, mask = decode_frame(frame)
         chambers = mask_chambers(mask)
         if not chambers:
             raise ValueError(f"{kind.name} frame selects no chamber (mask 0x00)")
-        cfg = self.plant.config
-        due = self.plant.tick + cfg.ticks(cfg.control_delay)
-        self.executed.append((due, kind, mask))
+        plant = self.plant
+        delay = plant.config.ticks(plant.config.control_delay)
+        self.executed.append((plant.tick + delay, kind, mask))
 
         if kind == CommandKind.CLOSE_VALVES:
-            self._schedule(due, chambers, 0)
+            plant.apply_valve_command(chambers, 0, after_ticks=delay)
         elif kind == CommandKind.REOPEN_VALVES:
-            self._schedule(due, chambers, +1)
-        elif kind == CommandKind.REGRASP:
-            self._schedule(due, chambers, -1)
-            self._schedule(due + cfg.ticks(REGRASP_RELEASE_S), chambers, 0)
-        elif kind == CommandKind.RELEASE:
-            self._schedule(due, chambers, -1)
-            self._schedule(due + cfg.ticks(REGRASP_RELEASE_S), chambers, 0)
-
-    def _schedule(self, due_tick, chambers, valve_command):
-        heapq.heappush(self._agenda,
-                       (due_tick, self._seq, chambers, valve_command))
-        self._seq += 1
+            plant.apply_valve_command(chambers, +1, after_ticks=delay)
+        else:  # REGRASP or RELEASE: suction, then seal
+            plant.apply_valve_command(chambers, -1, after_ticks=delay)
+            plant.apply_valve_command(
+                chambers, 0,
+                after_ticks=delay + plant.config.ticks(REGRASP_RELEASE_S))
 
     def on_tick(self):
-        """Issue due valve commands; call once per plant tick, before step."""
-        agenda = self._agenda
-        now = self.plant.tick
-        while agenda and agenda[0][0] <= now:
-            _, _, chambers, command = heapq.heappop(agenda)
-            self.plant.apply_valve_command(chambers, command)
+        """A no-op: submit puts every valve change on the plant's queue.
+
+        Kept, like PlantConfig.tick_dt, only for the benchmark's
+        long_hold loop, which calls and traces it once per tick.
+        """
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -409,7 +401,7 @@ class McuEmulator:
 def measure_valve_response(trace_rows, onset_time):
     """Seconds from a disturbance onset to the first valve-state change.
 
-    trace_rows: plant trace rows (sim_time first, valve states last per
+    trace_rows: plant trace rows (time first, valve states last per
     plant.TRACE_COLUMNS). Raises NoDisturbanceError when no valve
     changes after the onset.
     """

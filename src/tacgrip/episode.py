@@ -3,10 +3,10 @@
 One plant tick is 1 ms; every 33rd tick is a control instant: both
 fingers render a synthetic frame from the scenario's stimulus script,
 the perception pipelines turn frames into flags, the supervisor turns
-flags into MCU commands, and the plant consumes the resulting valve
-changes with its configured delays. Everything is keyed off the
-scenario seed and integer ticks, so two runs with the same scenario are
-byte-identical.
+flags into MCU commands, and the MCU queues their valve changes on the
+plant, which applies them after the control delay and valve latency.
+Everything is keyed off the scenario seed and integer ticks, so two runs
+with the same scenario are byte-identical.
 """
 
 import hashlib
@@ -200,7 +200,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
 
         if tick >= stop_tick:
             break
-        mcu.on_tick()
         plant.step()
         plant_rows.append(plant.trace_row())
 

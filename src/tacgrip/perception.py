@@ -103,8 +103,9 @@ class FingerPipeline:
 
         Raises ValidationError when the frame cannot be a rest frame: it
         shows no markers, too few to span a support box, or a contact.
+        detect_markers checks the frame itself (ValueError when it is not
+        8-bit) before anything is frozen.
         """
-        reference_frame.validate()
         markers = detect_markers(reference_frame, self.detector_config)
         width, height = reference_frame.width, reference_frame.height
         if len(markers) == 0:
@@ -148,10 +149,13 @@ class FingerPipeline:
         return markers
 
     def process(self, frame):
-        """Run one frame through the pipeline, updating the track."""
+        """Run one frame through the pipeline, updating the track.
+
+        detect_markers checks the frame (ValueError when it is not 8-bit)
+        before the window or the track changes.
+        """
         if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
-        frame.validate()
         markers = self._detect(frame)
         if len(markers) == 0:
             return PipelineReport(center=None, region=None, field=None)

@@ -66,7 +66,6 @@ class PlantState:
     valve_states: np.ndarray  # (8,) ints in {+1, 0, -1}
     pump_pos_on: bool = False
     pump_neg_on: bool = False
-    sim_time: float = 0.0
 
 
 def safety_loop(state, config):
@@ -94,15 +93,18 @@ class PneumaticPlant:
     """Owns the plant state and advances it one tick at a time.
 
     Exactly one owner may call step(); command submission goes through
-    apply_valve_command, a serialized queue ordered by due tick with
-    FIFO tie-break. Valve states change only through that queue.
+    apply_valve_command onto the one valve queue, ordered by due tick
+    with ties in submission order (a step applies the changes landing on
+    it in that order). Valve states change only through that queue, and
+    the MCU's control delay rides on it too. `tick` is the clock: the
+    simulated time is tick * TICK_S.
 
     A tick costs only what changes on it. A sealed tick (every valve
     sealed, both pumps off, no command due) tests the queue head, runs
-    the safety loop and advances the clock; it reads and writes no
-    array. Chamber updates run for open valves only, and a tank is
-    pumped and clamped only while its pump runs (a tank that no pump
-    moves stays inside the limits it started in).
+    the safety loop and advances the tick; it reads and writes no array.
+    Chamber updates run for open valves only, and a tank is pumped and
+    clamped only while its pump runs (a tank that no pump moves stays
+    inside the limits it started in).
     """
 
     def __init__(self, config=None, initial_tanks=None):
@@ -122,7 +124,8 @@ class PneumaticPlant:
             valve_states=np.zeros(N_CHAMBERS, dtype=np.int64),
         )
         self.tick = 0
-        self._queue = []  # heap of (due_tick, submit_seq, chamber, command)
+        # heap of (landing tick, due tick, submission seq, chamber, command)
+        self._queue = []
         self._seq = 0
         # First tick at which each chamber sees tank flow after its valve
         # opened (models line transit).
@@ -135,17 +138,25 @@ class PneumaticPlant:
 
     # -- command side -----------------------------------------------------
 
-    def apply_valve_command(self, selector, command):
-        """Queue a valve change; it takes effect after valve_latency.
+    def apply_valve_command(self, selector, command, after_ticks=0):
+        """Queue a valve change; it reaches the valve driver after_ticks
+        from now and is due valve_latency after that.
+
+        A step applies what is due at or before its tick, so a change
+        lands no sooner than the step after it reaches the driver: with
+        no valve latency, a tick after it is due.
 
         selector: one chamber index or an iterable of indices in [0, 8).
         """
         if command not in (-1, 0, 1):
             raise ValueError(f"valve command must be -1, 0 or +1, got {command}")
         chambers = self._resolve_selector(selector)
-        due = self.tick + self.config.ticks(self.config.valve_latency)
+        arrives = self.tick + after_ticks
+        due = arrives + self.config.ticks(self.config.valve_latency)
+        lands = max(due, arrives + 1)
+        command = int(command)
         for ch in chambers:
-            heapq.heappush(self._queue, (due, self._seq, ch, int(command)))
+            heapq.heappush(self._queue, (lands, due, self._seq, ch, command))
             self._seq += 1
 
     @staticmethod
@@ -173,12 +184,12 @@ class PneumaticPlant:
         self.tick += 1
         now = self.tick
 
-        # Deliver due valve commands in (due, fifo) order.
+        # Deliver the valve commands landing now in (due, fifo) order.
         queue = self._queue
         if queue and queue[0][0] <= now:
             valves = state.valve_states
             while queue and queue[0][0] <= now:
-                _, _, ch, command = heapq.heappop(queue)
+                _, _, _, ch, command = heapq.heappop(queue)
                 if valves[ch] != command:
                     valves[ch] = command
                     if command != 0:
@@ -212,7 +223,6 @@ class PneumaticPlant:
                 p += (target - p) * alpha
                 pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
 
-        state.sim_time = self.tick * TICK_S
         return state
 
     def run(self, ticks):
@@ -221,9 +231,9 @@ class PneumaticPlant:
         return self.state
 
     def trace_row(self):
-        """One trace record: sim_time, tanks, chambers, valve states."""
+        """One trace record: time, tanks, chambers, valve states."""
         s = self.state
-        return ([s.sim_time, s.tank_pos, s.tank_neg]
+        return ([self.tick * TICK_S, s.tank_pos, s.tank_neg]
                 + [float(p) for p in s.chamber_pressures]
                 + [int(v) for v in s.valve_states])
 

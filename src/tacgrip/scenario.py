@@ -9,6 +9,7 @@ cannot silently fall back to a default.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, List, NamedTuple, Optional
 
 from .blobs import DetectorConfig
@@ -61,10 +62,6 @@ class Scenario:
     grasp_mask: int = DEFAULT_GRASP_MASK
     max_regrasps: int = MAX_REGRASPS
     events: List[StimulusEvent] = field(default_factory=list)
-    # (events list, its length, {finger: (times, events)}): the index
-    # active_event bisects, and the list it was built from.
-    _index: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
 
     def validate(self):
         def check(name, value, **domain):
@@ -107,22 +104,20 @@ class Scenario:
     def active_event(self, finger_id, t):
         """Latest event for this finger at or before time t, or None.
 
-        A bisection over the finger's event times, which validate() keeps
-        nondecreasing, so a call costs O(log n) however long the script.
-        The per-finger index is rebuilt when `events` is replaced or
-        changes length.
+        A bisection over the event times, which validate() keeps
+        nondecreasing, then a step back over the other finger's events
+        to this finger's latest. A call costs O(log n + k), with k the
+        other finger's events since this finger's latest one: a step or
+        two when the fingers' events interleave, as in every canned and
+        benchmark script, and at most n. Nothing is cached, so an event
+        replaced in place is seen at once.
         """
-        if self._index is None or self._index[0] is not self.events \
-                or self._index[1] != len(self.events):
-            by_finger = {}
-            for ev in self.events:
-                times, events = by_finger.setdefault(ev.finger, ([], []))
-                times.append(ev.time)
-                events.append(ev)
-            self._index = (self.events, len(self.events), by_finger)
-        times, events = self._index[2].get(finger_id, ((), ()))
-        i = bisect_right(times, t + _EVENT_SLACK_S)
-        return events[i - 1] if i else None
+        events = self.events
+        i = bisect_right(events, t + _EVENT_SLACK_S, key=attrgetter("time"))
+        for j in range(i - 1, -1, -1):
+            if events[j].finger == finger_id:
+                return events[j]
+        return None
 
 
 # -- file format --------------------------------------------------------------

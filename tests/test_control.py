@@ -1,10 +1,13 @@
+import heapq
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from tacgrip import control
+from tacgrip import plant as plant_module
 from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              DEFAULT_GRASP_MASK, FRAME_SYNC, MAX_REGRASPS,
                              REGRASP_PAUSE_S, REGRASP_RELEASE_S, CommandKind,
@@ -14,7 +17,7 @@ from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              decode_frame, encode_frame, is_fresh,
                              mask_chambers, measure_valve_response)
 from tacgrip.errors import NoDisturbanceError, ParseError, StaleFlagsError
-from tacgrip.plant import PneumaticPlant
+from tacgrip.plant import PlantConfig, PneumaticPlant
 from tacgrip.scenario import parse_scenario_text
 from tacgrip.tracking import ContactTrack
 
@@ -507,11 +510,12 @@ def test_mask_chambers():
 
 
 def test_emulator_rejects_frame_selecting_no_chamber():
-    mcu = McuEmulator(PneumaticPlant())
+    plant = PneumaticPlant()
+    mcu = McuEmulator(plant)
     for kind in CommandKind:
         with pytest.raises(ValueError, match="selects no chamber"):
             mcu.submit(encode_frame(McuCommand(kind=kind, valve_mask=0x00)))
-    assert mcu.executed == [] and mcu._agenda == []
+    assert mcu.executed == [] and plant._queue == []
 
 
 def test_emulator_applies_control_delay():
@@ -522,10 +526,8 @@ def test_emulator_applies_control_delay():
     mcu.submit(encode_frame(McuCommand(kind=CommandKind.REOPEN_VALVES,
                                        valve_mask=0x03)))
     for _ in range(lag - 1):
-        mcu.on_tick()
         plant.step()
         assert plant.state.valve_states[0] == 0
-    mcu.on_tick()
     plant.step()
     assert list(plant.state.valve_states[:2]) == [1, 1]
     assert mcu.executed[0][1] == CommandKind.REOPEN_VALVES
@@ -538,34 +540,40 @@ def test_emulator_regrasp_sequence():
                                        valve_mask=0x01)))
     lag = plant.config.ticks(plant.config.control_delay) \
         + plant.config.ticks(plant.config.valve_latency)
-    for _ in range(lag):
-        mcu.on_tick()
-        plant.step()
+    plant.run(lag)
     assert plant.state.valve_states[0] == -1  # venting
-    for _ in range(plant.config.ticks(REGRASP_RELEASE_S)):
-        mcu.on_tick()
-        plant.step()
+    plant.run(plant.config.ticks(REGRASP_RELEASE_S))
     assert plant.state.valve_states[0] == 0  # sealed for the pause
 
 
-def test_emulator_delivers_in_due_order_fifo_on_ties():
-    plant = PneumaticPlant()
+@pytest.fixture
+def deliveries(monkeypatch):
+    """(tick, chamber, command) of each valve change as the plant's step
+    takes it off the valve queue, in the order it applies them."""
+    plant, delivered = PneumaticPlant(), []
+
+    def heappop(queue):
+        entry = heapq.heappop(queue)
+        delivered.append((plant.tick,) + entry[-2:])
+        return entry
+
+    monkeypatch.setattr(plant_module, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=heappop))
+    return plant, delivered
+
+
+def test_emulator_delivers_in_due_order_fifo_on_ties(deliveries):
+    plant, delivered = deliveries
     mcu = McuEmulator(plant)
-    delivered = []
-    plant.apply_valve_command = \
-        lambda chambers, command: delivered.append((plant.tick, chambers,
-                                                    command))
     cfg = plant.config
-    delay = cfg.ticks(cfg.control_delay)
+    lag = cfg.ticks(cfg.control_delay) + cfg.ticks(cfg.valve_latency)
     release = cfg.ticks(REGRASP_RELEASE_S)
 
     def submit(kind, mask):
         mcu.submit(encode_frame(McuCommand(kind=kind, valve_mask=mask)))
 
     def advance_to(tick):
-        while plant.tick < tick:
-            mcu.on_tick()
-            plant.tick += 1
+        plant.run(tick - plant.tick)
 
     # the regrasp's seal is due after everything submitted next, and
     # several commands land on one tick
@@ -580,27 +588,25 @@ def test_emulator_delivers_in_due_order_fifo_on_ties():
     submit(CommandKind.REOPEN_VALVES, 0x01)  # due with the regrasp's seal
     advance_to(release + 100)
     assert delivered == [
-        (delay, [0], -1),
-        (10 + delay, [1], -1),
-        (20 + delay, [2], +1),
-        (20 + delay, [2], 0),
-        (20 + delay, [3], +1),
-        (delay + release, [0], 0),
-        (delay + release, [0], +1),
-        (10 + delay + release, [1], 0),
+        (lag, 0, -1),
+        (10 + lag, 1, -1),
+        (20 + lag, 2, +1),
+        (20 + lag, 2, 0),
+        (20 + lag, 3, +1),
+        (lag + release, 0, 0),
+        (lag + release, 0, +1),
+        (10 + lag + release, 1, 0),
     ]
+    assert list(plant.state.valve_states[:4]) == [1, 0, 0, 1]
 
 
-def test_emulator_matches_sorted_agenda_on_random_traffic():
+def test_emulator_matches_sorted_agenda_on_random_traffic(deliveries):
     rng = random.Random(5)
-    plant = PneumaticPlant()
+    plant, delivered = deliveries
     mcu = McuEmulator(plant)
-    delivered = []
-    plant.apply_valve_command = \
-        lambda chambers, command: delivered.append((plant.tick, chambers,
-                                                    command))
     cfg = plant.config
-    delay, release = cfg.ticks(cfg.control_delay), cfg.ticks(REGRASP_RELEASE_S)
+    lag = cfg.ticks(cfg.control_delay) + cfg.ticks(cfg.valve_latency)
+    release = cfg.ticks(REGRASP_RELEASE_S)
     expected, seq = [], 0
     for tick in range(3000):
         for _ in range(rng.choice([0] * 20 + [1, 2, 3])):
@@ -609,18 +615,96 @@ def test_emulator_matches_sorted_agenda_on_random_traffic():
             chambers = mask_chambers(mask)
             first = {CommandKind.CLOSE_VALVES: 0, CommandKind.REOPEN_VALVES: 1}
             if kind in first:
-                expected.append((tick + delay, seq, chambers, first[kind]))
+                expected.append((tick + lag, seq, chambers, first[kind]))
                 seq += 1
             else:
-                expected.append((tick + delay, seq, chambers, -1))
-                expected.append((tick + delay + release, seq + 1, chambers, 0))
+                expected.append((tick + lag, seq, chambers, -1))
+                expected.append((tick + lag + release, seq + 1, chambers, 0))
                 seq += 2
-        mcu.on_tick()
-        plant.tick += 1
-    expected = [(due, ch, cmd) for due, _, ch, cmd in sorted(expected)
-                if due < 3000]
-    assert len(expected) > 200
+        plant.step()
+    expected = [(due, ch, cmd) for due, _, chambers, cmd in sorted(expected)
+                if due <= 3000 for ch in chambers]
+    assert len(expected) > 800
     assert delivered == expected
+
+
+class TwoStageMcu:
+    """The MCU as it was before it scheduled onto the plant's queue: its
+    own agenda applies control_delay, and on_tick, called once per tick
+    before the plant's step, hands each due entry to the plant, whose
+    queue then applies valve_latency. The reference for McuEmulator."""
+
+    def __init__(self, plant):
+        self.plant = plant
+        self._agenda = []  # heap of (due_tick, seq, chamber_list, valve_command)
+        self._seq = 0
+        self.executed = []  # (tick, CommandKind, mask) log
+
+    def submit(self, frame):
+        kind, mask = decode_frame(frame)
+        chambers = mask_chambers(mask)
+        if not chambers:
+            raise ValueError(f"{kind.name} frame selects no chamber (mask 0x00)")
+        cfg = self.plant.config
+        due = self.plant.tick + cfg.ticks(cfg.control_delay)
+        self.executed.append((due, kind, mask))
+        if kind == CommandKind.CLOSE_VALVES:
+            self._schedule(due, chambers, 0)
+        elif kind == CommandKind.REOPEN_VALVES:
+            self._schedule(due, chambers, +1)
+        else:
+            self._schedule(due, chambers, -1)
+            self._schedule(due + cfg.ticks(REGRASP_RELEASE_S), chambers, 0)
+
+    def _schedule(self, due_tick, chambers, valve_command):
+        heapq.heappush(self._agenda,
+                       (due_tick, self._seq, chambers, valve_command))
+        self._seq += 1
+
+    def on_tick(self):
+        agenda = self._agenda
+        while agenda and agenda[0][0] <= self.plant.tick:
+            _, _, chambers, command = heapq.heappop(agenda)
+            self.plant.apply_valve_command(chambers, command)
+
+
+@pytest.mark.parametrize("control_delay,valve_latency", [
+    (0.050, 0.010), (0.0, 0.0), (0.0, 0.010), (0.050, 0.0), (0.0333, 0.0021),
+])
+def test_emulator_matches_two_stage_reference(control_delay, valve_latency):
+    rng = random.Random(f"{control_delay}/{valve_latency}")
+    cfg = PlantConfig(control_delay=control_delay, valve_latency=valve_latency)
+    plant, ref_plant = PneumaticPlant(cfg), PneumaticPlant(cfg)
+    mcu, ref = McuEmulator(plant), TwoStageMcu(ref_plant)
+    release = cfg.ticks(REGRASP_RELEASE_S)
+    seal_ticks = {}  # tick a regrasp or release seals -> submissions left
+    seen = Counter()
+    for tick in range(4000):
+        frames = []
+        for _ in range(rng.choice([0] * 15 + [1, 2, 3])):
+            frames.append((rng.choice(list(CommandKind)),
+                           rng.randrange(1, 256)))
+        # a command submitted as a regrasp's or release's seal comes due
+        if seal_ticks.pop(tick, 0):
+            frames.append((rng.choice(list(CommandKind)),
+                           rng.randrange(1, 256)))
+            seen["due_with_a_seal"] += 1
+        seen["several_due"] += len(frames) > 1
+        for kind, mask in frames:
+            seen[kind] += 1
+            if kind in (CommandKind.REGRASP, CommandKind.RELEASE) \
+                    and rng.random() < 0.3:
+                seal_ticks[tick + release] = 1
+            frame = encode_frame(McuCommand(kind=kind, valve_mask=mask))
+            mcu.submit(frame)
+            ref.submit(frame)
+        ref.on_tick()
+        plant.step()
+        ref_plant.step()
+        assert repr(plant.trace_row()) == repr(ref_plant.trace_row()), tick
+        assert mcu.executed == ref.executed
+    assert min(seen.values()) >= 20, seen
+    assert len(seen) == len(CommandKind) + 2, seen
 
 
 # -- diagnostics --------------------------------------------------------------

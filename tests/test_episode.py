@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from tacgrip.control import CommandKind, Phase
+from tacgrip.control import CommandKind, McuEmulator, Phase
 from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
                              run_grasp)
 from tacgrip.errors import NoDisturbanceError, ScenarioError
@@ -125,6 +125,18 @@ def test_save_frames_needs_an_out_dir():
     # the flag used to write nothing, silently
     with pytest.raises(ValueError, match="save_frames needs an out_dir"):
         run_grasp(static_scenario(duration=0.1), save_frames=True)
+
+
+def test_tick_loop_calls_no_mcu_method(monkeypatch):
+    # submit puts every valve change on the plant's queue; nothing is
+    # left for the MCU to do between control instants.
+    def fail(self):
+        raise AssertionError("McuEmulator.on_tick called")
+
+    monkeypatch.setattr(McuEmulator, "on_tick", fail)
+    result = run_grasp(static_scenario(duration=0.2))
+    assert result.command_kinds() == [CommandKind.REOPEN_VALVES]
+    assert result.plant_rows[-1][-8:] == [1] * 8
 
 
 def test_outputs_and_determinism(tmp_path):

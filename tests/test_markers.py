@@ -99,18 +99,6 @@ def test_min_separation_enforced(nominal_model):
     assert len(det) == 1
 
 
-def test_markerset_validate_bounds():
-    ms = MarkerSet(np.array([[650.0, 10.0]]))
-    with pytest.raises(ValueError):
-        ms.validate(width=640, height=480)
-
-
-def test_markerset_validate_separation():
-    ms = MarkerSet(np.array([[10.0, 10.0], [11.0, 10.0]]))
-    with pytest.raises(ValueError):
-        ms.validate(width=640, height=480, min_separation=4.0)
-
-
 def test_markerset_shape_checked():
     with pytest.raises(ValueError):
         MarkerSet(np.zeros((3, 3)))

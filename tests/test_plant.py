@@ -171,6 +171,34 @@ def test_commands_land_at_due_tick_fifo_on_ties():
     assert seq > 200
 
 
+def test_change_sent_ahead_lands_as_if_sent_on_arrival():
+    # A change queued after_ticks ahead lands as the same change queued
+    # on its arrival tick, ahead of that tick's own calls.
+    rng = np.random.default_rng(23)
+    for latency in (0.0, 0.001, 0.010):
+        ahead = PneumaticPlant(PlantConfig(valve_latency=latency))
+        later = PneumaticPlant(PlantConfig(valve_latency=latency))
+        arriving = {}  # tick -> [(selector, command)] for `later`
+        for tick in range(3000):
+            for selector, command in arriving.pop(tick, []):
+                later.apply_valve_command(selector, command)
+            for _ in range(int(rng.choice([0] * 6 + [1, 2]))):
+                chambers = [int(c) for c in rng.choice(N_CHAMBERS,
+                                                       rng.integers(1, 4),
+                                                       replace=False)]
+                command = int(rng.choice([-1, 0, 1]))
+                after = int(rng.choice([0, 0, 1, 3, 40, 1000]))
+                ahead.apply_valve_command(chambers, command, after_ticks=after)
+                if after:
+                    arriving.setdefault(tick + after, []).append(
+                        (chambers, command))
+                else:
+                    later.apply_valve_command(chambers, command)
+            ahead.step()
+            later.step()
+            assert repr(ahead.trace_row()) == repr(later.trace_row()), tick
+
+
 def test_tick_is_fixed():
     # one time base: the tick is readable from a config but not settable
     assert PlantConfig().tick_dt == PlantConfig.tick_dt == TICK_S == 0.001
@@ -270,7 +298,7 @@ def _reference_step(plant):
 
     queue = plant._queue
     while queue and queue[0][0] <= now:
-        _, _, ch, command = heapq.heappop(queue)
+        _, _, _, ch, command = heapq.heappop(queue)
         if state.valve_states[ch] != command:
             state.valve_states[ch] = command
             if command != 0:
@@ -297,7 +325,6 @@ def _reference_step(plant):
             pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
         state.chamber_pressures[:] = pressures
 
-    state.sim_time = plant.tick * TICK_S
     return state
 
 

@@ -314,7 +314,7 @@ def test_active_event_bisection_matches_scan():
             for finger in (1, 2):
                 assert sc.active_event(finger, t) is \
                     _scan_active_event(sc, finger, t)
-    # The index follows a replaced or extended script.
+    # A replaced, extended or edited script is seen at once.
     sc = Scenario(events=[StimulusEvent(1.0, 1, 1.0, 2.0, 1.0, 40.0)])
     assert sc.active_event(1, 1.0).x == 1.0
     sc.events.append(StimulusEvent(2.0, 1, 5.0, 2.0, 1.0, 40.0))
@@ -322,6 +322,16 @@ def test_active_event_bisection_matches_scan():
     sc.events = [StimulusEvent(0.5, 2, 7.0, 2.0, 1.0, 40.0)]
     assert sc.active_event(1, 2.0) is None
     assert sc.active_event(2, 2.0).x == 7.0
+    sc = static_scenario()
+    assert sc.active_event(1, 1.5).x == 320.0
+    sc.events[0] = StimulusEvent(1.0, 1, 99.0, 240.0, 3.0, 40.0)
+    assert sc.validate().active_event(1, 1.5).x == 99.0
+    sc.events[0] = StimulusEvent(1.0, 2, 98.0, 240.0, 3.0, 40.0)
+    assert sc.validate().active_event(1, 1.5) is None
+    assert sc.active_event(2, 1.5).x == 320.0  # the later of finger 2's
+    sc.events[1] = StimulusEvent(1.0, 1, 97.0, 240.0, 3.0, 40.0)
+    assert sc.validate().active_event(2, 1.5).x == 98.0
+    assert sc.active_event(1, 1.5).x == 97.0
 
 
 def test_depth_zero_clears_contact():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -37,3 +38,26 @@ def test_pipeline_validates_frames(reference_frame):
     pipe.calibrate(reference_frame)
     with pytest.raises(ValueError, match="dtype float64"):
         pipe.process(nan_frame)
+
+
+def test_rejected_frame_leaves_window_and_track(nominal_model,
+                                                reference_frame):
+    # The detector's own frame check fires before the pipeline grows its
+    # window or extends its track.
+    pipe = tg.FingerPipeline(1)
+    pipe.calibrate(reference_frame)
+    for seq in range(2):
+        touched = tg.render_frame(
+            tg.displace_markers(nominal_model, tg.ContactStimulus(
+                x=300.0 + 5.0 * seq, y=240.0, depth=3.0, radius=40.0,
+                timestamp=0.033 * seq)),
+            nominal_model, finger_id=1, seq=seq)
+        assert pipe.process(touched).center is not None
+    window, track = pipe.window, copy.deepcopy(pipe.track)
+    assert len(track.displacements) == 1
+    float_frame = dataclasses.replace(
+        touched, pixels=touched.pixels.astype(np.float64), timestamp=0.066)
+    with pytest.raises(ValueError, match="dtype float64"):
+        pipe.process(float_frame)
+    assert pipe.window == window
+    assert pipe.track == track
