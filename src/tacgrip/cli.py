@@ -103,7 +103,7 @@ def _cmd_analyze(args):
             report = pipe.process(frame)
             if report.center is not None:
                 contacts += 1
-            if report.markers is not None and args.heatmaps:
+            if args.heatmaps and len(report.markers):
                 # The pipeline's field covers the support box only; the
                 # heatmap shows the whole frame.
                 field = estimate_density(report.markers, pipe.kde_config,
@@ -159,13 +159,13 @@ def build_parser():
         description="Tactile gripping stack: perception, control, plant "
                     "and kinematics simulation.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grasp", help="run a scenario closed-loop")
     g.add_argument("--scenario", required=True)
     g.add_argument("--out", required=True)
+    g.add_argument("--seed", type=int, default=None,
+                   help="override the scenario seed")
     g.add_argument("--save-frames", action="store_true",
                    help="also write the rendered PGM frames")
     g.set_defaults(func=_cmd_grasp)

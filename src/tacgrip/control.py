@@ -13,7 +13,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import List, Optional, Tuple
 
 from .errors import NoDisturbanceError, StaleFlagsError, check_range
 from .plant import N_CHAMBERS, TICK_S
@@ -157,7 +156,7 @@ def _window_stable(track, thresholds, now, control_period):
     return len(disps) - lo >= needed
 
 
-def arbitrate(flag1, flag2, phase, thresholds, now=None,
+def arbitrate(flag1, flag2, phase, thresholds, now,
               control_period=CONTROL_PERIOD_S):
     """Fuse the two finger flags with the grasp phase into a command kind.
 
@@ -165,8 +164,6 @@ def arbitrate(flag1, flag2, phase, thresholds, now=None,
     Release. Returns None when nothing needs to change. Raises
     StaleFlagsError when either flag is older than two control periods.
     """
-    if now is None:
-        now = max(flag1.timestamp, flag2.timestamp)
     for flag in (flag1, flag2):
         if not is_fresh(now - flag.timestamp, control_period):
             raise StaleFlagsError(
@@ -220,13 +217,13 @@ class GraspSupervisor:
         self.transitions.append((now, old, new_state))
         self.phase = GraspPhase(new_state, now)
 
-    def _command(self, kind, now):
+    def _command(self, kind):
         return McuCommand(kind=kind, valve_mask=self.grasp_mask)
 
     def start(self, now=0.0):
         """Idle -> Closing; pressurizes the grasp chambers."""
         self._transition(Phase.CLOSING, now)
-        return [self._command(CommandKind.REOPEN_VALVES, now)]
+        return [self._command(CommandKind.REOPEN_VALVES)]
 
     def update(self, flag1, flag2, now, fresh1=None, fresh2=None):
         """Advance the phase machine one control period.
@@ -251,7 +248,7 @@ class GraspSupervisor:
             if cmd == CommandKind.RELEASE:
                 self._transition(Phase.RELEASED, now)
                 self.terminated = True
-                return [self._command(CommandKind.RELEASE, now)]
+                return [self._command(CommandKind.RELEASE)]
             if fresh1 and fresh2:
                 self._transition(Phase.CONTACTED, now)
             return []
@@ -259,7 +256,7 @@ class GraspSupervisor:
         if state == Phase.CONTACTED:
             if cmd == CommandKind.CLOSE_VALVES:
                 self._transition(Phase.STABLE, now)
-                return [self._command(CommandKind.CLOSE_VALVES, now)]
+                return [self._command(CommandKind.CLOSE_VALVES)]
             if cmd == CommandKind.REGRASP or self._stale_timed_out(now):
                 return self._regrasp_or_release(now)
             return []
@@ -270,11 +267,11 @@ class GraspSupervisor:
                 # the regrasp follows on the next period.
                 self._pending_regrasp = cmd == CommandKind.REGRASP
                 self._transition(Phase.DISTURBED, now)
-                return [self._command(CommandKind.REOPEN_VALVES, now)]
+                return [self._command(CommandKind.REOPEN_VALVES)]
             if self._stale_timed_out(now):
                 self._transition(Phase.RELEASED, now)
                 self.terminated = True
-                return [self._command(CommandKind.RELEASE, now)]
+                return [self._command(CommandKind.RELEASE)]
             return []
 
         if state == Phase.DISTURBED:
@@ -284,7 +281,7 @@ class GraspSupervisor:
                 return self._regrasp_or_release(now)
             if cmd == CommandKind.CLOSE_VALVES:
                 self._transition(Phase.STABLE, now)
-                return [self._command(CommandKind.CLOSE_VALVES, now)]
+                return [self._command(CommandKind.CLOSE_VALVES)]
             return []
 
         if state == Phase.REGRASPING:
@@ -292,7 +289,7 @@ class GraspSupervisor:
             # and pause have elapsed, close again.
             if now - self.phase.entered_at >= REGRASP_RELEASE_S + REGRASP_PAUSE_S - _EPS:
                 self._transition(Phase.CLOSING, now)
-                return [self._command(CommandKind.REOPEN_VALVES, now)]
+                return [self._command(CommandKind.REOPEN_VALVES)]
             return []
 
         return []
@@ -311,10 +308,10 @@ class GraspSupervisor:
     def _regrasp_or_release(self, now):
         if self.regrasp_count >= self.max_regrasps:
             self.terminated = True
-            return [self._command(CommandKind.RELEASE, now)]
+            return [self._command(CommandKind.RELEASE)]
         self.regrasp_count += 1
         self._transition(Phase.REGRASPING, now)
-        return [self._command(CommandKind.REGRASP, now)]
+        return [self._command(CommandKind.REGRASP)]
 
 
 # -- MCU wire protocol ------------------------------------------------------

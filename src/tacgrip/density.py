@@ -84,21 +84,16 @@ class DensityField:
 
 @dataclass
 class ContactRegion:
-    """Largest below-threshold connected component and its density argmin.
+    """Largest below-threshold connected component, as the loop reads it.
 
-    pixels: (N, 2) int frame pixels (x, y) of the component, row-major.
-    center: (x, y) in frame pixel coordinates.
-    center_index: (x, y) frame pixel of the argmin, a member of pixels.
+    center: (x, y) frame pixel of the component's density argmin.
+    area: the component's size in pixels.
+    min_density: the density at center, in per-px^2 units.
     """
 
-    pixels: np.ndarray
     center: Tuple[float, float]
-    center_index: Tuple[int, int]
+    area: int
     min_density: float
-
-    @property
-    def area(self):
-        return self.pixels.shape[0]
 
 
 def _density_at_points(centroids, xs, ys, h):
@@ -214,8 +209,7 @@ def extract_contact(field, threshold):
     grid point is below it. The region is the largest connected
     component below threshold (4-connected); the center is the
     density argmin over the region, ties broken by lowest row-major grid
-    index. Pixels and center are in frame coordinates: the field's origin
-    is added back.
+    index, in frame coordinates: the field's origin is added back.
     """
     below = field.values < threshold
     if not below.any():
@@ -225,19 +219,13 @@ def extract_contact(field, threshold):
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     biggest = int(sizes.argmax())
-    mask = labels == biggest
 
-    masked = np.where(mask, field.values, np.inf)
-    flat = int(masked.argmin())
-    iy, ix = np.unravel_index(flat, masked.shape)
-    min_density = float(field.values[iy, ix])
+    masked = np.where(labels == biggest, field.values, np.inf)
+    iy, ix = np.unravel_index(int(masked.argmin()), masked.shape)
     ox, oy = field.origin
-    cx, cy = int(ix) + ox, int(iy) + oy
-
-    idx_y, idx_x = np.nonzero(mask)
-    pixels = np.column_stack([idx_x + ox, idx_y + oy]).astype(np.int64)
-    return ContactRegion(pixels=pixels, center=(float(cx), float(cy)),
-                         center_index=(cx, cy), min_density=min_density)
+    return ContactRegion(center=(float(ix + ox), float(iy + oy)),
+                         area=int(sizes[biggest]),
+                         min_density=float(field.values[iy, ix]))
 
 
 def write_density_pgm(field, path):

@@ -40,12 +40,17 @@ class EpisodeResult:
     episode_rows: List[list]
     plant_rows: List[list]
     tracks: Dict[int, object]
-    flags: Dict[int, List[Tuple[float, str]]]
     commands: List[Tuple[float, object]]
     transitions: List[tuple]
     regrasp_count: int
     terminated: bool
     final_phase: Phase
+
+    @property
+    def flags(self):
+        """Per finger, the (time, flag kind) of every control instant."""
+        return {f: [(row[0] * TICK_S, row[8 + f]) for row in self.episode_rows]
+                for f in (1, 2)}
 
     @property
     def time_to_stable(self):
@@ -121,7 +126,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
 
     episode_rows = []
     plant_rows = [plant.trace_row()]
-    flags_log = {1: [], 2: []}
     commands_log = []
     last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, base)
     frames_dir = None
@@ -134,7 +138,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
     stop_tick = total_ticks
     terminal = False
-    frame_seq = 0
 
     while True:
         tick = plant.tick
@@ -142,8 +145,8 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
 
         if not terminal and tick % CONTROL_PERIOD_TICKS == 0:
             cmds = supervisor.start(now) if tick == 0 else []
-
-            reports = {}
+            seq = len(episode_rows)
+            cells, flags, fresh = [], [], []
             for finger in (1, 2):
                 ev = scenario.active_event(finger, now)
                 stim = ev.stimulus(now) if ev is not None else ContactStimulus(
@@ -157,42 +160,33 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                     base = base_image(markers, scenario.sensor)
                     last_layout[finger] = (layout, base)
                 frame = render_frame(markers, scenario.sensor,
-                                     finger_id=finger, seq=frame_seq,
+                                     finger_id=finger, seq=seq,
                                      base=last_layout[finger][1])
                 if frames_dir is not None:
-                    save_frame(frames_dir, frame_seq, markers, frame)
-                reports[finger] = pipelines[finger].process(frame)
-            frame_seq += 1
+                    save_frame(frames_dir, seq, markers, frame)
+                pipe = pipelines[finger]
+                center = pipe.process(frame).center
+                flags.append(pipe.classify(now, scenario.thresholds))
+                fresh.append(pipe.has_fresh_contact(now))
+                track = pipe.track
+                fresh_d = track.displacements and track.timestamps[-1] == now
+                cells += [_fmt(center[0]) if center else "",
+                          _fmt(center[1]) if center else "",
+                          _fmt(track.displacements[-1], 6) if fresh_d else ""]
 
-            flag1 = pipelines[1].classify(now, scenario.thresholds)
-            flag2 = pipelines[2].classify(now, scenario.thresholds)
-            flags_log[1].append((now, flag1.kind.value))
-            flags_log[2].append((now, flag2.kind.value))
-
-            cmds += supervisor.update(
-                flag1, flag2, now,
-                fresh1=pipelines[1].has_fresh_contact(now),
-                fresh2=pipelines[2].has_fresh_contact(now),
-            )
+            cmds += supervisor.update(*flags, now,
+                                      fresh1=fresh[0], fresh2=fresh[1])
             for cmd in cmds:
                 mcu.submit(encode_frame(cmd))
                 commands_log.append((now, cmd))
 
             state = plant.state
-            row = [tick, f"{now:.3f}", supervisor.phase.state.value]
-            for finger in (1, 2):
-                center = reports[finger].center
-                row += [_fmt(center[0]) if center else "",
-                        _fmt(center[1]) if center else ""]
-                track = pipelines[finger].track
-                fresh_d = (track.displacements
-                           and track.timestamps[-1] == now)
-                row.append(_fmt(track.displacements[-1], 6) if fresh_d else "")
-            row += [flag1.kind.value, flag2.kind.value,
-                    ";".join(c.kind.name for c in cmds)]
-            row += [str(int(v)) for v in state.valve_states]
-            row += [f"{p:.4f}" for p in state.chamber_pressures]
-            episode_rows.append(row)
+            episode_rows.append(
+                [tick, f"{now:.3f}", supervisor.phase.state.value] + cells
+                + [flag.kind.value for flag in flags]
+                + [";".join(c.kind.name for c in cmds)]
+                + [str(int(v)) for v in state.valve_states]
+                + [f"{p:.4f}" for p in state.chamber_pressures])
 
             if supervisor.terminated or supervisor.phase.state == Phase.RELEASED:
                 terminal = True
@@ -208,7 +202,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
         episode_rows=episode_rows,
         plant_rows=plant_rows,
         tracks={1: pipelines[1].track, 2: pipelines[2].track},
-        flags=flags_log,
         commands=commands_log,
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,

@@ -22,11 +22,12 @@ Density and contact are computed on the support box alone: the
 reference markers' bounding box eroded by the kernel width h, frozen at
 calibration. Outside it the density falls toward zero whatever touches
 the skin, so contact is never read there. The box field has the same
-bytes as the full-frame field at those pixels, and labelling, argmin
-and pixel scans run in raster order, which a sub-rectangle keeps, so
-the region and center are those a full-frame field restricted to the
-box would give. Reports carry the markers, from which callers such as
-`tacgrip analyze --heatmaps` compute a full-frame field when they want
+bytes as the full-frame field at those pixels, and labelling and the
+argmin run in raster order, which a sub-rectangle keeps, so the region's
+center, area and minimum density are those a full-frame field
+restricted to the box would give. A report holds the region and the
+frame's markers, not the field: callers such as `tacgrip analyze
+--heatmaps` compute a full-frame field from the markers when they want
 one.
 """
 
@@ -35,10 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blobs import DetectorConfig, detect_markers, marker_window
+from .blobs import DetectorConfig, MarkerSet, detect_markers, marker_window
 from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
-from .density import (KdeConfig, calibrate_threshold, estimate_density,
-                      extract_contact, marker_support_box)
+from .density import (ContactRegion, KdeConfig, calibrate_threshold,
+                      estimate_density, extract_contact, marker_support_box)
 from .errors import ValidationError, check_range
 from .tracking import ContactTrack, track_displacement
 
@@ -60,16 +61,18 @@ _REST_DENSITY_FLOOR = 0.8
 
 @dataclass
 class PipelineReport:
-    """What one frame produced: the region may be None (no contact).
+    """What one frame produced.
 
-    field covers the support box only; markers are the frame's detected
-    markers (None when the pipeline found none).
+    region: the contact region (center, area, minimum density), or None
+    for NoContact. markers: the frame's detected markers, possibly none.
     """
 
-    center: Optional[tuple]
-    region: Optional[object]
-    field: object
-    markers: Optional[object] = None
+    region: Optional[ContactRegion]
+    markers: MarkerSet
+
+    @property
+    def center(self):
+        return None if self.region is None else self.region.center
 
 
 class FingerPipeline:
@@ -158,18 +161,15 @@ class FingerPipeline:
             raise RuntimeError("pipeline used before calibrate()")
         markers = self._detect(frame)
         if len(markers) == 0:
-            return PipelineReport(center=None, region=None, field=None)
+            return PipelineReport(region=None, markers=markers)
         field = estimate_density(markers, self.kde_config,
                                  width=frame.width, height=frame.height,
                                  box=self.support)
         region = extract_contact(field, self.threshold)
-        if region is None:
-            return PipelineReport(center=None, region=None, field=field,
-                                  markers=markers)
-        track_displacement(self.track, region.center, frame.timestamp,
-                           self.kde_config)
-        return PipelineReport(center=region.center, region=region,
-                              field=field, markers=markers)
+        if region is not None:
+            track_displacement(self.track, region.center, frame.timestamp,
+                               self.kde_config)
+        return PipelineReport(region=region, markers=markers)
 
     def classify(self, now, thresholds):
         return classify_frame(self.track, thresholds, now,

@@ -147,11 +147,15 @@ class PneumaticPlant:
         no valve latency, a tick after it is due.
 
         selector: one chamber index or an iterable of indices in [0, 8).
+        after_ticks: a whole number of ticks >= 0 (ValueError otherwise).
         """
         if command not in (-1, 0, 1):
             raise ValueError(f"valve command must be -1, 0 or +1, got {command}")
+        if not isinstance(after_ticks, (int, np.integer)) or after_ticks < 0:
+            raise ValueError(f"after_ticks must be a whole number of ticks "
+                             f">= 0, got {after_ticks!r}")
         chambers = self._resolve_selector(selector)
-        arrives = self.tick + after_ticks
+        arrives = self.tick + int(after_ticks)
         due = arrives + self.config.ticks(self.config.valve_latency)
         lands = max(due, arrives + 1)
         command = int(command)
@@ -234,8 +238,7 @@ class PneumaticPlant:
         """One trace record: time, tanks, chambers, valve states."""
         s = self.state
         return ([self.tick * TICK_S, s.tank_pos, s.tank_neg]
-                + [float(p) for p in s.chamber_pressures]
-                + [int(v) for v in s.valve_states])
+                + s.chamber_pressures.tolist() + s.valve_states.tolist())
 
 
 TRACE_COLUMNS = (["t", "tank_pos", "tank_neg"]

@@ -36,10 +36,6 @@ class ContactTrack:
     def last_timestamp(self):
         return self.timestamps[-1] if self.timestamps else None
 
-    @property
-    def latest_displacement(self):
-        return self.displacements[-1] if self.displacements else None
-
 
 def track_displacement(track, new_center, timestamp, config):
     """Append a center, computing the displacement to the previous one.

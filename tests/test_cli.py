@@ -47,12 +47,27 @@ def test_grasp_command(tmp_path, capsys):
 def test_grasp_seed_override(tmp_path, capsys):
     scn = tmp_path / "short.scn"
     scn.write_text(scenario_to_text(static_scenario(seed=1, duration=0.2)))
-    rc = main(["--seed", "42", "grasp", "--scenario", str(scn),
+    rc = main(["grasp", "--seed", "42", "--scenario", str(scn),
                "--out", str(tmp_path / "r")])
     assert rc == 0
     assert "seed 42" in capsys.readouterr().out
     manifest = (tmp_path / "r" / "manifest.txt").read_text()
     assert "seed = 42" in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "3", "workspace"],
+    ["--seed", "3", "grasp", "--scenario", "x.scn", "--out", "r"],
+    ["workspace", "--seed", "3"],
+    ["analyze", "--frames", "f", "--out", "a", "--seed", "3"],
+    ["replay", "--track", "t.csv", "--seed", "3"]])
+def test_seed_is_a_grasp_option(capsys, argv):
+    # Only grasp reads a seed; anywhere else it is a usage error rather
+    # than an option the subcommand ignores.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: tacgrip" in capsys.readouterr().err
 
 
 def test_grasp_missing_scenario(tmp_path, capsys):
@@ -106,6 +121,36 @@ def test_analyze_command(tmp_path, capsys, nominal_model):
     assert (out_dir / "track_1.csv").is_file()
     heatmaps = sorted(out_dir.glob("density_1_*.pgm"))
     assert len(heatmaps) == 3  # one per processed frame
+
+
+def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
+    # A blank frame yields an empty marker set and no region; analyze
+    # goes on and writes heatmaps for the frames that show markers.
+    from tacgrip.blobs import MarkerSet
+    from tacgrip.pgm import read_pgm
+    from tacgrip.perception import FingerPipeline
+    from tacgrip.tactile import TactileFrame
+
+    frames_dir = tmp_path / "frames"
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
+    write_frames(frames_dir, nominal_model,
+                 [displace_markers(nominal_model, None),
+                  MarkerSet(np.empty((0, 2))),
+                  displace_markers(nominal_model, stim)], finger_id=1)
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", "--frames", str(frames_dir), "--out",
+                 str(out_dir), "--heatmaps"]) == 0
+    assert "finger 1: 3 frames, 1 with contact" in capsys.readouterr().out
+    assert [p.name for p in sorted(out_dir.glob("density_1_*.pgm"))] == \
+        ["density_1_000000.pgm", "density_1_000002.pgm"]
+
+    pipe = FingerPipeline(1)
+    frames = [TactileFrame(pixels=read_pgm(p), timestamp=0.033 * i)
+              for i, p in enumerate(sorted(frames_dir.glob("frame_1_*.pgm")))]
+    pipe.calibrate(frames[0])
+    blank = pipe.process(frames[1])
+    assert blank.center is None and blank.region is None
+    assert isinstance(blank.markers, MarkerSet) and len(blank.markers) == 0
 
 
 def test_analyze_rejects_a_touched_first_frame(tmp_path, capsys,

@@ -128,6 +128,33 @@ def test_selector_validation():
         plant.apply_valve_command(0, 2)
 
 
+@pytest.mark.parametrize("after_ticks", [-1, 2.5, float("nan"), "3"])
+def test_after_ticks_must_be_a_whole_number_of_ticks(after_ticks):
+    # -1 queued a change as if sent in the past; 2.5 put a float key on
+    # the queue that delivery rounded up.
+    plant = PneumaticPlant()
+    with pytest.raises(ValueError, match="after_ticks"):
+        plant.apply_valve_command(0, +1, after_ticks=after_ticks)
+    assert plant._queue == []
+    plant.apply_valve_command(0, +1, after_ticks=np.int64(2))
+    assert [type(v) for v in plant._queue[0][:2]] == [int, int]
+
+
+def test_trace_row_element_types():
+    # repr of the row, and so every trace hash, depends on these types:
+    # Python floats for time, tanks and chambers, Python ints for valves.
+    plant = PneumaticPlant()
+    plant.apply_valve_command([0, 1], +1)
+    plant.apply_valve_command([2, 3], -1)
+    for _ in range(300):
+        plant.step()
+        row = plant.trace_row()
+        assert [type(v) for v in row] == \
+            [float] * (3 + N_CHAMBERS) + [int] * N_CHAMBERS
+    assert row[3 + N_CHAMBERS:] == [1, 1, -1, -1, 0, 0, 0, 0]
+    assert row[3] > 0.0 > row[5]
+
+
 def test_multi_chamber_selector():
     plant = PneumaticPlant()
     plant.apply_valve_command([0, 3, 5], +1)

@@ -28,7 +28,6 @@ def test_single_entry_has_no_displacement():
     track = track_displacement(ContactTrack(), (10, 20), 0.0, CFG)
     assert len(track) == 1
     assert track.displacements == []
-    assert track.latest_displacement is None
 
 
 def test_time_must_advance():
