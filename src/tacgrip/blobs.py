@@ -7,18 +7,19 @@ passes), and the second derivatives Ixx, Iyy and Ixy are central
 differences of the smoothed image. The scale-normalized determinant of
 the Hessian sigma^4*(Ixx*Iyy - Ixy^2) is the response. Dark blobs are
 gated by a positive Laplacian (local intensity minimum). Candidates are
-local maxima of the response, deduplicated by greedy non-maximum
+pixels above the threshold whose response is at least each of their 8
+neighbours' (a local maximum), deduplicated by greedy non-maximum
 suppression and refined to sub-pixel positions with a per-axis
 quadratic fit.
 
 A window (a pixel box around the markers) makes detection cheaper
 without changing its result. The filters run on the box widened by
 `_window_pad`, clipped to the frame: the Gaussian's half-width r, one
-pixel for the difference stencil, and one for the 3x3 maximum filter and
-the quadratic fit, which read at most one pixel beyond the box. The
-smoothing reads only pixels within r and the stencil only smoothed
-values within one pixel, so inside the box the response equals the
-full-frame response bit for bit. The peak, the threshold and the
+pixel for the difference stencil, and one for the +-1 neighbour read of
+the peak test and the quadratic fit, which read at most one pixel beyond
+the box. The smoothing reads only pixels within r and the stencil only
+smoothed values within one pixel, so inside the box the response equals
+the full-frame response bit for bit. The peak, the threshold and the
 candidates come from inside the box. The response outside the box is
 bounded from the range of the pixels it reads (`_outside_bound`): when
 that bound stays under half the threshold, no pixel outside the box can
@@ -103,7 +104,7 @@ def _radius(sigma):
 def _window_pad(config):
     """Pixels the response inside a window depends on beyond it: the
     Gaussian's half-width, plus one for the difference stencil and one for
-    the 3x3 maximum filter and the +-1 quadratic fit."""
+    the +-1 neighbour read of the peak test and the quadratic fit."""
     return _radius(config.scale) + 2
 
 
@@ -201,6 +202,23 @@ def _quadratic_offsets(vm, v0, vp):
     return np.where(flat, 0.0, np.clip(off, -0.5, 0.5))
 
 
+def _is_local_max(resp, ys, xs, vals):
+    """Whether each candidate's response vals = resp[ys, xs] is >= each of
+    its 8 neighbours, with neighbour indices clipped to resp: the test
+    resp >= maximum_filter(resp, size=3, mode="nearest"), read only at
+    the candidates."""
+    h, w = resp.shape
+    flat = resp.ravel()
+    rows = [np.maximum(ys - 1, 0) * w, ys * w, np.minimum(ys + 1, h - 1) * w]
+    cols = [np.maximum(xs - 1, 0), xs, np.minimum(xs + 1, w - 1)]
+    keep = np.ones(len(ys), dtype=bool)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if i != 1 or j != 1:
+                keep &= vals >= flat.take(r + c)
+    return keep
+
+
 def _suppress(xs, ys, min_separation):
     """Greedy non-maximum suppression over integer candidates listed in
     rank order: a candidate is kept unless a kept, higher-ranked one lies
@@ -272,14 +290,15 @@ def _detect_in_box(frame, config, box):
     if box != (0, 0, w, h) and \
             _outside_bound(frame.pixels, box, config) > _BOUND_SHARE * threshold:
         return None
-    local_max = resp >= ndimage.maximum_filter(resp, size=3, mode="nearest")
-    ys, xs = np.nonzero(local_max[inner] & (resp[inner] > threshold))
-    if len(ys) == 0:
-        return MarkerSet(np.empty((0, 2)), frame_timestamp=frame.timestamp)
+    ys, xs = np.nonzero(resp[inner] > threshold)
     ys += y0 - oy
     xs += x0 - ox
-
     vals = resp[ys, xs]
+    peak = _is_local_max(resp, ys, xs, vals)
+    if not peak.any():
+        return MarkerSet(np.empty((0, 2)), frame_timestamp=frame.timestamp)
+    ys, xs, vals = ys[peak], xs[peak], vals[peak]
+
     order = np.lexsort((xs, ys, -vals))
     ys, xs, vals = ys[order], xs[order], vals[order]
 

@@ -19,7 +19,8 @@ from .errors import (NoDisturbanceError, TacgripError, ValidationError,
                      check_range)
 from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
 from .pgm import iter_frame_files, read_pgm
-from .perception import DEFAULT_CALIBRATION_RATIO, FingerPipeline
+from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
+                         FingerPipeline)
 from .scenario import load_scenario
 from .tactile import TactileFrame
 from .tracking import ContactTrack, read_track_csv, write_track_csv
@@ -73,7 +74,7 @@ def _check_period(period):
 def _cmd_analyze(args):
     _check_period(args.period)
     check_range("--calibration-ratio", args.calibration_ratio, lo=0.0,
-                hi=1.0, lo_open=True, error=ValidationError)
+                hi=MAX_CALIBRATION_RATIO, lo_open=True, error=ValidationError)
     frames = list(iter_frame_files(args.frames))
     if not frames:
         print(f"no frame_<finger>_<seq>.pgm files in {args.frames}",

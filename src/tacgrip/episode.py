@@ -19,7 +19,7 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
-from .sensor_sim import (ContactStimulus, base_image, displace_markers,
+from .sensor_sim import (ContactStimulus, disk_coverage, displace_markers,
                          render_frame, save_frame, start_frame_stream)
 from .tracking import write_track_csv
 
@@ -127,7 +127,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     episode_rows = []
     plant_rows = [plant.trace_row()]
     commands_log = []
-    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, base)
+    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, coverage)
     frames_dir = None
     if save_frames:
         frames_dir = Path(out_dir) / "frames"
@@ -157,11 +157,11 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 markers = displace_markers(scenario.sensor, stim)
                 layout = markers.centroids.tobytes()
                 if layout != last_layout[finger][0]:
-                    base = base_image(markers, scenario.sensor)
-                    last_layout[finger] = (layout, base)
+                    last_layout[finger] = (
+                        layout, disk_coverage(markers, scenario.sensor))
                 frame = render_frame(markers, scenario.sensor,
                                      finger_id=finger, seq=seq,
-                                     base=last_layout[finger][1])
+                                     coverage=last_layout[finger][1])
                 if frames_dir is not None:
                     save_frame(frames_dir, seq, markers, frame)
                 pipe = pipelines[finger]

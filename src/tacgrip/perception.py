@@ -49,6 +49,12 @@ from .tracking import ContactTrack, track_displacement
 # under 0.1%) while still catching shallow dips that only reach ~70% of
 # the nominal floor.
 DEFAULT_CALIBRATION_RATIO = 0.8
+# Largest calibration ratio. Calibrated on one noisy rest frame, another
+# rest frame of the default sensor (noise 0.01) read contact at ratios
+# above 0.99957, its lowest support-box minimum over 60 seeded pairs
+# (0.99864 at noise 0.03, 0.99777 at 0.05). 0.99 keeps a guard band of
+# 1%, over 20 times the 0.043% that noise moved that minimum.
+MAX_CALIBRATION_RATIO = 0.99
 
 # A reference frame whose support-box density minimum falls below this
 # share of the box median shows a contact. Rest frames read 0.84-0.96
@@ -86,8 +92,9 @@ class FingerPipeline:
     def __init__(self, finger_id, kde_config=None, detector_config=None,
                  calibration_ratio=DEFAULT_CALIBRATION_RATIO,
                  control_period=CONTROL_PERIOD_S):
-        check_range("calibration_ratio", calibration_ratio, lo=0.0, hi=1.0,
-                    lo_open=True, error=ValidationError)
+        check_range("calibration_ratio", calibration_ratio, lo=0.0,
+                    hi=MAX_CALIBRATION_RATIO, lo_open=True,
+                    error=ValidationError)
         check_range("control_period", control_period, lo=0.0, lo_open=True,
                     error=ValidationError)
         self.finger_id = finger_id

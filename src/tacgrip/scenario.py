@@ -16,7 +16,7 @@ from .blobs import DetectorConfig
 from .control import (DEFAULT_GRASP_MASK, MAX_REGRASPS, ControlThresholds)
 from .density import KdeConfig
 from .errors import ParseError, ValidationError, check_range
-from .perception import DEFAULT_CALIBRATION_RATIO
+from .perception import DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO
 from .plant import PlantConfig
 from .sensor_sim import ContactStimulus, SensorModel
 
@@ -76,8 +76,8 @@ class Scenario:
             raise ValidationError(
                 f"sensor seed {self.sensor.seed} differs from scenario "
                 f"seed {self.seed}")
-        check("calibration_ratio", self.calibration_ratio, lo=0.0, hi=1.0,
-              lo_open=True)
+        check("calibration_ratio", self.calibration_ratio, lo=0.0,
+              hi=MAX_CALIBRATION_RATIO, lo_open=True)
         check("max_regrasps", self.max_regrasps, lo=0)
         if not 0x01 <= self.grasp_mask <= 0xFF:
             raise ValidationError(

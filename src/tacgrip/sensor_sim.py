@@ -122,13 +122,14 @@ def displace_markers(model, stimulus=None):
 
 
 def disk_coverage(markers, model):
-    """Per pixel, the share of its 4x4 subpixel samples within marker_radius
-    of a marker center, maxed over markers. Each marker's footprint is
-    `size` px square from floor(c - r - 1): every pixel with a sample within
-    r of its center c. Markers go 64 at a time (temporaries near 1 MB)."""
+    """Per pixel, the count k = 0..16 of its 4x4 subpixel samples within
+    marker_radius of a marker center, maxed over markers, as uint8: the
+    pixel's coverage is k / 16. Each marker's footprint is `size` px square
+    from floor(c - r - 1): every pixel with a sample within r of its center
+    c. Markers go 64 at a time (temporaries near 1 MB)."""
     radius = model.marker_radius
     size = int(np.ceil(2 * radius + 2)) + 2
-    coverage = np.zeros((model.height, model.width))
+    coverage = np.zeros((model.height, model.width), dtype=np.uint8)
     for start in range(0, len(markers), 64):
         c = markers.centroids[start:start + 64]
         # pix[marker, axis] are the footprint's pixel coordinates on (x, y).
@@ -140,48 +141,65 @@ def disk_coverage(markers, model):
         # Footprint pixels outside the frame stamp 0 at a clipped index.
         clipped = np.clip(pix, 0, [[model.width - 1], [model.height - 1]])
         in_frame = clipped == pix
-        local = hits / 16.0 * (in_frame[:, 1, :, None] & in_frame[:, 0, None, :])
+        hits *= in_frame[:, 1, :, None] & in_frame[:, 0, None, :]
         flat = clipped[:, 1, :, None] * model.width + clipped[:, 0, None, :]
-        np.maximum.at(coverage.reshape(-1), flat.ravel(), local.ravel())
+        np.maximum.at(coverage.reshape(-1), flat.ravel(), hits.ravel())
     return coverage
 
 
-def base_image(markers, model):
-    """The noise-free frame on the 0-255 intensity scale, float32: the
-    background darkened toward marker_intensity by each pixel's disk
-    coverage."""
-    coverage = disk_coverage(markers, model)
-    image = model.background - coverage * (model.background
-                                           - model.marker_intensity)
-    return (255.0 * image).astype(np.float32)
+def _check_coverage(coverage, model):
+    """Raise ValueError unless coverage is a height x width uint8 frame of
+    counts 0..16, as `disk_coverage` returns."""
+    if not isinstance(coverage, np.ndarray) or coverage.dtype != np.uint8:
+        raise ValueError("coverage must be a uint8 array of sample counts, "
+                         f"got {getattr(coverage, 'dtype', type(coverage))}")
+    if coverage.shape != (model.height, model.width):
+        raise ValueError(f"coverage has shape {coverage.shape}, the frame is "
+                         f"{(model.height, model.width)}")
+    if coverage.size and coverage.max() > 16:
+        raise ValueError(f"coverage count {int(coverage.max())} exceeds the "
+                         "16 samples of a pixel")
 
 
-def render_frame(markers, model, finger_id=1, seq=0, *, base=None):
+def render_frame(markers, model, finger_id=1, seq=0, *, coverage=None):
     """Render marker centroids as an 8-bit frame: dark anti-aliased disks
     plus seeded noise, clip(rint(255 * (image + noise))) as uint8.
 
-    The noise takes one random byte per pixel from the stream keyed by
+    A pixel with coverage k / 16 has the noise-free level
+    255 * (background - k / 16 * (background - marker_intensity)). The
+    noise takes one random byte per pixel from the stream keyed by
     (model.seed, finger_id, seq), so the frame is deterministic, and the
     byte picks one of 256 N(0, noise_sigma) quantiles, taken at the
     centers (i + 0.5) / 256 of 256 equally likely bins: a 256-level
-    Gaussian drawn at the cost of a byte. A caller that holds
-    `base_image(markers, model)` may pass it.
+    Gaussian drawn at the cost of a byte. Level and noise are each
+    rounded to float32 and summed in float32, so the frame is a 17 x 256
+    table of bytes indexed by (count, noise byte), with no random byte
+    drawn when noise_sigma is 0. A caller that holds
+    `disk_coverage(markers, model)` may pass it.
     """
-    if base is None:
-        base = base_image(markers, model)
+    if coverage is None:
+        coverage = disk_coverage(markers, model)
+    else:
+        _check_coverage(coverage, model)
+    share = np.arange(17) / 16.0
+    levels = (255.0 * (model.background - share * (
+        model.background - model.marker_intensity))).astype(np.float32)
     if model.noise_sigma > 0:
         rng = np.random.default_rng((model.seed, finger_id, seq))
         quantiles = ndtri((np.arange(256) + 0.5) / 256)
-        table = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
-        noise = np.frombuffer(rng.bytes(base.size), dtype=np.uint8)
-        image = table[noise].reshape(base.shape)
-        image += base
+        noise = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
+        # Flat index (k << 8) | byte into the (17, 256) table.
+        index = coverage.astype(np.uint16) << 8
+        index |= np.frombuffer(rng.bytes(coverage.size),
+                               dtype=np.uint8).reshape(coverage.shape)
     else:
-        image = base.copy()
-    np.rint(image, out=image)
-    np.clip(image, 0.0, 255.0, out=image)
-    return TactileFrame(pixels=image.astype(np.uint8),
-                        timestamp=markers.frame_timestamp, finger_id=finger_id)
+        noise = np.zeros(1, dtype=np.float32)
+        index = coverage
+    table = np.rint(levels[:, None] + noise)
+    np.clip(table, 0.0, 255.0, out=table)
+    pixels = np.take(table.astype(np.uint8).ravel(), index)
+    return TactileFrame(pixels=pixels, timestamp=markers.frame_timestamp,
+                        finger_id=finger_id)
 
 
 def start_frame_stream(directory, finger_id):
@@ -214,12 +232,12 @@ def write_frames(directory, model, marker_sets, finger_id=1):
     ground-truth sidecar CSV (see `save_frame`). Returns the sidecar's
     path."""
     truth_path = start_frame_stream(directory, finger_id)
-    last_layout, base = None, None
+    last_layout, coverage = None, None
     for seq, markers in enumerate(marker_sets):
         layout = markers.centroids.tobytes()
         if layout != last_layout:
-            last_layout, base = layout, base_image(markers, model)
+            last_layout, coverage = layout, disk_coverage(markers, model)
         frame = render_frame(markers, model, finger_id=finger_id, seq=seq,
-                             base=base)
+                             coverage=coverage)
         save_frame(directory, seq, markers, frame)
     return truth_path

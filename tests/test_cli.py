@@ -3,6 +3,7 @@ import pytest
 
 from tacgrip.cli import main
 from tacgrip.density import KdeConfig
+from tacgrip.perception import MAX_CALIBRATION_RATIO
 from tacgrip.scenario import poke_scenario, scenario_to_text, static_scenario
 from tacgrip.sensor_sim import ContactStimulus, displace_markers, write_frames
 from tacgrip.tracking import ContactTrack, track_displacement, write_track_csv
@@ -320,6 +321,7 @@ def rest_rest_touch(tmp_path_factory, nominal_model):
     ("--calibration-ratio", "nan"),  # these three missed the contact
     ("--calibration-ratio", "0"),
     ("--calibration-ratio", "-1"),
+    ("--calibration-ratio", "1"),  # read the second rest frame as contact
 ])
 def test_analyze_rejects_an_option_outside_its_domain(tmp_path, capsys,
                                                       rest_rest_touch,
@@ -330,3 +332,15 @@ def test_analyze_rejects_an_option_outside_its_domain(tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {option} = ")
     assert not (out_dir / "track_1.csv").exists()
+
+
+def test_analyze_at_the_largest_calibration_ratio(tmp_path, capsys,
+                                                  rest_rest_touch):
+    # The domain's upper end is a usable value: the second rest frame
+    # reads no contact, the touch does.
+    out_dir = tmp_path / "analysis"
+    rc = main(["analyze", "--frames", str(rest_rest_touch), "--out",
+               str(out_dir), "--calibration-ratio",
+               repr(MAX_CALIBRATION_RATIO)])
+    assert rc == 0
+    assert "finger 1: 3 frames, 1 with contact" in capsys.readouterr().out

@@ -368,6 +368,7 @@ def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
     {"calibration_ratio": 5.0}, {"calibration_ratio": 0.0},
     {"calibration_ratio": float("nan")}, {"control_period": 0.0},
     {"control_period": -0.033}, {"control_period": float("nan")},
+    {"calibration_ratio": 1.0},
 ])
 def test_pipeline_rejects_ratio_or_period_outside_its_domain(kwargs):
     name = next(iter(kwargs))

@@ -340,8 +340,8 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
             box = (max(window[0], 0), max(window[1], 0),
                    min(window[2], 160), min(window[3], 120))
             # The response on the padded crop equals the full-frame one
-            # over the box and the one pixel around it that the maximum
-            # filter and the fit read.
+            # over the box and the one pixel around it that the peak
+            # test's neighbour read and the fit read.
             x0, y0, x1, y1 = box
             ox, oy = max(x0 - pad, 0), max(y0 - pad, 0)
             crop = blobs._response(
@@ -357,6 +357,110 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
             got = detect_markers(frame, window=window).centroids
             assert np.array_equal(got, full)
     assert answered_in_window >= 20
+
+
+def _peak_reference(resp, ys, xs, vals):
+    """The 3x3 maximum filter the candidate-only peak test replaced."""
+    return (resp >= ndimage.maximum_filter(resp, size=3, mode="nearest"))[ys, xs]
+
+
+def _neighbour_ties(resp, ys, xs, vals):
+    """How many of the pixels (ys, xs) equal one of their 8 neighbours,
+    read from the frame extended by its edge pixels."""
+    padded = np.pad(resp, 1, mode="edge")
+    tie = np.zeros(len(ys), dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy or dx:
+                tie |= padded[ys + 1 + dy, xs + 1 + dx] == vals
+    return int(tie.sum())
+
+
+def test_peak_test_matches_maximum_filter():
+    # Every pixel is a candidate, so the crop's edges and corners are
+    # tested too, on float32 responses with plateaus and exact ties.
+    rng = np.random.default_rng(41)
+    shapes = [(1, 1), (1, 9), (7, 1), (2, 2), (3, 5), (37, 53), (120, 160)]
+    ties = 0
+    for trial in range(84):
+        h, w = shapes[trial % len(shapes)]
+        kind = trial % 3
+        if kind == 0:  # three levels: wide plateaus
+            resp = rng.integers(0, 3, (h, w)).astype(np.float32)
+        elif kind == 1:  # continuous, with a share of exact repeats
+            resp = rng.standard_normal((h, w)).astype(np.float32)
+            repeat = rng.random((h, w)) < 0.4
+            resp[repeat] = rng.choice(resp.ravel()[:4], int(repeat.sum()))
+        else:  # smooth bumps rounded to a coarse grid
+            resp = ndimage.gaussian_filter(rng.random((h, w)), 2.0)
+            resp = (np.round(resp * 50) / 50).astype(np.float32)
+        ys, xs = np.nonzero(np.ones((h, w), dtype=bool))
+        vals = resp[ys, xs]
+        got = blobs._is_local_max(resp, ys, xs, vals)
+        assert np.array_equal(got, _peak_reference(resp, ys, xs, vals))
+        ties += _neighbour_ties(resp, ys[got], xs[got], vals[got])
+    assert ties > 1000
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
+                                                    coarse):
+    # detect_markers, full-frame, answered in a window and falling back
+    # from one, checks every call of the peak test against the maximum
+    # filter. Disks lie anywhere, the frame's outermost rows and columns
+    # included; with `coarse` the response is rounded to 1/64 of its
+    # peak, so candidates tie with their neighbours.
+    real_peak, real_in_box = blobs._is_local_max, blobs._detect_in_box
+    real_response = blobs._response
+    seen = {"edge": 0, "ties": 0, "windowed": 0, "fallback": 0}
+
+    def checked(resp, ys, xs, vals):
+        got = real_peak(resp, ys, xs, vals)
+        assert np.array_equal(got, _peak_reference(resp, ys, xs, vals))
+        h, w = resp.shape
+        on_edge = (ys == 0) | (xs == 0) | (ys == h - 1) | (xs == w - 1)
+        seen["edge"] += int(on_edge.sum())
+        seen["ties"] += _neighbour_ties(resp, ys, xs, vals)
+        return got
+
+    def counting(frame, config, box):
+        markers = real_in_box(frame, config, box)
+        if box != (0, 0, frame.width, frame.height):
+            seen["windowed" if markers is not None else "fallback"] += 1
+        return markers
+
+    def rounded(pixels, config):
+        resp = real_response(pixels, config)
+        step = np.float32(max(float(resp.max()), 1e-6) / 64)
+        return np.round(resp / step) * step
+
+    monkeypatch.setattr(blobs, "_is_local_max", checked)
+    monkeypatch.setattr(blobs, "_detect_in_box", counting)
+    if coarse:
+        monkeypatch.setattr(blobs, "_response", rounded)
+    model = dataclasses.replace(nominal_model, width=160, height=120,
+                                grid_rows=2, grid_cols=2)
+    rng = np.random.default_rng(43)
+    for seq in range(12):
+        n = int(rng.integers(4, 30))
+        if seq % 2:  # anywhere, two on the frame's edges
+            centers = rng.uniform([-4, -4], [164, 124], (n, 2))
+            centers[:2] = rng.choice([0.0, 159.0, 119.0], (2, 2))
+        else:  # a cluster a window can hold
+            centers = rng.uniform([50, 40], [110, 80], (n, 2))
+        frame = tg.render_frame(MarkerSet(centers), model, seq=seq)
+        full = detect_markers(frame)
+        assert len(full) > 0
+        # A window around every marker found, and one around a few of
+        # them that the rest outside makes fall back.
+        around = blobs.marker_window(full, DetectorConfig(), 160, 120)
+        for window in (around, (60, 40, 100, 80)):
+            assert np.array_equal(
+                detect_markers(frame, window=window).centroids,
+                full.centroids)
+    assert seen["edge"] > 0 and seen["windowed"] > 0 and seen["fallback"] > 0
+    if coarse:
+        assert seen["ties"] > 100
 
 
 def test_outside_bound_is_attained():

@@ -138,6 +138,7 @@ def test_validation_errors():
     ("scenario", "duration = inf"),
     ("thresholds", "t2_mm = inf"),
     ("kde", "calibration_ratio = 1.5"),
+    ("kde", "calibration_ratio = 1.0"),
     ("kde", "kernel_width_h = nan"),
     ("events", "event = nan 1 320 240 3 40"),
     ("events", "event = 1.0 1 inf 240 3 40"),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import tacgrip as tg
 import tacgrip.episode
@@ -11,7 +12,7 @@ from tacgrip.density import _density_at_points
 from tacgrip.pgm import read_pgm, write_pgm
 from tacgrip.scenario import static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, SensorModel,
-                                base_image, disk_coverage, displace_markers)
+                                disk_coverage, displace_markers)
 
 
 def test_depth_zero_is_identity(nominal_model):
@@ -201,10 +202,12 @@ def _stamp_disk_loop(markers, model):
     return coverage
 
 
-@pytest.mark.parametrize("radius", [2.5, 4.0, 6.3])
-def test_disk_coverage_matches_per_marker_loop(radius):
-    model = SensorModel(marker_radius=radius, spacing=15.0)
-    rng = np.random.default_rng(int(radius * 10))
+def _layouts(model, rng):
+    """Seeded marker layouts for the coverage and frame tests: the rest
+    grid, no marker, contacts anywhere, deep narrow contacts that fold the
+    field (disks overlap and cross), markers on and past the frame's edges
+    and corners, and random overlapping sets, some wholly outside."""
+    radius = model.marker_radius
     sets = [displace_markers(model, None), tg.MarkerSet(np.empty((0, 2)))]
     for _ in range(15):  # contacts anywhere, the grid edges included
         sets.append(displace_markers(model, ContactStimulus(
@@ -219,22 +222,112 @@ def test_disk_coverage_matches_per_marker_loop(radius):
         n = int(rng.integers(1, 400))
         sets.append(tg.MarkerSet(rng.uniform([-20, -20], [660, 500],
                                              size=(n, 2))))
-    for markers in sets:
+    for _ in range(3):  # folded: depth * k * e^(-1/2) / R > 1
+        sets.append(displace_markers(model, ContactStimulus(
+            x=rng.uniform(200, 440), y=rng.uniform(150, 330),
+            depth=rng.uniform(3.0, 4.5), radius=rng.uniform(14, 18))))
+    return sets
+
+
+@pytest.mark.parametrize("radius", [2.5, 4.0, 6.3])
+def test_disk_coverage_matches_per_marker_loop(radius):
+    model = SensorModel(marker_radius=radius, spacing=15.0)
+    for markers in _layouts(model, np.random.default_rng(int(radius * 10))):
         got = disk_coverage(markers, model)
         want = _stamp_disk_loop(markers, model)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert (got / 16.0).tobytes() == want.tobytes()
 
 
-def test_render_frame_same_bytes_with_given_base(nominal_model):
+def _float_render(markers, model, finger_id=1, seq=0):
+    """The float rendering path that the count table replaced, kept as
+    its reference: float coverage shares (`_stamp_disk_loop`, equal byte
+    for byte to the float `disk_coverage` it replaced), a float32
+    noise-free base image on the 0-255 scale, and the noise quantiles
+    added to it in float32."""
+    coverage = _stamp_disk_loop(markers, model)
+    image = model.background - coverage * (model.background
+                                           - model.marker_intensity)
+    base = (255.0 * image).astype(np.float32)
+    if model.noise_sigma > 0:
+        rng = np.random.default_rng((model.seed, finger_id, seq))
+        quantiles = ndtri((np.arange(256) + 0.5) / 256)
+        table = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
+        noise = np.frombuffer(rng.bytes(base.size), dtype=np.uint8)
+        image = table[noise].reshape(base.shape)
+        image += base
+    else:
+        image = base.copy()
+    np.rint(image, out=image)
+    np.clip(image, 0.0, 255.0, out=image)
+    return image.astype(np.uint8)
+
+
+@pytest.mark.parametrize("radius", [2.5, 4.0, 6.3])
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.6])
+def test_render_frame_matches_float_reference(radius, sigma):
+    rng = np.random.default_rng(int(radius * 10) + int(sigma * 1000))
+    model = SensorModel(marker_radius=radius, noise_sigma=sigma, seed=5)
+    darker = dataclasses.replace(model, background=0.71,
+                                 marker_intensity=0.33)
+    saturated = 0
+    for i, markers in enumerate(_layouts(model, rng)[::2]):
+        for m in (model, darker):
+            finger, seq = 1 + i % 2, int(rng.integers(0, 10_000))
+            frame = tg.render_frame(markers, m, finger_id=finger, seq=seq)
+            want = _float_render(markers, m, finger, seq)
+            assert frame.pixels.dtype == np.uint8
+            assert frame.pixels.tobytes() == want.tobytes()
+            given = tg.render_frame(markers, m, finger_id=finger, seq=seq,
+                                    coverage=disk_coverage(markers, m))
+            assert given.pixels.tobytes() == want.tobytes()
+            saturated += want.min() == 0 and want.max() == 255
+    if sigma >= 0.5:  # the noise clips at both ends of the byte
+        assert saturated >= 10
+
+
+def test_render_frame_bytes_keyed_by_seed(nominal_model):
+    stim = ContactStimulus(x=300.0, y=200.0, depth=2.0, radius=30.0)
+    markers = displace_markers(nominal_model, stim)
+    a = tg.render_frame(markers, nominal_model, finger_id=2, seq=11)
+    b = tg.render_frame(markers, nominal_model, finger_id=2, seq=11)
+    other = dataclasses.replace(nominal_model, seed=nominal_model.seed + 1)
+    c = tg.render_frame(markers, other, finger_id=2, seq=11)
+    assert a.pixels.tobytes() == b.pixels.tobytes()
+    assert a.pixels.tobytes() != c.pixels.tobytes()
+    assert c.pixels.tobytes() == _float_render(markers, other, 2, 11).tobytes()
+
+
+def test_render_frame_same_bytes_with_given_coverage(nominal_model):
     stim = ContactStimulus(x=600.0, y=30.0, depth=2.5, radius=40.0,
                            shear_x=3.0, timestamp=1.0)
     markers = displace_markers(nominal_model, stim)
     given = tg.render_frame(markers, nominal_model, finger_id=2, seq=7,
-                            base=base_image(markers, nominal_model))
+                            coverage=disk_coverage(markers, nominal_model))
     computed = tg.render_frame(markers, nominal_model, finger_id=2, seq=7)
     assert given.pixels.tobytes() == computed.pixels.tobytes()
     assert given.timestamp == computed.timestamp == 1.0
+
+
+def test_render_frame_rejects_hostile_coverage(nominal_model):
+    markers = displace_markers(nominal_model, None)
+    good = disk_coverage(markers, nominal_model)
+    with pytest.raises(ValueError, match="shape"):
+        tg.render_frame(markers, nominal_model, coverage=good[:, :-1])
+    with pytest.raises(ValueError, match="shape"):
+        tg.render_frame(markers, nominal_model, coverage=good.T)
+    with pytest.raises(ValueError, match="uint8"):
+        tg.render_frame(markers, nominal_model, coverage=good / 16.0)
+    with pytest.raises(ValueError, match="uint8"):
+        tg.render_frame(markers, nominal_model,
+                        coverage=good.astype(np.int16))
+    with pytest.raises(ValueError, match="uint8"):
+        tg.render_frame(markers, nominal_model, coverage=good.tolist())
+    for count in (17, 255):
+        bad = good.copy()
+        bad[100, 200] = count
+        with pytest.raises(ValueError, match=f"count {count} exceeds"):
+            tg.render_frame(markers, nominal_model, coverage=bad)
 
 
 def _counting(monkeypatch, owner, name):
@@ -250,13 +343,13 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
-    calls = _counting(monkeypatch, tacgrip.episode, "base_image")
+    calls = _counting(monkeypatch, tacgrip.episode, "disk_coverage")
     layouts = {1: [], 2: []}
     render = tacgrip.episode.render_frame
 
-    def recording(markers, model, finger_id=1, seq=0, *, base=None):
-        frame = render(markers, model, finger_id, seq, base=base)
-        if base is not None:
+    def recording(markers, model, finger_id=1, seq=0, *, coverage=None):
+        frame = render(markers, model, finger_id, seq, coverage=coverage)
+        if coverage is not None:
             layouts[finger_id].append(markers.centroids.tobytes())
             assert frame.pixels.tobytes() == render(
                 markers, model, finger_id, seq).pixels.tobytes()
