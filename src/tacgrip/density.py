@@ -96,15 +96,6 @@ class ContactRegion:
     min_density: float
 
 
-def _density_at_points(centroids, xs, ys, h):
-    """Direct evaluation of the density sum at arbitrary points."""
-    m = centroids.shape[0]
-    c = 1.0 / (math.sqrt(2.0 * math.pi) * h * h)
-    dx = xs[:, None] - centroids[None, :, 0]
-    dy = ys[:, None] - centroids[None, :, 1]
-    return c / m * np.exp(-(dx * dx + dy * dy) / (2.0 * h * h)).sum(axis=1)
-
-
 def _kernel_matrix(centers, lo, hi, h):
     """(M, hi - lo) 1-D Gaussian kernels exp(-(g - c)^2 / (2 h^2)) on the
     grid g = lo..hi-1, zeroed outside [c - 6h, c + 6h]. An entry has the

@@ -99,12 +99,22 @@ class PneumaticPlant:
     the MCU's control delay rides on it too. `tick` is the clock: the
     simulated time is tick * TICK_S.
 
-    A tick costs only what changes on it. A sealed tick (every valve
-    sealed, both pumps off, no command due) tests the queue head, runs
-    the safety loop and advances the tick; it reads and writes no array.
-    Chamber updates run for open valves only, and a tank is pumped and
-    clamped only while its pump runs (a tank that no pump moves stays
-    inside the limits it started in).
+    A tick costs only what changes on it. Chamber updates run for the
+    chambers in `_open` only: the open valves, less each chamber whose
+    last update left its pressure bit-equal. Its valve and its tank are
+    unchanged since, so every later update would give the same bits.
+    `_open` is rebuilt from the valve states whenever a command lands
+    and whenever a pump moves a tank. A tank is pumped and clamped only
+    while its pump runs (a tank that no pump moves stays inside the
+    limits it started in), and after a tick on which the safety loop
+    turns both pumps off, no tank moves again, so the loop is not run
+    again and both pump flags stay False. A tick with nothing to update
+    tests the queue head and advances the tick; it reads and writes no
+    array.
+
+    Both rules rest on one contract: a caller may set `state` before the
+    first step, but once stepping has begun, the plant changes only
+    through apply_valve_command and step.
     """
 
     def __init__(self, config=None, initial_tanks=None):
@@ -130,9 +140,11 @@ class PneumaticPlant:
         # First tick at which each chamber sees tank flow after its valve
         # opened (models line transit).
         self._flow_from = [0] * N_CHAMBERS
-        # (chamber, valve state) of each open valve, rebuilt whenever
-        # commands are delivered.
+        # (chamber, valve state) of each open valve whose chamber may
+        # still move; see the class docstring.
         self._open = []
+        # True once the safety loop has turned both pumps off for good.
+        self._pumps_idle = False
         # Precomputed exact first-order step factor.
         self._alpha = 1.0 - math.exp(-TICK_S / self.config.chamber_time_constant)
 
@@ -190,6 +202,7 @@ class PneumaticPlant:
 
         # Deliver the valve commands landing now in (due, fifo) order.
         queue = self._queue
+        rescan = False
         if queue and queue[0][0] <= now:
             valves = state.valve_states
             while queue and queue[0][0] <= now:
@@ -198,18 +211,27 @@ class PneumaticPlant:
                     valves[ch] = command
                     if command != 0:
                         self._flow_from[ch] = now + cfg.ticks(cfg.line_delay)
-            self._open = [(ch, v) for ch, v in enumerate(valves.tolist()) if v]
+            rescan = True
 
         # Safety loop: pumps, and clamping the tank a pump moved. A pump
         # moves its tank one way, so only the limit on that side binds.
-        pos_on, neg_on = safety_loop(state, cfg)
-        state.pump_pos_on, state.pump_neg_on = pos_on, neg_on
-        if pos_on:
-            state.tank_pos = min(state.tank_pos + cfg.pump_rate * TICK_S,
-                                 PRESSURE_MAX)
-        if neg_on:
-            state.tank_neg = max(state.tank_neg - cfg.pump_rate * TICK_S,
-                                 PRESSURE_MIN)
+        if not self._pumps_idle:
+            pos_on, neg_on = safety_loop(state, cfg)
+            state.pump_pos_on, state.pump_neg_on = pos_on, neg_on
+            tanks = state.tank_pos, state.tank_neg
+            if pos_on:
+                state.tank_pos = min(state.tank_pos + cfg.pump_rate * TICK_S,
+                                     PRESSURE_MAX)
+            if neg_on:
+                state.tank_neg = max(state.tank_neg - cfg.pump_rate * TICK_S,
+                                     PRESSURE_MIN)
+            rescan = rescan or tanks != (state.tank_pos, state.tank_neg)
+            self._pumps_idle = not (pos_on or neg_on)
+        # A landed command or a moved tank can set a settled chamber
+        # flowing again.
+        if rescan:
+            self._open = [(ch, v) for ch, v
+                          in enumerate(state.valve_states.tolist()) if v]
 
         # First-order chamber dynamics toward the connected tank, for the
         # open valves whose line has filled; sealed chambers hold their
@@ -219,13 +241,25 @@ class PneumaticPlant:
             pressures = state.chamber_pressures
             alpha = self._alpha
             flow_from = self._flow_from
-            for ch, v in self._open:
+            settled = []
+            for entry in self._open:
+                ch, v = entry
                 if now < flow_from[ch]:
                     continue
                 target = state.tank_pos if v > 0 else state.tank_neg
                 p = pressures.item(ch)
-                p += (target - p) * alpha
-                pressures[ch] = min(max(p, PRESSURE_MIN), PRESSURE_MAX)
+                new = min(max(p + (target - p) * alpha, PRESSURE_MIN),
+                          PRESSURE_MAX)
+                # A chamber settles when its update leaves it bit-equal,
+                # not just ==: -0.0 steps to 0.0 toward a tank at 0.0, and
+                # the trace tells the two apart.
+                if new == p and (math.copysign(1.0, new)
+                                 == math.copysign(1.0, p)):
+                    settled.append(entry)
+                else:
+                    pressures[ch] = new
+            if settled:
+                self._open = [e for e in self._open if e not in settled]
 
         return state
 

@@ -12,13 +12,14 @@ import tacgrip as tg
 from scipy import ndimage
 
 from tacgrip import density, perception
-from tacgrip.density import (DensityField, KdeConfig, _density_at_points,
-                             calibrate_threshold, estimate_density,
-                             extract_contact, marker_support_box,
-                             write_density_pgm)
+from tacgrip.density import (DensityField, KdeConfig, calibrate_threshold,
+                             estimate_density, extract_contact,
+                             marker_support_box, write_density_pgm)
 from tacgrip.errors import EmptyMarkerSetError, ValidationError
 from tacgrip.pgm import read_pgm
 from tacgrip.sensor_sim import ContactStimulus, nominal_grid
+
+from kde_oracle import density_at_points
 
 
 def brute_force_density(centroids, width, height, h):
@@ -82,8 +83,8 @@ def test_full_frame_matches_direct_sum_within_tail(nominal_model):
     rng = np.random.default_rng(4)
     ix = rng.integers(0, 640, 2000)
     iy = rng.integers(0, 480, 2000)
-    direct = _density_at_points(ms.centroids, ix.astype(float),
-                                iy.astype(float), 15.0)
+    direct = density_at_points(ms.centroids, ix.astype(float),
+                               iy.astype(float), 15.0)
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * 15.0 ** 2)
     assert np.abs(field.values[iy, ix] - direct).max() <= norm * math.exp(-18.0)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import heapq
 import math
 
@@ -370,9 +371,16 @@ def _random_plant_config(rng):
 
 def test_step_matches_reference_on_random_traffic():
     rng = np.random.default_rng(1207)
-    seen = dict(pumped=0, clamped=0, conflicts=0, reseals=0, flowing=0)
-    for case in range(40):
+    seen = dict(pumped=0, clamped=0, conflicts=0, reseals=0, flowing=0,
+                held=0, lands_on_settled=0, pumped_open=0)
+    for case in range(60):
         cfg = _random_plant_config(rng)
+        traffic = [0] * 10 + [1, 2]
+        if case >= 40:
+            # the last 20: sparse commands to fast chambers, so that
+            # chambers reach their fixed point before the next command
+            cfg = dataclasses.replace(cfg, chamber_time_constant=0.005)
+            traffic = [0] * 150 + [1]
         sp_pos, sp_neg = cfg.tank_setpoints
         hys = cfg.tank_hysteresis
         tanks = None
@@ -387,10 +395,12 @@ def test_step_matches_reference_on_random_traffic():
         ref = PneumaticPlant(cfg, initial_tanks=tanks)
         prev_valves = np.zeros(N_CHAMBERS, dtype=np.int64)
         prev_moved = np.zeros(N_CHAMBERS, dtype=bool)
+        # chambers whose last flowing update left the pressure bit-equal
+        settled = np.zeros(N_CHAMBERS, dtype=bool)
         rising = {}  # chamber -> tick its open command was submitted
         for tick in range(1000):
             cmds = []
-            for _ in range(int(rng.choice([0] * 10 + [1, 2]))):
+            for _ in range(int(rng.choice(traffic))):
                 chambers = [int(c) for c in rng.choice(N_CHAMBERS,
                                                        rng.integers(1, 4),
                                                        replace=False)]
@@ -427,5 +437,89 @@ def test_step_matches_reference_on_random_traffic():
             seen["flowing"] += bool(moved.any())
             seen["reseals"] += int(np.sum((valves == 0) & (prev_valves != 0)
                                           & prev_moved))
+            flows = (valves != 0) & (fast.tick >= np.array(fast._flow_from))
+            held = flows & (a.chamber_pressures.view(np.int64)
+                            == before.view(np.int64))
+            seen["held"] += bool(held.any())
+            # a reseal, a switch of tank or a reopen after a seal
+            seen["lands_on_settled"] += int(np.sum((valves != prev_valves)
+                                                   & settled))
+            settled = np.where(flows, held, settled)
+            seen["pumped_open"] += bool((a.pump_pos_on and (valves > 0).any())
+                                        or (a.pump_neg_on
+                                            and (valves < 0).any()))
             prev_valves, prev_moved = valves, moved
     assert min(seen.values()) >= 50, seen
+
+
+def _plant_pair(cfg, tanks=None, pressures=None):
+    plants = (PneumaticPlant(cfg, initial_tanks=tanks),
+              PneumaticPlant(cfg, initial_tanks=tanks))
+    if pressures is not None:
+        for plant in plants:
+            plant.state.chamber_pressures[:] = pressures
+    return plants
+
+
+def _step_both(fast, ref):
+    fast.step()
+    _reference_step(ref)
+    assert repr(fast.trace_row()) == repr(ref.trace_row()), fast.tick
+    assert (fast.state.pump_pos_on, fast.state.pump_neg_on) == \
+        (ref.state.pump_pos_on, ref.state.pump_neg_on), fast.tick
+
+
+def test_settled_chamber_moves_again_when_its_tank_is_pumped():
+    # A pump this slow moves the tank one ulp per tick, so a fast chamber
+    # a few ulps from it holds bit-equal for some ticks, drops out, and
+    # must move again once the tank has crept far enough.
+    ulp = math.ulp(40.0)
+    cfg = PlantConfig(valve_latency=0.0, line_delay=0.0,
+                      chamber_time_constant=0.005, pump_rate=ulp / TICK_S)
+    fast, ref = _plant_pair(cfg, tanks=(40.0, -52.0),
+                            pressures=[40.0 + k * ulp for k in range(-2, 6)])
+    for plant in (fast, ref):
+        plant.apply_valve_command(range(N_CHAMBERS), +1)
+    held = np.zeros(N_CHAMBERS, dtype=bool)
+    resumed = 0
+    for _ in range(300):
+        before = fast.state.chamber_pressures.copy()
+        _step_both(fast, ref)
+        same = fast.state.chamber_pressures == before
+        resumed += int(np.sum(held & ~same))
+        held = same
+    assert fast.state.pump_pos_on and fast.state.tank_pos == 40.0 + 300 * ulp
+    assert resumed > 0
+
+
+def test_negative_zero_chamber_steps_to_the_reference_bytes():
+    # -0.0 open to a tank at 0.0 steps to 0.0: equal by ==, but not the
+    # same trace bytes, so the write must not be skipped.
+    cfg = PlantConfig(valve_latency=0.0, line_delay=0.0,
+                      tank_setpoints=(0.0, -52.0))
+    fast, ref = _plant_pair(cfg, pressures=[-0.0] * N_CHAMBERS)
+    for plant in (fast, ref):
+        plant.apply_valve_command(0, +1)
+    for _ in range(50):
+        _step_both(fast, ref)
+    row = fast.trace_row()
+    assert repr(row[3]) == "0.0"  # the opened chamber
+    assert repr(row[4]) == "-0.0"  # a sealed one keeps its bits
+
+
+def test_idle_pumps_give_the_reference_trace_for_ten_thousand_ticks():
+    # Both pumps run, then stop for good; chambers keep flowing toward
+    # the tanks, settle and hold while nothing is queued.
+    fast, ref = _plant_pair(PlantConfig(), tanks=(40.0, -48.0))
+    for plant in (fast, ref):
+        plant.apply_valve_command([0, 1, 2], +1)
+        plant.apply_valve_command([3, 4], -1)
+        plant.apply_valve_command(5, +1, after_ticks=120)
+        plant.apply_valve_command(0, -1, after_ticks=250)
+    for _ in range(400):
+        _step_both(fast, ref)
+    assert not (fast.state.pump_pos_on or fast.state.pump_neg_on)
+    assert fast._queue == []
+    for _ in range(10_000):
+        _step_both(fast, ref)
+    assert fast._open == []  # every open chamber has settled

@@ -8,11 +8,12 @@ from scipy.special import ndtri
 import tacgrip as tg
 import tacgrip.episode
 import tacgrip.sensor_sim
-from tacgrip.density import _density_at_points
 from tacgrip.pgm import read_pgm, write_pgm
 from tacgrip.scenario import static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, SensorModel,
                                 disk_coverage, displace_markers)
+
+from kde_oracle import density_at_points
 
 
 def test_depth_zero_is_identity(nominal_model):
@@ -71,7 +72,7 @@ def test_symmetric_stimulus_keeps_pattern_symmetric(nominal_model):
 
     span = np.arange(-20.0, 20.5, 0.5)
     gx, gy = np.meshgrid(cx + span, cy + span)
-    d = _density_at_points(after, gx.ravel(), gy.ravel(), 15.0)
+    d = density_at_points(after, gx.ravel(), gy.ravel(), 15.0)
     k = int(d.argmin())
     off = math.hypot(gx.ravel()[k] - cx, gy.ravel()[k] - cy)
     assert off <= nominal_model.spacing
@@ -84,9 +85,9 @@ def test_density_at_center_strictly_decreases_with_depth(nominal_model):
         stim = ContactStimulus(x=center[0], y=center[1], depth=depth,
                                radius=40.0, timestamp=1.0)
         ms = displace_markers(nominal_model, stim)
-        values.append(_density_at_points(ms.centroids,
-                                         np.array([center[0]]),
-                                         np.array([center[1]]), 15.0)[0])
+        values.append(density_at_points(ms.centroids,
+                                        np.array([center[0]]),
+                                        np.array([center[1]]), 15.0)[0])
     assert values[0] > values[1] > values[2]
 
 
@@ -101,7 +102,7 @@ def test_shear_moves_recovered_center_monotonically(nominal_model):
         stim = dataclasses.replace(base, shear_x=shear)
         ms = displace_markers(nominal_model, stim)
         gx, gy = np.meshgrid(base.x + span, base.y + span)
-        d = _density_at_points(ms.centroids, gx.ravel(), gy.ravel(), 15.0)
+        d = density_at_points(ms.centroids, gx.ravel(), gy.ravel(), 15.0)
         k = int(d.argmin())
         shifts.append(gx.ravel()[k] - base.x)
     assert shifts[0] < shifts[1] < shifts[2]
