@@ -10,6 +10,7 @@ gridded pressure box.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import List
 
@@ -29,6 +30,15 @@ SEGMENT_LENGTH = CONNECTOR_THICKNESS_T + ACTUATOR_LENGTH_H
 
 # Symmetric clamp on a joint's bend angle, degrees.
 ANGLE_LIMIT_DEG = 90.0
+
+# Samples per forward-kinematics block in `workspace`. Each (n, 4, 4)
+# stack of a block is 128 kB, so its temporaries stay under ~1 MB
+# however large the grid.
+FK_BLOCK = 1024
+
+# Largest pressure grid `workspace` evaluates: 64 samples per axis on a
+# 4-chamber chain, whose (K, 3) tip cloud alone takes 403 MB.
+MAX_WORKSPACE_SAMPLES = 2 ** 24
 
 
 @dataclass
@@ -101,7 +111,9 @@ def pressure_to_cc(joint, pressures):
     """Map chamber pressures (kPa) to a constant-curvature segment.
 
     Bend angles clamp to ANGLE_LIMIT_DEG; zero pressure gives a straight
-    segment of SEGMENT_LENGTH.
+    segment of SEGMENT_LENGTH. A pressure outside [PRESSURE_MIN,
+    PRESSURE_MAX], NaN and infinities included, raises
+    PressureOutOfRangeError.
     """
     pressures = np.atleast_1d(np.asarray(pressures, dtype=np.float64))
     if pressures.shape != (joint.chamber_count,):
@@ -109,38 +121,48 @@ def pressure_to_cc(joint, pressures):
             f"{joint.kind} joint takes {joint.chamber_count} pressures, "
             f"got {pressures.shape}"
         )
-    for p in pressures:
-        if p < PRESSURE_MIN or p > PRESSURE_MAX:
-            raise PressureOutOfRangeError(
-                f"chamber pressure {p} kPa outside "
-                f"[{PRESSURE_MIN}, {PRESSURE_MAX}]")
+    kappa, phi, length = _joint_arcs(joint, pressures[np.newaxis])
+    return CcSegment(kappa=float(kappa[0]), phi=float(phi[0]),
+                     length=float(length[0]))
 
+
+def _joint_arcs(joint, pressures):
+    """(kappa, phi, length) arrays of one joint for an (N, chamber_count)
+    pressure array, each row mapped as pressure_to_cc maps a vector."""
+    inside = (pressures >= PRESSURE_MIN) & (pressures <= PRESSURE_MAX)
+    if not inside.all():
+        p = pressures[~inside][0]
+        raise PressureOutOfRangeError(
+            f"chamber pressure {p} kPa outside "
+            f"[{PRESSURE_MIN}, {PRESSURE_MAX}]")
+
+    gain = joint.pressure_to_angle_gain
     if joint.kind == "rot":
-        theta_deg = float(np.clip(joint.pressure_to_angle_gain * pressures[0],
-                                  -ANGLE_LIMIT_DEG, ANGLE_LIMIT_DEG))
-        phi = 0.0
-        length = SEGMENT_LENGTH
+        theta_deg = np.clip(gain * pressures[:, 0],
+                            -ANGLE_LIMIT_DEG, ANGLE_LIMIT_DEG)
+        phi = np.zeros_like(theta_deg)
+        length = np.full_like(theta_deg, SEGMENT_LENGTH)
     else:
-        tx = joint.pressure_to_angle_gain * pressures[0]
-        ty = joint.pressure_to_angle_gain * pressures[1]
-        theta_deg = min(float(np.hypot(tx, ty)), ANGLE_LIMIT_DEG)
-        phi = math.atan2(ty, tx) if theta_deg != 0.0 else 0.0
-        extension = joint.pressure_to_extension_gain * float(pressures.mean())
+        tx = gain * pressures[:, 0]
+        ty = gain * pressures[:, 1]
+        theta_deg = np.minimum(np.hypot(tx, ty), ANGLE_LIMIT_DEG)
+        # atan2 of signed zeros is 0 or +-pi; a straight segment has phi 0.
+        phi = np.where(theta_deg != 0.0, np.arctan2(ty, tx), 0.0)
+        extension = joint.pressure_to_extension_gain * pressures.mean(axis=1)
         length = SEGMENT_LENGTH + extension
-        if length <= 0:
+        if (length <= 0).any():
             raise ValueError("extension collapsed the segment length")
-
-    theta = math.radians(theta_deg)
-    kappa = theta / length
-    return CcSegment(kappa=kappa, phi=phi, length=length)
+    return np.radians(theta_deg) / length, phi, length
 
 
 def _rot_z(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0, 0.0],
-                     [s, c, 0.0, 0.0],
-                     [0.0, 0.0, 1.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0]])
+    """(N, 4, 4) rotations about z, one per angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    t = np.zeros((len(angle), 4, 4))
+    t[:, 0, 0] = t[:, 1, 1] = c
+    t[:, 0, 1], t[:, 1, 0] = -s, s
+    t[:, 2, 2] = t[:, 3, 3] = 1.0
+    return t
 
 
 def translation(x, y, z):
@@ -156,44 +178,64 @@ def cc_transform(segment):
     Near kappa = 0 the chord terms switch to a 4th-order series, so the
     straight-segment limit is smooth.
     """
-    theta = segment.kappa * segment.length
-    if abs(theta) < 1e-6:
-        # Series of (1-cos t)/kappa and sin t / kappa around t = 0.
-        x = segment.length * (theta / 2.0 - theta ** 3 / 24.0)
-        z = segment.length * (1.0 - theta ** 2 / 6.0 + theta ** 4 / 120.0)
-    else:
-        x = (1.0 - math.cos(theta)) / segment.kappa
-        z = math.sin(theta) / segment.kappa
+    return _arc_transforms(np.array([segment.kappa]), np.array([segment.phi]),
+                           np.array([segment.length]))[0]
 
-    ct, st = math.cos(theta), math.sin(theta)
-    arc = np.array([[ct, 0.0, st, x],
-                    [0.0, 1.0, 0.0, 0.0],
-                    [-st, 0.0, ct, z],
-                    [0.0, 0.0, 0.0, 1.0]])
-    return _rot_z(segment.phi) @ arc @ _rot_z(-segment.phi)
+
+def _arc_transforms(kappa, phi, length):
+    """(N, 4, 4) transforms of N arcs given as arrays; see cc_transform."""
+    theta = kappa * length
+    ct, st = np.cos(theta), np.sin(theta)
+    small = np.abs(theta) < 1e-6
+    # Series of (1-cos t)/kappa and sin t / kappa around t = 0.
+    safe_kappa = np.where(small, 1.0, kappa)
+    x = np.where(small, length * (theta / 2.0 - theta ** 3 / 24.0),
+                 (1.0 - ct) / safe_kappa)
+    z = np.where(small,
+                 length * (1.0 - theta ** 2 / 6.0 + theta ** 4 / 120.0),
+                 st / safe_kappa)
+
+    arc = np.zeros((len(theta), 4, 4))
+    arc[:, 0, 0] = arc[:, 2, 2] = ct
+    arc[:, 0, 2], arc[:, 2, 0] = st, -st
+    arc[:, 0, 3], arc[:, 2, 3] = x, z
+    arc[:, 1, 1] = arc[:, 3, 3] = 1.0
+    return _rot_z(phi) @ arc @ _rot_z(-phi)
 
 
 def split_pressures(chain, pressures):
-    """Split a flat pressure vector into per-joint arrays in chain order."""
-    pressures = np.asarray(pressures, dtype=np.float64).ravel()
-    if pressures.shape != (chain.chamber_count,):
+    """Split pressures into per-joint arrays in chain order: a flat vector
+    into vectors, an (N, chamber_count) array into column blocks."""
+    pressures = np.asarray(pressures, dtype=np.float64)
+    if pressures.ndim == 0 or pressures.shape[-1] != chain.chamber_count:
         raise ValueError(
-            f"chain takes {chain.chamber_count} pressures, got {len(pressures)}"
+            f"chain takes {chain.chamber_count} pressures, "
+            f"got shape {pressures.shape}"
         )
     out, k = [], 0
     for joint in chain.joints:
-        out.append(pressures[k : k + joint.chamber_count])
+        out.append(pressures[..., k : k + joint.chamber_count])
         k += joint.chamber_count
     return out
 
 
-def finger_fk(chain, pressures):
-    """Tip pose (4x4) for a flat pressure vector in chain order."""
+def finger_fk_batch(chain, pressures):
+    """Tip poses (N, 4, 4) for an (N, chamber_count) pressure array whose
+    rows are flat pressure vectors in chain order."""
+    pressures = np.asarray(pressures, dtype=np.float64)
+    if pressures.ndim != 2:
+        raise ValueError(f"expected an (N, {chain.chamber_count}) pressure "
+                         f"array, got shape {pressures.shape}")
     t = np.eye(4)
     for joint, p in zip(chain.joints, split_pressures(chain, pressures)):
-        t = t @ cc_transform(pressure_to_cc(joint, p))
+        t = t @ _arc_transforms(*_joint_arcs(joint, p))
     # Final tip connector plate.
     return t @ translation(0.0, 0.0, CONNECTOR_THICKNESS_T)
+
+
+def finger_fk(chain, pressures):
+    """Tip pose (4x4) for a flat pressure vector in chain order."""
+    return finger_fk_batch(chain, np.reshape(pressures, (1, -1)))[0]
 
 
 def tip_position(chain, pressures):
@@ -207,16 +249,33 @@ class WorkspaceResult:
 
 
 def workspace(chain, samples_per_axis=9):
-    """Grid the pressure box, run FK everywhere, hull the tip cloud."""
-    if samples_per_axis < 2:
+    """Grid the pressure box, run FK everywhere, hull the tip cloud.
+
+    The grid is evaluated FK_BLOCK samples at a time and is never held
+    whole; grids above MAX_WORKSPACE_SAMPLES are refused before anything
+    is allocated.
+    """
+    try:
+        n = operator.index(samples_per_axis)
+    except TypeError:
+        raise ValueError("samples_per_axis must be an integer, got "
+                         f"{samples_per_axis!r}") from None
+    if n < 2:
         raise ValueError("samples_per_axis must be >= 2")
-    axes = [np.linspace(PRESSURE_MIN, PRESSURE_MAX, samples_per_axis)] \
-        * chain.chamber_count
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    points = np.empty((flat.shape[0], 3))
-    for i, pressures in enumerate(flat):
-        points[i] = tip_position(chain, pressures)
+    count = n ** chain.chamber_count
+    if count > MAX_WORKSPACE_SAMPLES:
+        raise ValueError(
+            f"{n} samples per axis over {chain.chamber_count} chambers is "
+            f"{count} samples, above the cap of {MAX_WORKSPACE_SAMPLES}")
+
+    shape = (n,) * chain.chamber_count
+    axis = np.linspace(PRESSURE_MIN, PRESSURE_MAX, n)
+    points = np.empty((count, 3))
+    for start in range(0, count, FK_BLOCK):
+        stop = min(start + FK_BLOCK, count)
+        index = np.unravel_index(np.arange(start, stop), shape)
+        poses = finger_fk_batch(chain, axis[np.stack(index, axis=1)])
+        points[start:stop] = poses[:, :3, 3]
     return WorkspaceResult(points=points, hull_volume=hull_volume(points))
 
 

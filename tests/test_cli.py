@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,29 @@ def test_workspace_single_order(tmp_path, capsys):
     assert "volume(rotdex)" in out
     assert "<" not in out  # no comparison with one chain
     assert not (tmp_path / "workspace_dexrot.csv").exists()
+
+
+# sha256 of the workspace CSVs as the per-sample FK loop wrote them,
+# before forward kinematics was evaluated in blocks.
+WORKSPACE_CSV_SHA256 = {
+    3: {"dexrot": "fb7fe3b8027e94985495a96a729b49a0"
+                  "3539c68bc7627e8477ef5b8f12ae8cd5",
+        "rotdex": "364b503682990a1f819d8e44e64abe85"
+                  "a820dc20f16ea40ab4d48992a0e4ec9a"},
+    9: {"dexrot": "514b87e68223be7127270b434a214b0d"
+                  "c775d75e00bec455d88a5e12d0a7ffc1",
+        "rotdex": "10bd57e41a7ab7a332397e89c6b7bc15"
+                  "3a4a7fb907bb2d12eef272e1c8317197"},
+}
+
+
+@pytest.mark.parametrize("samples", sorted(WORKSPACE_CSV_SHA256))
+def test_workspace_csv_bytes_pinned(tmp_path, samples):
+    rc = main(["workspace", "--samples", str(samples), "--out", str(tmp_path)])
+    assert rc == 0
+    for order, want in WORKSPACE_CSV_SHA256[samples].items():
+        data = (tmp_path / f"workspace_{order}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, order
 
 
 def test_grasp_command(tmp_path, capsys):

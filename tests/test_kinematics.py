@@ -1,15 +1,20 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tacgrip.errors import PressureOutOfRangeError
-from tacgrip.kinematics import (ACTUATOR_LENGTH_H, CONNECTOR_THICKNESS_T,
-                                SEGMENT_LENGTH, CcSegment, cc_transform,
-                                dex_joint, dex_rot_chain, finger_fk,
-                                hull_volume, pressure_to_cc, rot_dex_chain,
-                                rot_joint, split_pressures, tip_position,
-                                workspace, write_workspace_csv)
+from tacgrip.kinematics import (ACTUATOR_LENGTH_H, ANGLE_LIMIT_DEG,
+                                CONNECTOR_THICKNESS_T, MAX_WORKSPACE_SAMPLES,
+                                SEGMENT_LENGTH, CcSegment, FingerChain,
+                                cc_transform, dex_joint, dex_rot_chain,
+                                finger_fk, finger_fk_batch, hull_volume,
+                                pressure_to_cc, rot_dex_chain, rot_joint,
+                                split_pressures, tip_position, workspace,
+                                write_workspace_csv)
+from tacgrip.plant import PRESSURE_MAX, PRESSURE_MIN
 
 
 def test_zero_pressure_segment_is_straight():
@@ -187,3 +192,177 @@ def test_write_workspace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,z"
     assert lines[1].startswith("1.250000,-2.500000,3.000000")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind,chamber", [("rot", 0), ("dex", 0), ("dex", 1),
+                                          ("dex", 2)])
+def test_non_finite_pressure_rejected(kind, chamber, value):
+    joint = rot_joint() if kind == "rot" else dex_joint()
+    pressures = [0.0] * joint.chamber_count
+    pressures[chamber] = value
+    with pytest.raises(PressureOutOfRangeError,
+                       match=re.escape(f"pressure {value} kPa")):
+        pressure_to_cc(joint, pressures)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 50.5])
+def test_batch_rejects_one_bad_row(value):
+    batch = np.zeros((8, 4))
+    batch[5, 2] = value
+    for chain in (dex_rot_chain(), rot_dex_chain()):
+        with pytest.raises(PressureOutOfRangeError,
+                           match=re.escape(f"pressure {value} kPa")):
+            finger_fk_batch(chain, batch)
+
+
+@pytest.mark.parametrize("samples", [2.5, "9", None])
+def test_workspace_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="integer"):
+        workspace(dex_rot_chain(), samples_per_axis=samples)
+
+
+def test_workspace_sample_cap():
+    # 10^4 per axis is 10^16 samples: refused from the Python-int count
+    # alone, before any array is allocated.
+    assert (10 ** 4) ** 4 > MAX_WORKSPACE_SAMPLES
+    with pytest.raises(ValueError, match="cap"):
+        workspace(dex_rot_chain(), samples_per_axis=10 ** 4)
+
+
+# -- reference: the per-sample forward kinematics the batched path replaced --
+
+def _ref_segment(joint, pressures):
+    """(kappa, phi, length) of one joint for one in-range vector."""
+    if joint.kind == "rot":
+        theta_deg = float(np.clip(joint.pressure_to_angle_gain * pressures[0],
+                                  -ANGLE_LIMIT_DEG, ANGLE_LIMIT_DEG))
+        phi = 0.0
+        length = SEGMENT_LENGTH
+    else:
+        tx = joint.pressure_to_angle_gain * pressures[0]
+        ty = joint.pressure_to_angle_gain * pressures[1]
+        theta_deg = min(float(np.hypot(tx, ty)), ANGLE_LIMIT_DEG)
+        phi = math.atan2(ty, tx) if theta_deg != 0.0 else 0.0
+        extension = joint.pressure_to_extension_gain * float(pressures.mean())
+        length = SEGMENT_LENGTH + extension
+    return math.radians(theta_deg) / length, phi, length
+
+
+def _ref_rot_z(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0, 0.0],
+                     [s, c, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
+
+
+def _ref_transform(kappa, phi, length):
+    theta = kappa * length
+    if abs(theta) < 1e-6:
+        x = length * (theta / 2.0 - theta ** 3 / 24.0)
+        z = length * (1.0 - theta ** 2 / 6.0 + theta ** 4 / 120.0)
+    else:
+        x = (1.0 - math.cos(theta)) / kappa
+        z = math.sin(theta) / kappa
+    ct, st = math.cos(theta), math.sin(theta)
+    arc = np.array([[ct, 0.0, st, x],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [-st, 0.0, ct, z],
+                    [0.0, 0.0, 0.0, 1.0]])
+    return _ref_rot_z(phi) @ arc @ _ref_rot_z(-phi)
+
+
+def _ref_fk(chain, pressures):
+    pressures = np.asarray(pressures, dtype=np.float64)
+    t, k = np.eye(4), 0
+    for joint in chain.joints:
+        p = pressures[k : k + joint.chamber_count]
+        t = t @ _ref_transform(*_ref_segment(joint, p))
+        k += joint.chamber_count
+    tip = np.eye(4)
+    tip[2, 3] = CONNECTOR_THICKNESS_T
+    return t @ tip
+
+
+def _ref_grid(chain, n):
+    axes = [np.linspace(PRESSURE_MIN, PRESSURE_MAX, n)] * chain.chamber_count
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+# Default gains never reach the 90 degree clamp inside the pressure box;
+# these do, on both joint kinds.
+def _clamping_chains():
+    return [FingerChain(joints=[dex_joint(gain=2.0), rot_joint(gain=3.0)]),
+            FingerChain(joints=[rot_joint(gain=3.0), dex_joint(gain=2.0)])]
+
+
+# Per-joint edge cases: theta = 0 (signed zeros too, where atan2 is
+# +-pi), theta inside the |theta| < 1e-6 series branch and just past it,
+# the box ends, which clamp under the clamping gains, and pure extension.
+_EDGE = {
+    "rot": [[0.0], [-0.0], [1e-7], [-1e-7], [4.3e-5], [4.8e-5],
+            [PRESSURE_MAX], [PRESSURE_MIN], [40.0]],
+    "dex": [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 5.0],
+            [-0.0, -0.0, -0.0], [1e-7, 0.0, 0.0], [0.0, -1e-7, 0.0],
+            [1e-7, 1e-7, 1e-7], [PRESSURE_MAX, PRESSURE_MAX, 0.0],
+            [PRESSURE_MIN, 0.0, 0.0], [0.0, 0.0, 30.0],
+            [0.0, 0.0, PRESSURE_MIN]],
+}
+
+
+def _property_vectors(chain, seed):
+    rows = [sum(combo, []) for combo in itertools.product(
+        *(_EDGE[j.kind] for j in chain.joints))]
+    rows += [list(c) for c in itertools.product(
+        (PRESSURE_MIN, PRESSURE_MAX), repeat=chain.chamber_count)]
+    rng = np.random.default_rng(seed)
+    rows += rng.uniform(PRESSURE_MIN, PRESSURE_MAX,
+                        (200, chain.chamber_count)).tolist()
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_workspace_matches_per_sample_reference(n):
+    for chain in (dex_rot_chain(), rot_dex_chain()):
+        expect = np.array([_ref_fk(chain, p)[:3, 3]
+                           for p in _ref_grid(chain, n)])
+        got = workspace(chain, samples_per_axis=n).points
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("chain_index", range(4))
+def test_batch_matches_per_sample_reference(chain_index):
+    chain = ([dex_rot_chain(), rot_dex_chain()]
+             + _clamping_chains())[chain_index]
+    vectors = _property_vectors(chain, seed=chain_index)
+    assert len(vectors) >= 200 + 16
+    poses = finger_fk_batch(chain, vectors)
+    for p, pose in zip(vectors, poses):
+        assert np.abs(pose - _ref_fk(chain, p)).max() < 1e-12, p
+        for joint, jp in zip(chain.joints, split_pressures(chain, p)):
+            seg = pressure_to_cc(joint, jp)
+            ref = _ref_segment(joint, jp)
+            assert np.abs(np.subtract((seg.kappa, seg.phi, seg.length),
+                                      ref)).max() < 1e-12, (joint.kind, jp)
+
+
+def test_clamping_chains_reach_the_clamp():
+    for chain in _clamping_chains():
+        for joint in chain.joints:
+            top = [PRESSURE_MAX] * joint.chamber_count
+            seg = pressure_to_cc(joint, top)
+            assert math.degrees(seg.kappa * seg.length) == \
+                pytest.approx(ANGLE_LIMIT_DEG)
+
+
+def test_single_vector_fk_is_a_batch_row():
+    rng = np.random.default_rng(17)
+    for chain in (dex_rot_chain(), rot_dex_chain()):
+        batch = rng.uniform(PRESSURE_MIN, PRESSURE_MAX, (50, 4))
+        poses = finger_fk_batch(chain, batch)
+        for p, pose in zip(batch, poses):
+            assert np.abs(finger_fk(chain, p) - pose).max() < 1e-12
+            assert np.abs(tip_position(chain, p) - pose[:3, 3]).max() < 1e-12
