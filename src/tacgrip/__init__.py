@@ -12,7 +12,7 @@ from .blobs import DetectorConfig, MarkerSet, detect_markers
 from .control import (CONTROL_PERIOD_S, CommandKind, ControlThresholds,
                       FlagKind, GraspPhase, GraspSupervisor,
                       LEGAL_TRANSITIONS, McuCommand, McuEmulator,
-                      PerceptionFlag, Phase, arbitrate, classify_frame,
+                      PerceptionFlag, Phase, classify_frame,
                       decode_frame, encode_frame, measure_valve_response)
 from .density import (ContactRegion, DensityField, KdeConfig,
                       calibrate_threshold, estimate_density, extract_contact,

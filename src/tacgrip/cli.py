@@ -91,8 +91,7 @@ def _cmd_analyze(args):
     for finger_id, items in sorted(by_finger.items()):
         items.sort()
         pipe = FingerPipeline(finger_id, kde_config=kde,
-                              calibration_ratio=args.calibration_ratio,
-                              control_period=args.period)
+                              calibration_ratio=args.calibration_ratio)
         first_frame = _load_frame(items[0][1], items[0][0], finger_id, args.period)
         try:
             pipe.calibrate(first_frame)
@@ -101,7 +100,10 @@ def _cmd_analyze(args):
         contacts = 0
         for seq, path in items:
             frame = _load_frame(path, seq, finger_id, args.period)
-            report = pipe.process(frame)
+            try:
+                report = pipe.process(frame)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             if report.center is not None:
                 contacts += 1
             if args.heatmaps and len(report.markers):

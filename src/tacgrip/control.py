@@ -1,12 +1,12 @@
-"""Grasp controller: displacement classification, arbitration, the grasp
-phase machine, and the framed serial protocol to the valve MCU.
+"""Grasp controller: displacement classification, the grasp phase
+machine, and the framed serial protocol to the valve MCU.
 
 Per finger, the latest contact-center displacement D is classified into
 StableGrasp / DisturbanceOccured / Regrasp / NoContact against the
-thresholds T1 and T2. An arbitration step fuses the two finger flags
-with the current grasp phase into valve commands: seal on dual
-stability, reopen on disturbance, regrasp on slip, release when nothing
-is touched for too long.
+thresholds T1 and T2. The supervisor reads both finger flags in its
+current phase and emits valve commands: seal on dual stability, reopen
+on disturbance, regrasp on slip, release when nothing is touched for
+too long.
 """
 
 import bisect
@@ -156,34 +156,6 @@ def _window_stable(track, thresholds, now, control_period):
     return len(disps) - lo >= needed
 
 
-def arbitrate(flag1, flag2, phase, thresholds, now,
-              control_period=CONTROL_PERIOD_S):
-    """Fuse the two finger flags with the grasp phase into a command kind.
-
-    Priority: Regrasp > DisturbanceOccured > dual StableGrasp > timeout
-    Release. Returns None when nothing needs to change. Raises
-    StaleFlagsError when either flag is older than two control periods.
-    """
-    for flag in (flag1, flag2):
-        if not is_fresh(now - flag.timestamp, control_period):
-            raise StaleFlagsError(
-                f"finger {flag.finger_id} flag is {now - flag.timestamp:.3f}s old"
-            )
-
-    kinds = (flag1.kind, flag2.kind)
-    if FlagKind.REGRASP in kinds:
-        return CommandKind.REGRASP
-    if FlagKind.DISTURBANCE_OCCURED in kinds:
-        return CommandKind.REOPEN_VALVES
-    if kinds == (FlagKind.STABLE_GRASP, FlagKind.STABLE_GRASP):
-        return CommandKind.CLOSE_VALVES
-    if kinds == (FlagKind.NO_CONTACT, FlagKind.NO_CONTACT) \
-            and phase.state == Phase.CLOSING \
-            and now - phase.entered_at >= thresholds.no_contact_timeout_s - _EPS:
-        return CommandKind.RELEASE
-    return None
-
-
 class GraspSupervisor:
     """Runs the grasp phase machine and emits edge-triggered commands.
 
@@ -210,108 +182,120 @@ class GraspSupervisor:
         # the displacement signal has already settled by then.
         self._pending_regrasp = False
 
-    def _transition(self, new_state, now):
+    def _enter(self, new_state, now, kind=None):
+        """Move to `new_state` and return the commands that announce it:
+        one of `kind`, or none. Entering Released terminates the
+        episode."""
         old = self.phase.state
         if new_state not in LEGAL_TRANSITIONS[old]:
             raise RuntimeError(f"illegal phase transition {old} -> {new_state}")
         self.transitions.append((now, old, new_state))
         self.phase = GraspPhase(new_state, now)
+        if new_state == Phase.RELEASED:
+            self.terminated = True
+        return [] if kind is None else [self._command(kind)]
 
     def _command(self, kind):
         return McuCommand(kind=kind, valve_mask=self.grasp_mask)
 
     def start(self, now=0.0):
         """Idle -> Closing; pressurizes the grasp chambers."""
-        self._transition(Phase.CLOSING, now)
-        return [self._command(CommandKind.REOPEN_VALVES)]
+        return self._enter(Phase.CLOSING, now, CommandKind.REOPEN_VALVES)
 
     def update(self, flag1, flag2, now, fresh1=None, fresh2=None):
         """Advance the phase machine one control period.
 
         fresh1/fresh2: whether each finger currently has a fresh contact
         center (defaults to flag kind != NoContact). Returns the list of
-        commands to put on the wire this period.
+        commands to put on the wire this period. Raises StaleFlagsError,
+        changing nothing, when either flag is more than two control
+        periods old.
+
+        Flag priority: a Regrasp flag on either finger (a slip) outranks
+        a DisturbanceOccured flag, which outranks StableGrasp on both
+        fingers; one stable finger changes nothing. Two timeouts, each
+        of no_contact_timeout_s, release the grasp. In Closing, two
+        NoContact flags release it that long after Closing was entered.
+        In Contacted, Stable and Disturbed, a stale contact releases it
+        (or regrasps) that long after the first period in which neither
+        finger had a fresh contact center.
         """
-        if self.terminated or self.phase.state in (Phase.IDLE, Phase.RELEASED):
+        if self.terminated or self.phase.state == Phase.IDLE:
             return []
+        for flag in (flag1, flag2):
+            if not is_fresh(now - flag.timestamp, self.control_period):
+                raise StaleFlagsError(
+                    f"finger {flag.finger_id} flag is {now - flag.timestamp:.3f}s old"
+                )
+        kinds = (flag1.kind, flag2.kind)
+        slip = FlagKind.REGRASP in kinds
+        moved = slip or FlagKind.DISTURBANCE_OCCURED in kinds
+        stable = kinds == (FlagKind.STABLE_GRASP, FlagKind.STABLE_GRASP)
         if fresh1 is None:
             fresh1 = flag1.kind != FlagKind.NO_CONTACT
         if fresh2 is None:
             fresh2 = flag2.kind != FlagKind.NO_CONTACT
 
-        cmd = arbitrate(flag1, flag2, self.phase, self.thresholds, now,
-                        self.control_period)
-        self._track_staleness(fresh1, fresh2, now)
+        if fresh1 or fresh2:
+            self._stale_since = None
+        elif self._stale_since is None:
+            self._stale_since = now
+        stale = self._timed_out(self._stale_since, now)
         state = self.phase.state
 
         if state == Phase.CLOSING:
-            if cmd == CommandKind.RELEASE:
-                self._transition(Phase.RELEASED, now)
-                self.terminated = True
-                return [self._command(CommandKind.RELEASE)]
+            if kinds == (FlagKind.NO_CONTACT, FlagKind.NO_CONTACT) \
+                    and self._timed_out(self.phase.entered_at, now):
+                return self._enter(Phase.RELEASED, now, CommandKind.RELEASE)
             if fresh1 and fresh2:
-                self._transition(Phase.CONTACTED, now)
+                self._enter(Phase.CONTACTED, now)
             return []
 
         if state == Phase.CONTACTED:
-            if cmd == CommandKind.CLOSE_VALVES:
-                self._transition(Phase.STABLE, now)
-                return [self._command(CommandKind.CLOSE_VALVES)]
-            if cmd == CommandKind.REGRASP or self._stale_timed_out(now):
+            if stable:
+                return self._enter(Phase.STABLE, now, CommandKind.CLOSE_VALVES)
+            if slip or stale:
                 return self._regrasp_or_release(now)
             return []
 
         if state == Phase.STABLE:
-            if cmd in (CommandKind.REOPEN_VALVES, CommandKind.REGRASP):
-                # A slip (Regrasp flag) routes through Disturbed first;
-                # the regrasp follows on the next period.
-                self._pending_regrasp = cmd == CommandKind.REGRASP
-                self._transition(Phase.DISTURBED, now)
-                return [self._command(CommandKind.REOPEN_VALVES)]
-            if self._stale_timed_out(now):
-                self._transition(Phase.RELEASED, now)
-                self.terminated = True
-                return [self._command(CommandKind.RELEASE)]
+            if moved:
+                # A slip routes through Disturbed first; the regrasp
+                # follows on the next period.
+                self._pending_regrasp = slip
+                return self._enter(Phase.DISTURBED, now,
+                                   CommandKind.REOPEN_VALVES)
+            if stale:
+                return self._enter(Phase.RELEASED, now, CommandKind.RELEASE)
             return []
 
         if state == Phase.DISTURBED:
-            if (self._pending_regrasp or cmd == CommandKind.REGRASP
-                    or self._stale_timed_out(now)):
+            if self._pending_regrasp or slip or stale:
                 self._pending_regrasp = False
                 return self._regrasp_or_release(now)
-            if cmd == CommandKind.CLOSE_VALVES:
-                self._transition(Phase.STABLE, now)
-                return [self._command(CommandKind.CLOSE_VALVES)]
+            if stable:
+                return self._enter(Phase.STABLE, now, CommandKind.CLOSE_VALVES)
             return []
 
         if state == Phase.REGRASPING:
             # Flags are ignored while the fingers move; once the release
             # and pause have elapsed, close again.
             if now - self.phase.entered_at >= REGRASP_RELEASE_S + REGRASP_PAUSE_S - _EPS:
-                self._transition(Phase.CLOSING, now)
-                return [self._command(CommandKind.REOPEN_VALVES)]
+                return self._enter(Phase.CLOSING, now, CommandKind.REOPEN_VALVES)
             return []
 
         return []
 
-    def _track_staleness(self, fresh1, fresh2, now):
-        if fresh1 or fresh2:
-            self._stale_since = None
-        elif self._stale_since is None:
-            self._stale_since = now
-
-    def _stale_timed_out(self, now):
-        return (self._stale_since is not None
-                and now - self._stale_since
-                >= self.thresholds.no_contact_timeout_s - _EPS)
+    def _timed_out(self, since, now):
+        return (since is not None
+                and now - since >= self.thresholds.no_contact_timeout_s - _EPS)
 
     def _regrasp_or_release(self, now):
         if self.regrasp_count >= self.max_regrasps:
             self.terminated = True
             return [self._command(CommandKind.RELEASE)]
         self.regrasp_count += 1
-        self._transition(Phase.REGRASPING, now)
-        return [self._command(CommandKind.REGRASP)]
+        return self._enter(Phase.REGRASPING, now, CommandKind.REGRASP)
 
 
 # -- MCU wire protocol ------------------------------------------------------

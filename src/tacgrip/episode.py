@@ -168,11 +168,11 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 center = pipe.process(frame).center
                 flags.append(pipe.classify(now, scenario.thresholds))
                 fresh.append(pipe.has_fresh_contact(now))
-                track = pipe.track
-                fresh_d = track.displacements and track.timestamps[-1] == now
+                # A contact region extends the track at this instant.
+                disps = pipe.track.displacements
                 cells += [_fmt(center[0]) if center else "",
                           _fmt(center[1]) if center else "",
-                          _fmt(track.displacements[-1], 6) if fresh_d else ""]
+                          _fmt(disps[-1], 6) if center and disps else ""]
 
             cmds += supervisor.update(*flags, now,
                                       fresh1=fresh[0], fresh2=fresh[1])
@@ -188,7 +188,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 + [str(int(v)) for v in state.valve_states]
                 + [f"{p:.4f}" for p in state.chamber_pressures])
 
-            if supervisor.terminated or supervisor.phase.state == Phase.RELEASED:
+            if supervisor.terminated:
                 terminal = True
                 stop_tick = min(total_ticks, tick + grace_ticks)
 

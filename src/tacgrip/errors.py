@@ -25,7 +25,7 @@ class InvalidSelectorError(TacgripError):
 
 
 class StaleFlagsError(TacgripError):
-    """Perception flag older than the arbitration freshness bound."""
+    """Perception flag older than the supervisor's freshness bound."""
 
 
 class NoDisturbanceError(TacgripError):

@@ -280,14 +280,14 @@ def workspace(chain, samples_per_axis=9):
 
 
 def hull_volume(points):
-    """Convex-hull volume; 0 when the cloud has no 3-D extent."""
-    unique = np.unique(points.round(decimals=9), axis=0)
-    if unique.shape[0] < 4:
+    """Convex-hull volume; 0 when the cloud has no 3-D extent. Qhull
+    takes coincident points as they are."""
+    if points.shape[0] < 4:
         return 0.0
-    if np.linalg.matrix_rank(unique - unique[0], tol=1e-9) < 3:
+    if np.linalg.matrix_rank(points - points[0], tol=1e-9) < 3:
         return 0.0
     try:
-        return float(ConvexHull(unique).volume)
+        return float(ConvexHull(points).volume)
     except QhullError:
         return 0.0
 

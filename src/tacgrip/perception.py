@@ -85,8 +85,8 @@ class FingerPipeline:
     """Stateful perception for one finger.
 
     Calibrate with a no-contact reference frame before processing; the
-    support box and working threshold are frozen from it, and the
-    detection window starts from it.
+    frame size, support box and working threshold are frozen from it,
+    and the detection window starts from it.
     """
 
     def __init__(self, finger_id, kde_config=None, detector_config=None,
@@ -103,6 +103,7 @@ class FingerPipeline:
         self.calibration_ratio = calibration_ratio
         self.control_period = control_period
         self.track = ContactTrack(finger_id=finger_id)
+        self.size = None  # (width, height); set by calibrate()
         self.support = None
         self.window = None
         self.threshold = None  # per-px^2 density; set by calibrate()
@@ -141,8 +142,8 @@ class FingerPipeline:
         threshold = calibrate_threshold(reference_field,
                                         ratio=self.calibration_ratio)
         self.window = marker_window(markers, self.detector_config,
-                                    reference_frame.width,
-                                    reference_frame.height)
+                                    width, height)
+        self.size = (width, height)
         self.threshold = threshold
         return threshold
 
@@ -161,11 +162,16 @@ class FingerPipeline:
     def process(self, frame):
         """Run one frame through the pipeline, updating the track.
 
-        detect_markers checks the frame (ValueError when it is not 8-bit)
-        before the window or the track changes.
+        Raises ValueError, before the window or the track changes, for a
+        frame that is not 8-bit or not of the calibration frame's size.
         """
         if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
+        frame.validate()
+        if (frame.width, frame.height) != self.size:
+            raise ValueError(
+                f"frame is {frame.width}x{frame.height}, but the pipeline "
+                f"was calibrated on a {self.size[0]}x{self.size[1]} frame")
         markers = self._detect(frame)
         if len(markers) == 0:
             return PipelineReport(region=None, markers=markers)

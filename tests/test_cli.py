@@ -195,6 +195,24 @@ def test_analyze_rejects_a_touched_first_frame(tmp_path, capsys,
     assert "frame_1_000000.pgm: calibration frame shows a contact" in err
 
 
+def test_analyze_names_a_frame_of_another_size(tmp_path, capsys,
+                                               nominal_model):
+    from tacgrip.pgm import frame_filename, read_pgm, write_pgm
+
+    frames_dir = tmp_path / "frames"
+    write_frames(frames_dir, nominal_model,
+                 [displace_markers(nominal_model, None)] * 2, finger_id=1)
+    second = frames_dir / frame_filename(1, 1)
+    write_pgm(second, read_pgm(second)[:240, :320])
+    rc = main(["analyze", "--frames", str(frames_dir),
+               "--out", str(tmp_path / "analysis")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"{second}: frame is 320x240, but the pipeline was calibrated "
+            f"on a 640x480 frame") in err
+
+
 def test_analyze_empty_dir(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["analyze", "--frames", str(tmp_path / "empty"),

@@ -1,3 +1,4 @@
+import copy
 import heapq
 import math
 import random
@@ -12,8 +13,8 @@ from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              DEFAULT_GRASP_MASK, FRAME_SYNC, MAX_REGRASPS,
                              REGRASP_PAUSE_S, REGRASP_RELEASE_S, CommandKind,
                              ControlThresholds, FlagKind, GraspPhase,
-                             GraspSupervisor, McuCommand, McuEmulator,
-                             PerceptionFlag, Phase, arbitrate, classify_frame,
+                             GraspSupervisor, LEGAL_TRANSITIONS, McuCommand,
+                             McuEmulator, PerceptionFlag, Phase, classify_frame,
                              decode_frame, encode_frame, is_fresh,
                              mask_chambers, measure_valve_response)
 from tacgrip.errors import NoDisturbanceError, ParseError, StaleFlagsError
@@ -263,58 +264,100 @@ def test_thresholds_reject_values_outside_domain(key, value):
         ControlThresholds(**{key: value})
 
 
-# -- arbitration --------------------------------------------------------------
+# -- flag priority and timeouts -----------------------------------------------
 
 
 def _flag(kind, finger=1, t=10.0):
     return PerceptionFlag(finger, kind, t)
 
 
-def _phase(state, entered=0.0):
-    return GraspPhase(state, entered)
+def _in_phase(state, entered=0.0, **kwargs):
+    """A supervisor placed in `state`, entered at `entered`."""
+    sup = GraspSupervisor(**kwargs)
+    sup.phase = GraspPhase(state, entered)
+    return sup
+
+
+def _kinds(cmds):
+    return [c.kind for c in cmds]
 
 
 def test_regrasp_outranks_everything():
     for other in FlagKind:
-        cmd = arbitrate(_flag(FlagKind.REGRASP), _flag(other, 2),
-                        _phase(Phase.STABLE), TH, now=10.0)
-        assert cmd == CommandKind.REGRASP
+        for flags in ((_flag(FlagKind.REGRASP), _flag(other, 2)),
+                      (_flag(other), _flag(FlagKind.REGRASP, 2))):
+            sup = _in_phase(Phase.CONTACTED)
+            assert _kinds(sup.update(*flags, now=10.0)) == [CommandKind.REGRASP]
+            assert sup.phase.state == Phase.REGRASPING
+            # Sealed, the slip reopens at once and regrasps next period.
+            sup = _in_phase(Phase.STABLE)
+            assert _kinds(sup.update(*flags, now=10.0)) == [
+                CommandKind.REOPEN_VALVES]
+            assert sup.phase.state == Phase.DISTURBED
+            later = 10.0 + DT
+            assert _kinds(sup.update(_flag(FlagKind.STABLE_GRASP, t=later),
+                                     _flag(FlagKind.STABLE_GRASP, 2, t=later),
+                                     now=later)) == [CommandKind.REGRASP]
 
 
 def test_disturbance_outranks_stability():
-    cmd = arbitrate(_flag(FlagKind.DISTURBANCE_OCCURED),
-                    _flag(FlagKind.STABLE_GRASP, 2),
-                    _phase(Phase.STABLE), TH, now=10.0)
-    assert cmd == CommandKind.REOPEN_VALVES
+    poke = (_flag(FlagKind.DISTURBANCE_OCCURED),
+            _flag(FlagKind.STABLE_GRASP, 2))
+    sup = _in_phase(Phase.STABLE)
+    assert _kinds(sup.update(*poke, now=10.0)) == [CommandKind.REOPEN_VALVES]
+    assert sup.phase.state == Phase.DISTURBED
+    # Still disturbed: no reseal while one finger is moved.
+    assert sup.update(*poke, now=10.0) == []
+    assert sup.phase.state == Phase.DISTURBED
+    sup = _in_phase(Phase.CONTACTED)
+    assert sup.update(*poke, now=10.0) == []
+    assert sup.phase.state == Phase.CONTACTED
 
 
 def test_dual_stability_closes_valves():
-    cmd = arbitrate(_flag(FlagKind.STABLE_GRASP),
-                    _flag(FlagKind.STABLE_GRASP, 2),
-                    _phase(Phase.CONTACTED), TH, now=10.0)
-    assert cmd == CommandKind.CLOSE_VALVES
+    both = (_flag(FlagKind.STABLE_GRASP), _flag(FlagKind.STABLE_GRASP, 2))
+    for state in (Phase.CONTACTED, Phase.DISTURBED):
+        sup = _in_phase(state)
+        assert _kinds(sup.update(*both, now=10.0)) == [CommandKind.CLOSE_VALVES]
+        assert sup.phase == GraspPhase(Phase.STABLE, 10.0)
 
 
 def test_single_stability_changes_nothing():
-    cmd = arbitrate(_flag(FlagKind.STABLE_GRASP),
-                    _flag(FlagKind.NO_CONTACT, 2),
-                    _phase(Phase.CONTACTED), TH, now=10.0)
-    assert cmd is None
+    for state in (Phase.CONTACTED, Phase.DISTURBED):
+        sup = _in_phase(state)
+        assert sup.update(_flag(FlagKind.STABLE_GRASP),
+                          _flag(FlagKind.NO_CONTACT, 2), now=10.0) == []
+        assert sup.phase == GraspPhase(state, 0.0)
+        assert sup.transitions == []
 
 
 def test_no_contact_timeout_only_while_closing():
     f1, f2 = _flag(FlagKind.NO_CONTACT), _flag(FlagKind.NO_CONTACT, 2)
-    assert arbitrate(f1, f2, _phase(Phase.CLOSING, 0.0), TH,
-                     now=10.0) == CommandKind.RELEASE
-    assert arbitrate(f1, f2, _phase(Phase.CLOSING, 5.0), TH, now=10.0) is None
-    assert arbitrate(f1, f2, _phase(Phase.STABLE, 0.0), TH, now=10.0) is None
+    sup = _in_phase(Phase.CLOSING, 0.0)
+    assert _kinds(sup.update(f1, f2, now=10.0)) == [CommandKind.RELEASE]
+    assert sup.phase == GraspPhase(Phase.RELEASED, 10.0)
+    assert sup.terminated
+    sup = _in_phase(Phase.CLOSING, 5.0)
+    assert sup.update(f1, f2, now=10.0) == []
+    assert sup.phase == GraspPhase(Phase.CLOSING, 5.0)
+    # From Stable, with fresh contact centers, the flags alone never
+    # time out.
+    sup = _in_phase(Phase.STABLE, 0.0)
+    assert sup.update(f1, f2, now=10.0, fresh1=True, fresh2=True) == []
+    assert sup.phase == GraspPhase(Phase.STABLE, 0.0)
 
 
 def test_stale_flags_rejected():
-    with pytest.raises(StaleFlagsError):
-        arbitrate(_flag(FlagKind.STABLE_GRASP, t=1.0),
-                  _flag(FlagKind.STABLE_GRASP, 2, t=10.0),
-                  _phase(Phase.STABLE), TH, now=10.0)
+    for state in Phase:
+        if state in (Phase.IDLE, Phase.RELEASED):
+            continue
+        sup = _in_phase(state)
+        before = copy.deepcopy(vars(sup))
+        with pytest.raises(StaleFlagsError, match="finger 1 flag is 9.000s old"):
+            sup.update(_flag(FlagKind.STABLE_GRASP, t=1.0),
+                       _flag(FlagKind.STABLE_GRASP, 2, t=10.0),
+                       now=10.0, fresh1=False, fresh2=False)
+        assert vars(sup) == before
 
 
 def test_fresh_is_two_periods_inclusive():
@@ -322,10 +365,205 @@ def test_fresh_is_two_periods_inclusive():
     assert is_fresh(2 * DT, DT)
     assert not is_fresh(2 * DT + 1e-6, DT)
     # a flag exactly two periods old is still accepted
-    assert arbitrate(_flag(FlagKind.NO_CONTACT, t=1.0),
-                     _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
-                     _phase(Phase.STABLE), TH,
-                     now=1.0 + 2 * DT) is None
+    sup = _in_phase(Phase.STABLE)
+    assert sup.update(_flag(FlagKind.NO_CONTACT, t=1.0),
+                      _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
+                      now=1.0 + 2 * DT) == []
+    with pytest.raises(StaleFlagsError):
+        sup.update(_flag(FlagKind.NO_CONTACT, t=1.0),
+                   _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
+                   now=1.0 + 2 * DT + 1e-6)
+
+
+class _ReferenceSupervisor(GraspSupervisor):
+    """The supervisor before it read the flags itself: `update` asked
+    `arbitrate` for a command kind and mapped it per phase. Copied as an
+    oracle for the one-layer `update`."""
+
+    def _transition(self, new_state, now):
+        old = self.phase.state
+        if new_state not in LEGAL_TRANSITIONS[old]:
+            raise RuntimeError(f"illegal phase transition {old} -> {new_state}")
+        self.transitions.append((now, old, new_state))
+        self.phase = GraspPhase(new_state, now)
+
+    def start(self, now=0.0):
+        self._transition(Phase.CLOSING, now)
+        return [self._command(CommandKind.REOPEN_VALVES)]
+
+    def update(self, flag1, flag2, now, fresh1=None, fresh2=None):
+        if self.terminated or self.phase.state in (Phase.IDLE, Phase.RELEASED):
+            return []
+        if fresh1 is None:
+            fresh1 = flag1.kind != FlagKind.NO_CONTACT
+        if fresh2 is None:
+            fresh2 = flag2.kind != FlagKind.NO_CONTACT
+
+        cmd = _reference_arbitrate(flag1, flag2, self.phase, self.thresholds,
+                                   now, self.control_period)
+        self._track_staleness(fresh1, fresh2, now)
+        state = self.phase.state
+
+        if state == Phase.CLOSING:
+            if cmd == CommandKind.RELEASE:
+                self._transition(Phase.RELEASED, now)
+                self.terminated = True
+                return [self._command(CommandKind.RELEASE)]
+            if fresh1 and fresh2:
+                self._transition(Phase.CONTACTED, now)
+            return []
+
+        if state == Phase.CONTACTED:
+            if cmd == CommandKind.CLOSE_VALVES:
+                self._transition(Phase.STABLE, now)
+                return [self._command(CommandKind.CLOSE_VALVES)]
+            if cmd == CommandKind.REGRASP or self._stale_timed_out(now):
+                return self._regrasp_or_release(now)
+            return []
+
+        if state == Phase.STABLE:
+            if cmd in (CommandKind.REOPEN_VALVES, CommandKind.REGRASP):
+                self._pending_regrasp = cmd == CommandKind.REGRASP
+                self._transition(Phase.DISTURBED, now)
+                return [self._command(CommandKind.REOPEN_VALVES)]
+            if self._stale_timed_out(now):
+                self._transition(Phase.RELEASED, now)
+                self.terminated = True
+                return [self._command(CommandKind.RELEASE)]
+            return []
+
+        if state == Phase.DISTURBED:
+            if (self._pending_regrasp or cmd == CommandKind.REGRASP
+                    or self._stale_timed_out(now)):
+                self._pending_regrasp = False
+                return self._regrasp_or_release(now)
+            if cmd == CommandKind.CLOSE_VALVES:
+                self._transition(Phase.STABLE, now)
+                return [self._command(CommandKind.CLOSE_VALVES)]
+            return []
+
+        if state == Phase.REGRASPING:
+            if now - self.phase.entered_at >= REGRASP_RELEASE_S + REGRASP_PAUSE_S - _EPS:
+                self._transition(Phase.CLOSING, now)
+                return [self._command(CommandKind.REOPEN_VALVES)]
+            return []
+
+        return []
+
+    def _track_staleness(self, fresh1, fresh2, now):
+        if fresh1 or fresh2:
+            self._stale_since = None
+        elif self._stale_since is None:
+            self._stale_since = now
+
+    def _stale_timed_out(self, now):
+        return (self._stale_since is not None
+                and now - self._stale_since
+                >= self.thresholds.no_contact_timeout_s - _EPS)
+
+    def _regrasp_or_release(self, now):
+        if self.regrasp_count >= self.max_regrasps:
+            self.terminated = True
+            return [self._command(CommandKind.RELEASE)]
+        self.regrasp_count += 1
+        self._transition(Phase.REGRASPING, now)
+        return [self._command(CommandKind.REGRASP)]
+
+
+def _reference_arbitrate(flag1, flag2, phase, thresholds, now,
+                         control_period=CONTROL_PERIOD_S):
+    for flag in (flag1, flag2):
+        if not is_fresh(now - flag.timestamp, control_period):
+            raise StaleFlagsError(
+                f"finger {flag.finger_id} flag is {now - flag.timestamp:.3f}s old"
+            )
+
+    kinds = (flag1.kind, flag2.kind)
+    if FlagKind.REGRASP in kinds:
+        return CommandKind.REGRASP
+    if FlagKind.DISTURBANCE_OCCURED in kinds:
+        return CommandKind.REOPEN_VALVES
+    if kinds == (FlagKind.STABLE_GRASP, FlagKind.STABLE_GRASP):
+        return CommandKind.CLOSE_VALVES
+    if kinds == (FlagKind.NO_CONTACT, FlagKind.NO_CONTACT) \
+            and phase.state == Phase.CLOSING \
+            and now - phase.entered_at >= thresholds.no_contact_timeout_s - _EPS:
+        return CommandKind.RELEASE
+    return None
+
+
+def _random_instant(rng, now, last):
+    """The next instant's time, flags and fresh keywords. Kinds and fresh
+    keywords often repeat the last instant's, as a held contact does, so
+    that the timeouts are reached."""
+    if rng.random() < 0.08:
+        now += TH.no_contact_timeout_s + rng.uniform(0.0, 2.0)  # a long gap
+    else:
+        now += DT * rng.choice((1, 1, 1, 2, 5, 20))
+    if last is None or rng.random() < 0.4:
+        kinds = rng.choices(list(FlagKind), weights=(4, 1, 1, 4), k=2)
+        fresh = {name: value for name in ("fresh1", "fresh2")
+                 for value in [rng.choice((True, False, None))]
+                 if value is not None}
+    else:
+        kinds, fresh = last
+    flags = []
+    for finger, kind in zip((1, 2), kinds):
+        age = rng.choices((0.0, DT, 2 * DT, 2 * DT + 1e-6,
+                           rng.uniform(2 * DT, 1.0)),
+                          weights=(85, 5, 4, 3, 3))[0]
+        flags.append(PerceptionFlag(finger, kind, now - age))
+    return now, flags, fresh, (kinds, fresh)
+
+
+def _step(sup, flags, now, fresh):
+    try:
+        return sup.update(*flags, now, **fresh), None
+    except (StaleFlagsError, RuntimeError) as exc:
+        return None, type(exc)
+
+
+def test_update_matches_the_arbitrating_reference():
+    rng = random.Random(20241018)
+    seen = Counter()
+    instants = 0
+    while instants < 3000:
+        kwargs = {"max_regrasps": rng.randint(0, 3)}
+        sup, ref = GraspSupervisor(**kwargs), _ReferenceSupervisor(**kwargs)
+        now = rng.uniform(0.0, 5.0)
+        last = None
+        assert sup.start(now) == ref.start(now)
+        while not ref.terminated and instants < 3000:
+            if rng.random() < 0.05:
+                # Jump both to a phase a running episode can be in.
+                state = rng.choices(list(Phase), weights=(1, 4, 4, 8, 4, 4, 0))[0]
+                sup.phase = ref.phase = GraspPhase(state, now - rng.uniform(0, 12))
+            now, flags, fresh, last = _random_instant(rng, now, last)
+            before = ref.phase.state
+            got, want = _step(sup, flags, now, fresh), _step(ref, flags, now, fresh)
+            assert got == want, (instants, before, flags, fresh)
+            assert (sup.phase, sup.transitions, sup.terminated,
+                    sup.regrasp_count) == (ref.phase, ref.transitions,
+                                           ref.terminated, ref.regrasp_count)
+            instants += 1
+            seen[want[1] or before] += 1
+            for cmd in want[0] or ():
+                seen[(before, cmd.kind)] += 1
+    # The walk reached every phase, stale flags and every command.
+    assert seen[StaleFlagsError] > 50
+    for state in (Phase.CLOSING, Phase.CONTACTED, Phase.STABLE,
+                  Phase.DISTURBED, Phase.REGRASPING):
+        assert seen[state] > 50, state
+    for pair in ((Phase.CLOSING, CommandKind.RELEASE),
+                 (Phase.CONTACTED, CommandKind.CLOSE_VALVES),
+                 (Phase.CONTACTED, CommandKind.REGRASP),
+                 (Phase.CONTACTED, CommandKind.RELEASE),
+                 (Phase.STABLE, CommandKind.REOPEN_VALVES),
+                 (Phase.STABLE, CommandKind.RELEASE),
+                 (Phase.DISTURBED, CommandKind.CLOSE_VALVES),
+                 (Phase.DISTURBED, CommandKind.REGRASP),
+                 (Phase.REGRASPING, CommandKind.REOPEN_VALVES)):
+        assert seen[pair] > 0, pair
 
 
 # -- supervisor ---------------------------------------------------------------

@@ -158,8 +158,23 @@ def test_workspace_hull_volumes_pinned():
     # The 9-per-axis hull volumes of both chains, in mm^3.
     dexrot = workspace(dex_rot_chain(), samples_per_axis=9)
     rotdex = workspace(rot_dex_chain(), samples_per_axis=9)
-    assert dexrot.hull_volume == pytest.approx(137602.6359271968, rel=1e-12)
-    assert rotdex.hull_volume == pytest.approx(67219.12613113047, rel=1e-12)
+    assert dexrot.hull_volume == pytest.approx(137602.63592700212, rel=1e-12)
+    assert rotdex.hull_volume == pytest.approx(67219.12613204027, rel=1e-12)
+
+
+def test_hull_volume_takes_coincident_points():
+    cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                     for z in (0.0, 1.0)])
+    assert hull_volume(np.repeat(cube, 3, axis=0)) == pytest.approx(1.0,
+                                                                   rel=1e-12)
+    assert hull_volume(np.tile([[1.0, 2.0, 3.0]], (10, 1))) == 0.0
+
+
+def test_hull_volume_ignores_point_order():
+    points = workspace(dex_rot_chain(), samples_per_axis=9).points
+    permuted = np.random.default_rng(7).permutation(points)
+    assert hull_volume(permuted) == pytest.approx(hull_volume(points),
+                                                  rel=1e-10)
 
 
 def test_workspace_deterministic():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -261,6 +262,39 @@ def test_marker_far_outside_window_is_found(nominal_model, reference_frame,
     assert np.hypot(*(markers.centroids[0] - 40.0)) <= 1.0
     assert windowed[0] == 0
     assert _inside(pipe.window, 40, 40)
+
+
+def _resized(pixels, height, width):
+    """The frame cropped, or padded with background, to height x width."""
+    out = np.full((height, width), _BACKGROUND)
+    h, w = min(height, pixels.shape[0]), min(width, pixels.shape[1])
+    out[:h, :w] = pixels[:h, :w]
+    return out
+
+
+@pytest.mark.parametrize("height, width", [(240, 320), (580, 740)])
+def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
+                                                  reference_frame,
+                                                  height, width):
+    pipe = perception.FingerPipeline(1)
+    pipe.calibrate(reference_frame)
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
+    touched = tg.render_frame(tg.displace_markers(nominal_model, stim),
+                              nominal_model, seq=1)
+    for seq in (1, 2):
+        pipe.process(TactileFrame(touched.pixels, timestamp=seq * 0.033))
+    window, track = pipe.window, copy.deepcopy(pipe.track)
+    assert len(track.displacements) == 1
+
+    other = _resized(touched.pixels, height, width)
+    with pytest.raises(ValueError, match=f"frame is {width}x{height}, but the "
+                       f"pipeline was calibrated on a 640x480 frame"):
+        pipe.process(TactileFrame(other, timestamp=0.099))
+    # A frame that is not 8-bit fails the dtype check first.
+    with pytest.raises(ValueError, match="dtype float64"):
+        pipe.process(TactileFrame(other / 255.0, timestamp=0.099))
+    assert pipe.window == window
+    assert pipe.track == track
 
 
 def test_blank_and_noise_frames_empty_with_window():
