@@ -8,6 +8,7 @@ Subcommands:
 """
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,11 +132,9 @@ def _cmd_replay(args):
     thresholds = ControlThresholds(t1_mm=args.t1, t2_mm=args.t2)
     flags = []
     prefix = ContactTrack(finger_id=track.finger_id)
-    for i, t in enumerate(track.timestamps):
-        prefix.timestamps.append(t)
-        prefix.centers.append(track.centers[i])
-        if i > 0:
-            prefix.displacements.append(track.displacements[i - 1])
+    for t, center, d in zip(track.timestamps, track.centers,
+                            [None] + track.displacements):
+        prefix.append(t, center, d)
         flag = classify_frame(prefix, thresholds, t, control_period=args.period)
         flags.append((t, flag.kind.value))
 
@@ -176,7 +175,8 @@ def build_parser():
     w = sub.add_parser("workspace", help="finger workspace volumes")
     w.add_argument("--order", choices=["dexrot", "rotdex", "both"],
                    default="both")
-    w.add_argument("--samples", type=int, default=9,
+    samples = inspect.signature(workspace).parameters["samples_per_axis"]
+    w.add_argument("--samples", type=int, default=samples.default,
                    help="pressure samples per chamber axis")
     w.add_argument("--out", default=".")
     w.set_defaults(func=_cmd_workspace)
@@ -184,7 +184,8 @@ def build_parser():
     a = sub.add_parser("analyze", help="perception over a PGM directory")
     a.add_argument("--frames", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--pixel-scale", type=float, default=0.05,
+    a.add_argument("--pixel-scale", type=float,
+                   default=KdeConfig().pixel_scale_s,
                    help="mm per pixel")
     a.add_argument("--calibration-ratio", type=float,
                    default=DEFAULT_CALIBRATION_RATIO)
@@ -197,8 +198,8 @@ def build_parser():
     r = sub.add_parser("replay", help="reclassify a recorded track")
     r.add_argument("--track", required=True)
     r.add_argument("--out", default=None)
-    r.add_argument("--t1", type=float, default=0.5)
-    r.add_argument("--t2", type=float, default=5.0)
+    r.add_argument("--t1", type=float, default=ControlThresholds().t1_mm)
+    r.add_argument("--t2", type=float, default=ControlThresholds().t2_mm)
     r.add_argument("--period", type=float, default=CONTROL_PERIOD_S)
     r.set_defaults(func=_cmd_replay)
     return parser

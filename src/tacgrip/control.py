@@ -34,6 +34,12 @@ def is_fresh(age, control_period):
     return age <= 2.0 * control_period + _EPS
 
 
+def has_fresh_contact(track, now, control_period=CONTROL_PERIOD_S):
+    """The one freshness rule for a finger's latest contact center."""
+    return bool(track.timestamps) and is_fresh(now - track.timestamps[-1],
+                                               control_period)
+
+
 @dataclass
 class ControlThresholds:
     t1_mm: float = 0.5
@@ -109,17 +115,16 @@ class McuCommand:
 def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
     """Classify one finger's track into a perception flag at time `now`.
 
-    StableGrasp: every displacement in the trailing stability window is
-    <= T1 (inclusive), the window is fully populated, and the track is
-    fresh. DisturbanceOccured: latest D in (T1, T2]. Regrasp: latest
-    D > T2. NoContact otherwise (no contact, stale contact, or a window
-    not yet filled). A call costs O(log N + W) for a track of N samples
-    with W of them in the stability window, however long the track.
+    NoContact without fresh contact (has_fresh_contact). Otherwise,
+    Regrasp: latest D > T2. DisturbanceOccured: latest D in (T1, T2].
+    StableGrasp: every D in the trailing stability window is <= T1
+    (inclusive) and the window is fully populated. NoContact otherwise.
+    A call costs O(log N + W) for a track of N samples with W of them in
+    the stability window, however long the track.
     """
     t1, t2 = thresholds.t1_mm, thresholds.t2_mm
 
-    if not track.centers or not is_fresh(now - track.timestamps[-1],
-                                         control_period):
+    if not has_fresh_contact(track, now, control_period):
         return PerceptionFlag(track.finger_id, FlagKind.NO_CONTACT, now)
 
     if track.displacements:
@@ -138,11 +143,11 @@ def _window_stable(track, thresholds, now, control_period):
     """Whether the track spans the window, which holds enough samples
     and none above T1.
 
-    Displacement i belongs to timestamps[i + 1]. Timestamps strictly
-    increase and displacements are finite (track_displacement and
-    read_track_csv enforce both), so the first in-window sample is found
-    by bisection, and only the samples inside the window are read, by
-    one max. An empty window holds no violation.
+    Displacement i belongs to timestamps[i + 1]. ContactTrack.append
+    keeps timestamps strictly increasing and displacements finite, so
+    the first in-window sample is found by bisection, and only the
+    samples inside the window are read, by one max. An empty window
+    holds no violation.
     """
     window = thresholds.stability_window_s
     times, disps = track.timestamps, track.displacements

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
-                      McuEmulator, Phase, encode_frame, measure_valve_response)
+                      McuEmulator, Phase, encode_frame, has_fresh_contact,
+                      measure_valve_response)
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
@@ -167,7 +168,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 pipe = pipelines[finger]
                 center = pipe.process(frame).center
                 flags.append(pipe.classify(now, scenario.thresholds))
-                fresh.append(pipe.has_fresh_contact(now))
+                fresh.append(has_fresh_contact(pipe.track, now))
                 # A contact region extends the track at this instant.
                 disps = pipe.track.displacements
                 cells += [_fmt(center[0]) if center else "",

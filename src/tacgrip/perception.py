@@ -2,12 +2,14 @@
 
 Wires the tactile stages together (detect markers, estimate density,
 extract contact, track displacement) and owns the per-sensor threshold
-calibration: the working contact threshold is a fixed ratio of the
-minimum density observed on a no-contact reference frame over the
-marker support box. The nominal-grid density sits orders of
-magnitude below any plausible fixed absolute threshold, so an
-uncalibrated constant would either flag everything or nothing;
-calibration pins the decision boundary to the sensor's own rest state.
+calibration: the working threshold is a fixed ratio of the minimum
+density of a no-contact reference frame over the marker support box.
+The nominal-grid density sits orders of magnitude below any plausible
+fixed absolute threshold, so an uncalibrated constant would flag
+everything or nothing; calibration pins the decision boundary to the
+sensor's own rest state. A contact extends the track by
+`ContactTrack.append`, the one place its invariants are enforced, and
+`control.has_fresh_contact` is the one freshness rule.
 
 Markers are detected inside a window, which saves work but never
 changes the result (`blobs.detect_markers` searches the full frame when
@@ -37,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .blobs import DetectorConfig, MarkerSet, detect_markers, marker_window
-from .control import CONTROL_PERIOD_S, classify_frame, is_fresh
+from .control import CONTROL_PERIOD_S, classify_frame
 from .density import (ContactRegion, KdeConfig, calibrate_threshold,
                       estimate_density, extract_contact, marker_support_box)
 from .errors import ValidationError, check_range
@@ -163,7 +165,8 @@ class FingerPipeline:
         """Run one frame through the pipeline, updating the track.
 
         Raises ValueError, before the window or the track changes, for a
-        frame that is not 8-bit or not of the calibration frame's size.
+        frame that is not 8-bit, not timed by a finite number or not of
+        the calibration frame's size.
         """
         if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
@@ -187,8 +190,3 @@ class FingerPipeline:
     def classify(self, now, thresholds):
         return classify_frame(self.track, thresholds, now,
                               control_period=self.control_period)
-
-    def has_fresh_contact(self, now):
-        if not self.track.timestamps:
-            return False
-        return is_fresh(now - self.track.timestamps[-1], self.control_period)

@@ -4,6 +4,7 @@ The perception pipeline consumes 8-bit grayscale frames, as a camera
 delivers them, of a fixed working size (640x480 by default).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,4 +44,6 @@ class TactileFrame:
                              f"dtype {self.pixels.dtype}")
         if self.finger_id not in (1, 2):
             raise ValueError(f"finger_id must be 1 or 2, got {self.finger_id}")
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"frame timestamp {self.timestamp} is not finite")
         return self

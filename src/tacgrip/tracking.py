@@ -20,8 +20,8 @@ class ContactTrack:
 
     displacements[i] is the mm distance between centers[i] and
     centers[i+1], so it belongs to timestamps[i+1]. A single-entry track
-    has no displacement yet. Timestamps strictly increase, which the
-    classifier's bisection relies on.
+    has no displacement yet. Values are finite and timestamps strictly
+    increase: append, the one way a track grows, enforces both.
     """
 
     finger_id: int = 1
@@ -32,33 +32,41 @@ class ContactTrack:
     def __len__(self):
         return len(self.centers)
 
-    @property
-    def last_timestamp(self):
-        return self.timestamps[-1] if self.timestamps else None
+    def append(self, timestamp, center, displacement=None):
+        """Add a sample; displacement is None on the first, given on
+        every later one. Refuses, changing nothing, a misaligned or
+        non-finite value (ValueError), then a time that does not advance
+        (NonMonotonicTimeError)."""
+        t = float(timestamp)
+        x, y = float(center[0]), float(center[1])
+        d = None if displacement is None else float(displacement)
+        last = self.timestamps[-1] if self.timestamps else None
+        if (d is None) != (last is None):
+            raise ValueError("d_mm must be empty on the first row and "
+                             "present on every later one")
+        # A sum of finite terms is finite unless it overflows.
+        if not math.isfinite(t + x + y + (d or 0.0)):
+            for name, v in zip(("timestamp", "x", "y", "d_mm"), (t, x, y, d)):
+                if v is not None and not math.isfinite(v):
+                    raise ValueError(f"{name} {v} is not finite")
+        if last is not None and t <= last:
+            raise NonMonotonicTimeError(
+                f"timestamp {t} does not advance past {last}")
+        self.timestamps.append(t)
+        self.centers.append((x, y))
+        if d is not None:
+            self.displacements.append(d)
 
 
 def track_displacement(track, new_center, timestamp, config):
-    """Append a center, computing the displacement to the previous one.
-
-    D = pixel_scale_s * |new - prev| in mm. Mutates and returns the
-    track. Raises NonMonotonicTime if the timestamp does not advance and
-    ValueError for a center that is not finite.
-    """
-    timestamp = float(timestamp)
-    last = track.last_timestamp
-    if last is not None and timestamp <= last:
-        raise NonMonotonicTimeError(
-            f"timestamp {timestamp} does not advance past {last}"
-        )
+    """Append a center with D = pixel_scale_s * |new - prev| mm to the
+    previous one, by ContactTrack.append. Returns the track."""
     x, y = float(new_center[0]), float(new_center[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"contact center ({x}, {y}) is not finite")
+    d = None
     if track.centers:
         px, py = track.centers[-1]
         d = config.pixel_scale_s * float(np.hypot(x - px, y - py))
-        track.displacements.append(d)
-    track.centers.append((x, y))
-    track.timestamps.append(timestamp)
+    track.append(timestamp, (x, y), d)
     return track
 
 
@@ -73,15 +81,9 @@ def write_track_csv(track, path):
 
 
 def read_track_csv(path, finger_id=1):
-    """Read a track CSV written by write_track_csv.
-
-    Raises ValueError naming the file and row for a row that does not
-    parse as numbers, whose t, x, y or d_mm is not finite, whose
-    timestamp does not advance past the previous row's
-    (track_displacement rejects the same; the classifier bisects over
-    the timestamps and takes the window's max), or whose d_mm breaks
-    the row alignment: the first row has none, every later row has one.
-    """
+    """Read a track CSV written by write_track_csv. Raises ValueError
+    naming the file and row for a row that does not parse as numbers or
+    that ContactTrack.append refuses."""
     track = ContactTrack(finger_id=finger_id)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -98,22 +100,8 @@ def read_track_csv(path, finger_id=1):
             except (ValueError, IndexError):
                 raise ValueError(f"{where}: need numeric t, x, y[, d_mm], "
                                  f"got {row}")
-            last = track.last_timestamp
-            if (d is None) != (last is None):
-                raise ValueError(
-                    f"{where}: d_mm must be empty on the first row and "
-                    f"present on every later one, got {row}"
-                )
-            for name, value in (("timestamp", t), ("x", x), ("y", y),
-                                ("d_mm", d)):
-                if value is not None and not math.isfinite(value):
-                    raise ValueError(f"{where}: {name} {value} is not finite")
-            if last is not None and t <= last:
-                raise ValueError(
-                    f"{where}: timestamp {row[0]} does not advance past {last}"
-                )
-            track.timestamps.append(t)
-            track.centers.append((x, y))
-            if d is not None:
-                track.displacements.append(d)
+            try:
+                track.append(t, (x, y), d)
+            except (ValueError, NonMonotonicTimeError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return track

@@ -111,7 +111,6 @@ def _track_with(disps, dt=CONTROL_DT):
     track = ContactTrack(finger_id=1)
     track.timestamps = [i * dt for i in range(n)]
     track.centers = [(320.0, 240.0)] * n
-    track.disp_timestamps = track.timestamps[1:]
     track.displacements = list(disps)
     return track
 
@@ -151,7 +150,7 @@ def test_criterion_3_algorithm_partition():
     # a violation inside the window suppresses stability until it ages out
     disps = [0.0] * 95 + [2.0] + [0.0] * 120
     track = _track_with(disps)
-    t_violation = track.disp_timestamps[95]
+    t_violation = track.timestamps[96]
     reacquired = None
     for i in range(95, len(disps)):
         prefix = _track_with(disps[: i + 1])

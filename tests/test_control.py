@@ -15,8 +15,8 @@ from tacgrip.control import (_EPS, CONTROL_PERIOD_S, CONTROL_PERIOD_TICKS,
                              ControlThresholds, FlagKind, GraspPhase,
                              GraspSupervisor, LEGAL_TRANSITIONS, McuCommand,
                              McuEmulator, PerceptionFlag, Phase, classify_frame,
-                             decode_frame, encode_frame, is_fresh,
-                             mask_chambers, measure_valve_response)
+                             decode_frame, encode_frame, has_fresh_contact,
+                             is_fresh, mask_chambers, measure_valve_response)
 from tacgrip.errors import NoDisturbanceError, ParseError, StaleFlagsError
 from tacgrip.plant import PlantConfig, PneumaticPlant
 from tacgrip.scenario import parse_scenario_text
@@ -373,6 +373,19 @@ def test_fresh_is_two_periods_inclusive():
         sup.update(_flag(FlagKind.NO_CONTACT, t=1.0),
                    _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
                    now=1.0 + 2 * DT + 1e-6)
+
+
+def test_fresh_contact_is_the_classifiers_rule():
+    # has_fresh_contact is the rule classify_frame's NoContact test and
+    # the episode's stale-contact timeout both read.
+    assert not has_fresh_contact(ContactTrack(), 0.0)
+    track = stable_track()
+    last = track.timestamps[-1]
+    for now, fresh in ((last, True), (last + 2 * DT, True),
+                       (last + 2 * DT + 1e-6, False)):
+        assert has_fresh_contact(track, now) is fresh
+        kind = classify_frame(track, TH, now).kind
+        assert (kind == FlagKind.STABLE_GRASP) is fresh, now
 
 
 class _ReferenceSupervisor(GraspSupervisor):

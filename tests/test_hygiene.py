@@ -38,3 +38,70 @@ def test_only_the_plant_keeps_a_timed_queue():
             if "heapq" in names:
                 importers.add(f"tacgrip.{path.stem}")
     assert importers == {"tacgrip.plant"}
+
+
+_TRACK_FIELDS = {"timestamps", "centers", "displacements"}
+
+
+def _track_growers(source, module):
+    """Qualified names of the functions in `source` that call .append,
+    .extend or .insert on an attribute named like a ContactTrack list, or
+    assign to one or to an item of one; module-level code is named by the
+    module alone."""
+    growers = set()
+
+    def is_track_field(node):
+        return isinstance(node, ast.Attribute) and node.attr in _TRACK_FIELDS
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for part in ast.walk(target):
+                if is_track_field(part) or (isinstance(part, ast.Subscript)
+                                            and is_track_field(part.value)):
+                    growers.add(scope)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("append", "extend", "insert")
+                and is_track_field(node.func.value)):
+            growers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return growers
+
+
+def test_only_contact_track_append_grows_a_track():
+    # ContactTrack.append checks alignment, finiteness and time order;
+    # a second path that grows the lists would skip those checks.
+    growers = set()
+    for path in Path(tacgrip.__file__).parent.glob("*.py"):
+        growers |= _track_growers(path.read_text(), f"tacgrip.{path.stem}")
+    assert growers == {"tacgrip.tracking.ContactTrack.append"}
+
+
+def test_the_track_rule_sees_each_way_to_grow_a_track():
+    source = """
+def by_append(track, t):
+    track.timestamps.append(t)
+def by_insert(prefix, c):
+    prefix.centers.insert(0, c)
+def by_assignment(track):
+    track.displacements = []
+def by_item(track):
+    track.timestamps[-1] = 0.0
+def by_unpacking(a, b):
+    a.centers, b = [], 1
+def reads_only(track, out):
+    out.append(track.timestamps[-1])
+"""
+    assert _track_growers(source, "m") == {
+        "m.by_append", "m.by_insert", "m.by_assignment", "m.by_item",
+        "m.by_unpacking"}

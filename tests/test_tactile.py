@@ -18,6 +18,10 @@ def test_frame_validate_checks_range_and_finger():
                      finger_id=3).validate()
     with pytest.raises(ValueError):
         TactileFrame(pixels=np.zeros(16, np.uint8), timestamp=0.0).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="timestamp .* is not finite"):
+            TactileFrame(pixels=np.zeros((4, 4), np.uint8),
+                         timestamp=bad).validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -40,10 +44,9 @@ def test_pipeline_validates_frames(reference_frame):
         pipe.process(nan_frame)
 
 
-def test_rejected_frame_leaves_window_and_track(nominal_model,
-                                                reference_frame):
-    # The detector's own frame check fires before the pipeline grows its
-    # window or extends its track.
+def _pipeline_with_two_contacts(nominal_model, reference_frame):
+    """A calibrated pipeline whose track holds two contacts, and the
+    second contact's frame."""
     pipe = tg.FingerPipeline(1)
     pipe.calibrate(reference_frame)
     for seq in range(2):
@@ -53,6 +56,15 @@ def test_rejected_frame_leaves_window_and_track(nominal_model,
                 timestamp=0.033 * seq)),
             nominal_model, finger_id=1, seq=seq)
         assert pipe.process(touched).center is not None
+    return pipe, touched
+
+
+def test_rejected_frame_leaves_window_and_track(nominal_model,
+                                                reference_frame):
+    # The detector's own frame check fires before the pipeline grows its
+    # window or extends its track.
+    pipe, touched = _pipeline_with_two_contacts(nominal_model,
+                                                reference_frame)
     window, track = pipe.window, copy.deepcopy(pipe.track)
     assert len(track.displacements) == 1
     float_frame = dataclasses.replace(
@@ -61,3 +73,20 @@ def test_rejected_frame_leaves_window_and_track(nominal_model,
         pipe.process(float_frame)
     assert pipe.window == window
     assert pipe.track == track
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_timestamp_leaves_window_and_track(nominal_model,
+                                                      reference_frame, bad):
+    # A NaN time compares false with any other, so a track holding one
+    # would take any time after it.
+    pipe, touched = _pipeline_with_two_contacts(nominal_model,
+                                                reference_frame)
+    window, track = pipe.window, copy.deepcopy(pipe.track)
+    with pytest.raises(ValueError, match="not finite"):
+        pipe.process(dataclasses.replace(touched, timestamp=bad))
+    assert pipe.window == window
+    assert pipe.track == track
+    assert pipe.process(dataclasses.replace(touched, timestamp=0.066)
+                        ).center is not None
+    assert pipe.track.timestamps == track.timestamps + [0.066]

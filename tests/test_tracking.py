@@ -1,3 +1,7 @@
+import csv
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,18 @@ def test_center_must_be_finite(center):
         track_displacement(track, center, 2.0, CFG)
     # the failed append must not corrupt the track
     assert track.centers == [(0.0, 0.0)]
+    assert track.displacements == []
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_timestamp_must_be_finite(t):
+    track = ContactTrack()
+    track_displacement(track, (0, 0), 1.0, CFG)
+    with pytest.raises(ValueError, match="timestamp .* is not finite"):
+        track_displacement(track, (1, 1), t, CFG)
+    with pytest.raises(ValueError, match="timestamp .* is not finite"):
+        track_displacement(ContactTrack(), (1, 1), t, CFG)
+    assert track.timestamps == [1.0]
     assert track.displacements == []
 
 
@@ -107,3 +123,164 @@ def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
         read_track_csv(path)
     assert str(path) in str(err.value)
     assert f"row {bad_row}:" in str(err.value)
+
+
+# -- equivalence with the two growth paths ContactTrack.append replaced ----
+
+def _old_track_displacement(track, new_center, timestamp, config):
+    """track_displacement as it was before ContactTrack.append, with the
+    deleted ContactTrack.last_timestamp written out."""
+    timestamp = float(timestamp)
+    last = track.timestamps[-1] if track.timestamps else None
+    if last is not None and timestamp <= last:
+        raise NonMonotonicTimeError(
+            f"timestamp {timestamp} does not advance past {last}"
+        )
+    x, y = float(new_center[0]), float(new_center[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"contact center ({x}, {y}) is not finite")
+    if track.centers:
+        px, py = track.centers[-1]
+        d = config.pixel_scale_s * float(np.hypot(x - px, y - py))
+        track.displacements.append(d)
+    track.centers.append((x, y))
+    track.timestamps.append(timestamp)
+    return track
+
+
+def _old_read_track_csv(path, finger_id=1):
+    """read_track_csv as it was before ContactTrack.append, with the
+    deleted ContactTrack.last_timestamp written out."""
+    track = ContactTrack(finger_id=finger_id)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["t", "x", "y"]:
+            raise ValueError(f"{path}: not a track CSV (header {header})")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: row {reader.line_num}"
+            try:
+                t, x, y = float(row[0]), float(row[1]), float(row[2])
+                d = float(row[3]) if len(row) > 3 and row[3] != "" else None
+            except (ValueError, IndexError):
+                raise ValueError(f"{where}: need numeric t, x, y[, d_mm], "
+                                 f"got {row}")
+            last = track.timestamps[-1] if track.timestamps else None
+            if (d is None) != (last is None):
+                raise ValueError(
+                    f"{where}: d_mm must be empty on the first row and "
+                    f"present on every later one, got {row}"
+                )
+            for name, value in (("timestamp", t), ("x", x), ("y", y),
+                                ("d_mm", d)):
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{where}: {name} {value} is not finite")
+            if last is not None and t <= last:
+                raise ValueError(
+                    f"{where}: timestamp {row[0]} does not advance past {last}"
+                )
+            track.timestamps.append(t)
+            track.centers.append((x, y))
+            if d is not None:
+                track.displacements.append(d)
+    return track
+
+
+_FAULTS = ("equal time", "decreasing time", "nan", "inf", "-inf", "junk",
+           "d on first row", "d missing later")
+
+
+def _row_sequences(seed, count):
+    """Seeded track rows, 1-6 each, as [t, x, y, d] cells: a float, None
+    for an empty cell, or junk text. Most carry one or two faults."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.uniform(0.0, 10.0)
+        rows = []
+        for i in range(rng.randint(1, 6)):
+            t += rng.uniform(0.001, 0.1)
+            rows.append([t, rng.uniform(0.0, 640.0), rng.uniform(0.0, 480.0),
+                         None if i == 0 else rng.uniform(0.0, 8.0)])
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            fault = rng.choice(_FAULTS)
+            i = rng.randrange(len(rows))
+            if fault in ("equal time", "decreasing time", "d missing later"):
+                if i == 0:
+                    continue
+                if fault == "d missing later":
+                    rows[i][3] = None
+                elif isinstance(rows[i - 1][0], float):
+                    back = 0.0 if fault == "equal time" \
+                        else rng.uniform(0.001, 1.0)
+                    rows[i][0] = rows[i - 1][0] - back
+            elif fault == "d on first row":
+                rows[0][3] = rng.uniform(0.0, 8.0)
+            elif fault == "junk":
+                rows[i][rng.randrange(4)] = rng.choice(("abc", "1.2.3", " "))
+            else:
+                rows[i][rng.randrange(4)] = float(fault)
+        yield rows
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _outcome(read, path):
+    """The track read, or the class of the refusal and its message up to
+    the offending row's text, which the old messages quoted."""
+    try:
+        return read(path)
+    except (ValueError, NonMonotonicTimeError) as exc:
+        return type(exc), str(exc).split(", got ")[0]
+
+
+def _step(grow, track, center, t):
+    try:
+        grow(track, center, t, CFG)
+    except (ValueError, NonMonotonicTimeError) as exc:
+        return type(exc)
+    return None
+
+
+def test_append_matches_the_old_growth_paths(tmp_path):
+    path = tmp_path / "track.csv"
+    read_kinds, differences = set(), []
+    for rows in _row_sequences(seed=5, count=2400):
+        path.write_text("t,x,y,d_mm\n" + "".join(
+            ",".join(_cell(v) for v in row) + "\n" for row in rows))
+        old = _outcome(_old_read_track_csv, path)
+        new = _outcome(read_track_csv, path)
+        assert new == old
+        if isinstance(new, ContactTrack):
+            read_kinds.add("track")
+        else:
+            assert new[1].startswith(f"{path}: row ")
+            read_kinds.add(new[0])
+
+        old_track, new_track = ContactTrack(), ContactTrack()
+        for t, x, y, _ in rows:
+            if not all(isinstance(v, float) for v in (t, x, y)):
+                continue
+            last = new_track.timestamps[-1] if new_track.timestamps else None
+            was = _step(_old_track_displacement, old_track, (x, y), t)
+            now = _step(track_displacement, new_track, (x, y), t)
+            if now is was:
+                assert new_track == old_track
+                continue
+            # The two changes on purpose, after which the tracks differ.
+            assert now is ValueError
+            if not math.isfinite(t):
+                differences.append("non-finite timestamp refused")
+            else:
+                assert was is NonMonotonicTimeError and t <= last
+                assert not (math.isfinite(x) and math.isfinite(y))
+                differences.append("non-finite center reported first")
+            break
+    assert read_kinds == {"track", ValueError}
+    assert set(differences) == {"non-finite timestamp refused",
+                                "non-finite center reported first"}
