@@ -17,7 +17,7 @@ from .control import CONTROL_PERIOD_S, ControlThresholds, classify_frame
 from .density import KdeConfig, estimate_density, write_density_pgm
 from .episode import measure_response_latency, run_grasp
 from .errors import (NoDisturbanceError, TacgripError, ValidationError,
-                     check_range)
+                     check_range, plain_float, plain_int)
 from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
 from .pgm import iter_frame_files, read_pgm
 from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
@@ -166,7 +166,7 @@ def build_parser():
     g = sub.add_parser("grasp", help="run a scenario closed-loop")
     g.add_argument("--scenario", required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=None,
+    g.add_argument("--seed", type=plain_int, default=None,
                    help="override the scenario seed")
     g.add_argument("--save-frames", action="store_true",
                    help="also write the rendered PGM frames")
@@ -176,7 +176,7 @@ def build_parser():
     w.add_argument("--order", choices=["dexrot", "rotdex", "both"],
                    default="both")
     samples = inspect.signature(workspace).parameters["samples_per_axis"]
-    w.add_argument("--samples", type=int, default=samples.default,
+    w.add_argument("--samples", type=plain_int, default=samples.default,
                    help="pressure samples per chamber axis")
     w.add_argument("--out", default=".")
     w.set_defaults(func=_cmd_workspace)
@@ -184,12 +184,12 @@ def build_parser():
     a = sub.add_parser("analyze", help="perception over a PGM directory")
     a.add_argument("--frames", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--pixel-scale", type=float,
+    a.add_argument("--pixel-scale", type=plain_float,
                    default=KdeConfig().pixel_scale_s,
                    help="mm per pixel")
-    a.add_argument("--calibration-ratio", type=float,
+    a.add_argument("--calibration-ratio", type=plain_float,
                    default=DEFAULT_CALIBRATION_RATIO)
-    a.add_argument("--period", type=float, default=CONTROL_PERIOD_S,
+    a.add_argument("--period", type=plain_float, default=CONTROL_PERIOD_S,
                    help="seconds between frames")
     a.add_argument("--heatmaps", action="store_true",
                    help="write per-frame density PGMs")
@@ -198,9 +198,9 @@ def build_parser():
     r = sub.add_parser("replay", help="reclassify a recorded track")
     r.add_argument("--track", required=True)
     r.add_argument("--out", default=None)
-    r.add_argument("--t1", type=float, default=ControlThresholds().t1_mm)
-    r.add_argument("--t2", type=float, default=ControlThresholds().t2_mm)
-    r.add_argument("--period", type=float, default=CONTROL_PERIOD_S)
+    r.add_argument("--t1", type=plain_float, default=ControlThresholds().t1_mm)
+    r.add_argument("--t2", type=plain_float, default=ControlThresholds().t2_mm)
+    r.add_argument("--period", type=plain_float, default=CONTROL_PERIOD_S)
     r.set_defaults(func=_cmd_replay)
     return parser
 

@@ -20,8 +20,8 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
 from .errors import NoDisturbanceError, ScenarioError, ValidationError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
-from .sensor_sim import (ContactStimulus, disk_coverage, displace_markers,
-                         render_frame, save_frame, start_frame_stream)
+from .sensor_sim import (ContactStimulus, FrameStream, displace_markers,
+                         render_frame)
 from .tracking import write_track_csv
 
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
@@ -89,11 +89,11 @@ def _fmt(value, digits=4):
 def run_grasp(scenario, out_dir=None, save_frames=False):
     """Run the double closed loop for one scenario.
 
-    Returns an EpisodeResult; when out_dir is given, also writes
-    episode.csv, plant.csv, per-finger track CSVs and a run manifest,
-    and with save_frames each frame the loop renders, as it renders it,
-    to out_dir/frames (see `sensor_sim.save_frame`). Raises ValueError
-    for save_frames without an out_dir.
+    Each finger's camera is one `sensor_sim.FrameStream`. Returns an
+    EpisodeResult; when out_dir is given, also writes episode.csv,
+    plant.csv, per-finger track CSVs and a run manifest, and with
+    save_frames the streams write each frame, as they render it, to
+    out_dir/frames. Raises ValueError for save_frames without an out_dir.
     """
     if save_frames and out_dir is None:
         raise ValueError("save_frames needs an out_dir to write the frames to")
@@ -128,25 +128,20 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     episode_rows = []
     plant_rows = [plant.trace_row()]
     commands_log = []
-    last_layout = {1: (None, None), 2: (None, None)}  # (centroid bytes, coverage)
-    frames_dir = None
-    if save_frames:
-        frames_dir = Path(out_dir) / "frames"
-        for finger in (1, 2):
-            start_frame_stream(frames_dir, finger)
+    frames_dir = Path(out_dir) / "frames" if save_frames else None
+    streams = {finger: FrameStream(scenario.sensor, finger, frames_dir)
+               for finger in (1, 2)}
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
     stop_tick = total_ticks
-    terminal = False
 
     while True:
         tick = plant.tick
         now = tick * TICK_S
 
-        if not terminal and tick % CONTROL_PERIOD_TICKS == 0:
+        if not supervisor.terminated and tick % CONTROL_PERIOD_TICKS == 0:
             cmds = supervisor.start(now) if tick == 0 else []
-            seq = len(episode_rows)
             cells, flags, fresh = [], [], []
             for finger in (1, 2):
                 ev = scenario.active_event(finger, now)
@@ -155,16 +150,8 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                     y=scenario.sensor.height / 2.0,
                     depth=0.0, radius=40.0, timestamp=now,
                 )
-                markers = displace_markers(scenario.sensor, stim)
-                layout = markers.centroids.tobytes()
-                if layout != last_layout[finger][0]:
-                    last_layout[finger] = (
-                        layout, disk_coverage(markers, scenario.sensor))
-                frame = render_frame(markers, scenario.sensor,
-                                     finger_id=finger, seq=seq,
-                                     coverage=last_layout[finger][1])
-                if frames_dir is not None:
-                    save_frame(frames_dir, seq, markers, frame)
+                frame = streams[finger].render(
+                    displace_markers(scenario.sensor, stim))
                 pipe = pipelines[finger]
                 center = pipe.process(frame).center
                 flags.append(pipe.classify(now, scenario.thresholds))
@@ -190,7 +177,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 + [f"{p:.4f}" for p in state.chamber_pressures])
 
             if supervisor.terminated:
-                terminal = True
                 stop_tick = min(total_ticks, tick + grace_ticks)
 
         if tick >= stop_tick:

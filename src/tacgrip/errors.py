@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of a
-numeric value's domain."""
+"""Exception types shared across the package, the one check of a
+numeric value's domain and the one rule for a number's text."""
 
 import math
 
@@ -67,3 +67,19 @@ def check_range(name, value, lo=-math.inf, hi=math.inf, lo_open=False,
         right = ")" if hi == math.inf else "]"
         raise error(f"{name} = {value!r} is not a finite number in "
                     f"{left}{lo:g}, {hi:g}{right}")
+
+
+def plain_number(parse):
+    """`parse` (float, or int with an optional base) of text that spells a
+    number plainly. Text that parse would also take but a typo makes
+    raises ValueError: digit-group underscores (`1_0` would read as 10),
+    non-ASCII digits, leading or trailing whitespace."""
+    def parse_plain(text, *base):
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(f"{text!r} is not a plain number")
+        return parse(text, *base)
+    parse_plain.__name__ = parse.__name__  # argparse's name for the type
+    return parse_plain
+
+
+plain_float, plain_int = plain_number(float), plain_number(int)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import plain_int
+
 _FRAME_RE = re.compile(r"^frame_(\d+)_(\d+)\.pgm$")
 
 
@@ -68,7 +70,7 @@ def read_pgm(path):
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace byte after maxval
     try:
-        w, h, maxval = (int(t) for t in tokens)
+        w, h, maxval = (plain_int(t.decode()) for t in tokens)
     except ValueError:
         raise ValueError(f"{path}: malformed PGM header {tokens}") from None
     if w <= 0 or h <= 0:

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional
 from .blobs import DetectorConfig
 from .control import (DEFAULT_GRASP_MASK, MAX_REGRASPS, ControlThresholds)
 from .density import KdeConfig
-from .errors import ParseError, ValidationError, check_range
+from .errors import ParseError, ValidationError, check_range, plain_float, plain_int
 from .perception import DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO
 from .plant import PlantConfig
 from .sensor_sim import ContactStimulus, SensorModel
@@ -127,13 +127,14 @@ class _Key(NamedTuple):
     """One `key = value` line: parse turns its text into the value of
     field (an attribute, or (attribute, index) into a tuple) on owner
     (None for the Scenario, else the config attribute holding it); show
-    writes the value back so that parse(show(v)) == v."""
+    writes the value back so that parse(show(v)) == v. A key holds a
+    float unless it says otherwise."""
 
     section: str
     key: str
     owner: Optional[str]
     field: object
-    parse: Callable
+    parse: Callable = plain_float
     show: Callable = repr
 
 
@@ -142,7 +143,7 @@ def _parse_event(text):
     if len(parts) not in (6, 8):
         raise ParseError("event needs 'time finger x y depth radius [shear_x shear_y]'")
     try:
-        nums = [float(p) for p in parts]
+        nums = [plain_float(p) for p in parts]
     except ValueError:
         raise ParseError(f"non-numeric event field in {text!r}")
     shear = (nums[6], nums[7]) if len(nums) == 8 else (0.0, 0.0)
@@ -163,40 +164,39 @@ def _show_event(ev):
 # one StimulusEvent to Scenario.events.
 _KEYS = (
     _Key("scenario", "name", None, "name", str, str),
-    _Key("scenario", "seed", None, "seed", int),
-    _Key("scenario", "duration", None, "duration_s", float),
-    _Key("sensor", "grid_rows", "sensor", "grid_rows", int),
-    _Key("sensor", "grid_cols", "sensor", "grid_cols", int),
-    _Key("sensor", "spacing", "sensor", "spacing", float),
-    _Key("sensor", "marker_radius", "sensor", "marker_radius", float),
-    _Key("sensor", "marker_intensity", "sensor", "marker_intensity", float),
-    _Key("sensor", "background", "sensor", "background", float),
-    _Key("sensor", "displacement_gain_k", "sensor", "displacement_gain_k", float),
-    _Key("sensor", "noise_sigma", "sensor", "noise_sigma", float),
-    _Key("kde", "kernel_width_h", "kde", "kernel_width_h", float),
-    _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s", float),
-    _Key("kde", "calibration_ratio", None, "calibration_ratio", float),
-    _Key("detector", "scale", "detector", "scale", float),
-    _Key("detector", "threshold_rel", "detector", "threshold_rel", float),
-    _Key("detector", "threshold_abs", "detector", "threshold_abs", float),
-    _Key("detector", "min_separation", "detector", "min_separation", float),
-    _Key("plant", "valve_latency", "plant", "valve_latency", float),
-    _Key("plant", "control_delay", "plant", "control_delay", float),
-    _Key("plant", "line_delay", "plant", "line_delay", float),
-    _Key("plant", "chamber_time_constant", "plant", "chamber_time_constant", float),
-    _Key("plant", "tank_pos_setpoint", "plant", ("tank_setpoints", 0), float),
-    _Key("plant", "tank_neg_setpoint", "plant", ("tank_setpoints", 1), float),
-    _Key("plant", "tank_hysteresis", "plant", "tank_hysteresis", float),
-    _Key("plant", "pump_rate", "plant", "pump_rate", float),
-    _Key("thresholds", "t1_mm", "thresholds", "t1_mm", float),
-    _Key("thresholds", "t2_mm", "thresholds", "t2_mm", float),
-    _Key("thresholds", "stability_window_s", "thresholds", "stability_window_s", float),
-    _Key("thresholds", "no_contact_timeout_s", "thresholds", "no_contact_timeout_s",
-         float),
-    _Key("thresholds", "window_coverage", "thresholds", "window_coverage", float),
+    _Key("scenario", "seed", None, "seed", plain_int),
+    _Key("scenario", "duration", None, "duration_s"),
+    _Key("sensor", "grid_rows", "sensor", "grid_rows", plain_int),
+    _Key("sensor", "grid_cols", "sensor", "grid_cols", plain_int),
+    _Key("sensor", "spacing", "sensor", "spacing"),
+    _Key("sensor", "marker_radius", "sensor", "marker_radius"),
+    _Key("sensor", "marker_intensity", "sensor", "marker_intensity"),
+    _Key("sensor", "background", "sensor", "background"),
+    _Key("sensor", "displacement_gain_k", "sensor", "displacement_gain_k"),
+    _Key("sensor", "noise_sigma", "sensor", "noise_sigma"),
+    _Key("kde", "kernel_width_h", "kde", "kernel_width_h"),
+    _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s"),
+    _Key("kde", "calibration_ratio", None, "calibration_ratio"),
+    _Key("detector", "scale", "detector", "scale"),
+    _Key("detector", "threshold_rel", "detector", "threshold_rel"),
+    _Key("detector", "threshold_abs", "detector", "threshold_abs"),
+    _Key("detector", "min_separation", "detector", "min_separation"),
+    _Key("plant", "valve_latency", "plant", "valve_latency"),
+    _Key("plant", "control_delay", "plant", "control_delay"),
+    _Key("plant", "line_delay", "plant", "line_delay"),
+    _Key("plant", "chamber_time_constant", "plant", "chamber_time_constant"),
+    _Key("plant", "tank_pos_setpoint", "plant", ("tank_setpoints", 0)),
+    _Key("plant", "tank_neg_setpoint", "plant", ("tank_setpoints", 1)),
+    _Key("plant", "tank_hysteresis", "plant", "tank_hysteresis"),
+    _Key("plant", "pump_rate", "plant", "pump_rate"),
+    _Key("thresholds", "t1_mm", "thresholds", "t1_mm"),
+    _Key("thresholds", "t2_mm", "thresholds", "t2_mm"),
+    _Key("thresholds", "stability_window_s", "thresholds", "stability_window_s"),
+    _Key("thresholds", "no_contact_timeout_s", "thresholds", "no_contact_timeout_s"),
+    _Key("thresholds", "window_coverage", "thresholds", "window_coverage"),
     _Key("control", "grasp_mask", None, "grasp_mask",
-         lambda text: int(text, 0), "0x{:02X}".format),  # 0xFF or decimal
-    _Key("control", "max_regrasps", None, "max_regrasps", int),
+         lambda text: plain_int(text, 0), "0x{:02X}".format),  # 0xFF or decimal
+    _Key("control", "max_regrasps", None, "max_regrasps", plain_int),
     _Key("events", "event", None, "events", _parse_event, _show_event),
 )
 

@@ -147,40 +147,8 @@ def disk_coverage(markers, model):
     return coverage
 
 
-def _check_coverage(coverage, model):
-    """Raise ValueError unless coverage is a height x width uint8 frame of
-    counts 0..16, as `disk_coverage` returns."""
-    if not isinstance(coverage, np.ndarray) or coverage.dtype != np.uint8:
-        raise ValueError("coverage must be a uint8 array of sample counts, "
-                         f"got {getattr(coverage, 'dtype', type(coverage))}")
-    if coverage.shape != (model.height, model.width):
-        raise ValueError(f"coverage has shape {coverage.shape}, the frame is "
-                         f"{(model.height, model.width)}")
-    if coverage.size and coverage.max() > 16:
-        raise ValueError(f"coverage count {int(coverage.max())} exceeds the "
-                         "16 samples of a pixel")
-
-
-def render_frame(markers, model, finger_id=1, seq=0, *, coverage=None):
-    """Render marker centroids as an 8-bit frame: dark anti-aliased disks
-    plus seeded noise, clip(rint(255 * (image + noise))) as uint8.
-
-    A pixel with coverage k / 16 has the noise-free level
-    255 * (background - k / 16 * (background - marker_intensity)). The
-    noise takes one random byte per pixel from the stream keyed by
-    (model.seed, finger_id, seq), so the frame is deterministic, and the
-    byte picks one of 256 N(0, noise_sigma) quantiles, taken at the
-    centers (i + 0.5) / 256 of 256 equally likely bins: a 256-level
-    Gaussian drawn at the cost of a byte. Level and noise are each
-    rounded to float32 and summed in float32, so the frame is a 17 x 256
-    table of bytes indexed by (count, noise byte), with no random byte
-    drawn when noise_sigma is 0. A caller that holds
-    `disk_coverage(markers, model)` may pass it.
-    """
-    if coverage is None:
-        coverage = disk_coverage(markers, model)
-    else:
-        _check_coverage(coverage, model)
+def _frame(coverage, model, finger_id, seq, timestamp):
+    """The frame of `disk_coverage` counts; see `render_frame`."""
     share = np.arange(17) / 16.0
     levels = (255.0 * (model.background - share * (
         model.background - model.marker_intensity))).astype(np.float32)
@@ -198,46 +166,72 @@ def render_frame(markers, model, finger_id=1, seq=0, *, coverage=None):
     table = np.rint(levels[:, None] + noise)
     np.clip(table, 0.0, 255.0, out=table)
     pixels = np.take(table.astype(np.uint8).ravel(), index)
-    return TactileFrame(pixels=pixels, timestamp=markers.frame_timestamp,
-                        finger_id=finger_id)
+    return TactileFrame(pixels, timestamp, finger_id)
 
 
-def start_frame_stream(directory, finger_id):
-    """Create the directory and the finger's ground-truth sidecar
-    truth_<finger>.csv with its header; returns the sidecar's path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    truth_path = directory / f"truth_{finger_id}.csv"
-    with open(truth_path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["seq", "marker", "x", "y"])
-    return truth_path
+def render_frame(markers, model, finger_id=1, seq=0):
+    """Render marker centroids as an 8-bit frame: dark anti-aliased disks
+    plus seeded noise, clip(rint(255 * (image + noise))) as uint8.
+
+    A pixel with coverage k / 16 has the noise-free level
+    255 * (background - k / 16 * (background - marker_intensity)). The
+    noise takes one random byte per pixel from the stream keyed by
+    (model.seed, finger_id, seq), so the frame is deterministic, and the
+    byte picks one of 256 N(0, noise_sigma) quantiles, taken at the
+    centers (i + 0.5) / 256 of 256 equally likely bins: a 256-level
+    Gaussian drawn at the cost of a byte. Level and noise are each
+    rounded to float32 and summed in float32, so the frame is a 17 x 256
+    table of bytes indexed by (count, noise byte), with no random byte
+    drawn when noise_sigma is 0. Stamps the coverage on every call.
+    """
+    return _frame(disk_coverage(markers, model), model, finger_id, seq,
+                  markers.frame_timestamp)
 
 
-def save_frame(directory, seq, markers, frame):
-    """Write one frame as frame_<finger>_<seq>.pgm and append its markers
-    to the sidecar that `start_frame_stream` began: one row per marker,
-    seq, marker index, x, y."""
-    directory = Path(directory)
-    finger_id = frame.finger_id
-    write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
-              comment=f"t={frame.timestamp:.6f}")
-    with open(directory / f"truth_{finger_id}.csv", "a", newline="") as fh:
-        csv.writer(fh).writerows(
-            [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
-            for idx, (mx, my) in enumerate(markers.centroids))
+class FrameStream:
+    """One finger's camera: renders marker layouts as frames seq 0, 1, 2,
+    ..., each equal to `render_frame` of its seq, stamping the coverage
+    only when a layout differs from the last. With a directory, creates
+    it and truth_<finger>.csv, then writes frame_<finger>_<seq>.pgm
+    (comment t=<timestamp>) and appends one seq, marker, x, y row per
+    marker to the sidecar."""
+
+    def __init__(self, model, finger_id, directory=None):
+        self.model, self.finger_id, self.seq = model, finger_id, 0
+        self.directory = None if directory is None else Path(directory)
+        self._last = (None, None)  # the last layout's bytes and coverage
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with open(self.truth_path, "w", newline="") as fh:
+                csv.writer(fh).writerow(["seq", "marker", "x", "y"])
+
+    @property
+    def truth_path(self):
+        return self.directory / f"truth_{self.finger_id}.csv"
+
+    def render(self, markers):
+        """The stream's next frame, of this marker layout."""
+        layout = markers.centroids.tobytes()
+        if layout != self._last[0]:
+            self._last = (layout, disk_coverage(markers, self.model))
+        seq, self.seq = self.seq, self.seq + 1
+        frame = _frame(self._last[1], self.model, self.finger_id, seq,
+                       markers.frame_timestamp)
+        if self.directory is not None:
+            write_pgm(self.directory / frame_filename(self.finger_id, seq),
+                      frame.pixels, comment=f"t={frame.timestamp:.6f}")
+            with open(self.truth_path, "a", newline="") as fh:
+                csv.writer(fh).writerows(
+                    [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
+                    for idx, (mx, my) in enumerate(markers.centroids))
+        return frame
 
 
 def write_frames(directory, model, marker_sets, finger_id=1):
-    """Render marker sets as one finger's frame stream: PGM frames plus a
-    ground-truth sidecar CSV (see `save_frame`). Returns the sidecar's
-    path."""
-    truth_path = start_frame_stream(directory, finger_id)
-    last_layout, coverage = None, None
-    for seq, markers in enumerate(marker_sets):
-        layout = markers.centroids.tobytes()
-        if layout != last_layout:
-            last_layout, coverage = layout, disk_coverage(markers, model)
-        frame = render_frame(markers, model, finger_id=finger_id, seq=seq,
-                             coverage=coverage)
-        save_frame(directory, seq, markers, frame)
-    return truth_path
+    """Render marker sets as one finger's frame stream in a directory:
+    PGM frames plus a ground-truth sidecar CSV (see `FrameStream`).
+    Returns the sidecar's path."""
+    stream = FrameStream(model, finger_id, directory)
+    for markers in marker_sets:
+        stream.render(markers)
+    return stream.truth_path

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import NonMonotonicTimeError
+from .errors import NonMonotonicTimeError, plain_float
 
 
 @dataclass
@@ -95,9 +95,9 @@ def read_track_csv(path, finger_id=1):
                 continue
             where = f"{path}: row {reader.line_num}"
             try:
-                t, x, y = float(row[0]), float(row[1]), float(row[2])
-                d = float(row[3]) if len(row) > 3 and row[3] != "" else None
-            except (ValueError, IndexError):
+                t, x, y = (plain_float(cell) for cell in row[:3])
+                d = plain_float(row[3]) if len(row) > 3 and row[3] != "" else None
+            except ValueError:
                 raise ValueError(f"{where}: need numeric t, x, y[, d_mm], "
                                  f"got {row}")
             try:

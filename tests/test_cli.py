@@ -96,6 +96,22 @@ def test_seed_is_a_grasp_option(capsys, argv):
     assert "usage: tacgrip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, typo", [
+    (["replay", "--track", "t.csv", "--period", "0_033"], "float value: '0_033'"),
+    (["replay", "--track", "t.csv", "--t1", " 0.5"], "float value: ' 0.5'"),
+    (["analyze", "--frames", "f", "--out", "a", "--calibration-ratio", "0_5"],
+     "float value: '0_5'"),
+    (["grasp", "--scenario", "x.scn", "--out", "r", "--seed", "1_0"],
+     "int value: '1_0'"),
+    (["workspace", "--samples", "\u0663"], "int value: '\u0663'")])
+def test_numeric_options_refuse_literal_spellings(capsys, argv, typo):
+    # `--period 0_033` used to run at 33 s
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid {typo}" in capsys.readouterr().err
+
+
 def test_grasp_missing_scenario(tmp_path, capsys):
     rc = main(["grasp", "--scenario", str(tmp_path / "nope.scn"),
                "--out", str(tmp_path)])

@@ -28,16 +28,36 @@ def test_only_the_plant_keeps_a_timed_queue():
     # plant's one valve queue; a second heap would be a second delay line
     # with its own order and tie-break.
     importers = set()
-    for path in Path(tacgrip.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for source, module in _package_sources():
+        for node in ast.walk(ast.parse(source)):
             names = []
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module]
             if "heapq" in names:
-                importers.add(f"tacgrip.{path.stem}")
+                importers.add(module)
     assert importers == {"tacgrip.plant"}
+
+
+def _scoped_nodes(source, module):
+    """Yield (scope, node) for every node of `source`, where scope is the
+    qualified name of the innermost function or class around the node;
+    module-level code is named by the module alone."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), module)
+
+
+def _package_sources():
+    for path in sorted(Path(tacgrip.__file__).parent.glob("*.py")):
+        yield path.read_text(), f"tacgrip.{path.stem}"
 
 
 _TRACK_FIELDS = {"timestamps", "centers", "displacements"}
@@ -53,10 +73,7 @@ def _track_growers(source, module):
     def is_track_field(node):
         return isinstance(node, ast.Attribute) and node.attr in _TRACK_FIELDS
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
+    for scope, node in _scoped_nodes(source, module):
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -71,10 +88,6 @@ def _track_growers(source, module):
                 and node.func.attr in ("append", "extend", "insert")
                 and is_track_field(node.func.value)):
             growers.add(scope)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), module)
     return growers
 
 
@@ -82,8 +95,8 @@ def test_only_contact_track_append_grows_a_track():
     # ContactTrack.append checks alignment, finiteness and time order;
     # a second path that grows the lists would skip those checks.
     growers = set()
-    for path in Path(tacgrip.__file__).parent.glob("*.py"):
-        growers |= _track_growers(path.read_text(), f"tacgrip.{path.stem}")
+    for source, module in _package_sources():
+        growers |= _track_growers(source, module)
     assert growers == {"tacgrip.tracking.ContactTrack.append"}
 
 
@@ -105,3 +118,51 @@ def reads_only(track, out):
     assert _track_growers(source, "m") == {
         "m.by_append", "m.by_insert", "m.by_assignment", "m.by_item",
         "m.by_unpacking"}
+
+
+def _coverage_stampers(source, module):
+    """Qualified names of the functions in `source` that call
+    disk_coverage: by its name, as an attribute of a module, or under a
+    name an import gave it."""
+    names = {"disk_coverage"} | {
+        alias.asname for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "disk_coverage" and alias.asname}
+    stampers = set()
+    for scope, node in _scoped_nodes(source, module):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in names
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "disk_coverage"):
+            stampers.add(scope)
+    return stampers
+
+
+def test_only_sensor_sim_stamps_coverage():
+    # FrameStream keeps the one last-layout coverage cache; a module that
+    # stamps coverage itself would grow a second cache beside it.
+    stampers = set()
+    for source, module in _package_sources():
+        stampers |= _coverage_stampers(source, module)
+    assert {s for s in stampers if not s.startswith("tacgrip.sensor_sim.")} \
+        == set()
+    assert "tacgrip.sensor_sim.FrameStream.render" in stampers
+
+
+def test_the_coverage_rule_sees_each_way_to_stamp():
+    source = """
+from .sensor_sim import disk_coverage as stamp
+def by_name(m, model):
+    return disk_coverage(m, model)
+def by_attribute(m, model):
+    return sensor_sim.disk_coverage(m, model)
+def by_alias(m, model):
+    return stamp(m, model)
+class Cache:
+    def fill(self, m):
+        self.coverage = disk_coverage(m, self.model)
+def names_only():
+    return disk_coverage.__doc__
+"""
+    assert _coverage_stampers(source, "m") == {
+        "m.by_name", "m.by_attribute", "m.by_alias", "m.Cache.fill"}

@@ -91,7 +91,10 @@ def test_read_rejects_truncated_header(tmp_path, raw):
         read_pgm(path)
 
 
-@pytest.mark.parametrize("header", [b"P5\n6 x4\n255\n", b"P5\n0 4\n255\n"])
+@pytest.mark.parametrize("header", [
+    b"P5\n6 x4\n255\n", b"P5\n0 4\n255\n",
+    # read as a 10x2 image of maxval 255
+    b"P5\n1_0 2\n2_55\n", b"P5\n6 4\n2_55\n"])
 def test_read_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "junk.pgm"
     path.write_bytes(header + bytes(24))

@@ -95,6 +95,20 @@ def test_event_parse_errors():
         parse_scenario_text("[events]\nevent = 1.0 inf 320 240 3 40\n")
 
 
+@pytest.mark.parametrize("section, line, message", [
+    # each of these read as another value: 10, 10.5, 0xFF, 2, 1.0, 10.0
+    ("scenario", "seed = 1_0", "bad value '1_0' for seed"),
+    ("scenario", "duration = 1_0.5", "bad value '1_0.5' for duration"),
+    ("control", "grasp_mask = 0x_F_F", "bad value '0x_F_F' for grasp_mask"),
+    ("control", "max_regrasps = 0_2", "bad value '0_2' for max_regrasps"),
+    ("sensor", "spacing = \u0661\u0665", "bad value '\u0661\u0665' for spacing"),
+    ("events", "event = 1_0 1 320 240 3 40", "non-numeric event field"),
+])
+def test_numeric_literal_spellings_rejected_at_parse(section, line, message):
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        parse_scenario_text(f"[{section}]\n{line}\n")
+
+
 def test_comments_and_blank_lines_ignored():
     sc = parse_scenario_text(
         "# header comment\n\n[scenario]\n# inner\nname = c\n\n")

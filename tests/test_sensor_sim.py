@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -8,10 +9,11 @@ from scipy.special import ndtri
 import tacgrip as tg
 import tacgrip.episode
 import tacgrip.sensor_sim
-from tacgrip.pgm import read_pgm, write_pgm
+from tacgrip.pgm import frame_filename, read_pgm, write_pgm
 from tacgrip.scenario import static_scenario
-from tacgrip.sensor_sim import (_SS, ContactStimulus, SensorModel,
-                                disk_coverage, displace_markers)
+from tacgrip.sensor_sim import (_SS, ContactStimulus, FrameStream,
+                                SensorModel, disk_coverage, displace_markers)
+from tacgrip.tactile import TactileFrame
 
 from kde_oracle import density_at_points
 
@@ -279,9 +281,9 @@ def test_render_frame_matches_float_reference(radius, sigma):
             want = _float_render(markers, m, finger, seq)
             assert frame.pixels.dtype == np.uint8
             assert frame.pixels.tobytes() == want.tobytes()
-            given = tg.render_frame(markers, m, finger_id=finger, seq=seq,
-                                    coverage=disk_coverage(markers, m))
-            assert given.pixels.tobytes() == want.tobytes()
+            stream = FrameStream(m, finger)
+            stream.seq = seq  # the stream's next frame is this seq
+            assert stream.render(markers).pixels.tobytes() == want.tobytes()
             saturated += want.min() == 0 and want.max() == 255
     if sigma >= 0.5:  # the noise clips at both ends of the byte
         assert saturated >= 10
@@ -299,38 +301,6 @@ def test_render_frame_bytes_keyed_by_seed(nominal_model):
     assert c.pixels.tobytes() == _float_render(markers, other, 2, 11).tobytes()
 
 
-def test_render_frame_same_bytes_with_given_coverage(nominal_model):
-    stim = ContactStimulus(x=600.0, y=30.0, depth=2.5, radius=40.0,
-                           shear_x=3.0, timestamp=1.0)
-    markers = displace_markers(nominal_model, stim)
-    given = tg.render_frame(markers, nominal_model, finger_id=2, seq=7,
-                            coverage=disk_coverage(markers, nominal_model))
-    computed = tg.render_frame(markers, nominal_model, finger_id=2, seq=7)
-    assert given.pixels.tobytes() == computed.pixels.tobytes()
-    assert given.timestamp == computed.timestamp == 1.0
-
-
-def test_render_frame_rejects_hostile_coverage(nominal_model):
-    markers = displace_markers(nominal_model, None)
-    good = disk_coverage(markers, nominal_model)
-    with pytest.raises(ValueError, match="shape"):
-        tg.render_frame(markers, nominal_model, coverage=good[:, :-1])
-    with pytest.raises(ValueError, match="shape"):
-        tg.render_frame(markers, nominal_model, coverage=good.T)
-    with pytest.raises(ValueError, match="uint8"):
-        tg.render_frame(markers, nominal_model, coverage=good / 16.0)
-    with pytest.raises(ValueError, match="uint8"):
-        tg.render_frame(markers, nominal_model,
-                        coverage=good.astype(np.int16))
-    with pytest.raises(ValueError, match="uint8"):
-        tg.render_frame(markers, nominal_model, coverage=good.tolist())
-    for count in (17, 255):
-        bad = good.copy()
-        bad[100, 200] = count
-        with pytest.raises(ValueError, match=f"count {count} exceeds"):
-            tg.render_frame(markers, nominal_model, coverage=bad)
-
-
 def _counting(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -344,28 +314,33 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
-    calls = _counting(monkeypatch, tacgrip.episode, "disk_coverage")
-    layouts = {1: [], 2: []}
-    render = tacgrip.episode.render_frame
+    calls = _counting(monkeypatch, tacgrip.sensor_sim, "disk_coverage")
+    rendered = {1: [], 2: []}
+    render = FrameStream.render
 
-    def recording(markers, model, finger_id=1, seq=0, *, coverage=None):
-        frame = render(markers, model, finger_id, seq, coverage=coverage)
-        if coverage is not None:
-            layouts[finger_id].append(markers.centroids.tobytes())
-            assert frame.pixels.tobytes() == render(
-                markers, model, finger_id, seq).pixels.tobytes()
+    def recording(stream, markers):
+        seq = stream.seq
+        frame = render(stream, markers)
+        rendered[stream.finger_id].append((seq, markers, stream.model, frame))
         return frame
 
-    monkeypatch.setattr(tacgrip.episode, "render_frame", recording)
+    monkeypatch.setattr(FrameStream, "render", recording)
     tacgrip.episode.run_grasp(static_scenario(seed=1, duration=1.2))
+    stamped = len(calls)
     # at rest until the contact at 1 s, then held still: two layouts
     changes = 0
     for finger in (1, 2):
-        seen = layouts[finger]
+        seen = [markers.centroids.tobytes()
+                for _, markers, _, _ in rendered[finger]]
         assert len(seen) == 37 and len(set(seen)) == 2
         changes += sum(a != b for a, b in zip([None] + seen, seen))
+        for i, (seq, markers, model, frame) in enumerate(rendered[finger]):
+            assert seq == i
+            assert frame.pixels.tobytes() == tg.render_frame(
+                markers, model, finger, seq).pixels.tobytes()
     assert changes == 4
-    assert len(calls) == changes
+    # one stamp per layout change, plus each finger's calibration frame
+    assert stamped == changes + 2
 
 
 def test_write_frames_computes_coverage_once_per_repeat(
@@ -384,3 +359,114 @@ def test_write_frames_computes_coverage_once_per_repeat(
                   comment=f"t={frame.timestamp:.6f}")
         assert (tmp_path / f"frame_2_{seq:06d}.pgm").read_bytes() \
             == (tmp_path / "fresh.pgm").read_bytes()
+
+
+# -- equivalence with the two frame streams FrameStream replaced ------------
+
+def _old_render_frame(markers, model, finger_id, seq, coverage):
+    """The render_frame body that took a caller's coverage, kept as the
+    reference of the stream's frames."""
+    share = np.arange(17) / 16.0
+    levels = (255.0 * (model.background - share * (
+        model.background - model.marker_intensity))).astype(np.float32)
+    if model.noise_sigma > 0:
+        rng = np.random.default_rng((model.seed, finger_id, seq))
+        quantiles = ndtri((np.arange(256) + 0.5) / 256)
+        noise = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
+        index = coverage.astype(np.uint16) << 8
+        index |= np.frombuffer(rng.bytes(coverage.size),
+                               dtype=np.uint8).reshape(coverage.shape)
+    else:
+        noise = np.zeros(1, dtype=np.float32)
+        index = coverage
+    table = np.rint(levels[:, None] + noise)
+    np.clip(table, 0.0, 255.0, out=table)
+    pixels = np.take(table.astype(np.uint8).ravel(), index)
+    return TactileFrame(pixels=pixels, timestamp=markers.frame_timestamp,
+                        finger_id=finger_id)
+
+
+def _old_start_frame_stream(directory, finger_id):
+    directory.mkdir(parents=True, exist_ok=True)
+    truth_path = directory / f"truth_{finger_id}.csv"
+    with open(truth_path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["seq", "marker", "x", "y"])
+    return truth_path
+
+
+def _old_save_frame(directory, seq, markers, frame):
+    finger_id = frame.finger_id
+    write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
+              comment=f"t={frame.timestamp:.6f}")
+    with open(directory / f"truth_{finger_id}.csv", "a", newline="") as fh:
+        csv.writer(fh).writerows(
+            [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
+            for idx, (mx, my) in enumerate(markers.centroids))
+
+
+def _old_stream(model, finger_id, marker_sets, directory=None):
+    """The last-layout cache that run_grasp and write_frames each kept
+    around the two calls above. Returns the frames and the stamp count."""
+    if directory is not None:
+        _old_start_frame_stream(directory, finger_id)
+    last_layout, coverage, stamps, frames = None, None, 0, []
+    for seq, markers in enumerate(marker_sets):
+        layout = markers.centroids.tobytes()
+        if layout != last_layout:
+            last_layout, coverage = layout, disk_coverage(markers, model)
+            stamps += 1
+        frame = _old_render_frame(markers, model, finger_id, seq, coverage)
+        if directory is not None:
+            _old_save_frame(directory, seq, markers, frame)
+        frames.append(frame)
+    return frames, stamps
+
+
+def _layout_sequence(model, rng):
+    """Rest, a contact, the same contact again, the contact shifted by
+    1e-3 px and rest again, each held for one or two frames, with a new
+    timestamp every frame."""
+    rest = displace_markers(model, None)
+    stim = ContactStimulus(x=rng.uniform(40, 600), y=rng.uniform(40, 440),
+                           depth=rng.uniform(0.5, 3.0), radius=40.0,
+                           shear_x=rng.uniform(-4, 4))
+    touched = displace_markers(model, stim)
+    shifted = displace_markers(model, dataclasses.replace(stim,
+                                                          x=stim.x + 1e-3))
+    assert shifted.centroids.tobytes() != touched.centroids.tobytes()
+    layouts = [rest, touched, displace_markers(model, stim), shifted, rest]
+    held = [m for m in layouts for _ in range(int(rng.integers(1, 3)))]
+    return [tg.MarkerSet(m.centroids, frame_timestamp=0.033 * i)
+            for i, m in enumerate(held)]
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("to_disk", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+@pytest.mark.parametrize("finger", [1, 2])
+def test_frame_stream_matches_the_two_streams_it_replaced(
+        tmp_path, monkeypatch, finger, sigma, to_disk):
+    calls = _counting(monkeypatch, tacgrip.sensor_sim, "disk_coverage")
+    model = SensorModel(noise_sigma=sigma, seed=7)
+    rng = np.random.default_rng(100 * finger + int(sigma * 1000) + to_disk)
+    for run in range(2):
+        sets = _layout_sequence(model, rng)
+        old_dir = tmp_path / f"old{run}" if to_disk else None
+        new_dir = tmp_path / f"new{run}" if to_disk else None
+        want, stamps = _old_stream(model, finger, sets, old_dir)
+        del calls[:]
+        stream = FrameStream(model, finger, new_dir)
+        got = [stream.render(markers) for markers in sets]
+        assert [f.pixels.tobytes() for f in got] \
+            == [f.pixels.tobytes() for f in want]
+        assert [(f.timestamp, f.finger_id) for f in got] \
+            == [(f.timestamp, f.finger_id) for f in want]
+        seen = [markers.centroids.tobytes() for markers in sets]
+        changes = sum(a != b for a, b in zip([None] + seen, seen))
+        assert len(calls) == stamps == changes == 4
+        if to_disk:
+            assert _files(new_dir) == _files(old_dir)
+            assert len(_files(new_dir)) == len(sets) + 1

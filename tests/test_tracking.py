@@ -115,6 +115,11 @@ def test_read_rejects_foreign_csv(tmp_path):
     (["0.1,1,1,", "0.2,2,2,0.1", "0.3,3,3,inf"], 4, "d_mm inf is not finite"),
     (["0.1,nan,1,", "0.2,2,2,0.1"], 2, "x nan is not finite"),
     (["0.1,1,1,", "0.2,2,-inf,0.1"], 3, "y -inf is not finite"),
+    # numeric-literal spellings read as other values: 10.0, 3.0, 15.0, 1.0
+    (["0.1,1_0,2,", "0.2,2,2,0.1"], 2, "need numeric"),
+    (["0.1,1, 3 ,", "0.2,2,2,0.1"], 2, "need numeric"),
+    (["0.1,1,1,", "0.2,2,2,1_5"], 3, "need numeric"),
+    (["0.1,\u0661,1,", "0.2,2,2,0.1"], 2, "need numeric"),
 ])
 def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
     path = tmp_path / "hostile.csv"
