@@ -21,7 +21,7 @@ from .episode import (EpisodeResult, measure_response_latency, run_grasp)
 from .errors import (EmptyMarkerSetError, InvalidSelectorError,
                      NoDisturbanceError, NonMonotonicTimeError, ParseError,
                      PressureOutOfRangeError, ScenarioError, StaleFlagsError,
-                     TacgripError, ValidationError)
+                     TacgripError, ValidationError, WorkerError)
 from .kinematics import (CcSegment, FingerChain, JointModel, WorkspaceResult,
                          cc_transform, dex_joint, dex_rot_chain, finger_fk,
                          hull_volume, pressure_to_cc, rot_dex_chain,

@@ -7,17 +7,51 @@ flags into MCU commands, and the MCU queues their valve changes on the
 plant, which applies them after the control delay and valve latency.
 Everything is keyed off the scenario seed and integer ticks, so two runs
 with the same scenario are byte-identical.
+
+Each finger's camera and perception run in a worker process of their
+own, as each camera on the gripper streams on its own. A `FingerStep`
+holds one finger's `FrameStream` and calibrated `FingerPipeline`, and a
+call renders, perceives and classifies that finger's frame at one
+instant. `run_grasp` calibrates both pipelines itself, so a rejected
+calibration frame raises `ScenarioError` before any worker starts, then
+forks one worker per step. Little crosses the pipe: the parent sends
+each control instant's time, and the worker answers with a
+`FingerRecord` (contact center, the displacement this instant added,
+flag and freshness); after the loop it answers with its `ContactTrack`.
+Frames, fields and markers stay in the worker. The parent keeps the
+supervisor, MCU, plant and trace rows, so the rows are those of a
+serial loop byte for byte. Perception is about 95% of an episode and
+the fingers' shares are independent: on a 2-core VM a static grasp ran
+1.8x as many control periods per second with one BLAS thread, and about
+1.5x at default threads. A thread per finger gave only 1.25-1.3x, because
+the `ndimage` filters and the noise draw hold the GIL.
+
+`run_grasp` needs the "fork" start method (POSIX): the workers inherit
+the scenario and the calibrated pipelines instead of unpickling them.
+Each worker sets the OpenBLAS libraries in its process to one thread.
+Unpinned, the two forked thread pools spin against each other on two
+cores: a static episode went from 2.9 to 4.3 s, a slip episode from 5.9
+to 16.9 s and a 0.1 s episode from 141 to 290 ms. OPENBLAS_NUM_THREADS
+set in the worker does nothing, because OpenBLAS reads it when it
+loads, so the worker calls the libraries' own setters. The parent's
+BLAS is left as it is.
 """
 
+import ctypes
 import hashlib
+import multiprocessing
+import os
+import signal
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
-                      McuEmulator, Phase, encode_frame, has_fresh_contact,
-                      measure_valve_response)
-from .errors import NoDisturbanceError, ScenarioError, ValidationError
+                      McuEmulator, PerceptionFlag, Phase, encode_frame,
+                      has_fresh_contact, measure_valve_response)
+from .errors import (NoDisturbanceError, ScenarioError, ValidationError,
+                     WorkerError)
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import (ContactStimulus, FrameStream, displace_markers,
@@ -86,29 +120,53 @@ def _fmt(value, digits=4):
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def run_grasp(scenario, out_dir=None, save_frames=False):
-    """Run the double closed loop for one scenario.
+def _cells(record):
+    """A finger's f_x, f_y and f_d cells of an episode row."""
+    if record.center is None:
+        return ["", "", ""]
+    return [_fmt(record.center[0]), _fmt(record.center[1]),
+            _fmt(record.displacement, 6)]
 
-    Each finger's camera is one `sensor_sim.FrameStream`. Returns an
-    EpisodeResult; when out_dir is given, also writes episode.csv,
-    plant.csv, per-finger track CSVs and a run manifest, and with
-    save_frames the streams write each frame, as they render it, to
-    out_dir/frames. Raises ValueError for save_frames without an out_dir.
-    """
-    if save_frames and out_dir is None:
-        raise ValueError("save_frames needs an out_dir to write the frames to")
-    try:
-        scenario.validate()
-    except ValidationError as exc:
-        raise ScenarioError(str(exc))
 
-    plant = PneumaticPlant(scenario.plant)
-    mcu = McuEmulator(plant)
-    supervisor = GraspSupervisor(
-        thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
-        max_regrasps=scenario.max_regrasps,
-    )
+class FingerRecord(NamedTuple):
+    """What one finger reports at one control instant."""
 
+    center: Optional[Tuple[float, float]]  # the contact center, px
+    displacement: Optional[float]  # mm, when this instant's center added one
+    flag: PerceptionFlag
+    fresh: bool  # control.has_fresh_contact at this instant
+
+
+class FingerStep:
+    """One finger's camera and perception for one episode: each call
+    renders the scenario's stimulus at `now` as the stream's next frame,
+    runs it through the pipeline and classifies the track."""
+
+    def __init__(self, scenario, pipeline, stream):
+        self.scenario, self.pipeline, self.stream = scenario, pipeline, stream
+
+    def __call__(self, now):
+        sc, pipe = self.scenario, self.pipeline
+        ev = sc.active_event(pipe.finger_id, now)
+        stim = ev.stimulus(now) if ev is not None else ContactStimulus(
+            x=sc.sensor.width / 2.0, y=sc.sensor.height / 2.0,
+            depth=0.0, radius=40.0, timestamp=now,
+        )
+        center = pipe.process(self.stream.render(
+            displace_markers(sc.sensor, stim))).center
+        # A contact region extends the track at this instant.
+        disps = pipe.track.displacements
+        return FingerRecord(
+            center, disps[-1] if center and disps else None,
+            pipe.classify(now, sc.thresholds),
+            has_fresh_contact(pipe.track, now))
+
+
+def finger_steps(scenario, frames_dir=None):
+    """Both fingers' `FingerStep`s: each pipeline calibrated on a
+    noise-free rest frame, then each stream opened (writing its frames
+    to frames_dir, if given). Raises ScenarioError naming the finger
+    whose calibration frame is rejected."""
     pipelines = {}
     ref_model = replace(scenario.sensor, noise_sigma=0.0)
     for finger in (1, 2):
@@ -124,71 +182,201 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
         except ValidationError as exc:
             raise ScenarioError(f"finger {finger}: {exc}") from None
         pipelines[finger] = pipe
+    return {finger: FingerStep(scenario, pipe,
+                               FrameStream(scenario.sensor, finger, frames_dir))
+            for finger, pipe in pipelines.items()}
+
+
+# Thread-count setters of the OpenBLAS builds that numpy and scipy wheels
+# ship (64-bit and 32-bit integers) and of a system OpenBLAS.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_blas_to_one_thread():
+    """Set every OpenBLAS library mapped into this process to one thread,
+    and return the names of the setters called. No numpy or scipy call
+    does this. Does nothing where /proc/self/maps cannot be read or
+    lists no OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5]).lower()})
+    called = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                called.append(name)
+    return called
+
+
+def _serve(step, conn):
+    """A worker's loop: answer each control instant's time with the
+    step's FingerRecord and the closing None with the finger's track. An
+    exception is answered with its traceback text, and the worker ends."""
+    # ^C reaches the whole process group; the parent ends its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        _pin_blas_to_one_thread()
+        while (now := conn.recv()) is not None:
+            conn.send(step(now))
+        conn.send(step.pipeline.track)
+    except EOFError:
+        pass  # the parent has closed its end
+    except Exception:
+        conn.send(traceback.format_exc())
+
+
+class _FingerWorkers:
+    """One forked worker process per finger step, each on its own pipe.
+    Leaving the block after an exception terminates the workers; every
+    exit joins them."""
+
+    def __init__(self, steps):
+        ctx = multiprocessing.get_context("fork")
+        self._workers = {}
+        try:
+            for finger, step in steps.items():
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(step, child),
+                                   name=f"tacgrip-finger-{finger}",
+                                   daemon=True)
+                proc.start()
+                # Now only the worker holds its end, so a worker that dies
+                # reads as EOF here instead of leaving recv blocked.
+                child.close()
+                self._workers[finger] = (proc, conn)
+        except BaseException:
+            self.close(failed=True)
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(failed=exc_type is not None)
+
+    def ask(self, message):
+        """Send `message` to every worker, then return {finger: reply}.
+        Raises WorkerError naming the finger whose worker raised or
+        ended."""
+        for finger, (_, conn) in self._workers.items():
+            try:
+                conn.send(message)
+            except OSError:
+                raise self._ended(finger) from None
+        replies = {}
+        for finger, (_, conn) in self._workers.items():
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                raise self._ended(finger) from None
+            if isinstance(reply, str):
+                raise WorkerError(f"finger {finger}: its worker raised\n"
+                                  f"{reply}")
+            replies[finger] = reply
+        return replies
+
+    def _ended(self, finger):
+        proc = self._workers[finger][0]
+        proc.join(timeout=1.0)
+        return WorkerError(f"finger {finger}: its worker ended with exit "
+                           f"code {proc.exitcode}")
+
+    def close(self, failed):
+        for proc, conn in self._workers.values():
+            conn.close()
+            if failed:
+                proc.terminate()
+        for proc, _ in self._workers.values():
+            proc.join()
+
+
+def run_grasp(scenario, out_dir=None, save_frames=False):
+    """Run the double closed loop for one scenario.
+
+    Each finger's `FingerStep` runs in a forked worker process (see the
+    module docstring). Returns an EpisodeResult; when out_dir is given,
+    also writes episode.csv, plant.csv, per-finger track CSVs and a run
+    manifest, and with save_frames the streams write each frame, as they
+    render it, to out_dir/frames. Raises ValueError for save_frames
+    without an out_dir, ScenarioError for an invalid scenario or a
+    rejected calibration frame, and WorkerError naming the finger whose
+    worker raised or ended.
+    """
+    if save_frames and out_dir is None:
+        raise ValueError("save_frames needs an out_dir to write the frames to")
+    try:
+        scenario.validate()
+    except ValidationError as exc:
+        raise ScenarioError(str(exc))
+
+    plant = PneumaticPlant(scenario.plant)
+    mcu = McuEmulator(plant)
+    supervisor = GraspSupervisor(
+        thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
+        max_regrasps=scenario.max_regrasps,
+    )
+    steps = finger_steps(scenario,
+                         Path(out_dir) / "frames" if save_frames else None)
 
     episode_rows = []
     plant_rows = [plant.trace_row()]
     commands_log = []
-    frames_dir = Path(out_dir) / "frames" if save_frames else None
-    streams = {finger: FrameStream(scenario.sensor, finger, frames_dir)
-               for finger in (1, 2)}
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
     stop_tick = total_ticks
 
-    while True:
-        tick = plant.tick
-        now = tick * TICK_S
+    with _FingerWorkers(steps) as workers:
+        while True:
+            tick = plant.tick
+            now = tick * TICK_S
 
-        if not supervisor.terminated and tick % CONTROL_PERIOD_TICKS == 0:
-            cmds = supervisor.start(now) if tick == 0 else []
-            cells, flags, fresh = [], [], []
-            for finger in (1, 2):
-                ev = scenario.active_event(finger, now)
-                stim = ev.stimulus(now) if ev is not None else ContactStimulus(
-                    x=scenario.sensor.width / 2.0,
-                    y=scenario.sensor.height / 2.0,
-                    depth=0.0, radius=40.0, timestamp=now,
-                )
-                frame = streams[finger].render(
-                    displace_markers(scenario.sensor, stim))
-                pipe = pipelines[finger]
-                center = pipe.process(frame).center
-                flags.append(pipe.classify(now, scenario.thresholds))
-                fresh.append(has_fresh_contact(pipe.track, now))
-                # A contact region extends the track at this instant.
-                disps = pipe.track.displacements
-                cells += [_fmt(center[0]) if center else "",
-                          _fmt(center[1]) if center else "",
-                          _fmt(disps[-1], 6) if center and disps else ""]
+            if not supervisor.terminated and tick % CONTROL_PERIOD_TICKS == 0:
+                records = workers.ask(now)
+                cmds = supervisor.start(now) if tick == 0 else []
+                cmds += supervisor.update(
+                    records[1].flag, records[2].flag, now,
+                    fresh1=records[1].fresh, fresh2=records[2].fresh)
+                for cmd in cmds:
+                    mcu.submit(encode_frame(cmd))
+                    commands_log.append((now, cmd))
 
-            cmds += supervisor.update(*flags, now,
-                                      fresh1=fresh[0], fresh2=fresh[1])
-            for cmd in cmds:
-                mcu.submit(encode_frame(cmd))
-                commands_log.append((now, cmd))
+                state = plant.state
+                episode_rows.append(
+                    [tick, f"{now:.3f}", supervisor.phase.state.value]
+                    + [cell for finger in (1, 2)
+                       for cell in _cells(records[finger])]
+                    + [records[finger].flag.kind.value for finger in (1, 2)]
+                    + [";".join(c.kind.name for c in cmds)]
+                    + [str(int(v)) for v in state.valve_states]
+                    + [f"{p:.4f}" for p in state.chamber_pressures])
 
-            state = plant.state
-            episode_rows.append(
-                [tick, f"{now:.3f}", supervisor.phase.state.value] + cells
-                + [flag.kind.value for flag in flags]
-                + [";".join(c.kind.name for c in cmds)]
-                + [str(int(v)) for v in state.valve_states]
-                + [f"{p:.4f}" for p in state.chamber_pressures])
+                if supervisor.terminated:
+                    stop_tick = min(total_ticks, tick + grace_ticks)
 
-            if supervisor.terminated:
-                stop_tick = min(total_ticks, tick + grace_ticks)
-
-        if tick >= stop_tick:
-            break
-        plant.step()
-        plant_rows.append(plant.trace_row())
+            if tick >= stop_tick:
+                break
+            plant.step()
+            plant_rows.append(plant.trace_row())
+        tracks = workers.ask(None)
 
     result = EpisodeResult(
         scenario=scenario,
         episode_rows=episode_rows,
         plant_rows=plant_rows,
-        tracks={1: pipelines[1].track, 2: pipelines[2].track},
+        tracks=tracks,
         commands=commands_log,
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,

@@ -36,6 +36,10 @@ class ScenarioError(TacgripError):
     """Malformed scenario handed to the episode runner."""
 
 
+class WorkerError(TacgripError):
+    """A finger's worker process raised or ended during an episode."""
+
+
 class ParseError(TacgripError):
     """Scenario file could not be parsed.
 

@@ -166,3 +166,65 @@ def names_only():
 """
     assert _coverage_stampers(source, "m") == {
         "m.by_name", "m.by_attribute", "m.by_alias", "m.Cache.fill"}
+
+
+_PROCESS_MODULES = {"multiprocessing", "ctypes"}
+
+
+def _process_importers(source, module):
+    """Qualified names of the scopes in `source` that import
+    multiprocessing or ctypes, or a submodule of either: by an import
+    statement or by __import__ or importlib.import_module of a literal
+    name; module-level code is named by the module alone."""
+    def is_process_module(name):
+        return name is not None and name.split(".")[0] in _PROCESS_MODULES
+
+    importers = set()
+    for scope, node in _scoped_nodes(source, module):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and (isinstance(node.func, ast.Name)
+                   and node.func.id == "__import__"
+                   or isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "import_module")):
+            names = [node.args[0].value]
+        if any(is_process_module(name) for name in names):
+            importers.add(scope)
+    return importers
+
+
+def test_only_the_episode_runner_starts_processes_or_loads_libraries():
+    # run_grasp's per-finger workers, with their fork start method and
+    # their BLAS pin, are the package's one use of processes and of
+    # native calls; a second would need its own orphan and thread rules.
+    modules = set()
+    for source, module in _package_sources():
+        modules |= {scope.split(".")[1]
+                    for scope in _process_importers(source, module)}
+    assert modules == {"episode"}
+
+
+def test_the_process_rule_sees_each_way_to_import():
+    source = """
+import multiprocessing
+import ctypes as c
+from multiprocessing.connection import wait
+def by_from():
+    from ctypes import CDLL
+def by_dunder():
+    return __import__("multiprocessing.pool")
+class Loader:
+    def load(self):
+        return importlib.import_module("ctypes.util")
+def relative_only():
+    from . import ctypes
+def other_modules():
+    import multiprocessing_helpers, os.path
+"""
+    assert _process_importers(source, "m") == {
+        "m", "m.by_from", "m.by_dunder", "m.Loader.load"}

@@ -9,7 +9,9 @@ from scipy.special import ndtri
 import tacgrip as tg
 import tacgrip.episode
 import tacgrip.sensor_sim
+from tacgrip.control import CONTROL_PERIOD_TICKS
 from tacgrip.pgm import frame_filename, read_pgm, write_pgm
+from tacgrip.plant import TICK_S
 from tacgrip.scenario import static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, FrameStream,
                                 SensorModel, disk_coverage, displace_markers)
@@ -325,7 +327,13 @@ def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
         return frame
 
     monkeypatch.setattr(FrameStream, "render", recording)
-    tacgrip.episode.run_grasp(static_scenario(seed=1, duration=1.2))
+    # run_grasp's workers call these steps, one per finger and control
+    # instant; here they run in this process, where the counters are.
+    steps = tacgrip.episode.finger_steps(
+        static_scenario(seed=1, duration=1.2))
+    for tick in range(0, 1201, CONTROL_PERIOD_TICKS):  # a 1.2 s episode
+        for finger in (1, 2):
+            steps[finger](tick * TICK_S)
     stamped = len(calls)
     # at rest until the contact at 1 s, then held still: two layouts
     changes = 0
