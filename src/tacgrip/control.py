@@ -85,9 +85,9 @@ class Phase(Enum):
 LEGAL_TRANSITIONS = {
     Phase.IDLE: {Phase.CLOSING},
     Phase.CLOSING: {Phase.CONTACTED, Phase.RELEASED},
-    Phase.CONTACTED: {Phase.STABLE, Phase.REGRASPING},
+    Phase.CONTACTED: {Phase.STABLE, Phase.REGRASPING, Phase.RELEASED},
     Phase.STABLE: {Phase.DISTURBED, Phase.RELEASED},
-    Phase.DISTURBED: {Phase.STABLE, Phase.REGRASPING},
+    Phase.DISTURBED: {Phase.STABLE, Phase.REGRASPING, Phase.RELEASED},
     Phase.REGRASPING: {Phase.CLOSING},
     Phase.RELEASED: set(),
 }
@@ -167,8 +167,8 @@ class GraspSupervisor:
     Commands are produced only on phase transitions (seal idempotence: a
     sealed stable grasp stays silent). The regrasp command releases and
     pauses; re-entering Closing restarts the closing actuation. After
-    max_regrasps failed attempts the supervisor emits Release and
-    terminates the episode without leaving its current phase.
+    max_regrasps failed attempts the supervisor emits Release and enters
+    Released, the one terminal phase.
     """
 
     def __init__(self, thresholds=None, grasp_mask=DEFAULT_GRASP_MASK,
@@ -179,7 +179,6 @@ class GraspSupervisor:
         self.max_regrasps = max_regrasps
         self.phase = GraspPhase(Phase.IDLE, 0.0)
         self.regrasp_count = 0
-        self.terminated = False
         self.transitions = []  # (time, from, to) audit trail
         self._stale_since = None
         # Set when a slip is seen while sealed: the mandatory Disturbed
@@ -189,16 +188,18 @@ class GraspSupervisor:
 
     def _enter(self, new_state, now, kind=None):
         """Move to `new_state` and return the commands that announce it:
-        one of `kind`, or none. Entering Released terminates the
-        episode."""
+        one of `kind`, or none."""
         old = self.phase.state
         if new_state not in LEGAL_TRANSITIONS[old]:
             raise RuntimeError(f"illegal phase transition {old} -> {new_state}")
         self.transitions.append((now, old, new_state))
         self.phase = GraspPhase(new_state, now)
-        if new_state == Phase.RELEASED:
-            self.terminated = True
         return [] if kind is None else [self._command(kind)]
+
+    @property
+    def terminated(self):
+        """Whether the episode has ended: the phase is Released."""
+        return self.phase.state == Phase.RELEASED
 
     def _command(self, kind):
         return McuCommand(kind=kind, valve_mask=self.grasp_mask)
@@ -207,14 +208,14 @@ class GraspSupervisor:
         """Idle -> Closing; pressurizes the grasp chambers."""
         return self._enter(Phase.CLOSING, now, CommandKind.REOPEN_VALVES)
 
-    def update(self, flag1, flag2, now, fresh1=None, fresh2=None):
+    def update(self, flag1, flag2, now, fresh1, fresh2):
         """Advance the phase machine one control period.
 
         fresh1/fresh2: whether each finger currently has a fresh contact
-        center (defaults to flag kind != NoContact). Returns the list of
-        commands to put on the wire this period. Raises StaleFlagsError,
-        changing nothing, when either flag is more than two control
-        periods old.
+        center, by has_fresh_contact. Returns the list of commands to put
+        on the wire this period: none once Released. Raises
+        StaleFlagsError, changing nothing, when either flag is more than
+        two control periods old.
 
         Flag priority: a Regrasp flag on either finger (a slip) outranks
         a DisturbanceOccured flag, which outranks StableGrasp on both
@@ -225,7 +226,8 @@ class GraspSupervisor:
         (or regrasps) that long after the first period in which neither
         finger had a fresh contact center.
         """
-        if self.terminated or self.phase.state == Phase.IDLE:
+        state = self.phase.state
+        if state in (Phase.IDLE, Phase.RELEASED):
             return []
         for flag in (flag1, flag2):
             if not is_fresh(now - flag.timestamp, self.control_period):
@@ -236,17 +238,12 @@ class GraspSupervisor:
         slip = FlagKind.REGRASP in kinds
         moved = slip or FlagKind.DISTURBANCE_OCCURED in kinds
         stable = kinds == (FlagKind.STABLE_GRASP, FlagKind.STABLE_GRASP)
-        if fresh1 is None:
-            fresh1 = flag1.kind != FlagKind.NO_CONTACT
-        if fresh2 is None:
-            fresh2 = flag2.kind != FlagKind.NO_CONTACT
 
         if fresh1 or fresh2:
             self._stale_since = None
         elif self._stale_since is None:
             self._stale_since = now
         stale = self._timed_out(self._stale_since, now)
-        state = self.phase.state
 
         if state == Phase.CLOSING:
             if kinds == (FlagKind.NO_CONTACT, FlagKind.NO_CONTACT) \
@@ -297,8 +294,7 @@ class GraspSupervisor:
 
     def _regrasp_or_release(self, now):
         if self.regrasp_count >= self.max_regrasps:
-            self.terminated = True
-            return [self._command(CommandKind.RELEASE)]
+            return self._enter(Phase.RELEASED, now, CommandKind.RELEASE)
         self.regrasp_count += 1
         return self._enter(Phase.REGRASPING, now, CommandKind.REGRASP)
 

@@ -78,8 +78,12 @@ class EpisodeResult:
     commands: List[Tuple[float, object]]
     transitions: List[tuple]
     regrasp_count: int
-    terminated: bool
     final_phase: Phase
+
+    @property
+    def terminated(self):
+        """Whether the supervisor ended the episode: it ended Released."""
+        return self.final_phase == Phase.RELEASED
 
     @property
     def flags(self):
@@ -270,11 +274,11 @@ class _FingerWorkers:
         """Send `message` to every worker, then return {finger: reply}.
         Raises WorkerError naming the finger whose worker raised or
         ended."""
-        for finger, (_, conn) in self._workers.items():
+        for _, conn in self._workers.values():
             try:
                 conn.send(message)
             except OSError:
-                raise self._ended(finger) from None
+                pass  # it has ended: its traceback, or EOF, is read below
         replies = {}
         for finger, (_, conn) in self._workers.items():
             try:
@@ -343,7 +347,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
             tick = plant.tick
             now = tick * TICK_S
 
-            if not supervisor.terminated and tick % CONTROL_PERIOD_TICKS == 0:
+            if tick % CONTROL_PERIOD_TICKS == 0 and not supervisor.terminated:
                 records = workers.ask(now)
                 cmds = supervisor.start(now) if tick == 0 else []
                 cmds += supervisor.update(
@@ -380,7 +384,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
         commands=commands_log,
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,
-        terminated=supervisor.terminated,
         final_phase=supervisor.phase.state,
     )
 

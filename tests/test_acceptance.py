@@ -173,7 +173,8 @@ def test_criterion_3_algorithm_partition():
     while release_time is None and k < 400:
         now = k * CONTROL_DT
         cmds = sup.update(PerceptionFlag(1, FlagKind.NO_CONTACT, now),
-                          PerceptionFlag(2, FlagKind.NO_CONTACT, now), now)
+                          PerceptionFlag(2, FlagKind.NO_CONTACT, now), now,
+                          fresh1=False, fresh2=False)
         if cmds:
             assert [c.kind for c in cmds] == [CommandKind.RELEASE]
             release_time = now

@@ -1,5 +1,6 @@
 import copy
 import heapq
+import itertools
 import math
 import random
 from collections import Counter
@@ -284,33 +285,38 @@ def _kinds(cmds):
 
 def test_regrasp_outranks_everything():
     for other in FlagKind:
-        for flags in ((_flag(FlagKind.REGRASP), _flag(other, 2)),
-                      (_flag(other), _flag(FlagKind.REGRASP, 2))):
+        touched = other != FlagKind.NO_CONTACT
+        for flags, fresh in (
+                ((_flag(FlagKind.REGRASP), _flag(other, 2)), (True, touched)),
+                ((_flag(other), _flag(FlagKind.REGRASP, 2)), (touched, True))):
             sup = _in_phase(Phase.CONTACTED)
-            assert _kinds(sup.update(*flags, now=10.0)) == [CommandKind.REGRASP]
+            assert _kinds(sup.update(*flags, 10.0, *fresh)) == [
+                CommandKind.REGRASP]
             assert sup.phase.state == Phase.REGRASPING
             # Sealed, the slip reopens at once and regrasps next period.
             sup = _in_phase(Phase.STABLE)
-            assert _kinds(sup.update(*flags, now=10.0)) == [
+            assert _kinds(sup.update(*flags, 10.0, *fresh)) == [
                 CommandKind.REOPEN_VALVES]
             assert sup.phase.state == Phase.DISTURBED
             later = 10.0 + DT
             assert _kinds(sup.update(_flag(FlagKind.STABLE_GRASP, t=later),
                                      _flag(FlagKind.STABLE_GRASP, 2, t=later),
-                                     now=later)) == [CommandKind.REGRASP]
+                                     now=later, fresh1=True, fresh2=True)) \
+                == [CommandKind.REGRASP]
 
 
 def test_disturbance_outranks_stability():
     poke = (_flag(FlagKind.DISTURBANCE_OCCURED),
             _flag(FlagKind.STABLE_GRASP, 2))
     sup = _in_phase(Phase.STABLE)
-    assert _kinds(sup.update(*poke, now=10.0)) == [CommandKind.REOPEN_VALVES]
+    assert _kinds(sup.update(*poke, 10.0, True, True)) == [
+        CommandKind.REOPEN_VALVES]
     assert sup.phase.state == Phase.DISTURBED
     # Still disturbed: no reseal while one finger is moved.
-    assert sup.update(*poke, now=10.0) == []
+    assert sup.update(*poke, 10.0, True, True) == []
     assert sup.phase.state == Phase.DISTURBED
     sup = _in_phase(Phase.CONTACTED)
-    assert sup.update(*poke, now=10.0) == []
+    assert sup.update(*poke, 10.0, True, True) == []
     assert sup.phase.state == Phase.CONTACTED
 
 
@@ -318,7 +324,8 @@ def test_dual_stability_closes_valves():
     both = (_flag(FlagKind.STABLE_GRASP), _flag(FlagKind.STABLE_GRASP, 2))
     for state in (Phase.CONTACTED, Phase.DISTURBED):
         sup = _in_phase(state)
-        assert _kinds(sup.update(*both, now=10.0)) == [CommandKind.CLOSE_VALVES]
+        assert _kinds(sup.update(*both, 10.0, True, True)) == [
+            CommandKind.CLOSE_VALVES]
         assert sup.phase == GraspPhase(Phase.STABLE, 10.0)
 
 
@@ -326,7 +333,8 @@ def test_single_stability_changes_nothing():
     for state in (Phase.CONTACTED, Phase.DISTURBED):
         sup = _in_phase(state)
         assert sup.update(_flag(FlagKind.STABLE_GRASP),
-                          _flag(FlagKind.NO_CONTACT, 2), now=10.0) == []
+                          _flag(FlagKind.NO_CONTACT, 2), now=10.0,
+                          fresh1=True, fresh2=False) == []
         assert sup.phase == GraspPhase(state, 0.0)
         assert sup.transitions == []
 
@@ -334,11 +342,12 @@ def test_single_stability_changes_nothing():
 def test_no_contact_timeout_only_while_closing():
     f1, f2 = _flag(FlagKind.NO_CONTACT), _flag(FlagKind.NO_CONTACT, 2)
     sup = _in_phase(Phase.CLOSING, 0.0)
-    assert _kinds(sup.update(f1, f2, now=10.0)) == [CommandKind.RELEASE]
+    assert _kinds(sup.update(f1, f2, 10.0, False, False)) == [
+        CommandKind.RELEASE]
     assert sup.phase == GraspPhase(Phase.RELEASED, 10.0)
     assert sup.terminated
     sup = _in_phase(Phase.CLOSING, 5.0)
-    assert sup.update(f1, f2, now=10.0) == []
+    assert sup.update(f1, f2, 10.0, False, False) == []
     assert sup.phase == GraspPhase(Phase.CLOSING, 5.0)
     # From Stable, with fresh contact centers, the flags alone never
     # time out.
@@ -368,11 +377,11 @@ def test_fresh_is_two_periods_inclusive():
     sup = _in_phase(Phase.STABLE)
     assert sup.update(_flag(FlagKind.NO_CONTACT, t=1.0),
                       _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
-                      now=1.0 + 2 * DT) == []
+                      now=1.0 + 2 * DT, fresh1=False, fresh2=False) == []
     with pytest.raises(StaleFlagsError):
         sup.update(_flag(FlagKind.NO_CONTACT, t=1.0),
                    _flag(FlagKind.NO_CONTACT, 2, t=1.0 + 2 * DT),
-                   now=1.0 + 2 * DT + 1e-6)
+                   now=1.0 + 2 * DT + 1e-6, fresh1=False, fresh2=False)
 
 
 def test_fresh_contact_is_the_classifiers_rule():
@@ -404,13 +413,9 @@ class _ReferenceSupervisor(GraspSupervisor):
         self._transition(Phase.CLOSING, now)
         return [self._command(CommandKind.REOPEN_VALVES)]
 
-    def update(self, flag1, flag2, now, fresh1=None, fresh2=None):
+    def update(self, flag1, flag2, now, fresh1, fresh2):
         if self.terminated or self.phase.state in (Phase.IDLE, Phase.RELEASED):
             return []
-        if fresh1 is None:
-            fresh1 = flag1.kind != FlagKind.NO_CONTACT
-        if fresh2 is None:
-            fresh2 = flag2.kind != FlagKind.NO_CONTACT
 
         cmd = _reference_arbitrate(flag1, flag2, self.phase, self.thresholds,
                                    now, self.control_period)
@@ -420,7 +425,6 @@ class _ReferenceSupervisor(GraspSupervisor):
         if state == Phase.CLOSING:
             if cmd == CommandKind.RELEASE:
                 self._transition(Phase.RELEASED, now)
-                self.terminated = True
                 return [self._command(CommandKind.RELEASE)]
             if fresh1 and fresh2:
                 self._transition(Phase.CONTACTED, now)
@@ -441,7 +445,6 @@ class _ReferenceSupervisor(GraspSupervisor):
                 return [self._command(CommandKind.REOPEN_VALVES)]
             if self._stale_timed_out(now):
                 self._transition(Phase.RELEASED, now)
-                self.terminated = True
                 return [self._command(CommandKind.RELEASE)]
             return []
 
@@ -476,7 +479,7 @@ class _ReferenceSupervisor(GraspSupervisor):
 
     def _regrasp_or_release(self, now):
         if self.regrasp_count >= self.max_regrasps:
-            self.terminated = True
+            self._transition(Phase.RELEASED, now)
             return [self._command(CommandKind.RELEASE)]
         self.regrasp_count += 1
         self._transition(Phase.REGRASPING, now)
@@ -508,16 +511,17 @@ def _reference_arbitrate(flag1, flag2, phase, thresholds, now,
 def _random_instant(rng, now, last):
     """The next instant's time, flags and fresh keywords. Kinds and fresh
     keywords often repeat the last instant's, as a held contact does, so
-    that the timeouts are reached."""
+    that the timeouts are reached. A fresh keyword drawn as None is the
+    finger's kind != NoContact."""
     if rng.random() < 0.08:
         now += TH.no_contact_timeout_s + rng.uniform(0.0, 2.0)  # a long gap
     else:
         now += DT * rng.choice((1, 1, 1, 2, 5, 20))
     if last is None or rng.random() < 0.4:
         kinds = rng.choices(list(FlagKind), weights=(4, 1, 1, 4), k=2)
-        fresh = {name: value for name in ("fresh1", "fresh2")
-                 for value in [rng.choice((True, False, None))]
-                 if value is not None}
+        fresh = {name: kind != FlagKind.NO_CONTACT if value is None else value
+                 for name, kind in zip(("fresh1", "fresh2"), kinds)
+                 for value in [rng.choice((True, False, None))]}
     else:
         kinds, fresh = last
     flags = []
@@ -579,6 +583,72 @@ def test_update_matches_the_arbitrating_reference():
         assert seen[pair] > 0, pair
 
 
+def _every_supervisor_case():
+    """Every supervisor state crossed with every input of one period:
+    7 phases x pending regrasp x regrasp count 0-3 x stale timer (unset,
+    running, timed out) x phase timer (before or after its deadline) x
+    4 x 4 flag kinds x fresh1 x fresh2 x flag age (fresh, or finger 2
+    stale): 43,008 cases. Yields (supervisor, flags, now, fresh)."""
+    now, timeout = 20.0, TH.no_contact_timeout_s
+    # 0.5 s in a phase is inside both the regrasp hold and the closing
+    # timeout; the timeout is past both.
+    for (state, pending, count, stale_since, entered, kind1, kind2, fresh1,
+         fresh2, age2) in itertools.product(
+            Phase, (False, True), range(MAX_REGRASPS + 1),
+            (None, now - 1.0, now - timeout), (now - 0.5, now - timeout),
+            FlagKind, FlagKind, (True, False), (True, False), (0.0, 3 * DT)):
+        sup = GraspSupervisor()
+        sup.phase = GraspPhase(state, entered)
+        sup._pending_regrasp = pending
+        sup.regrasp_count = count
+        sup._stale_since = stale_since
+        flags = (PerceptionFlag(1, kind1, now),
+                 PerceptionFlag(2, kind2, now - age2))
+        yield sup, flags, now, (fresh1, fresh2)
+
+
+def test_every_supervisor_case_keeps_the_phase_rules():
+    seen = Counter()
+    for sup, flags, now, fresh in _every_supervisor_case():
+        state = sup.phase.state
+        before = dict(vars(sup), transitions=list(sup.transitions))
+        try:
+            cmds = sup.update(*flags, now, *fresh)
+        except StaleFlagsError:
+            assert vars(sup) == before
+            seen[StaleFlagsError] += 1
+            continue
+        for _, old, new in sup.transitions:
+            assert new in LEGAL_TRANSITIONS[old], (old, new)
+        # A command announces a transition; Closing -> Contacted is the
+        # one silent transition.
+        assert len(cmds) <= len(sup.transitions) <= 1, (state, flags, fresh)
+        # Sealed and silent: a StableGrasp flag comes with a fresh
+        # contact center (classify_frame), so at least one is fresh.
+        if state == Phase.STABLE and any(fresh) and all(
+                f.kind == FlagKind.STABLE_GRASP for f in flags):
+            assert cmds == [] and sup.transitions == []
+        if state == Phase.RELEASED:
+            assert cmds == [] and vars(sup) == before
+        assert sup.regrasp_count <= sup.max_regrasps
+        assert sup.terminated == (sup.phase.state == Phase.RELEASED)
+        if sup.terminated:
+            # Nothing follows Released.
+            ended = dict(vars(sup), transitions=list(sup.transitions))
+            assert sup.update(*flags, now, *fresh) == []
+            assert vars(sup) == ended
+        seen["cases"] += 1
+        for _, old, new in sup.transitions:
+            seen[(old, new)] += 1
+    # Idle and Released read no flags, so only the other five phases
+    # refuse finger 2's stale flag.
+    assert seen[StaleFlagsError] == 5 * 2 * 4 * 3 * 2 * 16 * 4
+    assert seen["cases"] + seen[StaleFlagsError] == 43_008
+    # The regrasp cap is reached from both phases that regrasp.
+    assert seen[(Phase.CONTACTED, Phase.RELEASED)] > 0
+    assert seen[(Phase.DISTURBED, Phase.RELEASED)] > 0
+
+
 # -- supervisor ---------------------------------------------------------------
 
 
@@ -587,8 +657,11 @@ NOTHING = FlagKind.NO_CONTACT
 
 
 def drive(sup, kind1, kind2, now):
+    """One update with fresh flags of these kinds; a finger has a fresh
+    contact center unless its flag is NoContact."""
     return sup.update(PerceptionFlag(1, kind1, now),
-                      PerceptionFlag(2, kind2, now), now)
+                      PerceptionFlag(2, kind2, now), now,
+                      fresh1=kind1 != NOTHING, fresh2=kind2 != NOTHING)
 
 
 def settled_supervisor(now=0.0):
@@ -689,8 +762,24 @@ def test_regrasp_cap_releases():
     drive(sup, STABLE, STABLE, 3 * DT + hold)    # contacted again
     cmds = drive(sup, FlagKind.REGRASP, NOTHING, 4 * DT + hold)
     assert [c.kind for c in cmds] == [CommandKind.RELEASE]
+    assert sup.phase.state == Phase.RELEASED
+    assert sup.transitions[-1] == (4 * DT + hold, Phase.CONTACTED,
+                                   Phase.RELEASED)
     assert sup.terminated
     assert drive(sup, STABLE, STABLE, 5 * DT + hold) == []
+
+
+def test_regrasp_cap_releases_from_disturbed():
+    sup = settled_supervisor()
+    sup.max_regrasps = 0
+    drive(sup, FlagKind.REGRASP, STABLE, 1.0)  # reopen, regrasp latched
+    assert sup.phase.state == Phase.DISTURBED
+    cmds = drive(sup, STABLE, STABLE, 1.0 + DT)
+    assert [c.kind for c in cmds] == [CommandKind.RELEASE]
+    assert sup.phase.state == Phase.RELEASED
+    assert sup.transitions[-1] == (1.0 + DT, Phase.DISTURBED, Phase.RELEASED)
+    assert sup.terminated and sup.regrasp_count == 0
+    assert drive(sup, FlagKind.REGRASP, STABLE, 1.0 + 2 * DT) == []
 
 
 def test_closing_timeout_releases():

@@ -7,7 +7,7 @@ from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
                              run_grasp)
 from tacgrip.errors import NoDisturbanceError, ScenarioError
 from tacgrip.pgm import iter_frame_files
-from tacgrip.scenario import Scenario, static_scenario
+from tacgrip.scenario import Scenario, slip_scenario, static_scenario
 
 
 def phases(result):
@@ -94,6 +94,26 @@ def test_timeout_run_extends_through_release_grace(timeout_run):
     # release vents for a second and then seals everything
     assert all(v == 0 for v in timeout_run.plant_rows[-1][-8:])
     assert min(timeout_run.plant_rows[-1][3:11]) < -20.0
+
+
+def test_regrasp_cap_ends_the_episode_released(tmp_path):
+    # With no regrasp allowed, the slip reopens the seal and the latched
+    # regrasp becomes a release: the rows, transitions and manifest show
+    # the Released phase the valves were sent to.
+    scenario = dataclasses.replace(
+        slip_scenario(0, slip_time=4.5, duration=6.5), max_regrasps=0)
+    result = run_grasp(scenario, out_dir=tmp_path)
+    t_release, old, new = result.transitions[-1]
+    assert (old, new) == (Phase.DISTURBED, Phase.RELEASED)
+    assert t_release > 4.5
+    assert result.final_phase == Phase.RELEASED and result.terminated
+    assert result.regrasp_count == 0
+    assert result.command_kinds()[-1] == CommandKind.RELEASE
+    assert CommandKind.REGRASP not in result.command_kinds()
+    last = result.episode_rows[-1]
+    assert last[2] == "released" and last[11] == "RELEASE"
+    assert "final_phase = released" in \
+        (tmp_path / "manifest.txt").read_text().splitlines()
 
 
 def test_no_disturbance_to_measure(static_run, timeout_run):

@@ -126,7 +126,6 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
         commands=commands_log,
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,
-        terminated=supervisor.terminated,
         final_phase=supervisor.phase.state,
     )
 
@@ -316,3 +315,26 @@ def test_each_worker_pins_blas_before_its_first_frame(deadline, monkeypatch):
         run_grasp(static_scenario(duration=0.1))
     assert "RuntimeError: pinned in" in str(caught.value)
     assert f"pinned in {os.getpid()}" not in str(caught.value)
+
+
+def test_a_worker_that_raised_before_the_first_send_is_reported(
+        deadline, monkeypatch):
+    # The worker's traceback waits in the pipe after it has ended, so the
+    # parent's send fails; the reply is still read, not taken for a
+    # worker that died without one.
+    def pin():
+        raise RuntimeError("pinned")
+
+    ask = tacgrip.episode._FingerWorkers.ask
+
+    def ask_once_finger_1_ended(self, message):
+        self._workers[1][0].join(timeout=30.0)
+        return ask(self, message)
+
+    monkeypatch.setattr(tacgrip.episode, "_pin_blas_to_one_thread", pin)
+    monkeypatch.setattr(tacgrip.episode._FingerWorkers, "ask",
+                        ask_once_finger_1_ended)
+    with pytest.raises(WorkerError, match="finger 1: its worker raised") \
+            as caught:
+        run_grasp(static_scenario(duration=0.1))
+    assert "RuntimeError: pinned" in str(caught.value)

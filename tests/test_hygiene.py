@@ -120,6 +120,62 @@ def reads_only(track, out):
         "m.by_unpacking"}
 
 
+def _phase_setters(source, module):
+    """Qualified names of the functions in `source` that assign an
+    attribute named `phase`, or an attribute or item of one: by
+    assignment, augmented or annotated assignment, or setattr with a
+    literal name; module-level code is named by the module alone."""
+    setters = set()
+    for scope, node in _scoped_nodes(source, module):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(part, ast.Attribute) and part.attr == "phase"
+               for target in targets for part in ast.walk(target)):
+            setters.add(scope)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "phase"):
+            setters.add(scope)
+    return setters
+
+
+def test_only_the_supervisor_enters_a_phase():
+    # GraspSupervisor._enter checks LEGAL_TRANSITIONS and records the
+    # transition; a second path that sets the phase would change it
+    # without a trace in the audit trail.
+    setters = set()
+    for source, module in _package_sources():
+        setters |= _phase_setters(source, module)
+    assert setters == {"tacgrip.control.GraspSupervisor.__init__",
+                       "tacgrip.control.GraspSupervisor._enter"}
+
+
+def test_the_phase_rule_sees_each_way_to_set_a_phase():
+    source = """
+def by_assignment(sup, p):
+    sup.phase = p
+def by_augmented(sup):
+    sup.phase += 1
+def by_setattr(sup, p):
+    setattr(sup, "phase", p)
+def by_field(sup):
+    sup.phase.state = None
+class Machine:
+    def restart(self, p):
+        self.phase, self.count = p, 0
+def reads_only(sup, out):
+    out.final_phase = sup.phase.state
+    getattr(sup, "phase")
+"""
+    assert _phase_setters(source, "m") == {
+        "m.by_assignment", "m.by_augmented", "m.by_setattr", "m.by_field",
+        "m.Machine.restart"}
+
+
 def _coverage_stampers(source, module):
     """Qualified names of the functions in `source` that call
     disk_coverage: by its name, as an attribute of a module, or under a
