@@ -24,7 +24,8 @@ from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
                          FingerPipeline)
 from .scenario import load_scenario
 from .tactile import TactileFrame
-from .tracking import ContactTrack, read_track_csv, write_track_csv
+from .tracking import (ContactTrack, read_track_csv, track_displacement,
+                       write_track_csv)
 
 
 def _cmd_grasp(args):
@@ -98,15 +99,16 @@ def _cmd_analyze(args):
             pipe.calibrate(first_frame)
         except ValidationError as exc:
             raise ValidationError(f"{items[0][1]}: {exc}") from None
-        contacts = 0
+        track = ContactTrack(finger_id=finger_id)
         for seq, path in items:
             frame = _load_frame(path, seq, finger_id, args.period)
             try:
                 report = pipe.process(frame)
+                if report.center is not None:
+                    track_displacement(track, report.center, frame.timestamp,
+                                       kde)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            if report.center is not None:
-                contacts += 1
             if args.heatmaps and len(report.markers):
                 # The pipeline's field covers the support box only; the
                 # heatmap shows the whole frame.
@@ -115,9 +117,9 @@ def _cmd_analyze(args):
                                          height=frame.height)
                 write_density_pgm(field,
                                   out / f"density_{finger_id}_{seq:06d}.pgm")
-        write_track_csv(pipe.track, out / f"track_{finger_id}.csv")
+        write_track_csv(track, out / f"track_{finger_id}.csv")
         print(f"finger {finger_id}: {len(items)} frames, "
-              f"{contacts} with contact, track -> track_{finger_id}.csv")
+              f"{len(track)} with contact, track -> track_{finger_id}.csv")
     return 0
 
 

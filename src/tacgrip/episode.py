@@ -2,29 +2,30 @@
 
 One plant tick is 1 ms; every 33rd tick is a control instant: both
 fingers render a synthetic frame from the scenario's stimulus script,
-the perception pipelines turn frames into flags, the supervisor turns
-flags into MCU commands, and the MCU queues their valve changes on the
-plant, which applies them after the control delay and valve latency.
-Everything is keyed off the scenario seed and integer ticks, so two runs
-with the same scenario are byte-identical.
+the perception pipelines turn frames into contact centers, each
+finger's track of centers is classified into a flag, the supervisor
+turns flags into MCU commands, and the MCU queues their valve changes
+on the plant, which applies them after the control delay and valve
+latency. Everything is keyed off the scenario seed and integer ticks,
+so two runs with the same scenario are byte-identical.
 
 Each finger's camera and perception run in a worker process of their
 own, as each camera on the gripper streams on its own. A `FingerStep`
 holds one finger's `FrameStream` and calibrated `FingerPipeline`, and a
-call renders, perceives and classifies that finger's frame at one
-instant. `run_grasp` calibrates both pipelines itself, so a rejected
-calibration frame raises `ScenarioError` before any worker starts, then
-forks one worker per step. Little crosses the pipe: the parent sends
-each control instant's time, and the worker answers with a
-`FingerRecord` (contact center, the displacement this instant added,
-flag and freshness); after the loop it answers with its `ContactTrack`.
-Frames, fields and markers stay in the worker. The parent keeps the
-supervisor, MCU, plant and trace rows, so the rows are those of a
-serial loop byte for byte. Perception is about 95% of an episode and
-the fingers' shares are independent: on a 2-core VM a static grasp ran
-1.8x as many control periods per second with one BLAS thread, and about
-1.5x at default threads. A thread per finger gave only 1.25-1.3x, because
-the `ndimage` filters and the noise draw hold the GIL.
+call renders and perceives that finger's frame at one instant: a sensor,
+time in, contact center out. `run_grasp` calibrates both pipelines
+itself, so a rejected calibration frame raises `ScenarioError` before
+any worker starts, then forks one worker per step. Little crosses the
+pipe: the parent sends each control instant's time, and the worker
+answers with the contact center, or None. Frames, fields and markers
+stay in the worker. The parent keeps both contact tracks, classifies
+them and checks their freshness, and keeps the supervisor, MCU, plant
+and trace rows, so the rows are those of a serial loop byte for byte.
+Perception is about 95% of an episode and the fingers' shares are
+independent: on a 2-core VM a static grasp ran 1.8x as many control
+periods per second with one BLAS thread, and about 1.5x at default
+threads. A thread per finger gave only 1.25-1.3x, because the `ndimage`
+filters and the noise draw hold the GIL.
 
 `run_grasp` needs the "fork" start method (POSIX): the workers inherit
 the scenario and the calibrated pipelines instead of unpickling them.
@@ -45,10 +46,10 @@ import signal
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
-                      McuEmulator, PerceptionFlag, Phase, encode_frame,
+                      McuEmulator, Phase, classify_frame, encode_frame,
                       has_fresh_contact, measure_valve_response)
 from .errors import (NoDisturbanceError, ScenarioError, ValidationError,
                      WorkerError)
@@ -56,7 +57,7 @@ from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import (ContactStimulus, FrameStream, displace_markers,
                          render_frame)
-from .tracking import write_track_csv
+from .tracking import ContactTrack, track_displacement, write_track_csv
 
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
 
@@ -124,27 +125,21 @@ def _fmt(value, digits=4):
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def _cells(record):
-    """A finger's f_x, f_y and f_d cells of an episode row."""
-    if record.center is None:
+def _cells(center, track):
+    """A finger's f_x, f_y and f_d cells of an episode row, after its
+    center, if any, extended the track."""
+    if center is None:
         return ["", "", ""]
-    return [_fmt(record.center[0]), _fmt(record.center[1]),
-            _fmt(record.displacement, 6)]
-
-
-class FingerRecord(NamedTuple):
-    """What one finger reports at one control instant."""
-
-    center: Optional[Tuple[float, float]]  # the contact center, px
-    displacement: Optional[float]  # mm, when this instant's center added one
-    flag: PerceptionFlag
-    fresh: bool  # control.has_fresh_contact at this instant
+    disps = track.displacements
+    return [_fmt(center[0]), _fmt(center[1]),
+            _fmt(disps[-1], 6) if disps else ""]
 
 
 class FingerStep:
     """One finger's camera and perception for one episode: each call
     renders the scenario's stimulus at `now` as the stream's next frame,
-    runs it through the pipeline and classifies the track."""
+    runs it through the pipeline and returns the contact center, or
+    None."""
 
     def __init__(self, scenario, pipeline, stream):
         self.scenario, self.pipeline, self.stream = scenario, pipeline, stream
@@ -156,14 +151,8 @@ class FingerStep:
             x=sc.sensor.width / 2.0, y=sc.sensor.height / 2.0,
             depth=0.0, radius=40.0, timestamp=now,
         )
-        center = pipe.process(self.stream.render(
+        return pipe.process(self.stream.render(
             displace_markers(sc.sensor, stim))).center
-        # A contact region extends the track at this instant.
-        disps = pipe.track.displacements
-        return FingerRecord(
-            center, disps[-1] if center and disps else None,
-            pipe.classify(now, sc.thresholds),
-            has_fresh_contact(pipe.track, now))
 
 
 def finger_steps(scenario, frames_dir=None):
@@ -226,15 +215,15 @@ def _pin_blas_to_one_thread():
 
 def _serve(step, conn):
     """A worker's loop: answer each control instant's time with the
-    step's FingerRecord and the closing None with the finger's track. An
-    exception is answered with its traceback text, and the worker ends."""
+    step's contact center, and return on the closing None without a
+    reply. An exception is answered with its traceback text, and the
+    worker ends."""
     # ^C reaches the whole process group; the parent ends its workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         _pin_blas_to_one_thread()
         while (now := conn.recv()) is not None:
             conn.send(step(now))
-        conn.send(step.pipeline.track)
     except EOFError:
         pass  # the parent has closed its end
     except Exception:
@@ -298,10 +287,17 @@ class _FingerWorkers:
                            f"code {proc.exitcode}")
 
     def close(self, failed):
+        # A forked worker also holds its sibling's parent end, so closing
+        # a pipe gives it no EOF; a run that ends well sends it None.
         for proc, conn in self._workers.values():
-            conn.close()
             if failed:
                 proc.terminate()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:
+                    pass  # it has ended already
+            conn.close()
         for proc, _ in self._workers.values():
             proc.join()
 
@@ -333,6 +329,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     )
     steps = finger_steps(scenario,
                          Path(out_dir) / "frames" if save_frames else None)
+    tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
 
     episode_rows = []
     plant_rows = [plant.trace_row()]
@@ -348,11 +345,18 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
             now = tick * TICK_S
 
             if tick % CONTROL_PERIOD_TICKS == 0 and not supervisor.terminated:
-                records = workers.ask(now)
+                centers = workers.ask(now)
+                flags, fresh = {}, {}
+                for finger, track in tracks.items():
+                    if centers[finger] is not None:
+                        track_displacement(track, centers[finger], now,
+                                           scenario.kde)
+                    flags[finger] = classify_frame(track, scenario.thresholds,
+                                                   now)
+                    fresh[finger] = has_fresh_contact(track, now)
                 cmds = supervisor.start(now) if tick == 0 else []
-                cmds += supervisor.update(
-                    records[1].flag, records[2].flag, now,
-                    fresh1=records[1].fresh, fresh2=records[2].fresh)
+                cmds += supervisor.update(flags[1], flags[2], now,
+                                          fresh1=fresh[1], fresh2=fresh[2])
                 for cmd in cmds:
                     mcu.submit(encode_frame(cmd))
                     commands_log.append((now, cmd))
@@ -361,20 +365,19 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                 episode_rows.append(
                     [tick, f"{now:.3f}", supervisor.phase.state.value]
                     + [cell for finger in (1, 2)
-                       for cell in _cells(records[finger])]
-                    + [records[finger].flag.kind.value for finger in (1, 2)]
+                       for cell in _cells(centers[finger], tracks[finger])]
+                    + [flags[finger].kind.value for finger in (1, 2)]
                     + [";".join(c.kind.name for c in cmds)]
                     + [str(int(v)) for v in state.valve_states]
                     + [f"{p:.4f}" for p in state.chamber_pressures])
 
                 if supervisor.terminated:
-                    stop_tick = min(total_ticks, tick + grace_ticks)
+                    stop_tick = tick + grace_ticks
 
             if tick >= stop_tick:
                 break
             plant.step()
             plant_rows.append(plant.trace_row())
-        tracks = workers.ask(None)
 
     result = EpisodeResult(
         scenario=scenario,

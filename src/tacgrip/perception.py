@@ -1,15 +1,14 @@
-"""Per-finger perception pipeline: frames in, contact flags out.
+"""Per-finger perception pipeline: frames in, contact regions out.
 
 Wires the tactile stages together (detect markers, estimate density,
-extract contact, track displacement) and owns the per-sensor threshold
-calibration: the working threshold is a fixed ratio of the minimum
-density of a no-contact reference frame over the marker support box.
-The nominal-grid density sits orders of magnitude below any plausible
-fixed absolute threshold, so an uncalibrated constant would flag
-everything or nothing; calibration pins the decision boundary to the
-sensor's own rest state. A contact extends the track by
-`ContactTrack.append`, the one place its invariants are enforced, and
-`control.has_fresh_contact` is the one freshness rule.
+extract contact) and owns the per-sensor threshold calibration: the
+working threshold is a fixed ratio of the minimum density of a
+no-contact reference frame over the marker support box. The
+nominal-grid density sits orders of magnitude below any plausible fixed
+absolute threshold, so an uncalibrated constant would flag everything
+or nothing; calibration pins the decision boundary to the sensor's own
+rest state. The pipeline keeps no track: its caller grows one from the
+reported centers (`tracking.track_displacement`) and classifies it.
 
 Markers are detected inside a window, which saves work but never
 changes the result (`blobs.detect_markers` searches the full frame when
@@ -39,11 +38,10 @@ from typing import Optional
 import numpy as np
 
 from .blobs import DetectorConfig, MarkerSet, detect_markers, marker_window
-from .control import CONTROL_PERIOD_S, classify_frame
+from .control import CONTROL_PERIOD_S
 from .density import (ContactRegion, KdeConfig, calibrate_threshold,
                       estimate_density, extract_contact, marker_support_box)
 from .errors import ValidationError, check_range
-from .tracking import ContactTrack, track_displacement
 
 # Working threshold = ratio * (support-box density minimum of the
 # no-contact reference frame). 0.8 keeps a 20% guard band below the
@@ -88,7 +86,9 @@ class FingerPipeline:
 
     Calibrate with a no-contact reference frame before processing; the
     frame size, support box and working threshold are frozen from it,
-    and the detection window starts from it.
+    and the detection window starts from it. control_period is checked
+    and kept, but nothing in the package reads it; the benchmark's
+    set-up probe (perfbench/setup_probe.py) still passes it.
     """
 
     def __init__(self, finger_id, kde_config=None, detector_config=None,
@@ -104,7 +104,6 @@ class FingerPipeline:
         self.detector_config = detector_config or DetectorConfig()
         self.calibration_ratio = calibration_ratio
         self.control_period = control_period
-        self.track = ContactTrack(finger_id=finger_id)
         self.size = None  # (width, height); set by calibrate()
         self.support = None
         self.window = None
@@ -162,11 +161,11 @@ class FingerPipeline:
         return markers
 
     def process(self, frame):
-        """Run one frame through the pipeline, updating the track.
+        """Run one frame through the pipeline and return its report.
 
-        Raises ValueError, before the window or the track changes, for a
-        frame that is not 8-bit, not timed by a finite number or not of
-        the calibration frame's size.
+        Raises ValueError, before the window changes, for a frame that
+        is not 8-bit, not timed by a finite number or not of the
+        calibration frame's size.
         """
         if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
@@ -181,12 +180,5 @@ class FingerPipeline:
         field = estimate_density(markers, self.kde_config,
                                  width=frame.width, height=frame.height,
                                  box=self.support)
-        region = extract_contact(field, self.threshold)
-        if region is not None:
-            track_displacement(self.track, region.center, frame.timestamp,
-                               self.kde_config)
-        return PipelineReport(region=region, markers=markers)
-
-    def classify(self, now, thresholds):
-        return classify_frame(self.track, thresholds, now,
-                              control_period=self.control_period)
+        return PipelineReport(region=extract_contact(field, self.threshold),
+                              markers=markers)

@@ -12,9 +12,10 @@ import pytest
 
 import tacgrip.episode
 from tacgrip.control import (CONTROL_PERIOD_TICKS, GraspSupervisor,
-                             McuEmulator, encode_frame, has_fresh_contact)
+                             McuEmulator, classify_frame, encode_frame,
+                             has_fresh_contact)
 from tacgrip.episode import (RELEASE_GRACE_S, EpisodeResult, _fmt,
-                             _pin_blas_to_one_thread, _write_outputs,
+                             _pin_blas_to_one_thread, _serve, _write_outputs,
                              run_grasp)
 from tacgrip.errors import ScenarioError, ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
@@ -23,6 +24,7 @@ from tacgrip.scenario import (CANNED, Scenario, StimulusEvent,
                               static_scenario)
 from tacgrip.sensor_sim import (ContactStimulus, FrameStream, SensorModel,
                                 displace_markers, render_frame)
+from tacgrip.tracking import ContactTrack, track_displacement
 
 
 def serial_run_grasp(scenario, out_dir=None, save_frames=False):
@@ -58,6 +60,7 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
         except ValidationError as exc:
             raise ScenarioError(f"finger {finger}: {exc}") from None
         pipelines[finger] = pipe
+    tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
 
     episode_rows = []
     plant_rows = [plant.trace_row()]
@@ -86,12 +89,15 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
                 )
                 frame = streams[finger].render(
                     displace_markers(scenario.sensor, stim))
-                pipe = pipelines[finger]
+                pipe, track = pipelines[finger], tracks[finger]
                 center = pipe.process(frame).center
-                flags.append(pipe.classify(now, scenario.thresholds))
-                fresh.append(has_fresh_contact(pipe.track, now))
                 # A contact region extends the track at this instant.
-                disps = pipe.track.displacements
+                if center is not None:
+                    track_displacement(track, center, frame.timestamp,
+                                       pipe.kde_config)
+                flags.append(classify_frame(track, scenario.thresholds, now))
+                fresh.append(has_fresh_contact(track, now))
+                disps = track.displacements
                 cells += [_fmt(center[0]) if center else "",
                           _fmt(center[1]) if center else "",
                           _fmt(disps[-1], 6) if center and disps else ""]
@@ -111,7 +117,7 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
                 + [f"{p:.4f}" for p in state.chamber_pressures])
 
             if supervisor.terminated:
-                stop_tick = min(total_ticks, tick + grace_ticks)
+                stop_tick = tick + grace_ticks
 
         if tick >= stop_tick:
             break
@@ -122,7 +128,7 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
         scenario=scenario,
         episode_rows=episode_rows,
         plant_rows=plant_rows,
-        tracks={1: pipelines[1].track, 2: pipelines[2].track},
+        tracks=tracks,
         commands=commands_log,
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,
@@ -207,6 +213,29 @@ def test_moving_contact_run_directory_is_byte_identical(tmp_path):
             "manifest.txt"} <= set(files)
     assert sum(name.endswith(".pgm") for name in files) \
         == 2 * len(got.episode_rows)
+
+
+def test_a_worker_answers_each_instant_with_a_center_and_stops_silently(
+        monkeypatch):
+    # _serve runs here, on both ends of one pipe: the messages wait in
+    # the pipe until it reads them.
+    def step(now):
+        return (320.0 + now, 240.0)
+
+    monkeypatch.setattr(tacgrip.episode, "_pin_blas_to_one_thread",
+                        lambda: [])
+    conn, child = multiprocessing.Pipe()
+    conn.send(0.0)
+    conn.send(None)
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        _serve(step, child)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert conn.recv() == (320.0, 240.0)
+    assert not conn.poll(0)  # no closing reply after None
+    conn.close()
+    child.close()
 
 
 # -- no orphans, no hangs ---------------------------------------------------

