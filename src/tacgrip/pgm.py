@@ -18,13 +18,20 @@ _FRAME_RE = re.compile(r"^frame_(\d+)_(\d+)\.pgm$")
 def write_pgm(path, image, comment=None):
     """Write a 2-D array as binary PGM (P5, maxval 255).
 
-    Float input is interpreted on [0, 1] and quantized; integer input is
-    written as-is and must fit in a byte.
+    Float input is interpreted on [0, 1] and quantized, and must be
+    finite; integer input is written as-is and must fit in a byte.
     """
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {image.shape}")
+    if image.size == 0:
+        raise ValueError(f"PGM needs at least one pixel, got shape "
+                         f"{image.shape}")
     if np.issubdtype(image.dtype, np.floating):
+        bad = image.size - int(np.count_nonzero(np.isfinite(image)))
+        if bad:
+            raise ValueError(f"float image has {bad} non-finite pixel(s) "
+                             "(NaN or inf)")
         data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     else:
         if image.min() < 0 or image.max() > 255:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,33 @@ def test_extremes_map_to_full_range(tmp_path):
 def test_integer_out_of_byte_range_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.array([[300]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_pixels_rejected_with_count(tmp_path, bad):
+    img = np.full((3, 4), 0.5)
+    img[0, 1] = img[2, 3] = bad
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=r"2 non-finite pixel"):
+        write_pgm(path, img)
+    assert not path.exists()
+
+
+def test_non_finite_float32_pixel_rejected(tmp_path):
+    img = np.zeros((2, 2), dtype=np.float32)
+    img[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"1 non-finite pixel"):
+        write_pgm(tmp_path / "x.pgm", img)
+
+
+@pytest.mark.parametrize("img", [np.zeros((0, 4), dtype=np.uint8),
+                                 np.zeros((3, 0)),
+                                 np.zeros((0, 0), dtype=np.int64)])
+def test_image_without_pixels_rejected_with_shape(tmp_path, img):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=re.escape(str(img.shape))):
+        write_pgm(path, img)
+    assert not path.exists()
 
 
 def test_frame_filename_format():
