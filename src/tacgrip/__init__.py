@@ -45,8 +45,8 @@ _EXPORTS = {
                  "parse_scenario_text", "poke_scenario", "scenario_to_text",
                  "slip_scenario", "static_scenario", "timeout_scenario"),
     "sensor_sim": ("ContactStimulus", "SensorModel", "displace_markers",
-                   "nominal_grid", "render_frame", "write_frames"),
-    "tactile": ("TactileFrame",),
+                   "nominal_grid", "render_frame"),
+    "tactile": (),  # a submodule with no public name of its own
     "tracking": ("ContactTrack", "read_track_csv", "track_displacement",
                  "write_track_csv"),
 }

@@ -34,6 +34,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import check_range
+from .tactile import check_frame
 
 # Gaussian filter support in units of sigma.
 _TRUNCATE = 3.0
@@ -82,7 +83,6 @@ class MarkerSet:
     """
 
     centroids: np.ndarray
-    frame_timestamp: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -90,6 +90,11 @@ class MarkerSet:
             c = c.reshape(0, 2)
         if c.ndim != 2 or c.shape[1] != 2:
             raise ValueError("centroids must be an (M, 2) array")
+        # One NaN centroid turns the whole density field NaN, and an
+        # infinite one counts in M but adds nothing to it.
+        bad = int(np.count_nonzero(~np.isfinite(c).all(axis=1)))
+        if bad:
+            raise ValueError(f"{bad} centroid(s) are not finite (NaN or inf)")
         self.centroids = c
 
     def __len__(self):
@@ -255,11 +260,12 @@ def detect_markers(frame, config=None, window=None):
     the response outside it is not bounded below the threshold, the
     whole frame is searched. Deterministic for a given frame and config.
     An empty MarkerSet is a valid result (blank frame). A frame that is
-    not 8-bit raises ValueError (see `TactileFrame.validate`).
+    not a 2-D uint8 array with a pixel raises ValueError (see
+    `tactile.check_frame`).
     """
     config = config or DetectorConfig()
-    frame.validate()
-    h, w = frame.pixels.shape
+    check_frame(frame)
+    h, w = frame.shape
     if window is not None:
         x0, y0, x1, y1 = window
         box = (max(x0, 0), max(y0, 0), min(x1, w), min(y1, h))
@@ -276,19 +282,19 @@ def detect_markers(frame, config=None, window=None):
 def _detect_in_box(frame, config, box):
     """Markers inside the box, or None when a pixel outside the box
     might be a candidate or raise the threshold."""
-    h, w = frame.pixels.shape
+    h, w = frame.shape
     x0, y0, x1, y1 = box
     # Filter on the box widened by the pad; (ox, oy) is the crop origin.
     pad = _window_pad(config)
     ox, oy = max(x0 - pad, 0), max(y0 - pad, 0)
-    resp = _response(frame.pixels[oy:min(y1 + pad, h), ox:min(x1 + pad, w)],
+    resp = _response(frame[oy:min(y1 + pad, h), ox:min(x1 + pad, w)],
                      config)
     # The box in crop coordinates.
     inner = (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox))
     peak = float(resp[inner].max())
     threshold = max(config.threshold_abs, config.threshold_rel * peak)
     if box != (0, 0, w, h) and \
-            _outside_bound(frame.pixels, box, config) > _BOUND_SHARE * threshold:
+            _outside_bound(frame, box, config) > _BOUND_SHARE * threshold:
         return None
     ys, xs = np.nonzero(resp[inner] > threshold)
     ys += y0 - oy
@@ -296,7 +302,7 @@ def _detect_in_box(frame, config, box):
     vals = resp[ys, xs]
     peak = _is_local_max(resp, ys, xs, vals)
     if not peak.any():
-        return MarkerSet(np.empty((0, 2)), frame_timestamp=frame.timestamp)
+        return MarkerSet(np.empty((0, 2)))
     ys, xs, vals = ys[peak], xs[peak], vals[peak]
 
     order = np.lexsort((xs, ys, -vals))
@@ -319,4 +325,4 @@ def _detect_in_box(frame, config, box):
 
     out = np.lexsort((cx, cy))
     centroids = np.column_stack([cx[out], cy[out]])
-    return MarkerSet(centroids, frame_timestamp=frame.timestamp)
+    return MarkerSet(centroids)

@@ -23,7 +23,6 @@ from .pgm import iter_frame_files, read_pgm
 from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
                          FingerPipeline)
 from .scenario import load_scenario
-from .tactile import TactileFrame
 from .tracking import (ContactTrack, read_track_csv, track_displacement,
                        write_track_csv)
 
@@ -94,38 +93,32 @@ def _cmd_analyze(args):
         items.sort()
         pipe = FingerPipeline(finger_id, kde_config=kde,
                               calibration_ratio=args.calibration_ratio)
-        first_frame = _load_frame(items[0][1], items[0][0], finger_id, args.period)
         try:
-            pipe.calibrate(first_frame)
+            pipe.calibrate(read_pgm(items[0][1]))
         except ValidationError as exc:
             raise ValidationError(f"{items[0][1]}: {exc}") from None
         track = ContactTrack(finger_id=finger_id)
         for seq, path in items:
-            frame = _load_frame(path, seq, finger_id, args.period)
+            frame = read_pgm(path)
             try:
                 report = pipe.process(frame)
                 if report.center is not None:
-                    track_displacement(track, report.center, frame.timestamp,
-                                       kde)
+                    track_displacement(track, report.center,
+                                       seq * args.period, kde)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             if args.heatmaps and len(report.markers):
                 # The pipeline's field covers the support box only; the
                 # heatmap shows the whole frame.
+                height, width = frame.shape
                 field = estimate_density(report.markers, pipe.kde_config,
-                                         width=frame.width,
-                                         height=frame.height)
+                                         width=width, height=height)
                 write_density_pgm(field,
                                   out / f"density_{finger_id}_{seq:06d}.pgm")
         write_track_csv(track, out / f"track_{finger_id}.csv")
         print(f"finger {finger_id}: {len(items)} frames, "
               f"{len(track)} with contact, track -> track_{finger_id}.csv")
     return 0
-
-
-def _load_frame(path, seq, finger_id, period):
-    return TactileFrame(pixels=read_pgm(path), timestamp=seq * period,
-                        finger_id=finger_id)
 
 
 def _cmd_replay(args):

@@ -55,8 +55,7 @@ from .errors import (NoDisturbanceError, ScenarioError, ValidationError,
                      WorkerError)
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
-from .sensor_sim import (ContactStimulus, FrameStream, displace_markers,
-                         render_frame)
+from .sensor_sim import FrameStream, displace_markers, render_frame
 from .tracking import ContactTrack, track_displacement, write_track_csv
 
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
@@ -137,9 +136,9 @@ def _cells(center, track):
 
 class FingerStep:
     """One finger's camera and perception for one episode: each call
-    renders the scenario's stimulus at `now` as the stream's next frame,
-    runs it through the pipeline and returns the contact center, or
-    None."""
+    renders the scenario's stimulus at `now` (the rest grid when no event
+    is active) as the stream's next frame, captured at `now`, runs it
+    through the pipeline and returns the contact center, or None."""
 
     def __init__(self, scenario, pipeline, stream):
         self.scenario, self.pipeline, self.stream = scenario, pipeline, stream
@@ -147,12 +146,9 @@ class FingerStep:
     def __call__(self, now):
         sc, pipe = self.scenario, self.pipeline
         ev = sc.active_event(pipe.finger_id, now)
-        stim = ev.stimulus(now) if ev is not None else ContactStimulus(
-            x=sc.sensor.width / 2.0, y=sc.sensor.height / 2.0,
-            depth=0.0, radius=40.0, timestamp=now,
-        )
-        return pipe.process(self.stream.render(
-            displace_markers(sc.sensor, stim))).center
+        markers = displace_markers(sc.sensor,
+                                   None if ev is None else ev.stimulus())
+        return pipe.process(self.stream.render(markers, now)).center
 
 
 def finger_steps(scenario, frames_dir=None):

@@ -7,8 +7,10 @@ no-contact reference frame over the marker support box. The
 nominal-grid density sits orders of magnitude below any plausible fixed
 absolute threshold, so an uncalibrated constant would flag everything
 or nothing; calibration pins the decision boundary to the sensor's own
-rest state. The pipeline keeps no track: its caller grows one from the
-reported centers (`tracking.track_displacement`) and classifies it.
+rest state. A frame is a bare (height, width) uint8 array: the pipeline
+reads no time from it and keeps no track. Its caller grows one from the
+reported centers, each at the instant it asked for the frame
+(`tracking.track_displacement`), and classifies it.
 
 Markers are detected inside a window, which saves work but never
 changes the result (`blobs.detect_markers` searches the full frame when
@@ -42,6 +44,7 @@ from .control import CONTROL_PERIOD_S
 from .density import (ContactRegion, KdeConfig, calibrate_threshold,
                       estimate_density, extract_contact, marker_support_box)
 from .errors import ValidationError, check_range
+from .tactile import check_frame
 
 # Working threshold = ratio * (support-box density minimum of the
 # no-contact reference frame). 0.8 keeps a 20% guard band below the
@@ -116,10 +119,10 @@ class FingerPipeline:
         Raises ValidationError when the frame cannot be a rest frame: it
         shows no markers, too few to span a support box, or a contact.
         detect_markers checks the frame itself (ValueError when it is not
-        8-bit) before anything is frozen.
+        a 2-D uint8 array with a pixel) before anything is frozen.
         """
         markers = detect_markers(reference_frame, self.detector_config)
-        width, height = reference_frame.width, reference_frame.height
+        height, width = reference_frame.shape
         if len(markers) == 0:
             raise ValidationError("calibration frame shows no markers")
         try:
@@ -152,8 +155,9 @@ class FingerPipeline:
         """Detect inside the window, then grow it over the markers found."""
         markers = detect_markers(frame, self.detector_config, self.window)
         if len(markers):
+            height, width = frame.shape
             grown = marker_window(markers, self.detector_config,
-                                  frame.width, frame.height)
+                                  width, height)
             self.window = (min(self.window[0], grown[0]),
                            min(self.window[1], grown[1]),
                            max(self.window[2], grown[2]),
@@ -164,21 +168,22 @@ class FingerPipeline:
         """Run one frame through the pipeline and return its report.
 
         Raises ValueError, before the window changes, for a frame that
-        is not 8-bit, not timed by a finite number or not of the
-        calibration frame's size.
+        is not a 2-D uint8 array with a pixel or not of the calibration
+        frame's size.
         """
         if self.threshold is None:
             raise RuntimeError("pipeline used before calibrate()")
-        frame.validate()
-        if (frame.width, frame.height) != self.size:
+        check_frame(frame)
+        height, width = frame.shape
+        if (width, height) != self.size:
             raise ValueError(
-                f"frame is {frame.width}x{frame.height}, but the pipeline "
+                f"frame is {width}x{height}, but the pipeline "
                 f"was calibrated on a {self.size[0]}x{self.size[1]} frame")
         markers = self._detect(frame)
         if len(markers) == 0:
             return PipelineReport(region=None, markers=markers)
         field = estimate_density(markers, self.kde_config,
-                                 width=frame.width, height=frame.height,
+                                 width=width, height=height,
                                  box=self.support)
         return PipelineReport(region=extract_contact(field, self.threshold),
                               markers=markers)

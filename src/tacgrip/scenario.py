@@ -42,10 +42,10 @@ class StimulusEvent:
     shear_x: float = 0.0
     shear_y: float = 0.0
 
-    def stimulus(self, timestamp):
+    def stimulus(self):
         return ContactStimulus(x=self.x, y=self.y, depth=self.depth,
                                radius=self.radius, shear_x=self.shear_x,
-                               shear_y=self.shear_y, timestamp=timestamp)
+                               shear_y=self.shear_y)
 
 
 @dataclass
@@ -96,7 +96,7 @@ class Scenario:
                 raise ValidationError(f"event finger must be 1 or 2, got {ev.finger}")
             check("event time", ev.time, lo=0.0)
             try:
-                ev.stimulus(ev.time)
+                ev.stimulus()
             except ValueError as exc:
                 raise ValidationError(f"event: {exc}") from None
         return self

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 from .blobs import MarkerSet
 from .errors import check_range
 from .pgm import frame_filename, write_pgm
-from .tactile import FRAME_HEIGHT, FRAME_WIDTH, TactileFrame
+from .tactile import FRAME_HEIGHT, FRAME_WIDTH
 
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
@@ -78,12 +78,10 @@ class ContactStimulus:
     radius: float = 40.0
     shear_x: float = 0.0
     shear_y: float = 0.0
-    timestamp: float = 0.0
 
     def __post_init__(self):
         for name in ("x", "y", "shear_x", "shear_y"):
             check_range(name, getattr(self, name), lo=-_MAX_PX, hi=_MAX_PX)
-        check_range("timestamp", self.timestamp)
         check_range("depth", self.depth, lo=0.0, hi=_MAX_DEPTH_MM)
         check_range("radius", self.radius, lo=0.0, hi=_MAX_PX, lo_open=True)
 
@@ -109,7 +107,7 @@ def displace_markers(model, stimulus=None):
     """
     pos = nominal_grid(model)
     if stimulus is None:
-        return MarkerSet(pos, frame_timestamp=0.0)
+        return MarkerSet(pos)
     delta = pos - np.array([stimulus.x, stimulus.y])
     r = np.hypot(delta[:, 0], delta[:, 1])
     envelope = np.exp(-(r ** 2) / (2.0 * stimulus.radius ** 2))
@@ -118,7 +116,7 @@ def displace_markers(model, stimulus=None):
     radial = model.displacement_gain_k * stimulus.depth * envelope
     shear = np.array([stimulus.shear_x, stimulus.shear_y])
     pos = pos + direction * radial[:, None] + shear * envelope[:, None]
-    return MarkerSet(pos, frame_timestamp=stimulus.timestamp)
+    return MarkerSet(pos)
 
 
 def disk_coverage(markers, model):
@@ -147,7 +145,7 @@ def disk_coverage(markers, model):
     return coverage
 
 
-def _frame(coverage, model, finger_id, seq, timestamp):
+def _frame(coverage, model, finger_id, seq):
     """The frame of `disk_coverage` counts; see `render_frame`."""
     share = np.arange(17) / 16.0
     levels = (255.0 * (model.background - share * (
@@ -165,13 +163,13 @@ def _frame(coverage, model, finger_id, seq, timestamp):
         index = coverage
     table = np.rint(levels[:, None] + noise)
     np.clip(table, 0.0, 255.0, out=table)
-    pixels = np.take(table.astype(np.uint8).ravel(), index)
-    return TactileFrame(pixels, timestamp, finger_id)
+    return np.take(table.astype(np.uint8).ravel(), index)
 
 
 def render_frame(markers, model, finger_id=1, seq=0):
-    """Render marker centroids as an 8-bit frame: dark anti-aliased disks
-    plus seeded noise, clip(rint(255 * (image + noise))) as uint8.
+    """Render marker centroids as a frame, a (height, width) uint8 array:
+    dark anti-aliased disks plus seeded noise, clip(rint(255 * (image +
+    noise))).
 
     A pixel with coverage k / 16 has the noise-free level
     255 * (background - k / 16 * (background - marker_intensity)). The
@@ -184,8 +182,7 @@ def render_frame(markers, model, finger_id=1, seq=0):
     table of bytes indexed by (count, noise byte), with no random byte
     drawn when noise_sigma is 0. Stamps the coverage on every call.
     """
-    return _frame(disk_coverage(markers, model), model, finger_id, seq,
-                  markers.frame_timestamp)
+    return _frame(disk_coverage(markers, model), model, finger_id, seq)
 
 
 class FrameStream:
@@ -193,8 +190,8 @@ class FrameStream:
     ..., each equal to `render_frame` of its seq, stamping the coverage
     only when a layout differs from the last. With a directory, creates
     it and truth_<finger>.csv, then writes frame_<finger>_<seq>.pgm
-    (comment t=<timestamp>) and appends one seq, marker, x, y row per
-    marker to the sidecar."""
+    (comment t=<timestamp>, the capture time its caller passes) and
+    appends one seq, marker, x, y row per marker to the sidecar."""
 
     def __init__(self, model, finger_id, directory=None):
         self.model, self.finger_id, self.seq = model, finger_id, 0
@@ -209,29 +206,20 @@ class FrameStream:
     def truth_path(self):
         return self.directory / f"truth_{self.finger_id}.csv"
 
-    def render(self, markers):
-        """The stream's next frame, of this marker layout."""
+    def render(self, markers, timestamp):
+        """The stream's next frame, of this marker layout, captured at
+        `timestamp` s."""
         layout = markers.centroids.tobytes()
         if layout != self._last[0]:
             self._last = (layout, disk_coverage(markers, self.model))
         seq, self.seq = self.seq, self.seq + 1
-        frame = _frame(self._last[1], self.model, self.finger_id, seq,
-                       markers.frame_timestamp)
+        frame = _frame(self._last[1], self.model, self.finger_id, seq)
         if self.directory is not None:
             write_pgm(self.directory / frame_filename(self.finger_id, seq),
-                      frame.pixels, comment=f"t={frame.timestamp:.6f}")
+                      frame, comment=f"t={timestamp:.6f}")
             with open(self.truth_path, "a", newline="") as fh:
                 csv.writer(fh).writerows(
                     [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
                     for idx, (mx, my) in enumerate(markers.centroids))
         return frame
 
-
-def write_frames(directory, model, marker_sets, finger_id=1):
-    """Render marker sets as one finger's frame stream in a directory:
-    PGM frames plus a ground-truth sidecar CSV (see `FrameStream`).
-    Returns the sidecar's path."""
-    stream = FrameStream(model, finger_id, directory)
-    for markers in marker_sets:
-        stream.render(markers)
-    return stream.truth_path

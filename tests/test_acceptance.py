@@ -83,7 +83,6 @@ def test_criterion_2_perception_round_trip():
                 y=float(rng.uniform(190.0, 290.0)),
                 depth=float(rng.uniform(2.5, 4.5)),
                 radius=float(rng.uniform(14.0, 20.0)),
-                timestamp=seq * CONTROL_DT,
             )
             markers = displace_markers(model, stim)
             frame = render_frame(markers, model, finger_id=1, seq=seq)

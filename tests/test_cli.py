@@ -7,8 +7,16 @@ from tacgrip.cli import main
 from tacgrip.density import KdeConfig
 from tacgrip.perception import MAX_CALIBRATION_RATIO
 from tacgrip.scenario import poke_scenario, scenario_to_text, static_scenario
-from tacgrip.sensor_sim import ContactStimulus, displace_markers, write_frames
+from tacgrip.sensor_sim import ContactStimulus, FrameStream, displace_markers
 from tacgrip.tracking import ContactTrack, track_displacement, write_track_csv
+
+
+def _write_frames(directory, model, marker_sets, finger_id):
+    """One finger's stream of marker sets, written to a directory with a
+    capture time of 0.033 s per frame."""
+    stream = FrameStream(model, finger_id, directory)
+    for seq, markers in enumerate(marker_sets):
+        stream.render(markers, 0.033 * seq)
 
 
 def test_workspace_command(tmp_path, capsys):
@@ -148,12 +156,11 @@ def test_saved_frames_reproduce_the_run(tmp_path, capsys):
 
 def test_analyze_command(tmp_path, capsys, nominal_model):
     frames_dir = tmp_path / "frames"
-    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0,
-                           timestamp=0.0)
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
     sets = [displace_markers(nominal_model, None),
             displace_markers(nominal_model, stim),
             displace_markers(nominal_model, stim)]
-    write_frames(frames_dir, nominal_model, sets, finger_id=1)
+    _write_frames(frames_dir, nominal_model, sets, finger_id=1)
     out_dir = tmp_path / "analysis"
     rc = main(["analyze", "--frames", str(frames_dir), "--out", str(out_dir),
                "--heatmaps"])
@@ -171,14 +178,13 @@ def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
     from tacgrip.blobs import MarkerSet
     from tacgrip.pgm import read_pgm
     from tacgrip.perception import FingerPipeline
-    from tacgrip.tactile import TactileFrame
 
     frames_dir = tmp_path / "frames"
     stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
-    write_frames(frames_dir, nominal_model,
-                 [displace_markers(nominal_model, None),
-                  MarkerSet(np.empty((0, 2))),
-                  displace_markers(nominal_model, stim)], finger_id=1)
+    _write_frames(frames_dir, nominal_model,
+                  [displace_markers(nominal_model, None),
+                   MarkerSet(np.empty((0, 2))),
+                   displace_markers(nominal_model, stim)], finger_id=1)
     out_dir = tmp_path / "analysis"
     assert main(["analyze", "--frames", str(frames_dir), "--out",
                  str(out_dir), "--heatmaps"]) == 0
@@ -187,8 +193,7 @@ def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
         ["density_1_000000.pgm", "density_1_000002.pgm"]
 
     pipe = FingerPipeline(1)
-    frames = [TactileFrame(pixels=read_pgm(p), timestamp=0.033 * i)
-              for i, p in enumerate(sorted(frames_dir.glob("frame_1_*.pgm")))]
+    frames = [read_pgm(p) for p in sorted(frames_dir.glob("frame_1_*.pgm"))]
     pipe.calibrate(frames[0])
     blank = pipe.process(frames[1])
     assert blank.center is None and blank.region is None
@@ -198,11 +203,10 @@ def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
 def test_analyze_rejects_a_touched_first_frame(tmp_path, capsys,
                                               nominal_model):
     frames_dir = tmp_path / "frames"
-    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=40.0,
-                           timestamp=0.0)
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=40.0)
     sets = [displace_markers(nominal_model, stim),
             displace_markers(nominal_model, None)]
-    write_frames(frames_dir, nominal_model, sets, finger_id=1)
+    _write_frames(frames_dir, nominal_model, sets, finger_id=1)
     rc = main(["analyze", "--frames", str(frames_dir),
                "--out", str(tmp_path / "analysis")])
     assert rc == 1
@@ -216,8 +220,8 @@ def test_analyze_names_a_frame_of_another_size(tmp_path, capsys,
     from tacgrip.pgm import frame_filename, read_pgm, write_pgm
 
     frames_dir = tmp_path / "frames"
-    write_frames(frames_dir, nominal_model,
-                 [displace_markers(nominal_model, None)] * 2, finger_id=1)
+    _write_frames(frames_dir, nominal_model,
+                  [displace_markers(nominal_model, None)] * 2, finger_id=1)
     second = frames_dir / frame_filename(1, 1)
     write_pgm(second, read_pgm(second)[:240, :320])
     rc = main(["analyze", "--frames", str(frames_dir),
@@ -298,11 +302,10 @@ def test_density_heatmap_values(tmp_path, nominal_model):
     from tacgrip.pgm import read_pgm
 
     frames_dir = tmp_path / "frames"
-    stim = ContactStimulus(x=200.0, y=200.0, depth=3.0, radius=16.0,
-                           timestamp=0.0)
+    stim = ContactStimulus(x=200.0, y=200.0, depth=3.0, radius=16.0)
     sets = [displace_markers(nominal_model, None),
             displace_markers(nominal_model, stim)]
-    write_frames(frames_dir, nominal_model, sets, finger_id=2)
+    _write_frames(frames_dir, nominal_model, sets, finger_id=2)
     out_dir = tmp_path / "a"
     rc = main(["analyze", "--frames", str(frames_dir), "--out", str(out_dir),
                "--heatmaps"])
@@ -318,14 +321,12 @@ def test_heatmaps_are_full_frame_fields(tmp_path, nominal_model):
     from tacgrip.blobs import detect_markers
     from tacgrip.density import estimate_density, write_density_pgm
     from tacgrip.pgm import read_pgm
-    from tacgrip.tactile import TactileFrame
 
     frames_dir = tmp_path / "frames"
-    stim = ContactStimulus(x=180.0, y=160.0, depth=3.0, radius=16.0,
-                           timestamp=0.0)
+    stim = ContactStimulus(x=180.0, y=160.0, depth=3.0, radius=16.0)
     sets = [displace_markers(nominal_model, None),
             displace_markers(nominal_model, stim)]
-    write_frames(frames_dir, nominal_model, sets, finger_id=1)
+    _write_frames(frames_dir, nominal_model, sets, finger_id=1)
     out_dir = tmp_path / "a"
     assert main(["analyze", "--frames", str(frames_dir), "--out",
                  str(out_dir), "--heatmaps"]) == 0
@@ -333,9 +334,9 @@ def test_heatmaps_are_full_frame_fields(tmp_path, nominal_model):
     frames = sorted(frames_dir.glob("frame_1_*.pgm"))
     assert len(written) == len(frames) == 2
     for heatmap, frame_path in zip(written, frames):
-        frame = TactileFrame(pixels=read_pgm(frame_path), timestamp=0.0)
         want = tmp_path / "want.pgm"
-        write_density_pgm(estimate_density(detect_markers(frame)), want)
+        write_density_pgm(estimate_density(detect_markers(
+            read_pgm(frame_path))), want)
         assert heatmap.read_bytes() == want.read_bytes()
 
 
@@ -366,9 +367,9 @@ def rest_rest_touch(tmp_path_factory, nominal_model):
     frames_dir = tmp_path_factory.mktemp("frames")
     stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
     rest = displace_markers(nominal_model, None)
-    write_frames(frames_dir, nominal_model,
-                 [rest, rest, displace_markers(nominal_model, stim)],
-                 finger_id=1)
+    _write_frames(frames_dir, nominal_model,
+                  [rest, rest, displace_markers(nominal_model, stim)],
+                  finger_id=1)
     return frames_dir
 
 

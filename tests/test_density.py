@@ -271,6 +271,21 @@ def test_support_box_matches_old_mask():
         marker_support_box(tg.MarkerSet(np.empty((0, 2))), 15.0, 640, 480)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marker_set_refuses_non_finite_centroids(bad):
+    # One NaN centroid made the whole field NaN, which extract_contact
+    # read as NoContact, and failed marker_support_box with a float
+    # conversion error; an infinite one counted in M but added nothing.
+    centroids = nominal_grid(tg.SensorModel())
+    centroids[[3, 40], 1] = bad
+    centroids[7] = bad
+    with pytest.raises(ValueError,
+                       match=r"^3 centroid\(s\) are not finite \(NaN or inf\)"):
+        tg.MarkerSet(centroids)
+    centroids[[3, 7, 40]] = 320.0
+    assert len(tg.MarkerSet(centroids)) == 300
+
+
 def _contact_frames(model, n, seed):
     """(markers, frame) for seeded contacts; four in five are centered on
     an edge of the marker grid, or h inside or outside it."""
@@ -289,7 +304,7 @@ def _contact_frames(model, n, seed):
             x=float(x), y=float(y), depth=float(rng.uniform(0.5, 3.2)),
             radius=float(rng.uniform(14.0, 30.0)),
             shear_x=float(rng.uniform(-4.0, 4.0)),
-            shear_y=float(rng.uniform(-4.0, 4.0)), timestamp=seq * 0.033)
+            shear_y=float(rng.uniform(-4.0, 4.0)))
         markers = tg.displace_markers(model, stim)
         yield markers, tg.render_frame(markers, model, finger_id=1,
                                        seq=seq + 1)
@@ -386,9 +401,7 @@ def test_calibrate_rejects_a_frame_not_at_rest(nominal_model, reference_frame):
         nominal_model, finger_id=1, seq=0)
     with pytest.raises(ValidationError, match="calibration frame shows a contact"):
         perception.FingerPipeline(1).calibrate(touched)
-    blank = dataclasses.replace(
-        reference_frame,
-        pixels=np.full_like(reference_frame.pixels, np.rint(255 * 0.95)))
+    blank = np.full_like(reference_frame, np.rint(255 * 0.95))
     with pytest.raises(ValidationError, match="calibration frame shows no markers"):
         perception.FingerPipeline(1).calibrate(blank)
     # rest frames calibrate across seeds and noise levels

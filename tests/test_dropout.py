@@ -30,13 +30,6 @@ def pipe(reference_frame):
     return pipe
 
 
-@pytest.fixture(scope="module")
-def clock():
-    """Frame timestamps that advance across the module's tests, so a
-    frame wrongly read as contact fails its assert, not the tracker."""
-    return (0.033 * k for k in itertools.count(1))
-
-
 def _grid_cell(model, index):
     return divmod(int(index), model.grid_cols)
 
@@ -62,48 +55,44 @@ def _sample_apart(model, rng, candidates, k):
             return drop
 
 
-def _render_without(markers, drop, model, seq, timestamp):
+def _render_without(markers, drop, model, seq):
     keep = np.setdiff1d(np.arange(len(markers)), drop)
-    return render_frame(MarkerSet(markers.centroids[keep],
-                                  frame_timestamp=timestamp),
-                        model, finger_id=1, seq=seq)
+    return render_frame(MarkerSet(markers.centroids[keep]), model,
+                        finger_id=1, seq=seq)
 
 
-def _reads_no_contact(pipe, clock, model, drops):
+def _reads_no_contact(pipe, model, drops):
     rest = displace_markers(model, None)
     for seq, drop in enumerate(drops, start=1):
-        frame = _render_without(rest, drop, model, seq, next(clock))
+        frame = _render_without(rest, drop, model, seq)
         report = pipe.process(frame)
         assert report.center is None, f"dropped {[int(i) for i in drop]}"
 
 
-def test_rest_without_one_outer_ring_marker_reads_no_contact(pipe, clock,
-                                                             model):
+def test_rest_without_one_outer_ring_marker_reads_no_contact(pipe, model):
     ring = [i for i in range(model.grid_rows * model.grid_cols)
             if _on_ring(model, i)]
     assert len(ring) == 66
-    _reads_no_contact(pipe, clock, model, [[i] for i in ring])
+    _reads_no_contact(pipe, model, [[i] for i in ring])
 
 
-def test_rest_without_one_interior_marker_reads_no_contact(pipe, clock,
-                                                           model):
+def test_rest_without_one_interior_marker_reads_no_contact(pipe, model):
     interior = [i for i in range(model.grid_rows * model.grid_cols)
                 if not _on_ring(model, i)]
     rng = np.random.default_rng(20)
-    _reads_no_contact(pipe, clock, model,
+    _reads_no_contact(pipe, model,
                       [[i] for i in rng.choice(interior, 30, replace=False)])
 
 
-def test_rest_without_three_scattered_markers_reads_no_contact(pipe, clock,
-                                                               model):
+def test_rest_without_three_scattered_markers_reads_no_contact(pipe, model):
     rng = np.random.default_rng(21)
     everywhere = np.arange(model.grid_rows * model.grid_cols)
-    _reads_no_contact(pipe, clock, model,
+    _reads_no_contact(pipe, model,
                       [_sample_apart(model, rng, everywhere, 3)
                        for _ in range(40)])
 
 
-def test_contact_center_unmoved_by_distant_dropout(pipe, clock, model):
+def test_contact_center_unmoved_by_distant_dropout(pipe, model):
     # Three scattered markers dropped more than 100 px from a 3 mm
     # contact leave its center where it was.
     rng = np.random.default_rng(22)
@@ -116,8 +105,8 @@ def test_contact_center_unmoved_by_distant_dropout(pipe, clock, model):
         offset = markers.centroids - (stim.x, stim.y)
         far = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) > 100.0)
         drop = _sample_apart(model, rng, far, 3)
-        centers = [pipe.process(_render_without(markers, dropped, model, seq,
-                                                next(clock))).center
+        centers = [pipe.process(_render_without(markers, dropped, model,
+                                                seq)).center
                    for dropped in ([], drop)]
         assert centers[0] is not None
         assert centers[1] == centers[0], f"dropped {[int(i) for i in drop]}"

@@ -196,3 +196,15 @@ def test_outputs_and_determinism(tmp_path):
 
     header = (tmp_path / "a" / "episode.csv").read_text().splitlines()[0]
     assert header == ",".join(EPISODE_COLUMNS)
+
+
+def test_saved_frames_carry_their_instants_time(tmp_path):
+    # A frame is its pixels; each stream writes the control instant's time,
+    # which its caller passes, into the frame's PGM comment.
+    result = run_grasp(static_scenario(duration=0.2), tmp_path,
+                       save_frames=True)
+    frames = list(iter_frame_files(tmp_path / "frames"))
+    assert len(frames) == 2 * len(result.episode_rows) == 14
+    for _, seq, path in frames:
+        t = float(result.episode_rows[seq][1])
+        assert path.read_bytes().split(b"\n", 2)[1] == f"# t={t:.6f}".encode()

@@ -82,19 +82,18 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
             cells, flags, fresh = [], [], []
             for finger in (1, 2):
                 ev = scenario.active_event(finger, now)
-                stim = ev.stimulus(now) if ev is not None else ContactStimulus(
+                stim = ev.stimulus() if ev is not None else ContactStimulus(
                     x=scenario.sensor.width / 2.0,
                     y=scenario.sensor.height / 2.0,
-                    depth=0.0, radius=40.0, timestamp=now,
+                    depth=0.0, radius=40.0,
                 )
                 frame = streams[finger].render(
-                    displace_markers(scenario.sensor, stim))
+                    displace_markers(scenario.sensor, stim), now)
                 pipe, track = pipelines[finger], tracks[finger]
                 center = pipe.process(frame).center
                 # A contact region extends the track at this instant.
                 if center is not None:
-                    track_displacement(track, center, frame.timestamp,
-                                       pipe.kde_config)
+                    track_displacement(track, center, now, pipe.kde_config)
                 flags.append(classify_frame(track, scenario.thresholds, now))
                 fresh.append(has_fresh_contact(track, now))
                 disps = track.displacements

@@ -10,7 +10,6 @@ import tacgrip as tg
 from tacgrip import blobs, perception
 from tacgrip.blobs import DetectorConfig, MarkerSet, detect_markers
 from tacgrip.sensor_sim import ContactStimulus, nominal_grid
-from tacgrip.tactile import TactileFrame
 
 
 # The simulator's background, 0.95, as a byte.
@@ -53,25 +52,20 @@ def test_single_disk_centered(nominal_model):
 
 
 def test_blank_frame_yields_empty_set():
-    frame = TactileFrame(pixels=np.full((480, 640), _BACKGROUND),
-                         timestamp=0.0)
-    det = detect_markers(frame)
+    det = detect_markers(np.full((480, 640), _BACKGROUND))
     assert len(det) == 0
 
 
 def test_noise_only_frame_yields_empty_set():
     rng = np.random.default_rng(3)
     pixels = np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1)
-    frame = TactileFrame(pixels=_bytes(pixels), timestamp=0.0)
-    assert len(detect_markers(frame)) == 0
+    assert len(detect_markers(_bytes(pixels))) == 0
 
 
 def test_float_frame_rejected(reference_frame):
     # Read as bytes, a frame on [0, 1] would show no markers at all.
-    frame = dataclasses.replace(
-        reference_frame, pixels=reference_frame.pixels / 255.0)
     with pytest.raises(ValueError, match="dtype float64"):
-        detect_markers(frame)
+        detect_markers(reference_frame / 255.0)
 
 
 def test_determinism(nominal_model):
@@ -188,7 +182,7 @@ def _recording_detector(monkeypatch):
 
     def counting(frame, config, box):
         markers = real_in_box(frame, config, box)
-        if markers is not None and box != (0, 0, frame.width, frame.height):
+        if markers is not None and box != (0, 0, *frame.shape[::-1]):
             windowed[0] += 1
         return markers
 
@@ -224,7 +218,7 @@ def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
             x=float(x), y=float(y), depth=float(rng.uniform(0.5, 3.2)),
             radius=float(rng.uniform(14.0, 30.0)),
             shear_x=float(rng.uniform(-4.0, 4.0)),
-            shear_y=float(rng.uniform(-4.0, 4.0)), timestamp=seq * 0.033)
+            shear_y=float(rng.uniform(-4.0, 4.0)))
         frame = tg.render_frame(tg.displace_markers(nominal_model, stim),
                                 nominal_model, finger_id=1, seq=seq)
         pipe.process(frame)
@@ -280,17 +274,17 @@ def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
     stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
     touched = tg.render_frame(tg.displace_markers(nominal_model, stim),
                               nominal_model, seq=1)
-    for seq in (1, 2):
-        pipe.process(TactileFrame(touched.pixels, timestamp=seq * 0.033))
+    for _ in range(2):
+        pipe.process(touched)
     window = pipe.window
 
-    other = _resized(touched.pixels, height, width)
+    other = _resized(touched, height, width)
     with pytest.raises(ValueError, match=f"frame is {width}x{height}, but the "
                        f"pipeline was calibrated on a 640x480 frame"):
-        pipe.process(TactileFrame(other, timestamp=0.099))
+        pipe.process(other)
     # A frame that is not 8-bit fails the dtype check first.
     with pytest.raises(ValueError, match="dtype float64"):
-        pipe.process(TactileFrame(other / 255.0, timestamp=0.099))
+        pipe.process(other / 255.0)
     assert pipe.window == window
 
 
@@ -298,8 +292,7 @@ def test_blank_and_noise_frames_empty_with_window():
     rng = np.random.default_rng(3)
     noisy = _bytes(np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1))
     for pixels in (np.full((480, 640), _BACKGROUND), noisy):
-        frame = TactileFrame(pixels=pixels, timestamp=0.0)
-        assert len(detect_markers(frame, window=(150, 100, 490, 380))) == 0
+        assert len(detect_markers(pixels, window=(150, 100, 490, 380))) == 0
 
 
 def test_window_outside_frame_rejected(reference_frame):
@@ -328,11 +321,10 @@ def test_outside_bound_holds_over_random_frames(nominal_model):
             lo = markers.centroids.min(0).astype(int) - margin
             hi = markers.centroids.max(0).astype(int) + margin
             box = (int(lo[0]), int(lo[1]), int(hi[0]), int(hi[1]))
-        resp = blobs._response(frame.pixels, config)
+        resp = blobs._response(frame, config)
         outside = np.ones(resp.shape, dtype=bool)
         outside[box[1]:box[3], box[0]:box[2]] = False
-        assert resp[outside].max() <= blobs._outside_bound(frame.pixels, box,
-                                                           config)
+        assert resp[outside].max() <= blobs._outside_bound(frame, box, config)
 
 
 def test_window_never_changes_result_on_random_frames(nominal_model):
@@ -354,12 +346,10 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
             model = dataclasses.replace(nominal_model, width=160, height=120,
                                         grid_rows=2, grid_cols=2,
                                         seed=trial)
-            pixels = tg.render_frame(MarkerSet(centers), model,
-                                     seq=trial).pixels
+            pixels = tg.render_frame(MarkerSet(centers), model, seq=trial)
         else:
             pixels = np.full((120, 160), rng.integers(0, 256), np.uint8)
-        frame = TactileFrame(pixels=pixels, timestamp=0.0)
-        full = detect_markers(frame).centroids
+        full = detect_markers(pixels).centroids
         full_response = blobs._response(pixels, config)
         for _ in range(4):
             x0, y0 = rng.integers(-10, 150), rng.integers(-10, 110)
@@ -384,8 +374,8 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
                      ring[1].start - ox:ring[1].stop - ox],
                 full_response[ring])
             answered_in_window += blobs._detect_in_box(
-                frame, config, box) is not None
-            got = detect_markers(frame, window=window).centroids
+                pixels, config, box) is not None
+            got = detect_markers(pixels, window=window).centroids
             assert np.array_equal(got, full)
     assert answered_in_window >= 20
 
@@ -456,7 +446,7 @@ def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
 
     def counting(frame, config, box):
         markers = real_in_box(frame, config, box)
-        if box != (0, 0, frame.width, frame.height):
+        if box != (0, 0, *frame.shape[::-1]):
             seen["windowed" if markers is not None else "fallback"] += 1
         return markers
 

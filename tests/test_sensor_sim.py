@@ -15,22 +15,27 @@ from tacgrip.plant import TICK_S
 from tacgrip.scenario import static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, FrameStream,
                                 SensorModel, disk_coverage, displace_markers)
-from tacgrip.tactile import TactileFrame
 
 from kde_oracle import density_at_points
 
 
 def test_depth_zero_is_identity(nominal_model):
+    # An instant with no active event renders the rest grid; a depth-0
+    # stimulus anywhere, of any width, gives the same bytes.
     nominal = displace_markers(nominal_model, None)
-    touched = displace_markers(
-        nominal_model, ContactStimulus(x=320.0, y=240.0, depth=0.0,
-                                       radius=40.0, timestamp=2.0))
-    assert np.array_equal(nominal.centroids, touched.centroids)
+    on_marker = nominal.centroids[17]
+    centers = [(320.0, 240.0), (float(on_marker[0]), float(on_marker[1])),
+               (0.0, 0.0), (639.0, 479.0)]
+    for x, y in centers:
+        for radius in (1.0, 40.0, 400.0):
+            touched = displace_markers(nominal_model, ContactStimulus(
+                x=x, y=y, depth=0.0, radius=radius))
+            assert touched.centroids.tobytes() == \
+                nominal.centroids.tobytes(), (x, y, radius)
 
 
 def test_displacement_magnitude_matches_envelope(nominal_model):
-    stim = ContactStimulus(x=320.0, y=240.0, depth=2.0, radius=40.0,
-                           timestamp=1.0)
+    stim = ContactStimulus(x=320.0, y=240.0, depth=2.0, radius=40.0)
     before = displace_markers(nominal_model, None).centroids
     after = displace_markers(nominal_model, stim).centroids
     r = np.hypot(before[:, 0] - stim.x, before[:, 1] - stim.y)
@@ -41,8 +46,7 @@ def test_displacement_magnitude_matches_envelope(nominal_model):
 
 
 def test_displacement_is_radially_outward(nominal_model):
-    stim = ContactStimulus(x=310.0, y=250.0, depth=2.0, radius=40.0,
-                           timestamp=1.0)
+    stim = ContactStimulus(x=310.0, y=250.0, depth=2.0, radius=40.0)
     before = displace_markers(nominal_model, None).centroids
     after = displace_markers(nominal_model, stim).centroids
     r_before = np.hypot(before[:, 0] - stim.x, before[:, 1] - stim.y)
@@ -54,8 +58,7 @@ def test_marker_on_stimulus_center_stays(nominal_model):
     # the radial direction is undefined at r = 0; such a marker stays put
     nominal = displace_markers(nominal_model, None).centroids
     cx, cy = nominal[17]
-    stim = ContactStimulus(x=float(cx), y=float(cy), depth=3.0, radius=40.0,
-                           timestamp=1.0)
+    stim = ContactStimulus(x=float(cx), y=float(cy), depth=3.0, radius=40.0)
     after = displace_markers(nominal_model, stim).centroids
     assert after[17, 0] == cx and after[17, 1] == cy
 
@@ -67,7 +70,7 @@ def test_symmetric_stimulus_keeps_pattern_symmetric(nominal_model):
     nominal = displace_markers(nominal_model, None).centroids
     cx = nominal[:, 0].mean()
     cy = nominal[:, 1].mean()
-    stim = ContactStimulus(x=cx, y=cy, depth=2.0, radius=40.0, timestamp=1.0)
+    stim = ContactStimulus(x=cx, y=cy, depth=2.0, radius=40.0)
     after = displace_markers(nominal_model, stim).centroids
     mirrored = np.column_stack([2 * cx - after[:, 0], 2 * cy - after[:, 1]])
     a = after[np.lexsort((after[:, 0], after[:, 1]))]
@@ -87,7 +90,7 @@ def test_density_at_center_strictly_decreases_with_depth(nominal_model):
     values = []
     for depth in (0.5, 1.0, 2.0):
         stim = ContactStimulus(x=center[0], y=center[1], depth=depth,
-                               radius=40.0, timestamp=1.0)
+                               radius=40.0)
         ms = displace_markers(nominal_model, stim)
         values.append(density_at_points(ms.centroids,
                                         np.array([center[0]]),
@@ -98,8 +101,7 @@ def test_density_at_center_strictly_decreases_with_depth(nominal_model):
 def test_shear_moves_recovered_center_monotonically(nominal_model):
     # recovered center shift tracks shear * envelope-at-center, and grows
     # with |shear|
-    base = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=40.0,
-                           timestamp=1.0)
+    base = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=40.0)
     span = np.arange(-30.0, 30.5, 0.25)
     shifts = []
     for shear in (0.0, 6.0, 12.0):
@@ -119,7 +121,7 @@ def test_render_deterministic(nominal_model):
     ms = displace_markers(nominal_model, None)
     a = tg.render_frame(ms, nominal_model, finger_id=1, seq=3)
     b = tg.render_frame(ms, nominal_model, finger_id=1, seq=3)
-    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a, b)
 
 
 def test_noise_stream_keyed_by_finger_and_seq(nominal_model):
@@ -127,14 +129,14 @@ def test_noise_stream_keyed_by_finger_and_seq(nominal_model):
     a = tg.render_frame(ms, nominal_model, finger_id=1, seq=3)
     b = tg.render_frame(ms, nominal_model, finger_id=1, seq=4)
     c = tg.render_frame(ms, nominal_model, finger_id=2, seq=3)
-    assert not np.array_equal(a.pixels, b.pixels)
-    assert not np.array_equal(a.pixels, c.pixels)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_empty_markerset_renders_background(nominal_model):
     quiet = dataclasses.replace(nominal_model, noise_sigma=0.0)
     frame = tg.render_frame(tg.MarkerSet(np.empty((0, 2))), quiet)
-    assert np.all(frame.pixels == np.rint(255 * quiet.background))
+    assert np.all(frame == np.rint(255 * quiet.background))
 
 
 def test_darkest_pixel_at_disk_center(nominal_model):
@@ -142,9 +144,9 @@ def test_darkest_pixel_at_disk_center(nominal_model):
     # center pixel attains the global minimum and the far field does not
     quiet = dataclasses.replace(nominal_model, noise_sigma=0.0)
     frame = tg.render_frame(tg.MarkerSet(np.array([[320.0, 240.0]])), quiet)
-    assert frame.pixels[240, 320] == frame.pixels.min()
-    assert frame.pixels[240, 320] == np.rint(255 * quiet.marker_intensity)
-    assert frame.pixels[0, 0] == np.rint(255 * quiet.background)
+    assert frame[240, 320] == frame.min()
+    assert frame[240, 320] == np.rint(255 * quiet.marker_intensity)
+    assert frame[0, 0] == np.rint(255 * quiet.background)
 
 
 def test_model_invariants():
@@ -169,12 +171,19 @@ def test_model_invariants():
         SensorModel(grid_cols=0)
 
 
+def _write_frames(directory, model, marker_sets, finger_id):
+    """One finger's stream of marker sets, written to a directory with a
+    capture time of 0.033 s per frame."""
+    stream = FrameStream(model, finger_id, directory)
+    for seq, markers in enumerate(marker_sets):
+        stream.render(markers, 0.033 * seq)
+
+
 def test_write_frames_and_truth_sidecar(tmp_path, nominal_model):
-    stim = ContactStimulus(x=320.0, y=240.0, depth=2.0, radius=40.0,
-                           timestamp=0.0)
+    stim = ContactStimulus(x=320.0, y=240.0, depth=2.0, radius=40.0)
     sets = [displace_markers(nominal_model, None),
             displace_markers(nominal_model, stim)]
-    tg.write_frames(tmp_path, nominal_model, sets, finger_id=1)
+    _write_frames(tmp_path, nominal_model, sets, finger_id=1)
     img = read_pgm(tmp_path / "frame_1_000000.pgm")
     assert img.shape == (nominal_model.height, nominal_model.width)
     truth = (tmp_path / "truth_1.csv").read_text().strip().splitlines()
@@ -281,11 +290,11 @@ def test_render_frame_matches_float_reference(radius, sigma):
             finger, seq = 1 + i % 2, int(rng.integers(0, 10_000))
             frame = tg.render_frame(markers, m, finger_id=finger, seq=seq)
             want = _float_render(markers, m, finger, seq)
-            assert frame.pixels.dtype == np.uint8
-            assert frame.pixels.tobytes() == want.tobytes()
+            assert frame.dtype == np.uint8
+            assert frame.tobytes() == want.tobytes()
             stream = FrameStream(m, finger)
             stream.seq = seq  # the stream's next frame is this seq
-            assert stream.render(markers).pixels.tobytes() == want.tobytes()
+            assert stream.render(markers, 0.0).tobytes() == want.tobytes()
             saturated += want.min() == 0 and want.max() == 255
     if sigma >= 0.5:  # the noise clips at both ends of the byte
         assert saturated >= 10
@@ -298,9 +307,9 @@ def test_render_frame_bytes_keyed_by_seed(nominal_model):
     b = tg.render_frame(markers, nominal_model, finger_id=2, seq=11)
     other = dataclasses.replace(nominal_model, seed=nominal_model.seed + 1)
     c = tg.render_frame(markers, other, finger_id=2, seq=11)
-    assert a.pixels.tobytes() == b.pixels.tobytes()
-    assert a.pixels.tobytes() != c.pixels.tobytes()
-    assert c.pixels.tobytes() == _float_render(markers, other, 2, 11).tobytes()
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
+    assert c.tobytes() == _float_render(markers, other, 2, 11).tobytes()
 
 
 def _counting(monkeypatch, owner, name):
@@ -320,9 +329,9 @@ def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
     rendered = {1: [], 2: []}
     render = FrameStream.render
 
-    def recording(stream, markers):
+    def recording(stream, markers, timestamp):
         seq = stream.seq
-        frame = render(stream, markers)
+        frame = render(stream, markers, timestamp)
         rendered[stream.finger_id].append((seq, markers, stream.model, frame))
         return frame
 
@@ -344,8 +353,8 @@ def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
         changes += sum(a != b for a, b in zip([None] + seen, seen))
         for i, (seq, markers, model, frame) in enumerate(rendered[finger]):
             assert seq == i
-            assert frame.pixels.tobytes() == tg.render_frame(
-                markers, model, finger, seq).pixels.tobytes()
+            assert frame.tobytes() == tg.render_frame(
+                markers, model, finger, seq).tobytes()
     assert changes == 4
     # one stamp per layout change, plus each finger's calibration frame
     assert stamped == changes + 2
@@ -358,13 +367,13 @@ def test_write_frames_computes_coverage_once_per_repeat(
     touched = displace_markers(nominal_model, ContactStimulus(
         x=320.0, y=240.0, depth=2.0, radius=40.0))
     sets = [rest, rest, touched, touched, touched, rest]
-    tg.write_frames(tmp_path, nominal_model, sets, finger_id=2)
+    _write_frames(tmp_path, nominal_model, sets, finger_id=2)
     assert len(calls) == 3  # rest, touched, rest again
     for seq in (1, 4, 5):
         frame = tg.render_frame(sets[seq], nominal_model, finger_id=2,
                                 seq=seq)
-        write_pgm(tmp_path / "fresh.pgm", frame.pixels,
-                  comment=f"t={frame.timestamp:.6f}")
+        write_pgm(tmp_path / "fresh.pgm", frame,
+                  comment=f"t={0.033 * seq:.6f}")
         assert (tmp_path / f"frame_2_{seq:06d}.pgm").read_bytes() \
             == (tmp_path / "fresh.pgm").read_bytes()
 
@@ -389,9 +398,7 @@ def _old_render_frame(markers, model, finger_id, seq, coverage):
         index = coverage
     table = np.rint(levels[:, None] + noise)
     np.clip(table, 0.0, 255.0, out=table)
-    pixels = np.take(table.astype(np.uint8).ravel(), index)
-    return TactileFrame(pixels=pixels, timestamp=markers.frame_timestamp,
-                        finger_id=finger_id)
+    return np.take(table.astype(np.uint8).ravel(), index)
 
 
 def _old_start_frame_stream(directory, finger_id):
@@ -402,38 +409,36 @@ def _old_start_frame_stream(directory, finger_id):
     return truth_path
 
 
-def _old_save_frame(directory, seq, markers, frame):
-    finger_id = frame.finger_id
-    write_pgm(directory / frame_filename(finger_id, seq), frame.pixels,
-              comment=f"t={frame.timestamp:.6f}")
+def _old_save_frame(directory, finger_id, seq, timestamp, markers, frame):
+    write_pgm(directory / frame_filename(finger_id, seq), frame,
+              comment=f"t={timestamp:.6f}")
     with open(directory / f"truth_{finger_id}.csv", "a", newline="") as fh:
         csv.writer(fh).writerows(
             [seq, idx, f"{mx:.4f}", f"{my:.4f}"]
             for idx, (mx, my) in enumerate(markers.centroids))
 
 
-def _old_stream(model, finger_id, marker_sets, directory=None):
-    """The last-layout cache that run_grasp and write_frames each kept
+def _old_stream(model, finger_id, marker_sets, times, directory=None):
+    """The last-layout cache that run_grasp and the frame writer each kept
     around the two calls above. Returns the frames and the stamp count."""
     if directory is not None:
         _old_start_frame_stream(directory, finger_id)
     last_layout, coverage, stamps, frames = None, None, 0, []
-    for seq, markers in enumerate(marker_sets):
+    for seq, (markers, t) in enumerate(zip(marker_sets, times)):
         layout = markers.centroids.tobytes()
         if layout != last_layout:
             last_layout, coverage = layout, disk_coverage(markers, model)
             stamps += 1
         frame = _old_render_frame(markers, model, finger_id, seq, coverage)
         if directory is not None:
-            _old_save_frame(directory, seq, markers, frame)
+            _old_save_frame(directory, finger_id, seq, t, markers, frame)
         frames.append(frame)
     return frames, stamps
 
 
 def _layout_sequence(model, rng):
     """Rest, a contact, the same contact again, the contact shifted by
-    1e-3 px and rest again, each held for one or two frames, with a new
-    timestamp every frame."""
+    1e-3 px and rest again, each held for one or two frames."""
     rest = displace_markers(model, None)
     stim = ContactStimulus(x=rng.uniform(40, 600), y=rng.uniform(40, 440),
                            depth=rng.uniform(0.5, 3.0), radius=40.0,
@@ -443,9 +448,7 @@ def _layout_sequence(model, rng):
                                                           x=stim.x + 1e-3))
     assert shifted.centroids.tobytes() != touched.centroids.tobytes()
     layouts = [rest, touched, displace_markers(model, stim), shifted, rest]
-    held = [m for m in layouts for _ in range(int(rng.integers(1, 3)))]
-    return [tg.MarkerSet(m.centroids, frame_timestamp=0.033 * i)
-            for i, m in enumerate(held)]
+    return [m for m in layouts for _ in range(int(rng.integers(1, 3)))]
 
 
 def _files(directory):
@@ -462,16 +465,14 @@ def test_frame_stream_matches_the_two_streams_it_replaced(
     rng = np.random.default_rng(100 * finger + int(sigma * 1000) + to_disk)
     for run in range(2):
         sets = _layout_sequence(model, rng)
+        times = [0.033 * i for i in range(len(sets))]
         old_dir = tmp_path / f"old{run}" if to_disk else None
         new_dir = tmp_path / f"new{run}" if to_disk else None
-        want, stamps = _old_stream(model, finger, sets, old_dir)
+        want, stamps = _old_stream(model, finger, sets, times, old_dir)
         del calls[:]
         stream = FrameStream(model, finger, new_dir)
-        got = [stream.render(markers) for markers in sets]
-        assert [f.pixels.tobytes() for f in got] \
-            == [f.pixels.tobytes() for f in want]
-        assert [(f.timestamp, f.finger_id) for f in got] \
-            == [(f.timestamp, f.finger_id) for f in want]
+        got = [stream.render(m, t) for m, t in zip(sets, times)]
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
         seen = [markers.centroids.tobytes() for markers in sets]
         changes = sum(a != b for a, b in zip([None] + seen, seen))
         assert len(calls) == stamps == changes == 4
