@@ -5,6 +5,12 @@ Subcommands:
   workspace  sample finger workspaces and report hull volumes
   analyze    run the perception pipeline over a directory of PGM frames
   replay     re-run flag classification over a recorded track CSV
+
+Each command imports the modules it runs when it runs, so `replay`
+loads no scipy and `workspace` no `scipy.ndimage`. The defaults that
+live in those modules (`analyze --pixel-scale` and
+`--calibration-ratio`, `workspace --samples`) are read from them then
+too.
 """
 
 import argparse
@@ -14,20 +20,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .control import CONTROL_PERIOD_S, ControlThresholds, classify_frame
-from .density import KdeConfig, estimate_density, write_density_pgm
-from .episode import measure_response_latency, run_grasp
 from .errors import (NoDisturbanceError, TacgripError, ValidationError,
                      check_range, plain_float, plain_int)
-from .kinematics import dex_rot_chain, rot_dex_chain, workspace, write_workspace_csv
-from .pgm import iter_frame_files, read_pgm
-from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
-                         FingerPipeline)
-from .scenario import load_scenario
-from .tracking import (ContactTrack, read_track_csv, track_displacement,
-                       write_track_csv)
 
 
 def _cmd_grasp(args):
+    from .episode import measure_response_latency, run_grasp
+    from .scenario import load_scenario
+
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
@@ -49,6 +49,12 @@ def _cmd_grasp(args):
 
 
 def _cmd_workspace(args):
+    from .kinematics import (dex_rot_chain, rot_dex_chain, workspace,
+                             write_workspace_csv)
+
+    if args.samples is None:
+        args.samples = inspect.signature(workspace).parameters[
+            "samples_per_axis"].default
     orders = ["dexrot", "rotdex"] if args.order == "both" else [args.order]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -73,7 +79,17 @@ def _check_period(period):
 
 
 def _cmd_analyze(args):
+    from .density import KdeConfig, estimate_density, write_density_pgm
+    from .perception import (DEFAULT_CALIBRATION_RATIO, MAX_CALIBRATION_RATIO,
+                             FingerPipeline)
+    from .pgm import iter_frame_files, read_pgm
+    from .tracking import ContactTrack, track_displacement, write_track_csv
+
     _check_period(args.period)
+    if args.pixel_scale is None:
+        args.pixel_scale = KdeConfig().pixel_scale_s
+    if args.calibration_ratio is None:
+        args.calibration_ratio = DEFAULT_CALIBRATION_RATIO
     check_range("--calibration-ratio", args.calibration_ratio, lo=0.0,
                 hi=MAX_CALIBRATION_RATIO, lo_open=True, error=ValidationError)
     frames = list(iter_frame_files(args.frames))
@@ -122,6 +138,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_replay(args):
+    from .tracking import ContactTrack, read_track_csv
+
     _check_period(args.period)
     track = read_track_csv(args.track)
     thresholds = ControlThresholds(t1_mm=args.t1, t2_mm=args.t2)
@@ -170,8 +188,7 @@ def build_parser():
     w = sub.add_parser("workspace", help="finger workspace volumes")
     w.add_argument("--order", choices=["dexrot", "rotdex", "both"],
                    default="both")
-    samples = inspect.signature(workspace).parameters["samples_per_axis"]
-    w.add_argument("--samples", type=plain_int, default=samples.default,
+    w.add_argument("--samples", type=plain_int, default=None,
                    help="pressure samples per chamber axis")
     w.add_argument("--out", default=".")
     w.set_defaults(func=_cmd_workspace)
@@ -179,11 +196,9 @@ def build_parser():
     a = sub.add_parser("analyze", help="perception over a PGM directory")
     a.add_argument("--frames", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--pixel-scale", type=plain_float,
-                   default=KdeConfig().pixel_scale_s,
+    a.add_argument("--pixel-scale", type=plain_float, default=None,
                    help="mm per pixel")
-    a.add_argument("--calibration-ratio", type=plain_float,
-                   default=DEFAULT_CALIBRATION_RATIO)
+    a.add_argument("--calibration-ratio", type=plain_float, default=None)
     a.add_argument("--period", type=plain_float, default=CONTROL_PERIOD_S,
                    help="seconds between frames")
     a.add_argument("--heatmaps", action="store_true",

@@ -17,10 +17,13 @@ time in, contact center out. `run_grasp` calibrates both pipelines
 itself, so a rejected calibration frame raises `ScenarioError` before
 any worker starts, then forks one worker per step. Little crosses the
 pipe: the parent sends each control instant's time, and the worker
-answers with the contact center, or None. Frames, fields and markers
-stay in the worker. The parent keeps both contact tracks, classifies
-them and checks their freshness, and keeps the supervisor, MCU, plant
-and trace rows, so the rows are those of a serial loop byte for byte.
+answers with the contact center, or None. The parent sends the next
+instant as soon as it has handled one, so the workers perceive it while
+the plant ticks; it sends only instants the loop will read, so nothing
+is rendered ahead. Frames, fields and markers stay in the worker. The
+parent keeps both contact tracks, classifies them and checks their
+freshness, and keeps the supervisor, MCU, plant and trace rows, so the
+rows are those of a serial loop byte for byte.
 Perception is about 95% of an episode and the fingers' shares are
 independent: on a 2-core VM a static grasp ran 1.8x as many control
 periods per second with one BLAS thread, and about 1.5x at default
@@ -255,15 +258,19 @@ class _FingerWorkers:
     def __exit__(self, exc_type, exc, tb):
         self.close(failed=exc_type is not None)
 
-    def ask(self, message):
-        """Send `message` to every worker, then return {finger: reply}.
-        Raises WorkerError naming the finger whose worker raised or
-        ended."""
+    def send(self, now):
+        """Send a control instant's time to every worker; `receive`
+        reads their answers."""
         for _, conn in self._workers.values():
             try:
-                conn.send(message)
+                conn.send(now)
             except OSError:
-                pass  # it has ended: its traceback, or EOF, is read below
+                pass  # it has ended: receive reads its traceback, or EOF
+
+    def receive(self):
+        """{finger: contact center or None} for the instant sent last.
+        Raises WorkerError naming the finger whose worker raised or
+        ended."""
         replies = {}
         for finger, (_, conn) in self._workers.items():
             try:
@@ -336,12 +343,13 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     stop_tick = total_ticks
 
     with _FingerWorkers(steps) as workers:
+        workers.send(plant.tick * TICK_S)
         while True:
             tick = plant.tick
             now = tick * TICK_S
 
             if tick % CONTROL_PERIOD_TICKS == 0 and not supervisor.terminated:
-                centers = workers.ask(now)
+                centers = workers.receive()
                 flags, fresh = {}, {}
                 for finger, track in tracks.items():
                     if centers[finger] is not None:
@@ -369,6 +377,12 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
 
                 if supervisor.terminated:
                     stop_tick = tick + grace_ticks
+                # The workers render the next instant while the plant
+                # ticks. Only the supervisor changes whether there is
+                # one, and only here, so no frame is rendered ahead that
+                # the loop would not ask for.
+                elif tick + CONTROL_PERIOD_TICKS <= stop_tick:
+                    workers.send((tick + CONTROL_PERIOD_TICKS) * TICK_S)
 
             if tick >= stop_tick:
                 break

@@ -31,13 +31,15 @@ SEGMENT_LENGTH = CONNECTOR_THICKNESS_T + ACTUATOR_LENGTH_H
 # Symmetric clamp on a joint's bend angle, degrees.
 ANGLE_LIMIT_DEG = 90.0
 
-# Samples per forward-kinematics block in `workspace`. Each (n, 4, 4)
-# stack of a block is 128 kB, so its temporaries stay under ~1 MB
-# however large the grid.
+# Samples per forward-kinematics block in `workspace`, and rows per
+# block of a joint's arc stack. Each (n, 4, 4) stack of a block is
+# 128 kB, so its temporaries stay under ~1 MB however large the grid.
 FK_BLOCK = 1024
 
 # Largest pressure grid `workspace` evaluates: 64 samples per axis on a
-# 4-chamber chain, whose (K, 3) tip cloud alone takes 403 MB.
+# 4-chamber chain, whose (K, 3) tip cloud alone takes 403 MB. The arc
+# stacks it holds whole, one per joint after the base, are then at most
+# one 3-chamber joint's: 64^3 x 128 B = 33.5 MB.
 MAX_WORKSPACE_SAMPLES = 2 ** 24
 
 
@@ -226,9 +228,16 @@ def finger_fk_batch(chain, pressures):
     if pressures.ndim != 2:
         raise ValueError(f"expected an (N, {chain.chamber_count}) pressure "
                          f"array, got shape {pressures.shape}")
+    return _compose([_arc_transforms(*_joint_arcs(joint, p)) for joint, p
+                     in zip(chain.joints, split_pressures(chain, pressures))])
+
+
+def _compose(stacks):
+    """Tip poses (N, 4, 4) from each joint's (N, 4, 4) arc transforms in
+    chain order: the base frame, each arc in turn, then the tip plate."""
     t = np.eye(4)
-    for joint, p in zip(chain.joints, split_pressures(chain, pressures)):
-        t = t @ _arc_transforms(*_joint_arcs(joint, p))
+    for arcs in stacks:
+        t = t @ arcs
     # Final tip connector plate.
     return t @ translation(0.0, 0.0, CONNECTOR_THICKNESS_T)
 
@@ -251,7 +260,13 @@ class WorkspaceResult:
 def workspace(chain, samples_per_axis=9):
     """Grid the pressure box, run FK everywhere, hull the tip cloud.
 
-    The grid is evaluated FK_BLOCK samples at a time and is never held
+    A joint's arc depends on its own chambers alone, so the grid is the
+    product of the joints' own grids, in row-major order. The joints
+    after the base are evaluated once each over their own grid; the base
+    joint, whose index changes slowest, over the few indices each
+    FK_BLOCK of samples spans. Each block then gathers its arcs by index
+    and composes them as finger_fk_batch does, so every point is the
+    bytes finger_fk_batch gives for that sample. The grid is never held
     whole; grids above MAX_WORKSPACE_SAMPLES are refused before anything
     is allocated.
     """
@@ -268,15 +283,34 @@ def workspace(chain, samples_per_axis=9):
             f"{n} samples per axis over {chain.chamber_count} chambers is "
             f"{count} samples, above the cap of {MAX_WORKSPACE_SAMPLES}")
 
-    shape = (n,) * chain.chamber_count
     axis = np.linspace(PRESSURE_MIN, PRESSURE_MAX, n)
+    base, *rest = chain.joints
+    sizes = [n ** joint.chamber_count for joint in chain.joints]
+    stacks = [_grid_arcs(joint, axis, 0, size)
+              for joint, size in zip(rest, sizes[1:])]
     points = np.empty((count, 3))
     for start in range(0, count, FK_BLOCK):
         stop = min(start + FK_BLOCK, count)
-        index = np.unravel_index(np.arange(start, stop), shape)
-        poses = finger_fk_batch(chain, axis[np.stack(index, axis=1)])
+        first, *index = np.unravel_index(np.arange(start, stop), sizes)
+        base_arcs = _grid_arcs(base, axis, first[0], first[-1] + 1)
+        poses = _compose([base_arcs[first - first[0]]]
+                         + [arcs[i] for arcs, i in zip(stacks, index)])
         points[start:stop] = poses[:, :3, 3]
     return WorkspaceResult(points=points, hull_volume=hull_volume(points))
+
+
+def _grid_arcs(joint, axis, start, stop):
+    """(stop - start, 4, 4) arc transforms of one joint at the flat
+    indices start..stop-1 of its own row-major grid of `axis` pressures
+    per chamber, built FK_BLOCK rows at a time."""
+    shape = (len(axis),) * joint.chamber_count
+    arcs = np.empty((stop - start, 4, 4))
+    for lo in range(start, stop, FK_BLOCK):
+        hi = min(lo + FK_BLOCK, stop)
+        index = np.unravel_index(np.arange(lo, hi), shape)
+        arcs[lo - start:hi - start] = _arc_transforms(
+            *_joint_arcs(joint, axis[np.stack(index, axis=1)]))
+    return arcs
 
 
 def hull_volume(points):

@@ -1,8 +1,14 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tacgrip
 from tacgrip.cli import main
 from tacgrip.density import KdeConfig
 from tacgrip.perception import MAX_CALIBRATION_RATIO
@@ -360,6 +366,51 @@ def test_replay_rejects_a_period_not_positive(tmp_path, capsys, period):
     rc = main(["replay", "--track", str(src), "--period", period])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --period = ")
+
+
+# Runs one command in a fresh interpreter, then prints its exit code and
+# every module it loaded as the last line.
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from tacgrip.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _fresh_run(argv):
+    """(stdout lines before the module list, loaded module names)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tacgrip.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES,
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    *printed, last = done.stdout.splitlines()
+    code, modules = json.loads(last)
+    assert code == 0, printed
+    return printed, modules
+
+
+def _under(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_replay_loads_no_scipy(tmp_path):
+    printed, modules = _fresh_run(["replay", "--track",
+                                   str(_calm_track(tmp_path))])
+    assert "120 samples (NoContact: 92, StableGrasp: 28)" in printed
+    assert _under(modules, "scipy") == []
+    assert _under(modules, "tacgrip.density") == []
+
+
+def test_workspace_loads_no_image_filtering(tmp_path):
+    # No --samples: the default is read from workspace() when it runs.
+    printed, modules = _fresh_run(["workspace", "--order", "rotdex",
+                                   "--out", str(tmp_path)])
+    assert any("(6561 samples)" in line for line in printed), printed
+    assert _under(modules, "scipy.ndimage") == []
+    assert _under(modules, "tacgrip.density") == []
 
 
 @pytest.fixture(scope="module")

@@ -353,15 +353,15 @@ def test_a_worker_that_raised_before_the_first_send_is_reported(
     def pin():
         raise RuntimeError("pinned")
 
-    ask = tacgrip.episode._FingerWorkers.ask
+    send = tacgrip.episode._FingerWorkers.send
 
-    def ask_once_finger_1_ended(self, message):
+    def send_once_finger_1_ended(self, now):
         self._workers[1][0].join(timeout=30.0)
-        return ask(self, message)
+        return send(self, now)
 
     monkeypatch.setattr(tacgrip.episode, "_pin_blas_to_one_thread", pin)
-    monkeypatch.setattr(tacgrip.episode._FingerWorkers, "ask",
-                        ask_once_finger_1_ended)
+    monkeypatch.setattr(tacgrip.episode._FingerWorkers, "send",
+                        send_once_finger_1_ended)
     with pytest.raises(WorkerError, match="finger 1: its worker raised") \
             as caught:
         run_grasp(static_scenario(duration=0.1))

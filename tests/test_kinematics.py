@@ -1,13 +1,16 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tacgrip.kinematics
 from tacgrip.errors import PressureOutOfRangeError
 from tacgrip.kinematics import (ACTUATOR_LENGTH_H, ANGLE_LIMIT_DEG,
-                                CONNECTOR_THICKNESS_T, MAX_WORKSPACE_SAMPLES,
+                                CONNECTOR_THICKNESS_T, FK_BLOCK,
+                                MAX_WORKSPACE_SAMPLES,
                                 SEGMENT_LENGTH, CcSegment, FingerChain,
                                 cc_transform, dex_joint, dex_rot_chain,
                                 finger_fk, finger_fk_batch, hull_volume,
@@ -346,6 +349,42 @@ def test_workspace_matches_per_sample_reference(n):
         got = workspace(chain, samples_per_axis=n).points
         assert got.shape == expect.shape
         assert np.abs(got - expect).max() < 1e-12
+
+
+def _three_joint_chain():
+    return FingerChain(joints=[rot_joint(), dex_joint(), rot_joint()])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("chain_index", range(5))
+def test_workspace_is_the_whole_grid_batch_bit_for_bit(chain_index, n):
+    # workspace evaluates each joint's arcs once on its own grid and
+    # composes them by index; every point must keep the bytes of the
+    # plain batch over the whole grid, in the same order.
+    chain = ([dex_rot_chain(), rot_dex_chain()] + _clamping_chains()
+             + [_three_joint_chain()])[chain_index]
+    expect = finger_fk_batch(chain, _ref_grid(chain, n))[:, :3, 3]
+    assert np.array_equal(workspace(chain, samples_per_axis=n).points, expect)
+
+
+@pytest.mark.parametrize("chain, n", [
+    (dex_rot_chain(), 20), (rot_dex_chain(), 20),
+    (FingerChain(joints=[dex_joint()]), 40), (_three_joint_chain(), 8)])
+def test_workspace_never_holds_the_grid(monkeypatch, chain, n):
+    # Beyond its tip cloud, workspace holds one arc stack per joint after
+    # the base, each on that joint's own grid, and FK_BLOCK-row
+    # temporaries; the hull, whose rank check copies the cloud, is left
+    # out.
+    monkeypatch.setattr(tacgrip.kinematics, "hull_volume", lambda points: 0.0)
+    stacks = sum(n ** j.chamber_count for j in chain.joints[1:]) * 128
+    tracemalloc.start()
+    try:
+        points = workspace(chain, samples_per_axis=n).points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) > 2 * FK_BLOCK
+    assert peak - points.nbytes <= stacks + 2 ** 21
 
 
 @pytest.mark.parametrize("chain_index", range(4))
