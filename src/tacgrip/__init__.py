@@ -30,7 +30,7 @@ _EXPORTS = {
     "episode": ("EpisodeResult", "measure_response_latency", "run_grasp"),
     "errors": ("EmptyMarkerSetError", "InvalidSelectorError",
                "NoDisturbanceError", "NonMonotonicTimeError", "ParseError",
-               "PressureOutOfRangeError", "ScenarioError", "StaleFlagsError",
+               "PressureOutOfRangeError", "StaleFlagsError",
                "TacgripError", "ValidationError", "WorkerError"),
     "kinematics": ("CcSegment", "FingerChain", "JointModel",
                    "WorkspaceResult", "cc_transform", "dex_joint",
@@ -46,7 +46,6 @@ _EXPORTS = {
                  "slip_scenario", "static_scenario", "timeout_scenario"),
     "sensor_sim": ("ContactStimulus", "SensorModel", "displace_markers",
                    "nominal_grid", "render_frame"),
-    "tactile": (),  # a submodule with no public name of its own
     "tracking": ("ContactTrack", "read_track_csv", "track_displacement",
                  "write_track_csv"),
 }

@@ -34,7 +34,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import check_range
-from .tactile import check_frame
+from .pgm import check_frame
 
 # Gaussian filter support in units of sigma.
 _TRUNCATE = 3.0
@@ -261,7 +261,7 @@ def detect_markers(frame, config=None, window=None):
     whole frame is searched. Deterministic for a given frame and config.
     An empty MarkerSet is a valid result (blank frame). A frame that is
     not a 2-D uint8 array with a pixel raises ValueError (see
-    `tactile.check_frame`).
+    `pgm.check_frame`).
     """
     config = config or DetectorConfig()
     check_frame(frame)

@@ -27,8 +27,7 @@ from scipy import ndimage
 from scipy.linalg.blas import dgemm
 
 from .errors import EmptyMarkerSetError, check_range
-from .pgm import write_pgm
-from .tactile import FRAME_HEIGHT, FRAME_WIDTH
+from .pgm import FRAME_HEIGHT, FRAME_WIDTH, write_pgm
 
 # Kernel support cut-off in units of h. The relative tail beyond 6h is
 # exp(-18) ~ 1.5e-8, which satisfies the >6h tail bound outright, and on
@@ -176,7 +175,7 @@ def marker_support_box(markers, margin, width, height):
     y0 = max(math.ceil(c[:, 1].min() + margin), 0)
     y1 = min(math.floor(c[:, 1].max() - margin) + 1, height)
     if x0 >= x1 or y0 >= y1:
-        raise ValueError("support mask is empty; margin too large for the grid")
+        raise ValueError("support box is empty; margin too large for the grid")
     return (x0, y0, x1, y1)
 
 

@@ -14,7 +14,7 @@ own, as each camera on the gripper streams on its own. A `FingerStep`
 holds one finger's `FrameStream` and calibrated `FingerPipeline`, and a
 call renders and perceives that finger's frame at one instant: a sensor,
 time in, contact center out. `run_grasp` calibrates both pipelines
-itself, so a rejected calibration frame raises `ScenarioError` before
+itself, so a rejected calibration frame raises `ValidationError` before
 any worker starts, then forks one worker per step. Little crosses the
 pipe: the parent sends each control instant's time, and the worker
 answers with the contact center, or None. The parent sends the next
@@ -54,8 +54,7 @@ from typing import Dict, List, Tuple
 from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
                       McuEmulator, Phase, classify_frame, encode_frame,
                       has_fresh_contact, measure_valve_response)
-from .errors import (NoDisturbanceError, ScenarioError, ValidationError,
-                     WorkerError)
+from .errors import NoDisturbanceError, ValidationError, WorkerError
 from .perception import FingerPipeline
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import FrameStream, displace_markers, render_frame
@@ -157,7 +156,7 @@ class FingerStep:
 def finger_steps(scenario, frames_dir=None):
     """Both fingers' `FingerStep`s: each pipeline calibrated on a
     noise-free rest frame, then each stream opened (writing its frames
-    to frames_dir, if given). Raises ScenarioError naming the finger
+    to frames_dir, if given). Raises ValidationError naming the finger
     whose calibration frame is rejected."""
     pipelines = {}
     ref_model = replace(scenario.sensor, noise_sigma=0.0)
@@ -172,7 +171,7 @@ def finger_steps(scenario, frames_dir=None):
         try:
             pipe.calibrate(ref)
         except ValidationError as exc:
-            raise ScenarioError(f"finger {finger}: {exc}") from None
+            raise ValidationError(f"finger {finger}: {exc}") from None
         pipelines[finger] = pipe
     return {finger: FingerStep(scenario, pipe,
                                FrameStream(scenario.sensor, finger, frames_dir))
@@ -313,16 +312,13 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     also writes episode.csv, plant.csv, per-finger track CSVs and a run
     manifest, and with save_frames the streams write each frame, as they
     render it, to out_dir/frames. Raises ValueError for save_frames
-    without an out_dir, ScenarioError for an invalid scenario or a
+    without an out_dir, ValidationError for an invalid scenario or a
     rejected calibration frame, and WorkerError naming the finger whose
     worker raised or ended.
     """
     if save_frames and out_dir is None:
         raise ValueError("save_frames needs an out_dir to write the frames to")
-    try:
-        scenario.validate()
-    except ValidationError as exc:
-        raise ScenarioError(str(exc))
+    scenario.validate()
 
     plant = PneumaticPlant(scenario.plant)
     mcu = McuEmulator(plant)

@@ -32,10 +32,6 @@ class NoDisturbanceError(TacgripError):
     """Episode trace contains no disturbance event to measure."""
 
 
-class ScenarioError(TacgripError):
-    """Malformed scenario handed to the episode runner."""
-
-
 class WorkerError(TacgripError):
     """A finger's worker process raised or ended during an episode."""
 

@@ -314,11 +314,11 @@ def _grid_arcs(joint, axis, start, stop):
 
 
 def hull_volume(points):
-    """Convex-hull volume; 0 when the cloud has no 3-D extent. Qhull
-    takes coincident points as they are."""
+    """Convex-hull volume; 0 for fewer than four points or when Qhull
+    finds the cloud flat (a line, a plane). Qhull takes coincident
+    points as they are, and may give a sliver of volume, not 0, to a
+    plane whose points stray from it by rounding error."""
     if points.shape[0] < 4:
-        return 0.0
-    if np.linalg.matrix_rank(points - points[0], tol=1e-9) < 3:
         return 0.0
     try:
         return float(ConvexHull(points).volume)

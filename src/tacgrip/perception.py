@@ -44,7 +44,7 @@ from .control import CONTROL_PERIOD_S
 from .density import (ContactRegion, KdeConfig, calibrate_threshold,
                       estimate_density, extract_contact, marker_support_box)
 from .errors import ValidationError, check_range
-from .tactile import check_frame
+from .pgm import check_frame
 
 # Working threshold = ratio * (support-box density minimum of the
 # no-contact reference frame). 0.8 keeps a 20% guard band below the

@@ -1,4 +1,9 @@
-"""Binary PGM (P5, 8-bit) reading and writing.
+"""Tactile frames, and binary PGM (P5, 8-bit) reading and writing.
+
+A frame is a (height, width) uint8 array of grayscale intensities, as a
+camera delivers it, of a fixed working size (640x480 by default). It
+carries no time or finger: each finger's pipeline reads its own camera,
+and the caller knows when it asked for the frame.
 
 Frame streams on disk are directories of files named
 ``frame_<finger>_<seq>.pgm``; density heatmaps use the same container with
@@ -12,7 +17,24 @@ import numpy as np
 
 from .errors import plain_int
 
+FRAME_WIDTH = 640
+FRAME_HEIGHT = 480
+
 _FRAME_RE = re.compile(r"^frame_(\d+)_(\d+)\.pgm$")
+
+
+def check_frame(pixels):
+    """Raise ValueError unless `pixels` is a 2-D uint8 array with at
+    least one pixel."""
+    if pixels.ndim != 2:
+        raise ValueError("frame pixels must be 2-D")
+    # A float frame would be read on the wrong scale, and its NaN or
+    # out-of-range values have no byte to stand for them.
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"frame pixels must be uint8 intensities, got "
+                         f"dtype {pixels.dtype}")
+    if pixels.size == 0:
+        raise ValueError(f"frame has no pixel: its shape is {pixels.shape}")
 
 
 def write_pgm(path, image, comment=None):

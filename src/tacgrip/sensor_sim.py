@@ -17,8 +17,7 @@ from scipy.special import ndtri
 
 from .blobs import MarkerSet
 from .errors import check_range
-from .pgm import frame_filename, write_pgm
-from .tactile import FRAME_HEIGHT, FRAME_WIDTH
+from .pgm import FRAME_HEIGHT, FRAME_WIDTH, frame_filename, write_pgm
 
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5

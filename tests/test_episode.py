@@ -5,7 +5,7 @@ import pytest
 from tacgrip.control import CommandKind, McuEmulator, Phase
 from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
                              run_grasp)
-from tacgrip.errors import NoDisturbanceError, ScenarioError
+from tacgrip.errors import NoDisturbanceError, ValidationError
 from tacgrip.pgm import iter_frame_files
 from tacgrip.scenario import (Scenario, slip_scenario, static_scenario,
                               timeout_scenario)
@@ -137,7 +137,7 @@ def test_no_disturbance_to_measure(static_run, timeout_run):
 
 
 def test_invalid_scenario_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValidationError):
         run_grasp(Scenario(duration_s=-1.0))
 
 
@@ -145,12 +145,12 @@ def test_calibration_failure_is_a_scenario_error():
     # both used to escape from run_grasp as bare errors of the pipeline
     sc = static_scenario(duration=0.1)
     sc.detector = dataclasses.replace(sc.detector, threshold_abs=2.83)
-    with pytest.raises(ScenarioError,
+    with pytest.raises(ValidationError,
                        match="finger 1: calibration frame shows no markers"):
         run_grasp(sc)
     sc = static_scenario(duration=0.1)
     sc.sensor = dataclasses.replace(sc.sensor, grid_rows=2)
-    with pytest.raises(ScenarioError, match="calibration frame: support"):
+    with pytest.raises(ValidationError, match="calibration frame: support"):
         run_grasp(sc)
 
 

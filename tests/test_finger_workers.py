@@ -17,7 +17,7 @@ from tacgrip.control import (CONTROL_PERIOD_TICKS, GraspSupervisor,
 from tacgrip.episode import (RELEASE_GRACE_S, EpisodeResult, _fmt,
                              _pin_blas_to_one_thread, _serve, _write_outputs,
                              run_grasp)
-from tacgrip.errors import ScenarioError, ValidationError, WorkerError
+from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
 from tacgrip.plant import TICK_S, PneumaticPlant
 from tacgrip.scenario import (CANNED, Scenario, StimulusEvent,
@@ -33,10 +33,7 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
     other. Kept as the reference the workers must reproduce."""
     if save_frames and out_dir is None:
         raise ValueError("save_frames needs an out_dir to write the frames to")
-    try:
-        scenario.validate()
-    except ValidationError as exc:
-        raise ScenarioError(str(exc))
+    scenario.validate()
 
     plant = PneumaticPlant(scenario.plant)
     mcu = McuEmulator(plant)
@@ -58,7 +55,7 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
         try:
             pipe.calibrate(ref)
         except ValidationError as exc:
-            raise ScenarioError(f"finger {finger}: {exc}") from None
+            raise ValidationError(f"finger {finger}: {exc}") from None
         pipelines[finger] = pipe
     tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
 
@@ -288,7 +285,7 @@ def test_a_rejected_calibration_starts_no_worker(deadline, monkeypatch):
     monkeypatch.setattr(tacgrip.episode, "_FingerWorkers", never)
     sc = static_scenario(duration=0.1)
     sc.detector = dataclasses.replace(sc.detector, threshold_abs=2.83)
-    with pytest.raises(ScenarioError, match="finger 1: calibration frame"):
+    with pytest.raises(ValidationError, match="finger 1: calibration frame"):
         run_grasp(sc)
 
 

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import tacgrip.kinematics
 from tacgrip.errors import PressureOutOfRangeError
 from tacgrip.kinematics import (ACTUATOR_LENGTH_H, ANGLE_LIMIT_DEG,
                                 CONNECTOR_THICKNESS_T, FK_BLOCK,
@@ -370,12 +369,10 @@ def test_workspace_is_the_whole_grid_batch_bit_for_bit(chain_index, n):
 @pytest.mark.parametrize("chain, n", [
     (dex_rot_chain(), 20), (rot_dex_chain(), 20),
     (FingerChain(joints=[dex_joint()]), 40), (_three_joint_chain(), 8)])
-def test_workspace_never_holds_the_grid(monkeypatch, chain, n):
-    # Beyond its tip cloud, workspace holds one arc stack per joint after
-    # the base, each on that joint's own grid, and FK_BLOCK-row
-    # temporaries; the hull, whose rank check copies the cloud, is left
-    # out.
-    monkeypatch.setattr(tacgrip.kinematics, "hull_volume", lambda points: 0.0)
+def test_workspace_never_holds_the_grid(chain, n):
+    # Beyond its tip cloud, workspace, hull volume included, holds one
+    # arc stack per joint after the base, each on that joint's own grid,
+    # and FK_BLOCK-row temporaries.
     stacks = sum(n ** j.chamber_count for j in chain.joints[1:]) * 128
     tracemalloc.start()
     try:

@@ -14,8 +14,7 @@ import tacgrip
 
 SRC = Path(tacgrip.__file__).resolve().parent.parent
 
-# The package's public names, by the submodule that defines each; the
-# tactile submodule defines none.
+# The package's public names, by the submodule that defines each.
 HOMES = {
     "blobs": {"DetectorConfig", "MarkerSet", "detect_markers"},
     "control": {"CONTROL_PERIOD_S", "CommandKind", "ControlThresholds",
@@ -29,7 +28,7 @@ HOMES = {
     "episode": {"EpisodeResult", "measure_response_latency", "run_grasp"},
     "errors": {"EmptyMarkerSetError", "InvalidSelectorError",
                "NoDisturbanceError", "NonMonotonicTimeError", "ParseError",
-               "PressureOutOfRangeError", "ScenarioError", "StaleFlagsError",
+               "PressureOutOfRangeError", "StaleFlagsError",
                "TacgripError", "ValidationError", "WorkerError"},
     "kinematics": {"CcSegment", "FingerChain", "JointModel",
                    "WorkspaceResult", "cc_transform", "dex_joint",
@@ -45,7 +44,6 @@ HOMES = {
                  "slip_scenario", "static_scenario", "timeout_scenario"},
     "sensor_sim": {"ContactStimulus", "SensorModel", "displace_markers",
                    "nominal_grid", "render_frame"},
-    "tactile": set(),
     "tracking": {"ContactTrack", "read_track_csv", "track_displacement",
                  "write_track_csv"},
 }
@@ -54,8 +52,8 @@ EXPORTED = set().union(*HOMES.values())
 
 
 def test_all_lists_the_exported_names_once():
-    assert len(SUBMODULES) == 13
-    assert sum(map(len, HOMES.values())) == len(EXPORTED) == 84
+    assert len(SUBMODULES) == 12
+    assert sum(map(len, HOMES.values())) == len(EXPORTED) == 83
     assert len(tacgrip.__all__) == len(set(tacgrip.__all__))
     assert set(tacgrip.__all__) == EXPORTED
 
@@ -76,6 +74,14 @@ def test_unknown_name_raises_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match=r"'tacgrip'.*no_such_name"):
         tacgrip.no_such_name
     assert not hasattr(tacgrip, "no_such_name")
+
+
+def test_every_submodule_is_the_home_of_a_public_name():
+    assert all(tacgrip._EXPORTS.values())
+    assert tacgrip._EXPORTS.keys() == HOMES.keys()
+    for gone in ("tactile", "ScenarioError"):
+        with pytest.raises(AttributeError, match=gone):
+            getattr(tacgrip, gone)
 
 
 def test_star_import_binds_every_exported_name():

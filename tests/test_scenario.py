@@ -10,7 +10,7 @@ from tacgrip.blobs import DetectorConfig
 from tacgrip.control import ControlThresholds
 from tacgrip.density import KdeConfig
 from tacgrip.episode import run_grasp
-from tacgrip.errors import ParseError, ScenarioError, ValidationError
+from tacgrip.errors import ParseError, ValidationError
 from tacgrip.plant import PlantConfig
 from tacgrip.scenario import (CANNED, Scenario, StimulusEvent, load_scenario,
                               parse_scenario_text, poke_scenario,
@@ -425,7 +425,7 @@ def test_fuzzed_scenarios_fail_at_the_door_or_run():
     for key in random.Random(8).sample(sorted(valid), 8):
         try:
             run_grasp(valid[key])
-        except ScenarioError as exc:
+        except ValidationError as exc:
             assert "calibration frame" in str(exc)
 
 
@@ -451,6 +451,6 @@ def test_fuzzed_events_are_rendered_or_fail_at_the_door():
         rendered += any(ev.time < mutant.duration_s for ev in mutant.events)
         try:
             run_grasp(mutant)
-        except ScenarioError as exc:
+        except ValidationError as exc:
             assert "calibration frame" in str(exc)
     assert rendered >= 6

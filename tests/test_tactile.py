@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tacgrip as tg
-from tacgrip.tactile import check_frame
+from tacgrip.pgm import check_frame
 
 
 def test_check_frame_checks_shape_and_dtype():
