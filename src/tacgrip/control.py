@@ -13,6 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from .errors import NoDisturbanceError, StaleFlagsError, check_range
 from .plant import N_CHAMBERS, TICK_S
@@ -65,8 +66,10 @@ class FlagKind(Enum):
     NO_CONTACT = "NoContact"
 
 
-@dataclass(frozen=True)
-class PerceptionFlag:
+class PerceptionFlag(NamedTuple):
+    """One finger's classification at a control instant: immutable,
+    hashable and compared field by field, as a tuple is."""
+
     finger_id: int
     kind: FlagKind
     timestamp: float
@@ -119,8 +122,8 @@ def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
     Regrasp: latest D > T2. DisturbanceOccured: latest D in (T1, T2].
     StableGrasp: every D in the trailing stability window is <= T1
     (inclusive) and the window is fully populated. NoContact otherwise.
-    A call costs O(log N + W) for a track of N samples with W of them in
-    the stability window, however long the track.
+    A call costs O(log N) for a track of N samples, whatever the length
+    of the stability window.
     """
     t1, t2 = thresholds.t1_mm, thresholds.t2_mm
 
@@ -145,17 +148,18 @@ def _window_stable(track, thresholds, now, control_period):
 
     Displacement i belongs to timestamps[i + 1]. ContactTrack.append
     keeps timestamps strictly increasing and displacements finite, so
-    the first in-window sample is found by bisection, and only the
-    samples inside the window are read, by one max. An empty window
-    holds no violation.
+    the first in-window sample is found by bisection, and the window's
+    largest displacement by the track's suffix-maximum index
+    (ContactTrack.max_displacement_from). An empty window holds no
+    violation.
     """
     window = thresholds.stability_window_s
     times, disps = track.timestamps, track.displacements
     if not disps or now - times[1] < window - _EPS:
         return False
     lo = bisect.bisect_right(times, now - window - _EPS, 1) - 1
-    t1 = thresholds.t1_mm
-    if max(disps[lo:], default=t1) > t1:
+    peak = track.max_displacement_from(lo)
+    if peak is not None and peak > thresholds.t1_mm:
         return False
     needed = int(math.ceil(thresholds.window_coverage * window / control_period))
     return len(disps) - lo >= needed

@@ -13,17 +13,18 @@ Each finger's camera and perception run in a worker process of their
 own, as each camera on the gripper streams on its own. A `FingerStep`
 holds one finger's `FrameStream` and calibrated `FingerPipeline`, and a
 call renders and perceives that finger's frame at one instant: a sensor,
-time in, contact center out. `run_grasp` calibrates both pipelines
-itself, so a rejected calibration frame raises `ValidationError` before
-any worker starts, then forks one worker per step. Little crosses the
-pipe: the parent sends each control instant's time, and the worker
-answers with the contact center, or None. The parent sends the next
-instant as soon as it has handled one, so the workers perceive it while
-the plant ticks; it sends only instants the loop will read, so nothing
-is rendered ahead. Frames, fields and markers stay in the worker. The
-parent keeps both contact tracks, classifies them and checks their
-freshness, and keeps the supervisor, MCU, plant and trace rows, so the
-rows are those of a serial loop byte for byte.
+time in, contact center out. `run_grasp` calibrates the pipelines
+itself, once for both fingers (`finger_steps`), so a rejected
+calibration frame raises `ValidationError` before any worker starts,
+then forks one worker per step. Little crosses the pipe: the parent
+sends each control instant's time, and the worker answers with the
+contact center, or None. The parent sends the next instant as soon as it
+has handled one, so the workers perceive it while the plant ticks; it
+sends only instants the loop will read, so nothing is rendered ahead.
+Frames, fields and markers stay in the worker. The parent keeps both
+contact tracks, classifies them and checks their freshness, and keeps
+the supervisor, MCU, plant and trace rows, so the rows are those of a
+serial loop byte for byte.
 Perception is about 95% of an episode and the fingers' shares are
 independent: on a 2-core VM a static grasp ran 1.8x as many control
 periods per second with one BLAS thread, and about 1.5x at default
@@ -154,25 +155,25 @@ class FingerStep:
 
 
 def finger_steps(scenario, frames_dir=None):
-    """Both fingers' `FingerStep`s: each pipeline calibrated on a
-    noise-free rest frame, then each stream opened (writing its frames
-    to frames_dir, if given). Raises ValidationError naming the finger
-    whose calibration frame is rejected."""
-    pipelines = {}
+    """Both fingers' `FingerStep`s, each stream opened (writing its frames
+    to frames_dir, if given). Finger 1's pipeline is calibrated on a
+    noise-free rest frame, and finger 2's takes its frozen values: with
+    no noise the finger keys no random draw, so both fingers' rest
+    frames are the same bytes, seen through the same detector and KDE
+    settings. Raises ValidationError naming finger 1 when the
+    calibration frame is rejected."""
+    pipelines = {finger: FingerPipeline(
+        finger, kde_config=scenario.kde, detector_config=scenario.detector,
+        calibration_ratio=scenario.calibration_ratio) for finger in (1, 2)}
     ref_model = replace(scenario.sensor, noise_sigma=0.0)
-    for finger in (1, 2):
-        pipe = FingerPipeline(
-            finger, kde_config=scenario.kde,
-            detector_config=scenario.detector,
-            calibration_ratio=scenario.calibration_ratio,
-        )
-        ref = render_frame(displace_markers(ref_model, None), ref_model,
-                           finger_id=finger, seq=0)
-        try:
-            pipe.calibrate(ref)
-        except ValidationError as exc:
-            raise ValidationError(f"finger {finger}: {exc}") from None
-        pipelines[finger] = pipe
+    ref = render_frame(displace_markers(ref_model, None), ref_model,
+                       finger_id=1, seq=0)
+    try:
+        pipelines[1].calibrate(ref)
+    except ValidationError as exc:
+        raise ValidationError(f"finger 1: {exc}") from None
+    for name in ("size", "support", "window", "threshold"):
+        setattr(pipelines[2], name, getattr(pipelines[1], name))
     return {finger: FingerStep(scenario, pipe,
                                FrameStream(scenario.sensor, finger, frames_dir))
             for finger, pipe in pipelines.items()}

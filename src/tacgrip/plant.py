@@ -109,8 +109,8 @@ class PneumaticPlant:
     limits it started in), and after a tick on which the safety loop
     turns both pumps off, no tank moves again, so the loop is not run
     again and both pump flags stay False. A tick with nothing to update
-    tests the queue head and advances the tick; it reads and writes no
-    array.
+    (pumps idle, no chamber in `_open`, no command landing) advances the
+    tick and returns first; it reads nothing else and writes no array.
 
     Both rules rest on one contract: a caller may set `state` before the
     first step, but once stepping has begun, the plant changes only
@@ -195,13 +195,16 @@ class PneumaticPlant:
 
     def step(self):
         """Advance exactly one tick of TICK_S seconds."""
-        cfg = self.config
-        state = self.state
         self.tick += 1
         now = self.tick
+        queue = self._queue
+        if (self._pumps_idle and not self._open
+                and not (queue and queue[0][0] <= now)):
+            return self.state
+        cfg = self.config
+        state = self.state
 
         # Deliver the valve commands landing now in (due, fifo) order.
-        queue = self._queue
         rescan = False
         if queue and queue[0][0] <= now:
             valves = state.valve_states

@@ -144,6 +144,14 @@ def disk_coverage(markers, model):
     return coverage
 
 
+def _noise_bytes(rng, n):
+    """np.frombuffer(rng.bytes(n), np.uint8) by numpy's own definition of
+    Generator.bytes (little-endian uint32 draws, cut to n bytes), without
+    the two copies that bytes and frombuffer make."""
+    return (rng.integers(0, 2**32, size=(n + 3) // 4, dtype=np.uint32)
+            .astype("<u4", copy=False).view(np.uint8)[:n])
+
+
 def _frame(coverage, model, finger_id, seq):
     """The frame of `disk_coverage` counts; see `render_frame`."""
     share = np.arange(17) / 16.0
@@ -155,8 +163,7 @@ def _frame(coverage, model, finger_id, seq):
         noise = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
         # Flat index (k << 8) | byte into the (17, 256) table.
         index = coverage.astype(np.uint16) << 8
-        index |= np.frombuffer(rng.bytes(coverage.size),
-                               dtype=np.uint8).reshape(coverage.shape)
+        index |= _noise_bytes(rng, coverage.size).reshape(coverage.shape)
     else:
         noise = np.zeros(1, dtype=np.float32)
         index = coverage

@@ -6,10 +6,9 @@ mm through the pixel scale, is the controller's core signal.
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Tuple
-
-import numpy as np
 
 from .errors import NonMonotonicTimeError, plain_float
 
@@ -22,12 +21,24 @@ class ContactTrack:
     centers[i+1], so it belongs to timestamps[i+1]. A single-entry track
     has no displacement yet. Values are finite and timestamps strictly
     increase: append, the one way a track grows, enforces both.
+
+    The lists grow only through append, or are set once before the
+    first classify: the suffix-maximum index behind
+    max_displacement_from covers what append added and what was set
+    before its first call, and is rebuilt only when the displacements
+    list has become shorter. An entry changed in place after that is
+    not seen.
     """
 
     finger_id: int = 1
     timestamps: List[float] = field(default_factory=list)
     centers: List[Tuple[float, float]] = field(default_factory=list)
     displacements: List[float] = field(default_factory=list)
+    # Suffix-maximum index: the indices of the displacements greater
+    # than every later one, so their values strictly decrease. The last
+    # entry is the last displacement indexed.
+    _peaks: List[int] = field(default_factory=list, init=False, repr=False,
+                              compare=False)
 
     def __len__(self):
         return len(self.centers)
@@ -56,6 +67,31 @@ class ContactTrack:
         self.centers.append((x, y))
         if d is not None:
             self.displacements.append(d)
+            self._index_peaks()
+
+    def _index_peaks(self):
+        """Add the displacements not yet indexed to _peaks; rebuild it
+        when the list has become shorter than what it indexed."""
+        disps, peaks = self.displacements, self._peaks
+        start = peaks[-1] + 1 if peaks else 0
+        if start > len(disps):
+            peaks.clear()
+            start = 0
+        for i in range(start, len(disps)):
+            d = disps[i]
+            while peaks and disps[peaks[-1]] <= d:
+                peaks.pop()
+            peaks.append(i)
+
+    def max_displacement_from(self, lo):
+        """max(displacements[lo:]) for lo >= 0, or None when that slice
+        is empty, in O(log N) for a track whose displacements were all
+        indexed: the first suffix maximum at or after lo is the largest
+        value there."""
+        self._index_peaks()
+        peaks = self._peaks
+        k = bisect_left(peaks, lo)
+        return self.displacements[peaks[k]] if k < len(peaks) else None
 
 
 def track_displacement(track, new_center, timestamp, config):
@@ -65,7 +101,15 @@ def track_displacement(track, new_center, timestamp, config):
     d = None
     if track.centers:
         px, py = track.centers[-1]
-        d = config.pixel_scale_s * float(np.hypot(x - px, y - py))
+        # CPython's complex abs calls libm hypot, as np.hypot does, so D
+        # has the same bits without numpy's scalar overhead; math.hypot
+        # has its own algorithm and differs in the last bit on some pairs.
+        # Where hypot overflows, np.hypot gives inf, which append refuses;
+        # complex abs raises instead.
+        try:
+            d = config.pixel_scale_s * abs(complex(x - px, y - py))
+        except OverflowError:
+            d = math.inf
     track.append(timestamp, (x, y), d)
     return track
 

@@ -219,15 +219,19 @@ class _CountingList(list):
             yield item
 
 
-def _reads_for(n, violation_at=None):
-    disps = [0.0] * n
-    if violation_at is not None:
-        disps[violation_at] = 1.0
-    track = make_track(disps)
+def _reads_for(n, violation_at=None, thresholds=TH):
+    """The flag and the track reads of one classify on a track of n
+    displacements grown by ContactTrack.append, as the grasp loop grows
+    it."""
+    track = ContactTrack(finger_id=1)
+    track.append(0.0, (320.0, 240.0))
+    for i in range(n):
+        track.append((i + 1) * DT, (320.0, 240.0),
+                     1.0 if i == violation_at else 0.0)
     track.timestamps = _CountingList(track.timestamps)
     track.displacements = _CountingList(track.displacements)
     _CountingList.reads = 0
-    flag = classify_frame(track, TH, track.timestamps[-1] + DT)
+    flag = classify_frame(track, thresholds, track.timestamps[-1] + DT)
     return flag.kind, _CountingList.reads - 1  # minus the read for `now`
 
 
@@ -244,6 +248,19 @@ def test_classify_reads_only_the_window():
     # the reads do not grow with the track
     assert _reads_for(100_000)[1] - _reads_for(1_000)[1] \
         <= 2 * math.ceil(math.log2(100_000))
+
+
+def test_classify_reads_do_not_grow_with_the_window():
+    reads = {}
+    for window in (0.5, 30.0):
+        th = ControlThresholds(stability_window_s=window)
+        for violation_at in (None, 5_000 - 10):
+            kind, reads[window, violation_at] = _reads_for(
+                5_000, violation_at, th)
+            assert kind == (FlagKind.STABLE_GRASP if violation_at is None
+                            else FlagKind.NO_CONTACT)
+    for violation_at in (None, 5_000 - 10):
+        assert reads[30.0, violation_at] - reads[0.5, violation_at] <= 2, reads
 
 
 def test_threshold_validation():

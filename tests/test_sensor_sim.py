@@ -312,6 +312,15 @@ def test_render_frame_bytes_keyed_by_seed(nominal_model):
     assert c.tobytes() == _float_render(markers, other, 2, 11).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 307_200])
+def test_noise_bytes_are_the_generators_bytes(n):
+    for key in ((0, 1, 0), (5, 2, 11), (123456789, 1, 9999), (7,)):
+        got = tacgrip.sensor_sim._noise_bytes(np.random.default_rng(key), n)
+        want = np.frombuffer(np.random.default_rng(key).bytes(n), np.uint8)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == want.tobytes(), key
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -356,8 +365,8 @@ def test_run_grasp_computes_coverage_once_per_layout_change(monkeypatch):
             assert frame.tobytes() == tg.render_frame(
                 markers, model, finger, seq).tobytes()
     assert changes == 4
-    # one stamp per layout change, plus each finger's calibration frame
-    assert stamped == changes + 2
+    # one stamp per layout change, plus the one calibration frame
+    assert stamped == changes + 1
 
 
 def test_write_frames_computes_coverage_once_per_repeat(

@@ -289,3 +289,81 @@ def test_append_matches_the_old_growth_paths(tmp_path):
     assert read_kinds == {"track", ValueError}
     assert set(differences) == {"non-finite timestamp refused",
                                 "non-finite center reported first"}
+
+
+# -- D through complex abs: libm hypot, bit for bit ---------------------------
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+            2.2250738585072014e-308, 1.0, -3.0, 1e308, -1e308,
+            math.inf, -math.inf]
+
+
+def test_complex_abs_is_numpys_hypot():
+    """track_displacement's abs(complex(dx, dy)) and np.hypot(dx, dy) both
+    call libm hypot; on a platform where they differ, D's bits change."""
+    rng = np.random.default_rng(20261019)
+    for scale in (1.0, 640.0, 1e-3, 1e150):
+        pairs = rng.normal(0.0, scale, size=(250_000, 2))
+        want = np.hypot(pairs[:, 0], pairs[:, 1])
+        got = np.array([abs(complex(dx, dy)) for dx, dy in pairs.tolist()])
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (
+            f"scale {scale}: {bad.size} pairs differ, first "
+            f"{pairs[bad[0]].tolist()}: {got[bad[0]]!r} != {want[bad[0]]!r}")
+    for dx in _SPECIAL:
+        for dy in _SPECIAL:
+            got = abs(complex(dx, dy))
+            want = float(np.hypot(dx, dy))
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want, (dx, dy, got, want)
+
+
+def test_overflowing_displacement_is_refused_as_before():
+    track = track_displacement(ContactTrack(), (0.0, 0.0), 0.0, CFG)
+    with pytest.raises(ValueError, match="d_mm inf is not finite"):
+        track_displacement(track, (1.5e308, 1.5e308), 0.1, CFG)
+    assert len(track) == 1
+
+
+# -- the suffix-maximum index -------------------------------------------------
+
+def _index_cases():
+    rng = random.Random(77)
+    yield [rng.choice([0.0, 0.25, 0.5, 1.0, 7.0]) for _ in range(300)]
+    yield [rng.uniform(0.0, 3.0) for _ in range(300)]
+    yield [0.5] * 200
+    yield [float(300 - i) for i in range(300)]
+    yield [float(i) for i in range(300)]
+    yield [1.0]
+    yield []
+
+
+def _check_index(track, disps):
+    for lo in range(len(disps) + 2):
+        assert track.max_displacement_from(lo) == max(disps[lo:], default=None)
+
+
+def test_max_displacement_from_is_the_suffix_max():
+    for disps in _index_cases():
+        n = len(disps)
+        times = [0.1 * i for i in range(n + 1)]
+        centers = [(320.0, 240.0)] * (n + 1)
+        appended = ContactTrack()
+        for i, t in enumerate(times):
+            appended.append(t, centers[i], disps[i - 1] if i else None)
+        _check_index(appended, disps)
+        given = ContactTrack(timestamps=times, centers=centers,
+                             displacements=list(disps))
+        _check_index(given, disps)
+        # a constructor-built track grown on by append, queried between
+        half = n // 2
+        mixed = ContactTrack(timestamps=times[:half + 1],
+                             centers=centers[:half + 1],
+                             displacements=disps[:half])
+        _check_index(mixed, disps[:half])
+        for i in range(half + 1, n + 1):
+            mixed.append(times[i], centers[i], disps[i - 1])
+        _check_index(mixed, disps)
+        # a shorter list assigned after a query rebuilds the index
+        given.displacements = disps[:n // 3]
+        _check_index(given, disps[:n // 3])
