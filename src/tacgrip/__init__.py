@@ -28,10 +28,8 @@ _EXPORTS = {
                 "calibrate_threshold", "estimate_density", "extract_contact",
                 "marker_support_box", "write_density_pgm"),
     "episode": ("EpisodeResult", "measure_response_latency", "run_grasp"),
-    "errors": ("EmptyMarkerSetError", "InvalidSelectorError",
-               "NoDisturbanceError", "NonMonotonicTimeError", "ParseError",
-               "PressureOutOfRangeError", "StaleFlagsError",
-               "TacgripError", "ValidationError", "WorkerError"),
+    "errors": ("NoDisturbanceError", "ParseError", "TacgripError",
+               "ValidationError", "WorkerError"),
     "kinematics": ("CcSegment", "FingerChain", "JointModel",
                    "WorkspaceResult", "cc_transform", "dex_joint",
                    "dex_rot_chain", "finger_fk", "hull_volume",

@@ -30,10 +30,9 @@ def _cmd_grasp(args):
 
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario.seed = args.seed
         scenario.sensor = replace(scenario.sensor, seed=args.seed)
     result = run_grasp(scenario, out_dir=args.out, save_frames=args.save_frames)
-    print(f"scenario {scenario.name} (seed {scenario.seed}): "
+    print(f"scenario {scenario.name} (seed {scenario.sensor.seed}): "
           f"final phase {result.final_phase.value}, "
           f"{len(result.episode_rows)} control ticks")
     tts = result.time_to_stable

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
-from .errors import NoDisturbanceError, StaleFlagsError, check_range
+from .errors import NoDisturbanceError, check_range
 from .plant import N_CHAMBERS, TICK_S
 
 CONTROL_PERIOD_TICKS = 33  # plant ticks per control instant, ~30 Hz frame rate
@@ -217,9 +217,9 @@ class GraspSupervisor:
 
         fresh1/fresh2: whether each finger currently has a fresh contact
         center, by has_fresh_contact. Returns the list of commands to put
-        on the wire this period: none once Released. Raises
-        StaleFlagsError, changing nothing, when either flag is more than
-        two control periods old.
+        on the wire this period: none once Released. Raises ValueError,
+        changing nothing, when either flag is more than two control
+        periods old.
 
         Flag priority: a Regrasp flag on either finger (a slip) outranks
         a DisturbanceOccured flag, which outranks StableGrasp on both
@@ -235,7 +235,7 @@ class GraspSupervisor:
             return []
         for flag in (flag1, flag2):
             if not is_fresh(now - flag.timestamp, self.control_period):
-                raise StaleFlagsError(
+                raise ValueError(
                     f"finger {flag.finger_id} flag is {now - flag.timestamp:.3f}s old"
                 )
         kinds = (flag1.kind, flag2.kind)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.linalg.blas import dgemm
 
-from .errors import EmptyMarkerSetError, check_range
+from .errors import check_range
 from .pgm import FRAME_HEIGHT, FRAME_WIDTH, write_pgm
 
 # Kernel support cut-off in units of h. The relative tail beyond 6h is
@@ -137,7 +137,7 @@ def estimate_density(markers, config=None, width=FRAME_WIDTH,
     centroids = np.asarray(markers.centroids, dtype=np.float64)
     m = centroids.shape[0]
     if m == 0:
-        raise EmptyMarkerSetError("kernel density undefined for zero markers")
+        raise ValueError("kernel density undefined for zero markers")
     # Canonical accumulation order makes the field bit-exactly invariant
     # to marker permutation.
     order = np.lexsort((centroids[:, 0], centroids[:, 1]))
@@ -168,7 +168,7 @@ def marker_support_box(markers, margin, width, height):
     what touches the skin, so contact is read only on the support.
     """
     if len(markers) == 0:
-        raise EmptyMarkerSetError("support box needs at least one marker")
+        raise ValueError("support box needs at least one marker")
     c = markers.centroids
     x0 = max(math.ceil(c[:, 0].min() + margin), 0)
     x1 = min(math.floor(c[:, 0].max() - margin) + 1, width)

@@ -421,7 +421,7 @@ def _write_outputs(result, out_dir):
     digest = hashlib.sha256(text.encode()).hexdigest()
     manifest = [
         f"scenario = {result.scenario.name}",
-        f"seed = {result.scenario.seed}",
+        f"seed = {result.scenario.sensor.seed}",
         f"config_sha256 = {digest}",
         f"package_version = {pkg_version}",
         f"duration_s = {result.scenario.duration_s!r}",

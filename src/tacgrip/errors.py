@@ -8,26 +8,6 @@ class TacgripError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyMarkerSetError(TacgripError):
-    """Density estimation requires at least one marker."""
-
-
-class NonMonotonicTimeError(TacgripError):
-    """Timestamp regressed within a stream that must be strictly increasing."""
-
-
-class PressureOutOfRangeError(TacgripError):
-    """Chamber pressure command outside the actuator limits."""
-
-
-class InvalidSelectorError(TacgripError):
-    """Valve/chamber selector does not address a real chamber."""
-
-
-class StaleFlagsError(TacgripError):
-    """Perception flag older than the supervisor's freshness bound."""
-
-
 class NoDisturbanceError(TacgripError):
     """Episode trace contains no disturbance event to measure."""
 

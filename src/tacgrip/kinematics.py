@@ -17,7 +17,6 @@ from typing import List
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import PressureOutOfRangeError
 from .plant import PRESSURE_MAX, PRESSURE_MIN
 
 
@@ -114,8 +113,7 @@ def pressure_to_cc(joint, pressures):
 
     Bend angles clamp to ANGLE_LIMIT_DEG; zero pressure gives a straight
     segment of SEGMENT_LENGTH. A pressure outside [PRESSURE_MIN,
-    PRESSURE_MAX], NaN and infinities included, raises
-    PressureOutOfRangeError.
+    PRESSURE_MAX], NaN and infinities included, raises ValueError.
     """
     pressures = np.atleast_1d(np.asarray(pressures, dtype=np.float64))
     if pressures.shape != (joint.chamber_count,):
@@ -134,7 +132,7 @@ def _joint_arcs(joint, pressures):
     inside = (pressures >= PRESSURE_MIN) & (pressures <= PRESSURE_MAX)
     if not inside.all():
         p = pressures[~inside][0]
-        raise PressureOutOfRangeError(
+        raise ValueError(
             f"chamber pressure {p} kPa outside "
             f"[{PRESSURE_MIN}, {PRESSURE_MAX}]")
 

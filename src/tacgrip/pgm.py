@@ -20,7 +20,8 @@ from .errors import plain_int
 FRAME_WIDTH = 640
 FRAME_HEIGHT = 480
 
-_FRAME_RE = re.compile(r"^frame_(\d+)_(\d+)\.pgm$")
+# ASCII digits only, as plain_int reads a number everywhere else.
+_FRAME_RE = re.compile(r"frame_([0-9]+)_([0-9]+)\.pgm")
 
 
 def check_frame(pixels):
@@ -122,11 +123,17 @@ def iter_frame_files(directory):
     """Yield (finger_id, seq, path) for frame PGMs in a directory.
 
     Sorted by (finger_id, seq) so streams replay in capture order.
+    Raises ValueError naming both files when two names read as one
+    frame (`frame_1_1.pgm` and `frame_1_000001.pgm`).
     """
     entries = []
     for p in Path(directory).iterdir():
-        m = _FRAME_RE.match(p.name)
+        m = _FRAME_RE.fullmatch(p.name)
         if m:
             entries.append((int(m.group(1)), int(m.group(2)), p))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    entries.sort()
+    for (f1, s1, p1), (f2, s2, p2) in zip(entries, entries[1:]):
+        if (f1, s1) == (f2, s2):
+            raise ValueError(f"{p1} and {p2} are both frame {s1} of "
+                             f"finger {f1}")
     return entries

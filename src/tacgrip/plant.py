@@ -17,7 +17,7 @@ from typing import ClassVar, Tuple
 
 import numpy as np
 
-from .errors import InvalidSelectorError, check_range
+from .errors import check_range
 
 TICK_S = 0.001  # s, the one fixed plant tick; every loop time is whole ticks
 N_CHAMBERS = 8
@@ -183,12 +183,12 @@ class PneumaticPlant:
             try:
                 chambers = [int(c) for c in selector]
             except TypeError:
-                raise InvalidSelectorError(f"bad chamber selector {selector!r}")
+                raise ValueError(f"bad chamber selector {selector!r}")
         if not chambers:
-            raise InvalidSelectorError("empty chamber selector")
+            raise ValueError("empty chamber selector")
         for ch in chambers:
             if not 0 <= ch < N_CHAMBERS:
-                raise InvalidSelectorError(f"chamber index {ch} outside [0, 8)")
+                raise ValueError(f"chamber index {ch} outside [0, 8)")
         return chambers
 
     # -- time side --------------------------------------------------------

@@ -51,7 +51,6 @@ class StimulusEvent:
 @dataclass
 class Scenario:
     name: str = "unnamed"
-    seed: int = 0
     duration_s: float = 10.0
     sensor: SensorModel = field(default_factory=SensorModel)
     kde: KdeConfig = field(default_factory=KdeConfig)
@@ -69,13 +68,6 @@ class Scenario:
 
         # A day of 1 ms ticks; past ~1.8e305 s the tick count overflows.
         check("duration", self.duration_s, lo=0.0, hi=86400.0, lo_open=True)
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if self.sensor.seed != self.seed:
-            # The manifest records the scenario seed; the noise must use it.
-            raise ValidationError(
-                f"sensor seed {self.sensor.seed} differs from scenario "
-                f"seed {self.seed}")
         check("calibration_ratio", self.calibration_ratio, lo=0.0,
               hi=MAX_CALIBRATION_RATIO, lo_open=True)
         check("max_regrasps", self.max_regrasps, lo=0)
@@ -164,7 +156,7 @@ def _show_event(ev):
 # one StimulusEvent to Scenario.events.
 _KEYS = (
     _Key("scenario", "name", None, "name", str, str),
-    _Key("scenario", "seed", None, "seed", plain_int),
+    _Key("scenario", "seed", "sensor", "seed", plain_int),  # the noise seed
     _Key("scenario", "duration", None, "duration_s"),
     _Key("sensor", "grid_rows", "sensor", "grid_rows", plain_int),
     _Key("sensor", "grid_cols", "sensor", "grid_cols", plain_int),
@@ -253,8 +245,6 @@ def parse_scenario_text(text):
 
     base = Scenario()
     kwargs = values.pop(None, {})
-    # The scenario seed also seeds the sensor noise.
-    values.setdefault("sensor", {})["seed"] = kwargs.get("seed", base.seed)
     for owner, fields in values.items():
         try:
             kwargs[owner] = _with_fields(getattr(base, owner), fields)
@@ -302,7 +292,7 @@ def static_scenario(seed=0, depth=3.0, duration=8.0):
         StimulusEvent(time=1.0, finger=1, x=320.0, y=240.0, depth=depth, radius=40.0),
         StimulusEvent(time=1.0, finger=2, x=320.0, y=240.0, depth=depth, radius=40.0),
     ]
-    return Scenario(name="static", seed=seed, duration_s=duration,
+    return Scenario(name="static", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 
@@ -315,7 +305,7 @@ def poke_scenario(seed=0, shift_px=40.0, poke_time=6.0, duration=12.0):
         StimulusEvent(time=poke_time, finger=1, x=320.0 + shift_px, y=240.0,
                       depth=3.0, radius=40.0),
     ]
-    return Scenario(name="poke", seed=seed, duration_s=duration,
+    return Scenario(name="poke", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 
@@ -330,14 +320,14 @@ def slip_scenario(seed=0, slip_px=110.0, slip_time=6.0, duration=15.0):
         StimulusEvent(time=slip_time, finger=2, x=300.0 + slip_px, y=240.0,
                       depth=3.0, radius=40.0),
     ]
-    return Scenario(name="slip", seed=seed, duration_s=duration,
+    return Scenario(name="slip", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 
 def timeout_scenario(seed=0, duration=12.0):
     """Nothing is ever touched: the gripper gives up after the no-contact
     timeout and releases."""
-    return Scenario(name="timeout", seed=seed, duration_s=duration,
+    return Scenario(name="timeout", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=[]).validate()
 
 

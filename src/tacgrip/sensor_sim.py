@@ -52,6 +52,8 @@ class SensorModel:
         check_range("displacement_gain_k", self.displacement_gain_k, lo=0.0,
                     hi=_MAX_GAIN)
         check_range("noise_sigma", self.noise_sigma, lo=0.0)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.spacing <= 2 * self.marker_radius:
             raise ValueError("spacing must exceed the marker diameter")
         span_x = (self.grid_cols - 1) * self.spacing

@@ -10,7 +10,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .errors import NonMonotonicTimeError, plain_float
+from .errors import plain_float
 
 
 @dataclass
@@ -45,9 +45,9 @@ class ContactTrack:
 
     def append(self, timestamp, center, displacement=None):
         """Add a sample; displacement is None on the first, given on
-        every later one. Refuses, changing nothing, a misaligned or
-        non-finite value (ValueError), then a time that does not advance
-        (NonMonotonicTimeError)."""
+        every later one. Raises ValueError, changing nothing, on a
+        misaligned or non-finite value, then on a time that does not
+        advance."""
         t = float(timestamp)
         x, y = float(center[0]), float(center[1])
         d = None if displacement is None else float(displacement)
@@ -61,7 +61,7 @@ class ContactTrack:
                 if v is not None and not math.isfinite(v):
                     raise ValueError(f"{name} {v} is not finite")
         if last is not None and t <= last:
-            raise NonMonotonicTimeError(
+            raise ValueError(
                 f"timestamp {t} does not advance past {last}")
         self.timestamps.append(t)
         self.centers.append((x, y))
@@ -146,6 +146,6 @@ def read_track_csv(path, finger_id=1):
                                  f"got {row}")
             try:
                 track.append(t, (x, y), d)
-            except (ValueError, NonMonotonicTimeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return track

@@ -274,7 +274,7 @@ def test_criterion_7_byte_identical_traces(tmp_path):
     trace files."""
     scn = tmp_path / "det.scn"
     early_contact = Scenario(
-        name="det", seed=3, duration_s=1.0,
+        name="det", duration_s=1.0,
         sensor=SensorModel(seed=3),
         events=[StimulusEvent(time=0.2, finger=1, x=320.0, y=240.0,
                               depth=3.0, radius=40.0),

@@ -239,6 +239,42 @@ def test_analyze_names_a_frame_of_another_size(tmp_path, capsys,
             f"on a 640x480 frame") in err
 
 
+def test_analyze_names_two_files_of_one_frame(tmp_path, capsys,
+                                              nominal_model):
+    frames_dir = tmp_path / "frames"
+    _write_frames(frames_dir, nominal_model,
+                  [displace_markers(nominal_model, None)] * 2, finger_id=1)
+    alias = frames_dir / "frame_1_1.pgm"
+    alias.write_bytes((frames_dir / "frame_1_000001.pgm").read_bytes())
+    out_dir = tmp_path / "analysis"
+    rc = main(["analyze", "--frames", str(frames_dir), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {frames_dir / 'frame_1_000001.pgm'} and {alias} "
+                   f"are both frame 1 of finger 1\n")
+    assert not out_dir.exists()
+
+
+def test_analyze_names_the_frame_whose_time_does_not_advance(
+        tmp_path, capsys, nominal_model):
+    # Past 2**53 two sequence numbers read as one float time.
+    frames_dir = tmp_path / "frames"
+    stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
+    _write_frames(frames_dir, nominal_model,
+                  [displace_markers(nominal_model, None)]
+                  + [displace_markers(nominal_model, stim)] * 2, finger_id=1)
+    late = []
+    for seq in (1, 2):
+        late.append(frames_dir / f"frame_1_{2**53 + seq - 1}.pgm")
+        (frames_dir / f"frame_1_00000{seq}.pgm").rename(late[-1])
+    rc = main(["analyze", "--frames", str(frames_dir),
+               "--out", str(tmp_path / "analysis"), "--period", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {late[1]}: timestamp 9007199254740992.0 does not advance "
+        f"past 9007199254740992.0\n")
+
+
 def test_analyze_empty_dir(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["analyze", "--frames", str(tmp_path / "empty"),

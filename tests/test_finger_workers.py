@@ -172,7 +172,7 @@ def test_canned_runs_equal_the_serial_loop_at_seed_0(name, request,
                                                       serial_canned):
     # the shared session runs are run_grasp's side
     got = request.getfixturevalue(f"{name}_run")
-    assert got.scenario.seed == 0
+    assert got.scenario.sensor.seed == 0
     assert_same_run(got, serial_canned[name, 0])
 
 
@@ -191,7 +191,7 @@ def moving_scenario(seed=4, duration=1.2):
                             radius=40.0)
               for k in range(3, int(duration / period) + 1)
               for finger in (1, 2)]
-    return Scenario(name="moving", seed=seed, duration_s=duration,
+    return Scenario(name="moving", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 

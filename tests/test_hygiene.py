@@ -315,3 +315,52 @@ def other_modules():
 """
     assert _process_importers(source, "m") == {
         "m", "m.by_from", "m.by_dunder", "m.Loader.load"}
+
+
+def _raised_names(source):
+    """Names of what `source` raises: `raise E(...)` or `raise E`, by its
+    name or as an attribute of a module."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                raised.add(exc.attr)
+    return raised
+
+
+def test_every_package_error_is_raised_somewhere():
+    # A class with no raise site is a name for callers to catch that
+    # nothing throws; the fault it named is refused as a sibling error.
+    errors = Path(tacgrip.__file__).parent / "errors.py"
+    classes = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source, _ in _package_sources():
+        raised |= _raised_names(source)
+    assert "ValidationError" in classes
+    assert classes - raised == {"TacgripError"}
+
+
+def test_the_raise_rule_sees_each_way_to_raise():
+    source = """
+def by_call(x):
+    raise ValueError(f"bad {x}")
+def by_name():
+    raise KeyError
+def by_attribute():
+    raise errors.ParseError("line 1")
+def chained():
+    try:
+        pass
+    except OSError as exc:
+        raise RuntimeError("x") from exc
+def names_only():
+    return StopIteration, ValidationError("not raised")
+def re_raises():
+    raise
+"""
+    assert _raised_names(source) == {"ValueError", "KeyError", "ParseError",
+                                     "RuntimeError"}

@@ -90,6 +90,26 @@ def test_iter_frame_files_ordering(tmp_path):
     assert [(f, s) for f, s, _ in got] == [(1, 0), (1, 3), (1, 11), (2, 5)]
 
 
+def test_iter_frame_files_refuses_two_names_for_one_frame(tmp_path):
+    img = np.zeros((2, 2))
+    for name in ("frame_1_000000.pgm", "frame_1_000001.pgm", "frame_1_1.pgm"):
+        write_pgm(tmp_path / name, img)
+    with pytest.raises(ValueError, match="both frame 1 of finger 1") as err:
+        iter_frame_files(tmp_path)
+    assert "frame_1_000001.pgm" in str(err.value)
+    assert "frame_1_1.pgm" in str(err.value)
+
+
+def test_iter_frame_files_reads_ascii_digits_only(tmp_path):
+    img = np.zeros((2, 2))
+    write_pgm(tmp_path / frame_filename(1, 0), img)
+    # Arabic-Indic digit one, and a fullwidth digit in the sequence
+    write_pgm(tmp_path / "frame_\u0661_000000.pgm", img)
+    write_pgm(tmp_path / "frame_2_00000\uff11.pgm", img)
+    got = iter_frame_files(tmp_path)
+    assert [(f, s, p.name) for f, s, p in got] == [(1, 0, "frame_1_000000.pgm")]
+
+
 def test_read_rejects_non_p5(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

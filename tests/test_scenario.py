@@ -34,9 +34,8 @@ event = 2.5 1 360 240 3.0 40 5.0 -2.0
 def test_parse_minimal():
     sc = parse_scenario_text(MINIMAL)
     assert sc.name == "demo"
-    assert sc.seed == 7
     assert sc.duration_s == 5.0
-    assert sc.sensor.seed == 7  # scenario seed feeds the sensor noise
+    assert sc.sensor.seed == 7  # scenario seed is the sensor noise seed
     assert len(sc.events) == 3
     ev = sc.events[-1]
     assert (ev.time, ev.finger, ev.x) == (2.5, 1, 360.0)
@@ -144,6 +143,7 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("section,line", [
     ("scenario", "duration = nan"),
+    ("scenario", "seed = -1"),
     ("plant", "valve_latency = nan"),
     ("plant", "pump_rate = -40"),
     ("plant", "tank_hysteresis = -2"),
@@ -216,7 +216,7 @@ def _every_key_changed():
     """A scenario whose value for every key of the format differs from
     the default."""
     return Scenario(
-        name="every key", seed=4, duration_s=2.5,
+        name="every key", duration_s=2.5,
         sensor=SensorModel(grid_rows=12, grid_cols=16, spacing=18.0,
                            marker_radius=3.5, marker_intensity=0.2,
                            background=0.9, displacement_gain_k=8.5,
@@ -266,15 +266,6 @@ def test_canned_scenario_text_is_pinned():
         text = scenario_to_text(make())
         assert hashlib.sha256(text.encode()).hexdigest() == \
             CANNED_TEXT_SHA256[name], name
-
-
-def test_sensor_seed_must_match_scenario_seed():
-    sc = static_scenario(0)
-    sc.seed = 5
-    with pytest.raises(ValidationError, match="sensor seed 0 differs"):
-        sc.validate()
-    sc.sensor = dataclasses.replace(sc.sensor, seed=5)
-    assert sc.validate() is sc
 
 
 def test_round_trip_preserves_shear(tmp_path):
