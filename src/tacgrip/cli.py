@@ -91,7 +91,7 @@ def _cmd_analyze(args):
         args.calibration_ratio = DEFAULT_CALIBRATION_RATIO
     check_range("--calibration-ratio", args.calibration_ratio, lo=0.0,
                 hi=MAX_CALIBRATION_RATIO, lo_open=True, error=ValidationError)
-    frames = list(iter_frame_files(args.frames))
+    frames = iter_frame_files(args.frames)
     if not frames:
         print(f"no frame_<finger>_<seq>.pgm files in {args.frames}",
               file=sys.stderr)

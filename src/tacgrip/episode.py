@@ -1,13 +1,16 @@
 """Deterministic closed-loop grasp episodes.
 
-One plant tick is 1 ms; every 33rd tick is a control instant: both
-fingers render a synthetic frame from the scenario's stimulus script,
-the perception pipelines turn frames into contact centers, each
-finger's track of centers is classified into a flag, the supervisor
-turns flags into MCU commands, and the MCU queues their valve changes
-on the plant, which applies them after the control delay and valve
-latency. Everything is keyed off the scenario seed and integer ticks,
-so two runs with the same scenario are byte-identical.
+`run_grasp` is the paper's double closed loop: a task loop over control
+instants, 33 ms apart, around the plant's safety loop of 1 ms ticks. At
+each instant both fingers render a frame from the scenario's stimulus
+script, their perception pipelines turn frames into contact centers,
+each finger's track of centers is classified into a flag, the supervisor
+turns flags into MCU commands, and the MCU queues their valve changes on
+the plant. The plant then steps its 33 ticks to the next instant, or,
+once the supervisor has released, a grace period that ends the run, and
+applies the changes after the control delay and valve latency.
+Everything is keyed off the scenario seed and integer ticks, so two runs
+with the same scenario are byte-identical.
 
 Each finger's camera and perception run in a worker process of their
 own, as each camera on the gripper streams on its own. A `FingerStep`
@@ -18,13 +21,12 @@ itself, once for both fingers (`finger_steps`), so a rejected
 calibration frame raises `ValidationError` before any worker starts,
 then forks one worker per step. Little crosses the pipe: the parent
 sends each control instant's time, and the worker answers with the
-contact center, or None. The parent sends the next instant as soon as it
-has handled one, so the workers perceive it while the plant ticks; it
-sends only instants the loop will read, so nothing is rendered ahead.
-Frames, fields and markers stay in the worker. The parent keeps both
-contact tracks, classifies them and checks their freshness, and keeps
-the supervisor, MCU, plant and trace rows, so the rows are those of a
-serial loop byte for byte.
+contact center, or None. The parent sends the next instant of its range
+as soon as it has handled one, so the workers perceive it while the
+plant ticks. Frames, fields and markers stay in the worker. The parent
+keeps both contact tracks, classifies them and checks their freshness,
+and keeps the supervisor, MCU, plant and trace rows, so the rows are
+those of a serial loop byte for byte.
 Perception is about 95% of an episode and the fingers' shares are
 independent: on a 2-core VM a static grasp ran 1.8x as many control
 periods per second with one BLAS thread, and about 1.5x at default
@@ -42,6 +44,7 @@ loads, so the worker calls the libraries' own setters. The parent's
 BLAS is left as it is.
 """
 
+import copy
 import ctypes
 import hashlib
 import multiprocessing
@@ -64,11 +67,11 @@ from .tracking import ContactTrack, track_displacement, write_track_csv
 RELEASE_GRACE_S = 1.5  # extra sim time so a final release sequence lands
 
 EPISODE_COLUMNS = (
-    ["tick", "t", "phase",
+    ("tick", "t", "phase",
      "f1_x", "f1_y", "f1_d", "f2_x", "f2_y", "f2_d",
-     "flag1", "flag2", "command"]
-    + [f"v{i}" for i in range(8)]
-    + [f"ch{i}" for i in range(8)]
+     "flag1", "flag2", "command")
+    + tuple(f"v{i}" for i in range(8))
+    + tuple(f"ch{i}" for i in range(8))
 )
 
 
@@ -91,8 +94,9 @@ class EpisodeResult:
     @property
     def flags(self):
         """Per finger, the (time, flag kind) of every control instant."""
-        return {f: [(row[0] * TICK_S, row[8 + f]) for row in self.episode_rows]
-                for f in (1, 2)}
+        tick, col = EPISODE_COLUMNS.index("tick"), EPISODE_COLUMNS.index
+        return {f: [(row[tick] * TICK_S, row[i]) for row in self.episode_rows]
+                for f, i in ((1, col("flag1")), (2, col("flag2")))}
 
     @property
     def time_to_stable(self):
@@ -157,26 +161,26 @@ class FingerStep:
 def finger_steps(scenario, frames_dir=None):
     """Both fingers' `FingerStep`s, each stream opened (writing its frames
     to frames_dir, if given). Finger 1's pipeline is calibrated on a
-    noise-free rest frame, and finger 2's takes its frozen values: with
+    noise-free rest frame, and finger 2's is a copy of it: with
     no noise the finger keys no random draw, so both fingers' rest
     frames are the same bytes, seen through the same detector and KDE
     settings. Raises ValidationError naming finger 1 when the
     calibration frame is rejected."""
-    pipelines = {finger: FingerPipeline(
-        finger, kde_config=scenario.kde, detector_config=scenario.detector,
-        calibration_ratio=scenario.calibration_ratio) for finger in (1, 2)}
+    first = FingerPipeline(1, kde_config=scenario.kde,
+                           detector_config=scenario.detector,
+                           calibration_ratio=scenario.calibration_ratio)
     ref_model = replace(scenario.sensor, noise_sigma=0.0)
     ref = render_frame(displace_markers(ref_model, None), ref_model,
                        finger_id=1, seq=0)
     try:
-        pipelines[1].calibrate(ref)
+        first.calibrate(ref)
     except ValidationError as exc:
         raise ValidationError(f"finger 1: {exc}") from None
-    for name in ("size", "support", "window", "threshold"):
-        setattr(pipelines[2], name, getattr(pipelines[1], name))
+    second = copy.copy(first)
+    second.finger_id = 2
     return {finger: FingerStep(scenario, pipe,
                                FrameStream(scenario.sensor, finger, frames_dir))
-            for finger, pipe in pipelines.items()}
+            for finger, pipe in ((1, first), (2, second))}
 
 
 # Thread-count setters of the OpenBLAS builds that numpy and scipy wheels
@@ -331,60 +335,53 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                          Path(out_dir) / "frames" if save_frames else None)
     tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
 
-    episode_rows = []
+    episode_rows, commands_log = [], []
     plant_rows = [plant.trace_row()]
-    commands_log = []
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
-    stop_tick = total_ticks
 
     with _FingerWorkers(steps) as workers:
-        workers.send(plant.tick * TICK_S)
-        while True:
-            tick = plant.tick
+        workers.send(0.0)
+        for tick in range(0, total_ticks + 1, CONTROL_PERIOD_TICKS):
             now = tick * TICK_S
+            centers = workers.receive()
+            flags, fresh = {}, {}
+            for finger, track in tracks.items():
+                if centers[finger] is not None:
+                    track_displacement(track, centers[finger], now,
+                                       scenario.kde)
+                flags[finger] = classify_frame(track, scenario.thresholds, now)
+                fresh[finger] = has_fresh_contact(track, now)
+            cmds = supervisor.start(now) if tick == 0 else []
+            cmds += supervisor.update(flags[1], flags[2], now,
+                                      fresh1=fresh[1], fresh2=fresh[2])
+            for cmd in cmds:
+                mcu.submit(encode_frame(cmd))
+                commands_log.append((now, cmd))
 
-            if tick % CONTROL_PERIOD_TICKS == 0 and not supervisor.terminated:
-                centers = workers.receive()
-                flags, fresh = {}, {}
-                for finger, track in tracks.items():
-                    if centers[finger] is not None:
-                        track_displacement(track, centers[finger], now,
-                                           scenario.kde)
-                    flags[finger] = classify_frame(track, scenario.thresholds,
-                                                   now)
-                    fresh[finger] = has_fresh_contact(track, now)
-                cmds = supervisor.start(now) if tick == 0 else []
-                cmds += supervisor.update(flags[1], flags[2], now,
-                                          fresh1=fresh[1], fresh2=fresh[2])
-                for cmd in cmds:
-                    mcu.submit(encode_frame(cmd))
-                    commands_log.append((now, cmd))
+            state = plant.state
+            episode_rows.append(
+                [tick, f"{now:.3f}", supervisor.phase.state.value]
+                + [cell for finger in (1, 2)
+                   for cell in _cells(centers[finger], tracks[finger])]
+                + [flags[finger].kind.value for finger in (1, 2)]
+                + [";".join(c.kind.name for c in cmds)]
+                + [str(int(v)) for v in state.valve_states]
+                + [f"{p:.4f}" for p in state.chamber_pressures])
 
-                state = plant.state
-                episode_rows.append(
-                    [tick, f"{now:.3f}", supervisor.phase.state.value]
-                    + [cell for finger in (1, 2)
-                       for cell in _cells(centers[finger], tracks[finger])]
-                    + [flags[finger].kind.value for finger in (1, 2)]
-                    + [";".join(c.kind.name for c in cmds)]
-                    + [str(int(v)) for v in state.valve_states]
-                    + [f"{p:.4f}" for p in state.chamber_pressures])
-
-                if supervisor.terminated:
-                    stop_tick = tick + grace_ticks
-                # The workers render the next instant while the plant
-                # ticks. Only the supervisor changes whether there is
-                # one, and only here, so no frame is rendered ahead that
-                # the loop would not ask for.
-                elif tick + CONTROL_PERIOD_TICKS <= stop_tick:
-                    workers.send((tick + CONTROL_PERIOD_TICKS) * TICK_S)
-
-            if tick >= stop_tick:
+            # The workers render the next instant while the plant ticks.
+            if supervisor.terminated:
+                stop = tick + grace_ticks
+            else:
+                stop = min(tick + CONTROL_PERIOD_TICKS, total_ticks)
+                if stop == tick + CONTROL_PERIOD_TICKS:
+                    workers.send(stop * TICK_S)
+            while plant.tick < stop:
+                plant.step()
+                plant_rows.append(plant.trace_row())
+            if supervisor.terminated:
                 break
-            plant.step()
-            plant_rows.append(plant.trace_row())
 
     result = EpisodeResult(
         scenario=scenario,
@@ -433,7 +430,7 @@ def _write_outputs(result, out_dir):
 
 def measure_response_latency(result):
     """Seconds from the scripted disturbance onset to the first
-    corrective valve actuation; raises NoDisturbance without one."""
+    corrective valve actuation; raises NoDisturbanceError without one."""
     onset = result.disturbance_onset
     if onset is None:
         raise NoDisturbanceError("episode has no post-seal disturbance event")

@@ -120,10 +120,9 @@ def frame_filename(finger_id, seq):
 
 
 def iter_frame_files(directory):
-    """Yield (finger_id, seq, path) for frame PGMs in a directory.
-
-    Sorted by (finger_id, seq) so streams replay in capture order.
-    Raises ValueError naming both files when two names read as one
+    """Return the (finger_id, seq, path) of each frame PGM in a directory,
+    as a list sorted by (finger_id, seq) so streams replay in capture
+    order. Raises ValueError naming both files when two names read as one
     frame (`frame_1_1.pgm` and `frame_1_000001.pgm`).
     """
     entries = []

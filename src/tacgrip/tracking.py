@@ -126,18 +126,22 @@ def write_track_csv(track, path):
 
 def read_track_csv(path, finger_id=1):
     """Read a track CSV written by write_track_csv. Raises ValueError
-    naming the file and row for a row that does not parse as numbers or
-    that ContactTrack.append refuses."""
+    naming the file and row for another header, a row of over four cells
+    or one that does not parse as numbers or that append refuses."""
     track = ContactTrack(finger_id=finger_id)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:3] != ["t", "x", "y"]:
-            raise ValueError(f"{path}: not a track CSV (header {header})")
+        if header != ["t", "x", "y", "d_mm"]:
+            raise ValueError(f"{path}: row 1: not a track CSV header "
+                             f"t,x,y,d_mm, got {header}")
         for row in reader:
             if not row:
                 continue
             where = f"{path}: row {reader.line_num}"
+            if len(row) > 4:
+                raise ValueError(f"{where}: {len(row)} cells, want at most "
+                                 f"t, x, y, d_mm, got {row}")
             try:
                 t, x, y = (plain_float(cell) for cell in row[:3])
                 d = plain_float(row[3]) if len(row) > 3 and row[3] != "" else None

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import pytest
@@ -7,6 +8,7 @@ from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
                              run_grasp)
 from tacgrip.errors import NoDisturbanceError, ValidationError
 from tacgrip.pgm import iter_frame_files
+from tacgrip.plant import TICK_S
 from tacgrip.scenario import (Scenario, slip_scenario, static_scenario,
                               timeout_scenario)
 
@@ -196,6 +198,10 @@ def test_outputs_and_determinism(tmp_path):
 
     header = (tmp_path / "a" / "episode.csv").read_text().splitlines()[0]
     assert header == ",".join(EPISODE_COLUMNS)
+    with open(tmp_path / "a" / "episode.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert a.flags == {f: [(int(row["tick"]) * TICK_S, row[f"flag{f}"])
+                           for row in rows] for f in (1, 2)}
 
 
 def test_saved_frames_carry_their_instants_time(tmp_path):

@@ -21,7 +21,7 @@ from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
 from tacgrip.plant import TICK_S, PneumaticPlant
 from tacgrip.scenario import (CANNED, Scenario, StimulusEvent,
-                              static_scenario)
+                              static_scenario, timeout_scenario)
 from tacgrip.sensor_sim import (ContactStimulus, FrameStream, SensorModel,
                                 displace_markers, render_frame)
 from tacgrip.tracking import ContactTrack, track_displacement
@@ -207,6 +207,34 @@ def test_moving_contact_run_directory_is_byte_identical(tmp_path):
     assert {"frames/truth_1.csv", "frames/truth_2.csv", "episode.csv",
             "plant.csv", "track_1.csv", "track_2.csv",
             "manifest.txt"} <= set(files)
+    assert sum(name.endswith(".pgm") for name in files) \
+        == 2 * len(got.episode_rows)
+
+
+def released_early(seed, duration):
+    """Nothing is touched, and the supervisor releases at 0.528 s."""
+    sc = timeout_scenario(seed, duration=duration)
+    sc.thresholds = replace(sc.thresholds, no_contact_timeout_s=0.5)
+    return sc
+
+
+@pytest.mark.parametrize("make, duration", [
+    (static_scenario, 0.099),  # the last instant falls on the final tick
+    (static_scenario, 0.1),
+    (static_scenario, 0.132),
+    (released_early, 1.0),
+    (released_early, 0.6),  # the release grace outlasts the scenario
+])
+def test_the_schedule_edges_equal_the_serial_loop(tmp_path, make, duration):
+    sc = make(1, duration=duration)
+    got = run_grasp(sc, out_dir=tmp_path / "workers", save_frames=True)
+    want = serial_run_grasp(sc, out_dir=tmp_path / "serial",
+                            save_frames=True)
+    assert_same_run(got, want)
+    assert got.terminated == (make is released_early)
+    files = directory_bytes(tmp_path / "workers")
+    assert files == directory_bytes(tmp_path / "serial")
+    # nothing rendered ahead: one frame per finger and instant
     assert sum(name.endswith(".pgm") for name in files) \
         == 2 * len(got.episode_rows)
 

@@ -99,6 +99,17 @@ def test_read_rejects_foreign_csv(tmp_path):
         read_track_csv(path)
 
 
+@pytest.mark.parametrize("header", ["t,x,y,foo", "t,x,y", "t,x,y,d_mm,note",
+                                    ""])
+def test_read_rejects_a_header_other_than_the_writers(tmp_path, header):
+    # t,x,y,foo used to be taken for a track header
+    path = tmp_path / "track.csv"
+    path.write_text(header + "\n0.1,1,1,\n" if header else "")
+    with pytest.raises(ValueError, match="not a track CSV header") as err:
+        read_track_csv(path)
+    assert f"{path}: row 1:" in str(err.value)
+
+
 @pytest.mark.parametrize("rows, bad_row, what", [
     (["0.1,1,1,", "0.1,2,2,0.1"], 3, "does not advance"),
     (["0.1,1,1,", "0.2,2,2,0.1", "0.15,3,3,0.1"], 4, "does not advance"),
@@ -119,6 +130,9 @@ def test_read_rejects_foreign_csv(tmp_path):
     (["0.1,1, 3 ,", "0.2,2,2,0.1"], 2, "need numeric"),
     (["0.1,1,1,", "0.2,2,2,1_5"], 3, "need numeric"),
     (["0.1,\u0661,1,", "0.2,2,2,0.1"], 2, "need numeric"),
+    # a fifth cell used to be dropped without a word
+    (["0.1,1,1,", "0.2,1,2,0.5,junk"], 3, "5 cells"),
+    (["0.1,1,1,,"], 2, "5 cells"),
 ])
 def test_read_rejects_hostile_rows(tmp_path, rows, bad_row, what):
     path = tmp_path / "hostile.csv"
