@@ -10,6 +10,7 @@ cannot silently fall back to a default.
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
 
 from .blobs import DetectorConfig
@@ -256,11 +257,18 @@ def parse_scenario_text(text):
 def load_scenario(path):
     """Load and validate a scenario file.
 
-    Raises ParseError (with line number) for format problems and
-    ValidationError for violated invariants.
+    Raises ParseError (with line number) for format problems, bytes
+    that are not UTF-8 text among them, and ValidationError for violated
+    invariants.
     """
-    with open(path) as fh:
-        return parse_scenario_text(fh.read())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} of {path} is not "
+                         f"UTF-8 text", data.count(b"\n", 0, exc.start) + 1) \
+            from None
+    return parse_scenario_text(text)
 
 
 def scenario_to_text(scenario):

@@ -5,9 +5,11 @@ mm through the pixel scale, is the controller's core signal.
 """
 
 import csv
+import io
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Tuple
 
 from .errors import plain_float
@@ -116,7 +118,7 @@ def track_displacement(track, new_center, timestamp, config):
 
 def write_track_csv(track, path):
     """Track CSV: t, x, y, d_mm (d_mm empty on the first row)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "d_mm"])
         for i, (t, (x, y)) in enumerate(zip(track.timestamps, track.centers)):
@@ -126,10 +128,18 @@ def write_track_csv(track, path):
 
 def read_track_csv(path, finger_id=1):
     """Read a track CSV written by write_track_csv. Raises ValueError
-    naming the file and row for another header, a row of over four cells
-    or one that does not parse as numbers or that append refuses."""
+    naming the file and row for bytes that are not UTF-8 text, another
+    header, a row of over four cells or one that does not parse as
+    numbers or that append refuses."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: row {row}: byte {data[exc.start]:#04x} "
+                         f"is not UTF-8 text") from None
     track = ContactTrack(finger_id=finger_id)
-    with open(path, newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "x", "y", "d_mm"]:

@@ -1,5 +1,7 @@
-"""run_grasp's per-finger worker processes: equal to the serial loop, and
-no worker outlives a run, whether it returns or fails."""
+"""run_grasp's per-finger worker processes: the same run as with each
+finger's step called in this process, and no worker outlives a run,
+whether it returns or fails. The loop's rules are pinned by the trace
+ledger (tests/trace_ledger.py), not by a second copy of the loop."""
 
 import dataclasses
 import multiprocessing
@@ -7,133 +9,50 @@ import os
 import signal
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tacgrip.episode
-from tacgrip.control import (CONTROL_PERIOD_TICKS, GraspSupervisor,
-                             McuEmulator, classify_frame, encode_frame,
-                             has_fresh_contact)
-from tacgrip.episode import (RELEASE_GRACE_S, EpisodeResult, _fmt,
-                             _pin_blas_to_one_thread, _serve, _write_outputs,
-                             run_grasp)
+from tacgrip.control import GraspSupervisor
+from tacgrip.episode import (FingerStep, _pin_blas_to_one_thread, _serve,
+                             finger_steps, run_grasp)
 from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
-from tacgrip.plant import TICK_S, PneumaticPlant
-from tacgrip.scenario import (CANNED, Scenario, StimulusEvent,
-                              static_scenario, timeout_scenario)
-from tacgrip.sensor_sim import (ContactStimulus, FrameStream, SensorModel,
+from tacgrip.scenario import CANNED, static_scenario
+from tacgrip.sensor_sim import (ContactStimulus, FrameStream,
                                 displace_markers, render_frame)
-from tacgrip.tracking import ContactTrack, track_displacement
+from trace_ledger import (RUNS, SCHEDULE_EDGES, assert_matches_ledger,
+                          differences, edge_run, load, moving_scenario,
+                          released_early)
+
+
+class InProcessFingers:
+    """`_FingerWorkers` without the processes: each receive calls every
+    finger's step here, at the instant sent last."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def send(self, now):
+        self.now = now
+
+    def receive(self):
+        return {finger: step(self.now) for finger, step in self.steps.items()}
 
 
 def serial_run_grasp(scenario, out_dir=None, save_frames=False):
-    """run_grasp as it was before the fingers ran in workers: both
-    fingers render, perceive and classify in this process, one after the
-    other. Kept as the reference the workers must reproduce."""
-    if save_frames and out_dir is None:
-        raise ValueError("save_frames needs an out_dir to write the frames to")
-    scenario.validate()
-
-    plant = PneumaticPlant(scenario.plant)
-    mcu = McuEmulator(plant)
-    supervisor = GraspSupervisor(
-        thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
-        max_regrasps=scenario.max_regrasps,
-    )
-
-    pipelines = {}
-    ref_model = replace(scenario.sensor, noise_sigma=0.0)
-    for finger in (1, 2):
-        pipe = FingerPipeline(
-            finger, kde_config=scenario.kde,
-            detector_config=scenario.detector,
-            calibration_ratio=scenario.calibration_ratio,
-        )
-        ref = render_frame(displace_markers(ref_model, None), ref_model,
-                           finger_id=finger, seq=0)
-        try:
-            pipe.calibrate(ref)
-        except ValidationError as exc:
-            raise ValidationError(f"finger {finger}: {exc}") from None
-        pipelines[finger] = pipe
-    tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
-
-    episode_rows = []
-    plant_rows = [plant.trace_row()]
-    commands_log = []
-    frames_dir = Path(out_dir) / "frames" if save_frames else None
-    streams = {finger: FrameStream(scenario.sensor, finger, frames_dir)
-               for finger in (1, 2)}
-
-    total_ticks = int(round(scenario.duration_s / TICK_S))
-    grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
-    stop_tick = total_ticks
-
-    while True:
-        tick = plant.tick
-        now = tick * TICK_S
-
-        if not supervisor.terminated and tick % CONTROL_PERIOD_TICKS == 0:
-            cmds = supervisor.start(now) if tick == 0 else []
-            cells, flags, fresh = [], [], []
-            for finger in (1, 2):
-                ev = scenario.active_event(finger, now)
-                stim = ev.stimulus() if ev is not None else ContactStimulus(
-                    x=scenario.sensor.width / 2.0,
-                    y=scenario.sensor.height / 2.0,
-                    depth=0.0, radius=40.0,
-                )
-                frame = streams[finger].render(
-                    displace_markers(scenario.sensor, stim), now)
-                pipe, track = pipelines[finger], tracks[finger]
-                center = pipe.process(frame).center
-                # A contact region extends the track at this instant.
-                if center is not None:
-                    track_displacement(track, center, now, pipe.kde_config)
-                flags.append(classify_frame(track, scenario.thresholds, now))
-                fresh.append(has_fresh_contact(track, now))
-                disps = track.displacements
-                cells += [_fmt(center[0]) if center else "",
-                          _fmt(center[1]) if center else "",
-                          _fmt(disps[-1], 6) if center and disps else ""]
-
-            cmds += supervisor.update(*flags, now,
-                                      fresh1=fresh[0], fresh2=fresh[1])
-            for cmd in cmds:
-                mcu.submit(encode_frame(cmd))
-                commands_log.append((now, cmd))
-
-            state = plant.state
-            episode_rows.append(
-                [tick, f"{now:.3f}", supervisor.phase.state.value] + cells
-                + [flag.kind.value for flag in flags]
-                + [";".join(c.kind.name for c in cmds)]
-                + [str(int(v)) for v in state.valve_states]
-                + [f"{p:.4f}" for p in state.chamber_pressures])
-
-            if supervisor.terminated:
-                stop_tick = tick + grace_ticks
-
-        if tick >= stop_tick:
-            break
-        plant.step()
-        plant_rows.append(plant.trace_row())
-
-    result = EpisodeResult(
-        scenario=scenario,
-        episode_rows=episode_rows,
-        plant_rows=plant_rows,
-        tracks=tracks,
-        commands=commands_log,
-        transitions=supervisor.transitions,
-        regrasp_count=supervisor.regrasp_count,
-        final_phase=supervisor.phase.state,
-    )
-
-    if out_dir is not None:
-        _write_outputs(result, Path(out_dir))
-    return result
+    """run_grasp with each finger's step called in this process instead
+    of in its worker: the run the workers must reproduce."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tacgrip.episode, "_FingerWorkers", InProcessFingers)
+        return run_grasp(scenario, out_dir, save_frames)
 
 
 def assert_same_run(got, want):
@@ -151,20 +70,29 @@ def directory_bytes(root):
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
-def _serial_canned(case):
-    name, seed = case
-    return serial_run_grasp(CANNED[name](seed))
+def test_the_ledger_holds_every_run_and_names_what_differs():
+    ledger = load()
+    assert set(ledger["runs"]) == set(RUNS)
+    got = dict(ledger["runs"]["static-0"], rows="0" * 64)
+    assert differences("static-0", got, ledger) == [
+        "static-0 rows: recorded 9b3afd00d1c4ca80, running 0000000000000000"]
+    assert differences("static-9", got, ledger) == [
+        "static-9: not in the ledger"]
+
+
+def _serial_canned(name):
+    return serial_run_grasp(CANNED[name](0))
 
 
 @pytest.fixture(scope="module")
 def serial_canned():
-    """The serial loop's run of each canned scenario at seeds 0 and 3.
-    Each run is serial; two forked processes share the eight runs, each
-    with one BLAS thread, as run_grasp's workers have."""
-    cases = [(name, seed) for name in sorted(CANNED) for seed in (0, 3)]
+    """The in-process run of each canned scenario at seed 0. Two forked
+    processes share the four runs, each with one BLAS thread, as
+    run_grasp's workers have."""
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(2, initializer=_pin_blas_to_one_thread) as pool:
-        return dict(zip(cases, pool.map(_serial_canned, cases, chunksize=1)))
+        return dict(zip(sorted(CANNED),
+                        pool.map(_serial_canned, sorted(CANNED), chunksize=1)))
 
 
 @pytest.mark.parametrize("name", sorted(CANNED))
@@ -173,26 +101,14 @@ def test_canned_runs_equal_the_serial_loop_at_seed_0(name, request,
     # the shared session runs are run_grasp's side
     got = request.getfixturevalue(f"{name}_run")
     assert got.scenario.sensor.seed == 0
-    assert_same_run(got, serial_canned[name, 0])
+    assert_same_run(got, serial_canned[name])
+    assert_matches_ledger(f"{name}-0", got)
 
 
 @pytest.mark.parametrize("name", sorted(CANNED))
-def test_canned_runs_equal_the_serial_loop_at_seed_3(name, serial_canned):
-    assert_same_run(run_grasp(CANNED[name](3)), serial_canned[name, 3])
-
-
-def moving_scenario(seed=4, duration=1.2):
-    """Untouched for three periods, then both contact centers move every
-    control period, so no two rendered layouts repeat."""
-    period = CONTROL_PERIOD_TICKS * TICK_S
-    events = [StimulusEvent(time=k * period, finger=finger,
-                            x=260.0 + 3.7 * k + 5.0 * finger,
-                            y=230.0 + 1.3 * k, depth=2.0 + 0.02 * k,
-                            radius=40.0)
-              for k in range(3, int(duration / period) + 1)
-              for finger in (1, 2)]
-    return Scenario(name="moving", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=events).validate()
+def test_canned_runs_equal_the_serial_loop_at_seed_3(name):
+    # the serial loop's seed-3 runs as the ledger recorded them
+    assert_matches_ledger(f"{name}-3", run_grasp(CANNED[name](3)))
 
 
 def test_moving_contact_run_directory_is_byte_identical(tmp_path):
@@ -201,6 +117,7 @@ def test_moving_contact_run_directory_is_byte_identical(tmp_path):
     want = serial_run_grasp(sc, out_dir=tmp_path / "serial",
                             save_frames=True)
     assert_same_run(got, want)
+    assert_matches_ledger("moving", got)
     assert len({row[3] for row in got.episode_rows}) > 25  # f1_x moves
     files = directory_bytes(tmp_path / "workers")
     assert files == directory_bytes(tmp_path / "serial")
@@ -211,32 +128,54 @@ def test_moving_contact_run_directory_is_byte_identical(tmp_path):
         == 2 * len(got.episode_rows)
 
 
-def released_early(seed, duration):
-    """Nothing is touched, and the supervisor releases at 0.528 s."""
-    sc = timeout_scenario(seed, duration=duration)
-    sc.thresholds = replace(sc.thresholds, no_contact_timeout_s=0.5)
-    return sc
-
-
-@pytest.mark.parametrize("make, duration", [
-    (static_scenario, 0.099),  # the last instant falls on the final tick
-    (static_scenario, 0.1),
-    (static_scenario, 0.132),
-    (released_early, 1.0),
-    (released_early, 0.6),  # the release grace outlasts the scenario
-])
+@pytest.mark.parametrize("make, duration", SCHEDULE_EDGES)
 def test_the_schedule_edges_equal_the_serial_loop(tmp_path, make, duration):
     sc = make(1, duration=duration)
     got = run_grasp(sc, out_dir=tmp_path / "workers", save_frames=True)
     want = serial_run_grasp(sc, out_dir=tmp_path / "serial",
                             save_frames=True)
     assert_same_run(got, want)
+    assert_matches_ledger(edge_run(make, duration), got)
     assert got.terminated == (make is released_early)
     files = directory_bytes(tmp_path / "workers")
     assert files == directory_bytes(tmp_path / "serial")
     # nothing rendered ahead: one frame per finger and instant
     assert sum(name.endswith(".pgm") for name in files) \
         == 2 * len(got.episode_rows)
+
+
+def test_finger_2_copies_a_calibration_equal_to_its_own():
+    sc = static_scenario()
+    copied = finger_steps(sc)[2].pipeline
+    own = FingerPipeline(2, kde_config=sc.kde, detector_config=sc.detector,
+                         calibration_ratio=sc.calibration_ratio)
+    rest = replace(sc.sensor, noise_sigma=0.0)
+    own.calibrate(render_frame(displace_markers(rest, None), rest,
+                               finger_id=2, seq=0))
+    assert copied.finger_id == 2
+    assert vars(copied) == vars(own)
+
+
+def test_a_finger_at_rest_renders_a_contact_of_depth_0():
+    # With no event active, a step renders the rest layout; that is the
+    # frame of a depth-0 contact at the frame's center, byte for byte.
+    sc = static_scenario(1)
+    frames = []
+    recorder = SimpleNamespace(
+        finger_id=2,
+        process=lambda frame: frames.append(frame) or SimpleNamespace(
+            center=None))
+    step = FingerStep(sc, recorder, FrameStream(sc.sensor, 2))
+    instants = (0.0, 0.033)
+    assert [step(now) for now in instants] == [None, None]
+    assert all(sc.active_event(2, now) is None for now in instants)
+    untouched = ContactStimulus(x=sc.sensor.width / 2.0,
+                                y=sc.sensor.height / 2.0,
+                                depth=0.0, radius=40.0)
+    stream = FrameStream(sc.sensor, 2)
+    want = [stream.render(displace_markers(sc.sensor, untouched), now)
+            for now in instants]
+    assert [f.tobytes() for f in frames] == [f.tobytes() for f in want]
 
 
 def test_a_worker_answers_each_instant_with_a_center_and_stops_silently(

@@ -83,6 +83,16 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario_text("[kde]\nconnectivity = 8\n")
 
 
+def test_a_file_that_is_not_text_fails_with_its_line(tmp_path):
+    # a bare UnicodeDecodeError named neither the file nor the line
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"[scenario]\nname = x\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="line 3: byte 0xe9 of ") as err:
+        load_scenario(path)
+    assert err.value.line_no == 3
+    assert f"{path} is not UTF-8 text" in str(err.value)
+
+
 def test_event_parse_errors():
     with pytest.raises(ParseError):
         parse_scenario_text("[events]\nevent = 1.0 1 320\n")

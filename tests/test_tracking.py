@@ -110,6 +110,16 @@ def test_read_rejects_a_header_other_than_the_writers(tmp_path, header):
     assert f"{path}: row 1:" in str(err.value)
 
 
+def test_read_names_the_file_and_row_of_bytes_that_are_not_text(tmp_path):
+    # a bare UnicodeDecodeError named neither the file nor the row
+    path = tmp_path / "track.csv"
+    path.write_bytes(b"t,x,y,d_mm\n0.1,1,1,\n0.2,\xff2,2,0.1\n")
+    with pytest.raises(ValueError, match="row 3: byte 0xff is not UTF-8") \
+            as err:
+        read_track_csv(path)
+    assert str(err.value).startswith(f"{path}: row 3:")
+
+
 @pytest.mark.parametrize("rows, bad_row, what", [
     (["0.1,1,1,", "0.1,2,2,0.1"], 3, "does not advance"),
     (["0.1,1,1,", "0.2,2,2,0.1", "0.15,3,3,0.1"], 4, "does not advance"),

@@ -90,17 +90,14 @@ RUNS.update((edge_run(make, duration), partial(make, 1, duration=duration))
 
 def digests(result):
     """{component: sha256 of its repr} for one EpisodeResult."""
-    parts = {
-        "episode_rows": result.episode_rows,
-        "plant_rows": result.plant_rows,
-        "rows": (result.episode_rows, result.plant_rows),
-        "tracks": result.tracks,
-        "commands": result.commands,
-        "transitions": result.transitions,
-        "outcome": (result.final_phase, result.regrasp_count),
-    }
-    return {name: hashlib.sha256(repr(value).encode()).hexdigest()
-            for name, value in parts.items()}
+    texts = {name: repr(getattr(result, name))
+             for name in ("episode_rows", "plant_rows", "tracks", "commands",
+                          "transitions")}
+    # the repr of the pair, without a second repr of the plant's rows
+    texts["rows"] = f"({texts['episode_rows']}, {texts['plant_rows']})"
+    texts["outcome"] = repr((result.final_phase, result.regrasp_count))
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()}
 
 
 def versions():
