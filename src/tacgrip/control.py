@@ -177,6 +177,7 @@ class GraspSupervisor:
 
     def __init__(self, thresholds=None, grasp_mask=DEFAULT_GRASP_MASK,
                  control_period=CONTROL_PERIOD_S, max_regrasps=MAX_REGRASPS):
+        check_range("control_period", control_period, lo=0.0, lo_open=True)
         self.thresholds = thresholds or ControlThresholds()
         self.grasp_mask = grasp_mask
         self.control_period = control_period

@@ -26,9 +26,10 @@ as soon as it has handled one, so the workers perceive it while the
 plant ticks. Frames, fields and markers stay in the worker. The parent
 keeps both contact tracks, classifies them and checks their freshness,
 and keeps the supervisor, MCU, plant and trace rows. The workers are
-only a transport: the tests check that a run equals, byte for byte, the
-one where each step is called in the parent, and a committed trace
-ledger (tests/trace_ledger.py) pins the rows of a set of runs.
+only a transport: a committed trace ledger (tests/trace_ledger.py) is
+recorded with each step called in the parent, and the tests check the
+worker runs against it, so a run with workers equals, byte for byte,
+the one without them.
 Perception is about 95% of an episode and the fingers' shares are
 independent: on a 2-core VM a static grasp ran 1.8x as many control
 periods per second with one BLAS thread, and about 1.5x at default

@@ -294,38 +294,38 @@ def scenario_to_text(scenario):
 # -- canned scenarios ---------------------------------------------------------
 
 
-def static_scenario(seed=0, depth=3.0, duration=8.0):
+def static_scenario(seed=0, duration=8.0):
     """Object held still: contact at 1 s on both fingers, then nothing."""
     events = [
-        StimulusEvent(time=1.0, finger=1, x=320.0, y=240.0, depth=depth, radius=40.0),
-        StimulusEvent(time=1.0, finger=2, x=320.0, y=240.0, depth=depth, radius=40.0),
+        StimulusEvent(time=1.0, finger=1, x=320.0, y=240.0, depth=3.0, radius=40.0),
+        StimulusEvent(time=1.0, finger=2, x=320.0, y=240.0, depth=3.0, radius=40.0),
     ]
     return Scenario(name="static", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 
-def poke_scenario(seed=0, shift_px=40.0, poke_time=6.0, duration=12.0):
+def poke_scenario(seed=0, poke_time=6.0, duration=12.0):
     """Sealed grasp disturbed by a poke: finger 1's contact center shifts
-    by shift_px (40 px = 2 mm at the default pixel scale)."""
+    by 40 px (2 mm at the default pixel scale)."""
     events = [
         StimulusEvent(time=1.0, finger=1, x=320.0, y=240.0, depth=3.0, radius=40.0),
         StimulusEvent(time=1.0, finger=2, x=320.0, y=240.0, depth=3.0, radius=40.0),
-        StimulusEvent(time=poke_time, finger=1, x=320.0 + shift_px, y=240.0,
+        StimulusEvent(time=poke_time, finger=1, x=360.0, y=240.0,
                       depth=3.0, radius=40.0),
     ]
     return Scenario(name="poke", duration_s=duration,
                     sensor=SensorModel(seed=seed), events=events).validate()
 
 
-def slip_scenario(seed=0, slip_px=110.0, slip_time=6.0, duration=15.0):
-    """Object slips in the grip: both contact centers jump by slip_px
-    (110 px = 5.5 mm, past T2), forcing a regrasp."""
+def slip_scenario(seed=0, slip_time=6.0, duration=15.0):
+    """Object slips in the grip: both contact centers jump by 110 px
+    (5.5 mm, past T2), forcing a regrasp."""
     events = [
         StimulusEvent(time=1.0, finger=1, x=300.0, y=240.0, depth=3.0, radius=40.0),
         StimulusEvent(time=1.0, finger=2, x=300.0, y=240.0, depth=3.0, radius=40.0),
-        StimulusEvent(time=slip_time, finger=1, x=300.0 + slip_px, y=240.0,
+        StimulusEvent(time=slip_time, finger=1, x=410.0, y=240.0,
                       depth=3.0, radius=40.0),
-        StimulusEvent(time=slip_time, finger=2, x=300.0 + slip_px, y=240.0,
+        StimulusEvent(time=slip_time, finger=2, x=410.0, y=240.0,
                       depth=3.0, radius=40.0),
     ]
     return Scenario(name="slip", duration_s=duration,

@@ -702,6 +702,14 @@ def test_start_emits_reopen():
     assert cmds[0].valve_mask == DEFAULT_GRASP_MASK
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -0.033])
+def test_supervisor_refuses_a_bad_control_period(period):
+    # NaN and -0.033 made every update refuse a flag made at `now` as
+    # stale.
+    with pytest.raises(ValueError, match="control_period = "):
+        GraspSupervisor(control_period=period)
+
+
 def test_update_is_inert_before_start():
     sup = GraspSupervisor()
     assert drive(sup, STABLE, STABLE, 1.0) == []

@@ -1,7 +1,12 @@
 """run_grasp's per-finger worker processes: the same run as with each
 finger's step called in this process, and no worker outlives a run,
-whether it returns or fails. The loop's rules are pinned by the trace
-ledger (tests/trace_ledger.py), not by a second copy of the loop."""
+whether it returns or fails. The trace ledger (tests/trace_ledger.py) is
+recorded with each step called in-process, so checking a worker run
+against it compares the workers with the in-process run: the canned
+scenarios at seeds 0 and 3, the moving contact and the schedule edges.
+The last two also run in-process here, because the ledger does not hold
+the frames they save: their run directories are compared byte for
+byte."""
 
 import dataclasses
 import multiprocessing
@@ -14,55 +19,72 @@ from types import SimpleNamespace
 import pytest
 
 import tacgrip.episode
-from tacgrip.control import GraspSupervisor
-from tacgrip.episode import (FingerStep, _pin_blas_to_one_thread, _serve,
-                             finger_steps, run_grasp)
+from tacgrip.control import GraspSupervisor, Phase
+from tacgrip.episode import (EPISODE_COLUMNS, FingerStep,
+                             _pin_blas_to_one_thread, _serve, finger_steps,
+                             run_grasp)
 from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
+from tacgrip.plant import TRACE_COLUMNS
 from tacgrip.scenario import CANNED, static_scenario
 from tacgrip.sensor_sim import (ContactStimulus, FrameStream,
                                 displace_markers, render_frame)
 from trace_ledger import (RUNS, SCHEDULE_EDGES, assert_matches_ledger,
                           differences, edge_run, load, moving_scenario,
-                          released_early)
+                          released_early, serial_run_grasp)
 
 
-class InProcessFingers:
-    """`_FingerWorkers` without the processes: each receive calls every
-    finger's step here, at the instant sent last."""
-
-    def __init__(self, steps):
-        self.steps = steps
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def send(self, now):
-        self.now = now
-
-    def receive(self):
-        return {finger: step(self.now) for finger, step in self.steps.items()}
+def _mismatch(a, b):
+    """The first index at which sequences a and b differ (the shorter
+    one's length if it is a prefix of the other), or None if they are
+    equal."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
 
 
-def serial_run_grasp(scenario, out_dir=None, save_frames=False):
-    """run_grasp with each finger's step called in this process instead
-    of in its worker: the run the workers must reproduce."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tacgrip.episode, "_FingerWorkers", InProcessFingers)
-        return run_grasp(scenario, out_dir, save_frames)
+def _at(seq, i):
+    return repr(seq[i]) if i < len(seq) else "nothing"
+
+
+def first_difference(got, want):
+    """A line naming the first place where run `got` parts from run
+    `want`: an episode or plant row with its tick and column, a finger's
+    track, a command, a transition or the outcome. None when they are
+    the same run."""
+    for name, columns in (("episode", EPISODE_COLUMNS),
+                          ("plant", TRACE_COLUMNS)):
+        a, b = getattr(got, f"{name}_rows"), getattr(want, f"{name}_rows")
+        i = _mismatch(a, b)
+        if i is None:
+            continue
+        if i == min(len(a), len(b)):
+            return f"{len(a)} {name} rows, not {len(b)}"
+        j = _mismatch(a[i], b[i])
+        # an episode row holds its tick; plant row i is the plant at tick i
+        tick = a[i][0] if name == "episode" else i
+        return (f"{name} row {i} (tick {tick}) {columns[j]}: "
+                f"{a[i][j]!r} != {b[i][j]!r}")
+    for finger, track in got.tracks.items():
+        if track != want.tracks[finger]:
+            return f"the track of finger {finger}"
+    for name in ("commands", "transitions"):
+        a, b = getattr(got, name), getattr(want, name)
+        i = _mismatch(a, b)
+        if i is not None:
+            return f"{name}[{i}]: {_at(a, i)} != {_at(b, i)}"
+    outcome = [(r.regrasp_count, r.terminated, r.final_phase)
+               for r in (got, want)]
+    if outcome[0] != outcome[1]:
+        return f"outcome (regrasps, terminated, phase): {outcome[0]} != " \
+               f"{outcome[1]}"
+    return None
 
 
 def assert_same_run(got, want):
-    assert got.episode_rows == want.episode_rows
-    assert got.plant_rows == want.plant_rows
-    assert got.tracks == want.tracks
-    assert got.commands == want.commands
-    assert got.transitions == want.transitions
-    assert (got.regrasp_count, got.terminated, got.final_phase) == \
-        (want.regrasp_count, want.terminated, want.final_phase)
+    difference = first_difference(got, want)
+    assert difference is None, f"the runs part first at {difference}"
 
 
 def directory_bytes(root):
@@ -80,28 +102,28 @@ def test_the_ledger_holds_every_run_and_names_what_differs():
         "static-9: not in the ledger"]
 
 
-def _serial_canned(name):
-    return serial_run_grasp(CANNED[name](0))
-
-
-@pytest.fixture(scope="module")
-def serial_canned():
-    """The in-process run of each canned scenario at seed 0. Two forked
-    processes share the four runs, each with one BLAS thread, as
-    run_grasp's workers have."""
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(2, initializer=_pin_blas_to_one_thread) as pool:
-        return dict(zip(sorted(CANNED),
-                        pool.map(_serial_canned, sorted(CANNED), chunksize=1)))
+def test_assert_same_run_names_the_first_cell_that_differs(static_run):
+    assert first_difference(static_run, static_run) is None
+    rows = [list(row) for row in static_run.episode_rows]
+    rows[5][EPISODE_COLUMNS.index("f1_x")] = "0.000"
+    edited = replace(static_run, episode_rows=rows)
+    with pytest.raises(AssertionError, match=r"part first at episode row 5 "
+                       r"\(tick 165\) f1_x: '0\.000' != "):
+        assert_same_run(edited, static_run)
+    v3 = TRACE_COLUMNS.index("v3")
+    rows = [list(row) for row in static_run.plant_rows]
+    rows[40][v3] = 7
+    edited = replace(static_run, plant_rows=rows)
+    assert first_difference(static_run, edited) == \
+        f"plant row 40 (tick 40) v3: {static_run.plant_rows[40][v3]!r} != 7"
 
 
 @pytest.mark.parametrize("name", sorted(CANNED))
-def test_canned_runs_equal_the_serial_loop_at_seed_0(name, request,
-                                                      serial_canned):
-    # the shared session runs are run_grasp's side
+def test_canned_runs_equal_the_serial_loop_at_seed_0(name, request):
+    # the shared session runs are run_grasp's side; the ledger recorded
+    # the serial loop's
     got = request.getfixturevalue(f"{name}_run")
     assert got.scenario.sensor.seed == 0
-    assert_same_run(got, serial_canned[name])
     assert_matches_ledger(f"{name}-0", got)
 
 
@@ -137,6 +159,15 @@ def test_the_schedule_edges_equal_the_serial_loop(tmp_path, make, duration):
     assert_same_run(got, want)
     assert_matches_ledger(edge_run(make, duration), got)
     assert got.terminated == (make is released_early)
+    if got.terminated:
+        # The release comes less than the grace before the scenario's
+        # end; the run goes on through the whole grace, so the release
+        # sequence lands and seals every valve.
+        assert got.final_phase == Phase.RELEASED
+        t_release = got.transitions[-1][0]
+        assert t_release < duration
+        assert got.plant_rows[-1][0] >= t_release + 1.4
+        assert all(v == 0 for v in got.plant_rows[-1][-8:])
     files = directory_bytes(tmp_path / "workers")
     assert files == directory_bytes(tmp_path / "serial")
     # nothing rendered ahead: one frame per finger and instant

@@ -5,11 +5,16 @@ Python, numpy and scipy versions they were recorded with.
     python tests/trace_ledger.py          # run every episode and check
     python tests/trace_ledger.py --write  # run every episode and record
 
-A check prints the recorded and running versions, then one line per run
-and component that differs, and exits 1 if any does. Record again only
-in a change that alters traces on purpose, and say why in CHANGES.md.
-The tier-1 tests check the episodes they run anyway against the ledger
-with `assert_matches_ledger`, so the ledger costs them no extra episode.
+The ledger is the in-process reference for run_grasp's worker
+processes. `--write` records each run through `serial_run_grasp`: the
+same `run_grasp`, with an in-process stand-in for the workers that calls
+each finger's step in this process, so the record holds the loop's rules
+and not the transport. A check runs `run_grasp` with its workers, prints
+the recorded and running versions, then one line per run and component
+that differs, and exits 1 if any does. Record again only in a change
+that alters traces on purpose, and say why in CHANGES.md. The tier-1
+tests check the worker episodes they run anyway against the ledger with
+`assert_matches_ledger`, so the ledger costs them no extra episode.
 
 For each run the ledger holds one digest per thing the tests' same-run
 comparison looks at: episode rows, plant rows, the two contact tracks,
@@ -28,6 +33,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":  # run from a checkout without an install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -35,6 +41,7 @@ if __name__ == "__main__":  # run from a checkout without an install
 import numpy
 import scipy
 
+import tacgrip.episode
 from tacgrip.control import CONTROL_PERIOD_TICKS
 from tacgrip.episode import run_grasp
 from tacgrip.plant import TICK_S
@@ -43,6 +50,34 @@ from tacgrip.scenario import (CANNED, Scenario, StimulusEvent,
 from tacgrip.sensor_sim import SensorModel
 
 LEDGER = Path(__file__).with_name("trace_ledger.json")
+
+
+class InProcessFingers:
+    """`_FingerWorkers` without the processes: each receive calls every
+    finger's step here, at the instant sent last."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def send(self, now):
+        self.now = now
+
+    def receive(self):
+        return {finger: step(self.now) for finger, step in self.steps.items()}
+
+
+def serial_run_grasp(scenario, out_dir=None, save_frames=False):
+    """run_grasp with each finger's step called in this process instead
+    of in its worker: the run the workers must reproduce."""
+    with mock.patch.object(tacgrip.episode, "_FingerWorkers",
+                           InProcessFingers):
+        return run_grasp(scenario, out_dir, save_frames)
 
 
 def moving_scenario(seed=4, duration=1.2):
@@ -139,12 +174,14 @@ def assert_matches_ledger(run, result):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Check every ledger run against trace_ledger.json, or "
-                    "record them with --write.")
+        description="Check every ledger run, with run_grasp's workers, "
+                    "against trace_ledger.json, or record them in-process "
+                    "with --write.")
     parser.add_argument("--write", action="store_true",
                         help="record the runs' digests in the ledger")
     args = parser.parse_args(argv)
-    got = {run: digests(run_grasp(make())) for run, make in RUNS.items()}
+    run_episode = serial_run_grasp if args.write else run_grasp
+    got = {run: digests(run_episode(make())) for run, make in RUNS.items()}
     if args.write:
         LEDGER.write_text(json.dumps({"versions": versions(), "runs": got},
                                      indent=1, sort_keys=True) + "\n",
