@@ -10,6 +10,7 @@ from tacgrip.errors import NoDisturbanceError, ValidationError
 from tacgrip.pgm import iter_frame_files
 from tacgrip.plant import TICK_S
 from tacgrip.scenario import Scenario, slip_scenario, static_scenario
+from trace_ledger import released_early
 
 
 def phases(result):
@@ -96,6 +97,19 @@ def test_timeout_run_extends_through_release_grace(timeout_run):
     # release vents for a second and then seals everything
     assert all(v == 0 for v in timeout_run.plant_rows[-1][-8:])
     assert min(timeout_run.plant_rows[-1][3:11]) < -20.0
+
+
+def test_release_grace_outlasts_the_scenario():
+    # The release comes less than the grace before the scenario's end;
+    # the run goes on through the whole grace, so the release sequence
+    # lands and seals every valve. Here the release is at 0.528 s of a
+    # 0.6 s scenario.
+    result = run_grasp(released_early(0, duration=0.6))
+    assert result.final_phase == Phase.RELEASED
+    t_release = result.transitions[-1][0]
+    assert t_release < result.scenario.duration_s
+    assert result.plant_rows[-1][0] >= t_release + 1.4
+    assert all(v == 0 for v in result.plant_rows[-1][-8:])
 
 
 def test_regrasp_cap_ends_the_episode_released(tmp_path):
