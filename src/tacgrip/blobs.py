@@ -55,7 +55,7 @@ _MAX_SEPARATION = 800.0
 _BOUND_SHARE = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     # Filter scale in px; a marker of radius r responds strongest at
     # r/sqrt(2), 2.83 for the simulator's 4 px markers.

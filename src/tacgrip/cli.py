@@ -30,7 +30,8 @@ def _cmd_grasp(args):
 
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario.sensor = replace(scenario.sensor, seed=args.seed)
+        scenario = replace(scenario,
+                           sensor=replace(scenario.sensor, seed=args.seed))
     result = run_grasp(scenario, out_dir=args.out, save_frames=args.save_frames)
     print(f"scenario {scenario.name} (seed {scenario.sensor.seed}): "
           f"final phase {result.final_phase.value}, "

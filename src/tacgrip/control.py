@@ -41,7 +41,7 @@ def has_fresh_contact(track, now, control_period=CONTROL_PERIOD_S):
                                                control_period)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlThresholds:
     t1_mm: float = 0.5
     t2_mm: float = 5.0

@@ -57,7 +57,7 @@ _BOX_SNAP = 32
 _STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KdeConfig:
     kernel_width_h: float = 15.0
     pixel_scale_s: float = 0.05

@@ -167,8 +167,9 @@ def finger_steps(scenario, frames_dir=None):
     noise-free rest frame, and finger 2's is a copy of it: with
     no noise the finger keys no random draw, so both fingers' rest
     frames are the same bytes, seen through the same detector and KDE
-    settings. Raises ValidationError naming finger 1 when the
-    calibration frame is rejected."""
+    settings, and the copy shares finger 1's frozen config objects.
+    Raises ValidationError naming finger 1 when the calibration frame is
+    rejected."""
     first = FingerPipeline(1, kde_config=scenario.kde,
                            detector_config=scenario.detector,
                            calibration_ratio=scenario.calibration_ratio)
@@ -320,13 +321,12 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     also writes episode.csv, plant.csv, per-finger track CSVs and a run
     manifest, and with save_frames the streams write each frame, as they
     render it, to out_dir/frames. Raises ValueError for save_frames
-    without an out_dir, ValidationError for an invalid scenario or a
-    rejected calibration frame, and WorkerError naming the finger whose
-    worker raised or ended.
+    without an out_dir, ValidationError for a rejected calibration frame
+    (a Scenario checks the rest when it is built), and WorkerError naming
+    the finger whose worker raised or ended.
     """
     if save_frames and out_dir is None:
         raise ValueError("save_frames needs an out_dir to write the frames to")
-    scenario.validate()
 
     plant = PneumaticPlant(scenario.plant)
     mcu = McuEmulator(plant)

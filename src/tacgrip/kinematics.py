@@ -42,7 +42,7 @@ FK_BLOCK = 1024
 MAX_WORKSPACE_SAMPLES = 2 ** 24
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointModel:
     """Linear pressure-to-curvature model for one joint.
 

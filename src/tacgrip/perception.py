@@ -89,9 +89,9 @@ class FingerPipeline:
 
     Calibrate with a no-contact reference frame before processing; the
     frame size, support box and working threshold are frozen from it,
-    and the detection window starts from it. control_period is checked
-    and kept, but nothing in the package reads it; the benchmark's
-    set-up probe (perfbench/setup_probe.py) still passes it.
+    as are the configs they come from, and the detection window starts
+    from it. control_period is checked and kept, but nothing in the
+    package reads it; perfbench's set-up probe still passes it.
     """
 
     def __init__(self, finger_id, kde_config=None, detector_config=None,

@@ -28,7 +28,7 @@ PRESSURE_MAX = 50.0
 _MAX_DELAY_S = 3600.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantConfig:
     valve_latency: float = 0.010  # s, command to valve actuation
     control_delay: float = 0.050  # s, perception decision to MCU execution
@@ -93,11 +93,12 @@ class PneumaticPlant:
     """Owns the plant state and advances it one tick at a time.
 
     Exactly one owner may call step(); command submission goes through
-    apply_valve_command onto the one valve queue, ordered by due tick
+    apply_valve_command onto the one valve queue, ordered by landing tick
     with ties in submission order (a step applies the changes landing on
     it in that order). Valve states change only through that queue, and
     the MCU's control delay rides on it too. `tick` is the clock: the
-    simulated time is tick * TICK_S.
+    simulated time is tick * TICK_S. The config is frozen, so the valve
+    latency, line delay and step factor `_alpha` hold for the whole run.
 
     A tick costs only what changes on it. Chamber updates run for the
     chambers in `_open` only: the open valves, less each chamber whose
@@ -134,7 +135,7 @@ class PneumaticPlant:
             valve_states=np.zeros(N_CHAMBERS, dtype=np.int64),
         )
         self.tick = 0
-        # heap of (landing tick, due tick, submission seq, chamber, command)
+        # heap of (landing tick, submission seq, chamber, command)
         self._queue = []
         self._seq = 0
         # First tick at which each chamber sees tank flow after its valve
@@ -145,18 +146,16 @@ class PneumaticPlant:
         self._open = []
         # True once the safety loop has turned both pumps off for good.
         self._pumps_idle = False
-        # Precomputed exact first-order step factor.
+        # Precomputed exact first-order step factor; the config is frozen.
         self._alpha = 1.0 - math.exp(-TICK_S / self.config.chamber_time_constant)
 
     # -- command side -----------------------------------------------------
 
     def apply_valve_command(self, selector, command, after_ticks=0):
         """Queue a valve change; it reaches the valve driver after_ticks
-        from now and is due valve_latency after that.
-
-        A step applies what is due at or before its tick, so a change
-        lands no sooner than the step after it reaches the driver: with
-        no valve latency, a tick after it is due.
+        from now and lands valve_latency after that, but no sooner than
+        the step after it arrives: a step applies what lands at or before
+        its tick, by landing tick, then submission order.
 
         selector: one chamber index or an iterable of indices in [0, 8).
         after_ticks: a whole number of ticks >= 0 (ValueError otherwise).
@@ -167,12 +166,11 @@ class PneumaticPlant:
             raise ValueError(f"after_ticks must be a whole number of ticks "
                              f">= 0, got {after_ticks!r}")
         chambers = self._resolve_selector(selector)
-        arrives = self.tick + int(after_ticks)
-        due = arrives + self.config.ticks(self.config.valve_latency)
-        lands = max(due, arrives + 1)
+        lands = (self.tick + int(after_ticks)
+                 + max(self.config.ticks(self.config.valve_latency), 1))
         command = int(command)
         for ch in chambers:
-            heapq.heappush(self._queue, (lands, due, self._seq, ch, command))
+            heapq.heappush(self._queue, (lands, self._seq, ch, command))
             self._seq += 1
 
     @staticmethod
@@ -204,12 +202,12 @@ class PneumaticPlant:
         cfg = self.config
         state = self.state
 
-        # Deliver the valve commands landing now in (due, fifo) order.
+        # Deliver the valve commands landing now, in submission order.
         rescan = False
         if queue and queue[0][0] <= now:
             valves = state.valve_states
             while queue and queue[0][0] <= now:
-                _, _, _, ch, command = heapq.heappop(queue)
+                _, _, ch, command = heapq.heappop(queue)
                 if valves[ch] != command:
                     valves[ch] = command
                     if command != 0:

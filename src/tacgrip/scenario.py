@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .blobs import DetectorConfig
 from .control import (DEFAULT_GRASP_MASK, MAX_REGRASPS, ControlThresholds)
@@ -26,7 +26,7 @@ from .sensor_sim import ContactStimulus, SensorModel
 _EVENT_SLACK_S = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class StimulusEvent:
     """At `time`, the finger's active stimulus becomes these parameters.
 
@@ -49,8 +49,11 @@ class StimulusEvent:
                                shear_y=self.shear_y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """An episode's whole configuration, checked when built and frozen
+    with its configs and events, so one that exists is valid."""
+
     name: str = "unnamed"
     duration_s: float = 10.0
     sensor: SensorModel = field(default_factory=SensorModel)
@@ -61,9 +64,11 @@ class Scenario:
     calibration_ratio: float = DEFAULT_CALIBRATION_RATIO
     grasp_mask: int = DEFAULT_GRASP_MASK
     max_regrasps: int = MAX_REGRASPS
-    events: List[StimulusEvent] = field(default_factory=list)
+    events: Tuple[StimulusEvent, ...] = ()
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "events", tuple(self.events))
+
         def check(name, value, **domain):
             check_range(name, value, error=ValidationError, **domain)
 
@@ -75,16 +80,12 @@ class Scenario:
         if not 0x01 <= self.grasp_mask <= 0xFF:
             raise ValidationError(
                 f"grasp_mask {self.grasp_mask:#04x} outside 0x01..0xFF: "
-                f"it must select one to eight chambers"
-            )
-        last_t = None
-        for ev in self.events:
-            if last_t is not None and ev.time < last_t:
+                f"it must select one to eight chambers")
+        for last, ev in zip((None,) + self.events, self.events):
+            if last is not None and ev.time < last.time:
                 raise ValidationError(
                     f"stimulus event times must be nondecreasing "
-                    f"(saw {ev.time} after {last_t})"
-                )
-            last_t = ev.time
+                    f"(saw {ev.time} after {last.time})")
             if ev.finger not in (1, 2):
                 raise ValidationError(f"event finger must be 1 or 2, got {ev.finger}")
             check("event time", ev.time, lo=0.0)
@@ -92,18 +93,16 @@ class Scenario:
                 ev.stimulus()
             except ValueError as exc:
                 raise ValidationError(f"event: {exc}") from None
-        return self
 
     def active_event(self, finger_id, t):
         """Latest event for this finger at or before time t, or None.
 
-        A bisection over the event times, which validate() keeps
+        A bisection over the event times, which construction checked
         nondecreasing, then a step back over the other finger's events
         to this finger's latest. A call costs O(log n + k), with k the
         other finger's events since this finger's latest one: a step or
         two when the fingers' events interleave, as in every canned and
-        benchmark script, and at most n. Nothing is cached, so an event
-        replaced in place is seen at once.
+        benchmark script, and at most n.
         """
         events = self.events
         i = bisect_right(events, t + _EVENT_SLACK_S, key=attrgetter("time"))
@@ -251,11 +250,11 @@ def parse_scenario_text(text):
             kwargs[owner] = _with_fields(getattr(base, owner), fields)
         except ValueError as exc:
             raise ValidationError(f"{owner}: {exc}") from None
-    return replace(base, events=events, **kwargs).validate()
+    return replace(base, events=events, **kwargs)
 
 
 def load_scenario(path):
-    """Load and validate a scenario file.
+    """Load a scenario file; the Scenario checks itself when built.
 
     Raises ParseError (with line number) for format problems, bytes
     that are not UTF-8 text among them, and ValidationError for violated
@@ -301,7 +300,7 @@ def static_scenario(seed=0, duration=8.0):
         StimulusEvent(time=1.0, finger=2, x=320.0, y=240.0, depth=3.0, radius=40.0),
     ]
     return Scenario(name="static", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=events).validate()
+                    sensor=SensorModel(seed=seed), events=events)
 
 
 def poke_scenario(seed=0, poke_time=6.0, duration=12.0):
@@ -314,7 +313,7 @@ def poke_scenario(seed=0, poke_time=6.0, duration=12.0):
                       depth=3.0, radius=40.0),
     ]
     return Scenario(name="poke", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=events).validate()
+                    sensor=SensorModel(seed=seed), events=events)
 
 
 def slip_scenario(seed=0, slip_time=6.0, duration=15.0):
@@ -329,14 +328,14 @@ def slip_scenario(seed=0, slip_time=6.0, duration=15.0):
                       depth=3.0, radius=40.0),
     ]
     return Scenario(name="slip", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=events).validate()
+                    sensor=SensorModel(seed=seed), events=events)
 
 
 def timeout_scenario(seed=0, duration=12.0):
     """Nothing is ever touched: the gripper gives up after the no-contact
     timeout and releases."""
     return Scenario(name="timeout", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=[]).validate()
+                    sensor=SensorModel(seed=seed))
 
 
 CANNED = {

@@ -22,14 +22,15 @@ from .pgm import FRAME_HEIGHT, FRAME_WIDTH, frame_filename, write_pgm
 # Subpixel sample offsets for 4x supersampled disk coverage.
 _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
 # Largest contact center, shear, radius and marker travel in px, and
-# # largest depth (mm) and gain (px/mm), whose product is the travel. A
+# largest depth (mm) and gain (px/mm), whose product is the travel. A
 # million px is over a thousand frame widths; past 1e154 px the squares
-# and pixel indices of rendering overflow.
+# and pixel indices of rendering overflow. The least radius mirrors it at
+# 1 / _MAX_PX: below 1e-154 px its square underflows to 0 (0 / 0 at r = 0).
 _MAX_PX = 1e6
 _MAX_DEPTH_MM = _MAX_GAIN = 1e3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorModel:
     width: int = FRAME_WIDTH
     height: int = FRAME_HEIGHT
@@ -65,7 +66,7 @@ class SensorModel:
             raise ValueError("need 0 <= marker_intensity < background <= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContactStimulus:
     """One parameterized contact: a Gaussian indentation footprint.
 
@@ -84,7 +85,7 @@ class ContactStimulus:
         for name in ("x", "y", "shear_x", "shear_y"):
             check_range(name, getattr(self, name), lo=-_MAX_PX, hi=_MAX_PX)
         check_range("depth", self.depth, lo=0.0, hi=_MAX_DEPTH_MM)
-        check_range("radius", self.radius, lo=0.0, hi=_MAX_PX, lo_open=True)
+        check_range("radius", self.radius, lo=1.0 / _MAX_PX, hi=_MAX_PX)
 
 
 def nominal_grid(model):
@@ -196,10 +197,11 @@ def render_frame(markers, model, finger_id=1, seq=0):
 class FrameStream:
     """One finger's camera: renders marker layouts as frames seq 0, 1, 2,
     ..., each equal to `render_frame` of its seq, stamping the coverage
-    only when a layout differs from the last. With a directory, creates
-    it and truth_<finger>.csv, then writes frame_<finger>_<seq>.pgm
-    (comment t=<timestamp>, the capture time its caller passes) and
-    appends one seq, marker, x, y row per marker to the sidecar."""
+    only when a layout differs from the last (the model is frozen, so the
+    layout alone keys that cache). With a directory, creates it and
+    truth_<finger>.csv, then writes frame_<finger>_<seq>.pgm (comment
+    t=<timestamp>, the capture time its caller passes) and appends one
+    seq, marker, x, y row per marker to the sidecar."""
 
     def __init__(self, model, finger_id, directory=None):
         self.model, self.finger_id, self.seq = model, finger_id, 0

@@ -280,7 +280,7 @@ def test_criterion_7_byte_identical_traces(tmp_path):
                               depth=3.0, radius=40.0),
                 StimulusEvent(time=0.2, finger=2, x=320.0, y=240.0,
                               depth=3.0, radius=40.0)],
-    ).validate()
+    )
     scn.write_text(scenario_to_text(early_contact))
     names = ["episode.csv", "plant.csv", "track_1.csv", "track_2.csv",
              "manifest.txt"]

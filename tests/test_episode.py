@@ -147,12 +147,14 @@ def test_invalid_scenario_rejected():
 def test_calibration_failure_is_a_scenario_error():
     # both used to escape from run_grasp as bare errors of the pipeline
     sc = static_scenario(duration=0.1)
-    sc.detector = dataclasses.replace(sc.detector, threshold_abs=2.83)
+    sc = dataclasses.replace(
+        sc, detector=dataclasses.replace(sc.detector, threshold_abs=2.83))
     with pytest.raises(ValidationError,
                        match="finger 1: calibration frame shows no markers"):
         run_grasp(sc)
     sc = static_scenario(duration=0.1)
-    sc.sensor = dataclasses.replace(sc.sensor, grid_rows=2)
+    sc = dataclasses.replace(
+        sc, sensor=dataclasses.replace(sc.sensor, grid_rows=2))
     with pytest.raises(ValidationError, match="calibration frame: support"):
         run_grasp(sc)
 

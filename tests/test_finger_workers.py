@@ -4,11 +4,9 @@ whether it returns or fails. The trace ledger (tests/trace_ledger.py) is
 recorded with each step called in-process, so checking a worker run
 against it compares the workers with the in-process run: the canned
 scenarios at seeds 0 and 3, the moving contact and the schedule edges.
-The last two also run in-process here, because the ledger does not hold
-the frames they save: their run directories are compared byte for
-byte."""
+For the last two the ledger also holds the run directory, frames saved,
+so no episode here runs in-process."""
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -20,102 +18,40 @@ import pytest
 
 import tacgrip.episode
 from tacgrip.control import GraspSupervisor, Phase
-from tacgrip.episode import (EPISODE_COLUMNS, FingerStep,
+from tacgrip.episode import (FingerStep, _FingerWorkers,
                              _pin_blas_to_one_thread, _serve, finger_steps,
                              run_grasp)
 from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
-from tacgrip.plant import TRACE_COLUMNS
 from tacgrip.scenario import CANNED, static_scenario
 from tacgrip.sensor_sim import (ContactStimulus, FrameStream,
                                 displace_markers, render_frame)
-from trace_ledger import (RUNS, SCHEDULE_EDGES, assert_matches_ledger,
-                          differences, edge_run, load, moving_scenario,
-                          released_early, serial_run_grasp)
+from trace_ledger import (RUNS, SAVES_FRAMES, SCHEDULE_EDGES,
+                          assert_matches_ledger, differences, edge_run, load,
+                          moving_scenario, released_early)
 
 
-def _mismatch(a, b):
-    """The first index at which sequences a and b differ (the shorter
-    one's length if it is a prefix of the other), or None if they are
-    equal."""
-    if a == b:
-        return None
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)))
-
-
-def _at(seq, i):
-    return repr(seq[i]) if i < len(seq) else "nothing"
-
-
-def first_difference(got, want):
-    """A line naming the first place where run `got` parts from run
-    `want`: an episode or plant row with its tick and column, a finger's
-    track, a command, a transition or the outcome. None when they are
-    the same run."""
-    for name, columns in (("episode", EPISODE_COLUMNS),
-                          ("plant", TRACE_COLUMNS)):
-        a, b = getattr(got, f"{name}_rows"), getattr(want, f"{name}_rows")
-        i = _mismatch(a, b)
-        if i is None:
-            continue
-        if i == min(len(a), len(b)):
-            return f"{len(a)} {name} rows, not {len(b)}"
-        j = _mismatch(a[i], b[i])
-        # an episode row holds its tick; plant row i is the plant at tick i
-        tick = a[i][0] if name == "episode" else i
-        return (f"{name} row {i} (tick {tick}) {columns[j]}: "
-                f"{a[i][j]!r} != {b[i][j]!r}")
-    for finger, track in got.tracks.items():
-        if track != want.tracks[finger]:
-            return f"the track of finger {finger}"
-    for name in ("commands", "transitions"):
-        a, b = getattr(got, name), getattr(want, name)
-        i = _mismatch(a, b)
-        if i is not None:
-            return f"{name}[{i}]: {_at(a, i)} != {_at(b, i)}"
-    outcome = [(r.regrasp_count, r.terminated, r.final_phase)
-               for r in (got, want)]
-    if outcome[0] != outcome[1]:
-        return f"outcome (regrasps, terminated, phase): {outcome[0]} != " \
-               f"{outcome[1]}"
-    return None
-
-
-def assert_same_run(got, want):
-    difference = first_difference(got, want)
-    assert difference is None, f"the runs part first at {difference}"
-
-
-def directory_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+def file_names(root):
+    return {p.relative_to(root).as_posix()
+            for p in Path(root).rglob("*") if p.is_file()}
 
 
 def test_the_ledger_holds_every_run_and_names_what_differs():
     ledger = load()
     assert set(ledger["runs"]) == set(RUNS)
+    assert {run for run, parts in ledger["runs"].items()
+            if "files" in parts} == SAVES_FRAMES
     got = dict(ledger["runs"]["static-0"], rows="0" * 64)
     assert differences("static-0", got, ledger) == [
         "static-0 rows: recorded 9b3afd00d1c4ca80, running 0000000000000000"]
     assert differences("static-9", got, ledger) == [
         "static-9: not in the ledger"]
-
-
-def test_assert_same_run_names_the_first_cell_that_differs(static_run):
-    assert first_difference(static_run, static_run) is None
-    rows = [list(row) for row in static_run.episode_rows]
-    rows[5][EPISODE_COLUMNS.index("f1_x")] = "0.000"
-    edited = replace(static_run, episode_rows=rows)
-    with pytest.raises(AssertionError, match=r"part first at episode row 5 "
-                       r"\(tick 165\) f1_x: '0\.000' != "):
-        assert_same_run(edited, static_run)
-    v3 = TRACE_COLUMNS.index("v3")
-    rows = [list(row) for row in static_run.plant_rows]
-    rows[40][v3] = 7
-    edited = replace(static_run, plant_rows=rows)
-    assert first_difference(static_run, edited) == \
-        f"plant row 40 (tick 40) v3: {static_run.plant_rows[40][v3]!r} != 7"
+    # a run directory that was not digested is named too
+    got = {part: digest for part, digest in ledger["runs"]["moving"].items()
+           if part != "files"}
+    assert differences("moving", got, ledger) == [
+        f"moving files: recorded {ledger['runs']['moving']['files'][:16]}, "
+        f"running -"]
 
 
 @pytest.mark.parametrize("name", sorted(CANNED))
@@ -134,30 +70,22 @@ def test_canned_runs_equal_the_serial_loop_at_seed_3(name):
 
 
 def test_moving_contact_run_directory_is_byte_identical(tmp_path):
-    sc = moving_scenario()
-    got = run_grasp(sc, out_dir=tmp_path / "workers", save_frames=True)
-    want = serial_run_grasp(sc, out_dir=tmp_path / "serial",
-                            save_frames=True)
-    assert_same_run(got, want)
-    assert_matches_ledger("moving", got)
+    got = run_grasp(moving_scenario(), out_dir=tmp_path, save_frames=True)
+    assert_matches_ledger("moving", got, tmp_path)
     assert len({row[3] for row in got.episode_rows}) > 25  # f1_x moves
-    files = directory_bytes(tmp_path / "workers")
-    assert files == directory_bytes(tmp_path / "serial")
+    files = file_names(tmp_path)
     assert {"frames/truth_1.csv", "frames/truth_2.csv", "episode.csv",
             "plant.csv", "track_1.csv", "track_2.csv",
-            "manifest.txt"} <= set(files)
+            "manifest.txt"} <= files
     assert sum(name.endswith(".pgm") for name in files) \
         == 2 * len(got.episode_rows)
 
 
 @pytest.mark.parametrize("make, duration", SCHEDULE_EDGES)
 def test_the_schedule_edges_equal_the_serial_loop(tmp_path, make, duration):
-    sc = make(1, duration=duration)
-    got = run_grasp(sc, out_dir=tmp_path / "workers", save_frames=True)
-    want = serial_run_grasp(sc, out_dir=tmp_path / "serial",
-                            save_frames=True)
-    assert_same_run(got, want)
-    assert_matches_ledger(edge_run(make, duration), got)
+    got = run_grasp(make(1, duration=duration), out_dir=tmp_path,
+                    save_frames=True)
+    assert_matches_ledger(edge_run(make, duration), got, tmp_path)
     assert got.terminated == (make is released_early)
     if got.terminated:
         # The release comes less than the grace before the scenario's
@@ -168,11 +96,22 @@ def test_the_schedule_edges_equal_the_serial_loop(tmp_path, make, duration):
         assert t_release < duration
         assert got.plant_rows[-1][0] >= t_release + 1.4
         assert all(v == 0 for v in got.plant_rows[-1][-8:])
-    files = directory_bytes(tmp_path / "workers")
-    assert files == directory_bytes(tmp_path / "serial")
+    files = file_names(tmp_path)
     # nothing rendered ahead: one frame per finger and instant
     assert sum(name.endswith(".pgm") for name in files) \
         == 2 * len(got.episode_rows)
+
+
+def test_the_workers_keep_the_fingers_apart(deadline):
+    # Most ledger runs give both fingers one stimulus, so a transport
+    # that handed both fingers one finger's reply would pass them.
+    steps = {finger: lambda now, finger=finger: (finger, now)
+             for finger in (1, 2)}
+    with _FingerWorkers(steps) as workers:
+        for k in range(4):
+            now = k * 0.033
+            workers.send(now)
+            assert workers.receive() == {1: (1, now), 2: (2, now)}
 
 
 def test_finger_2_copies_a_calibration_equal_to_its_own():
@@ -282,7 +221,7 @@ def test_a_rejected_calibration_starts_no_worker(deadline, monkeypatch):
 
     monkeypatch.setattr(tacgrip.episode, "_FingerWorkers", never)
     sc = static_scenario(duration=0.1)
-    sc.detector = dataclasses.replace(sc.detector, threshold_abs=2.83)
+    sc = replace(sc, detector=replace(sc.detector, threshold_abs=2.83))
     with pytest.raises(ValidationError, match="finger 1: calibration frame"):
         run_grasp(sc)
 

@@ -1,11 +1,21 @@
 """Package-wide rules that no single module's tests would notice."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import tacgrip
+from tacgrip.blobs import DetectorConfig
+from tacgrip.control import CommandKind, ControlThresholds, McuCommand
+from tacgrip.density import KdeConfig
+from tacgrip.kinematics import CcSegment, rot_joint
+from tacgrip.plant import PlantConfig
+from tacgrip.scenario import StimulusEvent, static_scenario
+from tacgrip.sensor_sim import ContactStimulus, SensorModel
 
 
 def test_no_module_level_mutable_state():
@@ -364,3 +374,41 @@ def re_raises():
 """
     assert _raised_names(source) == {"ValueError", "KeyError", "ParseError",
                                      "RuntimeError"}
+
+
+def _package_dataclasses():
+    """Every dataclass that a package module defines."""
+    for info in pkgutil.iter_modules(tacgrip.__path__):
+        module = importlib.import_module(f"tacgrip.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                yield value
+
+
+def _frozen(cls):
+    return cls.__dataclass_params__.frozen
+
+
+def test_every_checked_dataclass_is_frozen():
+    # __post_init__ checks a value once, when it is built; assigning a
+    # field afterwards would skip every check. MarkerSet is the one
+    # exception: it normalizes an array, which stays writable whatever
+    # the dataclass.
+    unfrozen = {cls.__name__ for cls in _package_dataclasses()
+                if "__post_init__" in vars(cls) and not _frozen(cls)}
+    assert unfrozen == {"MarkerSet"}
+
+
+def test_assigning_a_field_of_a_frozen_dataclass_raises():
+    examples = [SensorModel(), ContactStimulus(320.0, 240.0), KdeConfig(),
+                DetectorConfig(), ControlThresholds(), PlantConfig(),
+                rot_joint(), StimulusEvent(1.0, 1, 320.0, 240.0, 3.0, 40.0),
+                static_scenario(), McuCommand(CommandKind.CLOSE_VALVES),
+                CcSegment(kappa=0.01, phi=0.0, length=20.0)]
+    assert {type(e).__name__ for e in examples} == {
+        cls.__name__ for cls in _package_dataclasses() if _frozen(cls)}
+    for example in examples:
+        for field in dataclasses.fields(example):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(example, field.name, getattr(example, field.name))

@@ -171,31 +171,34 @@ def test_last_command_wins_fifo():
 
 
 def test_commands_land_at_due_tick_fifo_on_ties():
+    # Commands sent a varying number of ticks ahead put the queue out of
+    # submission order. Each lands at its landing tick, and of those
+    # landing on one tick, the last submitted wins.
     rng = np.random.default_rng(11)
-    plant = PneumaticPlant()
-    expected, seq = [], 0
-    for tick in range(2000):
-        for _ in range(int(rng.choice([0] * 12 + [1, 2, 3]))):
-            # a latency that varies per command puts the queue out of
-            # submission order
-            plant.config.valve_latency = float(rng.choice([0.0, 0.003, 0.010,
-                                                           0.040]))
-            chambers = [int(c) for c in rng.choice(N_CHAMBERS,
-                                                   rng.integers(1, 4),
-                                                   replace=False)]
-            command = int(rng.choice([-1, 0, 1]))
-            plant.apply_valve_command(chambers, command)
-            due = tick + plant.config.ticks(plant.config.valve_latency)
-            for ch in chambers:
-                expected.append((due, seq, ch, command))
-                seq += 1
-        plant.step()
-        want = [0] * N_CHAMBERS
-        for due, _, ch, command in sorted(expected):
-            if due <= plant.tick:
-                want[ch] = command
-        assert list(plant.state.valve_states) == want, plant.tick
-    assert seq > 200
+    for latency in (0.0, 0.003, 0.010, 0.040):
+        plant = PneumaticPlant(PlantConfig(valve_latency=latency))
+        lag = max(plant.config.ticks(latency), 1)
+        expected, seq = [], 0
+        for tick in range(500):
+            for _ in range(int(rng.choice([0] * 12 + [1, 2, 3]))):
+                after = int(rng.choice([0, 0, 1, 3, 10, 40]))
+                chambers = [int(c) for c in rng.choice(N_CHAMBERS,
+                                                       rng.integers(1, 4),
+                                                       replace=False)]
+                command = int(rng.choice([-1, 0, 1]))
+                plant.apply_valve_command(chambers, command,
+                                          after_ticks=after)
+                for ch in chambers:
+                    expected.append((tick + after + lag, seq, ch, command))
+                    seq += 1
+            plant.step()
+            want = [0] * N_CHAMBERS
+            for lands, _, ch, command in sorted(expected):
+                if lands <= plant.tick:
+                    want[ch] = command
+            assert list(plant.state.valve_states) == want, (latency,
+                                                            plant.tick)
+        assert seq > 100 and sorted(expected) != expected
 
 
 def test_change_sent_ahead_lands_as_if_sent_on_arrival():
@@ -325,7 +328,7 @@ def _reference_step(plant):
 
     queue = plant._queue
     while queue and queue[0][0] <= now:
-        _, _, _, ch, command = heapq.heappop(queue)
+        _, _, ch, command = heapq.heappop(queue)
         if state.valve_states[ch] != command:
             state.valve_states[ch] = command
             if command != 0:

@@ -49,7 +49,7 @@ def test_defaults_fill_missing_sections():
     assert sc.plant.tick_dt == 0.001
     assert sc.thresholds.t2_mm == 5.0
     assert sc.grasp_mask == 0xFF
-    assert sc.events == []
+    assert sc.events == ()
 
 
 def test_parse_errors_carry_line_numbers():
@@ -188,6 +188,8 @@ def test_validation_errors():
     # overflowed the float32 cast of the detection threshold
     ("detector", "threshold_abs = 1e308"),
     ("events", "event = 1.0 1 320 240 3 1e200"),
+    # its square underflowed to 0, and the marker at the center got 0 / 0
+    ("events", "event = 0.0 1 327 239.5 3 1e-300"),
     # each of these rendered inf or NaN marker positions
     ("events", "event = 1.0 1 1e308 240 3 40"),
     ("events", "event = 1.0 1 320 240 1e308 40"),
@@ -202,15 +204,20 @@ def test_values_outside_their_domain_rejected_at_parse(section, line):
         parse_scenario_text(f"[{section}]\n{line}\n")
 
 
-def test_validate_checks_domains_after_construction():
+def test_a_scenario_is_checked_when_built_and_cannot_be_changed():
     sc = static_scenario(duration=0.2)
-    sc.duration_s = float("nan")
     with pytest.raises(ValidationError, match="duration = nan"):
-        sc.validate()
-    sc = static_scenario(duration=0.2)
-    sc.max_regrasps = -1
+        dataclasses.replace(sc, duration_s=float("nan"))
     with pytest.raises(ValidationError, match="max_regrasps"):
-        sc.validate()
+        dataclasses.replace(sc, max_regrasps=-1)
+    # assigning would skip those checks, in the scenario or its configs
+    for owner, name, value in ((sc, "duration_s", float("nan")),
+                               (sc, "max_regrasps", -1), (sc, "events", []),
+                               (sc.detector, "scale", 1e9),
+                               (sc.events[0], "time", -1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, name, value)
+    assert sc == static_scenario(duration=0.2)
 
 
 def test_round_trip_through_text(tmp_path):
@@ -246,7 +253,7 @@ def _every_key_changed():
         events=[StimulusEvent(0.5, 1, 300.5, 250.25, 2.0, 30.0),
                 StimulusEvent(1.5, 2, 310.0, 240.0, 2.5, 35.0,
                               shear_x=1.5, shear_y=-0.5)],
-    ).validate()
+    )
 
 
 def test_round_trip_sees_every_key():
@@ -319,7 +326,7 @@ def test_active_event_bisection_matches_scan():
         events = [StimulusEvent(time=t, finger=rng.choice((1, 2)),
                                 x=float(i), y=240.0, depth=1.0, radius=40.0)
                   for i, t in enumerate(times)]
-        sc = Scenario(events=events).validate()
+        sc = Scenario(events=events)
         queries = [k * 0.033 for k in range(100)] + [-1.0, 5.0]
         for ev in events:
             edge = ev.time - slack
@@ -330,23 +337,33 @@ def test_active_event_bisection_matches_scan():
             for finger in (1, 2):
                 assert sc.active_event(finger, t) is \
                     _scan_active_event(sc, finger, t)
-    # A replaced, extended or edited script is seen at once.
-    sc = Scenario(events=[StimulusEvent(1.0, 1, 1.0, 2.0, 1.0, 40.0)])
+    # The scenario keeps its own tuple: a change to the list it was built
+    # from is not seen, and an extended or edited script is a new one.
+    events = [StimulusEvent(1.0, 1, 1.0, 2.0, 1.0, 40.0)]
+    sc = Scenario(events=events)
+    events.append(StimulusEvent(0.5, 1, 5.0, 2.0, 1.0, 40.0))
+    assert sc.events == tuple(events[:1])
     assert sc.active_event(1, 1.0).x == 1.0
-    sc.events.append(StimulusEvent(2.0, 1, 5.0, 2.0, 1.0, 40.0))
+    sc = dataclasses.replace(sc, events=sc.events + (
+        StimulusEvent(2.0, 1, 5.0, 2.0, 1.0, 40.0),))
     assert sc.active_event(1, 2.0).x == 5.0
-    sc.events = [StimulusEvent(0.5, 2, 7.0, 2.0, 1.0, 40.0)]
+    sc = dataclasses.replace(sc, events=[
+        StimulusEvent(0.5, 2, 7.0, 2.0, 1.0, 40.0)])
     assert sc.active_event(1, 2.0) is None
     assert sc.active_event(2, 2.0).x == 7.0
     sc = static_scenario()
     assert sc.active_event(1, 1.5).x == 320.0
-    sc.events[0] = StimulusEvent(1.0, 1, 99.0, 240.0, 3.0, 40.0)
-    assert sc.validate().active_event(1, 1.5).x == 99.0
-    sc.events[0] = StimulusEvent(1.0, 2, 98.0, 240.0, 3.0, 40.0)
-    assert sc.validate().active_event(1, 1.5) is None
+    events = list(sc.events)
+    events[0] = StimulusEvent(1.0, 1, 99.0, 240.0, 3.0, 40.0)
+    assert dataclasses.replace(sc, events=events).active_event(1, 1.5).x \
+        == 99.0
+    events[0] = StimulusEvent(1.0, 2, 98.0, 240.0, 3.0, 40.0)
+    sc = dataclasses.replace(sc, events=events)
+    assert sc.active_event(1, 1.5) is None
     assert sc.active_event(2, 1.5).x == 320.0  # the later of finger 2's
-    sc.events[1] = StimulusEvent(1.0, 1, 97.0, 240.0, 3.0, 40.0)
-    assert sc.validate().active_event(2, 1.5).x == 98.0
+    events[1] = StimulusEvent(1.0, 1, 97.0, 240.0, 3.0, 40.0)
+    sc = dataclasses.replace(sc, events=events)
+    assert sc.active_event(2, 1.5).x == 98.0
     assert sc.active_event(1, 1.5).x == 97.0
 
 
@@ -354,7 +371,7 @@ def test_depth_zero_clears_contact():
     sc = Scenario(events=[
         StimulusEvent(time=1.0, finger=1, x=320, y=240, depth=3.0, radius=40),
         StimulusEvent(time=2.0, finger=1, x=320, y=240, depth=0.0, radius=40),
-    ]).validate()
+    ])
     assert sc.active_event(1, 1.5).depth == 3.0
     assert sc.active_event(1, 2.5).depth == 0.0
 
@@ -369,7 +386,7 @@ def test_canned_scenarios_validate():
     assert poke.events[-1].x - poke.events[0].x == 40.0
     slip = slip_scenario()
     assert slip.events[-1].x - slip.events[1].x == 110.0
-    assert timeout_scenario().events == []
+    assert timeout_scenario().events == ()
 
 
 # Replacement values for one key, or for one field of an event line.
@@ -434,8 +451,9 @@ def test_fuzzed_events_are_rendered_or_fail_at_the_door():
     # The events start at t = 0, so each 0.2 s run renders the events a
     # mutant leaves valid; the mutants change only the [events] section.
     sc = static_scenario(1, duration=0.2)
-    sc.events = [dataclasses.replace(ev, time=0.0) for ev in sc.events]
-    base = scenario_to_text(sc.validate())
+    sc = dataclasses.replace(
+        sc, events=[dataclasses.replace(ev, time=0.0) for ev in sc.events])
+    base = scenario_to_text(sc)
     head, events = base.split("[events]\n")
     valid = {}
     for text in _fuzz_mutants("[events]\n" + events, 600, seed=9):

@@ -14,15 +14,17 @@ the recorded and running versions, then one line per run and component
 that differs, and exits 1 if any does. Record again only in a change
 that alters traces on purpose, and say why in CHANGES.md. The tier-1
 tests check the worker episodes they run anyway against the ledger with
-`assert_matches_ledger`, so the ledger costs them no extra episode.
+`assert_matches_ledger`, so the ledger costs them no extra episode, and
+no tier-1 test runs an episode in-process.
 
-For each run the ledger holds one digest per thing the tests' same-run
-comparison looks at: episode rows, plant rows, the two contact tracks,
-the commands, the phase transitions, and the outcome (final phase and
-regrasp count). `rows`, the digest of `(episode_rows, plant_rows)`
-together, is the hash earlier changes recorded by hand. Digests are of
-`repr`, so a float that parts in its last bit shows; on another platform
-(libm, BLAS) the versions line tells what else differs.
+For each run the ledger holds one digest per part of an EpisodeResult:
+episode rows, plant rows, the two contact tracks, the commands, the
+phase transitions, and the outcome (final phase and regrasp count).
+`rows`, the digest of `(episode_rows, plant_rows)` together, is the hash
+earlier changes recorded by hand. Digests are of `repr`, so a float that
+parts in its last bit shows; on another platform (libm, BLAS) the
+versions line tells what else differs. The runs in SAVES_FRAMES write
+their run directory with the frames saved, and `files` digests it.
 """
 
 import argparse
@@ -30,6 +32,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -91,14 +94,14 @@ def moving_scenario(seed=4, duration=1.2):
               for k in range(3, int(duration / period) + 1)
               for finger in (1, 2)]
     return Scenario(name="moving", duration_s=duration,
-                    sensor=SensorModel(seed=seed), events=events).validate()
+                    sensor=SensorModel(seed=seed), events=events)
 
 
 def released_early(seed, duration):
     """Nothing is touched, and the supervisor releases at 0.528 s."""
     sc = timeout_scenario(seed, duration=duration)
-    sc.thresholds = replace(sc.thresholds, no_contact_timeout_s=0.5)
-    return sc
+    return replace(sc, thresholds=replace(sc.thresholds,
+                                          no_contact_timeout_s=0.5))
 
 
 SCHEDULE_EDGES = [
@@ -121,18 +124,51 @@ RUNS = {f"{name}-{seed}": partial(CANNED[name], seed)
 RUNS["moving"] = moving_scenario
 RUNS.update((edge_run(make, duration), partial(make, 1, duration=duration))
             for make, duration in SCHEDULE_EDGES)
+# the runs whose run directory, frames saved, the ledger digests too
+SAVES_FRAMES = {"moving"} | {edge_run(make, duration)
+                             for make, duration in SCHEDULE_EDGES}
 
 
-def digests(result):
-    """{component: sha256 of its repr} for one EpisodeResult."""
+def directory_digest(root):
+    """sha256 of a run directory's files in path order: each one's path
+    relative to root, its size and its bytes. manifest.txt is left out:
+    it holds the package version, and the other digests cover the rest
+    of its lines."""
+    sha = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p
+             for p in Path(root).rglob("*") if p.is_file()}
+    files.pop("manifest.txt", None)
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        sha.update(f"{name}\n{len(data)}\n".encode())
+        sha.update(data)
+    return sha.hexdigest()
+
+
+def digests(result, out_dir=None):
+    """{component: sha256 of its repr} for one EpisodeResult, and
+    `files`, the digest of the run directory, when out_dir is given."""
     texts = {name: repr(getattr(result, name))
              for name in ("episode_rows", "plant_rows", "tracks", "commands",
                           "transitions")}
     # the repr of the pair, without a second repr of the plant's rows
     texts["rows"] = f"({texts['episode_rows']}, {texts['plant_rows']})"
     texts["outcome"] = repr((result.final_phase, result.regrasp_count))
-    return {name: hashlib.sha256(text.encode()).hexdigest()
-            for name, text in texts.items()}
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in texts.items()}
+    if out_dir is not None:
+        got["files"] = directory_digest(out_dir)
+    return got
+
+
+def run_digests(run, run_episode):
+    """The digests of ledger run `run`, run by run_episode: in a
+    temporary run directory, frames saved, for a run in SAVES_FRAMES."""
+    if run not in SAVES_FRAMES:
+        return digests(run_episode(RUNS[run]()))
+    with tempfile.TemporaryDirectory() as out_dir:
+        return digests(run_episode(RUNS[run](), out_dir, save_frames=True),
+                       out_dir)
 
 
 def versions():
@@ -153,20 +189,21 @@ def versions_line(ledger):
 
 def differences(run, got, ledger):
     """One line per component of `run` whose digest in `got` is not the
-    ledger's."""
+    ledger's, or that only one of them holds."""
     want = ledger["runs"].get(run)
     if want is None:
         return [f"{run}: not in the ledger"]
     return [f"{run} {part}: recorded {want.get(part, '-')[:16]}, "
-            f"running {digest[:16]}"
-            for part, digest in got.items() if want.get(part) != digest]
+            f"running {got.get(part, '-')[:16]}"
+            for part in {**want, **got} if want.get(part) != got.get(part)]
 
 
-def assert_matches_ledger(run, result):
+def assert_matches_ledger(run, result, out_dir=None):
     """Fail naming each component of `run` that parts from the ledger,
-    and the versions it was recorded with and runs with."""
+    and the versions it was recorded with and runs with. A run in
+    SAVES_FRAMES needs its run directory, out_dir."""
     ledger = load()
-    lines = differences(run, digests(result), ledger)
+    lines = differences(run, digests(result, out_dir), ledger)
     assert not lines, "\n".join(
         ["the trace ledger's digests differ:"] + lines
         + [versions_line(ledger)])
@@ -181,7 +218,7 @@ def main(argv=None):
                         help="record the runs' digests in the ledger")
     args = parser.parse_args(argv)
     run_episode = serial_run_grasp if args.write else run_grasp
-    got = {run: digests(run_episode(make())) for run, make in RUNS.items()}
+    got = {run: run_digests(run, run_episode) for run in RUNS}
     if args.write:
         LEDGER.write_text(json.dumps({"versions": versions(), "runs": got},
                                      indent=1, sort_keys=True) + "\n",
