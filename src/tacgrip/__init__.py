@@ -30,11 +30,10 @@ _EXPORTS = {
     "episode": ("EpisodeResult", "measure_response_latency", "run_grasp"),
     "errors": ("NoDisturbanceError", "ParseError", "TacgripError",
                "ValidationError", "WorkerError"),
-    "kinematics": ("CcSegment", "FingerChain", "JointModel",
-                   "WorkspaceResult", "cc_transform", "dex_joint",
-                   "dex_rot_chain", "finger_fk", "hull_volume",
-                   "pressure_to_cc", "rot_dex_chain", "rot_joint",
-                   "tip_position", "workspace", "write_workspace_csv"),
+    "kinematics": ("FingerChain", "JointModel", "WorkspaceResult",
+                   "dex_joint", "dex_rot_chain", "hull_volume",
+                   "rot_dex_chain", "rot_joint", "tip_position",
+                   "workspace", "write_workspace_csv"),
     "pgm": ("frame_filename", "iter_frame_files", "read_pgm", "write_pgm"),
     "plant": ("N_CHAMBERS", "PlantConfig", "PlantState", "PneumaticPlant",
               "safety_loop", "write_plant_trace_csv"),

@@ -9,12 +9,11 @@ Subcommands:
 Each command imports the modules it runs when it runs, so `replay`
 loads no scipy and `workspace` no `scipy.ndimage`. The defaults that
 live in those modules (`analyze --pixel-scale` and
-`--calibration-ratio`, `workspace --samples`) are read from them then
-too.
+`--calibration-ratio`) are read from them then too, and `workspace`
+without `--samples` leaves `samples_per_axis` to `workspace` itself.
 """
 
 import argparse
-import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,16 +51,15 @@ def _cmd_workspace(args):
     from .kinematics import (dex_rot_chain, rot_dex_chain, workspace,
                              write_workspace_csv)
 
-    if args.samples is None:
-        args.samples = inspect.signature(workspace).parameters[
-            "samples_per_axis"].default
+    samples = {} if args.samples is None else {
+        "samples_per_axis": args.samples}
     orders = ["dexrot", "rotdex"] if args.order == "both" else [args.order]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     volumes = {}
     for order in orders:
         chain = dex_rot_chain() if order == "dexrot" else rot_dex_chain()
-        res = workspace(chain, samples_per_axis=args.samples)
+        res = workspace(chain, **samples)
         write_workspace_csv(res.points, out / f"workspace_{order}.csv")
         volumes[order] = res.hull_volume
         print(f"volume({order}) = {res.hull_volume:.1f} mm^3 "

@@ -9,14 +9,14 @@ gridded pressure box.
 """
 
 import csv
-import math
 import operator
 from dataclasses import dataclass
-from typing import List
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .errors import check_range
 from .plant import PRESSURE_MAX, PRESSURE_MIN
 
 
@@ -41,6 +41,10 @@ FK_BLOCK = 1024
 # one 3-chamber joint's: 64^3 x 128 B = 33.5 MB.
 MAX_WORKSPACE_SAMPLES = 2 ** 24
 
+# Largest |gain| of a joint per kPa: it reaches the 90 degree clamp at
+# 9e-5 kPa, and gain x 57 kPa stays finite (1e308 overflowed at 10 kPa).
+_MAX_GAIN = 1e6
+
 
 @dataclass(frozen=True)
 class JointModel:
@@ -58,26 +62,12 @@ class JointModel:
     def __post_init__(self):
         if self.kind not in ("rot", "dex"):
             raise ValueError(f"unknown joint kind {self.kind!r}")
+        for name in ("pressure_to_angle_gain", "pressure_to_extension_gain"):
+            check_range(name, getattr(self, name), lo=-_MAX_GAIN, hi=_MAX_GAIN)
 
     @property
     def chamber_count(self):
         return 3 if self.kind == "dex" else 1
-
-
-@dataclass(frozen=True)
-class CcSegment:
-    """One constant-curvature arc: curvature 1/mm, bending-plane angle
-    rad, arc length mm."""
-
-    kappa: float
-    phi: float
-    length: float
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("segment length must be positive")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
 
 
 def rot_joint(gain=1.2):
@@ -89,11 +79,16 @@ def dex_joint(gain=0.9, extension_gain=0.1):
                       pressure_to_extension_gain=extension_gain)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FingerChain:
     """A finger's joints in assembly order, base to tip."""
 
-    joints: List[JointModel]
+    joints: Tuple[JointModel, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "joints", tuple(self.joints))
+        if not self.joints:
+            raise ValueError("a finger chain needs at least one joint")
 
     @property
     def chamber_count(self):
@@ -108,27 +103,12 @@ def rot_dex_chain():
     return FingerChain(joints=[rot_joint(), dex_joint()])
 
 
-def pressure_to_cc(joint, pressures):
-    """Map chamber pressures (kPa) to a constant-curvature segment.
-
-    Bend angles clamp to ANGLE_LIMIT_DEG; zero pressure gives a straight
-    segment of SEGMENT_LENGTH. A pressure outside [PRESSURE_MIN,
-    PRESSURE_MAX], NaN and infinities included, raises ValueError.
-    """
-    pressures = np.atleast_1d(np.asarray(pressures, dtype=np.float64))
-    if pressures.shape != (joint.chamber_count,):
-        raise ValueError(
-            f"{joint.kind} joint takes {joint.chamber_count} pressures, "
-            f"got {pressures.shape}"
-        )
-    kappa, phi, length = _joint_arcs(joint, pressures[np.newaxis])
-    return CcSegment(kappa=float(kappa[0]), phi=float(phi[0]),
-                     length=float(length[0]))
-
-
 def _joint_arcs(joint, pressures):
-    """(kappa, phi, length) arrays of one joint for an (N, chamber_count)
-    pressure array, each row mapped as pressure_to_cc maps a vector."""
+    """(kappa 1/mm, phi rad, length mm) arrays of one joint's arcs for an
+    (N, chamber_count) pressure array (kPa). Bend angles clamp to
+    ANGLE_LIMIT_DEG; zero pressure gives a straight segment of
+    SEGMENT_LENGTH. A pressure outside [PRESSURE_MIN, PRESSURE_MAX], NaN
+    and infinities included, raises ValueError."""
     inside = (pressures >= PRESSURE_MIN) & (pressures <= PRESSURE_MAX)
     if not inside.all():
         p = pressures[~inside][0]
@@ -171,19 +151,11 @@ def translation(x, y, z):
     return t
 
 
-def cc_transform(segment):
-    """Homogeneous transform of one arc: rotate the bending plane into
-    x-z, sweep a circular arc of angle kappa*length, rotate back.
-
-    Near kappa = 0 the chord terms switch to a 4th-order series, so the
-    straight-segment limit is smooth.
-    """
-    return _arc_transforms(np.array([segment.kappa]), np.array([segment.phi]),
-                           np.array([segment.length]))[0]
-
-
 def _arc_transforms(kappa, phi, length):
-    """(N, 4, 4) transforms of N arcs given as arrays; see cc_transform."""
+    """(N, 4, 4) transforms of N arcs given as arrays: rotate the bending
+    plane into x-z, sweep a circular arc of angle kappa*length, rotate
+    back. Where |kappa*length| < 1e-6 the chord terms switch to a
+    4th-order series, so the straight-segment limit is smooth."""
     theta = kappa * length
     ct, st = np.cos(theta), np.sin(theta)
     small = np.abs(theta) < 1e-6
@@ -204,17 +176,15 @@ def _arc_transforms(kappa, phi, length):
 
 
 def split_pressures(chain, pressures):
-    """Split pressures into per-joint arrays in chain order: a flat vector
-    into vectors, an (N, chamber_count) array into column blocks."""
+    """Column blocks of an (N, chamber_count) pressure array, one per
+    joint in chain order."""
     pressures = np.asarray(pressures, dtype=np.float64)
-    if pressures.ndim == 0 or pressures.shape[-1] != chain.chamber_count:
-        raise ValueError(
-            f"chain takes {chain.chamber_count} pressures, "
-            f"got shape {pressures.shape}"
-        )
+    if pressures.ndim != 2 or pressures.shape[1] != chain.chamber_count:
+        raise ValueError(f"expected an (N, {chain.chamber_count}) pressure "
+                         f"array, got shape {pressures.shape}")
     out, k = [], 0
     for joint in chain.joints:
-        out.append(pressures[..., k : k + joint.chamber_count])
+        out.append(pressures[:, k : k + joint.chamber_count])
         k += joint.chamber_count
     return out
 
@@ -222,10 +192,6 @@ def split_pressures(chain, pressures):
 def finger_fk_batch(chain, pressures):
     """Tip poses (N, 4, 4) for an (N, chamber_count) pressure array whose
     rows are flat pressure vectors in chain order."""
-    pressures = np.asarray(pressures, dtype=np.float64)
-    if pressures.ndim != 2:
-        raise ValueError(f"expected an (N, {chain.chamber_count}) pressure "
-                         f"array, got shape {pressures.shape}")
     return _compose([_arc_transforms(*_joint_arcs(joint, p)) for joint, p
                      in zip(chain.joints, split_pressures(chain, pressures))])
 
@@ -240,13 +206,11 @@ def _compose(stacks):
     return t @ translation(0.0, 0.0, CONNECTOR_THICKNESS_T)
 
 
-def finger_fk(chain, pressures):
-    """Tip pose (4x4) for a flat pressure vector in chain order."""
-    return finger_fk_batch(chain, np.reshape(pressures, (1, -1)))[0]
-
-
 def tip_position(chain, pressures):
-    return finger_fk(chain, pressures)[:3, 3]
+    """Tip position (3,) for a flat pressure vector in chain order. Only
+    perfbench's `workspace` speed probe calls it, by name; it goes when
+    the benchmark refresh (ROADMAP item 1) hooks finger_fk_batch."""
+    return finger_fk_batch(chain, np.reshape(pressures, (1, -1)))[0, :3, 3]
 
 
 @dataclass

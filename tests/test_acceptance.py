@@ -18,8 +18,9 @@ from tacgrip.control import (CommandKind, ControlThresholds, FlagKind,
                              classify_frame)
 from tacgrip.density import KdeConfig, estimate_density
 from tacgrip.episode import measure_response_latency
-from tacgrip.kinematics import (CcSegment, cc_transform, dex_rot_chain,
-                                finger_fk, rot_dex_chain, workspace)
+from tacgrip import kinematics
+from tacgrip.kinematics import (dex_rot_chain, finger_fk_batch, rot_dex_chain,
+                                workspace)
 from tacgrip.plant import N_CHAMBERS, PneumaticPlant
 from tacgrip.scenario import Scenario, StimulusEvent, scenario_to_text
 from tacgrip.sensor_sim import ContactStimulus, SensorModel, displace_markers, render_frame
@@ -243,22 +244,21 @@ def test_criterion_6_workspace_and_kinematics():
     assert 0.0 < rotdex.hull_volume < dexrot.hull_volume
 
     rng = np.random.default_rng(6)
-    worst_ortho = 0.0
-    chain = dex_rot_chain()
-    for _ in range(200):
-        r = finger_fk(chain, rng.uniform(-57.0, 50.0, 4))[:3, :3]
-        worst_ortho = max(worst_ortho,
-                          float(np.abs(r.T @ r - np.eye(3)).max()))
+    pressures = rng.uniform(-57.0, 50.0, (200, 4))
+    poses = finger_fk_batch(dex_rot_chain(), pressures)
+    worst_ortho = max(float(np.abs(r.T @ r - np.eye(3)).max())
+                      for r in poses[:, :3, :3])
     assert worst_ortho < 1e-10
 
+    # Three arcs of length 28 mm: nearly straight, straight, a quarter
+    # circle.
     length = 28.0
-    tiny = cc_transform(CcSegment(kappa=1e-9, phi=0.7, length=length))
-    straight = cc_transform(CcSegment(kappa=0.0, phi=0.7, length=length))
+    tiny, straight, quarter = kinematics._arc_transforms(
+        np.array([1e-9, 0.0, (math.pi / 2) / length]),
+        np.array([0.7, 0.7, 0.0]), np.full(3, length))
     continuity = float(np.linalg.norm(tiny[:3, 3] - straight[:3, 3]))
     assert continuity < 1e-4
 
-    quarter = cc_transform(CcSegment(kappa=(math.pi / 2) / length,
-                                     phi=0.0, length=length))
     expect = np.array([2 * length / math.pi, 0.0, 2 * length / math.pi])
     quarter_err = float(np.abs(quarter[:3, 3] - expect).max())
     assert quarter_err < 1e-6

@@ -12,7 +12,7 @@ import tacgrip
 from tacgrip.blobs import DetectorConfig
 from tacgrip.control import CommandKind, ControlThresholds, McuCommand
 from tacgrip.density import KdeConfig
-from tacgrip.kinematics import CcSegment, rot_joint
+from tacgrip.kinematics import dex_rot_chain, rot_joint
 from tacgrip.plant import PlantConfig
 from tacgrip.scenario import StimulusEvent, static_scenario
 from tacgrip.sensor_sim import ContactStimulus, SensorModel
@@ -405,7 +405,7 @@ def test_assigning_a_field_of_a_frozen_dataclass_raises():
                 DetectorConfig(), ControlThresholds(), PlantConfig(),
                 rot_joint(), StimulusEvent(1.0, 1, 320.0, 240.0, 3.0, 40.0),
                 static_scenario(), McuCommand(CommandKind.CLOSE_VALVES),
-                CcSegment(kappa=0.01, phi=0.0, length=20.0)]
+                dex_rot_chain()]
     assert {type(e).__name__ for e in examples} == {
         cls.__name__ for cls in _package_dataclasses() if _frozen(cls)}
     for example in examples:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,60 +7,55 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tacgrip import kinematics
 from tacgrip.kinematics import (ACTUATOR_LENGTH_H, ANGLE_LIMIT_DEG,
                                 CONNECTOR_THICKNESS_T, FK_BLOCK,
-                                MAX_WORKSPACE_SAMPLES,
-                                SEGMENT_LENGTH, CcSegment, FingerChain,
-                                cc_transform, dex_joint, dex_rot_chain,
-                                finger_fk, finger_fk_batch, hull_volume,
-                                pressure_to_cc, rot_dex_chain, rot_joint,
-                                split_pressures, tip_position, workspace,
-                                write_workspace_csv)
+                                MAX_WORKSPACE_SAMPLES, SEGMENT_LENGTH,
+                                FingerChain, JointModel, dex_joint,
+                                dex_rot_chain, finger_fk_batch, hull_volume,
+                                rot_dex_chain, rot_joint, split_pressures,
+                                tip_position, workspace, write_workspace_csv)
 from tacgrip.plant import PRESSURE_MAX, PRESSURE_MIN
 
 
 def test_zero_pressure_segment_is_straight():
-    seg = pressure_to_cc(rot_joint(), [0.0])
-    assert seg.kappa == 0.0
-    assert seg.phi == 0.0
-    assert seg.length == SEGMENT_LENGTH
-    t = cc_transform(seg)
+    kappa, phi, length = kinematics._joint_arcs(rot_joint(), np.zeros((1, 1)))
+    assert (kappa[0], phi[0], length[0]) == (0.0, 0.0, SEGMENT_LENGTH)
+    t = kinematics._arc_transforms(kappa, phi, length)[0]
     assert np.allclose(t[:3, :3], np.eye(3), atol=1e-15)
-    assert np.allclose(t[:3, 3], [0.0, 0.0, seg.length], atol=1e-15)
+    assert np.allclose(t[:3, 3], [0.0, 0.0, SEGMENT_LENGTH], atol=1e-15)
 
 
 def test_quarter_circle_chord():
     # kappa*length = pi/2 bends the arc to x = z = 2L/pi exactly
     length = SEGMENT_LENGTH
-    seg = CcSegment(kappa=(math.pi / 2.0) / length, phi=0.0, length=length)
-    tip = cc_transform(seg)[:3, 3]
+    tip = kinematics._arc_transforms(np.array([(math.pi / 2.0) / length]),
+                                     np.zeros(1), np.array([length]))[0, :3, 3]
     expect = np.array([2.0 * length / math.pi, 0.0, 2.0 * length / math.pi])
     assert np.abs(tip - expect).max() < 1e-6
 
 
 def test_rotation_blocks_orthonormal():
     rng = np.random.default_rng(11)
-    chain = dex_rot_chain()
-    for _ in range(50):
-        p = rng.uniform(-57.0, 50.0, 4)
-        r = finger_fk(chain, p)[:3, :3]
+    poses = finger_fk_batch(dex_rot_chain(), rng.uniform(-57.0, 50.0, (50, 4)))
+    for r in poses[:, :3, :3]:
         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-10
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_series_branch_continuous_at_cutoff():
-    length = 28.0
+    # row 0 bends by theta, row 1 is straight
+    length, phi = np.full(2, 28.0), np.full(2, 0.3)
     for theta in (9.999e-7, 1.001e-6):
-        seg = CcSegment(kappa=theta / length, phi=0.3, length=length)
-        straight = CcSegment(kappa=0.0, phi=0.3, length=length)
-        delta = cc_transform(seg)[:3, 3] - cc_transform(straight)[:3, 3]
-        assert np.linalg.norm(delta) < 1e-4
+        t = kinematics._arc_transforms(np.array([theta / 28.0, 0.0]), phi,
+                                       length)
+        assert np.linalg.norm(t[0, :3, 3] - t[1, :3, 3]) < 1e-4
 
 
 def test_phi_rotates_bending_plane():
-    seg0 = CcSegment(kappa=0.02, phi=0.0, length=28.0)
-    seg90 = CcSegment(kappa=0.02, phi=math.pi / 2.0, length=28.0)
-    t0, t90 = cc_transform(seg0)[:3, 3], cc_transform(seg90)[:3, 3]
+    t0, t90 = kinematics._arc_transforms(
+        np.full(2, 0.02), np.array([0.0, math.pi / 2.0]),
+        np.full(2, 28.0))[:, :3, 3]
     # same arc swept in the y-z plane instead of x-z
     assert t90[0] == pytest.approx(0.0, abs=1e-12)
     assert t90[1] == pytest.approx(t0[0], abs=1e-12)
@@ -67,68 +63,102 @@ def test_phi_rotates_bending_plane():
 
 
 def test_rot_joint_gain_and_clamp():
-    joint = rot_joint(gain=3.0)
-    seg = pressure_to_cc(joint, [10.0])
-    assert seg.kappa * seg.length == pytest.approx(math.radians(30.0))
-    clamped = pressure_to_cc(joint, [40.0])  # 120 deg requested
-    assert clamped.kappa * clamped.length == pytest.approx(math.radians(90.0))
+    # 30 deg, then 120 deg requested
+    kappa, _, length = kinematics._joint_arcs(rot_joint(gain=3.0),
+                                              np.array([[10.0], [40.0]]))
+    assert kappa[0] * length[0] == pytest.approx(math.radians(30.0))
+    assert kappa[1] * length[1] == pytest.approx(math.radians(90.0))
 
 
 def test_dex_joint_two_axis_bend_and_extension():
     joint = dex_joint(gain=0.9, extension_gain=0.1)
-    seg = pressure_to_cc(joint, [30.0, 40.0, 0.0])
-    theta = math.degrees(seg.kappa * seg.length)
+    kappa, phi, length = kinematics._joint_arcs(joint,
+                                                np.array([[30.0, 40.0, 0.0]]))
+    theta = math.degrees(kappa[0] * length[0])
     assert theta == pytest.approx(0.9 * 50.0)  # hypot(27, 36) = 45
-    assert seg.phi == pytest.approx(math.atan2(36.0, 27.0))
-    assert seg.length == pytest.approx(
-        SEGMENT_LENGTH + 0.1 * (70.0 / 3.0))
+    assert phi[0] == pytest.approx(math.atan2(36.0, 27.0))
+    assert length[0] == pytest.approx(SEGMENT_LENGTH + 0.1 * (70.0 / 3.0))
 
 
 def test_dex_pure_extension():
     joint = dex_joint(extension_gain=0.1)
-    seg = pressure_to_cc(joint, [0.0, 0.0, 30.0])
-    assert seg.kappa == 0.0
-    assert seg.length == pytest.approx(SEGMENT_LENGTH + 1.0)
+    kappa, _, length = kinematics._joint_arcs(joint,
+                                              np.array([[0.0, 0.0, 30.0]]))
+    assert kappa[0] == 0.0
+    assert length[0] == pytest.approx(SEGMENT_LENGTH + 1.0)
 
 
 def test_pressure_limits_enforced():
     with pytest.raises(ValueError, match="chamber pressure 50.1 kPa outside"):
-        pressure_to_cc(rot_joint(), [50.1])
+        kinematics._joint_arcs(rot_joint(), np.array([[50.1]]))
     with pytest.raises(ValueError, match="chamber pressure -57.1 kPa outside"):
-        pressure_to_cc(dex_joint(), [0.0, -57.1, 0.0])
+        kinematics._joint_arcs(dex_joint(), np.array([[0.0, -57.1, 0.0]]))
 
 
 def test_chamber_count_enforced():
-    with pytest.raises(ValueError):
-        pressure_to_cc(rot_joint(), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        pressure_to_cc(dex_joint(), [1.0])
+    with pytest.raises(ValueError, match=re.escape("(N, 1) pressure array")):
+        finger_fk_batch(FingerChain([rot_joint()]), np.ones((1, 2)))
+    with pytest.raises(ValueError, match=re.escape("(N, 3) pressure array")):
+        finger_fk_batch(FingerChain([dex_joint()]), np.ones((1, 1)))
 
 
 def test_extension_cannot_collapse_segment():
     joint = dex_joint(gain=0.0, extension_gain=1.0)
-    with pytest.raises(ValueError):
-        pressure_to_cc(joint, [-57.0, -57.0, -57.0])
+    with pytest.raises(ValueError, match="collapsed"):
+        kinematics._joint_arcs(joint, np.full((1, 3), -57.0))
 
 
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        CcSegment(kappa=0.0, phi=0.0, length=0.0)
-    with pytest.raises(ValueError):
-        CcSegment(kappa=float("nan"), phi=0.0, length=10.0)
+def test_a_chain_needs_a_joint_and_cannot_change():
+    with pytest.raises(ValueError, match="at least one joint"):
+        FingerChain([])
+    joints = [dex_joint(), rot_joint()]
+    chain = FingerChain(joints)
+    joints.append(rot_joint())
+    assert chain.joints == (dex_joint(), rot_joint())
+    assert chain.chamber_count == 4
+    with pytest.raises(AttributeError):
+        chain.joints.append(rot_joint())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.joints = joints
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pressure_to_extension_gain", math.nan),
+    ("pressure_to_angle_gain", math.nan),
+    ("pressure_to_angle_gain", math.inf),
+    ("pressure_to_angle_gain", 1e308)])
+def test_joint_gains_are_checked(field, value):
+    # Each gain once went through: NaN tips, NaN points that failed in
+    # Qhull, inf * 0 at 0 kPa, an overflow at 10 kPa.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} = {value!r} is not a finite number in "
+            "[-1e+06, 1e+06]")):
+        JointModel("dex", **{"pressure_to_angle_gain": 0.9, field: value})
+
+
+def test_the_largest_gains_keep_every_arc_finite():
+    for gain in (1e6, -1e6):
+        chain = FingerChain([dex_joint(gain=gain, extension_gain=0.0),
+                             rot_joint(gain=gain)])
+        poses = finger_fk_batch(chain, np.array([
+            [PRESSURE_MIN, PRESSURE_MAX, 0.0, PRESSURE_MIN],
+            [9e-5, 0.0, 0.0, -9e-5], [0.0, 0.0, 0.0, 0.0]]))
+        assert np.isfinite(poses).all()
+        assert np.isfinite(workspace(chain, samples_per_axis=2).hull_volume)
 
 
 def test_split_pressures_orders_by_chain():
     chain = dex_rot_chain()
-    dex_p, rot_p = split_pressures(chain, [1.0, 2.0, 3.0, 4.0])
-    assert list(dex_p) == [1.0, 2.0, 3.0]
-    assert list(rot_p) == [4.0]
+    dex_p, rot_p = split_pressures(chain, [[1.0, 2.0, 3.0, 4.0]])
+    assert dex_p.tolist() == [[1.0, 2.0, 3.0]]
+    assert rot_p.tolist() == [[4.0]]
     chain = rot_dex_chain()
-    rot_p, dex_p = split_pressures(chain, [1.0, 2.0, 3.0, 4.0])
-    assert list(rot_p) == [1.0]
-    assert list(dex_p) == [2.0, 3.0, 4.0]
-    with pytest.raises(ValueError):
-        split_pressures(chain, [1.0, 2.0])
+    rot_p, dex_p = split_pressures(chain, [[1.0, 2.0, 3.0, 4.0]])
+    assert rot_p.tolist() == [[1.0]]
+    assert dex_p.tolist() == [[2.0, 3.0, 4.0]]
+    for bad in ([[1.0, 2.0]], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="pressure array"):
+            split_pressures(chain, bad)
 
 
 def test_rest_stack_height_independent_of_order():
@@ -219,7 +249,7 @@ def test_non_finite_pressure_rejected(kind, chamber, value):
     pressures[chamber] = value
     with pytest.raises(ValueError,
                        match=re.escape(f"pressure {value} kPa outside")):
-        pressure_to_cc(joint, pressures)
+        kinematics._joint_arcs(joint, np.array([pressures]))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 50.5])
@@ -392,19 +422,19 @@ def test_batch_matches_per_sample_reference(chain_index):
     poses = finger_fk_batch(chain, vectors)
     for p, pose in zip(vectors, poses):
         assert np.abs(pose - _ref_fk(chain, p)).max() < 1e-12, p
-        for joint, jp in zip(chain.joints, split_pressures(chain, p)):
-            seg = pressure_to_cc(joint, jp)
-            ref = _ref_segment(joint, jp)
-            assert np.abs(np.subtract((seg.kappa, seg.phi, seg.length),
-                                      ref)).max() < 1e-12, (joint.kind, jp)
+    for joint, block in zip(chain.joints, split_pressures(chain, vectors)):
+        arcs = np.stack(kinematics._joint_arcs(joint, block), axis=1)
+        for jp, arc in zip(block, arcs):
+            assert np.abs(arc - _ref_segment(joint, jp)).max() < 1e-12, \
+                (joint.kind, jp)
 
 
 def test_clamping_chains_reach_the_clamp():
     for chain in _clamping_chains():
         for joint in chain.joints:
-            top = [PRESSURE_MAX] * joint.chamber_count
-            seg = pressure_to_cc(joint, top)
-            assert math.degrees(seg.kappa * seg.length) == \
+            top = np.full((1, joint.chamber_count), PRESSURE_MAX)
+            kappa, _, length = kinematics._joint_arcs(joint, top)
+            assert math.degrees(kappa[0] * length[0]) == \
                 pytest.approx(ANGLE_LIMIT_DEG)
 
 
@@ -414,5 +444,4 @@ def test_single_vector_fk_is_a_batch_row():
         batch = rng.uniform(PRESSURE_MIN, PRESSURE_MAX, (50, 4))
         poses = finger_fk_batch(chain, batch)
         for p, pose in zip(batch, poses):
-            assert np.abs(finger_fk(chain, p) - pose).max() < 1e-12
             assert np.abs(tip_position(chain, p) - pose[:3, 3]).max() < 1e-12

@@ -108,7 +108,6 @@ SCHEDULE_EDGES = [
     (static_scenario, 0.099),  # the last instant falls on the final tick
     (static_scenario, 0.1),
     (static_scenario, 0.132),
-    (released_early, 1.0),
     (released_early, 0.6),  # the release grace outlasts the scenario
 ]
 
