@@ -108,14 +108,16 @@ def _cmd_analyze(args):
         pipe = FingerPipeline(finger_id, kde_config=kde,
                               calibration_ratio=args.calibration_ratio)
         try:
-            pipe.calibrate(read_pgm(items[0][1]))
+            calibration = pipe.calibrate(read_pgm(items[0][1]))
         except ValidationError as exc:
             raise ValidationError(f"{items[0][1]}: {exc}") from None
+        window = calibration.window
         track = ContactTrack(finger_id=finger_id)
         for seq, path in items:
             frame = read_pgm(path)
             try:
-                report = pipe.process(frame)
+                report = calibration.process(frame, window)
+                window = report.window
                 if report.center is not None:
                     track_displacement(track, report.center,
                                        seq * args.period, kde)
@@ -125,7 +127,8 @@ def _cmd_analyze(args):
                 # The pipeline's field covers the support box only; the
                 # heatmap shows the whole frame.
                 height, width = frame.shape
-                field = estimate_density(report.markers, pipe.kde_config,
+                field = estimate_density(report.markers,
+                                         calibration.kde_config,
                                          width=width, height=height)
                 write_density_pgm(field,
                                   out / f"density_{finger_id}_{seq:06d}.pgm")

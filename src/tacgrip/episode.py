@@ -14,14 +14,14 @@ with the same scenario are byte-identical.
 
 Each finger's camera and perception run in a worker process of their
 own, as each camera on the gripper streams on its own. A `FingerStep`
-holds one finger's `FrameStream` and calibrated `FingerPipeline`, and a
-call renders and perceives that finger's frame at one instant: a sensor,
-time in, contact center out. `run_grasp` calibrates the pipelines
-itself, once for both fingers (`finger_steps`), so a rejected
-calibration frame raises `ValidationError` before any worker starts,
-then forks one worker per step. Little crosses the pipe: the parent
-sends each control instant's time, and the worker answers with the
-contact center, or None. The parent sends the next instant of its range
+holds one finger's `FrameStream`, the `Calibration` both fingers share
+and the finger's detection window, and a call renders and perceives
+that finger's frame at one instant: a sensor, time in, contact center
+out. `run_grasp` calibrates once for both fingers (`finger_steps`), so a
+rejected calibration frame raises `ValidationError` before any worker
+starts, then forks one worker per step. Little crosses the pipe: the
+parent sends each control instant's time, and the worker answers with
+the contact center, or None. The parent sends the next instant of its range
 as soon as it has handled one, so the workers perceive it while the
 plant ticks. Frames, fields and markers stay in the worker. The parent
 keeps both contact tracks, classifies them and checks their freshness,
@@ -37,7 +37,7 @@ threads. A thread per finger gave only 1.25-1.3x, because the `ndimage`
 filters and the noise draw hold the GIL.
 
 `run_grasp` needs the "fork" start method (POSIX): the workers inherit
-the scenario and the calibrated pipelines instead of unpickling them.
+the scenario and the calibration instead of unpickling them.
 Each worker sets the OpenBLAS libraries in its process to one thread.
 Unpinned, the two forked thread pools spin against each other on two
 cores: a static episode went from 2.9 to 4.3 s, a slip episode from 5.9
@@ -47,7 +47,6 @@ loads, so the worker calls the libraries' own setters. The parent's
 BLAS is left as it is.
 """
 
-import copy
 import ctypes
 import hashlib
 import multiprocessing
@@ -63,6 +62,7 @@ from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
                       has_fresh_contact, measure_valve_response)
 from .errors import NoDisturbanceError, ValidationError, WorkerError
 from .perception import FingerPipeline
+from .pgm import iter_frame_files
 from .plant import TICK_S, PneumaticPlant, write_plant_trace_csv
 from .sensor_sim import FrameStream, displace_markers, render_frame
 from .tracking import ContactTrack, track_displacement, write_track_csv
@@ -148,43 +148,47 @@ class FingerStep:
     """One finger's camera and perception for one episode: each call
     renders the scenario's stimulus at `now` (the rest grid when no event
     is active) as the stream's next frame, captured at `now`, runs it
-    through the pipeline and returns the contact center, or None."""
+    through the calibration and returns the contact center, or None. The
+    step's finger is its stream's. `window`, the detection window passed
+    from each frame's report to the next frame, is the one perception
+    state that changes; it starts at the calibration's."""
 
-    def __init__(self, scenario, pipeline, stream):
-        self.scenario, self.pipeline, self.stream = scenario, pipeline, stream
+    def __init__(self, scenario, calibration, stream):
+        self.scenario, self.stream = scenario, stream
+        self.calibration, self.window = calibration, calibration.window
 
     def __call__(self, now):
-        sc, pipe = self.scenario, self.pipeline
-        ev = sc.active_event(pipe.finger_id, now)
+        sc = self.scenario
+        ev = sc.active_event(self.stream.finger_id, now)
         markers = displace_markers(sc.sensor,
                                    None if ev is None else ev.stimulus())
-        return pipe.process(self.stream.render(markers, now)).center
+        report = self.calibration.process(self.stream.render(markers, now),
+                                          self.window)
+        self.window = report.window
+        return report.center
 
 
 def finger_steps(scenario, frames_dir=None):
     """Both fingers' `FingerStep`s, each stream opened (writing its frames
-    to frames_dir, if given). Finger 1's pipeline is calibrated on a
-    noise-free rest frame, and finger 2's is a copy of it: with
-    no noise the finger keys no random draw, so both fingers' rest
-    frames are the same bytes, seen through the same detector and KDE
-    settings, and the copy shares finger 1's frozen config objects.
-    Raises ValidationError naming finger 1 when the calibration frame is
+    to frames_dir, if given), sharing one `Calibration` of a noise-free
+    rest frame: with no noise the finger keys no random draw, so both
+    fingers' rest frames are the same bytes, seen through the same
+    detector and KDE settings. Raises ValidationError naming finger 1,
+    whose rest frame is rendered, when the calibration frame is
     rejected."""
-    first = FingerPipeline(1, kde_config=scenario.kde,
-                           detector_config=scenario.detector,
-                           calibration_ratio=scenario.calibration_ratio)
+    pipeline = FingerPipeline(1, kde_config=scenario.kde,
+                              detector_config=scenario.detector,
+                              calibration_ratio=scenario.calibration_ratio)
     ref_model = replace(scenario.sensor, noise_sigma=0.0)
     ref = render_frame(displace_markers(ref_model, None), ref_model,
                        finger_id=1, seq=0)
     try:
-        first.calibrate(ref)
+        calibration = pipeline.calibrate(ref)
     except ValidationError as exc:
         raise ValidationError(f"finger 1: {exc}") from None
-    second = copy.copy(first)
-    second.finger_id = 2
-    return {finger: FingerStep(scenario, pipe,
+    return {finger: FingerStep(scenario, calibration,
                                FrameStream(scenario.sensor, finger, frames_dir))
-            for finger, pipe in ((1, first), (2, second))}
+            for finger in (1, 2)}
 
 
 # Thread-count setters of the OpenBLAS builds that numpy and scipy wheels
@@ -321,12 +325,21 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     also writes episode.csv, plant.csv, per-finger track CSVs and a run
     manifest, and with save_frames the streams write each frame, as they
     render it, to out_dir/frames. Raises ValueError for save_frames
-    without an out_dir, ValidationError for a rejected calibration frame
-    (a Scenario checks the rest when it is built), and WorkerError naming
-    the finger whose worker raised or ended.
+    without an out_dir, and for an out_dir/frames that already holds a
+    frame file, which would mix two runs' frames; ValidationError for a
+    rejected calibration frame (a Scenario checks the rest when it is
+    built); and WorkerError naming the finger whose worker raised or
+    ended.
     """
     if save_frames and out_dir is None:
         raise ValueError("save_frames needs an out_dir to write the frames to")
+    frames_dir = None if out_dir is None else Path(out_dir) / "frames"
+    if frames_dir is not None and frames_dir.is_dir():
+        saved = iter_frame_files(frames_dir)
+        if saved:
+            raise ValueError(f"{frames_dir} already holds frames of another "
+                             f"run, first {saved[0][2].name}; give the run "
+                             f"a new directory")
 
     plant = PneumaticPlant(scenario.plant)
     mcu = McuEmulator(plant)
@@ -334,8 +347,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
         thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
         max_regrasps=scenario.max_regrasps,
     )
-    steps = finger_steps(scenario,
-                         Path(out_dir) / "frames" if save_frames else None)
+    steps = finger_steps(scenario, frames_dir if save_frames else None)
     tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
 
     episode_rows, commands_log = [], []

@@ -89,6 +89,10 @@ class FingerChain:
         object.__setattr__(self, "joints", tuple(self.joints))
         if not self.joints:
             raise ValueError("a finger chain needs at least one joint")
+        for i, joint in enumerate(self.joints):
+            if not isinstance(joint, JointModel):
+                raise ValueError(f"joint {i} of a finger chain is a "
+                                 f"{type(joint).__name__}, not a JointModel")
 
     @property
     def chamber_count(self):

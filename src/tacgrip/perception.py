@@ -1,4 +1,4 @@
-"""Per-finger perception pipeline: frames in, contact regions out.
+"""Per-finger perception: frames in, contact regions out.
 
 Wires the tactile stages together (detect markers, estimate density,
 extract contact) and owns the per-sensor threshold calibration: the
@@ -7,19 +7,28 @@ no-contact reference frame over the marker support box. The
 nominal-grid density sits orders of magnitude below any plausible fixed
 absolute threshold, so an uncalibrated constant would flag everything
 or nothing; calibration pins the decision boundary to the sensor's own
-rest state. A frame is a bare (height, width) uint8 array: the pipeline
+rest state. A frame is a bare (height, width) uint8 array: perception
 reads no time from it and keeps no track. Its caller grows one from the
 reported centers, each at the instant it asked for the frame
 (`tracking.track_displacement`), and classifies it.
 
+Two frozen values split what is configured from what a rest frame
+fixes. A `FingerPipeline` holds the settings, checked when built. Its
+`calibrate` returns a `Calibration`: the settings it used, the frame
+size, the support box, the threshold and the starting detection window.
+Nothing waits half-built for a method call, and a calibration can be
+compared and shared: both fingers of an episode take the same one.
+
 Markers are detected inside a window, which saves work but never
 changes the result (`blobs.detect_markers` searches the full frame when
 the window cannot be shown to hold every marker). Calibration detects on
-the full reference frame and sets the window to the reference markers'
-bounding box widened by `blobs.marker_window`'s margin. After every
-frame the window grows to the union of itself and the same widened box
-of that frame's markers, and it never shrinks, so markers pushed outward
-by a contact widen it once and the following frames stay windowed.
+the full reference frame and starts the window at the reference
+markers' bounding box widened by `blobs.marker_window`'s margin.
+`Calibration.process` takes the window to detect through and reports it
+grown to the union of itself and the same widened box of the frame's
+markers. A caller that passes each report's window to the next frame
+keeps a window that never shrinks, so markers pushed outward by a
+contact widen it once and the following frames stay windowed.
 
 Density and contact are computed on the support box alone: the
 reference markers' bounding box eroded by the kernel width h, frozen at
@@ -34,8 +43,8 @@ frame's markers, not the field: callers such as `tacgrip analyze
 one.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,65 +83,104 @@ class PipelineReport:
 
     region: the contact region (center, area, minimum density), or None
     for NoContact. markers: the frame's detected markers, possibly none.
+    window: the detection window grown over those markers, for the
+    finger's next frame.
     """
 
     region: Optional[ContactRegion]
     markers: MarkerSet
+    window: Tuple[int, int, int, int]
 
     @property
     def center(self):
         return None if self.region is None else self.region.center
 
 
-class FingerPipeline:
-    """Stateful perception for one finger.
-
-    Calibrate with a no-contact reference frame before processing; the
-    frame size, support box and working threshold are frozen from it,
-    as are the configs they come from, and the detection window starts
-    from it. control_period is checked and kept, but nothing in the
-    package reads it; perfbench's set-up probe still passes it.
+@dataclass(frozen=True)
+class Calibration:
+    """What a no-contact frame fixes for one sensor: the detector and KDE
+    settings, the frame size (width, height), the support box, the
+    working threshold (per px^2 density) and the starting detection
+    window. Both fingers of an episode share one.
     """
 
-    def __init__(self, finger_id, kde_config=None, detector_config=None,
-                 calibration_ratio=DEFAULT_CALIBRATION_RATIO,
-                 control_period=CONTROL_PERIOD_S):
-        check_range("calibration_ratio", calibration_ratio, lo=0.0,
+    kde_config: KdeConfig
+    detector_config: DetectorConfig
+    size: Tuple[int, int]
+    support: Tuple[int, int, int, int]
+    threshold: float
+    window: Tuple[int, int, int, int]
+
+    def process(self, frame, window):
+        """Run one frame through the pipeline, detecting inside `window`,
+        and return its report, whose window is `window` grown over the
+        frame's markers.
+
+        Raises ValueError for a frame that is not a 2-D uint8 array with
+        a pixel or not of the calibration frame's size.
+        """
+        check_frame(frame)
+        height, width = frame.shape
+        if (width, height) != self.size:
+            raise ValueError(
+                f"frame is {width}x{height}, but the pipeline "
+                f"was calibrated on a {self.size[0]}x{self.size[1]} frame")
+        markers = detect_markers(frame, self.detector_config, window)
+        if len(markers) == 0:
+            return PipelineReport(region=None, markers=markers, window=window)
+        grown = marker_window(markers, self.detector_config, width, height)
+        window = (min(window[0], grown[0]), min(window[1], grown[1]),
+                  max(window[2], grown[2]), max(window[3], grown[3]))
+        box_field = estimate_density(markers, self.kde_config,
+                                     width=width, height=height,
+                                     box=self.support)
+        return PipelineReport(
+            region=extract_contact(box_field, self.threshold),
+            markers=markers, window=window)
+
+
+@dataclass(frozen=True)
+class FingerPipeline:
+    """One finger's perception settings, checked when built; `calibrate`
+    turns them and a rest frame into a `Calibration`.
+
+    Nothing in the package reads finger_id or control_period; they stay
+    while perfbench's set-up probe passes them.
+    """
+
+    finger_id: int
+    kde_config: KdeConfig = field(default_factory=KdeConfig)
+    detector_config: DetectorConfig = field(default_factory=DetectorConfig)
+    calibration_ratio: float = DEFAULT_CALIBRATION_RATIO
+    control_period: float = CONTROL_PERIOD_S
+
+    def __post_init__(self):
+        check_range("calibration_ratio", self.calibration_ratio, lo=0.0,
                     hi=MAX_CALIBRATION_RATIO, lo_open=True,
                     error=ValidationError)
-        check_range("control_period", control_period, lo=0.0, lo_open=True,
-                    error=ValidationError)
-        self.finger_id = finger_id
-        self.kde_config = kde_config or KdeConfig()
-        self.detector_config = detector_config or DetectorConfig()
-        self.calibration_ratio = calibration_ratio
-        self.control_period = control_period
-        self.size = None  # (width, height); set by calibrate()
-        self.support = None
-        self.window = None
-        self.threshold = None  # per-px^2 density; set by calibrate()
+        check_range("control_period", self.control_period, lo=0.0,
+                    lo_open=True, error=ValidationError)
 
     def calibrate(self, reference_frame):
-        """Freeze the working threshold and support box from a
-        no-contact frame.
+        """The `Calibration` of a no-contact frame.
 
         Raises ValidationError when the frame cannot be a rest frame: it
         shows no markers, too few to span a support box, or a contact.
         detect_markers checks the frame itself (ValueError when it is not
-        a 2-D uint8 array with a pixel) before anything is frozen.
+        a 2-D uint8 array with a pixel).
         """
         markers = detect_markers(reference_frame, self.detector_config)
         height, width = reference_frame.shape
         if len(markers) == 0:
             raise ValidationError("calibration frame shows no markers")
         try:
-            self.support = marker_support_box(
+            support = marker_support_box(
                 markers, self.kde_config.kernel_width_h, width, height)
         except ValueError as exc:
             raise ValidationError(f"calibration frame: {exc}") from None
         reference_field = estimate_density(
             markers, self.kde_config, width=width, height=height,
-            box=self.support,
+            box=support,
         )
         values = reference_field.values
         median = float(np.median(values))
@@ -143,47 +191,12 @@ class FingerPipeline:
                 f"small for the marker spacing): its density minimum is "
                 f"{dip:.2f} of the median, below the rest floor "
                 f"{_REST_DENSITY_FLOOR}")
-        threshold = calibrate_threshold(reference_field,
-                                        ratio=self.calibration_ratio)
-        self.window = marker_window(markers, self.detector_config,
-                                    width, height)
-        self.size = (width, height)
-        self.threshold = threshold
-        return threshold
-
-    def _detect(self, frame):
-        """Detect inside the window, then grow it over the markers found."""
-        markers = detect_markers(frame, self.detector_config, self.window)
-        if len(markers):
-            height, width = frame.shape
-            grown = marker_window(markers, self.detector_config,
-                                  width, height)
-            self.window = (min(self.window[0], grown[0]),
-                           min(self.window[1], grown[1]),
-                           max(self.window[2], grown[2]),
-                           max(self.window[3], grown[3]))
-        return markers
-
-    def process(self, frame):
-        """Run one frame through the pipeline and return its report.
-
-        Raises ValueError, before the window changes, for a frame that
-        is not a 2-D uint8 array with a pixel or not of the calibration
-        frame's size.
-        """
-        if self.threshold is None:
-            raise RuntimeError("pipeline used before calibrate()")
-        check_frame(frame)
-        height, width = frame.shape
-        if (width, height) != self.size:
-            raise ValueError(
-                f"frame is {width}x{height}, but the pipeline "
-                f"was calibrated on a {self.size[0]}x{self.size[1]} frame")
-        markers = self._detect(frame)
-        if len(markers) == 0:
-            return PipelineReport(region=None, markers=markers)
-        field = estimate_density(markers, self.kde_config,
-                                 width=width, height=height,
-                                 box=self.support)
-        return PipelineReport(region=extract_contact(field, self.threshold),
-                              markers=markers)
+        return Calibration(
+            kde_config=self.kde_config,
+            detector_config=self.detector_config,
+            size=(width, height),
+            support=support,
+            threshold=calibrate_threshold(reference_field,
+                                          ratio=self.calibration_ratio),
+            window=marker_window(markers, self.detector_config,
+                                 width, height))

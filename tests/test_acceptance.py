@@ -74,10 +74,10 @@ def test_criterion_2_perception_round_trip():
     for episode in range(50):
         rng = np.random.default_rng(episode)
         model = SensorModel(seed=episode)
-        pipe = FingerPipeline(1)
         ref_model = SensorModel(seed=episode, noise_sigma=0.0)
-        pipe.calibrate(render_frame(displace_markers(ref_model, None),
-                                    ref_model))
+        cal = FingerPipeline(1).calibrate(
+            render_frame(displace_markers(ref_model, None), ref_model))
+        window = cal.window
         for seq in range(frames_per_episode):
             stim = ContactStimulus(
                 x=float(rng.uniform(240.0, 400.0)),
@@ -87,7 +87,8 @@ def test_criterion_2_perception_round_trip():
             )
             markers = displace_markers(model, stim)
             frame = render_frame(markers, model, finger_id=1, seq=seq)
-            report = pipe.process(frame)
+            report = cal.process(frame, window)
+            window = report.window
             total += 1
             if report.center is None:
                 misses += 1

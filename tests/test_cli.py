@@ -84,6 +84,24 @@ def test_grasp_command(tmp_path, capsys):
         assert (out_dir / name).is_file()
 
 
+def test_grasp_refuses_a_directory_with_another_runs_frames(tmp_path,
+                                                            capsys):
+    scn = tmp_path / "short.scn"
+    scn.write_text(scenario_to_text(static_scenario(seed=1, duration=0.1)))
+    argv = ["grasp", "--scenario", str(scn), "--out", str(tmp_path / "run"),
+            "--save-frames"]
+    assert main(argv) == 0
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    capsys.readouterr()
+    assert main(argv) == 1
+    frames = tmp_path / "run" / "frames"
+    assert capsys.readouterr().err == (
+        f"error: {frames} already holds frames of another run, first "
+        f"frame_1_000000.pgm; give the run a new directory\n")
+    assert (tmp_path / "run" / "manifest.txt").read_text() == manifest
+    assert len(list(frames.glob("*.pgm"))) == 8
+
+
 def test_grasp_seed_override(tmp_path, capsys):
     scn = tmp_path / "short.scn"
     scn.write_text(scenario_to_text(static_scenario(seed=1, duration=0.2)))
@@ -198,10 +216,9 @@ def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
     assert [p.name for p in sorted(out_dir.glob("density_1_*.pgm"))] == \
         ["density_1_000000.pgm", "density_1_000002.pgm"]
 
-    pipe = FingerPipeline(1)
     frames = [read_pgm(p) for p in sorted(frames_dir.glob("frame_1_*.pgm"))]
-    pipe.calibrate(frames[0])
-    blank = pipe.process(frames[1])
+    cal = FingerPipeline(1).calibrate(frames[0])
+    blank = cal.process(frames[1], cal.window)
     assert blank.center is None and blank.region is None
     assert isinstance(blank.markers, MarkerSet) and len(blank.markers) == 0
 

@@ -336,16 +336,18 @@ def test_box_field_equals_full_frame_slice(nominal_model):
 def test_process_matches_full_frame_path(nominal_model, reference_frame):
     # The support-box pipeline against the full-frame path it replaced:
     # full-frame field, support mask, then labelling.
-    pipe = perception.FingerPipeline(1)
-    threshold = pipe.calibrate(reference_frame)
+    cal = perception.FingerPipeline(1).calibrate(reference_frame)
+    threshold = cal.threshold
     ref_markers = tg.detect_markers(reference_frame)
     support = _old_support_mask(ref_markers.centroids, 15.0, 640, 480)
-    assert pipe.support == _box_of(support)
+    assert cal.support == _box_of(support)
     assert threshold == \
         0.8 * estimate_density(ref_markers).values[support].min()
     regions = 0
+    window = cal.window
     for _, frame in _contact_frames(nominal_model, 50, seed=14):
-        report = pipe.process(frame)
+        report = cal.process(frame, window)
+        window = report.window
         full = estimate_density(report.markers).values
         old = _old_extract_contact(full, threshold, support)
         if old is None:
@@ -369,15 +371,14 @@ def test_calibrate_runs_the_kde_once(monkeypatch, reference_frame):
 
     monkeypatch.setattr(perception, "estimate_density", counting)
     monkeypatch.setattr(density, "estimate_density", counting)
-    pipe = perception.FingerPipeline(1, calibration_ratio=0.8)
-    threshold = pipe.calibrate(reference_frame)
+    cal = perception.FingerPipeline(1, calibration_ratio=0.8).calibrate(
+        reference_frame)
     assert len(calls) == 1
     args, kwargs = calls[0]
     field = estimate_density(*args, **kwargs)
-    assert kwargs["box"] == pipe.support
-    assert pipe.support == marker_support_box(args[0], 15.0, 640, 480)
-    assert threshold == 0.8 * field.values.min()
-    assert pipe.threshold == threshold
+    assert kwargs["box"] == cal.support
+    assert cal.support == marker_support_box(args[0], 15.0, 640, 480)
+    assert cal.threshold == 0.8 * field.values.min()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -411,7 +412,7 @@ def test_calibrate_rejects_a_frame_not_at_rest(nominal_model, reference_frame):
                                         noise_sigma=noise)
             rest = tg.render_frame(tg.displace_markers(model, None), model,
                                    finger_id=1, seq=seed)
-            assert perception.FingerPipeline(1).calibrate(rest) > 0
+            assert perception.FingerPipeline(1).calibrate(rest).threshold > 0
 
 
 _FIELD_DIGEST = """

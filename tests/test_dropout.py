@@ -1,6 +1,6 @@
 """Marker dropout: frames rendered without some markers of the grid.
 
-One pipeline, calibrated on the noise-free rest frame, reads seed-1
+One calibration, of the noise-free rest frame, reads seed-1
 frames whose grid lacks a few markers, none of them grid neighbours of
 another. A lone missing marker lowers the density too little to cross
 the threshold; a hole of neighbouring markers is a density dip, read as
@@ -24,10 +24,8 @@ def model(nominal_model):
 
 
 @pytest.fixture(scope="module")
-def pipe(reference_frame):
-    pipe = perception.FingerPipeline(1)
-    pipe.calibrate(reference_frame)
-    return pipe
+def cal(reference_frame):
+    return perception.FingerPipeline(1).calibrate(reference_frame)
 
 
 def _grid_cell(model, index):
@@ -61,38 +59,38 @@ def _render_without(markers, drop, model, seq):
                         finger_id=1, seq=seq)
 
 
-def _reads_no_contact(pipe, model, drops):
+def _reads_no_contact(cal, model, drops):
     rest = displace_markers(model, None)
     for seq, drop in enumerate(drops, start=1):
         frame = _render_without(rest, drop, model, seq)
-        report = pipe.process(frame)
+        report = cal.process(frame, cal.window)
         assert report.center is None, f"dropped {[int(i) for i in drop]}"
 
 
-def test_rest_without_one_outer_ring_marker_reads_no_contact(pipe, model):
+def test_rest_without_one_outer_ring_marker_reads_no_contact(cal, model):
     ring = [i for i in range(model.grid_rows * model.grid_cols)
             if _on_ring(model, i)]
     assert len(ring) == 66
-    _reads_no_contact(pipe, model, [[i] for i in ring])
+    _reads_no_contact(cal, model, [[i] for i in ring])
 
 
-def test_rest_without_one_interior_marker_reads_no_contact(pipe, model):
+def test_rest_without_one_interior_marker_reads_no_contact(cal, model):
     interior = [i for i in range(model.grid_rows * model.grid_cols)
                 if not _on_ring(model, i)]
     rng = np.random.default_rng(20)
-    _reads_no_contact(pipe, model,
+    _reads_no_contact(cal, model,
                       [[i] for i in rng.choice(interior, 30, replace=False)])
 
 
-def test_rest_without_three_scattered_markers_reads_no_contact(pipe, model):
+def test_rest_without_three_scattered_markers_reads_no_contact(cal, model):
     rng = np.random.default_rng(21)
     everywhere = np.arange(model.grid_rows * model.grid_cols)
-    _reads_no_contact(pipe, model,
+    _reads_no_contact(cal, model,
                       [_sample_apart(model, rng, everywhere, 3)
                        for _ in range(40)])
 
 
-def test_contact_center_unmoved_by_distant_dropout(pipe, model):
+def test_contact_center_unmoved_by_distant_dropout(cal, model):
     # Three scattered markers dropped more than 100 px from a 3 mm
     # contact leave its center where it was.
     rng = np.random.default_rng(22)
@@ -105,8 +103,8 @@ def test_contact_center_unmoved_by_distant_dropout(pipe, model):
         offset = markers.centroids - (stim.x, stim.y)
         far = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) > 100.0)
         drop = _sample_apart(model, rng, far, 3)
-        centers = [pipe.process(_render_without(markers, dropped, model,
-                                                seq)).center
+        centers = [cal.process(_render_without(markers, dropped, model, seq),
+                               cal.window).center
                    for dropped in ([], drop)]
         assert centers[0] is not None
         assert centers[1] == centers[0], f"dropped {[int(i) for i in drop]}"

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import re
 
 import pytest
 
+import tacgrip.episode
 from tacgrip.control import CommandKind, McuEmulator, Phase
 from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
                              run_grasp)
@@ -163,6 +165,38 @@ def test_save_frames_needs_an_out_dir():
     # the flag used to write nothing, silently
     with pytest.raises(ValueError, match="save_frames needs an out_dir"):
         run_grasp(static_scenario(duration=0.1), save_frames=True)
+
+
+@pytest.mark.parametrize("save_frames", [True, False])
+def test_a_run_directory_holds_the_frames_of_one_run(tmp_path, monkeypatch,
+                                                     save_frames):
+    # A second run into the directory left the first run's extra frames
+    # beside its own: 7 frames per finger under a manifest of 4 ticks.
+    run_grasp(static_scenario(1, duration=0.2), out_dir=tmp_path,
+              save_frames=True)
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def never(*args, **kwargs):
+        raise AssertionError("calibrated")
+
+    monkeypatch.setattr(tacgrip.episode, "finger_steps", never)
+    frames = tmp_path / "frames"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{frames} already holds frames of another run, first "
+            f"frame_1_000000.pgm")):
+        run_grasp(static_scenario(1, duration=0.1), out_dir=tmp_path,
+                  save_frames=save_frames)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == written
+
+
+def test_a_frames_directory_without_frames_is_no_run(tmp_path):
+    (tmp_path / "frames").mkdir()
+    (tmp_path / "frames" / "notes.txt").write_text("not a frame\n")
+    result = run_grasp(static_scenario(1, duration=0.1), out_dir=tmp_path,
+                       save_frames=True)
+    assert len(iter_frame_files(tmp_path / "frames")) \
+        == 2 * len(result.episode_rows)
 
 
 def test_tick_loop_calls_no_mcu_method(monkeypatch):

@@ -114,16 +114,22 @@ def test_the_workers_keep_the_fingers_apart(deadline):
             assert workers.receive() == {1: (1, now), 2: (2, now)}
 
 
-def test_finger_2_copies_a_calibration_equal_to_its_own():
+def test_both_fingers_share_one_calibration():
+    steps = finger_steps(static_scenario())
+    assert steps[1].calibration is steps[2].calibration
+    assert [steps[f].stream.finger_id for f in (1, 2)] == [1, 2]
+    assert steps[1].window == steps[2].window == steps[1].calibration.window
+
+
+def test_the_shared_calibration_equals_finger_2s_own():
+    # finger_steps calibrates on finger 1's rest frame; with no noise,
+    # finger 2's rest frame calibrates to an equal value.
     sc = static_scenario()
-    copied = finger_steps(sc)[2].pipeline
     own = FingerPipeline(2, kde_config=sc.kde, detector_config=sc.detector,
                          calibration_ratio=sc.calibration_ratio)
     rest = replace(sc.sensor, noise_sigma=0.0)
-    own.calibrate(render_frame(displace_markers(rest, None), rest,
-                               finger_id=2, seq=0))
-    assert copied.finger_id == 2
-    assert vars(copied) == vars(own)
+    assert finger_steps(sc)[2].calibration == own.calibrate(
+        render_frame(displace_markers(rest, None), rest, finger_id=2, seq=0))
 
 
 def test_a_finger_at_rest_renders_a_contact_of_depth_0():
@@ -132,9 +138,9 @@ def test_a_finger_at_rest_renders_a_contact_of_depth_0():
     sc = static_scenario(1)
     frames = []
     recorder = SimpleNamespace(
-        finger_id=2,
-        process=lambda frame: frames.append(frame) or SimpleNamespace(
-            center=None))
+        window=(0, 0, 640, 480),
+        process=lambda frame, window: frames.append(frame) or SimpleNamespace(
+            center=None, window=window))
     step = FingerStep(sc, recorder, FrameStream(sc.sensor, 2))
     instants = (0.0, 0.033)
     assert [step(now) for now in instants] == [None, None]
@@ -189,23 +195,23 @@ def deadline():
 
 
 def fail_on_fifth_frame(monkeypatch, fail):
-    """Make finger 2's FingerPipeline.process call fail(self) on its
-    fifth frame; finger 1 runs on. Returns the list of the control
-    instants at which the supervisor ran."""
-    process, update = FingerPipeline.process, GraspSupervisor.update
+    """Make finger 2's FingerStep call fail(self) on its fifth frame;
+    finger 1 runs on. Returns the list of the control instants at which
+    the supervisor ran."""
+    step, update = FingerStep.__call__, GraspSupervisor.update
     instants = []
 
-    def counting(self, frame):
+    def counting(self, now):
         self.frames = getattr(self, "frames", 0) + 1
-        if self.finger_id == 2 and self.frames == 5:
+        if self.stream.finger_id == 2 and self.frames == 5:
             fail(self)
-        return process(self, frame)
+        return step(self, now)
 
     def recording(self, flag1, flag2, now, **fresh):
         instants.append(now)
         return update(self, flag1, flag2, now, **fresh)
 
-    monkeypatch.setattr(FingerPipeline, "process", counting)
+    monkeypatch.setattr(FingerStep, "__call__", counting)
     monkeypatch.setattr(GraspSupervisor, "update", recording)
     return instants
 
@@ -227,7 +233,7 @@ def test_a_rejected_calibration_starts_no_worker(deadline, monkeypatch):
 
 
 def test_a_worker_that_raises_is_named(deadline, monkeypatch):
-    def fail(pipe):
+    def fail(step):
         raise ValueError("fifth frame refused")
 
     instants = fail_on_fifth_frame(monkeypatch, fail)
@@ -241,7 +247,7 @@ def test_a_worker_that_raises_is_named(deadline, monkeypatch):
 def test_a_worker_that_dies_is_named(deadline, monkeypatch):
     test_process = os.getpid()
 
-    def die(pipe):
+    def die(step):
         assert os.getpid() != test_process, "finger ran in the test process"
         os._exit(3)
 

@@ -122,6 +122,19 @@ def test_a_chain_needs_a_joint_and_cannot_change():
         chain.joints = joints
 
 
+@pytest.mark.parametrize("joints, message", [
+    (["rot"], "joint 0 of a finger chain is a str"),
+    ([rot_joint(), None], "joint 1 of a finger chain is a NoneType"),
+    ([dex_joint(), rot_dex_chain()], "joint 1 of a finger chain is a "
+                                     "FingerChain"),
+])
+def test_a_chain_refuses_a_joint_that_is_not_a_joint_model(joints, message):
+    # FingerChain(["rot"]) built, and workspace then failed with "'str'
+    # object has no attribute 'chamber_count'".
+    with pytest.raises(ValueError, match=f"^{message}, not a JointModel$"):
+        FingerChain(joints)
+
+
 @pytest.mark.parametrize("field, value", [
     ("pressure_to_extension_gain", math.nan),
     ("pressure_to_angle_gain", math.nan),

@@ -198,15 +198,17 @@ def _inside(window, x, y):
 
 def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
                                             monkeypatch):
-    # One pipeline over 48 seeded contacts centered on the four edges of
-    # the marker grid, so edge markers leave the calibrated window.
+    # 48 seeded contacts centered on the four edges of the marker grid,
+    # so edge markers leave the calibrated window. The window never
+    # changes a report: the one passed along from frame to frame, the
+    # calibrated one and the full frame give the same region and markers.
     calls, windowed = _recording_detector(monkeypatch)
-    pipe = perception.FingerPipeline(1)
-    pipe.calibrate(reference_frame)
-    calibrated_window = pipe.window
+    cal = perception.FingerPipeline(1).calibrate(reference_frame)
+    assert calls[0][1] is None  # calibration searches the full frame
     grid = nominal_grid(nominal_model)
     lo, hi = grid.min(0), grid.max(0)
     rng = np.random.default_rng(2024)
+    window, inside = cal.window, 0
     for seq in range(48):
         x, y = rng.uniform(lo, hi)
         edge = seq % 4
@@ -221,40 +223,39 @@ def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
             shear_y=float(rng.uniform(-4.0, 4.0)))
         frame = tg.render_frame(tg.displace_markers(nominal_model, stim),
                                 nominal_model, finger_id=1, seq=seq)
-        pipe.process(frame)
-    assert calls[0][1] is None  # calibration searches the full frame
-    assert len(calls) == 49
-    for frame, window, markers in calls[1:]:
-        assert window is not None
-        full = detect_markers(frame).centroids
-        assert np.array_equal(markers.centroids, full)
-        # The calibrated window alone, which deep edge contacts push
-        # markers out of, gives the same result.
-        assert np.array_equal(
-            detect_markers(frame, window=calibrated_window).centroids, full)
-    # Most frames are answered inside the window; the window only grew.
-    assert windowed[0] >= 40
-    grown = np.array(pipe.window) - np.array(calibrated_window)
-    assert (grown[:2] <= 0).all() and (grown[2:] >= 0).all()
-    assert grown.any()
+        before = windowed[0]
+        report = cal.process(frame, window)
+        inside += windowed[0] - before
+        assert calls[-1][1] == window
+        for other in (cal.window, (0, 0, 640, 480)):
+            again = cal.process(frame, other)
+            assert again.region == report.region
+            assert again.markers.centroids.tobytes() \
+                == report.markers.centroids.tobytes()
+        grown = np.array(report.window) - np.array(window)
+        assert (grown[:2] <= 0).all() and (grown[2:] >= 0).all()
+        window = report.window
+    # Most frames are answered inside the window passed along, which
+    # deep edge contacts widened.
+    assert inside >= 40
+    assert window != cal.window
 
 
 def test_marker_far_outside_window_is_found(nominal_model, reference_frame,
                                             monkeypatch):
     calls, windowed = _recording_detector(monkeypatch)
-    pipe = perception.FingerPipeline(1)
-    pipe.calibrate(reference_frame)
-    assert not _inside(pipe.window, 40, 40)
+    cal = perception.FingerPipeline(1).calibrate(reference_frame)
+    assert not _inside(cal.window, 40, 40)
     moved = nominal_grid(nominal_model)
     moved[0] = (40.0, 40.0)
     frame = tg.render_frame(MarkerSet(moved), nominal_model, seq=1)
-    pipe.process(frame)
+    report = cal.process(frame, cal.window)
     markers = calls[-1][2]
     assert np.array_equal(markers.centroids, detect_markers(frame).centroids)
     assert len(markers) == len(moved)
     assert np.hypot(*(markers.centroids[0] - 40.0)) <= 1.0
     assert windowed[0] == 0
-    assert _inside(pipe.window, 40, 40)
+    assert _inside(report.window, 40, 40)
 
 
 def _resized(pixels, height, width):
@@ -269,23 +270,19 @@ def _resized(pixels, height, width):
 def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
                                                   reference_frame,
                                                   height, width):
-    pipe = perception.FingerPipeline(1)
-    pipe.calibrate(reference_frame)
+    cal = perception.FingerPipeline(1).calibrate(reference_frame)
     stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
     touched = tg.render_frame(tg.displace_markers(nominal_model, stim),
                               nominal_model, seq=1)
-    for _ in range(2):
-        pipe.process(touched)
-    window = pipe.window
+    window = cal.process(touched, cal.window).window
 
     other = _resized(touched, height, width)
     with pytest.raises(ValueError, match=f"frame is {width}x{height}, but the "
                        f"pipeline was calibrated on a 640x480 frame"):
-        pipe.process(other)
+        cal.process(other, window)
     # A frame that is not 8-bit fails the dtype check first.
     with pytest.raises(ValueError, match="dtype float64"):
-        pipe.process(other / 255.0)
-    assert pipe.window == window
+        cal.process(other / 255.0, window)
 
 
 def test_blank_and_noise_frames_empty_with_window():

@@ -29,35 +29,36 @@ def test_pipeline_validates_frames(reference_frame):
     nan_frame[240, 320] = np.nan
     with pytest.raises(ValueError, match="dtype float64"):
         pipe.calibrate(nan_frame)
-    pipe.calibrate(reference_frame)
+    cal = pipe.calibrate(reference_frame)
     with pytest.raises(ValueError, match="dtype float64"):
-        pipe.process(nan_frame)
+        cal.process(nan_frame, cal.window)
 
 
-def _pipeline_with_two_contacts(nominal_model, reference_frame):
-    """A calibrated pipeline that has seen two contacts, and the second
-    contact's frame."""
-    pipe = tg.FingerPipeline(1)
-    pipe.calibrate(reference_frame)
+def _calibration_after_two_contacts(nominal_model, reference_frame):
+    """A calibration, the window passed along over two contacts, and the
+    second contact's frame."""
+    cal = tg.FingerPipeline(1).calibrate(reference_frame)
+    window = cal.window
     for seq in range(2):
         touched = tg.render_frame(
             tg.displace_markers(nominal_model, tg.ContactStimulus(
                 x=300.0 + 5.0 * seq, y=240.0, depth=3.0, radius=40.0)),
             nominal_model, finger_id=1, seq=seq)
-        assert pipe.process(touched).center is not None
-    return pipe, touched
+        report = cal.process(touched, window)
+        assert report.center is not None
+        window = report.window
+    return cal, window, touched
 
 
 def test_rejected_frame_leaves_window_and_track(nominal_model,
                                                 reference_frame):
-    # The detector's own frame check fires before the pipeline grows its
-    # window.
-    pipe, touched = _pipeline_with_two_contacts(nominal_model,
-                                                reference_frame)
-    window = pipe.window
+    # The detector's own frame check fires before a grown window or a
+    # center comes back; the caller's window reads the next frame.
+    cal, window, touched = _calibration_after_two_contacts(nominal_model,
+                                                           reference_frame)
     with pytest.raises(ValueError, match="dtype float64"):
-        pipe.process(touched.astype(np.float64))
-    assert pipe.window == window
+        cal.process(touched.astype(np.float64), window)
+    assert cal.process(touched, window).window == window
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
@@ -73,10 +74,8 @@ def test_frame_with_no_pixel_is_refused(nominal_model, reference_frame,
         tg.detect_markers(empty)
     with pytest.raises(ValueError, match=message):
         tg.FingerPipeline(1).calibrate(empty)
-    pipe, touched = _pipeline_with_two_contacts(nominal_model,
-                                                reference_frame)
-    window = pipe.window
+    cal, window, touched = _calibration_after_two_contacts(nominal_model,
+                                                           reference_frame)
     with pytest.raises(ValueError, match=message):
-        pipe.process(empty)
-    assert pipe.window == window
-    assert pipe.process(touched).center is not None
+        cal.process(empty, window)
+    assert cal.process(touched, window).center is not None
