@@ -146,10 +146,11 @@ def _window_stable(track, thresholds, now, control_period):
     """Whether the track spans the window, which holds enough samples
     and none above T1.
 
-    Displacement i belongs to timestamps[i + 1]. ContactTrack.append
-    keeps timestamps strictly increasing and displacements finite, so
-    the first in-window sample is found by bisection, and the window's
-    largest displacement by the track's suffix-maximum index
+    Displacement i belongs to timestamps[i + 1]. ContactTrack.append,
+    the only way a sample enters a track, keeps timestamps strictly
+    increasing and displacements finite, and keeps the track's
+    suffix-maximum index. So the first in-window sample is found by
+    bisection, and the window's largest displacement by one more
     (ContactTrack.max_displacement_from). An empty window holds no
     violation.
     """

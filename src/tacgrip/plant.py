@@ -104,14 +104,15 @@ class PneumaticPlant:
     chambers in `_open` only: the open valves, less each chamber whose
     last update left its pressure bit-equal. Its valve and its tank are
     unchanged since, so every later update would give the same bits.
-    `_open` is rebuilt from the valve states whenever a command lands
-    and whenever a pump moves a tank. A tank is pumped and clamped only
-    while its pump runs (a tank that no pump moves stays inside the
-    limits it started in), and after a tick on which the safety loop
-    turns both pumps off, no tank moves again, so the loop is not run
-    again and both pump flags stay False. A tick with nothing to update
-    (pumps idle, no chamber in `_open`, no command landing) advances the
-    tick and returns first; it reads nothing else and writes no array.
+    `_open` is built from the valve states on the first step, and
+    rebuilt whenever a command lands and whenever a pump moves a tank.
+    A tank is pumped and clamped only while its pump runs (a tank that
+    no pump moves stays inside the limits it started in), and after a
+    tick on which the safety loop turns both pumps off, no tank moves
+    again, so the loop is not run again and both pump flags stay False.
+    A tick with nothing to update (pumps idle, no chamber in `_open`, no
+    command landing) advances the tick and returns first; it reads
+    nothing else and writes no array.
 
     Both rules rest on one contract: a caller may set `state` before the
     first step, but once stepping has begun, the plant changes only
@@ -203,7 +204,8 @@ class PneumaticPlant:
         state = self.state
 
         # Deliver the valve commands landing now, in submission order.
-        rescan = False
+        # The first step also scans the valves a caller may have set.
+        rescan = now == 1
         if queue and queue[0][0] <= now:
             valves = state.valve_states
             while queue and queue[0][0] <= now:

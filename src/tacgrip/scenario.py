@@ -31,7 +31,8 @@ class StimulusEvent:
     """At `time`, the finger's active stimulus becomes these parameters.
 
     depth = 0 removes the contact. Events are stepwise: the latest event
-    at or before the frame time wins.
+    at or before the frame time wins. Checked when built: finger 1 or 2,
+    a finite time of at least 0, and a stimulus ContactStimulus takes.
     """
 
     time: float
@@ -42,6 +43,16 @@ class StimulusEvent:
     radius: float
     shear_x: float = 0.0
     shear_y: float = 0.0
+
+    def __post_init__(self):
+        if self.finger not in (1, 2):
+            raise ValidationError(
+                f"event finger must be 1 or 2, got {self.finger}")
+        check_range("event time", self.time, lo=0.0, error=ValidationError)
+        try:
+            self.stimulus()
+        except ValueError as exc:
+            raise ValidationError(f"event: {exc}") from None
 
     def stimulus(self):
         return ContactStimulus(x=self.x, y=self.y, depth=self.depth,
@@ -81,18 +92,12 @@ class Scenario:
             raise ValidationError(
                 f"grasp_mask {self.grasp_mask:#04x} outside 0x01..0xFF: "
                 f"it must select one to eight chambers")
-        for last, ev in zip((None,) + self.events, self.events):
-            if last is not None and ev.time < last.time:
+        # Each event checked itself when it was built.
+        for last, ev in zip(self.events, self.events[1:]):
+            if ev.time < last.time:
                 raise ValidationError(
                     f"stimulus event times must be nondecreasing "
                     f"(saw {ev.time} after {last.time})")
-            if ev.finger not in (1, 2):
-                raise ValidationError(f"event finger must be 1 or 2, got {ev.finger}")
-            check("event time", ev.time, lo=0.0)
-            try:
-                ev.stimulus()
-            except ValueError as exc:
-                raise ValidationError(f"event: {exc}") from None
 
     def active_event(self, finger_id, t):
         """Latest event for this finger at or before time t, or None.
@@ -213,6 +218,7 @@ def parse_scenario_text(text):
     section = None
     values = {}  # owner -> {field: value}
     events = []
+    first_line = {}  # (section, key) -> the line that set it
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -240,8 +246,12 @@ def parse_scenario_text(text):
             raise ParseError(f"bad value {value!r} for {key}", line_no) from None
         if row.field == "events":
             events.append(parsed)
-        else:
-            values.setdefault(row.owner, {})[row.field] = parsed
+            continue
+        first = first_line.setdefault((section, key), line_no)
+        if first != line_no:
+            raise ParseError(f"repeated key {key!r} in [{section}], first "
+                             f"set on line {first}", line_no)
+        values.setdefault(row.owner, {})[row.field] = parsed
 
     base = Scenario()
     kwargs = values.pop(None, {})

@@ -15,30 +15,26 @@ from typing import List, Tuple
 from .errors import plain_float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContactTrack:
     """Per-finger time series of contact centers and displacements.
 
     displacements[i] is the mm distance between centers[i] and
     centers[i+1], so it belongs to timestamps[i+1]. A single-entry track
     has no displacement yet. Values are finite and timestamps strictly
-    increase: append, the one way a track grows, enforces both.
-
-    The lists grow only through append, or are set once before the
-    first classify: the suffix-maximum index behind
-    max_displacement_from covers what append added and what was set
-    before its first call, and is rebuilt only when the displacements
-    list has become shorter. An entry changed in place after that is
-    not seen.
+    increase: append, the one way a sample gets in, enforces both. The
+    constructor takes the finger alone, and the frozen fields cannot be
+    rebound to lists that skipped those checks.
     """
 
     finger_id: int = 1
-    timestamps: List[float] = field(default_factory=list)
-    centers: List[Tuple[float, float]] = field(default_factory=list)
-    displacements: List[float] = field(default_factory=list)
-    # Suffix-maximum index: the indices of the displacements greater
-    # than every later one, so their values strictly decrease. The last
-    # entry is the last displacement indexed.
+    timestamps: List[float] = field(default_factory=list, init=False)
+    centers: List[Tuple[float, float]] = field(default_factory=list,
+                                               init=False)
+    displacements: List[float] = field(default_factory=list, init=False)
+    # Suffix-maximum index, kept by append: the indices of the
+    # displacements greater than every later one, so their values
+    # strictly decrease.
     _peaks: List[int] = field(default_factory=list, init=False, repr=False,
                               compare=False)
 
@@ -68,29 +64,16 @@ class ContactTrack:
         self.timestamps.append(t)
         self.centers.append((x, y))
         if d is not None:
-            self.displacements.append(d)
-            self._index_peaks()
-
-    def _index_peaks(self):
-        """Add the displacements not yet indexed to _peaks; rebuild it
-        when the list has become shorter than what it indexed."""
-        disps, peaks = self.displacements, self._peaks
-        start = peaks[-1] + 1 if peaks else 0
-        if start > len(disps):
-            peaks.clear()
-            start = 0
-        for i in range(start, len(disps)):
-            d = disps[i]
+            disps, peaks = self.displacements, self._peaks
             while peaks and disps[peaks[-1]] <= d:
                 peaks.pop()
-            peaks.append(i)
+            peaks.append(len(disps))
+            disps.append(d)
 
     def max_displacement_from(self, lo):
         """max(displacements[lo:]) for lo >= 0, or None when that slice
-        is empty, in O(log N) for a track whose displacements were all
-        indexed: the first suffix maximum at or after lo is the largest
-        value there."""
-        self._index_peaks()
+        is empty, in O(log N): the first suffix maximum at or after lo
+        is the largest value there."""
         peaks = self._peaks
         k = bisect_left(peaks, lo)
         return self.displacements[peaks[k]] if k < len(peaks) else None

@@ -108,11 +108,10 @@ def test_criterion_2_perception_round_trip():
 
 
 def _track_with(disps, dt=CONTROL_DT):
-    n = len(disps) + 1
     track = ContactTrack(finger_id=1)
-    track.timestamps = [i * dt for i in range(n)]
-    track.centers = [(320.0, 240.0)] * n
-    track.displacements = list(disps)
+    track.append(0.0, (320.0, 240.0))
+    for i, d in enumerate(disps, 1):
+        track.append(i * dt, (320.0, 240.0), d)
     return track
 
 

@@ -9,6 +9,7 @@ so no episode here runs in-process."""
 
 import multiprocessing
 import os
+import random
 import signal
 from dataclasses import replace
 from pathlib import Path
@@ -16,15 +17,17 @@ from types import SimpleNamespace
 
 import pytest
 
+import tacgrip.blobs
 import tacgrip.episode
-from tacgrip.control import GraspSupervisor, Phase
+from tacgrip.control import CONTROL_PERIOD_TICKS, GraspSupervisor, Phase
 from tacgrip.episode import (FingerStep, _FingerWorkers,
                              _pin_blas_to_one_thread, _serve, finger_steps,
                              run_grasp)
 from tacgrip.errors import ValidationError, WorkerError
 from tacgrip.perception import FingerPipeline
-from tacgrip.scenario import CANNED, static_scenario
-from tacgrip.sensor_sim import (ContactStimulus, FrameStream,
+from tacgrip.plant import TICK_S
+from tacgrip.scenario import CANNED, Scenario, StimulusEvent, static_scenario
+from tacgrip.sensor_sim import (ContactStimulus, FrameStream, SensorModel,
                                 displace_markers, render_frame)
 from trace_ledger import (RUNS, SAVES_FRAMES, SCHEDULE_EDGES,
                           assert_matches_ledger, differences, edge_run, load,
@@ -119,6 +122,39 @@ def test_both_fingers_share_one_calibration():
     assert steps[1].calibration is steps[2].calibration
     assert [steps[f].stream.finger_id for f in (1, 2)] == [1, 2]
     assert steps[1].window == steps[2].window == steps[1].calibration.window
+
+
+def test_a_step_passes_its_detection_window_along(monkeypatch):
+    # A contact one marker spacing inside the grid's left edge, moving
+    # every period, pushes markers out of the calibration's window. The
+    # first frame falls back to the full frame and grows the window; a
+    # step that passed the window along finds every later frame's markers
+    # inside it. Detection gives the same markers either way, so only
+    # the fallback count can tell.
+    rng = random.Random(5)
+    period = CONTROL_PERIOD_TICKS * TICK_S
+    instants = [k * period for k in range(10)]
+    events = [StimulusEvent(now, finger,
+                            x=192.0 + 0.5 * k + rng.uniform(-1.5, 1.5),
+                            y=229.5 + 10.0 * finger + rng.uniform(-1.5, 1.5),
+                            depth=3.0, radius=40.0)
+              for k, now in enumerate(instants) for finger in (1, 2)]
+    sc = Scenario(name="edge", duration_s=len(instants) * period,
+                  sensor=SensorModel(seed=1), events=events)
+    steps = finger_steps(sc)
+    full_frame = {1: 0, 2: 0}
+    detect_in_box = tacgrip.blobs._detect_in_box
+
+    def counting(frame, config, box):
+        h, w = frame.shape
+        full_frame[finger] += box == (0, 0, w, h)
+        return detect_in_box(frame, config, box)
+
+    monkeypatch.setattr(tacgrip.blobs, "_detect_in_box", counting)
+    for now in instants:
+        for finger in (1, 2):
+            assert steps[finger](now) is not None
+    assert max(full_frame.values()) <= 1, full_frame
 
 
 def test_the_shared_calibration_equals_finger_2s_own():

@@ -17,6 +17,7 @@ from tacgrip.perception import Calibration, FingerPipeline
 from tacgrip.plant import PlantConfig
 from tacgrip.scenario import StimulusEvent, static_scenario
 from tacgrip.sensor_sim import ContactStimulus, SensorModel
+from tacgrip.tracking import ContactTrack
 
 
 def test_no_module_level_mutable_state():
@@ -408,7 +409,8 @@ def test_assigning_a_field_of_a_frozen_dataclass_raises():
                 static_scenario(), McuCommand(CommandKind.CLOSE_VALVES),
                 dex_rot_chain(), FingerPipeline(1),
                 Calibration(KdeConfig(), DetectorConfig(), (640, 480),
-                            (150, 100, 490, 380), 1e-4, (120, 70, 520, 410))]
+                            (150, 100, 490, 380), 1e-4, (120, 70, 520, 410)),
+                ContactTrack()]
     assert {type(e).__name__ for e in examples} == {
         cls.__name__ for cls in _package_dataclasses() if _frozen(cls)}
     for example in examples:

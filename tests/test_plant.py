@@ -454,12 +454,14 @@ def test_step_matches_reference_on_random_traffic():
     assert min(seen.values()) >= 50, seen
 
 
-def _plant_pair(cfg, tanks=None, pressures=None):
+def _plant_pair(cfg, tanks=None, pressures=None, valves=None):
     plants = (PneumaticPlant(cfg, initial_tanks=tanks),
               PneumaticPlant(cfg, initial_tanks=tanks))
-    if pressures is not None:
-        for plant in plants:
+    for plant in plants:
+        if pressures is not None:
             plant.state.chamber_pressures[:] = pressures
+        if valves is not None:
+            plant.state.valve_states[:] = valves
     return plants
 
 
@@ -525,3 +527,14 @@ def test_idle_pumps_give_the_reference_trace_for_ten_thousand_ticks():
     for _ in range(10_000):
         _step_both(fast, ref)
     assert fast._open == []  # every open chamber has settled
+
+
+def test_valves_set_before_the_first_step_move_their_chambers():
+    # The tanks start at their setpoints, so no pump runs and only the
+    # first step can see these valves.
+    fast, ref = _plant_pair(PlantConfig(), valves=[1, 0, 0, -1, 0, 0, 0, 0])
+    for _ in range(500):
+        _step_both(fast, ref)
+    assert not (fast.state.pump_pos_on or fast.state.pump_neg_on)
+    assert fast.state.chamber_pressures[0] > 40.0
+    assert fast.state.chamber_pressures[3] < -45.0

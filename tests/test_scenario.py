@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -202,6 +203,48 @@ def test_values_outside_their_domain_rejected_at_parse(section, line):
     with pytest.raises(ValidationError, match=key if key != "event" else
                        "event"):
         parse_scenario_text(f"[{section}]\n{line}\n")
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(time=math.nan, finger=7, x=math.inf, y=0.0, depth=-1.0,
+          radius=0.0), "event finger must be 1 or 2, got 7"),
+    (dict(time=-1.0, finger=1, x=320.0, y=240.0, depth=3.0, radius=40.0),
+     "event time = -1.0 is not"),
+    (dict(time=math.nan, finger=2, x=320.0, y=240.0, depth=3.0, radius=40.0),
+     "event time = nan is not"),
+    (dict(time=1.0, finger=1, x=math.inf, y=240.0, depth=3.0, radius=40.0),
+     "event: "),
+    (dict(time=1.0, finger=1, x=320.0, y=240.0, depth=-1.0, radius=40.0),
+     "event: "),
+], ids=["finger", "negative time", "nan time", "inf x", "negative depth"])
+def test_an_event_is_checked_when_built(fields, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        StimulusEvent(**fields)
+
+
+@pytest.mark.parametrize("text, key, section, first, line_no", [
+    ("[thresholds]\nt1_mm = 0.5\nt1_mm = 0.7\n", "t1_mm", "thresholds",
+     2, 3),
+    ("[scenario]\nduration = 1.0\n[scenario]\nduration = 2.0\n",
+     "duration", "scenario", 2, 4),
+], ids=["one section", "repeated section"])
+def test_a_repeated_key_is_refused_at_its_line(text, key, section, first,
+                                               line_no):
+    with pytest.raises(ParseError, match=re.escape(
+            f"line {line_no}: repeated key '{key}' in [{section}], first "
+            f"set on line {first}")) as err:
+        parse_scenario_text(text)
+    assert err.value.line_no == line_no
+
+
+def test_a_repeated_section_may_set_other_keys_and_events_repeat():
+    sc = parse_scenario_text(
+        "[scenario]\nname = two\n[events]\nevent = 1.0 1 320 240 3 40\n"
+        "[scenario]\nduration = 2.0\n[events]\nevent = 1.5 1 330 240 3 40\n"
+        "event = 1.5 2 320 240 3 40\n")
+    assert (sc.name, sc.duration_s) == ("two", 2.0)
+    assert [(ev.time, ev.finger) for ev in sc.events] == [
+        (1.0, 1), (1.5, 1), (1.5, 2)]
 
 
 def test_a_scenario_is_checked_when_built_and_cannot_be_changed():

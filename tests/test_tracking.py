@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import random
 
@@ -373,24 +374,27 @@ def _check_index(track, disps):
 def test_max_displacement_from_is_the_suffix_max():
     for disps in _index_cases():
         n = len(disps)
-        times = [0.1 * i for i in range(n + 1)]
-        centers = [(320.0, 240.0)] * (n + 1)
-        appended = ContactTrack()
-        for i, t in enumerate(times):
-            appended.append(t, centers[i], disps[i - 1] if i else None)
-        _check_index(appended, disps)
-        given = ContactTrack(timestamps=times, centers=centers,
-                             displacements=list(disps))
-        _check_index(given, disps)
-        # a constructor-built track grown on by append, queried between
-        half = n // 2
-        mixed = ContactTrack(timestamps=times[:half + 1],
-                             centers=centers[:half + 1],
-                             displacements=disps[:half])
-        _check_index(mixed, disps[:half])
-        for i in range(half + 1, n + 1):
-            mixed.append(times[i], centers[i], disps[i - 1])
-        _check_index(mixed, disps)
-        # a shorter list assigned after a query rebuilds the index
-        given.displacements = disps[:n // 3]
-        _check_index(given, disps[:n // 3])
+        track = ContactTrack()
+        for i in range(n + 1):
+            track.append(0.1 * i, (320.0, 240.0), disps[i - 1] if i else None)
+            if i == n // 2:
+                # queried mid-growth, then grown on
+                _check_index(track, disps[:i])
+        _check_index(track, disps)
+
+
+def test_append_is_the_one_way_into_a_track():
+    with pytest.raises(TypeError, match="timestamps"):
+        ContactTrack(finger_id=1, timestamps=[0.0])
+    track = ContactTrack(finger_id=2)
+    track.append(0.0, (320.0, 240.0))
+    track.append(0.1, (320.0, 240.0), 0.0)
+    for name in ("timestamps", "centers", "displacements"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(track, name, [])
+    # a NaN displacement is refused, so it cannot hide a violation from
+    # the window check
+    with pytest.raises(ValueError, match="d_mm nan is not finite"):
+        track.append(0.2, (320.0, 240.0), math.nan)
+    assert track.displacements == [0.0]
+    assert track.max_displacement_from(0) == 0.0
