@@ -75,17 +75,17 @@ class DetectorConfig:
                     hi=_MAX_SEPARATION, lo_open=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkerSet:
     """Detected (or synthetic) marker centroids for one frame.
 
-    centroids: (M, 2) float64 array, columns (x, y) in pixels.
+    centroids: the set's own read-only (M, 2) float64 array of (x, y) px.
     """
 
     centroids: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=np.float64)
+        c = np.array(self.centroids, dtype=np.float64)
         if c.size == 0:
             c = c.reshape(0, 2)
         if c.ndim != 2 or c.shape[1] != 2:
@@ -95,7 +95,8 @@ class MarkerSet:
         bad = int(np.count_nonzero(~np.isfinite(c).all(axis=1)))
         if bad:
             raise ValueError(f"{bad} centroid(s) are not finite (NaN or inf)")
-        self.centroids = c
+        c.flags.writeable = False
+        object.__setattr__(self, "centroids", c)
 
     def __len__(self):
         return self.centroids.shape[0]

@@ -2,6 +2,7 @@
 numeric value's domain and the one rule for a number's text."""
 
 import math
+import numbers
 
 
 class TacgripError(Exception):
@@ -34,18 +35,21 @@ class ValidationError(TacgripError):
 
 
 def check_range(name, value, lo=-math.inf, hi=math.inf, lo_open=False,
-                error=ValueError):
+                integer=False, error=ValueError):
     """Raise `error` unless value is a finite number in [lo, hi], or in
-    (lo, hi] with lo_open. NaN, infinities and integers too large for a
-    float never pass."""
+    (lo, hi] with lo_open, and an integer with `integer`. NaN, infinities,
+    bools, non-numbers and integers too large for a float never pass."""
+    kind = numbers.Integral if integer else numbers.Real
     try:
-        finite = math.isfinite(value)
+        finite = (isinstance(value, kind) and not isinstance(value, bool)
+                  and math.isfinite(value))
     except OverflowError:
         finite = False
     if not (finite and (lo < value if lo_open else lo <= value) and value <= hi):
         left = "(" if lo_open or lo == -math.inf else "["
         right = ")" if hi == math.inf else "]"
-        raise error(f"{name} = {value!r} is not a finite number in "
+        what = "an integer" if integer else "a finite number"
+        raise error(f"{name} = {value!r} is not {what} in "
                     f"{left}{lo:g}, {hi:g}{right}")
 
 

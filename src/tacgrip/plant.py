@@ -13,7 +13,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class PlantConfig:
     control_delay: float = 0.050  # s, perception decision to MCU execution
     line_delay: float = 0.050  # s, valve opening to pressure onset (500 mm line)
     chamber_time_constant: float = 0.15  # s
-    tank_setpoints: Tuple[float, float] = (45.0, -52.0)  # (positive, negative) kPa
+    tank_pos_setpoint: float = 45.0  # kPa
+    tank_neg_setpoint: float = -52.0  # kPa
     tank_hysteresis: float = 2.0  # kPa
     pump_rate: float = 40.0  # kPa/s while a pump runs
     tick_dt: ClassVar[float] = TICK_S  # alias of TICK_S, not a field
@@ -46,12 +47,10 @@ class PlantConfig:
         check_range("chamber_time_constant", self.chamber_time_constant,
                     lo=0.0, lo_open=True)
         check_range("pump_rate", self.pump_rate, lo=0.0, lo_open=True)
-        pos, neg = self.tank_setpoints
-        if not (PRESSURE_MIN <= neg < pos <= PRESSURE_MAX):
-            raise ValueError(
-                f"tank setpoints ({pos}, {neg}) outside "
-                f"[{PRESSURE_MIN}, {PRESSURE_MAX}] kPa or misordered"
-            )
+        check_range("tank_neg_setpoint", self.tank_neg_setpoint,
+                    lo=PRESSURE_MIN, hi=PRESSURE_MAX)
+        check_range("tank_pos_setpoint", self.tank_pos_setpoint,
+                    lo=self.tank_neg_setpoint, hi=PRESSURE_MAX, lo_open=True)
 
     def ticks(self, seconds):
         """Delay in whole ticks, rounded up so effects are never early."""
@@ -75,7 +74,7 @@ def safety_loop(state, config):
     hysteresis band on the depleted side and runs until the far band
     edge is crossed.
     """
-    sp_pos, sp_neg = config.tank_setpoints
+    sp_pos, sp_neg = config.tank_pos_setpoint, config.tank_neg_setpoint
     hys = config.tank_hysteresis
     pos_on, neg_on = state.pump_pos_on, state.pump_neg_on
     if state.tank_pos < sp_pos - hys:
@@ -120,8 +119,8 @@ class PneumaticPlant:
     """
 
     def __init__(self, config=None, initial_tanks=None):
-        self.config = config or PlantConfig()
-        sp_pos, sp_neg = self.config.tank_setpoints
+        self.config = cfg = config or PlantConfig()
+        sp_pos, sp_neg = cfg.tank_pos_setpoint, cfg.tank_neg_setpoint
         if initial_tanks is not None:
             sp_pos, sp_neg = initial_tanks
             # step() clamps a tank only while its pump runs, so a tank

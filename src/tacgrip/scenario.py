@@ -8,7 +8,8 @@ cannot silently fall back to a default.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -24,6 +25,10 @@ from .sensor_sim import ContactStimulus, SensorModel
 # An event is active at a frame time it precedes by at most this much, so
 # float rounding of frame times cannot delay it by a period.
 _EVENT_SLACK_S = 1e-9
+
+
+def _integer(value):  # a Python or numpy integer, and not a bool
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class StimulusEvent:
     shear_y: float = 0.0
 
     def __post_init__(self):
-        if self.finger not in (1, 2):
+        if not _integer(self.finger) or self.finger not in (1, 2):
             raise ValidationError(
                 f"event finger must be 1 or 2, got {self.finger}")
         check_range("event time", self.time, lo=0.0, error=ValidationError)
@@ -79,6 +84,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        if not isinstance(self.name, str) \
+                or self.name.strip().splitlines() != [self.name]:
+            raise ValidationError(f"name {self.name!r} is not one line of "
+                                  f"text without surrounding whitespace")
 
         def check(name, value, **domain):
             check_range(name, value, error=ValidationError, **domain)
@@ -87,7 +96,10 @@ class Scenario:
         check("duration", self.duration_s, lo=0.0, hi=86400.0, lo_open=True)
         check("calibration_ratio", self.calibration_ratio, lo=0.0,
               hi=MAX_CALIBRATION_RATIO, lo_open=True)
-        check("max_regrasps", self.max_regrasps, lo=0)
+        check("max_regrasps", self.max_regrasps, lo=0, integer=True)
+        if not _integer(self.grasp_mask):
+            raise ValidationError(
+                f"grasp_mask {self.grasp_mask!r} is not an integer")
         if not 0x01 <= self.grasp_mask <= 0xFF:
             raise ValidationError(
                 f"grasp_mask {self.grasp_mask:#04x} outside 0x01..0xFF: "
@@ -122,17 +134,30 @@ class Scenario:
 
 class _Key(NamedTuple):
     """One `key = value` line: parse turns its text into the value of
-    field (an attribute, or (attribute, index) into a tuple) on owner
-    (None for the Scenario, else the config attribute holding it); show
-    writes the value back so that parse(show(v)) == v. A key holds a
-    float unless it says otherwise."""
+    field on owner (None for the Scenario, else the config attribute
+    holding it); show writes the value back so that parse(show(v)) == v."""
 
     section: str
     key: str
     owner: Optional[str]
-    field: object
-    parse: Callable = plain_float
-    show: Callable = repr
+    field: str
+    parse: Callable
+    show: Callable
+
+
+def _show_float(value):
+    return repr(float(value))
+
+
+# (parse, show) of a value of each numeric type.
+_BY_TYPE = {int: (plain_int, int), float: (plain_float, _show_float)}
+
+
+def _config_keys(owner, config, skip=()):
+    """A row per field of a config, in field order, under [owner]; a
+    field of a type that _BY_TYPE lacks fails when the module loads."""
+    return tuple(_Key(owner, f.name, owner, f.name, *_BY_TYPE[f.type])
+                 for f in fields(config) if f.name not in skip)
 
 
 def _parse_event(text):
@@ -153,63 +178,27 @@ def _parse_event(text):
 
 def _show_event(ev):
     shear = [ev.shear_x, ev.shear_y] if ev.shear_x or ev.shear_y else []
-    return " ".join(map(repr, [ev.time, ev.finger, ev.x, ev.y, ev.depth,
-                               ev.radius] + shear))
+    return " ".join([_show_float(ev.time), str(int(ev.finger))] + [
+        _show_float(v) for v in [ev.x, ev.y, ev.depth, ev.radius] + shear])
 
 
-# Every key, in file order. The `event` row repeats: each line appends
-# one StimulusEvent to Scenario.events.
+# Every key, in file order; the config sections' rows come from their
+# fields. Each `event` line appends one StimulusEvent to Scenario.events.
 _KEYS = (
     _Key("scenario", "name", None, "name", str, str),
-    _Key("scenario", "seed", "sensor", "seed", plain_int),  # the noise seed
-    _Key("scenario", "duration", None, "duration_s"),
-    _Key("sensor", "grid_rows", "sensor", "grid_rows", plain_int),
-    _Key("sensor", "grid_cols", "sensor", "grid_cols", plain_int),
-    _Key("sensor", "spacing", "sensor", "spacing"),
-    _Key("sensor", "marker_radius", "sensor", "marker_radius"),
-    _Key("sensor", "marker_intensity", "sensor", "marker_intensity"),
-    _Key("sensor", "background", "sensor", "background"),
-    _Key("sensor", "displacement_gain_k", "sensor", "displacement_gain_k"),
-    _Key("sensor", "noise_sigma", "sensor", "noise_sigma"),
-    _Key("kde", "kernel_width_h", "kde", "kernel_width_h"),
-    _Key("kde", "pixel_scale_s", "kde", "pixel_scale_s"),
-    _Key("kde", "calibration_ratio", None, "calibration_ratio"),
-    _Key("detector", "scale", "detector", "scale"),
-    _Key("detector", "threshold_rel", "detector", "threshold_rel"),
-    _Key("detector", "threshold_abs", "detector", "threshold_abs"),
-    _Key("detector", "min_separation", "detector", "min_separation"),
-    _Key("plant", "valve_latency", "plant", "valve_latency"),
-    _Key("plant", "control_delay", "plant", "control_delay"),
-    _Key("plant", "line_delay", "plant", "line_delay"),
-    _Key("plant", "chamber_time_constant", "plant", "chamber_time_constant"),
-    _Key("plant", "tank_pos_setpoint", "plant", ("tank_setpoints", 0)),
-    _Key("plant", "tank_neg_setpoint", "plant", ("tank_setpoints", 1)),
-    _Key("plant", "tank_hysteresis", "plant", "tank_hysteresis"),
-    _Key("plant", "pump_rate", "plant", "pump_rate"),
-    _Key("thresholds", "t1_mm", "thresholds", "t1_mm"),
-    _Key("thresholds", "t2_mm", "thresholds", "t2_mm"),
-    _Key("thresholds", "stability_window_s", "thresholds", "stability_window_s"),
-    _Key("thresholds", "no_contact_timeout_s", "thresholds", "no_contact_timeout_s"),
-    _Key("thresholds", "window_coverage", "thresholds", "window_coverage"),
+    _Key("scenario", "seed", "sensor", "seed", *_BY_TYPE[int]),  # noise seed
+    _Key("scenario", "duration", None, "duration_s", *_BY_TYPE[float]),
+    *_config_keys("sensor", SensorModel, skip=("seed",)),
+    *_config_keys("kde", KdeConfig),
+    _Key("kde", "calibration_ratio", None, "calibration_ratio", *_BY_TYPE[float]),
+    *_config_keys("detector", DetectorConfig),
+    *_config_keys("plant", PlantConfig),
+    *_config_keys("thresholds", ControlThresholds),
     _Key("control", "grasp_mask", None, "grasp_mask",
          lambda text: plain_int(text, 0), "0x{:02X}".format),  # 0xFF or decimal
-    _Key("control", "max_regrasps", None, "max_regrasps", plain_int),
+    _Key("control", "max_regrasps", None, "max_regrasps", *_BY_TYPE[int]),
     _Key("events", "event", None, "events", _parse_event, _show_event),
 )
-
-
-def _with_fields(obj, values):
-    """obj with the parsed {field: value} pairs replaced; constructing
-    the copy runs its domain checks."""
-    changes = {}
-    for name, value in values.items():
-        if isinstance(name, tuple):
-            name, index = name
-            items = list(changes.get(name, getattr(obj, name)))
-            items[index] = value
-            value = tuple(items)
-        changes[name] = value
-    return replace(obj, **changes)
 
 
 def parse_scenario_text(text):
@@ -255,9 +244,9 @@ def parse_scenario_text(text):
 
     base = Scenario()
     kwargs = values.pop(None, {})
-    for owner, fields in values.items():
+    for owner, changes in values.items():
         try:
-            kwargs[owner] = _with_fields(getattr(base, owner), fields)
+            kwargs[owner] = replace(getattr(base, owner), **changes)
         except ValueError as exc:
             raise ValidationError(f"{owner}: {exc}") from None
     return replace(base, events=events, **kwargs)
@@ -291,10 +280,7 @@ def scenario_to_text(scenario):
             section = row.section
             lines.append(f"[{section}]")
         owner = scenario if row.owner is None else getattr(scenario, row.owner)
-        if isinstance(row.field, tuple):
-            value = getattr(owner, row.field[0])[row.field[1]]
-        else:
-            value = getattr(owner, row.field)
+        value = getattr(owner, row.field)
         for item in value if row.field == "events" else [value]:
             lines.append(f"{row.key} = {row.show(item)}")
     return "\n".join(lines) + "\n"

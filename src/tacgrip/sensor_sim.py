@@ -28,6 +28,10 @@ _SS = (np.arange(4) + 0.5) / 4.0 - 0.5
 # 1 / _MAX_PX: below 1e-154 px its square underflows to 0 (0 / 0 at r = 0).
 _MAX_PX = 1e6
 _MAX_DEPTH_MM = _MAX_GAIN = 1e3
+# Most markers a grid may hold: the KDE's (M, W) and (M, H) float64 kernel
+# matrices take M x (W + H) x 8 B, 2.7 MB for the default 300 on 640 x 480
+# (estimate_density peaked at 5.2 MB under tracemalloc), 90 MB at the cap.
+MAX_MARKERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,15 +50,22 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("width", "height", "grid_rows", "grid_cols"):
-            check_range(name, getattr(self, name), lo=1)
+        # Held as Python ints: numpy's uint64 makes pixel indices floats.
+        for name in ("width", "height", "grid_rows", "grid_cols", "seed"):
+            value = getattr(self, name)
+            check_range(name, value, lo=0 if name == "seed" else 1, integer=True)
+            object.__setattr__(self, name, int(value))
+        if self.grid_rows * self.grid_cols > MAX_MARKERS:
+            raise ValueError(f"grid_rows x grid_cols is above the cap of "
+                             f"{MAX_MARKERS} markers")
         for name in ("spacing", "marker_radius"):
             check_range(name, getattr(self, name), lo=0.0, lo_open=True)
+        check_range("marker_intensity", self.marker_intensity, lo=0.0, hi=1.0)
+        check_range("background", self.background, lo=self.marker_intensity,
+                    hi=1.0, lo_open=True)
         check_range("displacement_gain_k", self.displacement_gain_k, lo=0.0,
                     hi=_MAX_GAIN)
         check_range("noise_sigma", self.noise_sigma, lo=0.0)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.spacing <= 2 * self.marker_radius:
             raise ValueError("spacing must exceed the marker diameter")
         span_x = (self.grid_cols - 1) * self.spacing
@@ -62,8 +73,6 @@ class SensorModel:
         if span_x + 2 * self.marker_radius >= self.width \
                 or span_y + 2 * self.marker_radius >= self.height:
             raise ValueError("nominal marker grid does not fit in the frame")
-        if not 0.0 <= self.marker_intensity < self.background <= 1.0:
-            raise ValueError("need 0 <= marker_intensity < background <= 1")
 
 
 @dataclass(frozen=True)

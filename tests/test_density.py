@@ -286,6 +286,19 @@ def test_marker_set_refuses_non_finite_centroids(bad):
     assert len(tg.MarkerSet(centroids)) == 300
 
 
+def test_a_marker_set_keeps_the_centroids_it_checked():
+    # A NaN rebound or written in after the check made estimate_density
+    # return an all-NaN field without an error.
+    centroids = nominal_grid(tg.SensorModel())
+    markers = tg.MarkerSet(centroids)
+    centroids[0] = np.nan  # the set holds its own copy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        markers.centroids = np.array([[np.nan, 1.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        markers.centroids[0, 0] = np.nan
+    assert np.isfinite(estimate_density(markers).values).all()
+
+
 def _contact_frames(model, n, seed):
     """(markers, frame) for seeded contacts; four in five are centered on
     an edge of the marker grid, or h inside or outside it."""

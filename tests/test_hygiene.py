@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tacgrip
-from tacgrip.blobs import DetectorConfig
+from tacgrip.blobs import DetectorConfig, MarkerSet
 from tacgrip.control import CommandKind, ControlThresholds, McuCommand
 from tacgrip.density import KdeConfig
 from tacgrip.kinematics import dex_rot_chain, rot_joint
@@ -394,12 +394,12 @@ def _frozen(cls):
 
 def test_every_checked_dataclass_is_frozen():
     # __post_init__ checks a value once, when it is built; assigning a
-    # field afterwards would skip every check. MarkerSet is the one
-    # exception: it normalizes an array, which stays writable whatever
-    # the dataclass.
+    # field afterwards would skip every check. An array field is the
+    # value's own read-only copy (MarkerSet.centroids), so writing into
+    # it is refused too.
     unfrozen = {cls.__name__ for cls in _package_dataclasses()
                 if "__post_init__" in vars(cls) and not _frozen(cls)}
-    assert unfrozen == {"MarkerSet"}
+    assert unfrozen == set()
 
 
 def test_assigning_a_field_of_a_frozen_dataclass_raises():
@@ -410,7 +410,7 @@ def test_assigning_a_field_of_a_frozen_dataclass_raises():
                 dex_rot_chain(), FingerPipeline(1),
                 Calibration(KdeConfig(), DetectorConfig(), (640, 480),
                             (150, 100, 490, 380), 1e-4, (120, 70, 520, 410)),
-                ContactTrack()]
+                ContactTrack(), MarkerSet([[320.0, 240.0]])]
     assert {type(e).__name__ for e in examples} == {
         cls.__name__ for cls in _package_dataclasses() if _frozen(cls)}
     for example in examples:

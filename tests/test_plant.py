@@ -65,7 +65,7 @@ def test_seal_freezes_pressure_mid_rise():
 def test_positive_tank_bang_bang():
     plant = PneumaticPlant(initial_tanks=(40.0, -52.0))
     cfg = plant.config
-    sp_pos = cfg.tank_setpoints[0]
+    sp_pos = cfg.tank_pos_setpoint
     plant.step()
     assert plant.state.pump_pos_on  # 40 < 45 - 2
     seen_off = False
@@ -94,7 +94,7 @@ def test_negative_tank_bang_bang():
 
 
 def test_tank_clamps_at_actuator_limits():
-    cfg = PlantConfig(tank_setpoints=(50.0, -57.0))
+    cfg = PlantConfig(tank_pos_setpoint=50.0, tank_neg_setpoint=-57.0)
     plant = PneumaticPlant(config=cfg, initial_tanks=(47.0, -54.0))
     plant.run(2000)
     # pumps push past the setpoint but the clamp pins the tanks
@@ -103,7 +103,7 @@ def test_tank_clamps_at_actuator_limits():
 
 
 def test_chamber_never_leaves_limits():
-    cfg = PlantConfig(tank_setpoints=(50.0, -57.0))
+    cfg = PlantConfig(tank_pos_setpoint=50.0, tank_neg_setpoint=-57.0)
     plant = PneumaticPlant(config=cfg)
     plant.apply_valve_command([0, 1], +1)
     plant.apply_valve_command([2, 3], -1)
@@ -250,15 +250,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PlantConfig(chamber_time_constant=0.0)
     with pytest.raises(ValueError):
-        PlantConfig(tank_setpoints=(-52.0, 45.0))
+        PlantConfig(tank_pos_setpoint=-52.0, tank_neg_setpoint=45.0)
     with pytest.raises(ValueError):
-        PlantConfig(tank_setpoints=(60.0, -52.0))
+        PlantConfig(tank_pos_setpoint=60.0)
 
 
 @pytest.mark.parametrize("key,value", [
     ("valve_latency", float("nan")), ("line_delay", float("inf")),
     ("pump_rate", -40.0), ("pump_rate", 0.0), ("tank_hysteresis", -2.0),
     ("chamber_time_constant", float("nan")),
+    # numeric fields refuse bools; each setpoint is checked on its own
+    ("pump_rate", True), ("tank_pos_setpoint", 60.0),
+    ("tank_neg_setpoint", float("nan")), ("tank_pos_setpoint", True),
 ])
 def test_config_rejects_values_outside_domain(key, value):
     with pytest.raises(ValueError, match=key):
@@ -365,7 +368,7 @@ def _random_plant_config(rng):
         valve_latency=float(rng.choice([0.0, 0.001, 0.003, 0.010, 0.040])),
         line_delay=float(rng.choice([0.0, 0.001, 0.007, 0.050])),
         chamber_time_constant=float(rng.choice([0.005, 0.15, 0.6])),
-        tank_setpoints=(pos, neg),
+        tank_pos_setpoint=pos, tank_neg_setpoint=neg,
         tank_hysteresis=float(rng.choice([0.0, 0.5, 2.0, 8.0])),
         pump_rate=float(rng.choice([5.0, 40.0, 400.0, 4000.0])),
     )
@@ -383,7 +386,7 @@ def test_step_matches_reference_on_random_traffic():
             # chambers reach their fixed point before the next command
             cfg = dataclasses.replace(cfg, chamber_time_constant=0.005)
             traffic = [0] * 150 + [1]
-        sp_pos, sp_neg = cfg.tank_setpoints
+        sp_pos, sp_neg = cfg.tank_pos_setpoint, cfg.tank_neg_setpoint
         hys = cfg.tank_hysteresis
         tanks = None
         if case % 3:
@@ -500,7 +503,7 @@ def test_negative_zero_chamber_steps_to_the_reference_bytes():
     # -0.0 open to a tank at 0.0 steps to 0.0: equal by ==, but not the
     # same trace bytes, so the write must not be skipped.
     cfg = PlantConfig(valve_latency=0.0, line_delay=0.0,
-                      tank_setpoints=(0.0, -52.0))
+                      tank_pos_setpoint=0.0)
     fast, ref = _plant_pair(cfg, pressures=[-0.0] * N_CHAMBERS)
     for plant in (fast, ref):
         plant.apply_valve_command(0, +1)

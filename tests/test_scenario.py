@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import hashlib
 import math
 import random
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tacgrip import scenario as scenario_module
@@ -12,7 +15,7 @@ from tacgrip.control import ControlThresholds
 from tacgrip.density import KdeConfig
 from tacgrip.episode import run_grasp
 from tacgrip.errors import ParseError, ValidationError
-from tacgrip.plant import PlantConfig
+from tacgrip.plant import PlantConfig, PneumaticPlant
 from tacgrip.scenario import (CANNED, Scenario, StimulusEvent, load_scenario,
                               parse_scenario_text, poke_scenario,
                               scenario_to_text, slip_scenario,
@@ -216,10 +219,37 @@ def test_values_outside_their_domain_rejected_at_parse(section, line):
      "event: "),
     (dict(time=1.0, finger=1, x=320.0, y=240.0, depth=-1.0, radius=40.0),
      "event: "),
-], ids=["finger", "negative time", "nan time", "inf x", "negative depth"])
+    # True in (1, 2) holds, and the text said `True`, which did not parse
+    (dict(time=1.0, finger=True, x=320.0, y=240.0, depth=3.0, radius=40.0),
+     "event finger must be 1 or 2, got True"),
+    (dict(time=1.0, finger=2.0, x=320.0, y=240.0, depth=3.0, radius=40.0),
+     "event finger must be 1 or 2, got 2.0"),
+    (dict(time=True, finger=1, x=320.0, y=240.0, depth=3.0, radius=40.0),
+     "event time = True is not"),
+], ids=["finger", "negative time", "nan time", "inf x", "negative depth",
+        "bool finger", "float finger", "bool time"])
 def test_an_event_is_checked_when_built(fields, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
         StimulusEvent(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    # each of these used to build, though its text cannot hold it exactly
+    (dict(max_regrasps=1.5), "max_regrasps = 1.5 is not an integer"),
+    (dict(grasp_mask=3.5), "grasp_mask 3.5 is not an integer"),
+    (dict(grasp_mask=True), "grasp_mask True is not an integer"),
+    (dict(max_regrasps=np.True_), "max_regrasps = np.True_ is not"),
+    (dict(duration_s=True), "duration = True is not a finite number"),
+    (dict(name="two\nlines"), "name 'two\\nlines' is not one line"),
+    (dict(name=" padded"), "name ' padded' is not one line"),
+    (dict(name=7), "name 7 is not one line"),
+    (dict(name=""), "name '' is not one line"),
+], ids=["float max_regrasps", "float grasp_mask", "bool grasp_mask",
+        "numpy bool max_regrasps", "bool duration", "two-line name",
+        "padded name", "int name", "empty name"])
+def test_a_scenario_refuses_what_its_text_cannot_hold(fields, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        Scenario(**fields)
 
 
 @pytest.mark.parametrize("text, key, section, first, line_no", [
@@ -277,7 +307,8 @@ def _every_key_changed():
     the default."""
     return Scenario(
         name="every key", duration_s=2.5,
-        sensor=SensorModel(grid_rows=12, grid_cols=16, spacing=18.0,
+        sensor=SensorModel(width=320, height=240, grid_rows=12,
+                           grid_cols=16, spacing=18.0,
                            marker_radius=3.5, marker_intensity=0.2,
                            background=0.9, displacement_gain_k=8.5,
                            noise_sigma=0.02, seed=4),
@@ -286,8 +317,8 @@ def _every_key_changed():
                                 threshold_abs=2e-4, min_separation=5.5),
         plant=PlantConfig(valve_latency=0.02, control_delay=0.04,
                           line_delay=0.03, chamber_time_constant=0.2,
-                          tank_setpoints=(40.5, -50.25), tank_hysteresis=1.5,
-                          pump_rate=30.0),
+                          tank_pos_setpoint=40.5, tank_neg_setpoint=-50.25,
+                          tank_hysteresis=1.5, pump_rate=30.0),
         thresholds=ControlThresholds(t1_mm=0.6, t2_mm=4.5,
                                      stability_window_s=2.5,
                                      no_contact_timeout_s=8.0,
@@ -311,13 +342,149 @@ def test_round_trip_sees_every_key():
         assert lines and not default_lines.intersection(lines), row.key
 
 
+def test_each_field_has_exactly_one_key():
+    # The config sections' rows come from the configs' fields. Written by
+    # hand, they had missed width and height, so a 320 x 240 scenario
+    # re-parsed as 640 x 480 under the same config_sha256.
+    rows = collections.Counter((row.owner, row.field)
+                               for row in scenario_module._KEYS)
+    configs = ("sensor", "kde", "detector", "plant", "thresholds")
+    expected = {(owner, f.name) for owner in configs
+                for f in dataclasses.fields(getattr(Scenario(), owner))}
+    expected |= {(None, f.name) for f in dataclasses.fields(Scenario)
+                 if f.name not in configs}
+    assert set(rows) == expected
+    assert set(rows.values()) == {1}
+    assert len({(row.section, row.key) for row in scenario_module._KEYS}) \
+        == len(scenario_module._KEYS)
+
+
+def _random_scenario(seed):
+    """A valid scenario drawn from `seed`, each key off its default and
+    about half of the events sheared. Floats are drawn as float64,
+    float32 or two-decimal values."""
+    rng = np.random.default_rng(seed)
+
+    def real(lo, hi):
+        value = rng.uniform(lo, hi)
+        return (value, float(np.float32(value)), round(value, 2))[
+            rng.integers(3)]
+
+    def whole(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    width, height = whole(200, 1000), whole(150, 800)
+    radius = real(0.5, 4.0)
+    spacing = real(2.05 * radius, 6.0 * radius)
+    sensor = SensorModel(
+        width=width, height=height,
+        grid_rows=whole(1, min(20, int((height - 2 * radius) / spacing))),
+        grid_cols=whole(1, min(20, int((width - 2 * radius) / spacing))),
+        spacing=spacing, marker_radius=radius,
+        marker_intensity=real(0.0, 0.5), background=real(0.6, 1.0),
+        displacement_gain_k=real(0.0, 20.0), noise_sigma=real(0.0, 0.05),
+        seed=whole(0, 60000))
+    t1_mm = real(0.1, 2.0)
+    duration = real(0.5, 100.0)
+    times = sorted(real(0.0, duration) for _ in range(rng.integers(7)))
+    events = []
+    for time in times:
+        shear = (real(-10.0, 10.0), real(-10.0, 10.0)) \
+            if rng.random() < 0.5 else (0.0, 0.0)
+        events.append(StimulusEvent(
+            time, whole(1, 2), real(0.0, width), real(0.0, height),
+            real(0.0, 5.0), real(5.0, 60.0), *shear))
+    return Scenario(
+        name=f"random {seed}", duration_s=duration, sensor=sensor,
+        kde=KdeConfig(kernel_width_h=real(0.5, 30.0),
+                      pixel_scale_s=real(0.01, 0.1)),
+        detector=DetectorConfig(scale=real(0.5, 8.0),
+                                threshold_rel=real(0.0, 1.0),
+                                threshold_abs=real(0.0, 1e-2),
+                                min_separation=real(0.5, 20.0)),
+        plant=PlantConfig(valve_latency=real(0.0, 0.2),
+                          control_delay=real(0.0, 0.2),
+                          line_delay=real(0.0, 0.2),
+                          chamber_time_constant=real(0.01, 1.0),
+                          tank_pos_setpoint=real(0.0, 50.0),
+                          tank_neg_setpoint=real(-57.0, -1.0),
+                          tank_hysteresis=real(0.0, 5.0),
+                          pump_rate=real(1.0, 100.0)),
+        thresholds=ControlThresholds(
+            t1_mm=t1_mm, t2_mm=t1_mm + real(0.1, 5.0),
+            stability_window_s=real(0.5, 10.0),
+            no_contact_timeout_s=real(0.5, 20.0),
+            window_coverage=real(0.0, 1.0)),
+        calibration_ratio=real(0.1, 0.99), grasp_mask=whole(1, 0xFF),
+        max_regrasps=whole(0, 5), events=events)
+
+
+def _as_numpy(value, rng):
+    """value rebuilt with each number a numpy scalar of the same value,
+    of a type that rng, a random.Random, picks."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: _as_numpy(getattr(value, f.name), rng)
+                              for f in dataclasses.fields(value)})
+    if isinstance(value, tuple):
+        return tuple(_as_numpy(item, rng) for item in value)
+    if isinstance(value, int):
+        return rng.choice([np.int64, np.int32, np.uint16])(value)
+    if isinstance(value, float):
+        exact32 = float(np.float32(value)) == value
+        return rng.choice([np.float64] + [np.float32] * exact32)(value)
+    return value
+
+
+def test_random_scenarios_round_trip_exactly():
+    # numpy scalars were written with repr (`duration = np.float64(2.0)`),
+    # which does not parse, and width and height were not written at all.
+    sizes, sheared = set(), 0
+    for seed in range(200):
+        sc = _random_scenario(seed)
+        text = scenario_to_text(sc)
+        back = parse_scenario_text(text)
+        assert back == sc, seed
+        assert scenario_to_text(back) == text, seed
+        # equal scenarios give equal text, whatever types hold the numbers
+        as_numpy = _as_numpy(sc, random.Random(seed))
+        assert as_numpy == sc, seed
+        assert scenario_to_text(as_numpy) == text, seed
+        assert parse_scenario_text(text) == as_numpy, seed
+        sizes.add((sc.sensor.width, sc.sensor.height))
+        sheared += sum(bool(ev.shear_x or ev.shear_y) for ev in sc.events)
+    assert len(sizes) > 190 and (640, 480) not in sizes
+    assert sheared >= 100
+
+
+def test_the_text_keeps_the_sign_of_zero():
+    # A tank set to -0.0 kPa traces as -0.000000, so the text keeps the
+    # sign the run shows, although -0.0 == 0.0 makes the scenarios equal.
+    sc = Scenario(plant=PlantConfig(tank_pos_setpoint=-0.0),
+                  events=[StimulusEvent(-0.0, 1, -0.0, 240.0, 3.0, 40.0)])
+    text = scenario_to_text(sc)
+    assert "\ntank_pos_setpoint = -0.0\n" in text
+    assert "\nevent = -0.0 1 -0.0 240.0 3.0 40.0\n" in text
+    back = parse_scenario_text(text)
+    assert scenario_to_text(back) == text
+    assert f"{PneumaticPlant(back.plant).trace_row()[1]:.6f}" == "-0.000000"
+
+
+def test_the_readme_example_is_the_poke_scenario():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Scenario file format\n", 1)[1]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    sc = parse_scenario_text(example)
+    assert sc.name == "demo"
+    assert dataclasses.replace(sc, name="poke") == poke_scenario()
+
+
 # sha256 of scenario_to_text for each canned scenario at seed 0; the run
 # manifest records this digest as config_sha256.
 CANNED_TEXT_SHA256 = {
-    "poke": "9059025679beaff8a12051fdff9f35cf0cff9dc57363ca0e18f922edacf8e862",
-    "slip": "0529bd8403cd67c36572115a7cfa297e15f37d6d822d3d8e292588b75df16d83",
-    "static": "5d0998493ab7fcf3589a7a5530683a3952a4242fc5aa4e1b70a98a4aefdb8bd9",
-    "timeout": "a2016af24ee281cab3c6d9eb821fefaab91dde8ad1c17bab0b683e402a17e60c",
+    "poke": "4e1fd8210651bfaaf50d6dbc34e2a2c37c49d9557b2b5b54f47fd0cdee36e770",
+    "slip": "c7599f12d4903008e9d54595cda4488bfbe613cb34a4f2e4cc97a1003375c2d7",
+    "static": "0636fe09f395060919b071af663db9fb6026d385eb39c0e8e2cc254fa3bb48a9",
+    "timeout": "ee77508f15d2f4fd68d7bc1422e90d63d8aea4419607edacc93d4cb6038b933c",
 }
 
 

@@ -171,6 +171,46 @@ def test_model_invariants():
         SensorModel(grid_cols=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    # grid_rows = 14.5 built a grid of 15 rows, and seed = 2.5 built
+    ("grid_rows", 14.5), ("grid_cols", 20.0), ("width", 640.0),
+    ("seed", 2.5), ("height", True), ("seed", False),
+    ("noise_sigma", True), ("spacing", np.True_), ("background", True),
+    ("marker_intensity", "0.15"),
+])
+def test_model_refuses_non_integers_and_bools(name, value):
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        SensorModel(**{name: value})
+
+
+def test_model_takes_numpy_integers_and_renders_them_alike():
+    # A uint64 width made disk_coverage's pixel indices floats, and
+    # rendering raised IndexError.
+    model = SensorModel(grid_rows=np.int32(12), grid_cols=np.uint8(16),
+                        width=np.uint64(640), seed=np.uint64(7))
+    plain = SensorModel(grid_rows=12, grid_cols=16, seed=7)
+    assert model == plain and type(model.width) is int
+    markers = displace_markers(model)
+    assert len(markers) == 12 * 16
+    assert tg.render_frame(markers, model, 1, 3).tobytes() == \
+        tg.render_frame(markers, plain, 1, 3).tobytes()
+
+
+def test_marker_grid_is_capped():
+    # This grid fits the frame, and nominal_grid would have asked for
+    # over 16 TB; the model is refused before anything is allocated.
+    with pytest.raises(ValueError, match="grid_rows x grid_cols is above "
+                       "the cap of 10000 markers"):
+        SensorModel(grid_rows=10**6, grid_cols=10**6, spacing=1e-4,
+                    marker_radius=1e-5)
+    at_cap = SensorModel(grid_rows=100, grid_cols=100, spacing=4.0,
+                         marker_radius=1.0)
+    assert at_cap.grid_rows * at_cap.grid_cols == \
+        tacgrip.sensor_sim.MAX_MARKERS
+    with pytest.raises(ValueError, match="above the cap"):
+        dataclasses.replace(at_cap, grid_cols=101)
+
+
 def _write_frames(directory, model, marker_sets, finger_id):
     """One finger's stream of marker sets, written to a directory with a
     capture time of 0.033 s per frame."""
