@@ -8,23 +8,24 @@ differences of the smoothed image. The scale-normalized determinant of
 the Hessian sigma^4*(Ixx*Iyy - Ixy^2) is the response. Dark blobs are
 gated by a positive Laplacian (local intensity minimum). Candidates are
 pixels above the threshold whose response is at least each of their 8
-neighbours' (a local maximum), deduplicated by greedy non-maximum
-suppression and refined to sub-pixel positions with a per-axis
-quadratic fit.
+neighbours' (a local maximum; the left and right neighbours screen the
+pixels first), deduplicated by greedy non-maximum suppression and
+refined to sub-pixel positions with a per-axis quadratic fit.
 
 A window (a pixel box around the markers) makes detection cheaper
-without changing its result. The filters run on the box widened by
-`_window_pad`, clipped to the frame: the Gaussian's half-width r, one
-pixel for the difference stencil, and one for the +-1 neighbour read of
-the peak test and the quadratic fit, which read at most one pixel beyond
-the box. The smoothing reads only pixels within r and the stencil only
-smoothed values within one pixel, so inside the box the response equals
-the full-frame response bit for bit. The peak, the threshold and the
-candidates come from inside the box. The response outside the box is
-bounded from the range of the pixels it reads (`_outside_bound`): when
-that bound stays under half the threshold, no pixel outside the box can
-be a candidate or move the threshold, and the windowed result is the
-full-frame result. Otherwise the frame is detected again in full.
+without changing its result. The response is computed on the box and
+the one pixel around it that the peak test's neighbour read and the
+quadratic fit read, from the frame pixels within `_window_pad` of the
+box: the Gaussian's half-width r, one pixel for the difference stencil
+and that one neighbour pixel. The smoothing reads only pixels within r
+and the stencil only smoothed values within one pixel, so there the
+response equals the full-frame response bit for bit. The peak, the
+threshold and the candidates come from inside the box. The response
+outside the box is bounded from the range of the pixels it reads
+(`_outside_bound`): when that bound stays under half the threshold, no
+pixel outside the box can be a candidate or move the threshold, and the
+windowed result is the full-frame result. Otherwise the frame is
+detected again in full.
 """
 
 from dataclasses import dataclass
@@ -73,6 +74,10 @@ class DetectorConfig:
                     hi=_MAX_THRESHOLD)
         check_range("min_separation", self.min_separation, lo=0.0,
                     hi=_MAX_SEPARATION, lo_open=True)
+        # Read by `_outside_bound` on every windowed frame; not a field, so
+        # the scenario format, equality and repr see the settings alone.
+        object.__setattr__(self, "_laplacian_taps",
+                           _laplacian_taps(self.scale))
 
 
 @dataclass(frozen=True)
@@ -133,25 +138,40 @@ def marker_window(markers, config, width, height):
             min(int(hi[0]), width), min(int(hi[1]), height))
 
 
+def _laplacian_taps(sigma):
+    """The summed positive and the summed negative taps of the Laplacian
+    Ixx + Iyy that `_response` computes, as one linear filter of the
+    frame: the second-difference stencil [1, -2, 1] along each axis
+    applied to the sampled Gaussian, a (2r + 3)-tap square kernel of
+    half-width r + 1."""
+    half = _radius(sigma) + 1
+    delta = np.zeros(2 * half + 1)
+    delta[half] = 1.0
+    # The sampled Gaussian (zero in its outer taps) and its second
+    # difference, each 2r + 3 taps.
+    k0 = ndimage.gaussian_filter1d(delta, sigma, mode="constant",
+                                   truncate=_TRUNCATE)
+    k2 = np.convolve(k0, [1.0, -2.0, 1.0], mode="same")
+    lap = np.outer(k2, k0) + np.outer(k0, k2)
+    return float(lap[lap > 0].sum()), float(lap[lap < 0].sum())
+
+
 def _outside_bound(pixels, box, config):
     """Upper bound on the response at every pixel outside the box.
 
     The Laplacian Ixx + Iyy that `_response` computes is one linear
-    filter of the frame: the second-difference stencil [1, -2, 1] along
-    each axis applied to the sampled Gaussian, a (2r + 3)-tap square
-    kernel of half-width r + 1. At the frame's edges its taps read the
-    nearest edge pixel. So outside the box the response reads only the
-    frame minus the box shrunk by r + 1. Over those pixels, with extremes
-    lo and hi, the Laplacian is at most P * hi - N * lo, where P and N
-    are the summed magnitudes of that kernel's positive and negative
-    taps. The gate passes only a positive Laplacian, and there
+    filter of the frame (`_laplacian_taps`), of half-width r + 1. At the
+    frame's edges its taps read the nearest edge pixel. So outside the
+    box the response reads only the frame minus the box shrunk by r + 1.
+    Over those pixels, with extremes lo and hi, the Laplacian is at most
+    P * hi - N * lo, where P and N are the summed magnitudes of that
+    kernel's positive and negative taps, which the config holds. The gate
+    passes only a positive Laplacian, and there
     sigma^4 * (Ixx * Iyy - Ixy^2) <= sigma^4 * (Ixx + Iyy)^2 / 4.
     """
-    h, w = pixels.shape
     x0, y0, x1, y1 = box
     sigma = config.scale
-    r = _radius(sigma)
-    half = r + 1
+    half = _radius(sigma) + 1
     hx0, hy0, hx1, hy1 = x0 + half, y0 + half, x1 - half, y1 - half
     if hx0 >= hx1 or hy0 >= hy1:
         parts = [pixels]
@@ -162,39 +182,76 @@ def _outside_bound(pixels, box, config):
     # On the scale _response reads the bytes on.
     lo = min(float(p.min()) for p in parts) / 255
     hi = max(float(p.max()) for p in parts) / 255
-    delta = np.zeros(2 * half + 1)
-    delta[half] = 1.0
-    # The sampled Gaussian (zero in its outer taps) and its second
-    # difference, each 2r + 3 taps.
-    k0 = ndimage.gaussian_filter1d(delta, sigma, mode="constant",
-                                   truncate=_TRUNCATE)
-    k2 = np.convolve(k0, [1.0, -2.0, 1.0], mode="same")
-    lap = np.outer(k2, k0) + np.outer(k0, k2)
-    laplacian = (float(lap[lap > 0].sum()) * hi
-                 + float(lap[lap < 0].sum()) * lo)
+    positive, negative = config._laplacian_taps
+    laplacian = positive * hi + negative * lo
     return sigma ** 4 * max(laplacian, 0.0) ** 2 / 4
 
 
-def _response(pixels, config):
+def _response(pixels, config, region=None):
     """Gated determinant-of-Hessian response (float32) of 8-bit pixels,
-    read on [0, 1]: one Gaussian smoothing, then central differences.
+    read on [0, 1], at the pixels of `region`, a half-open box (x0, y0,
+    x1, y1), all of them by default: one Gaussian smoothing, then central
+    differences.
 
     The pixels are extended by their nearest edge pixel before smoothing,
     so the stencil at the edge reads the smoothed value one pixel beyond
     it, and every output is the fixed linear filter `_outside_bound`
-    bounds applied to the edge-extended frame.
+    bounds applied to the edge-extended frame. Only what the region reads
+    is computed: the smoothed values on the region widened by the
+    stencil's pixel, from the input widened by the Gaussian's half-width
+    r more. Each separable pass reads the same input values in the same
+    order as it does over the whole frame, so the region's response has
+    the whole frame's bytes.
     """
-    img = np.pad(pixels, 1, mode="edge") * np.float32(1 / 255)
+    h, w = pixels.shape
+    x0, y0, x1, y1 = (0, 0, w, h) if region is None else region
     sigma = config.scale
+    r = _radius(sigma)
+    reach = r + 1  # input pixels the region reads beyond itself
+    # img holds input rows y0 - reach .. y1 + reach - 1 and the columns
+    # likewise; the part beyond the frame repeats the edge pixels.
+    img = np.empty((y1 - y0 + 2 * reach, x1 - x0 + 2 * reach), np.float32)
+    fy0, fy1 = max(y0 - reach, 0), min(y1 + reach, h)
+    fx0, fx1 = max(x0 - reach, 0), min(x1 + reach, w)
+    iy0, ix0 = fy0 - (y0 - reach), fx0 - (x0 - reach)
+    iy1, ix1 = iy0 + fy1 - fy0, ix0 + fx1 - fx0
+    np.multiply(pixels[fy0:fy1, fx0:fx1], np.float32(1 / 255),
+                out=img[iy0:iy1, ix0:ix1])
+    img[iy0:iy1, :ix0] = img[iy0:iy1, ix0:ix0 + 1]
+    img[iy0:iy1, ix1:] = img[iy0:iy1, ix1 - 1:ix1]
+    img[:iy0] = img[iy0]
+    img[iy1:] = img[iy1 - 1]
+    # gaussian_filter's two passes, in its order: along axis 0, then
+    # along axis 1 on the rows the stencil reads.
     s = ndimage.gaussian_filter(img, sigma, mode="nearest",
-                                truncate=_TRUNCATE)
+                                truncate=_TRUNCATE, axes=0)
+    s = ndimage.gaussian_filter(s[r:r + y1 - y0 + 2], sigma, mode="nearest",
+                                truncate=_TRUNCATE, axes=1)
+    s = s[:, r:r + x1 - x0 + 2]
+    # In place, in the operation order of
+    # dxx = s[1:-1, 2:] + s[1:-1, :-2] - 2 * c and its like.
     c = s[1:-1, 1:-1]
-    dxx = s[1:-1, 2:] + s[1:-1, :-2] - 2 * c
-    dyy = s[2:, 1:-1] + s[:-2, 1:-1] - 2 * c
-    dxy = 0.25 * (s[2:, 2:] - s[2:, :-2] - s[:-2, 2:] + s[:-2, :-2])
-    det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
-    # Dark blobs only: intensity minima have a positive Laplacian.
-    det[(dxx + dyy) <= 0] = 0.0
+    twice = c + c
+    dxx = s[1:-1, 2:] + s[1:-1, :-2]
+    dxx -= twice
+    dyy = s[2:, 1:-1] + s[:-2, 1:-1]
+    dyy -= twice
+    dxy = np.subtract(s[2:, 2:], s[2:, :-2], out=twice)
+    dxy -= s[:-2, 2:]
+    dxy += s[:-2, :-2]
+    dxy *= np.float32(0.25)
+    det = dxx * dyy
+    dxy *= dxy
+    det -= dxy
+    det *= np.float32(sigma ** 4)
+    # Dark blobs only: intensity minima have a positive Laplacian. The
+    # gate multiplies by 0 or 1, and a negative value times 0 is -0.0;
+    # adding 0.0 turns that into the 0.0 the gate stands for and leaves
+    # every other value, as no response of 8-bit pixels is -0.0 (only an
+    # underflowing product of differences could be).
+    dxx += dyy
+    det *= dxx > 0
+    det += np.float32(0.0)
     return det
 
 
@@ -280,26 +337,43 @@ def detect_markers(frame, config=None, window=None):
     return _detect_in_box(frame, config, (0, 0, w, h))
 
 
+def _screen(resp, inner, threshold):
+    """(ys, xs) in resp of the pixels of the box `inner` (a pair of
+    slices) whose response is above the threshold and at least their
+    left and right neighbours', with neighbour columns clipped to resp as
+    `_is_local_max` clips them: every pixel that test can keep."""
+    rows, cols = inner
+    band = resp[rows]
+    x0, x1 = cols.start, cols.stop
+    vals = band[:, x0:x1]
+    keep = vals > threshold
+    # At resp's first or last column a pixel is its own clipped neighbour.
+    left = 1 if x0 == 0 else 0
+    right = 1 if x1 == band.shape[1] else 0
+    keep[:, left:] &= vals[:, left:] >= band[:, x0 + left - 1:x1 - 1]
+    keep[:, :x1 - x0 - right] &= vals[:, :x1 - x0 - right] \
+        >= band[:, x0 + 1:x1 + 1 - right]
+    ys, xs = np.divmod(np.flatnonzero(keep), x1 - x0)
+    return ys + rows.start, xs + x0
+
+
 def _detect_in_box(frame, config, box):
     """Markers inside the box, or None when a pixel outside the box
     might be a candidate or raise the threshold."""
     h, w = frame.shape
     x0, y0, x1, y1 = box
-    # Filter on the box widened by the pad; (ox, oy) is the crop origin.
-    pad = _window_pad(config)
-    ox, oy = max(x0 - pad, 0), max(y0 - pad, 0)
-    resp = _response(frame[oy:min(y1 + pad, h), ox:min(x1 + pad, w)],
-                     config)
-    # The box in crop coordinates.
+    # The response on the box and the one pixel around it that the peak
+    # test and the fit read, clipped to the frame; (ox, oy) is its origin.
+    ox, oy = max(x0 - 1, 0), max(y0 - 1, 0)
+    resp = _response(frame, config, (ox, oy, min(x1 + 1, w), min(y1 + 1, h)))
+    # The box in resp's coordinates.
     inner = (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox))
     peak = float(resp[inner].max())
     threshold = max(config.threshold_abs, config.threshold_rel * peak)
     if box != (0, 0, w, h) and \
             _outside_bound(frame, box, config) > _BOUND_SHARE * threshold:
         return None
-    ys, xs = np.nonzero(resp[inner] > threshold)
-    ys += y0 - oy
-    xs += x0 - ox
+    ys, xs = _screen(resp, inner, threshold)
     vals = resp[ys, xs]
     peak = _is_local_max(resp, ys, xs, vals)
     if not peak.any():

@@ -202,20 +202,27 @@ def extract_contact(field, threshold):
     index, in frame coordinates: the field's origin is added back.
     """
     below = field.values < threshold
-    if not below.any():
+    rows = np.flatnonzero(below.any(axis=1))
+    if rows.size == 0:
         return None
-
-    labels, _ = ndimage.label(below, structure=_STRUCT_4)
+    cols = np.flatnonzero(below.any(axis=0))
+    # Labelled on the bounding box of the below-threshold pixels: cropping
+    # keeps their 4-neighbours, their raster order (so the labels' order
+    # and the row-major tie-break of the argmin) and their values.
+    y0, x0 = int(rows[0]), int(cols[0])
+    crop = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
+    values = field.values[crop]
+    labels, _ = ndimage.label(below[crop], structure=_STRUCT_4)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     biggest = int(sizes.argmax())
 
-    masked = np.where(labels == biggest, field.values, np.inf)
+    masked = np.where(labels == biggest, values, np.inf)
     iy, ix = np.unravel_index(int(masked.argmin()), masked.shape)
     ox, oy = field.origin
-    return ContactRegion(center=(float(ix + ox), float(iy + oy)),
+    return ContactRegion(center=(float(ix + x0 + ox), float(iy + y0 + oy)),
                          area=int(sizes[biggest]),
-                         min_density=float(field.values[iy, ix]))
+                         min_density=float(values[iy, ix]))
 
 
 def write_density_pgm(field, path):

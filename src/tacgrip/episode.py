@@ -151,19 +151,24 @@ class FingerStep:
     through the calibration and returns the contact center, or None. The
     step's finger is its stream's. `window`, the detection window passed
     from each frame's report to the next frame, is the one perception
-    state that changes; it starts at the calibration's."""
+    state that changes; it starts at the calibration's. The layout
+    depends on the active event alone, so the markers are displaced only
+    when that event is another object than the last frame's."""
 
     def __init__(self, scenario, calibration, stream):
         self.scenario, self.stream = scenario, stream
         self.calibration, self.window = calibration, calibration.window
+        # The last frame's active event and its marker layout.
+        self._event, self._markers = None, None
 
     def __call__(self, now):
         sc = self.scenario
         ev = sc.active_event(self.stream.finger_id, now)
-        markers = displace_markers(sc.sensor,
-                                   None if ev is None else ev.stimulus())
-        report = self.calibration.process(self.stream.render(markers, now),
-                                          self.window)
+        if self._markers is None or ev is not self._event:
+            self._event, self._markers = ev, displace_markers(
+                sc.sensor, None if ev is None else ev.stimulus())
+        report = self.calibration.process(
+            self.stream.render(self._markers, now), self.window)
         self.window = report.window
         return report.center
 

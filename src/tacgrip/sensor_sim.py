@@ -32,6 +32,12 @@ _MAX_DEPTH_MM = _MAX_GAIN = 1e3
 # matrices take M x (W + H) x 8 B, 2.7 MB for the default 300 on 640 x 480
 # (estimate_density peaked at 5.2 MB under tracemalloc), 90 MB at the cap.
 MAX_MARKERS = 10_000
+# Most pixels a frame may hold. A frame's arrays grow with its pixels: a
+# full-frame detection peaked at 7.8 MB under tracemalloc on the default
+# 640 x 480 (26 B a pixel, its float32 smoothing and response arrays),
+# and a full-frame density field takes 8 B a pixel. At the cap, 2048 x
+# 2048, that is about 107 MB and 34 MB.
+MAX_FRAME_PIXELS = 2048 * 2048
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,9 @@ class SensorModel:
             value = getattr(self, name)
             check_range(name, value, lo=0 if name == "seed" else 1, integer=True)
             object.__setattr__(self, name, int(value))
+        if self.width * self.height > MAX_FRAME_PIXELS:
+            raise ValueError(f"width x height is above the cap of "
+                             f"{MAX_FRAME_PIXELS} pixels")
         if self.grid_rows * self.grid_cols > MAX_MARKERS:
             raise ValueError(f"grid_rows x grid_cols is above the cap of "
                              f"{MAX_MARKERS} markers")
@@ -135,53 +144,98 @@ def disk_coverage(markers, model):
     marker_radius of a marker center, maxed over markers, as uint8: the
     pixel's coverage is k / 16. Each marker's footprint is `size` px square
     from floor(c - r - 1): every pixel with a sample within r of its center
-    c. Markers go 64 at a time (temporaries near 1 MB)."""
+    c. A sample (sx, sy) is inside when sy^2 + sx^2 <= r^2, each term the
+    rounded square of its offset from c. Those squares, and so the rounded
+    sum, grow with the offset's size, so a footprint pixel whose largest
+    squares pass counts 16, one whose smallest fail counts 0, and only the
+    pixels between, along the disk's edge, test their 16 samples. Markers
+    go 64 at a time, which bounds the temporaries for large radii."""
     radius = model.marker_radius
     size = int(np.ceil(2 * radius + 2)) + 2
-    coverage = np.zeros((model.height, model.width), dtype=np.uint8)
+    w, h = model.width, model.height
+    coverage = np.zeros(h * w, dtype=np.uint8)
     for start in range(0, len(markers), 64):
         c = markers.centroids[start:start + 64]
-        # pix[marker, axis] are the footprint's pixel coordinates on (x, y).
+        n = len(c)
+        # pix[marker, axis] are the footprint's pixel coordinates on (x, y),
+        # sq[marker, axis, pixel, sample] its samples' squared offsets.
         pix = np.floor(c - radius - 1).astype(np.int64)[:, :, None] + np.arange(size)
-        sub = (pix[..., None] + _SS).reshape(len(c), 2, -1) - c[:, :, None]
-        inside = sub[:, 1, :, None] ** 2 + sub[:, 0, None, :] ** 2 <= radius ** 2
-        samples = inside.view(np.uint8).reshape(len(c), size, 4, size, 4)
-        hits = sum(samples[:, :, i, :, j] for i in range(4) for j in range(4))
-        # Footprint pixels outside the frame stamp 0 at a clipped index.
-        clipped = np.clip(pix, 0, [[model.width - 1], [model.height - 1]])
-        in_frame = clipped == pix
-        hits *= in_frame[:, 1, :, None] & in_frame[:, 0, None, :]
-        flat = clipped[:, 1, :, None] * model.width + clipped[:, 0, None, :]
-        np.maximum.at(coverage.reshape(-1), flat.ravel(), hits.ravel())
-    return coverage
+        sq = ((pix[..., None] + _SS) - c[:, :, None, None]) ** 2
+        far = np.maximum(np.maximum(sq[..., 0], sq[..., 1]),
+                         np.maximum(sq[..., 2], sq[..., 3]))
+        near = np.minimum(np.minimum(sq[..., 0], sq[..., 1]),
+                          np.minimum(sq[..., 2], sq[..., 3]))
+        full = far[:, 1, :, None] + far[:, 0, None, :] <= radius ** 2
+        some = near[:, 1, :, None] + near[:, 0, None, :] <= radius ** 2
+        hits = (full.view(np.uint8) << 4).ravel()
+        # The edge pixels by flat (marker, y, x) index; row and col index
+        # the (marker, y) and (marker, x) rows of the sample tables, whose
+        # column 4 * i + j holds sample (i, j)'s squared y and x offsets.
+        edge = np.flatnonzero(some & ~full)
+        row = edge // size
+        col = edge + (row // size - row) * size
+        sample_y = np.repeat(sq[:, 1].reshape(n * size, 4), 4, axis=1)
+        sample_x = np.tile(sq[:, 0].reshape(n * size, 4), 4)
+        dist2 = sample_y.take(row, axis=0)
+        dist2 += sample_x.take(col, axis=0)
+        hits[edge] = (dist2 <= radius ** 2).sum(axis=1, dtype=np.uint8)
+        # Only covered pixels inside the frame are stamped.
+        in_frame = (pix >= 0) & (pix < np.array([[w], [h]]))
+        hits *= (in_frame[:, 1, :, None] & in_frame[:, 0, None, :]).ravel()
+        covered = np.flatnonzero(hits)
+        flat = ((pix[:, 1] * w)[:, :, None] + pix[:, 0, None, :]).ravel()
+        np.maximum.at(coverage, flat[covered], hits[covered])
+    return coverage.reshape(h, w)
 
 
 def _noise_bytes(rng, n):
-    """np.frombuffer(rng.bytes(n), np.uint8) by numpy's own definition of
-    Generator.bytes (little-endian uint32 draws, cut to n bytes), without
-    the two copies that bytes and frombuffer make."""
-    return (rng.integers(0, 2**32, size=(n + 3) // 4, dtype=np.uint32)
-            .astype("<u4", copy=False).view(np.uint8)[:n])
+    """np.frombuffer(rng.bytes(n), np.uint8) without its copies: for
+    numpy's PCG64, Generator.bytes cuts little-endian uint32 draws, each
+    half of a 64-bit output low half first, so the raw 64-bit outputs
+    read as little-endian bytes are the same stream."""
+    return (rng.bit_generator.random_raw((n + 7) // 8)
+            .astype("<u8", copy=False).view(np.uint8)[:n])
 
 
-def _frame(coverage, model, finger_id, seq):
-    """The frame of `disk_coverage` counts; see `render_frame`."""
+def _table(model):
+    """The frame's bytes as a flat (17 x 256) table, indexed by a pixel's
+    (k << 8) | noise byte: each of the 17 coverage levels plus each of the
+    256 noise quantiles (none without noise), in float32, rounded and
+    clipped to a byte."""
     share = np.arange(17) / 16.0
     levels = (255.0 * (model.background - share * (
         model.background - model.marker_intensity))).astype(np.float32)
-    if model.noise_sigma > 0:
-        rng = np.random.default_rng((model.seed, finger_id, seq))
-        quantiles = ndtri((np.arange(256) + 0.5) / 256)
-        noise = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
-        # Flat index (k << 8) | byte into the (17, 256) table.
-        index = coverage.astype(np.uint16) << 8
-        index |= _noise_bytes(rng, coverage.size).reshape(coverage.shape)
-    else:
-        noise = np.zeros(1, dtype=np.float32)
-        index = coverage
+    quantiles = ndtri((np.arange(256) + 0.5) / 256)
+    noise = (255.0 * model.noise_sigma * quantiles).astype(np.float32)
     table = np.rint(levels[:, None] + noise)
     np.clip(table, 0.0, 255.0, out=table)
-    return np.take(table.astype(np.uint8).ravel(), index)
+    return table.astype(np.uint8).ravel()
+
+
+def _covered(coverage):
+    """The flat indices of the pixels a coverage covers, and their counts
+    k shifted to the table's k << 8."""
+    flat = coverage.ravel()
+    covered = np.flatnonzero(flat)
+    return covered, flat[covered].astype(np.intp) << 8
+
+
+def _frame(table, covered, model, finger_id, seq):
+    """The frame of a coverage given as its `_covered` pixels; see
+    `render_frame`. Every pixel first takes the level of coverage 0 plus
+    its noise byte, then the covered ones take their own level."""
+    pixels, shifted = covered
+    n = model.width * model.height
+    if model.noise_sigma > 0:
+        rng = np.random.default_rng((model.seed, finger_id, seq))
+        noise = _noise_bytes(rng, n)
+        frame = np.frombuffer(bytearray(noise).translate(table[:256]),
+                              dtype=np.uint8)
+        frame[pixels] = table.take(shifted | noise.take(pixels))
+    else:
+        frame = np.full(n, table[0], dtype=np.uint8)
+        frame[pixels] = table.take(shifted)
+    return frame.reshape(model.height, model.width)
 
 
 def render_frame(markers, model, finger_id=1, seq=0):
@@ -200,7 +254,8 @@ def render_frame(markers, model, finger_id=1, seq=0):
     table of bytes indexed by (count, noise byte), with no random byte
     drawn when noise_sigma is 0. Stamps the coverage on every call.
     """
-    return _frame(disk_coverage(markers, model), model, finger_id, seq)
+    return _frame(_table(model), _covered(disk_coverage(markers, model)),
+                  model, finger_id, seq)
 
 
 class FrameStream:
@@ -215,7 +270,9 @@ class FrameStream:
     def __init__(self, model, finger_id, directory=None):
         self.model, self.finger_id, self.seq = model, finger_id, 0
         self.directory = None if directory is None else Path(directory)
-        self._last = (None, None)  # the last layout's bytes and coverage
+        self._table = _table(model)
+        # the last layout's bytes and its `_covered` pixels
+        self._last = (None, None)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(self.truth_path, "w", newline="") as fh:
@@ -230,9 +287,11 @@ class FrameStream:
         `timestamp` s."""
         layout = markers.centroids.tobytes()
         if layout != self._last[0]:
-            self._last = (layout, disk_coverage(markers, self.model))
+            self._last = (layout, _covered(disk_coverage(markers,
+                                                         self.model)))
         seq, self.seq = self.seq, self.seq + 1
-        frame = _frame(self._last[1], self.model, self.finger_id, seq)
+        frame = _frame(self._table, self._last[1], self.model,
+                       self.finger_id, seq)
         if self.directory is not None:
             write_pgm(self.directory / frame_filename(self.finger_id, seq),
                       frame, comment=f"t={timestamp:.6f}")

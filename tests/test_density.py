@@ -178,6 +178,67 @@ def test_diagonal_neighbours_are_separate_regions():
     assert region.area == 12  # 4-connected: the diagonal halves are apart
 
 
+def _uncropped_extract(field, threshold):
+    """The extraction that labelled the whole field, before it labelled
+    only the bounding box of the pixels below the threshold, kept as its
+    reference: (center, area, min_density), or None."""
+    below = field.values < threshold
+    if not below.any():
+        return None
+    labels, _ = ndimage.label(below, structure=np.array(
+        [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    biggest = int(sizes.argmax())
+    masked = np.where(labels == biggest, field.values, np.inf)
+    iy, ix = np.unravel_index(int(masked.argmin()), masked.shape)
+    ox, oy = field.origin
+    return ((float(ix + ox), float(iy + oy)), int(sizes[biggest]),
+            float(field.values[iy, ix]))
+
+
+def test_cropped_extraction_matches_the_whole_field():
+    # Fields of a few levels, so that regions touch, tie in size (the
+    # first in raster order wins) and tie at their minimum (the first in
+    # row-major order wins); pools on the field's edges and corners;
+    # none below the threshold; and smooth fields, at random origins.
+    rng = np.random.default_rng(37)
+    shapes = [(1, 1), (1, 12), (9, 1), (5, 7), (40, 30), (180, 256)]
+    seen = {"none": 0, "edge": 0, "several": 0}
+    for trial in range(120):
+        h, w = shapes[trial % len(shapes)]
+        kind = trial % 4
+        if kind == 0:  # three levels: many small regions and ties
+            values = rng.integers(0, 3, (h, w)).astype(float)
+        elif kind == 1:  # pools of one minimum pinned to the edges
+            values = np.full((h, w), 2.0)
+            for _ in range(int(rng.integers(1, 5))):
+                y, x = rng.integers(0, h), rng.integers(0, w)
+                values[max(y - 2, 0):y + 2, max(x - 3, 0):x + 3] = 0.5
+            values[rng.integers(0, h), [0, w - 1]] = 0.5
+        elif kind == 2:
+            values = ndimage.gaussian_filter(rng.random((h, w)), 3.0)
+        else:  # nothing below, or everything
+            values = np.full((h, w), float(rng.integers(0, 2)))
+        field = DensityField(values=values,
+                             origin=tuple(int(v) for v in
+                                          rng.integers(0, 300, 2)))
+        threshold = float(np.quantile(values, rng.uniform(0.05, 0.6))) \
+            if kind != 3 else 1.0
+        want = _uncropped_extract(field, threshold)
+        got = extract_contact(field, threshold)
+        if want is None:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert (got.center, got.area, got.min_density) == want
+        below = values < threshold
+        seen["edge"] += bool(below[0].any() or below[-1].any()
+                             or below[:, 0].any() or below[:, -1].any())
+        seen["several"] += ndimage.label(below)[1] > 1
+    assert min(seen.values()) >= 10, seen
+
+
 def _old_support_mask(centroids, margin, width, height):
     """The full-frame support mask the pipeline thresholded under before
     it computed on the support box: the centroid bounding box eroded by

@@ -19,6 +19,7 @@ import pytest
 
 import tacgrip.blobs
 import tacgrip.episode
+import tacgrip.sensor_sim
 from tacgrip.control import CONTROL_PERIOD_TICKS, GraspSupervisor, Phase
 from tacgrip.episode import (FingerStep, _FingerWorkers,
                              _pin_blas_to_one_thread, _serve, finger_steps,
@@ -155,6 +156,45 @@ def test_a_step_passes_its_detection_window_along(monkeypatch):
         for finger in (1, 2):
             assert steps[finger](now) is not None
     assert max(full_frame.values()) <= 1, full_frame
+
+
+def test_a_step_displaces_once_per_event_and_stamps_once_per_layout(
+        monkeypatch):
+    # Both caches live in the worker, where no benchmark span sees them.
+    # Finger 1 is touched at 0.1 s, touched again alike by a second event
+    # at 0.3 s and released by a depth-0 event at 0.5 s; finger 2 is
+    # touched at 0.2 s. A step displaces the markers once per active
+    # event, the rest grid included, and its stream stamps once per
+    # change of layout: the equal touch and the release to the rest grid
+    # give no new stamp and a stamp.
+    touch = dict(x=300.0, y=250.0, depth=2.5, radius=40.0)
+    events = [StimulusEvent(0.1, 1, **touch), StimulusEvent(0.2, 2, **touch),
+              StimulusEvent(0.3, 1, **touch),
+              StimulusEvent(0.5, 1, **dict(touch, depth=0.0))]
+    sc = Scenario(name="events", duration_s=0.7, sensor=SensorModel(seed=1),
+                  events=events)
+    steps = finger_steps(sc)
+    displaced, stamped = [], []
+    displace = tacgrip.episode.displace_markers
+    stamp = tacgrip.sensor_sim.disk_coverage
+
+    def counting_displace(model, stimulus):
+        displaced.append(finger)
+        return displace(model, stimulus)
+
+    def counting_stamp(markers, model):
+        stamped.append(finger)
+        return stamp(markers, model)
+
+    monkeypatch.setattr(tacgrip.episode, "displace_markers",
+                        counting_displace)
+    monkeypatch.setattr(tacgrip.sensor_sim, "disk_coverage", counting_stamp)
+    period = CONTROL_PERIOD_TICKS * TICK_S
+    for k in range(int(0.7 / period) + 1):
+        for finger in (1, 2):
+            steps[finger](k * period)
+    assert [displaced.count(f) for f in (1, 2)] == [4, 2]
+    assert [stamped.count(f) for f in (1, 2)] == [3, 2]
 
 
 def test_the_shared_calibration_equals_finger_2s_own():

@@ -377,6 +377,107 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
     assert answered_in_window >= 20
 
 
+def _old_response(pixels, config):
+    """The response computation the in-place, region-restricted one
+    replaced, kept as its reference: the edge-padded frame smoothed
+    whole, then the Hessian entries as separate temporaries."""
+    img = np.pad(pixels, 1, mode="edge") * np.float32(1 / 255)
+    sigma = config.scale
+    s = ndimage.gaussian_filter(img, sigma, mode="nearest", truncate=3.0)
+    c = s[1:-1, 1:-1]
+    dxx = s[1:-1, 2:] + s[1:-1, :-2] - 2 * c
+    dyy = s[2:, 1:-1] + s[:-2, 1:-1] - 2 * c
+    dxy = 0.25 * (s[2:, 2:] - s[2:, :-2] - s[:-2, 2:] + s[:-2, :-2])
+    det = (sigma ** 4) * (dxx * dyy - dxy * dxy)
+    det[(dxx + dyy) <= 0] = 0.0
+    return det
+
+
+def _random_pixels(rng, h, w, kind):
+    """Random uint8 crops: uniform bytes, smoothed bytes, a flat frame,
+    or dark disks anywhere over noise."""
+    if kind == 0:
+        return rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == 1:
+        noise = rng.integers(0, 256, (h, w)).astype(float)
+        return np.rint(ndimage.gaussian_filter(noise, 2.0)).astype(np.uint8)
+    if kind == 2:
+        return np.full((h, w), rng.integers(0, 256), np.uint8)
+    pixels = np.full((h, w), _BACKGROUND, np.uint8)
+    for _ in range(int(rng.integers(1, 12))):
+        cy, cx = rng.uniform(-3, [h + 3, w + 3])
+        yy, xx = np.ogrid[:h, :w]
+        pixels[(yy - cy) ** 2 + (xx - cx) ** 2 <= 16] = 38
+    return pixels
+
+
+def test_response_matches_the_old_expression_on_random_crops():
+    # Byte for byte, on crops of every shape down to one pixel, at three
+    # scales, over the whole crop and over random regions of it, the
+    # region's response equals the old whole-crop response there.
+    rng = np.random.default_rng(29)
+    shapes = [(1, 1), (1, 17), (23, 1), (2, 3), (19, 31), (64, 48),
+              (120, 160)]
+    regions = 0
+    for trial in range(63):
+        h, w = shapes[trial % len(shapes)]
+        pixels = _random_pixels(rng, h, w, trial % 4)
+        config = DetectorConfig(scale=(2.83, 0.4, 6.0)[trial % 3])
+        want = _old_response(pixels, config)
+        got = blobs._response(pixels, config)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        for _ in range(3):
+            x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+            x1 = int(rng.integers(x0 + 1, w + 1))
+            y1 = int(rng.integers(y0 + 1, h + 1))
+            part = blobs._response(pixels, config, (x0, y0, x1, y1))
+            assert part.tobytes() == want[y0:y1, x0:x1].tobytes()
+            regions += (x0, y0, x1, y1) != (0, 0, w, h)
+    assert regions > 100
+
+
+def test_screened_candidates_keep_every_local_maximum():
+    # The left-right screen drops only pixels the 8-neighbour test would
+    # drop: screened and tested, the box's pixels above the threshold
+    # give the same peaks as all of them tested, on responses with
+    # plateaus and exact ties, in boxes that touch each of the response's
+    # edges and corners, and none.
+    rng = np.random.default_rng(31)
+    shapes = [(1, 1), (1, 9), (7, 1), (3, 5), (37, 53), (120, 160)]
+    kept = 0
+    for trial in range(96):
+        h, w = shapes[trial % len(shapes)]
+        kind = trial % 3
+        if kind == 0:
+            resp = rng.integers(0, 3, (h, w)).astype(np.float32)
+        elif kind == 1:
+            resp = rng.standard_normal((h, w)).astype(np.float32)
+            repeat = rng.random((h, w)) < 0.4
+            resp[repeat] = rng.choice(resp.ravel()[:4], int(repeat.sum()))
+        else:
+            resp = ndimage.gaussian_filter(rng.random((h, w)), 2.0)
+            resp = (np.round(resp * 50) / 50).astype(np.float32)
+        edge = (trial // 3) % 4  # which edges the box reaches
+        x0 = 0 if edge & 1 else int(rng.integers(0, w))
+        y0 = 0 if edge & 2 else int(rng.integers(0, h))
+        x1 = w if edge & 1 or rng.random() < 0.5 \
+            else int(rng.integers(x0 + 1, w + 1))
+        y1 = h if edge & 2 or rng.random() < 0.5 \
+            else int(rng.integers(y0 + 1, h + 1))
+        inner = (slice(y0, y1), slice(x0, x1))
+        threshold = float(np.quantile(resp[inner], rng.uniform(0, 0.9)))
+        ys, xs = np.nonzero(resp[inner] > threshold)
+        ys, xs = ys + y0, xs + x0
+        peak = blobs._is_local_max(resp, ys, xs, resp[ys, xs])
+        sy, sx = blobs._screen(resp, inner, threshold)
+        speak = blobs._is_local_max(resp, sy, sx, resp[sy, sx])
+        assert np.array_equal(sy[speak], ys[peak])
+        assert np.array_equal(sx[speak], xs[peak])
+        kept += int(peak.sum())
+    assert kept > 500
+
+
 def _peak_reference(resp, ys, xs, vals):
     """The 3x3 maximum filter the candidate-only peak test replaced."""
     return (resp >= ndimage.maximum_filter(resp, size=3, mode="nearest"))[ys, xs]
@@ -447,8 +548,8 @@ def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
             seen["windowed" if markers is not None else "fallback"] += 1
         return markers
 
-    def rounded(pixels, config):
-        resp = real_response(pixels, config)
+    def rounded(pixels, config, region=None):
+        resp = real_response(pixels, config, region)
         step = np.float32(max(float(resp.max()), 1e-6) / 64)
         return np.round(resp / step) * step
 

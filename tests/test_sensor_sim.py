@@ -10,9 +10,10 @@ import tacgrip as tg
 import tacgrip.episode
 import tacgrip.sensor_sim
 from tacgrip.control import CONTROL_PERIOD_TICKS
+from tacgrip.errors import ValidationError
 from tacgrip.pgm import frame_filename, read_pgm, write_pgm
 from tacgrip.plant import TICK_S
-from tacgrip.scenario import static_scenario
+from tacgrip.scenario import parse_scenario_text, static_scenario
 from tacgrip.sensor_sim import (_SS, ContactStimulus, FrameStream,
                                 SensorModel, disk_coverage, displace_markers)
 
@@ -211,6 +212,21 @@ def test_marker_grid_is_capped():
         dataclasses.replace(at_cap, grid_cols=101)
 
 
+def test_frame_size_is_capped():
+    # Ten million by ten million pixels: the first render would have asked
+    # for a 10^14-byte coverage array. The model is refused when built,
+    # and the scenario text at parse; nothing is rendered or allocated.
+    with pytest.raises(ValidationError, match="width x height is above "
+                       "the cap of 4194304 pixels"):
+        parse_scenario_text("[sensor]\nwidth = 10000000\n"
+                            "height = 10000000\n")
+    cap = tacgrip.sensor_sim.MAX_FRAME_PIXELS
+    at_cap = SensorModel(width=4096, height=cap // 4096)
+    assert at_cap.width * at_cap.height == cap
+    with pytest.raises(ValueError, match="above the cap"):
+        dataclasses.replace(at_cap, height=at_cap.height + 1)
+
+
 def _write_frames(directory, model, marker_sets, finger_id):
     """One finger's stream of marker sets, written to a directory with a
     capture time of 0.033 s per frame."""
@@ -293,6 +309,27 @@ def test_disk_coverage_matches_per_marker_loop(radius):
         assert (got / 16.0).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("radius", [0.05, 0.3, 0.53, 1.0, 4.0])
+def test_disk_coverage_matches_per_marker_loop_on_the_eighth_pixel_grid(
+        radius):
+    # On centers of the 1/8 px grid, samples lie exactly on many disks'
+    # edges, where the exact test decides; radii below the samples'
+    # reach (0.375 * sqrt(2) px) have no pixel whose samples are all in.
+    model = SensorModel(marker_radius=radius, spacing=15.0)
+    rng = np.random.default_rng(int(radius * 100))
+    for trial in range(12):
+        n = int(rng.integers(1, 200))
+        centers = np.round(rng.uniform(-8, [648, 488], (n, 2)) * 8) / 8
+        if trial % 3 == 0:  # on and around the frame's edges and corners
+            centers[: n // 2] = rng.choice([0.0, 639.0, 479.0],
+                                           (n // 2, 2)) \
+                + np.round(rng.uniform(-3, 3, (n // 2, 2)) * 8) / 8
+        markers = tg.MarkerSet(centers)
+        got = disk_coverage(markers, model)
+        assert (got / 16.0).tobytes() == \
+            _stamp_disk_loop(markers, model).tobytes()
+
+
 def _float_render(markers, model, finger_id=1, seq=0):
     """The float rendering path that the count table replaced, kept as
     its reference: float coverage shares (`_stamp_disk_loop`, equal byte
@@ -352,13 +389,46 @@ def test_render_frame_bytes_keyed_by_seed(nominal_model):
     assert c.tobytes() == _float_render(markers, other, 2, 11).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 307_200])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 9, 1001, 307_200, 307_203])
 def test_noise_bytes_are_the_generators_bytes(n):
-    for key in ((0, 1, 0), (5, 2, 11), (123456789, 1, 9999), (7,)):
+    # The raw 64-bit draws of PCG64, read as little-endian bytes, are the
+    # bytes Generator.bytes cuts from its 32-bit draws, also where the
+    # length leaves part of the last draw unread.
+    keys = [(0, 1, 0), (5, 2, 11), (123456789, 1, 9999), (7,)] \
+        + [(seed, 1 + seed % 2, 3 * seed) for seed in range(20)]
+    for key in keys:
         got = tacgrip.sensor_sim._noise_bytes(np.random.default_rng(key), n)
         want = np.frombuffer(np.random.default_rng(key).bytes(n), np.uint8)
         assert got.dtype == np.uint8
         assert got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.6])
+def test_lookup_table_frame_matches_the_table_gather(sigma):
+    # Against the gather of every pixel's (k << 8) | noise byte that it
+    # replaced (`_old_render_frame`). Coverage counts 0-16 anywhere, none
+    # and everywhere, on the default levels and on others; at sigma 0.6
+    # the noise clips at both ends.
+    sim = tacgrip.sensor_sim
+    rng = np.random.default_rng(int(sigma * 1000))
+    base = SensorModel(width=96, height=64, grid_rows=2, grid_cols=2,
+                       noise_sigma=sigma, seed=3)
+    models = [base, dataclasses.replace(base, background=0.71,
+                                        marker_intensity=0.33),
+              dataclasses.replace(base, background=1.0,
+                                  marker_intensity=0.0)]
+    for trial in range(18):
+        model = models[trial % 3]
+        share = (0.0, 0.1, 0.5, 1.0)[trial % 4]
+        coverage = np.where(rng.random((64, 96)) < share,
+                            rng.integers(1, 17, (64, 96)), 0)
+        coverage = coverage.astype(np.uint8)
+        finger, seq = 1 + trial % 2, int(rng.integers(0, 10_000))
+        got = sim._frame(sim._table(model), sim._covered(coverage), model,
+                         finger, seq)
+        want = _old_render_frame(None, model, finger, seq, coverage)
+        assert got.dtype == np.uint8 and got.shape == (64, 96)
+        assert got.tobytes() == want.tobytes()
 
 
 def _counting(monkeypatch, owner, name):
