@@ -125,9 +125,15 @@ def classify_frame(track, thresholds, now, control_period=CONTROL_PERIOD_S):
     A call costs O(log N) for a track of N samples, whatever the length
     of the stability window.
     """
+    fresh = has_fresh_contact(track, now, control_period)
+    return _classify(track, thresholds, now, fresh, control_period)
+
+
+def _classify(track, thresholds, now, fresh, control_period=CONTROL_PERIOD_S):
+    """classify_frame, given the track's has_fresh_contact."""
     t1, t2 = thresholds.t1_mm, thresholds.t2_mm
 
-    if not has_fresh_contact(track, now, control_period):
+    if not fresh:
         return PerceptionFlag(track.finger_id, FlagKind.NO_CONTACT, now)
 
     if track.displacements:

@@ -21,15 +21,16 @@ out. `run_grasp` calibrates once for both fingers (`finger_steps`), so a
 rejected calibration frame raises `ValidationError` before any worker
 starts, then forks one worker per step. Little crosses the pipe: the
 parent sends each control instant's time, and the worker answers with
-the contact center, or None. The parent sends the next instant of its range
-as soon as it has handled one, so the workers perceive it while the
-plant ticks. Frames, fields and markers stay in the worker. The parent
-keeps both contact tracks, classifies them and checks their freshness,
-and keeps the supervisor, MCU, plant and trace rows. The workers are
-only a transport: a committed trace ledger (tests/trace_ledger.py) is
-recorded with each step called in the parent, and the tests check the
-worker runs against it, so a run with workers equals, byte for byte,
-the one without them.
+the contact center, or None. The parent sends the next instant of its
+range as soon as it has handled one, so the workers perceive it while
+the plant ticks. Frames, fields and markers stay in the worker. In the
+parent, a `ControlStep`, a function of the tick and the two centers,
+keeps both contact tracks, the supervisor and the MCU, and returns an
+`Instant` record, which the episode rows format; `run_grasp` keeps the
+transport and the plant. The workers are only a transport: a committed
+trace ledger (tests/trace_ledger.py) is recorded with each step called
+in the parent, and the tests check the worker runs against it, so a run
+with workers equals, byte for byte, the one without them.
 Perception is about 95% of an episode and the fingers' shares are
 independent: on a 2-core VM a static grasp ran 1.8x as many control
 periods per second with one BLAS thread, and about 1.5x at default
@@ -53,12 +54,13 @@ import multiprocessing
 import os
 import signal
 import traceback
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .control import (CONTROL_PERIOD_TICKS, CommandKind, GraspSupervisor,
-                      McuEmulator, Phase, classify_frame, encode_frame,
+                      McuEmulator, Phase, _classify, encode_frame,
                       has_fresh_contact, measure_valve_response)
 from .errors import NoDisturbanceError, ValidationError, WorkerError
 from .perception import FingerPipeline
@@ -78,9 +80,24 @@ EPISODE_COLUMNS = (
 )
 
 
+# One control instant's record (ControlStep); EpisodeResult documents it.
+Instant = namedtuple("Instant", "tick phase centers displacements flags "
+                     "commands valve_states chamber_pressures")
+
+
 @dataclass
 class EpisodeResult:
+    """One episode. `instants` holds an Instant per control instant, and
+    the episode rows (episode_row), commands and flags are read from
+    them. An Instant holds its tick (a multiple of 33); the phase after
+    the supervisor's update; per finger, a pair with finger 1 first: the
+    contact center (x, y) in pixels or None, the D in mm it appended to
+    the track or None (no center, or the track's first), and the
+    FlagKind; the McuCommands sent; and the 8 valve states (+1, 0, -1)
+    and chamber pressures (kPa), read before the plant ticks on."""
+
     scenario: object
+    instants: List[Instant]
     episode_rows: List[list]
     plant_rows: List[list]
     tracks: Dict[int, object]
@@ -97,9 +114,8 @@ class EpisodeResult:
     @property
     def flags(self):
         """Per finger, the (time, flag kind) of every control instant."""
-        tick, col = EPISODE_COLUMNS.index("tick"), EPISODE_COLUMNS.index
-        return {f: [(row[tick] * TICK_S, row[i]) for row in self.episode_rows]
-                for f, i in ((1, col("flag1")), (2, col("flag2")))}
+        return {f: [(rec.tick * TICK_S, rec.flags[f - 1].value)
+                    for rec in self.instants] for f in (1, 2)}
 
     @property
     def time_to_stable(self):
@@ -130,18 +146,53 @@ class EpisodeResult:
         return [cmd.kind for _, cmd in self.commands]
 
 
-def _fmt(value, digits=4):
-    return "" if value is None else f"{value:.{digits}f}"
+def episode_row(rec):
+    """An Instant's row of episode.csv, by EPISODE_COLUMNS."""
+    row = [rec.tick, f"{rec.tick * TICK_S:.3f}", rec.phase.value]
+    for center, d in zip(rec.centers, rec.displacements):
+        row += (["", "", ""] if center is None else
+                [f"{center[0]:.4f}", f"{center[1]:.4f}",
+                 "" if d is None else f"{d:.6f}"])
+    return (row + [kind.value for kind in rec.flags]
+            + [";".join(cmd.kind.name for cmd in rec.commands)]
+            + [str(v) for v in rec.valve_states]
+            + [f"{p:.4f}" for p in rec.chamber_pressures])
 
 
-def _cells(center, track):
-    """A finger's f_x, f_y and f_d cells of an episode row, after its
-    center, if any, extended the track."""
-    if center is None:
-        return ["", "", ""]
-    disps = track.displacements
-    return [_fmt(center[0]), _fmt(center[1]),
-            _fmt(disps[-1], 6) if disps else ""]
+class ControlStep:
+    """The control half of an instant: from its tick and {finger: center
+    or None}, track, check freshness once, classify, supervise, submit
+    to the MCU and return the Instant. The plant ticks in the caller."""
+
+    def __init__(self, scenario, plant):
+        self.scenario, self.plant = scenario, plant
+        self.mcu = McuEmulator(plant)
+        self.supervisor = GraspSupervisor(
+            thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
+            max_regrasps=scenario.max_regrasps)
+        self.tracks = {finger: ContactTrack(finger_id=finger)
+                       for finger in (1, 2)}
+
+    def __call__(self, tick, centers):
+        now, sc, supervisor = tick * TICK_S, self.scenario, self.supervisor
+        disps, fresh, flags = [], [], []
+        for finger, track in self.tracks.items():
+            if centers[finger] is not None:
+                track_displacement(track, centers[finger], now, sc.kde)
+            appended = centers[finger] is not None and len(track) > 1
+            disps.append(track.displacements[-1] if appended else None)
+            fresh.append(has_fresh_contact(track, now))
+            flags.append(_classify(track, sc.thresholds, now, fresh[-1]))
+        cmds = supervisor.start(now) if tick == 0 else []
+        cmds += supervisor.update(*flags, now, fresh1=fresh[0],
+                                  fresh2=fresh[1])
+        for cmd in cmds:
+            self.mcu.submit(encode_frame(cmd))
+        state = self.plant.state
+        return Instant(tick, supervisor.phase.state, (centers[1], centers[2]),
+                       tuple(disps), tuple(flag.kind for flag in flags),
+                       tuple(cmds), tuple(state.valve_states.tolist()),
+                       tuple(state.chamber_pressures.tolist()))
 
 
 class FingerStep:
@@ -347,16 +398,10 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
                              f"a new directory")
 
     plant = PneumaticPlant(scenario.plant)
-    mcu = McuEmulator(plant)
-    supervisor = GraspSupervisor(
-        thresholds=scenario.thresholds, grasp_mask=scenario.grasp_mask,
-        max_regrasps=scenario.max_regrasps,
-    )
+    control = ControlStep(scenario, plant)
+    supervisor = control.supervisor
     steps = finger_steps(scenario, frames_dir if save_frames else None)
-    tracks = {finger: ContactTrack(finger_id=finger) for finger in (1, 2)}
-
-    episode_rows, commands_log = [], []
-    plant_rows = [plant.trace_row()]
+    instants, plant_rows = [], [plant.trace_row()]
 
     total_ticks = int(round(scenario.duration_s / TICK_S))
     grace_ticks = int(round(RELEASE_GRACE_S / TICK_S))
@@ -364,32 +409,7 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     with _FingerWorkers(steps) as workers:
         workers.send(0.0)
         for tick in range(0, total_ticks + 1, CONTROL_PERIOD_TICKS):
-            now = tick * TICK_S
-            centers = workers.receive()
-            flags, fresh = {}, {}
-            for finger, track in tracks.items():
-                if centers[finger] is not None:
-                    track_displacement(track, centers[finger], now,
-                                       scenario.kde)
-                flags[finger] = classify_frame(track, scenario.thresholds, now)
-                fresh[finger] = has_fresh_contact(track, now)
-            cmds = supervisor.start(now) if tick == 0 else []
-            cmds += supervisor.update(flags[1], flags[2], now,
-                                      fresh1=fresh[1], fresh2=fresh[2])
-            for cmd in cmds:
-                mcu.submit(encode_frame(cmd))
-                commands_log.append((now, cmd))
-
-            state = plant.state
-            episode_rows.append(
-                [tick, f"{now:.3f}", supervisor.phase.state.value]
-                + [cell for finger in (1, 2)
-                   for cell in _cells(centers[finger], tracks[finger])]
-                + [flags[finger].kind.value for finger in (1, 2)]
-                + [";".join(c.kind.name for c in cmds)]
-                + [str(int(v)) for v in state.valve_states]
-                + [f"{p:.4f}" for p in state.chamber_pressures])
-
+            instants.append(control(tick, workers.receive()))
             # The workers render the next instant while the plant ticks.
             if supervisor.terminated:
                 stop = tick + grace_ticks
@@ -405,10 +425,12 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
 
     result = EpisodeResult(
         scenario=scenario,
-        episode_rows=episode_rows,
+        instants=instants,
+        episode_rows=[episode_row(rec) for rec in instants],
         plant_rows=plant_rows,
-        tracks=tracks,
-        commands=commands_log,
+        tracks=control.tracks,
+        commands=[(rec.tick * TICK_S, cmd)
+                  for rec in instants for cmd in rec.commands],
         transitions=supervisor.transitions,
         regrasp_count=supervisor.regrasp_count,
         final_phase=supervisor.phase.state,
@@ -442,7 +464,7 @@ def _write_outputs(result, out_dir):
         f"config_sha256 = {digest}",
         f"package_version = {pkg_version}",
         f"duration_s = {result.scenario.duration_s!r}",
-        f"control_ticks = {len(result.episode_rows)}",
+        f"control_ticks = {len(result.instants)}",
         f"final_phase = {result.final_phase.value}",
     ]
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")

@@ -15,13 +15,19 @@ per frame (the stage's total over the frames), in ms:
 layout (`displace_markers`), render (`FrameStream.render`, stamping
 included), stamp (`disk_coverage`), detect, kde, extract, and frame (the
 whole step). Layouts and stamps are made only when the scene changes, so
-read their per-frame means. Timings are wall time of this process on
-whatever else the host runs; compare two trees in alternating runs.
+read their per-frame means. The last row, control, is the parent's side
+of an instant: `run_grasp` replayed on the frames' contact centers
+(`trace_ledger.replay_run_grasp`), timed from one instant's receive to
+the next, which spans the control step and the plant's ticks. Its calls
+are instants, and its median the cost of one. Timings are wall time of
+this process on whatever else the host runs; compare two trees in
+alternating runs.
 """
 
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -40,7 +46,7 @@ import tacgrip.sensor_sim
 from tacgrip.control import CONTROL_PERIOD_TICKS
 from tacgrip.plant import TICK_S
 from tacgrip.scenario import static_scenario
-from trace_ledger import moving_scenario
+from trace_ledger import ReplayFingers, moving_scenario, replay_run_grasp
 
 # (module or class, attribute, stage name), in the order a frame runs them
 STAGES = (
@@ -63,11 +69,24 @@ def _timed(fn, samples):
     return timed
 
 
+class TimedReplay(ReplayFingers):
+    """ReplayFingers that appends the time of each receive to `marks`."""
+
+    def __init__(self, marks, centers, steps):
+        super().__init__(centers, steps)
+        self.marks = marks
+
+    def receive(self):
+        self.marks.append(perf_counter())
+        return super().receive()
+
+
 def stage_times(scenario):
     """{stage: list of call durations in s} over every control instant of
     the scenario, both fingers, and the number of frames."""
     samples = {name: [] for _, _, name in STAGES}
     samples["frame"] = []
+    centers = {1: {}, 2: {}}
     steps = tacgrip.episode.finger_steps(scenario)  # calibration untimed
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, _ in STAGES]
@@ -76,13 +95,19 @@ def stage_times(scenario):
             setattr(owner, attr, _timed(getattr(owner, attr), samples[name]))
         total = int(round(scenario.duration_s / TICK_S))
         for tick in range(0, total + 1, CONTROL_PERIOD_TICKS):
+            now = tick * TICK_S
             for finger in (1, 2):
                 start = perf_counter()
-                steps[finger](tick * TICK_S)
+                center = steps[finger](now)
                 samples["frame"].append(perf_counter() - start)
+                if center is not None:
+                    centers[finger][now] = center
     finally:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
+    marks = []
+    replay_run_grasp(scenario, centers, partial(TimedReplay, marks))
+    samples["control"] = np.diff(marks).tolist()
     return samples, len(samples["frame"])
 
 

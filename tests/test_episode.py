@@ -4,15 +4,16 @@ import re
 
 import pytest
 
+import tacgrip.control
 import tacgrip.episode
 from tacgrip.control import CommandKind, McuEmulator, Phase
-from tacgrip.episode import (EPISODE_COLUMNS, measure_response_latency,
-                             run_grasp)
+from tacgrip.episode import (EPISODE_COLUMNS, episode_row,
+                             measure_response_latency, run_grasp)
 from tacgrip.errors import NoDisturbanceError, ValidationError
 from tacgrip.pgm import iter_frame_files
 from tacgrip.plant import TICK_S
 from tacgrip.scenario import Scenario, slip_scenario, static_scenario
-from trace_ledger import released_early
+from trace_ledger import recorded_centers, released_early, replay_run_grasp
 
 
 def phases(result):
@@ -50,6 +51,53 @@ def test_episode_rows_shape(static_run):
     assert all(t % 33 == 0 for t in ticks)
     names = {p.value for p in Phase}
     assert all(row[2] in names for row in static_run.episode_rows)
+
+
+def test_instants_are_what_the_rows_commands_and_flags_read(static_run):
+    instants = static_run.instants
+    assert [episode_row(rec) for rec in instants] == static_run.episode_rows
+    assert static_run.commands == [(rec.tick * TICK_S, cmd)
+                                   for rec in instants for cmd in rec.commands]
+    assert static_run.flags == {
+        f: [(rec.tick * TICK_S, rec.flags[f - 1].value) for rec in instants]
+        for f in (1, 2)}
+    # each center, and the D it appended, is its track's sample
+    for f, track in static_run.tracks.items():
+        samples = [(rec.tick * TICK_S, rec.centers[f - 1],
+                    rec.displacements[f - 1])
+                   for rec in instants if rec.centers[f - 1] is not None]
+        assert samples == list(zip(track.timestamps, track.centers,
+                                   [None] + track.displacements))
+
+
+@pytest.mark.parametrize("fixture", ["static_run", "poke_run", "slip_run",
+                                     "timeout_run"])
+def test_the_control_half_is_a_function_of_the_centers(request, fixture):
+    # Fed the centers its tracks hold, with no frame rendered, the run
+    # makes the same records, rows, tracks, commands and transitions.
+    run = request.getfixturevalue(fixture)
+    replay = replay_run_grasp(run.scenario, recorded_centers(run))
+    assert replay.instants == run.instants
+    for part in ("episode_rows", "plant_rows", "tracks", "commands",
+                 "transitions", "regrasp_count", "final_phase"):
+        assert getattr(replay, part) == getattr(run, part), part
+
+
+def test_freshness_is_asked_once_per_finger_per_instant(static_run,
+                                                        monkeypatch):
+    asked = []
+    fresh = tacgrip.control.has_fresh_contact
+
+    def counting(track, now, *args):
+        asked.append((track.finger_id, now))
+        return fresh(track, now, *args)
+
+    for module in (tacgrip.episode, tacgrip.control):
+        monkeypatch.setattr(module, "has_fresh_contact", counting)
+    result = replay_run_grasp(static_run.scenario,
+                              recorded_centers(static_run))
+    assert asked == [(f, rec.tick * TICK_S)
+                     for rec in result.instants for f in (1, 2)]
 
 
 def test_poke_reopens_and_reseals(poke_run):

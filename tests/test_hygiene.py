@@ -237,13 +237,14 @@ def names_only():
 
 
 def test_only_the_controller_and_the_track_tools_make_tracks():
-    # run_grasp keeps both fingers' tracks and classifies them; the
-    # pipeline reports a center and keeps none. A second owner of a
+    # The control step keeps both fingers' tracks and classifies them;
+    # the pipeline reports a center and keeps none. A second owner of a
     # finger's track would be a second place to ask for its displacement.
     makers = set()
     for source, module in _package_sources():
         makers |= _callers(source, module, "ContactTrack")
-    assert makers == {"tacgrip.episode.run_grasp", "tacgrip.cli._cmd_analyze",
+    assert makers == {"tacgrip.episode.ControlStep.__init__",
+                      "tacgrip.cli._cmd_analyze",
                       "tacgrip.cli._cmd_replay",
                       "tacgrip.tracking.read_track_csv"}
 

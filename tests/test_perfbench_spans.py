@@ -13,10 +13,10 @@ KNOWN_MISSING = {
     # the KDE's support is a box since marker_support_box replaced the
     # mask
     "tacgrip.perception.marker_support_mask",
-    # run_grasp tracks the contacts through tacgrip.episode's globals;
-    # the pipeline keeps no track
+    # the control step tracks the contacts through tacgrip.episode's
+    # globals; the pipeline keeps no track
     "tacgrip.perception.track_displacement",
-    # run_grasp classifies through tacgrip.episode's globals
+    # the control step classifies through tacgrip.episode's globals
     "tacgrip.perception.classify_frame",
     # a frame runs through Calibration.process, which the finger
     # workers call out of the benchmark's reach

@@ -15,7 +15,9 @@ that differs, and exits 1 if any does. Record again only in a change
 that alters traces on purpose, and say why in CHANGES.md. The tier-1
 tests check the worker episodes they run anyway against the ledger with
 `assert_matches_ledger`, so the ledger costs them no extra episode, and
-no tier-1 test runs an episode in-process.
+no tier-1 test runs an episode in-process. `replay_run_grasp` runs the
+control half alone: `run_grasp` with a stand-in for the workers that
+answers each instant with the center a finished run's tracks hold.
 
 For each run the ledger holds one digest per part of an EpisodeResult:
 episode rows, plant rows, the two contact tracks, the commands, the
@@ -81,6 +83,36 @@ def serial_run_grasp(scenario, out_dir=None, save_frames=False):
     with mock.patch.object(tacgrip.episode, "_FingerWorkers",
                            InProcessFingers):
         return run_grasp(scenario, out_dir, save_frames)
+
+
+class ReplayFingers(InProcessFingers):
+    """`_FingerWorkers` that renders nothing: each receive answers, per
+    finger, with the center that `centers` ({finger: {time: center}})
+    holds at the instant sent last, or None."""
+
+    def __init__(self, centers, steps):
+        self.centers = centers
+
+    def receive(self):
+        return {finger: by_time.get(self.now)
+                for finger, by_time in self.centers.items()}
+
+
+def recorded_centers(result):
+    """{finger: {time: contact center}} of result's tracks."""
+    return {finger: dict(zip(track.timestamps, track.centers))
+            for finger, track in result.tracks.items()}
+
+
+def replay_run_grasp(scenario, centers, fingers=ReplayFingers):
+    """run_grasp of the scenario in this process, with each finger's
+    contact center at each instant read from `centers` ({finger: {time:
+    center}}, recorded_centers) in place of its frame: the control half
+    alone, fed what perception saw. `fingers`, called with the centers
+    and the steps, stands in for the workers."""
+    with mock.patch.object(tacgrip.episode, "_FingerWorkers",
+                           partial(fingers, centers)):
+        return run_grasp(scenario)
 
 
 def moving_scenario(seed=4, duration=1.2):
