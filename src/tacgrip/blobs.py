@@ -24,8 +24,14 @@ threshold and the candidates come from inside the box. The response
 outside the box is bounded from the range of the pixels it reads
 (`_outside_bound`): when that bound stays under half the threshold, no
 pixel outside the box can be a candidate or move the threshold, and the
-windowed result is the full-frame result. Otherwise the frame is
-detected again in full.
+windowed result is the full-frame result. When no window is given, or
+the window fails that bound, one more box is tried the same way: the
+frame's dark box, the bounding box of its pixels below the midpoint of
+its least and greatest values, widened as `marker_window` widens the
+markers' box. Markers are dark, so on a rest or contact frame that box
+holds them all, and calibration or a marker pushed out of its window
+costs a box, not the whole frame. Only when both fail is the frame
+detected in full.
 """
 
 from dataclasses import dataclass
@@ -314,9 +320,10 @@ def detect_markers(frame, config=None, window=None):
     """Detect dark circular markers in a frame.
 
     window: optional half-open pixel box (x0, y0, x1, y1) expected to
-    hold the markers. It saves work and never changes the result: when
-    the response outside it is not bounded below the threshold, the
-    whole frame is searched. Deterministic for a given frame and config.
+    hold the markers. It saves work and never changes the result: with
+    no window, or when the response outside it is not bounded below the
+    threshold, the frame's dark box (`_dark_box`) is tried the same way,
+    then the whole frame. Deterministic for a given frame and config.
     An empty MarkerSet is a valid result (blank frame). A frame that is
     not a 2-D uint8 array with a pixel raises ValueError (see
     `pgm.check_frame`).
@@ -324,17 +331,43 @@ def detect_markers(frame, config=None, window=None):
     config = config or DetectorConfig()
     check_frame(frame)
     h, w = frame.shape
+    whole = tried = (0, 0, w, h)
     if window is not None:
         x0, y0, x1, y1 = window
         box = (max(x0, 0), max(y0, 0), min(x1, w), min(y1, h))
         if box[0] >= box[2] or box[1] >= box[3]:
             raise ValueError(f"window {window} holds no pixel of a "
                              f"{w}x{h} frame")
-        if box != (0, 0, w, h):
+        if box != whole:
             markers = _detect_in_box(frame, config, box)
             if markers is not None:
                 return markers
-    return _detect_in_box(frame, config, (0, 0, w, h))
+            tried = box
+    box = _dark_box(frame, config)
+    if box is not None and box not in (whole, tried):
+        markers = _detect_in_box(frame, config, box)
+        if markers is not None:
+            return markers
+    return _detect_in_box(frame, config, whole)
+
+
+def _dark_box(frame, config):
+    """The bounding box of the frame's pixels below the midpoint of its
+    least and greatest values, widened by `marker_window`'s margin and
+    clipped to the frame, as a half-open pixel box; None when no pixel
+    lies below (a uniform frame)."""
+    lo, hi = int(frame.min()), int(frame.max())
+    # For a whole pixel value v, v < (lo + hi) / 2 is v < ceil((lo + hi) / 2).
+    dark = frame < (lo + hi + 1) // 2
+    rows = np.flatnonzero(dark.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(dark[rows[0]:rows[-1] + 1].any(axis=0))
+    h, w = frame.shape
+    margin = 2 * _window_pad(config)
+    return (max(int(cols[0]) - margin, 0), max(int(rows[0]) - margin, 0),
+            min(int(cols[-1]) + margin + 1, w),
+            min(int(rows[-1]) + margin + 1, h))
 
 
 def _screen(resp, inner, threshold):

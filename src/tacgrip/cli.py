@@ -34,7 +34,7 @@ def _cmd_grasp(args):
     result = run_grasp(scenario, out_dir=args.out, save_frames=args.save_frames)
     print(f"scenario {scenario.name} (seed {scenario.sensor.seed}): "
           f"final phase {result.final_phase.value}, "
-          f"{len(result.episode_rows)} control ticks")
+          f"{len(result.instants)} control ticks")
     tts = result.time_to_stable
     if tts is not None:
         print(f"time to stable: {tts:.3f} s")

@@ -88,17 +88,16 @@ Instant = namedtuple("Instant", "tick phase centers displacements flags "
 @dataclass
 class EpisodeResult:
     """One episode. `instants` holds an Instant per control instant, and
-    the episode rows (episode_row), commands and flags are read from
-    them. An Instant holds its tick (a multiple of 33); the phase after
-    the supervisor's update; per finger, a pair with finger 1 first: the
-    contact center (x, y) in pixels or None, the D in mm it appended to
-    the track or None (no center, or the track's first), and the
-    FlagKind; the McuCommands sent; and the 8 valve states (+1, 0, -1)
-    and chamber pressures (kPa), read before the plant ticks on."""
+    the episode rows, commands and flags are read from them. An Instant
+    holds its tick (a multiple of 33); the phase after the supervisor's
+    update; per finger, a pair with finger 1 first: the contact center
+    (x, y) in pixels or None, the D in mm it appended to the track or
+    None (no center, or the track's first), and the FlagKind; the
+    McuCommands sent; and the 8 valve states (+1, 0, -1) and chamber
+    pressures (kPa), read before the plant ticks on."""
 
     scenario: object
     instants: List[Instant]
-    episode_rows: List[list]
     plant_rows: List[list]
     tracks: Dict[int, object]
     commands: List[Tuple[float, object]]
@@ -110,6 +109,12 @@ class EpisodeResult:
     def terminated(self):
         """Whether the supervisor ended the episode: it ended Released."""
         return self.final_phase == Phase.RELEASED
+
+    @property
+    def episode_rows(self):
+        """The rows of episode.csv (episode_row), formatted from the
+        instants on each read; nothing keeps them."""
+        return [episode_row(rec) for rec in self.instants]
 
     @property
     def flags(self):
@@ -426,7 +431,6 @@ def run_grasp(scenario, out_dir=None, save_frames=False):
     result = EpisodeResult(
         scenario=scenario,
         instants=instants,
-        episode_rows=[episode_row(rec) for rec in instants],
         plant_rows=plant_rows,
         tracks=control.tracks,
         commands=[(rec.tick * TICK_S, cmd)

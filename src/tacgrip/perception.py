@@ -20,9 +20,10 @@ Nothing waits half-built for a method call, and a calibration can be
 compared and shared: both fingers of an episode take the same one.
 
 Markers are detected inside a window, which saves work but never
-changes the result (`blobs.detect_markers` searches the full frame when
-the window cannot be shown to hold every marker). Calibration detects on
-the full reference frame and starts the window at the reference
+changes the result (`blobs.detect_markers` tries the frame's dark box,
+then the full frame, when the window cannot be shown to hold every
+marker). Calibration detects on the reference frame with no window,
+where the dark box answers, and starts the window at the reference
 markers' bounding box widened by `blobs.marker_window`'s margin.
 `Calibration.process` takes the window to detect through and reports it
 grown to the union of itself and the same widened box of the frame's

@@ -12,6 +12,7 @@ integer-tick scheduling throughout, fully deterministic.
 import csv
 import heapq
 import math
+import struct
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -283,11 +284,21 @@ TRACE_COLUMNS = (["t", "tank_pos", "tank_neg"]
 
 
 def write_plant_trace_csv(rows, path):
+    """Write trace rows as CSV with a TRACE_COLUMNS header: the time to 3
+    decimals, the pressures to 6 and the valve states as integers, lines
+    ended by csv's \\r\\n; no cell needs quoting. A hold repeats one state
+    for many ticks, so a row's cells after the time are formatted once per
+    run of rows with the same pressure bits (struct keys tell -0.0 from
+    0.0, which print apart) and the same valve states."""
+    pack = struct.Struct(f"{2 + N_CHAMBERS}d").pack
+    last, tail = None, ""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        csv.writer(fh).writerow(TRACE_COLUMNS)
         for row in rows:
-            out = [f"{row[0]:.3f}"]
-            out += [f"{v:.6f}" for v in row[1:3 + N_CHAMBERS]]
-            out += [str(int(v)) for v in row[3 + N_CHAMBERS:]]
-            writer.writerow(out)
+            key = (pack(*row[1:3 + N_CHAMBERS]), row[3 + N_CHAMBERS:])
+            if key != last:
+                last = key
+                tail = ",".join(
+                    [f"{v:.6f}" for v in row[1:3 + N_CHAMBERS]]
+                    + [str(int(v)) for v in row[3 + N_CHAMBERS:]])
+            fh.write(f"{row[0]:.3f},{tail}\r\n")

@@ -38,6 +38,11 @@ MAX_MARKERS = 10_000
 # and a full-frame density field takes 8 B a pixel. At the cap, 2048 x
 # 2048, that is about 107 MB and 34 MB.
 MAX_FRAME_PIXELS = 2048 * 2048
+# Footprint pixels stamped per chunk of markers: 1,041 disks of the
+# default 12 x 12 px footprint, whose float64 squared offsets take 0.8 MB.
+# The rest of a chunk's temporaries take at most about 140 B a footprint
+# pixel (21 MB), reached only if every pixel were on a disk's edge.
+_CHUNK_PIXELS = 150_000
 
 
 @dataclass(frozen=True)
@@ -140,52 +145,75 @@ def displace_markers(model, stimulus=None):
 
 
 def disk_coverage(markers, model):
-    """Per pixel, the count k = 0..16 of its 4x4 subpixel samples within
-    marker_radius of a marker center, maxed over markers, as uint8: the
-    pixel's coverage is k / 16. Each marker's footprint is `size` px square
-    from floor(c - r - 1): every pixel with a sample within r of its center
-    c. A sample (sx, sy) is inside when sy^2 + sx^2 <= r^2, each term the
-    rounded square of its offset from c. Those squares, and so the rounded
-    sum, grow with the offset's size, so a footprint pixel whose largest
-    squares pass counts 16, one whose smallest fail counts 0, and only the
-    pixels between, along the disk's edge, test their 16 samples. Markers
-    go 64 at a time, which bounds the temporaries for large radii."""
+    """The pixels a marker layout covers, as (flat indices, counts << 8):
+    per covered pixel, its index into the flat frame and, shifted to the
+    table's k << 8, the count k = 1..16 of its 4x4 subpixel samples within
+    marker_radius of a marker center, maxed over markers (the pixel's
+    coverage is k / 16). A pixel that several disks cover is listed once
+    per disk, each time with the same maximum.
+
+    Each marker's footprint is `size` px square from floor(c - r - 1):
+    every pixel with a sample within r of its center c. A sample (sx, sy)
+    is inside when sy^2 + sx^2 <= r^2, each term the rounded square of its
+    offset from c. Those squares, and so the rounded sum, grow with the
+    offset's size, so a footprint pixel whose largest squares pass counts
+    16, one whose smallest fail counts 0, and only the pixels between,
+    along the disk's edge, test their 16 samples. The footprint pixels
+    inside the frame that count above 0 are the list; one maximum onto a
+    zeroed frame settles the pixels that disks share. Markers go in chunks
+    of about _CHUNK_PIXELS footprint pixels, which bounds the temporaries
+    whatever the radius and the number of markers."""
     radius = model.marker_radius
+    r2 = radius ** 2
     size = int(np.ceil(2 * radius + 2)) + 2
     w, h = model.width, model.height
-    coverage = np.zeros(h * w, dtype=np.uint8)
-    for start in range(0, len(markers), 64):
-        c = markers.centroids[start:start + 64]
+    step = max(1, _CHUNK_PIXELS // size ** 2)
+    pixels, counts = [np.empty(0, np.intp)], [np.empty(0, np.uint8)]
+    for start in range(0, len(markers), step):
+        c = markers.centroids[start:start + step]
         n = len(c)
         # pix[marker, axis] are the footprint's pixel coordinates on (x, y),
-        # sq[marker, axis, pixel, sample] its samples' squared offsets.
-        pix = np.floor(c - radius - 1).astype(np.int64)[:, :, None] + np.arange(size)
-        sq = ((pix[..., None] + _SS) - c[:, :, None, None]) ** 2
-        far = np.maximum(np.maximum(sq[..., 0], sq[..., 1]),
-                         np.maximum(sq[..., 2], sq[..., 3]))
-        near = np.minimum(np.minimum(sq[..., 0], sq[..., 1]),
-                          np.minimum(sq[..., 2], sq[..., 3]))
-        full = far[:, 1, :, None] + far[:, 0, None, :] <= radius ** 2
-        some = near[:, 1, :, None] + near[:, 0, None, :] <= radius ** 2
+        # sq[axis, sample, marker, pixel] its samples' squared offsets.
+        pix = np.floor(c - radius - 1).astype(np.int64)[:, :, None] \
+            + np.arange(size)
+        sq = pix.transpose(1, 0, 2)[:, None] + _SS[:, None, None]
+        sq -= c.T[:, None, :, None]
+        sq *= sq
+        far, near = sq.max(axis=1), sq.min(axis=1)
+        # A pixel outside the frame has an infinite square on its axis,
+        # so it counts 0; the others keep their bits.
+        outside = (pix < 0) | (pix >= np.array([[w], [h]]))
+        outside = outside.transpose(1, 0, 2)
+        far[outside] = np.inf
+        near[outside] = np.inf
+        some = near[1][:, :, None] + near[0][:, None, :] <= r2
+        full = far[1][:, :, None] + far[0][:, None, :] <= r2
         hits = (full.view(np.uint8) << 4).ravel()
         # The edge pixels by flat (marker, y, x) index; row and col index
-        # the (marker, y) and (marker, x) rows of the sample tables, whose
-        # column 4 * i + j holds sample (i, j)'s squared y and x offsets.
-        edge = np.flatnonzero(some & ~full)
+        # the (marker, y) and (marker, x) columns of the (4, n * size)
+        # sample tables ty and tx.
+        edge = np.flatnonzero(some.ravel() > full.ravel())
         row = edge // size
         col = edge + (row // size - row) * size
-        sample_y = np.repeat(sq[:, 1].reshape(n * size, 4), 4, axis=1)
-        sample_x = np.tile(sq[:, 0].reshape(n * size, 4), 4)
-        dist2 = sample_y.take(row, axis=0)
-        dist2 += sample_x.take(col, axis=0)
-        hits[edge] = (dist2 <= radius ** 2).sum(axis=1, dtype=np.uint8)
-        # Only covered pixels inside the frame are stamped.
-        in_frame = (pix >= 0) & (pix < np.array([[w], [h]]))
-        hits *= (in_frame[:, 1, :, None] & in_frame[:, 0, None, :]).ravel()
+        ty = sq[1].reshape(4, n * size).take(row, axis=1)
+        tx = sq[0].reshape(4, n * size).take(col, axis=1)
+        count = np.zeros(len(edge), np.uint8)
+        dist2, inside = np.empty(len(edge)), np.empty(len(edge), bool)
+        for sy in ty:
+            for sx in tx:
+                np.add(sy, sx, out=dist2)
+                count += np.less_equal(dist2, r2, out=inside)
+        hits[edge] = count
         covered = np.flatnonzero(hits)
-        flat = ((pix[:, 1] * w)[:, :, None] + pix[:, 0, None, :]).ravel()
-        np.maximum.at(coverage, flat[covered], hits[covered])
-    return coverage.reshape(h, w)
+        flat = (pix[:, 1] * w)[:, :, None] + pix[:, 0, None, :]
+        pixels.append(flat.ravel().take(covered))
+        counts.append(hits.take(covered))
+    pixels = np.concatenate(pixels)
+    coverage = np.zeros(h * w, dtype=np.uint8)
+    np.maximum.at(coverage, pixels, np.concatenate(counts))
+    shifted = coverage.take(pixels).astype(np.intp)
+    shifted <<= 8
+    return pixels, shifted
 
 
 def _noise_bytes(rng, n):
@@ -212,16 +240,8 @@ def _table(model):
     return table.astype(np.uint8).ravel()
 
 
-def _covered(coverage):
-    """The flat indices of the pixels a coverage covers, and their counts
-    k shifted to the table's k << 8."""
-    flat = coverage.ravel()
-    covered = np.flatnonzero(flat)
-    return covered, flat[covered].astype(np.intp) << 8
-
-
 def _frame(table, covered, model, finger_id, seq):
-    """The frame of a coverage given as its `_covered` pixels; see
+    """The frame of a layout given as its `disk_coverage` pixels; see
     `render_frame`. Every pixel first takes the level of coverage 0 plus
     its noise byte, then the covered ones take their own level."""
     pixels, shifted = covered
@@ -254,8 +274,8 @@ def render_frame(markers, model, finger_id=1, seq=0):
     table of bytes indexed by (count, noise byte), with no random byte
     drawn when noise_sigma is 0. Stamps the coverage on every call.
     """
-    return _frame(_table(model), _covered(disk_coverage(markers, model)),
-                  model, finger_id, seq)
+    return _frame(_table(model), disk_coverage(markers, model), model,
+                  finger_id, seq)
 
 
 class FrameStream:
@@ -271,7 +291,7 @@ class FrameStream:
         self.model, self.finger_id, self.seq = model, finger_id, 0
         self.directory = None if directory is None else Path(directory)
         self._table = _table(model)
-        # the last layout's bytes and its `_covered` pixels
+        # the last layout's bytes and its `disk_coverage` pixels
         self._last = (None, None)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -287,8 +307,7 @@ class FrameStream:
         `timestamp` s."""
         layout = markers.centroids.tobytes()
         if layout != self._last[0]:
-            self._last = (layout, _covered(disk_coverage(markers,
-                                                         self.model)))
+            self._last = (layout, disk_coverage(markers, self.model))
         seq, self.seq = self.seq, self.seq + 1
         frame = _frame(self._table, self._last[1], self.model,
                        self.finger_id, seq)

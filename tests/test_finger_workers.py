@@ -128,10 +128,10 @@ def test_both_fingers_share_one_calibration():
 def test_a_step_passes_its_detection_window_along(monkeypatch):
     # A contact one marker spacing inside the grid's left edge, moving
     # every period, pushes markers out of the calibration's window. The
-    # first frame falls back to the full frame and grows the window; a
-    # step that passed the window along finds every later frame's markers
-    # inside it. Detection gives the same markers either way, so only
-    # the fallback count can tell.
+    # first frame's window fails its bound, another box answers, and the
+    # window grows; a step that passed the window along finds every later
+    # frame's markers inside it. Detection gives the same markers either
+    # way, so only the count of failed boxes can tell.
     rng = random.Random(5)
     period = CONTROL_PERIOD_TICKS * TICK_S
     instants = [k * period for k in range(10)]
@@ -143,19 +143,19 @@ def test_a_step_passes_its_detection_window_along(monkeypatch):
     sc = Scenario(name="edge", duration_s=len(instants) * period,
                   sensor=SensorModel(seed=1), events=events)
     steps = finger_steps(sc)
-    full_frame = {1: 0, 2: 0}
+    failed = {1: 0, 2: 0}
     detect_in_box = tacgrip.blobs._detect_in_box
 
     def counting(frame, config, box):
-        h, w = frame.shape
-        full_frame[finger] += box == (0, 0, w, h)
-        return detect_in_box(frame, config, box)
+        markers = detect_in_box(frame, config, box)
+        failed[finger] += markers is None
+        return markers
 
     monkeypatch.setattr(tacgrip.blobs, "_detect_in_box", counting)
     for now in instants:
         for finger in (1, 2):
             assert steps[finger](now) is not None
-    assert max(full_frame.values()) <= 1, full_frame
+    assert max(failed.values()) <= 1, failed
 
 
 def test_a_step_displaces_once_per_event_and_stamps_once_per_layout(

@@ -169,10 +169,10 @@ def test_vectorised_nms_matches_greedy_loop():
 
 def _recording_detector(monkeypatch):
     """Route the pipeline's detector through a recorder; returns the list
-    of (frame, window, markers) per call and the count of calls answered
-    inside a window."""
+    of (frame, window, markers) per call and the list of boxes other than
+    the whole frame that answered a call."""
     calls = []
-    windowed = [0]
+    windowed = []
     real_detect, real_in_box = blobs.detect_markers, blobs._detect_in_box
 
     def recording(frame, config=None, window=None):
@@ -183,7 +183,7 @@ def _recording_detector(monkeypatch):
     def counting(frame, config, box):
         markers = real_in_box(frame, config, box)
         if markers is not None and box != (0, 0, *frame.shape[::-1]):
-            windowed[0] += 1
+            windowed.append(box)
         return markers
 
     monkeypatch.setattr(perception, "detect_markers", recording)
@@ -204,7 +204,9 @@ def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
     # calibrated one and the full frame give the same region and markers.
     calls, windowed = _recording_detector(monkeypatch)
     cal = perception.FingerPipeline(1).calibrate(reference_frame)
-    assert calls[0][1] is None  # calibration searches the full frame
+    # Calibration passes no window; the rest frame's dark box answers.
+    assert calls[0][1] is None
+    assert windowed == [blobs._dark_box(reference_frame, DetectorConfig())]
     grid = nominal_grid(nominal_model)
     lo, hi = grid.min(0), grid.max(0)
     rng = np.random.default_rng(2024)
@@ -223,9 +225,9 @@ def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
             shear_y=float(rng.uniform(-4.0, 4.0)))
         frame = tg.render_frame(tg.displace_markers(nominal_model, stim),
                                 nominal_model, finger_id=1, seq=seq)
-        before = windowed[0]
+        before = len(windowed)
         report = cal.process(frame, window)
-        inside += windowed[0] - before
+        inside += windowed[before:] == [window]
         assert calls[-1][1] == window
         for other in (cal.window, (0, 0, 640, 480)):
             again = cal.process(frame, other)
@@ -249,12 +251,18 @@ def test_marker_far_outside_window_is_found(nominal_model, reference_frame,
     moved = nominal_grid(nominal_model)
     moved[0] = (40.0, 40.0)
     frame = tg.render_frame(MarkerSet(moved), nominal_model, seq=1)
+    before = len(windowed)
     report = cal.process(frame, cal.window)
     markers = calls[-1][2]
-    assert np.array_equal(markers.centroids, detect_markers(frame).centroids)
+    whole = blobs._detect_in_box(frame, DetectorConfig(), (0, 0, 640, 480))
+    assert np.array_equal(markers.centroids, whole.centroids)
     assert len(markers) == len(moved)
     assert np.hypot(*(markers.centroids[0] - 40.0)) <= 1.0
-    assert windowed[0] == 0
+    # The window fails its bound, and the frame's dark box, which reaches
+    # the moved marker, answers instead of the whole frame.
+    dark = blobs._dark_box(frame, DetectorConfig())
+    assert _inside(dark, 40, 40) and dark != (0, 0, 640, 480)
+    assert windowed[before:] == [dark]
     assert _inside(report.window, 40, 40)
 
 
@@ -295,6 +303,59 @@ def test_blank_and_noise_frames_empty_with_window():
 def test_window_outside_frame_rejected(reference_frame):
     with pytest.raises(ValueError):
         detect_markers(reference_frame, window=(700, 0, 800, 100))
+
+
+def test_dark_box_never_changes_result(nominal_model, monkeypatch):
+    # With no window, detect_markers equals the whole frame's detection:
+    # on random contact frames, where the dark box answers; on noise-only
+    # frames, whose dark box is about the whole frame; on a uniform frame,
+    # which has no dark box; and with markers at the frame's corners,
+    # alone or beside the grid.
+    config, whole = DetectorConfig(), (0, 0, 640, 480)
+    real_in_box = blobs._detect_in_box
+    _, answered = _recording_detector(monkeypatch)
+    rng = np.random.default_rng(29)
+    frames = []
+    for seq in range(12):
+        stim = ContactStimulus(
+            x=float(rng.uniform(100, 540)), y=float(rng.uniform(80, 400)),
+            depth=float(rng.uniform(0.2, 3.2)),
+            radius=float(rng.uniform(14.0, 40.0)),
+            shear_x=float(rng.uniform(-4.0, 4.0)),
+            shear_y=float(rng.uniform(-4.0, 4.0)))
+        frames.append(("contact", tg.render_frame(
+            tg.displace_markers(nominal_model, stim), nominal_model,
+            seq=seq)))
+    for sigma in (0.01, 0.03, 0.1):
+        noise = rng.normal(0.0, sigma, (480, 640))
+        frames.append(("noise", _bytes(np.clip(0.95 + noise, 0, 1))))
+    frames.append(("uniform", np.full((480, 640), _BACKGROUND)))
+    corners = [[x, y] for x in (0.0, 2.5, 636.5, 639.0)
+               for y in (0.0, 3.0, 476.0, 479.0)]
+    frames.append(("corners", tg.render_frame(MarkerSet(corners),
+                                              nominal_model, seq=20)))
+    grid = nominal_grid(nominal_model)
+    grid[-1] = (638.5, 478.5)
+    frames.append(("grid and corner", tg.render_frame(
+        MarkerSet(grid), nominal_model, seq=21)))
+    for kind, frame in frames:
+        dark = blobs._dark_box(frame, config)
+        before = len(answered)
+        got = detect_markers(frame, config)
+        want = real_in_box(frame, config, whole)
+        assert got.centroids.tobytes() == want.centroids.tobytes(), kind
+        if kind == "contact":
+            assert len(got) >= 290
+            assert answered[before:] == [dark] != [whole]
+        elif kind == "grid and corner":
+            # The corner marker lies in the strip the bound reads at the
+            # frame's edge, so the dark box fails and the whole frame
+            # answers.
+            assert dark != whole and answered[before:] == []
+        elif kind == "uniform":
+            assert dark is None and answered[before:] == []
+        else:  # the dark box is the whole frame, which answers
+            assert dark == whole and answered[before:] == []
 
 
 def test_outside_bound_holds_over_random_frames(nominal_model):

@@ -541,3 +541,52 @@ def test_valves_set_before_the_first_step_move_their_chambers():
     assert not (fast.state.pump_pos_on or fast.state.pump_neg_on)
     assert fast.state.chamber_pressures[0] > 40.0
     assert fast.state.chamber_pressures[3] < -45.0
+
+
+def _csv_writer_trace(rows, path):
+    """The csv.writer path write_plant_trace_csv replaced, kept as its
+    reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for row in rows:
+            out = [f"{row[0]:.3f}"]
+            out += [f"{v:.6f}" for v in row[1:3 + N_CHAMBERS]]
+            out += [str(int(v)) for v in row[3 + N_CHAMBERS:]]
+            writer.writerow(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_csv_equals_the_csv_writer(tmp_path, seed):
+    # Random rows in runs of equal values, with pressures that flip
+    # between 0.0 and -0.0 or differ only in their last bit, and a real
+    # plant's trace: the same bytes as csv.writer, \r\n line ends included.
+    rng = np.random.default_rng(seed)
+    rows, tick = [], 0
+    while len(rows) < 400:
+        values = list(rng.uniform(-60.0, 60.0, 2 + N_CHAMBERS))
+        valves = [int(v) for v in rng.integers(-1, 2, N_CHAMBERS)]
+        kind = rng.integers(0, 4)
+        if kind == 1:
+            values[int(rng.integers(0, len(values)))] = 0.0
+        for _ in range(int(rng.integers(1, 12))):
+            if kind == 1 and rng.random() < 0.5:
+                values = [-v if v == 0.0 else v for v in values]
+            elif kind == 2 and rng.random() < 0.5:
+                values[0] = math.nextafter(values[0], math.inf)
+            elif kind == 3 and rng.random() < 0.3:
+                valves[int(rng.integers(0, N_CHAMBERS))] *= -1
+            rows.append([tick * TICK_S] + values + valves)
+            tick += 1
+    plant = PneumaticPlant()
+    plant.apply_valve_command(0, +1)
+    for _ in range(300):
+        plant.step()
+        rows.append(plant.trace_row())
+    assert any(math.copysign(1.0, v) < 0 for row in rows for v in row[1:11]
+               if v == 0.0)
+    write_plant_trace_csv(rows, tmp_path / "got.csv")
+    _csv_writer_trace(rows, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == len(rows) + 1

@@ -299,13 +299,38 @@ def _layouts(model, rng):
     return sets
 
 
+def _coverage_image(covered, model):
+    """The (height, width) uint8 count image of `disk_coverage`'s list,
+    after checking the list: flat indices inside the frame, counts 1-16
+    shifted to k << 8, and the same count each time a pixel is listed."""
+    pixels, shifted = covered
+    assert pixels.dtype == shifted.dtype == np.intp
+    assert pixels.shape == shifted.shape and pixels.ndim == 1
+    counts = shifted >> 8
+    assert not (shifted & 0xFF).any()
+    assert ((counts >= 1) & (counts <= 16)).all()
+    image = np.zeros(model.height * model.width, dtype=np.uint8)
+    image[pixels] = counts  # raises IndexError on an index past the frame
+    assert (pixels >= 0).all()
+    assert np.array_equal(image[pixels], counts)
+    return image.reshape(model.height, model.width)
+
+
+def _listed(coverage):
+    """A count image's covered pixels in `disk_coverage`'s form, each
+    listed once: the full-frame scan the stamp's own list replaced."""
+    flat = coverage.ravel()
+    covered = np.flatnonzero(flat)
+    return covered, flat[covered].astype(np.intp) << 8
+
+
 @pytest.mark.parametrize("radius", [2.5, 4.0, 6.3])
 def test_disk_coverage_matches_per_marker_loop(radius):
     model = SensorModel(marker_radius=radius, spacing=15.0)
     for markers in _layouts(model, np.random.default_rng(int(radius * 10))):
-        got = disk_coverage(markers, model)
+        got = _coverage_image(disk_coverage(markers, model), model)
         want = _stamp_disk_loop(markers, model)
-        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.shape == want.shape
         assert (got / 16.0).tobytes() == want.tobytes()
 
 
@@ -325,9 +350,52 @@ def test_disk_coverage_matches_per_marker_loop_on_the_eighth_pixel_grid(
                                            (n // 2, 2)) \
                 + np.round(rng.uniform(-3, 3, (n // 2, 2)) * 8) / 8
         markers = tg.MarkerSet(centers)
-        got = disk_coverage(markers, model)
+        got = _coverage_image(disk_coverage(markers, model), model)
         assert (got / 16.0).tobytes() == \
             _stamp_disk_loop(markers, model).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_disk_coverage_over_several_chunks(seed):
+    # 2,500 overlapping disks, anywhere on and past the frame, stamped in
+    # more than one chunk of markers.
+    model = SensorModel()
+    size = int(np.ceil(2 * model.marker_radius + 2)) + 2
+    per_chunk = tacgrip.sensor_sim._CHUNK_PIXELS // size ** 2
+    rng = np.random.default_rng(seed)
+    markers = tg.MarkerSet(rng.uniform([-8, -8], [648, 488], (2500, 2)))
+    assert len(markers) > 2 * per_chunk
+    got = _coverage_image(disk_coverage(markers, model), model)
+    assert (got / 16.0).tobytes() == \
+        _stamp_disk_loop(markers, model).tobytes()
+
+
+def test_disk_coverage_of_no_marker_lists_no_pixel(nominal_model):
+    pixels, shifted = disk_coverage(tg.MarkerSet(np.empty((0, 2))),
+                                    nominal_model)
+    assert pixels.dtype == shifted.dtype == np.intp
+    assert len(pixels) == len(shifted) == 0
+    frame = tg.render_frame(tg.MarkerSet(np.empty((0, 2))), nominal_model,
+                            seq=4)
+    assert frame.tobytes() == _float_render(
+        tg.MarkerSet(np.empty((0, 2))), nominal_model, 1, 4).tobytes()
+
+
+def test_overlapping_disks_list_a_shared_pixel_once_per_disk(nominal_model):
+    # Two disks 3 px apart share pixels, each of which both list with the
+    # pixel's maximum count; the frame equals the float reference.
+    markers = tg.MarkerSet([[100.3, 200.6], [103.3, 200.1], [300.0, 300.0]])
+    pixels, shifted = disk_coverage(markers, nominal_model)
+    seen, times = np.unique(pixels, return_counts=True)
+    shared = seen[times == 2]
+    assert len(shared) > 10 and times.max() == 2
+    image = _coverage_image((pixels, shifted), nominal_model)
+    assert (image / 16.0).tobytes() == \
+        _stamp_disk_loop(markers, nominal_model).tobytes()
+    for pixel in shared:
+        assert len(set(shifted[pixels == pixel].tolist())) == 1
+    assert tg.render_frame(markers, nominal_model, seq=2).tobytes() == \
+        _float_render(markers, nominal_model, 1, 2).tobytes()
 
 
 def _float_render(markers, model, finger_id=1, seq=0):
@@ -424,7 +492,7 @@ def test_lookup_table_frame_matches_the_table_gather(sigma):
                             rng.integers(1, 17, (64, 96)), 0)
         coverage = coverage.astype(np.uint8)
         finger, seq = 1 + trial % 2, int(rng.integers(0, 10_000))
-        got = sim._frame(sim._table(model), sim._covered(coverage), model,
+        got = sim._frame(sim._table(model), _listed(coverage), model,
                          finger, seq)
         want = _old_render_frame(None, model, finger, seq, coverage)
         assert got.dtype == np.uint8 and got.shape == (64, 96)
@@ -546,7 +614,9 @@ def _old_stream(model, finger_id, marker_sets, times, directory=None):
     for seq, (markers, t) in enumerate(zip(marker_sets, times)):
         layout = markers.centroids.tobytes()
         if layout != last_layout:
-            last_layout, coverage = layout, disk_coverage(markers, model)
+            last_layout = layout
+            coverage = _coverage_image(disk_coverage(markers, model),
+                                       model)
             stamps += 1
         frame = _old_render_frame(markers, model, finger_id, seq, coverage)
         if directory is not None:
