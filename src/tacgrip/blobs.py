@@ -168,7 +168,9 @@ def _outside_bound(pixels, box, config):
     The Laplacian Ixx + Iyy that `_response` computes is one linear
     filter of the frame (`_laplacian_taps`), of half-width r + 1. At the
     frame's edges its taps read the nearest edge pixel. So outside the
-    box the response reads only the frame minus the box shrunk by r + 1.
+    box the response reads only the frame minus the box shrunk by r + 1,
+    on the sides that have frame pixels beyond them: a side on the
+    frame's edge has no outside pixel to read the strip inside it.
     Over those pixels, with extremes lo and hi, the Laplacian is at most
     P * hi - N * lo, where P and N are the summed magnitudes of that
     kernel's positive and negative taps, which the config holds. The gate
@@ -176,9 +178,13 @@ def _outside_bound(pixels, box, config):
     sigma^4 * (Ixx * Iyy - Ixy^2) <= sigma^4 * (Ixx + Iyy)^2 / 4.
     """
     x0, y0, x1, y1 = box
+    h, w = pixels.shape
     sigma = config.scale
     half = _radius(sigma) + 1
-    hx0, hy0, hx1, hy1 = x0 + half, y0 + half, x1 - half, y1 - half
+    hx0 = x0 + half if x0 > 0 else 0
+    hy0 = y0 + half if y0 > 0 else 0
+    hx1 = x1 - half if x1 < w else w
+    hy1 = y1 - half if y1 < h else h
     if hx0 >= hx1 or hy0 >= hy1:
         parts = [pixels]
     else:

@@ -3,9 +3,10 @@
 Each pneumatic joint maps chamber pressures linearly to a bend angle
 (and, for the 3-chamber dexterous joint, an extension), giving a
 constant-curvature arc segment. A finger chain is its joints in
-assembly order, and forward kinematics composes their transforms in
-that order; the workspace is the convex hull of tip positions over a
-gridded pressure box.
+assembly order, base to tip. Forward kinematics maps the tip plate's
+point through each joint's arc from the last joint back to the base;
+the workspace is the convex hull of tip positions over a gridded
+pressure box.
 """
 
 import csv
@@ -30,15 +31,18 @@ SEGMENT_LENGTH = CONNECTOR_THICKNESS_T + ACTUATOR_LENGTH_H
 # Symmetric clamp on a joint's bend angle, degrees.
 ANGLE_LIMIT_DEG = 90.0
 
-# Samples per forward-kinematics block in `workspace`, and rows per
-# block of a joint's arc stack. Each (n, 4, 4) stack of a block is
-# 128 kB, so its temporaries stay under ~1 MB however large the grid.
+# Arcs per block of a joint's arc stack in `workspace`, and about the
+# samples one step maps: applied to a tip cloud of m points, a step
+# takes max(1, FK_BLOCK // m) arcs. So a block's (n, 4, 4) stack is at
+# most 128 kB, and a step's (n, 3) temporaries 24 kB unless one arc
+# maps a cloud larger than FK_BLOCK points.
 FK_BLOCK = 1024
 
 # Largest pressure grid `workspace` evaluates: 64 samples per axis on a
-# 4-chamber chain, whose (K, 3) tip cloud alone takes 403 MB. The arc
-# stacks it holds whole, one per joint after the base, are then at most
-# one 3-chamber joint's: 64^3 x 128 B = 33.5 MB.
+# 4-chamber chain, whose (K, 3) tip cloud alone takes 403 MB. Beyond it,
+# `workspace` holds the tip cloud of the joints after the base, at 24 B
+# a sample, and block temporaries: on rot-dex at 64 per axis, the dex
+# joint's 64^3 tips, 6.3 MB; no arc stack is held whole.
 MAX_WORKSPACE_SAMPLES = 2 ** 24
 
 # Largest |gain| of a joint per kPa: it reaches the 90 degree clamp at
@@ -139,27 +143,12 @@ def _joint_arcs(joint, pressures):
     return np.radians(theta_deg) / length, phi, length
 
 
-def _rot_z(angle):
-    """(N, 4, 4) rotations about z, one per angle."""
-    c, s = np.cos(angle), np.sin(angle)
-    t = np.zeros((len(angle), 4, 4))
-    t[:, 0, 0] = t[:, 1, 1] = c
-    t[:, 0, 1], t[:, 1, 0] = -s, s
-    t[:, 2, 2] = t[:, 3, 3] = 1.0
-    return t
-
-
-def translation(x, y, z):
-    t = np.eye(4)
-    t[:3, 3] = (x, y, z)
-    return t
-
-
 def _arc_transforms(kappa, phi, length):
     """(N, 4, 4) transforms of N arcs given as arrays: rotate the bending
     plane into x-z, sweep a circular arc of angle kappa*length, rotate
-    back. Where |kappa*length| < 1e-6 the chord terms switch to a
-    4th-order series, so the straight-segment limit is smooth."""
+    back, written out in closed form. Where |kappa*length| < 1e-6 the
+    chord terms switch to a 4th-order series, so the straight-segment
+    limit is smooth."""
     theta = kappa * length
     ct, st = np.cos(theta), np.sin(theta)
     small = np.abs(theta) < 1e-6
@@ -171,12 +160,19 @@ def _arc_transforms(kappa, phi, length):
                  length * (1.0 - theta ** 2 / 6.0 + theta ** 4 / 120.0),
                  st / safe_kappa)
 
+    # Rz(phi) @ [[ct, 0, st], [0, 1, 0], [-st, 0, ct]] @ Rz(-phi), and
+    # the chord (x, 0, z) turned by Rz(phi).
+    c, s = np.cos(phi), np.sin(phi)
     arc = np.zeros((len(theta), 4, 4))
-    arc[:, 0, 0] = arc[:, 2, 2] = ct
-    arc[:, 0, 2], arc[:, 2, 0] = st, -st
-    arc[:, 0, 3], arc[:, 2, 3] = x, z
-    arc[:, 1, 1] = arc[:, 3, 3] = 1.0
-    return _rot_z(phi) @ arc @ _rot_z(-phi)
+    arc[:, 0, 0] = c * c * ct + s * s
+    arc[:, 0, 1] = arc[:, 1, 0] = c * s * (ct - 1.0)
+    arc[:, 1, 1] = s * s * ct + c * c
+    arc[:, 0, 2], arc[:, 1, 2] = c * st, s * st
+    arc[:, 2, 0], arc[:, 2, 1] = -arc[:, 0, 2], -arc[:, 1, 2]
+    arc[:, 2, 2] = ct
+    arc[:, 0, 3], arc[:, 1, 3], arc[:, 2, 3] = c * x, s * x, z
+    arc[:, 3, 3] = 1.0
+    return arc
 
 
 def split_pressures(chain, pressures):
@@ -193,21 +189,33 @@ def split_pressures(chain, pressures):
     return out
 
 
+# The tip in the frame of the last joint's end: the final connector plate.
+_TIP_PLATE = np.array([0.0, 0.0, CONNECTOR_THICKNESS_T])
+
+
+def _apply(transforms, points):
+    """Points (..., 3) mapped by transforms (..., 4, 4), broadcast
+    together. Each output coordinate is the rotation row times x, y and
+    z, summed in that order, plus the translation, so a point gets the
+    same bytes however the batch around it is shaped."""
+    t = transforms[..., :3, :]
+    return (t[..., 0] * points[..., :1] + t[..., 1] * points[..., 1:2]
+            + t[..., 2] * points[..., 2:] + t[..., 3])
+
+
 def finger_fk_batch(chain, pressures):
     """Tip poses (N, 4, 4) for an (N, chamber_count) pressure array whose
-    rows are flat pressure vectors in chain order."""
-    return _compose([_arc_transforms(*_joint_arcs(joint, p)) for joint, p
-                     in zip(chain.joints, split_pressures(chain, pressures))])
-
-
-def _compose(stacks):
-    """Tip poses (N, 4, 4) from each joint's (N, 4, 4) arc transforms in
-    chain order: the base frame, each arc in turn, then the tip plate."""
-    t = np.eye(4)
-    for arcs in stacks:
-        t = t @ arcs
-    # Final tip connector plate.
-    return t @ translation(0.0, 0.0, CONNECTOR_THICKNESS_T)
+    rows are flat pressure vectors in chain order. They are built from
+    the tip plate inward: each joint, last to first, maps the tip point
+    (`_apply`) and left-multiplies the rotation."""
+    *inner, last = [_arc_transforms(*_joint_arcs(joint, p)) for joint, p
+                    in zip(chain.joints, split_pressures(chain, pressures))]
+    rotation, tip = last[:, :3, :3], _apply(last, _TIP_PLATE)
+    for arcs in reversed(inner):
+        rotation, tip = arcs[:, :3, :3] @ rotation, _apply(arcs, tip)
+    poses = np.zeros((len(tip), 4, 4))
+    poses[:, :3, :3], poses[:, :3, 3], poses[:, 3, 3] = rotation, tip, 1.0
+    return poses
 
 
 def tip_position(chain, pressures):
@@ -227,12 +235,15 @@ def workspace(chain, samples_per_axis=9):
     """Grid the pressure box, run FK everywhere, hull the tip cloud.
 
     A joint's arc depends on its own chambers alone, so the grid is the
-    product of the joints' own grids, in row-major order. The joints
-    after the base are evaluated once each over their own grid; the base
-    joint, whose index changes slowest, over the few indices each
-    FK_BLOCK of samples spans. Each block then gathers its arcs by index
-    and composes them as finger_fk_batch does, so every point is the
-    bytes finger_fk_batch gives for that sample. The grid is never held
+    product of the joints' own grids, in row-major order, and the tip
+    cloud of a chain is each of its first joint's arcs applied to the
+    tip cloud of the rest. So the cloud is built from the tip inward:
+    starting from the tip plate's point, each joint, last to first,
+    maps the cloud of the joints after it through every arc of its own
+    grid, FK_BLOCK arcs at a time, each arc evaluated once; the base's
+    images are the points. Each point is `_apply` on the same arcs in
+    the same order as in finger_fk_batch, so it has the bytes
+    finger_fk_batch gives for that sample. The grid is never held
     whole; grids above MAX_WORKSPACE_SAMPLES are refused before anything
     is allocated.
     """
@@ -250,33 +261,27 @@ def workspace(chain, samples_per_axis=9):
             f"{count} samples, above the cap of {MAX_WORKSPACE_SAMPLES}")
 
     axis = np.linspace(PRESSURE_MIN, PRESSURE_MAX, n)
-    base, *rest = chain.joints
-    sizes = [n ** joint.chamber_count for joint in chain.joints]
-    stacks = [_grid_arcs(joint, axis, 0, size)
-              for joint, size in zip(rest, sizes[1:])]
-    points = np.empty((count, 3))
-    for start in range(0, count, FK_BLOCK):
-        stop = min(start + FK_BLOCK, count)
-        first, *index = np.unravel_index(np.arange(start, stop), sizes)
-        base_arcs = _grid_arcs(base, axis, first[0], first[-1] + 1)
-        poses = _compose([base_arcs[first - first[0]]]
-                         + [arcs[i] for arcs, i in zip(stacks, index)])
-        points[start:stop] = poses[:, :3, 3]
-    return WorkspaceResult(points=points, hull_volume=hull_volume(points))
+    tips = _TIP_PLATE[None]
+    for joint in reversed(chain.joints):
+        size = n ** joint.chamber_count
+        step = max(1, FK_BLOCK // len(tips))
+        cloud = np.empty((size, len(tips), 3))
+        for start in range(0, size, FK_BLOCK):
+            arcs = _grid_arcs(joint, axis, start, min(start + FK_BLOCK, size))
+            block = cloud[start:start + FK_BLOCK]
+            for lo in range(0, len(arcs), step):
+                block[lo:lo + step] = _apply(arcs[lo:lo + step, None], tips)
+        tips = cloud.reshape(-1, 3)
+    return WorkspaceResult(points=tips, hull_volume=hull_volume(tips))
 
 
 def _grid_arcs(joint, axis, start, stop):
     """(stop - start, 4, 4) arc transforms of one joint at the flat
     indices start..stop-1 of its own row-major grid of `axis` pressures
-    per chamber, built FK_BLOCK rows at a time."""
+    per chamber."""
     shape = (len(axis),) * joint.chamber_count
-    arcs = np.empty((stop - start, 4, 4))
-    for lo in range(start, stop, FK_BLOCK):
-        hi = min(lo + FK_BLOCK, stop)
-        index = np.unravel_index(np.arange(lo, hi), shape)
-        arcs[lo - start:hi - start] = _arc_transforms(
-            *_joint_arcs(joint, axis[np.stack(index, axis=1)]))
-    return arcs
+    index = np.unravel_index(np.arange(start, stop), shape)
+    return _arc_transforms(*_joint_arcs(joint, axis[np.stack(index, axis=1)]))
 
 
 def hull_volume(points):

@@ -19,9 +19,13 @@ read their per-frame means. The last row, control, is the parent's side
 of an instant: `run_grasp` replayed on the frames' contact centers
 (`trace_ledger.replay_run_grasp`), timed from one instant's receive to
 the next, which spans the control step and the plant's ticks. Its calls
-are instants, and its median the cost of one. Timings are wall time of
-this process on whatever else the host runs; compare two trees in
-alternating runs.
+are instants, and its median the cost of one.
+
+A last block times `kinematics.workspace` at 9 samples per axis, as
+`tacgrip workspace` and perfbench run it, 20 calls per chain: per
+chain, the median ms of its forward kinematics (the call less its hull)
+and of its hull (`hull_volume`). Timings are wall time of this process
+on whatever else the host runs; compare two trees in alternating runs.
 """
 
 import argparse
@@ -41,6 +45,7 @@ if __name__ == "__main__":  # run from a checkout without an install
 import numpy as np
 
 import tacgrip.episode
+import tacgrip.kinematics
 import tacgrip.perception
 import tacgrip.sensor_sim
 from tacgrip.control import CONTROL_PERIOD_TICKS
@@ -111,6 +116,32 @@ def stage_times(scenario):
     return samples, len(samples["frame"])
 
 
+# Samples per axis and calls per chain of the workspace block.
+WORKSPACE_SAMPLES, WORKSPACE_CALLS = 9, 20
+
+
+def workspace_times():
+    """{chain: (FK durations, hull durations)} in s over WORKSPACE_CALLS
+    calls of `kinematics.workspace` per chain, hull_volume wrapped in a
+    timer."""
+    kin = tacgrip.kinematics
+    times = {}
+    original = kin.hull_volume
+    try:
+        for name, chain in (("dex-rot", kin.dex_rot_chain()),
+                            ("rot-dex", kin.rot_dex_chain())):
+            fk, hull = [], []
+            kin.hull_volume = _timed(original, hull)
+            for _ in range(WORKSPACE_CALLS):
+                start = perf_counter()
+                kin.workspace(chain, WORKSPACE_SAMPLES)
+                fk.append(perf_counter() - start - hull[-1])
+            times[name] = fk, hull
+    finally:
+        kin.hull_volume = original
+    return times
+
+
 def report(title, samples, frames):
     print(f"{title}: {frames} frames")
     print(f"  {'stage':<8} {'calls':>6} {'p50 ms':>8} {'ms/frame':>9}")
@@ -130,6 +161,12 @@ def main(argv=None):
             ("moving", moving_scenario(args.seed, duration=2.0)))
     for title, scenario in runs:
         report(title, *stage_times(scenario))
+    print(f"workspace: {WORKSPACE_SAMPLES} samples per axis, "
+          f"{WORKSPACE_CALLS} calls per chain")
+    print(f"  {'chain':<8} {'fk ms':>8} {'hull ms':>8}")
+    for name, (fk, hull) in workspace_times().items():
+        print(f"  {name:<8} {1e3 * float(np.median(fk)):>8.3f} "
+              f"{1e3 * float(np.median(hull)):>8.3f}")
     return 0
 
 

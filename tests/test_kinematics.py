@@ -396,16 +396,33 @@ def _three_joint_chain():
     return FingerChain(joints=[rot_joint(), dex_joint(), rot_joint()])
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
 @pytest.mark.parametrize("chain_index", range(5))
 def test_workspace_is_the_whole_grid_batch_bit_for_bit(chain_index, n):
     # workspace evaluates each joint's arcs once on its own grid and
-    # composes them by index; every point must keep the bytes of the
-    # plain batch over the whole grid, in the same order.
+    # maps the tip cloud of the joints after it through them, in blocks;
+    # every point must keep the bytes of the plain batch over the whole
+    # grid, in the same order. At n = 9, dex-rot's 729 base arcs span 7
+    # blocks of 113.
     chain = ([dex_rot_chain(), rot_dex_chain()] + _clamping_chains()
              + [_three_joint_chain()])[chain_index]
     expect = finger_fk_batch(chain, _ref_grid(chain, n))[:, :3, 3]
     assert np.array_equal(workspace(chain, samples_per_axis=n).points, expect)
+
+
+def test_workspace_evaluates_each_arc_once(monkeypatch):
+    # dex-rot at 9 per axis: 729 dex arcs and 9 rot arcs, none of them
+    # twice, although the base's arcs are applied in several blocks.
+    rows = []
+    real = kinematics._arc_transforms
+
+    def counting(kappa, phi, length):
+        rows.append(len(kappa))
+        return real(kappa, phi, length)
+
+    monkeypatch.setattr(kinematics, "_arc_transforms", counting)
+    workspace(dex_rot_chain(), samples_per_axis=9)
+    assert sum(rows) == 729 + 9
 
 
 @pytest.mark.parametrize("chain, n", [

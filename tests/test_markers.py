@@ -348,10 +348,10 @@ def test_dark_box_never_changes_result(nominal_model, monkeypatch):
             assert len(got) >= 290
             assert answered[before:] == [dark] != [whole]
         elif kind == "grid and corner":
-            # The corner marker lies in the strip the bound reads at the
-            # frame's edge, so the dark box fails and the whole frame
-            # answers.
-            assert dark != whole and answered[before:] == []
+            # The corner marker lies in the strip inside the dark box's
+            # right and bottom sides, which lie on the frame's edge, where
+            # no outside pixel reads that strip; so the dark box answers.
+            assert answered[before:] == [dark] != [whole]
         elif kind == "uniform":
             assert dark is None and answered[before:] == []
         else:  # the dark box is the whole frame, which answers
@@ -379,10 +379,36 @@ def test_outside_bound_holds_over_random_frames(nominal_model):
             lo = markers.centroids.min(0).astype(int) - margin
             hi = markers.centroids.max(0).astype(int) + margin
             box = (int(lo[0]), int(lo[1]), int(hi[0]), int(hi[1]))
-        resp = blobs._response(frame, config)
-        outside = np.ones(resp.shape, dtype=bool)
-        outside[box[1]:box[3], box[0]:box[2]] = False
-        assert resp[outside].max() <= blobs._outside_bound(frame, box, config)
+        _assert_bound_holds(frame, box, config)
+    # Boxes with a side on the frame's edge, and a disk in the strip just
+    # inside that side: no pixel outside the box reads that strip, so the
+    # bound holds and the disk does not raise it.
+    for seq, (box, disk) in enumerate([
+            ((0, 100, 300, 380), (3.0, 240.0)),
+            ((200, 0, 500, 300), (350.0, 2.5)),
+            ((340, 100, 640, 380), (636.5, 240.0)),
+            ((200, 180, 500, 480), (350.0, 477.0)),
+            ((0, 0, 400, 300), (2.0, 2.0)),
+            ((240, 180, 640, 480), (638.5, 478.5))]):
+        markers = tg.displace_markers(nominal_model, None).centroids
+        inner = markers[(markers[:, 0] > box[0] + 20)
+                        & (markers[:, 0] < box[2] - 20)
+                        & (markers[:, 1] > box[1] + 20)
+                        & (markers[:, 1] < box[3] - 20)]
+        frame = tg.render_frame(MarkerSet(np.vstack([inner, [disk]])),
+                                nominal_model, seq=seq)
+        without = tg.render_frame(MarkerSet(inner), nominal_model, seq=seq)
+        assert (frame != without).any()
+        _assert_bound_holds(frame, box, config)
+        assert blobs._outside_bound(frame, box, config) == \
+            blobs._outside_bound(without, box, config)
+
+
+def _assert_bound_holds(frame, box, config):
+    resp = blobs._response(frame, config)
+    outside = np.ones(resp.shape, dtype=bool)
+    outside[box[1]:box[3], box[0]:box[2]] = False
+    assert resp[outside].max() <= blobs._outside_bound(frame, box, config)
 
 
 def test_window_never_changes_result_on_random_frames(nominal_model):
