@@ -24,8 +24,10 @@ are instants, and its median the cost of one.
 A last block times `kinematics.workspace` at 9 samples per axis, as
 `tacgrip workspace` and perfbench run it, 20 calls per chain: per
 chain, the median ms of its forward kinematics (the call less its hull)
-and of its hull (`hull_volume`). Timings are wall time of this process
-on whatever else the host runs; compare two trees in alternating runs.
+and of its hull (`hull_volume`), and how many of the chain's points the
+hull reads (the ends of each dex joint's extension axis). Timings are
+wall time of this process on whatever else the host runs; compare two
+trees in alternating runs.
 """
 
 import argparse
@@ -121,22 +123,29 @@ WORKSPACE_SAMPLES, WORKSPACE_CALLS = 9, 20
 
 
 def workspace_times():
-    """{chain: (FK durations, hull durations)} in s over WORKSPACE_CALLS
-    calls of `kinematics.workspace` per chain, hull_volume wrapped in a
-    timer."""
+    """{chain: (FK durations, hull durations, hull points, points)}, the
+    durations in s over WORKSPACE_CALLS calls of `kinematics.workspace`
+    per chain, hull_volume wrapped in a timer that also counts the
+    points it is given."""
     kin = tacgrip.kinematics
     times = {}
     original = kin.hull_volume
     try:
         for name, chain in (("dex-rot", kin.dex_rot_chain()),
                             ("rot-dex", kin.rot_dex_chain())):
-            fk, hull = [], []
-            kin.hull_volume = _timed(original, hull)
+            fk, hull, read = [], [], []
+            timed = _timed(original, hull)
+
+            def counted(points):
+                read.append(len(points))
+                return timed(points)
+
+            kin.hull_volume = counted
             for _ in range(WORKSPACE_CALLS):
                 start = perf_counter()
-                kin.workspace(chain, WORKSPACE_SAMPLES)
+                points = kin.workspace(chain, WORKSPACE_SAMPLES).points
                 fk.append(perf_counter() - start - hull[-1])
-            times[name] = fk, hull
+            times[name] = fk, hull, read[-1], len(points)
     finally:
         kin.hull_volume = original
     return times
@@ -163,10 +172,10 @@ def main(argv=None):
         report(title, *stage_times(scenario))
     print(f"workspace: {WORKSPACE_SAMPLES} samples per axis, "
           f"{WORKSPACE_CALLS} calls per chain")
-    print(f"  {'chain':<8} {'fk ms':>8} {'hull ms':>8}")
-    for name, (fk, hull) in workspace_times().items():
+    print(f"  {'chain':<8} {'fk ms':>8} {'hull ms':>8}  hull reads")
+    for name, (fk, hull, read, total) in workspace_times().items():
         print(f"  {name:<8} {1e3 * float(np.median(fk)):>8.3f} "
-              f"{1e3 * float(np.median(hull)):>8.3f}")
+              f"{1e3 * float(np.median(hull)):>8.3f}  {read} of {total}")
     return 0
 
 

@@ -429,10 +429,18 @@ def test_workspace_evaluates_each_arc_once(monkeypatch):
     (dex_rot_chain(), 20), (rot_dex_chain(), 20),
     (FingerChain(joints=[dex_joint()]), 40), (_three_joint_chain(), 8)])
 def test_workspace_never_holds_the_grid(chain, n):
-    # Beyond its tip cloud, workspace, hull volume included, holds one
-    # arc stack per joint after the base, each on that joint's own grid,
-    # and FK_BLOCK-row temporaries.
-    stacks = sum(n ** j.chamber_count for j in chain.joints[1:]) * 128
+    # Beyond its tip cloud, workspace, hull volume included, holds the
+    # tip cloud of the joints after the base (24 B a sample), the hull's
+    # candidate copy (2/n of the cloud per dex joint), and temporaries:
+    # FK_BLOCK-row arc blocks and Qhull's output arrays, four block arc
+    # stacks (512 kB) together. Holding a dex joint's whole arc stack, 1
+    # MB at n = 20 and 8 MB at n = 40, fails this bound.
+    after_base = 24 * n ** (chain.chamber_count
+                            - chain.joints[0].chamber_count)
+    candidates = 24 * n ** chain.chamber_count
+    for joint in chain.joints:
+        if joint.kind == "dex":
+            candidates = candidates * 2 // n
     tracemalloc.start()
     try:
         points = workspace(chain, samples_per_axis=n).points
@@ -440,7 +448,7 @@ def test_workspace_never_holds_the_grid(chain, n):
     finally:
         tracemalloc.stop()
     assert len(points) > 2 * FK_BLOCK
-    assert peak - points.nbytes <= stacks + 2 ** 21
+    assert peak - points.nbytes <= after_base + candidates + 4 * FK_BLOCK * 128
 
 
 @pytest.mark.parametrize("chain_index", range(4))
@@ -475,3 +483,93 @@ def test_single_vector_fk_is_a_batch_row():
         poses = finger_fk_batch(chain, batch)
         for p, pose in zip(batch, poses):
             assert np.abs(tip_position(chain, p) - pose[:3, 3]).max() < 1e-12
+
+
+# -- the hull reads only the ends of each dex joint's extension axis --
+
+def _dex_dex_chain():
+    return FingerChain(joints=[dex_joint(), dex_joint(gain=1.4,
+                                                      extension_gain=-0.2)])
+
+
+def _random_gain_chains(seed):
+    """dex-rot, rot-dex and dex-dex with seeded gains: angle gains in
+    [-3, 3] deg/kPa, which reach the clamp, and extension gains in
+    [-0.4, 0.4] mm/kPa, which keep every segment over 5 mm long. The
+    first draw's extension gains are zero, the second's negative."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for draw in range(3):
+        for kinds in (("dex", "rot"), ("rot", "dex"), ("dex", "dex")):
+            joints = []
+            for kind in kinds:
+                gain = rng.uniform(-3.0, 3.0)
+                extension = rng.uniform(-0.4, 0.4)
+                if draw == 0:
+                    extension = 0.0
+                elif draw == 1:
+                    extension = -abs(extension)
+                joints.append(rot_joint(gain) if kind == "rot"
+                              else dex_joint(gain, extension))
+            chains.append(FingerChain(joints=joints))
+    return chains
+
+
+def _hull_shortcut_chains(n):
+    return ([dex_rot_chain(), rot_dex_chain(), _dex_dex_chain(),
+             _three_joint_chain()] + _clamping_chains()
+            + _random_gain_chains(seed=n))
+
+
+# Clouds Qhull finds flat: a rot joint bends in the x-z plane, a dex
+# joint with no angle gain only extends along z, and with neither gain
+# every tip coincides.
+def _flat_chains():
+    return [FingerChain(joints=[rot_joint()]),
+            FingerChain(joints=[rot_joint(), rot_joint(gain=-2.0)]),
+            FingerChain(joints=[dex_joint(gain=0.0)]),
+            FingerChain(joints=[dex_joint(gain=0.0), rot_joint()]),
+            FingerChain(joints=[dex_joint(gain=0.0, extension_gain=0.0)])]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_workspace_hull_equals_the_whole_cloud_hull(n):
+    for chain in _hull_shortcut_chains(n):
+        result = workspace(chain, samples_per_axis=n)
+        whole = hull_volume(result.points)
+        assert whole > 0.0, chain
+        assert result.hull_volume == pytest.approx(whole, rel=1e-12), chain
+    for chain in _flat_chains():
+        result = workspace(chain, samples_per_axis=n)
+        assert result.hull_volume == 0.0, chain
+        assert hull_volume(result.points) == 0.0, chain
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_dex_extension_moves_the_tip_along_a_line(n):
+    # The fact the hull shortcut rests on: along a dex joint's third
+    # chamber, every other grid index fixed, the tip is the affine
+    # interpolation of the two end tips at that pressure's fraction of
+    # the box. A nonlinear extension model fails here first.
+    axis = np.linspace(PRESSURE_MIN, PRESSURE_MAX, n)
+    fraction = (axis - PRESSURE_MIN) / (PRESSURE_MAX - PRESSURE_MIN)
+    for chain in _hull_shortcut_chains(n):
+        grid = workspace(chain, samples_per_axis=n).points.reshape(
+            (n,) * chain.chamber_count + (3,))
+        k = 0
+        for joint in chain.joints:
+            if joint.kind == "dex":
+                tips = np.moveaxis(grid, k + 2, 0)
+                line = tips[0] + fraction.reshape((n,) + (1,) * (
+                    tips.ndim - 1)) * (tips[-1] - tips[0])
+                assert np.abs(tips - line).max() < 1e-9, chain
+            k += joint.chamber_count
+
+
+def test_hull_volume_leaves_the_cloud_as_it_was():
+    plane = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    for points in (workspace(rot_dex_chain(), samples_per_axis=5).points,
+                   plane):
+        before = points.tobytes()
+        hull_volume(points)
+        assert points.tobytes() == before
