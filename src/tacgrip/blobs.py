@@ -12,26 +12,23 @@ neighbours' (a local maximum; the left and right neighbours screen the
 pixels first), deduplicated by greedy non-maximum suppression and
 refined to sub-pixel positions with a per-axis quadratic fit.
 
-A window (a pixel box around the markers) makes detection cheaper
-without changing its result. The response is computed on the box and
-the one pixel around it that the peak test's neighbour read and the
-quadratic fit read, from the frame pixels within `_window_pad` of the
-box: the Gaussian's half-width r, one pixel for the difference stencil
-and that one neighbour pixel. The smoothing reads only pixels within r
-and the stencil only smoothed values within one pixel, so there the
-response equals the full-frame response bit for bit. The peak, the
-threshold and the candidates come from inside the box. The response
-outside the box is bounded from the range of the pixels it reads
-(`_outside_bound`): when that bound stays under half the threshold, no
-pixel outside the box can be a candidate or move the threshold, and the
-windowed result is the full-frame result. When no window is given, or
-the window fails that bound, one more box is tried the same way: the
-frame's dark box, the bounding box of its pixels below the midpoint of
-its least and greatest values, widened as `marker_window` widens the
-markers' box. Markers are dark, so on a rest or contact frame that box
-holds them all, and calibration or a marker pushed out of its window
-costs a box, not the whole frame. Only when both fail is the frame
-detected in full.
+Each frame is detected in its own dark box, which saves work without
+changing the result. The dark box is the bounding box of the frame's
+pixels below the midpoint of its least and greatest values, widened by
+`_box_pad`: markers are dark, so on a rest or contact frame it holds
+them all. The response is computed on the box and the one pixel around
+it that the peak test's neighbour read and the quadratic fit read, from
+the frame pixels within `_box_pad` of the box: the Gaussian's half-width
+r, one pixel for the difference stencil and that one neighbour pixel.
+The smoothing reads only pixels within r and the stencil only smoothed
+values within one pixel, so there the response equals the full-frame
+response bit for bit. The peak, the threshold and the candidates come
+from inside the box. The response outside the box is bounded from the
+range of the pixels it reads (`_outside_bound`): when that bound stays
+under half the threshold, no pixel outside the box can be a candidate or
+move the threshold, and the box's result is the full-frame result.
+Otherwise, or when the frame has no dark pixel, the frame is detected in
+full. A frame's result depends on that frame alone.
 """
 
 from dataclasses import dataclass
@@ -56,7 +53,7 @@ _MAX_THRESHOLD = float(np.finfo(np.float32).max)
 # Largest min_separation in px: the diagonal of the 640x480 frame, past
 # which suppression keeps one candidate whatever the value.
 _MAX_SEPARATION = 800.0
-# A window's result stands when the bound on the response outside it is
+# A box's result stands when the bound on the response outside it is
 # at most this share of the threshold; the rest covers float32 rounding
 # of the computed response.
 _BOUND_SHARE = 0.5
@@ -80,7 +77,7 @@ class DetectorConfig:
                     hi=_MAX_THRESHOLD)
         check_range("min_separation", self.min_separation, lo=0.0,
                     hi=_MAX_SEPARATION, lo_open=True)
-        # Read by `_outside_bound` on every windowed frame; not a field, so
+        # Read by `_outside_bound` on every boxed frame; not a field, so
         # the scenario format, equality and repr see the settings alone.
         object.__setattr__(self, "_laplacian_taps",
                            _laplacian_taps(self.scale))
@@ -118,30 +115,13 @@ def _radius(sigma):
     return int(_TRUNCATE * sigma + 0.5)
 
 
-def _window_pad(config):
-    """Pixels the response inside a window depends on beyond it: the
+def _box_pad(config):
+    """Pixels the response inside a box depends on beyond it: the
     Gaussian's half-width, plus one for the difference stencil and one for
-    the +-1 neighbour read of the peak test and the quadratic fit."""
+    the +-1 neighbour read of the peak test and the quadratic fit.
+    `_outside_bound` reads pixels up to r + 1 inside a box, so a dark box
+    widened by this pad keeps every dark pixel out of that bound."""
     return _radius(config.scale) + 2
-
-
-def marker_window(markers, config, width, height):
-    """The markers' bounding box widened by 2 * `_window_pad`, clipped to
-    a width x height frame, as a half-open pixel box (x0, y0, x1, y1).
-
-    The outside bound reads pixels up to r + 1 inside the box (the
-    half-width of the Gaussian plus the stencil's pixel, less than
-    `_window_pad`), and a marker the filter can detect reaches less than
-    `_window_pad` from its center, so at rest no marker pixel enters that
-    bound.
-    """
-    if len(markers) == 0:
-        raise ValueError("a marker window needs at least one marker")
-    margin = 2 * _window_pad(config)
-    lo = np.floor(markers.centroids.min(axis=0)).astype(int) - margin
-    hi = np.ceil(markers.centroids.max(axis=0)).astype(int) + margin + 1
-    return (max(int(lo[0]), 0), max(int(lo[1]), 0),
-            min(int(hi[0]), width), min(int(hi[1]), height))
 
 
 def _laplacian_taps(sigma):
@@ -322,45 +302,31 @@ def _suppress(xs, ys, min_separation):
     return np.array(keep)
 
 
-def detect_markers(frame, config=None, window=None):
+def detect_markers(frame, config=None):
     """Detect dark circular markers in a frame.
 
-    window: optional half-open pixel box (x0, y0, x1, y1) expected to
-    hold the markers. It saves work and never changes the result: with
-    no window, or when the response outside it is not bounded below the
-    threshold, the frame's dark box (`_dark_box`) is tried the same way,
-    then the whole frame. Deterministic for a given frame and config.
-    An empty MarkerSet is a valid result (blank frame). A frame that is
-    not a 2-D uint8 array with a pixel raises ValueError (see
-    `pgm.check_frame`).
+    Detection runs in the frame's dark box (`_dark_box`) when the
+    response outside it is bounded below the threshold, and on the whole
+    frame otherwise; both give the same result. Deterministic for a given
+    frame and config. An empty MarkerSet is a valid result (blank
+    frame). A frame that is not a 2-D uint8 array with a pixel raises
+    ValueError (see `pgm.check_frame`).
     """
     config = config or DetectorConfig()
     check_frame(frame)
-    h, w = frame.shape
-    whole = tried = (0, 0, w, h)
-    if window is not None:
-        x0, y0, x1, y1 = window
-        box = (max(x0, 0), max(y0, 0), min(x1, w), min(y1, h))
-        if box[0] >= box[2] or box[1] >= box[3]:
-            raise ValueError(f"window {window} holds no pixel of a "
-                             f"{w}x{h} frame")
-        if box != whole:
-            markers = _detect_in_box(frame, config, box)
-            if markers is not None:
-                return markers
-            tried = box
     box = _dark_box(frame, config)
-    if box is not None and box not in (whole, tried):
+    if box is not None:
         markers = _detect_in_box(frame, config, box)
         if markers is not None:
             return markers
-    return _detect_in_box(frame, config, whole)
+    h, w = frame.shape
+    return _detect_in_box(frame, config, (0, 0, w, h))
 
 
 def _dark_box(frame, config):
     """The bounding box of the frame's pixels below the midpoint of its
-    least and greatest values, widened by `marker_window`'s margin and
-    clipped to the frame, as a half-open pixel box; None when no pixel
+    least and greatest values, widened by `_box_pad` and clipped to the
+    frame, as a half-open pixel box (x0, y0, x1, y1); None when no pixel
     lies below (a uniform frame)."""
     lo, hi = int(frame.min()), int(frame.max())
     # For a whole pixel value v, v < (lo + hi) / 2 is v < ceil((lo + hi) / 2).
@@ -370,10 +336,9 @@ def _dark_box(frame, config):
         return None
     cols = np.flatnonzero(dark[rows[0]:rows[-1] + 1].any(axis=0))
     h, w = frame.shape
-    margin = 2 * _window_pad(config)
-    return (max(int(cols[0]) - margin, 0), max(int(rows[0]) - margin, 0),
-            min(int(cols[-1]) + margin + 1, w),
-            min(int(rows[-1]) + margin + 1, h))
+    pad = _box_pad(config)
+    return (max(int(cols[0]) - pad, 0), max(int(rows[0]) - pad, 0),
+            min(int(cols[-1]) + pad + 1, w), min(int(rows[-1]) + pad + 1, h))
 
 
 def _screen(resp, inner, threshold):

@@ -111,13 +111,11 @@ def _cmd_analyze(args):
             calibration = pipe.calibrate(read_pgm(items[0][1]))
         except ValidationError as exc:
             raise ValidationError(f"{items[0][1]}: {exc}") from None
-        window = calibration.window
         track = ContactTrack(finger_id=finger_id)
         for seq, path in items:
             frame = read_pgm(path)
             try:
-                report = calibration.process(frame, window)
-                window = report.window
+                report = calibration.process(frame)
                 if report.center is not None:
                     track_displacement(track, report.center,
                                        seq * args.period, kde)

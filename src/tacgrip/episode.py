@@ -14,14 +14,15 @@ with the same scenario are byte-identical.
 
 Each finger's camera and perception run in a worker process of their
 own, as each camera on the gripper streams on its own. A `FingerStep`
-holds one finger's `FrameStream`, the `Calibration` both fingers share
-and the finger's detection window, and a call renders and perceives
-that finger's frame at one instant: a sensor, time in, contact center
-out. `run_grasp` calibrates once for both fingers (`finger_steps`), so a
-rejected calibration frame raises `ValidationError` before any worker
-starts, then forks one worker per step. Little crosses the pipe: the
-parent sends each control instant's time, and the worker answers with
-the contact center, or None. The parent sends the next instant of its
+holds one finger's `FrameStream` and the `Calibration` both fingers
+share, and a call renders and perceives that finger's frame at one
+instant: a sensor, time in, contact center out. Perception keeps no
+state between frames, so the center depends on the scenario, the finger
+and the instant alone. `run_grasp` calibrates once for both fingers
+(`finger_steps`), so a rejected calibration frame raises
+`ValidationError` before any worker starts, then forks one worker per
+step. Little crosses the pipe: the parent sends each control instant's
+time, and the worker answers with the contact center, or None. The parent sends the next instant of its
 range as soon as it has handled one, so the workers perceive it while
 the plant ticks. Frames, fields and markers stay in the worker. In the
 parent, a `ControlStep`, a function of the tick and the two centers,
@@ -205,15 +206,14 @@ class FingerStep:
     renders the scenario's stimulus at `now` (the rest grid when no event
     is active) as the stream's next frame, captured at `now`, runs it
     through the calibration and returns the contact center, or None. The
-    step's finger is its stream's. `window`, the detection window passed
-    from each frame's report to the next frame, is the one perception
-    state that changes; it starts at the calibration's. The layout
-    depends on the active event alone, so the markers are displaced only
-    when that event is another object than the last frame's."""
+    step's finger is its stream's. Besides its stream, a step keeps only
+    a cache: the layout depends on the active event alone, so the markers
+    are displaced only when that event is another object than the last
+    frame's."""
 
     def __init__(self, scenario, calibration, stream):
         self.scenario, self.stream = scenario, stream
-        self.calibration, self.window = calibration, calibration.window
+        self.calibration = calibration
         # The last frame's active event and its marker layout.
         self._event, self._markers = None, None
 
@@ -223,10 +223,8 @@ class FingerStep:
         if self._markers is None or ev is not self._event:
             self._event, self._markers = ev, displace_markers(
                 sc.sensor, None if ev is None else ev.stimulus())
-        report = self.calibration.process(
-            self.stream.render(self._markers, now), self.window)
-        self.window = report.window
-        return report.center
+        return self.calibration.process(
+            self.stream.render(self._markers, now)).center
 
 
 def finger_steps(scenario, frames_dir=None):

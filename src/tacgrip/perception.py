@@ -15,21 +15,12 @@ reported centers, each at the instant it asked for the frame
 Two frozen values split what is configured from what a rest frame
 fixes. A `FingerPipeline` holds the settings, checked when built. Its
 `calibrate` returns a `Calibration`: the settings it used, the frame
-size, the support box, the threshold and the starting detection window.
-Nothing waits half-built for a method call, and a calibration can be
-compared and shared: both fingers of an episode take the same one.
-
-Markers are detected inside a window, which saves work but never
-changes the result (`blobs.detect_markers` tries the frame's dark box,
-then the full frame, when the window cannot be shown to hold every
-marker). Calibration detects on the reference frame with no window,
-where the dark box answers, and starts the window at the reference
-markers' bounding box widened by `blobs.marker_window`'s margin.
-`Calibration.process` takes the window to detect through and reports it
-grown to the union of itself and the same widened box of the frame's
-markers. A caller that passes each report's window to the next frame
-keeps a window that never shrinks, so markers pushed outward by a
-contact widen it once and the following frames stay windowed.
+size, the support box and the threshold. Nothing waits half-built for a
+method call, and a calibration can be compared and shared: both fingers
+of an episode take the same one. `Calibration.process` keeps no state
+between frames: each frame's markers are detected in its own dark box
+(`blobs.detect_markers`), so a report is a function of its frame and
+the calibration.
 
 Density and contact are computed on the support box alone: the
 reference markers' bounding box eroded by the kernel width h, frozen at
@@ -49,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .blobs import DetectorConfig, MarkerSet, detect_markers, marker_window
+from .blobs import DetectorConfig, MarkerSet, detect_markers
 from .control import CONTROL_PERIOD_S
 from .density import (ContactRegion, KdeConfig, calibrate_threshold,
                       estimate_density, extract_contact, marker_support_box)
@@ -78,19 +69,16 @@ MAX_CALIBRATION_RATIO = 0.99
 _REST_DENSITY_FLOOR = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineReport:
     """What one frame produced.
 
     region: the contact region (center, area, minimum density), or None
     for NoContact. markers: the frame's detected markers, possibly none.
-    window: the detection window grown over those markers, for the
-    finger's next frame.
     """
 
     region: Optional[ContactRegion]
     markers: MarkerSet
-    window: Tuple[int, int, int, int]
 
     @property
     def center(self):
@@ -100,9 +88,9 @@ class PipelineReport:
 @dataclass(frozen=True)
 class Calibration:
     """What a no-contact frame fixes for one sensor: the detector and KDE
-    settings, the frame size (width, height), the support box, the
-    working threshold (per px^2 density) and the starting detection
-    window. Both fingers of an episode share one.
+    settings, the frame size (width, height), the support box and the
+    working threshold (per px^2 density). Both fingers of an episode
+    share one.
     """
 
     kde_config: KdeConfig
@@ -110,12 +98,9 @@ class Calibration:
     size: Tuple[int, int]
     support: Tuple[int, int, int, int]
     threshold: float
-    window: Tuple[int, int, int, int]
 
-    def process(self, frame, window):
-        """Run one frame through the pipeline, detecting inside `window`,
-        and return its report, whose window is `window` grown over the
-        frame's markers.
+    def process(self, frame):
+        """Run one frame through the pipeline and return its report.
 
         Raises ValueError for a frame that is not a 2-D uint8 array with
         a pixel or not of the calibration frame's size.
@@ -126,18 +111,15 @@ class Calibration:
             raise ValueError(
                 f"frame is {width}x{height}, but the pipeline "
                 f"was calibrated on a {self.size[0]}x{self.size[1]} frame")
-        markers = detect_markers(frame, self.detector_config, window)
+        markers = detect_markers(frame, self.detector_config)
         if len(markers) == 0:
-            return PipelineReport(region=None, markers=markers, window=window)
-        grown = marker_window(markers, self.detector_config, width, height)
-        window = (min(window[0], grown[0]), min(window[1], grown[1]),
-                  max(window[2], grown[2]), max(window[3], grown[3]))
+            return PipelineReport(region=None, markers=markers)
         box_field = estimate_density(markers, self.kde_config,
                                      width=width, height=height,
                                      box=self.support)
         return PipelineReport(
             region=extract_contact(box_field, self.threshold),
-            markers=markers, window=window)
+            markers=markers)
 
 
 @dataclass(frozen=True)
@@ -198,6 +180,4 @@ class FingerPipeline:
             size=(width, height),
             support=support,
             threshold=calibrate_threshold(reference_field,
-                                          ratio=self.calibration_ratio),
-            window=marker_window(markers, self.detector_config,
-                                 width, height))
+                                          ratio=self.calibration_ratio))

@@ -10,16 +10,20 @@ control instant of a static contact (`static_scenario`) and of a contact
 that moves every period (the trace ledger's `moving_scenario`), with each
 stage wrapped in a timer. OpenBLAS runs one thread, as in the workers.
 
-Per stage it prints the calls, the median of a call, and the mean cost
-per frame (the stage's total over the frames), in ms:
-layout (`displace_markers`), render (`FrameStream.render`, stamping
-included), stamp (`disk_coverage`), detect, kde, extract, and frame (the
-whole step). Layouts and stamps are made only when the scene changes, so
-read their per-frame means. The last row, control, is the parent's side
-of an instant: `run_grasp` replayed on the frames' contact centers
-(`trace_ledger.replay_run_grasp`), timed from one instant's receive to
-the next, which spans the control step and the plant's ticks. Its calls
-are instants, and its median the cost of one.
+Per scenario it prints how many of its frames were detected on the
+whole frame because their dark box could not be shown to hold every
+marker (`blobs._detect_in_box` called on the whole frame): 0 when every
+frame's own dark box answered. Per stage it prints the calls, the
+median of a call, and the mean cost per frame (the stage's total over
+the frames), in ms: layout (`displace_markers`), render
+(`FrameStream.render`, stamping included), stamp (`disk_coverage`),
+detect, kde, extract, and frame (the whole step). Layouts and stamps
+are made only when the scene changes, so read their per-frame means.
+The last row, control, is the parent's side of an instant: `run_grasp`
+replayed on the frames' contact centers (`trace_ledger.replay_run_grasp`),
+timed from one instant's receive to the next, which spans the control
+step and the plant's ticks. Its calls are instants, and its median the
+cost of one.
 
 A last block times `kinematics.workspace` at 9 samples per axis, as
 `tacgrip workspace` and perfbench run it, 20 calls per chain: per
@@ -46,6 +50,7 @@ if __name__ == "__main__":  # run from a checkout without an install
 
 import numpy as np
 
+import tacgrip.blobs
 import tacgrip.episode
 import tacgrip.kinematics
 import tacgrip.perception
@@ -90,16 +95,26 @@ class TimedReplay(ReplayFingers):
 
 def stage_times(scenario):
     """{stage: list of call durations in s} over every control instant of
-    the scenario, both fingers, and the number of frames."""
+    the scenario, both fingers, the number of frames and the number of
+    them detected on the whole frame."""
     samples = {name: [] for _, _, name in STAGES}
     samples["frame"] = []
     centers = {1: {}, 2: {}}
     steps = tacgrip.episode.finger_steps(scenario)  # calibration untimed
+    blobs, whole = tacgrip.blobs, []
+    detect_in_box = blobs._detect_in_box
+
+    def counted(frame, config, box):
+        whole.append(box == (0, 0, *frame.shape[::-1]))
+        return detect_in_box(frame, config, box)
+
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, _ in STAGES]
+    originals.append((blobs, "_detect_in_box", detect_in_box))
     try:
         for owner, attr, name in STAGES:
             setattr(owner, attr, _timed(getattr(owner, attr), samples[name]))
+        blobs._detect_in_box = counted
         total = int(round(scenario.duration_s / TICK_S))
         for tick in range(0, total + 1, CONTROL_PERIOD_TICKS):
             now = tick * TICK_S
@@ -115,7 +130,7 @@ def stage_times(scenario):
     marks = []
     replay_run_grasp(scenario, centers, partial(TimedReplay, marks))
     samples["control"] = np.diff(marks).tolist()
-    return samples, len(samples["frame"])
+    return samples, len(samples["frame"]), sum(whole)
 
 
 # Samples per axis and calls per chain of the workspace block.
@@ -151,8 +166,8 @@ def workspace_times():
     return times
 
 
-def report(title, samples, frames):
-    print(f"{title}: {frames} frames")
+def report(title, samples, frames, whole):
+    print(f"{title}: {frames} frames, {whole} detected on the whole frame")
     print(f"  {'stage':<8} {'calls':>6} {'p50 ms':>8} {'ms/frame':>9}")
     for name, times in samples.items():
         p50 = 1e3 * float(np.median(times)) if times else 0.0

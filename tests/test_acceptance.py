@@ -77,7 +77,6 @@ def test_criterion_2_perception_round_trip():
         ref_model = SensorModel(seed=episode, noise_sigma=0.0)
         cal = FingerPipeline(1).calibrate(
             render_frame(displace_markers(ref_model, None), ref_model))
-        window = cal.window
         for seq in range(frames_per_episode):
             stim = ContactStimulus(
                 x=float(rng.uniform(240.0, 400.0)),
@@ -87,8 +86,7 @@ def test_criterion_2_perception_round_trip():
             )
             markers = displace_markers(model, stim)
             frame = render_frame(markers, model, finger_id=1, seq=seq)
-            report = cal.process(frame, window)
-            window = report.window
+            report = cal.process(frame)
             total += 1
             if report.center is None:
                 misses += 1

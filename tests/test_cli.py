@@ -218,7 +218,7 @@ def test_heatmaps_skip_a_markerless_frame(tmp_path, capsys, nominal_model):
 
     frames = [read_pgm(p) for p in sorted(frames_dir.glob("frame_1_*.pgm"))]
     cal = FingerPipeline(1).calibrate(frames[0])
-    blank = cal.process(frames[1], cal.window)
+    blank = cal.process(frames[1])
     assert blank.center is None and blank.region is None
     assert isinstance(blank.markers, MarkerSet) and len(blank.markers) == 0
 

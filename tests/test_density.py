@@ -418,10 +418,8 @@ def test_process_matches_full_frame_path(nominal_model, reference_frame):
     assert threshold == \
         0.8 * estimate_density(ref_markers).values[support].min()
     regions = 0
-    window = cal.window
     for _, frame in _contact_frames(nominal_model, 50, seed=14):
-        report = cal.process(frame, window)
-        window = report.window
+        report = cal.process(frame)
         full = estimate_density(report.markers).values
         old = _old_extract_contact(full, threshold, support)
         if old is None:

@@ -63,7 +63,7 @@ def _reads_no_contact(cal, model, drops):
     rest = displace_markers(model, None)
     for seq, drop in enumerate(drops, start=1):
         frame = _render_without(rest, drop, model, seq)
-        report = cal.process(frame, cal.window)
+        report = cal.process(frame)
         assert report.center is None, f"dropped {[int(i) for i in drop]}"
 
 
@@ -103,8 +103,8 @@ def test_contact_center_unmoved_by_distant_dropout(cal, model):
         offset = markers.centroids - (stim.x, stim.y)
         far = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) > 100.0)
         drop = _sample_apart(model, rng, far, 3)
-        centers = [cal.process(_render_without(markers, dropped, model, seq),
-                               cal.window).center
+        centers = [cal.process(_render_without(markers, dropped, model,
+                                               seq)).center
                    for dropped in ([], drop)]
         assert centers[0] is not None
         assert centers[1] == centers[0], f"dropped {[int(i) for i in drop]}"

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import tacgrip.blobs
 import tacgrip.episode
 import tacgrip.sensor_sim
 from tacgrip.control import CONTROL_PERIOD_TICKS, GraspSupervisor, Phase
@@ -122,40 +121,25 @@ def test_both_fingers_share_one_calibration():
     steps = finger_steps(static_scenario())
     assert steps[1].calibration is steps[2].calibration
     assert [steps[f].stream.finger_id for f in (1, 2)] == [1, 2]
-    assert steps[1].window == steps[2].window == steps[1].calibration.window
 
 
-def test_a_step_passes_its_detection_window_along(monkeypatch):
-    # A contact one marker spacing inside the grid's left edge, moving
-    # every period, pushes markers out of the calibration's window. The
-    # first frame's window fails its bound, another box answers, and the
-    # window grows; a step that passed the window along finds every later
-    # frame's markers inside it. Detection gives the same markers either
-    # way, so only the count of failed boxes can tell.
-    rng = random.Random(5)
-    period = CONTROL_PERIOD_TICKS * TICK_S
-    instants = [k * period for k in range(10)]
-    events = [StimulusEvent(now, finger,
-                            x=192.0 + 0.5 * k + rng.uniform(-1.5, 1.5),
-                            y=229.5 + 10.0 * finger + rng.uniform(-1.5, 1.5),
-                            depth=3.0, radius=40.0)
-              for k, now in enumerate(instants) for finger in (1, 2)]
-    sc = Scenario(name="edge", duration_s=len(instants) * period,
-                  sensor=SensorModel(seed=1), events=events)
-    steps = finger_steps(sc)
-    failed = {1: 0, 2: 0}
-    detect_in_box = tacgrip.blobs._detect_in_box
-
-    def counting(frame, config, box):
-        markers = detect_in_box(frame, config, box)
-        failed[finger] += markers is None
-        return markers
-
-    monkeypatch.setattr(tacgrip.blobs, "_detect_in_box", counting)
-    for now in instants:
+def test_a_center_is_a_function_of_scenario_finger_and_instant():
+    # Perception keeps no state between frames, so a fresh step whose
+    # stream starts at instant k's seq returns the center the running
+    # step returned at k.
+    sc = moving_scenario(1)
+    ticks = range(0, int(round(sc.duration_s / TICK_S)) + 1,
+                  CONTROL_PERIOD_TICKS)
+    running = finger_steps(sc)
+    centers = {finger: [running[finger](tick * TICK_S) for tick in ticks]
+               for finger in (1, 2)}
+    assert all(sum(c is not None for c in centers[f]) > 25 for f in (1, 2))
+    for k in random.Random(20).sample(range(len(ticks)), 10):
+        fresh = finger_steps(sc)
         for finger in (1, 2):
-            assert steps[finger](now) is not None
-    assert max(failed.values()) <= 1, failed
+            fresh[finger].stream.seq = k
+            assert fresh[finger](ticks[k] * TICK_S) == centers[finger][k], \
+                (finger, k)
 
 
 def test_a_step_displaces_once_per_event_and_stamps_once_per_layout(
@@ -214,9 +198,8 @@ def test_a_finger_at_rest_renders_a_contact_of_depth_0():
     sc = static_scenario(1)
     frames = []
     recorder = SimpleNamespace(
-        window=(0, 0, 640, 480),
-        process=lambda frame, window: frames.append(frame) or SimpleNamespace(
-            center=None, window=window))
+        process=lambda frame: frames.append(frame) or SimpleNamespace(
+            center=None))
     step = FingerStep(sc, recorder, FrameStream(sc.sensor, 2))
     instants = (0.0, 0.033)
     assert [step(now) for now in instants] == [None, None]

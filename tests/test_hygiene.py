@@ -13,7 +13,7 @@ from tacgrip.blobs import DetectorConfig, MarkerSet
 from tacgrip.control import CommandKind, ControlThresholds, McuCommand
 from tacgrip.density import KdeConfig
 from tacgrip.kinematics import dex_rot_chain, rot_joint
-from tacgrip.perception import Calibration, FingerPipeline
+from tacgrip.perception import Calibration, FingerPipeline, PipelineReport
 from tacgrip.plant import PlantConfig
 from tacgrip.scenario import StimulusEvent, static_scenario
 from tacgrip.sensor_sim import ContactStimulus, SensorModel
@@ -410,7 +410,8 @@ def test_assigning_a_field_of_a_frozen_dataclass_raises():
                 static_scenario(), McuCommand(CommandKind.CLOSE_VALVES),
                 dex_rot_chain(), FingerPipeline(1),
                 Calibration(KdeConfig(), DetectorConfig(), (640, 480),
-                            (150, 100, 490, 380), 1e-4, (120, 70, 520, 410)),
+                            (150, 100, 490, 380), 1e-4),
+                PipelineReport(None, MarkerSet([[320.0, 240.0]])),
                 ContactTrack(), MarkerSet([[320.0, 240.0]])]
     assert {type(e).__name__ for e in examples} == {
         cls.__name__ for cls in _package_dataclasses() if _frozen(cls)}

@@ -427,14 +427,16 @@ def test_workspace_evaluates_each_arc_once(monkeypatch):
 
 @pytest.mark.parametrize("chain, n", [
     (dex_rot_chain(), 20), (rot_dex_chain(), 20),
-    (FingerChain(joints=[dex_joint()]), 40), (_three_joint_chain(), 8)])
+    (FingerChain(joints=[dex_joint()]), 40), (_three_joint_chain(), 15)])
 def test_workspace_never_holds_the_grid(chain, n):
     # Beyond its tip cloud, workspace, hull volume included, holds the
     # tip cloud of the joints after the base (24 B a sample), the hull's
     # candidate copy (2/n of the cloud per dex joint), and temporaries:
     # FK_BLOCK-row arc blocks and Qhull's output arrays, four block arc
     # stacks (512 kB) together. Holding a dex joint's whole arc stack, 1
-    # MB at n = 20 and 8 MB at n = 40, fails this bound.
+    # MB at n = 20 and 8 MB at n = 40, fails this bound. So does the
+    # three-joint chain's 432 kB dex stack at n = 15, by 44 kB: the
+    # smallest n at which holding it fails.
     after_base = 24 * n ** (chain.chamber_count
                             - chain.joints[0].chamber_count)
     candidates = 24 * n ** chain.chamber_count

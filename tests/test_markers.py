@@ -169,48 +169,57 @@ def test_vectorised_nms_matches_greedy_loop():
 
 def _recording_detector(monkeypatch):
     """Route the pipeline's detector through a recorder; returns the list
-    of (frame, window, markers) per call and the list of boxes other than
-    the whole frame that answered a call."""
+    of (frame, markers) per call and the list of boxes other than the
+    whole frame that answered a call."""
     calls = []
-    windowed = []
+    answered = []
     real_detect, real_in_box = blobs.detect_markers, blobs._detect_in_box
 
-    def recording(frame, config=None, window=None):
-        markers = real_detect(frame, config, window)
-        calls.append((frame, window, markers))
+    def recording(frame, config=None):
+        markers = real_detect(frame, config)
+        calls.append((frame, markers))
         return markers
 
     def counting(frame, config, box):
         markers = real_in_box(frame, config, box)
         if markers is not None and box != (0, 0, *frame.shape[::-1]):
-            windowed.append(box)
+            answered.append(box)
         return markers
 
     monkeypatch.setattr(perception, "detect_markers", recording)
     monkeypatch.setattr(blobs, "_detect_in_box", counting)
-    return calls, windowed
+    return calls, answered
 
 
-def _inside(window, x, y):
-    x0, y0, x1, y1 = window
+def _inside(box, x, y):
+    x0, y0, x1, y1 = box
     return x0 <= x < x1 and y0 <= y < y1
+
+
+def _markers_box(markers, margin, width, height):
+    """The markers' bounding box widened by margin px and clipped to a
+    width x height frame, as a half-open pixel box."""
+    lo = np.floor(markers.centroids.min(axis=0)).astype(int) - margin
+    hi = np.ceil(markers.centroids.max(axis=0)).astype(int) + margin + 1
+    return (max(int(lo[0]), 0), max(int(lo[1]), 0),
+            min(int(hi[0]), width), min(int(hi[1]), height))
 
 
 def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
                                             monkeypatch):
     # 48 seeded contacts centered on the four edges of the marker grid,
-    # so edge markers leave the calibrated window. The window never
-    # changes a report: the one passed along from frame to frame, the
-    # calibrated one and the full frame give the same region and markers.
-    calls, windowed = _recording_detector(monkeypatch)
+    # so edge markers leave the rest frame's dark box. Each report equals
+    # whole-frame processing (the same pipeline with no dark box), and
+    # the frame's own dark box answers nearly every frame.
+    config, whole = DetectorConfig(), (0, 0, 640, 480)
+    _, answered = _recording_detector(monkeypatch)
     cal = perception.FingerPipeline(1).calibrate(reference_frame)
-    # Calibration passes no window; the rest frame's dark box answers.
-    assert calls[0][1] is None
-    assert windowed == [blobs._dark_box(reference_frame, DetectorConfig())]
+    # The rest frame's dark box answers calibration.
+    assert answered == [blobs._dark_box(reference_frame, config)]
     grid = nominal_grid(nominal_model)
     lo, hi = grid.min(0), grid.max(0)
     rng = np.random.default_rng(2024)
-    window, inside = cal.window, 0
+    inside = 0
     for seq in range(48):
         x, y = rng.uniform(lo, hi)
         edge = seq % 4
@@ -225,45 +234,42 @@ def test_pipeline_window_matches_full_frame(nominal_model, reference_frame,
             shear_y=float(rng.uniform(-4.0, 4.0)))
         frame = tg.render_frame(tg.displace_markers(nominal_model, stim),
                                 nominal_model, finger_id=1, seq=seq)
-        before = len(windowed)
-        report = cal.process(frame, window)
-        inside += windowed[before:] == [window]
-        assert calls[-1][1] == window
-        for other in (cal.window, (0, 0, 640, 480)):
-            again = cal.process(frame, other)
-            assert again.region == report.region
-            assert again.markers.centroids.tobytes() \
-                == report.markers.centroids.tobytes()
-        grown = np.array(report.window) - np.array(window)
-        assert (grown[:2] <= 0).all() and (grown[2:] >= 0).all()
-        window = report.window
-    # Most frames are answered inside the window passed along, which
-    # deep edge contacts widened.
+        dark = blobs._dark_box(frame, config)
+        before = len(answered)
+        report = cal.process(frame)
+        inside += answered[before:] == [dark] != [whole]
+        before = len(answered)
+        with monkeypatch.context() as m:
+            m.setattr(blobs, "_dark_box", lambda frame, config: None)
+            again = cal.process(frame)
+        assert len(answered) == before  # the whole frame answered
+        assert again.region == report.region
+        assert again.markers.centroids.tobytes() \
+            == report.markers.centroids.tobytes()
     assert inside >= 40
-    assert window != cal.window
 
 
 def test_marker_far_outside_window_is_found(nominal_model, reference_frame,
                                             monkeypatch):
-    calls, windowed = _recording_detector(monkeypatch)
+    # A marker moved far outside the rest frame's dark box is found: the
+    # frame's own dark box reaches it and answers, not the whole frame.
+    calls, answered = _recording_detector(monkeypatch)
     cal = perception.FingerPipeline(1).calibrate(reference_frame)
-    assert not _inside(cal.window, 40, 40)
+    assert not _inside(blobs._dark_box(reference_frame, DetectorConfig()),
+                       40, 40)
     moved = nominal_grid(nominal_model)
     moved[0] = (40.0, 40.0)
     frame = tg.render_frame(MarkerSet(moved), nominal_model, seq=1)
-    before = len(windowed)
-    report = cal.process(frame, cal.window)
-    markers = calls[-1][2]
+    before = len(answered)
+    cal.process(frame)
+    markers = calls[-1][1]
     whole = blobs._detect_in_box(frame, DetectorConfig(), (0, 0, 640, 480))
     assert np.array_equal(markers.centroids, whole.centroids)
     assert len(markers) == len(moved)
     assert np.hypot(*(markers.centroids[0] - 40.0)) <= 1.0
-    # The window fails its bound, and the frame's dark box, which reaches
-    # the moved marker, answers instead of the whole frame.
     dark = blobs._dark_box(frame, DetectorConfig())
     assert _inside(dark, 40, 40) and dark != (0, 0, 640, 480)
-    assert windowed[before:] == [dark]
-    assert _inside(report.window, 40, 40)
+    assert answered[before:] == [dark]
 
 
 def _resized(pixels, height, width):
@@ -282,31 +288,29 @@ def test_pipeline_rejects_a_frame_of_another_size(nominal_model,
     stim = ContactStimulus(x=320.0, y=240.0, depth=3.0, radius=16.0)
     touched = tg.render_frame(tg.displace_markers(nominal_model, stim),
                               nominal_model, seq=1)
-    window = cal.process(touched, cal.window).window
 
     other = _resized(touched, height, width)
     with pytest.raises(ValueError, match=f"frame is {width}x{height}, but the "
                        f"pipeline was calibrated on a 640x480 frame"):
-        cal.process(other, window)
+        cal.process(other)
     # A frame that is not 8-bit fails the dtype check first.
     with pytest.raises(ValueError, match="dtype float64"):
-        cal.process(other / 255.0, window)
+        cal.process(other / 255.0)
 
 
 def test_blank_and_noise_frames_empty_with_window():
+    # In a box or in full, blank and noise-only frames show no marker.
     rng = np.random.default_rng(3)
     noisy = _bytes(np.clip(0.95 + rng.normal(0, 0.01, (480, 640)), 0, 1))
     for pixels in (np.full((480, 640), _BACKGROUND), noisy):
-        assert len(detect_markers(pixels, window=(150, 100, 490, 380))) == 0
-
-
-def test_window_outside_frame_rejected(reference_frame):
-    with pytest.raises(ValueError):
-        detect_markers(reference_frame, window=(700, 0, 800, 100))
+        boxed = blobs._detect_in_box(pixels, DetectorConfig(),
+                                     (150, 100, 490, 380))
+        assert boxed is None or len(boxed) == 0
+        assert len(detect_markers(pixels)) == 0
 
 
 def test_dark_box_never_changes_result(nominal_model, monkeypatch):
-    # With no window, detect_markers equals the whole frame's detection:
+    # detect_markers equals the whole frame's detection:
     # on random contact frames, where the dark box answers; on noise-only
     # frames, whose dark box is about the whole frame; on a uniform frame,
     # which has no dark box; and with markers at the frame's corners,
@@ -359,7 +363,7 @@ def test_dark_box_never_changes_result(nominal_model, monkeypatch):
 
 
 def test_outside_bound_holds_over_random_frames(nominal_model):
-    # The bound on the response outside a window is never exceeded by the
+    # The bound on the response outside a box is never exceeded by the
     # full-frame response there, whatever lies outside.
     config = DetectorConfig()
     rng = np.random.default_rng(5)
@@ -412,14 +416,15 @@ def _assert_bound_holds(frame, box, config):
 
 
 def test_window_never_changes_result_on_random_frames(nominal_model):
-    # Windowed detection equals full-frame detection on frames the
-    # simulator never draws: uniform random bytes, disks anywhere (the
-    # frame's edges and corners included) over noise, and flat frames,
-    # each under windows anywhere, some touching the frame's edges.
+    # Detection in a box that answers equals full-frame detection, and so
+    # does detect_markers, on frames the simulator never draws: uniform
+    # random bytes, disks anywhere (the frame's edges and corners
+    # included) over noise, and flat frames, each under boxes anywhere,
+    # some touching the frame's edges.
     rng = np.random.default_rng(17)
     config = DetectorConfig()
-    pad = blobs._window_pad(config)
-    answered_in_window = 0
+    pad = blobs._box_pad(config)
+    answered = 0
     for trial in range(24):
         kind = trial % 3
         if kind == 0:
@@ -433,17 +438,17 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
             pixels = tg.render_frame(MarkerSet(centers), model, seq=trial)
         else:
             pixels = np.full((120, 160), rng.integers(0, 256), np.uint8)
-        full = detect_markers(pixels).centroids
+        full = blobs._detect_in_box(pixels, config, (0, 0, 160, 120))
+        assert np.array_equal(detect_markers(pixels).centroids,
+                              full.centroids)
         full_response = blobs._response(pixels, config)
         for _ in range(4):
             x0, y0 = rng.integers(-10, 150), rng.integers(-10, 110)
-            window = (int(x0), int(y0), int(x0 + rng.integers(1, 170)),
-                      int(y0 + rng.integers(1, 130)))
-            if min(window[2], 160) <= max(window[0], 0) \
-                    or min(window[3], 120) <= max(window[1], 0):
+            x1, y1 = x0 + rng.integers(1, 170), y0 + rng.integers(1, 130)
+            box = (max(int(x0), 0), max(int(y0), 0),
+                   min(int(x1), 160), min(int(y1), 120))
+            if box[0] >= box[2] or box[1] >= box[3]:
                 continue
-            box = (max(window[0], 0), max(window[1], 0),
-                   min(window[2], 160), min(window[3], 120))
             # The response on the padded crop equals the full-frame one
             # over the box and the one pixel around it that the peak
             # test's neighbour read and the fit read.
@@ -457,11 +462,11 @@ def test_window_never_changes_result_on_random_frames(nominal_model):
                 crop[ring[0].start - oy:ring[0].stop - oy,
                      ring[1].start - ox:ring[1].stop - ox],
                 full_response[ring])
-            answered_in_window += blobs._detect_in_box(
-                pixels, config, box) is not None
-            got = detect_markers(pixels, window=window).centroids
-            assert np.array_equal(got, full)
-    assert answered_in_window >= 20
+            got = blobs._detect_in_box(pixels, config, box)
+            if got is not None:
+                answered += 1
+                assert np.array_equal(got.centroids, full.centroids)
+    assert answered >= 20
 
 
 def _old_response(pixels, config):
@@ -611,14 +616,14 @@ def test_peak_test_matches_maximum_filter():
 @pytest.mark.parametrize("coarse", [False, True])
 def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
                                                     coarse):
-    # detect_markers, full-frame, answered in a window and falling back
-    # from one, checks every call of the peak test against the maximum
+    # Detection, full-frame, answered in a box and falling back from
+    # one, checks every call of the peak test against the maximum
     # filter. Disks lie anywhere, the frame's outermost rows and columns
     # included; with `coarse` the response is rounded to 1/64 of its
     # peak, so candidates tie with their neighbours.
     real_peak, real_in_box = blobs._is_local_max, blobs._detect_in_box
     real_response = blobs._response
-    seen = {"edge": 0, "ties": 0, "windowed": 0, "fallback": 0}
+    seen = {"edge": 0, "ties": 0, "boxed": 0, "fallback": 0}
 
     def checked(resp, ys, xs, vals):
         got = real_peak(resp, ys, xs, vals)
@@ -632,7 +637,7 @@ def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
     def counting(frame, config, box):
         markers = real_in_box(frame, config, box)
         if box != (0, 0, *frame.shape[::-1]):
-            seen["windowed" if markers is not None else "fallback"] += 1
+            seen["boxed" if markers is not None else "fallback"] += 1
         return markers
 
     def rounded(pixels, config, region=None):
@@ -652,19 +657,20 @@ def test_detection_peak_test_matches_maximum_filter(nominal_model, monkeypatch,
         if seq % 2:  # anywhere, two on the frame's edges
             centers = rng.uniform([-4, -4], [164, 124], (n, 2))
             centers[:2] = rng.choice([0.0, 159.0, 119.0], (2, 2))
-        else:  # a cluster a window can hold
+        else:  # a cluster a box can hold
             centers = rng.uniform([50, 40], [110, 80], (n, 2))
         frame = tg.render_frame(MarkerSet(centers), model, seq=seq)
         full = detect_markers(frame)
         assert len(full) > 0
-        # A window around every marker found, and one around a few of
-        # them that the rest outside makes fall back.
-        around = blobs.marker_window(full, DetectorConfig(), 160, 120)
-        for window in (around, (60, 40, 100, 80)):
-            assert np.array_equal(
-                detect_markers(frame, window=window).centroids,
-                full.centroids)
-    assert seen["edge"] > 0 and seen["windowed"] > 0 and seen["fallback"] > 0
+        # A box around every marker found, and one around a few of them
+        # that the rest outside makes fall back.
+        around = _markers_box(full, 2 * blobs._box_pad(DetectorConfig()),
+                              160, 120)
+        for box in (around, (60, 40, 100, 80)):
+            got = blobs._detect_in_box(frame, DetectorConfig(), box)
+            assert got is None or np.array_equal(got.centroids,
+                                                 full.centroids)
+    assert seen["edge"] > 0 and seen["boxed"] > 0 and seen["fallback"] > 0
     if coarse:
         assert seen["ties"] > 100
 
@@ -694,14 +700,12 @@ def test_outside_bound_is_attained():
 def test_single_scale_locates_contact_markers(nominal_model):
     # 48 seeded contacts (depth 0-3.2 mm, shear +-4 px, the 40 px radius
     # of the canned scenarios), a third centered inside the marker grid
-    # and the rest on its four edges, detected in the rest grid's window
-    # and matched to the rendered truth. Disks that a contact pushes into
-    # each other draw one blob, so the count and the errors are taken
-    # where a disk is at least one diameter from its nearest neighbour.
+    # and the rest on its four edges, detected and matched to the
+    # rendered truth. Disks that a contact pushes into each other draw
+    # one blob, so the count and the errors are taken where a disk is at
+    # least one diameter from its nearest neighbour.
     grid = nominal_grid(nominal_model)
     lo, hi = grid.min(0), grid.max(0)
-    window = blobs.marker_window(MarkerSet(grid), DetectorConfig(),
-                                 nominal_model.width, nominal_model.height)
     rng = np.random.default_rng(9)
     errors = []
     clear_frames = 0
@@ -719,7 +723,7 @@ def test_single_scale_locates_contact_markers(nominal_model):
         truth = tg.displace_markers(nominal_model, stim).centroids
         frame = tg.render_frame(MarkerSet(truth), nominal_model, finger_id=1,
                                 seq=seq)
-        found = detect_markers(frame, window=window).centroids
+        found = detect_markers(frame).centroids
         gap = cKDTree(truth).query(truth, k=2)[0][:, 1]
         clear = gap >= 2 * nominal_model.marker_radius
         if clear.all():

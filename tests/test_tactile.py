@@ -1,4 +1,6 @@
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,34 +33,32 @@ def test_pipeline_validates_frames(reference_frame):
         pipe.calibrate(nan_frame)
     cal = pipe.calibrate(reference_frame)
     with pytest.raises(ValueError, match="dtype float64"):
-        cal.process(nan_frame, cal.window)
+        cal.process(nan_frame)
 
 
 def _calibration_after_two_contacts(nominal_model, reference_frame):
-    """A calibration, the window passed along over two contacts, and the
-    second contact's frame."""
+    """A calibration, run over two contacts, and the second contact's
+    frame with its report."""
     cal = tg.FingerPipeline(1).calibrate(reference_frame)
-    window = cal.window
     for seq in range(2):
         touched = tg.render_frame(
             tg.displace_markers(nominal_model, tg.ContactStimulus(
                 x=300.0 + 5.0 * seq, y=240.0, depth=3.0, radius=40.0)),
             nominal_model, finger_id=1, seq=seq)
-        report = cal.process(touched, window)
+        report = cal.process(touched)
         assert report.center is not None
-        window = report.window
-    return cal, window, touched
+    return cal, touched, report
 
 
 def test_rejected_frame_leaves_window_and_track(nominal_model,
                                                 reference_frame):
-    # The detector's own frame check fires before a grown window or a
-    # center comes back; the caller's window reads the next frame.
-    cal, window, touched = _calibration_after_two_contacts(nominal_model,
+    # The detector's own frame check fires before a center comes back,
+    # and the next frame reads as it did before the rejected one.
+    cal, touched, report = _calibration_after_two_contacts(nominal_model,
                                                            reference_frame)
     with pytest.raises(ValueError, match="dtype float64"):
-        cal.process(touched.astype(np.float64), window)
-    assert cal.process(touched, window).window == window
+        cal.process(touched.astype(np.float64))
+    assert cal.process(touched).region == report.region
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
@@ -74,8 +74,20 @@ def test_frame_with_no_pixel_is_refused(nominal_model, reference_frame,
         tg.detect_markers(empty)
     with pytest.raises(ValueError, match=message):
         tg.FingerPipeline(1).calibrate(empty)
-    cal, window, touched = _calibration_after_two_contacts(nominal_model,
-                                                           reference_frame)
+    cal, touched, _ = _calibration_after_two_contacts(nominal_model,
+                                                      reference_frame)
     with pytest.raises(ValueError, match=message):
-        cal.process(empty, window)
-    assert cal.process(touched, window).center is not None
+        cal.process(empty)
+    assert cal.process(touched).center is not None
+
+
+def test_the_readme_library_example_finds_the_contact():
+    # The perception half of README's Library example runs as written.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split(
+        "# run a canned closed-loop episode", 1)[0]
+    names = {}
+    exec(code, names)
+    x, y = names["report"].center
+    assert math.hypot(x - 320.0, y - 240.0) <= 2.0
